@@ -9,8 +9,8 @@ import numpy as np
 
 from genret.decoder import decode, decode_exhaustive
 from genret.scorer import ScorerContext
-from genret.sid import SemanticId
-from genret.trie import build, valid_children_tokens
+from genret.sid import SemanticId, render_token
+from genret.trie import build, valid_children
 from genret.vocab import vocab_from_sids
 
 SIDS = {
@@ -45,9 +45,9 @@ def main():
     trie = build(SIDS)
     print(f"trie: {trie.ad_count} ads, depth {trie.depth}")
     print("valid children at the root:",
-          sorted(valid_children_tokens(trie, [])))
+          [render_token(0, c) for c in valid_children(trie, [])])
     print("valid children after a_12:",
-          sorted(valid_children_tokens(trie, ["a_12"])))
+          [render_token(1, c) for c in valid_children(trie, [12])])
 
     scorer = TableScorer(vocab_from_sids(SIDS))
     ctx = ScorerContext()

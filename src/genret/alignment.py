@@ -74,25 +74,6 @@ def explicit_pairs(catalog: Catalog, sids: dict[str, SemanticId]) -> list[Corpus
     return pairs
 
 
-def build_training_corpus(catalog: Catalog, sids: dict[str, SemanticId],
-                          prompt_samples, stage: str) -> list[CorpusPair]:
-    """Wrap one stage's material as corpus pairs.
-
-    explicit ignores prompt_samples; implicit expects samples rendered with
-    ad titles in place of S-IDs; main expects S-ID-history samples.
-    """
-    if stage not in STAGES:
-        raise AlignmentError(f"unknown stage {stage!r}")
-    if stage == "explicit":
-        return explicit_pairs(catalog, sids)
-    pairs = []
-    for s in prompt_samples or []:
-        SemanticId.parse(s.response)  # response must parse as a valid S-ID
-        pairs.append(CorpusPair(prompt=s.prompt, response=s.response,
-                                stage=stage, user_id=s.user_id))
-    return pairs
-
-
 def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
                         template_ids=(0,), strategies=("reuse",),
                         token_budget: int = 2096, seed: int = 0,
@@ -286,3 +267,18 @@ def load_corpus(path) -> list[CorpusPair]:
                 stage=obj["stage"], bucket=tuple(obj.get("bucket", ())),
                 user_id=obj.get("user_id", "")))
     return pairs
+
+
+def load_triplets(path, sids: dict[str, SemanticId]) -> list[PreferenceTriplet]:
+    """Triplets from JSONL rows {"context_tokens", "high_ad", "low_ad"}, with
+    ad ids resolved to S-IDs through sids."""
+    triplets = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            obj = json.loads(line)
+            triplets.append(PreferenceTriplet(
+                user=ScorerContext(tokens=tuple(obj.get("context_tokens", ()))),
+                high_ad=sids[obj["high_ad"]], low_ad=sids[obj["low_ad"]]))
+    return triplets

@@ -7,13 +7,14 @@ import json
 import logging
 import sys
 
-from . import alignment, decoder, metrics, rqvae, serving, synth, trie as trie_mod
+from . import alignment, rqvae, serving, synth, trie as trie_mod
 from .catalog import load_catalog
-from .embed import embed_catalog, load_embeddings, save_embeddings
-from .pipeline import PipelineConfig, build_generate_fn, run_pipeline
+from .embed import load_embeddings
+from .pipeline import (PipelineConfig, corpus_path, load_results, run_build_corpus,
+                       run_build_trie, run_dpo, run_embed, run_eval, run_generate,
+                       run_index, run_pipeline, run_train)
 from .prompting import load_events, load_profiles
-from .scorer import NgramScorer, NeuralScorer, load_scorer
-from .vocab import vocab_from_sids
+from .scorer import load_scorer
 
 log = logging.getLogger("genret")
 
@@ -28,12 +29,8 @@ def _cmd_gen_data(args):
 
 
 def _cmd_embed(args):
-    catalog = load_catalog(args.catalog)
-    if args.embed_source == "file":
-        table = load_embeddings(args.embeddings, args.dim)
-    else:
-        table = embed_catalog(catalog, args.dim, args.seed)
-    save_embeddings(table, args.out)
+    table = run_embed(load_catalog(args.catalog), args.out, args.dim, args.seed,
+                      args.embed_source, args.embeddings)
     log.info("embedded %d ads at dimension %d", len(table), args.dim)
 
 
@@ -45,125 +42,54 @@ def _cmd_index(args):
         cfg = rqvae.RqVaeConfig(num_levels=args.levels, codebook_size=args.codebook_size,
                                 latent_dim=args.latent_dim, epochs=args.epochs,
                                 seed=args.seed)
-    table = load_embeddings(args.embeddings, args.dim)
-    model = rqvae.train(cfg, table)
-    sids = rqvae.assign_sids(model, table)
-    import os
-
-    os.makedirs(args.out, exist_ok=True)
-    rqvae.save_model(model, os.path.join(args.out, "rqvae_model.json"))
-    rqvae.save_sids(sids, os.path.join(args.out, "sids.jsonl"))
-    collision, max_c, usage = rqvae.codebook_metrics(sids, cfg)
-    print(json.dumps({"collision_rate": collision, "max_collision": max_c,
-                      "usage_rate_per_level": usage}))
+    _, codebook, _ = run_index(load_embeddings(args.embeddings, args.dim), cfg, args.out)
+    print(json.dumps(codebook))
 
 
 def _cmd_build_trie(args):
-    sids = rqvae.load_sids(args.sids)
-    ad_trie = trie_mod.build(sids)
-    trie_mod.save_trie(ad_trie, args.out)
+    ad_trie = run_build_trie(rqvae.load_sids(args.sids), args.out)
     log.info("trie of %d ads, depth %d", ad_trie.ad_count, ad_trie.depth)
 
 
 def _cmd_build_corpus(args):
-    catalog = load_catalog(args.catalog)
     sids = rqvae.load_sids(args.sids)
-    profiles = load_profiles(args.profiles)
-    events = load_events(args.events, sids)
-    corpora = alignment.build_stage_corpora(
-        catalog, sids, profiles, events,
-        template_ids=tuple(int(t) for t in args.templates.split(",")),
-        strategies=tuple(args.strategies.split(",")), seed=args.seed)
-    import os
-
-    os.makedirs(args.out, exist_ok=True)
-    for name, pairs in corpora.items():
-        alignment.save_corpus(pairs, os.path.join(args.out, f"corpus_{name}.jsonl"))
+    corpora = run_build_corpus(
+        load_catalog(args.catalog), sids, load_profiles(args.profiles),
+        load_events(args.events, sids), args.out,
+        [int(t) for t in args.templates.split(",")], args.strategies.split(","),
+        args.seed)
     print(json.dumps({name: len(pairs) for name, pairs in corpora.items()}))
 
 
 def _cmd_train(args):
-    sids = rqvae.load_sids(args.sids)
-    vocab = vocab_from_sids(sids)
-    corpora = {}
-    for stage in args.stages.split(","):
-        corpora[stage] = alignment.load_corpus(f"{args.corpus_dir}/corpus_{stage}.jsonl")
-    if args.scorer == "neural":
-        scorer = NeuralScorer(vocab=vocab, seed=args.seed)
-    else:
-        scorer = NgramScorer(vocab)
-    scorer, stage_log = alignment.train_staged(
-        scorer, corpora, order=tuple(args.stages.split(",")), seed=args.seed)
-    scorer.save(args.out)
+    stages = args.stages.split(",")
+    corpora = {stage: alignment.load_corpus(corpus_path(args.corpus_dir, stage))
+               for stage in stages}
+    _, stage_log = run_train(rqvae.load_sids(args.sids), corpora, args.scorer, stages,
+                             args.seed, args.out)
     print(json.dumps(stage_log))
 
 
 def _cmd_dpo(args):
-    policy = load_scorer(args.policy)
-    reference = policy.copy()
-    sids_by_id = rqvae.load_sids(args.sids)
-    triplets = []
-    with open(args.triplets, encoding="utf-8") as fh:
-        from .scorer import ScorerContext
-
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            triplets.append(alignment.PreferenceTriplet(
-                user=ScorerContext(tokens=tuple(obj.get("context_tokens", ()))),
-                high_ad=sids_by_id[obj["high_ad"]],
-                low_ad=sids_by_id[obj["low_ad"]]))
-    before = alignment.preference_margin(policy, triplets)
-    policy, losses = alignment.dpo_update(
-        policy, reference, triplets, beta=args.beta,
-        learning_rate=args.learning_rate, steps=args.steps, variant=args.variant)
-    after = alignment.preference_margin(policy, triplets)
-    policy.save(args.out)
-    print(json.dumps({"margin_before": before, "margin_after": after,
-                      "final_loss": losses[-1] if losses else 0.0}))
+    triplets = alignment.load_triplets(args.triplets, rqvae.load_sids(args.sids))
+    print(json.dumps(run_dpo(load_scorer(args.policy), triplets, args.out, args.beta,
+                             args.variant, args.steps, args.learning_rate)))
 
 
 def _cmd_generate(args):
-    scorer = load_scorer(args.scorer)
-    ad_trie = trie_mod.load_trie(args.trie)
-    catalog = load_catalog(args.catalog)
     sids = rqvae.load_sids(args.sids)
-    profiles = load_profiles(args.profiles)
     events = load_events(args.events, sids)
-    generate = build_generate_fn(scorer, ad_trie, catalog, profiles, events,
-                                 args.beam, args.renormalize)
-    users = [args.user] if args.user else sorted(events)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for uid in users:
-            for ad_id, score in generate(uid):
-                fh.write(json.dumps({"user_id": uid, "ad_id": ad_id,
-                                     "score": score}) + "\n")
+    run_generate(load_scorer(args.scorer), trie_mod.load_trie(args.trie),
+                 load_catalog(args.catalog), load_profiles(args.profiles), events,
+                 [args.user] if args.user else sorted(events), args.beam,
+                 args.renormalize, args.out)
 
 
 def _cmd_eval(args):
-    catalog = load_catalog(args.catalog)
-    cat_of = {ad.ad_id: ad.first_category for ad in catalog}
-    truth = synth.load_truth(args.truth)
     ltr = synth.load_ltr_labels(args.ltr_labels) if args.ltr_labels else {}
-    retrieved: dict[str, list[str]] = {}
-    with open(args.results, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                retrieved.setdefault(obj["user_id"], []).append(obj["ad_id"])
-    records = [metrics.EvalRecord(user_id=uid, retrieved=ads, truth=truth[uid],
-                                  categories=cat_of, ltr_labels=ltr.get(uid))
-               for uid, ads in sorted(retrieved.items()) if uid in truth]
-    ks = [int(k) for k in args.k.split(",")]
-    report = {"hr": {k: metrics.hit_ratio(records, k) for k in ks},
-              "ndcg": {k: metrics.ndcg(records, k) for k in ks if k > 1}}
-    concentration, abundance, score = metrics.diversity(records, max(ks))
-    report["diversity"] = {"concentration": concentration,
-                           "abundance": abundance, "score": score}
-    if ltr:
-        mean, excluded = metrics.ltrr(records, max(ks))
-        report["ltrr"] = {max(ks): mean, "excluded_users": excluded}
+    report = run_eval(load_results(args.results), synth.load_truth(args.truth),
+                      load_catalog(args.catalog), ltr,
+                      [int(k) for k in args.k.split(",")])
     print(json.dumps(report, indent=1))
 
 

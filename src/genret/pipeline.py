@@ -1,7 +1,9 @@
-"""End-to-end reproducible pipeline with a content-hash manifest."""
+"""One function per pipeline stage, shared by the CLI subcommands and by
+run_pipeline, which chains them and records a content-hash manifest."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -69,12 +71,13 @@ class Manifest:
     def __init__(self):
         self.entries: list[dict] = []
 
-    def record(self, stage: str, path: str) -> None:
-        self.entries.append({
-            "stage": stage,
-            "file": os.path.basename(path),
-            "sha256": _sha256(path),
-        })
+    def record(self, stage: str, *paths: str) -> None:
+        for path in paths:
+            self.entries.append({
+                "stage": stage,
+                "file": os.path.basename(path),
+                "sha256": _sha256(path),
+            })
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -96,153 +99,220 @@ def build_generate_fn(scorer, ad_trie, catalog, profiles, events_by_user,
     return generate
 
 
+@contextlib.contextmanager
+def _stage(name: str):
+    """Attribute any failure inside the block to pipeline stage name."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
+
+
+def corpus_path(out_dir, stage: str) -> str:
+    return os.path.join(out_dir, f"corpus_{stage}.jsonl")
+
+
+def run_embed(catalog, out_path, dim: int, seed: int, source: str, embeddings_path):
+    """Embed the catalog, or load a TSV when source is "file", and save it."""
+    if source == "file":
+        table = load_embeddings(embeddings_path, dim)
+    else:
+        table = embed_catalog(catalog, dim, seed)
+    save_embeddings(table, out_path)
+    return table
+
+
+def run_index(table, rq_config: rqvae.RqVaeConfig, out_dir):
+    """Train the quantizer, assign S-IDs and save both under out_dir;
+    returns (sids, codebook report, written paths)."""
+    model = rqvae.train(rq_config, table)
+    sids = rqvae.assign_sids(model, table)
+    os.makedirs(out_dir, exist_ok=True)
+    model_path = os.path.join(out_dir, "rqvae_model.json")
+    sids_path = os.path.join(out_dir, "sids.jsonl")
+    rqvae.save_model(model, model_path)
+    rqvae.save_sids(sids, sids_path)
+    collision_rate, max_collision, usage = rqvae.codebook_metrics(sids, rq_config)
+    codebook = {"collision_rate": collision_rate, "max_collision": max_collision,
+                "usage_rate_per_level": usage}
+    return sids, codebook, [model_path, sids_path]
+
+
+def run_build_trie(sids, out_path):
+    ad_trie = trie_mod.build(sids)
+    trie_mod.save_trie(ad_trie, out_path)
+    return ad_trie
+
+
+def run_build_corpus(catalog, sids, profiles, events_by_user, out_dir,
+                     template_ids, strategies, seed: int):
+    """Build the staged corpora and save each as corpus_path(out_dir, stage)."""
+    corpora = alignment.build_stage_corpora(
+        catalog, sids, profiles, events_by_user, template_ids=template_ids,
+        strategies=strategies, seed=seed)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, pairs in corpora.items():
+        alignment.save_corpus(pairs, corpus_path(out_dir, name))
+    return corpora
+
+
+def run_train(sids, corpora, scorer_kind: str, stages, seed: int, out_path=None):
+    """Train a fresh scorer over the S-ID vocabulary on corpora in stage
+    order, saving it to out_path when one is given. Returns (scorer, stage_log)."""
+    vocab = vocab_from_sids(sids)
+    if scorer_kind == "neural":
+        scorer = NeuralScorer(vocab=vocab, seed=seed)
+    else:
+        scorer = NgramScorer(vocab)
+    scorer, stage_log = alignment.train_staged(scorer, corpora, order=stages, seed=seed)
+    if out_path is not None:
+        scorer.save(out_path)
+    return scorer, stage_log
+
+
+def run_dpo(policy, triplets, out_path, beta: float, variant: str, steps: int,
+            learning_rate: float = 0.01) -> dict:
+    """DPO against a frozen copy of policy; saves the aligned policy."""
+    reference = policy.copy()
+    before = alignment.preference_margin(policy, triplets)
+    policy, losses = alignment.dpo_update(
+        policy, reference, triplets, beta, learning_rate=learning_rate,
+        steps=steps, variant=variant)
+    after = alignment.preference_margin(policy, triplets)
+    policy.save(out_path)
+    return {"margin_before": before, "margin_after": after,
+            "final_loss": losses[-1] if losses else 0.0}
+
+
+def _logged_preference_triplets(catalog, sids, profiles, events_by_user):
+    """ECPM-ordered triplets over each user's first four logged ad events."""
+    candidates = {}
+    for uid, events in sorted(events_by_user.items()):
+        summary = alignment.summary_from_events(events, catalog)
+        context = alignment.compact_context(profiles[uid], summary, events)
+        cands = []
+        for e in events:
+            if e.domain == "ad" and e.ad_id in catalog and e.ad_id in sids:
+                cands.append((sids[e.ad_id], catalog.get(e.ad_id).ecpm))
+        candidates[context] = cands[:4]
+    return alignment.build_preference_triplets(candidates)
+
+
+def run_generate(scorer, ad_trie, catalog, profiles, events_by_user, users,
+                 beam_width: int, renormalize: bool, out_path) -> None:
+    """Decode a list per user and write them to out_path as JSON lines."""
+    generate = build_generate_fn(scorer, ad_trie, catalog, profiles,
+                                 events_by_user, beam_width, renormalize)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        for uid in users:
+            for ad_id, score in generate(uid):
+                fh.write(json.dumps({"user_id": uid, "ad_id": ad_id,
+                                     "score": score}) + "\n")
+
+
+def load_results(path) -> dict[str, list[str]]:
+    """Retrieved ad_ids per user, in rank order, from a results JSONL."""
+    retrieved: dict[str, list[str]] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                obj = json.loads(line)
+                retrieved.setdefault(obj["user_id"], []).append(obj["ad_id"])
+    return retrieved
+
+
+def run_eval(retrieved, truth, catalog, ltr_labels, ks) -> dict:
+    """HR and NDCG at each k, diversity, and LTR recall when labels exist.
+
+    Diversity is taken at max(ks) capped by the longest retrieved list:
+    metrics.diversity divides by its k, so ranks that no list has would
+    read as category spread."""
+    cat_of = {ad.ad_id: ad.first_category for ad in catalog}
+    records = [metrics.EvalRecord(user_id=uid, retrieved=ads, truth=truth[uid],
+                                  categories=cat_of, ltr_labels=ltr_labels.get(uid))
+               for uid, ads in sorted(retrieved.items()) if uid in truth]
+    report = {"hr": {k: metrics.hit_ratio(records, k) for k in ks},
+              "ndcg": {k: metrics.ndcg(records, k) for k in ks if k > 1}}
+    depth = min(max(ks), max(len(r.retrieved) for r in records))
+    concentration, abundance, score = metrics.diversity(records, depth)
+    report["diversity"] = {"concentration": concentration,
+                           "abundance": abundance, "score": score}
+    if ltr_labels:
+        mean, excluded = metrics.ltrr(records, max(ks))
+        report["ltrr"] = {max(ks): mean, "excluded_users": excluded}
+    return report
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
-    os.makedirs(config.out_dir, exist_ok=True)
-    manifest = Manifest()
     out = config.out_dir
+    os.makedirs(out, exist_ok=True)
+    manifest = Manifest()
 
-    def stage(name):
-        class _Stage:
-            def __enter__(self):
-                return None
-
-            def __exit__(self, exc_type, exc, tb):
-                if exc is not None:
-                    raise PipelineError(name, exc) from exc
-
-        return _Stage()
-
-    with stage("gen-data"):
+    with _stage("gen-data"):
         spec = synth.SyntheticSpec(seed=config.seed, **config.synthetic)
         data_paths = synth.gen_data(spec, os.path.join(out, "data"))
-        for p in data_paths.values():
-            manifest.record("gen-data", p)
+        manifest.record("gen-data", *data_paths.values())
         catalog = load_catalog(data_paths["catalog"])
         profiles = load_profiles(data_paths["profiles"])
         truth = synth.load_truth(data_paths["truth"])
         ltr_labels = synth.load_ltr_labels(data_paths["ltr_labels"])
 
-    with stage("embed"):
-        if config.embed_source == "file":
-            table = load_embeddings(config.embeddings_path, config.embed_dim)
-        else:
-            table = embed_catalog(catalog, config.embed_dim, config.seed)
+    with _stage("embed"):
         emb_path = os.path.join(out, "embeddings.tsv")
-        save_embeddings(table, emb_path)
+        table = run_embed(catalog, emb_path, config.embed_dim, config.seed,
+                          config.embed_source, config.embeddings_path)
         manifest.record("embed", emb_path)
 
-    with stage("index"):
+    with _stage("index"):
         rq_config = rqvae.RqVaeConfig(seed=config.seed, **config.rqvae)
-        model = rqvae.train(rq_config, table)
-        sids = rqvae.assign_sids(model, table)
-        model_path = os.path.join(out, "rqvae_model.json")
-        sids_path = os.path.join(out, "sids.jsonl")
-        rqvae.save_model(model, model_path)
-        rqvae.save_sids(sids, sids_path)
-        manifest.record("index", model_path)
-        manifest.record("index", sids_path)
-        collision_rate, max_collision, usage = rqvae.codebook_metrics(sids, rq_config)
+        sids, codebook, paths = run_index(table, rq_config, out)
+        manifest.record("index", *paths)
 
-    with stage("build-trie"):
-        ad_trie = trie_mod.build(sids)
+    with _stage("build-trie"):
         trie_path = os.path.join(out, "trie.json")
-        trie_mod.save_trie(ad_trie, trie_path)
+        ad_trie = run_build_trie(sids, trie_path)
         manifest.record("build-trie", trie_path)
 
-    with stage("build-corpus"):
+    with _stage("build-corpus"):
         events_by_user = load_events(data_paths["events"], sids)
-        corpora = alignment.build_stage_corpora(
-            catalog, sids, profiles, events_by_user,
-            template_ids=config.template_ids, strategies=config.strategies,
-            seed=config.seed)
-        for name, pairs in corpora.items():
-            path = os.path.join(out, f"corpus_{name}.jsonl")
-            alignment.save_corpus(pairs, path)
-            manifest.record("build-corpus", path)
+        corpora = run_build_corpus(catalog, sids, profiles, events_by_user, out,
+                                   config.template_ids, config.strategies, config.seed)
+        manifest.record("build-corpus", *(corpus_path(out, name) for name in corpora))
 
-    with stage("train"):
-        vocab = vocab_from_sids(sids)
-        if config.scorer_kind == "neural":
-            scorer = NeuralScorer(vocab=vocab, seed=config.seed)
-        else:
-            scorer = NgramScorer(vocab)
-        scorer, stage_log = alignment.train_staged(
-            scorer, corpora, order=tuple(config.stages), seed=config.seed)
+    with _stage("train"):
         scorer_path = os.path.join(out, "scorer.json")
-        scorer.save(scorer_path)
+        scorer, _ = run_train(sids, corpora, config.scorer_kind, config.stages,
+                              config.seed, scorer_path)
         manifest.record("train", scorer_path)
 
     dpo_report = None
     if config.dpo_enabled:
-        with stage("dpo"):
-            policy = NeuralScorer(vocab=vocab, seed=config.seed)
-            policy, _ = alignment.train_staged(
-                policy, {"main": corpora["main"]}, order=("main",), seed=config.seed)
-            reference = policy.copy()
-            candidates = {}
-            for uid, events in sorted(events_by_user.items()):
-                summary = alignment.summary_from_events(events, catalog)
-                context = alignment.compact_context(profiles[uid], summary, events)
-                cands = []
-                for e in events:
-                    if e.domain == "ad" and e.ad_id in catalog and e.ad_id in sids:
-                        cands.append((sids[e.ad_id], catalog.get(e.ad_id).ecpm))
-                candidates[context] = cands[:4]
-            triplets = alignment.build_preference_triplets(candidates)
-            before = alignment.preference_margin(policy, triplets)
-            policy, losses = alignment.dpo_update(
-                policy, reference, triplets, config.dpo_beta,
-                learning_rate=0.01, steps=config.dpo_steps,
-                variant=config.dpo_variant)
-            after = alignment.preference_margin(policy, triplets)
+        with _stage("dpo"):
+            policy, _ = run_train(sids, corpora, "neural", ("main",), config.seed)
+            triplets = _logged_preference_triplets(catalog, sids, profiles, events_by_user)
             policy_path = os.path.join(out, "dpo_policy.json")
-            policy.save(policy_path)
+            dpo = run_dpo(policy, triplets, policy_path, config.dpo_beta,
+                          config.dpo_variant, config.dpo_steps)
             manifest.record("dpo", policy_path)
-            dpo_report = {"triplets": len(triplets), "margin_before": before,
-                          "margin_after": after}
+            dpo_report = {"triplets": len(triplets), "margin_before": dpo["margin_before"],
+                          "margin_after": dpo["margin_after"]}
 
-    with stage("generate"):
-        generate = build_generate_fn(scorer, ad_trie, catalog, profiles,
-                                     events_by_user, config.beam_width,
-                                     config.renormalize)
+    with _stage("generate"):
         results_path = os.path.join(out, "results.jsonl")
-        retrieved: dict[str, list[str]] = {}
-        with open(results_path, "w", encoding="utf-8") as fh:
-            for uid in sorted(events_by_user):
-                entries = generate(uid)
-                retrieved[uid] = [ad_id for ad_id, _ in entries]
-                for ad_id, score in entries:
-                    fh.write(json.dumps({"user_id": uid, "ad_id": ad_id,
-                                         "score": score}) + "\n")
+        run_generate(scorer, ad_trie, catalog, profiles, events_by_user,
+                     sorted(events_by_user), config.beam_width, config.renormalize,
+                     results_path)
         manifest.record("generate", results_path)
 
-    with stage("eval"):
-        cat_of = {ad.ad_id: ad.first_category for ad in catalog}
-        records = [
-            metrics.EvalRecord(user_id=uid, retrieved=retrieved[uid],
-                               truth=truth[uid], categories=cat_of,
-                               ltr_labels=ltr_labels.get(uid))
-            for uid in sorted(retrieved)
-        ]
-        ks = tuple(config.eval_k)
-        concentration, abundance, score = metrics.diversity(
-            records, min(config.beam_width, max(ks)))
-        ltrr_mean, ltrr_excluded = metrics.ltrr(records, max(ks))
-        report = {
-            "hr": {k: metrics.hit_ratio(records, k) for k in ks},
-            "ndcg": {k: metrics.ndcg(records, k) for k in ks if k > 1},
-            "diversity": {"concentration": concentration,
-                          "abundance": abundance, "score": score},
-            "ltrr": {max(ks): ltrr_mean, "excluded_users": ltrr_excluded},
-            "codebook": {"collision_rate": collision_rate,
-                         "max_collision": max_collision,
-                         "usage_rate_per_level": usage},
-            "dpo": dpo_report,
-            # out_dir is a location, not content; keeping it out makes the
-            # report byte-identical across runs that differ only in location
-            "config": {k: list(v) if isinstance(v, tuple) else v
-                       for k, v in asdict(config).items() if k != "out_dir"},
-        }
+    with _stage("eval"):
+        report = run_eval(load_results(results_path), truth, catalog, ltr_labels,
+                          config.eval_k)
+        report["codebook"] = codebook
+        report["dpo"] = dpo_report
+        # out_dir is a location, not content; keeping it out makes the
+        # report byte-identical across runs that differ only in location
+        report["config"] = {k: list(v) if isinstance(v, tuple) else v
+                            for k, v in asdict(config).items() if k != "out_dir"}
         report_path = os.path.join(out, "report.json")
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)

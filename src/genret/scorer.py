@@ -32,10 +32,6 @@ class ScorerContext:
     tokens: tuple[str, ...] = ()
     bucket: tuple = ()
 
-    @classmethod
-    def from_prompt(cls, prompt: str, bucket: tuple = ()) -> "ScorerContext":
-        return cls(tokens=tuple(tokenize_text(prompt)), bucket=bucket)
-
 
 class NgramScorer:
     """Interpolated additive-smoothed count model.

@@ -29,7 +29,6 @@ class FeatureStore:
 
     def __init__(self):
         self.user_lists: dict[str, tuple[tuple, int]] = {}
-        self.user_events: dict[str, list] = {}
         self.decoder_invocations_in_request_path = 0
 
     def publish(self, user_id: str, entries, generated_at: int) -> None:
@@ -38,9 +37,6 @@ class FeatureStore:
 
     def get(self, user_id: str):
         return self.user_lists.get(user_id)
-
-    def record_event(self, user_id: str, event) -> None:
-        self.user_events.setdefault(user_id, []).append(event)
 
 
 @dataclass

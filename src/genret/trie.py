@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .sid import SemanticId, parse_token, render_token
+from .sid import SemanticId
 
 
 class TrieError(ValueError):
@@ -75,12 +75,6 @@ def valid_children(trie: Trie, prefix) -> list[int]:
     if node is None:
         return []
     return node.child_codes()
-
-
-def valid_children_tokens(trie: Trie, prefix_tokens) -> set[str]:
-    codes = [parse_token(t)[1] for t in prefix_tokens]
-    level = len(codes)
-    return {render_token(level, c) for c in valid_children(trie, codes)}
 
 
 def contains(trie: Trie, sid: SemanticId) -> bool:

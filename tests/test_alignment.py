@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from genret.alignment import (AlignmentError, CorpusPair, PreferenceTriplet,
+from genret.alignment import (AlignmentError, PreferenceTriplet,
                               build_preference_triplets, build_stage_corpora,
-                              build_training_corpus, compact_context, dpo_loss,
-                              dpo_update, explicit_pairs, load_corpus,
-                              make_bucket, preference_margin, save_corpus,
+                              compact_context, dpo_loss, dpo_update,
+                              explicit_pairs, load_corpus, make_bucket,
+                              preference_margin, save_corpus,
                               summary_from_events, train_staged)
 from genret.catalog import Ad, Catalog
-from genret.prompting import (BehaviorEvent, InterestSummary, PromptSample,
-                              UserProfile)
+from genret.prompting import BehaviorEvent, UserProfile
 from genret.scorer import NeuralScorer, NgramScorer, ScorerContext
 from genret.sid import SemanticId
 from genret.vocab import vocab_from_sids
@@ -54,19 +53,6 @@ def test_explicit_missing_sid_rejected():
     catalog = _catalog()
     with pytest.raises(AlignmentError, match="ad7"):
         explicit_pairs(catalog, {k: v for k, v in SIDS.items() if k != "ad7"})
-
-
-def test_build_training_corpus_validates_responses():
-    sample = PromptSample(prompt="p", response="<a_1, b_2, c_0>",
-                          template_id=0, user_id="u")
-    pairs = build_training_corpus(_catalog(), SIDS, [sample], "main")
-    assert pairs[0].stage == "main"
-    bad = PromptSample(prompt="p", response="not-an-sid", template_id=0,
-                       user_id="u")
-    with pytest.raises(Exception):
-        build_training_corpus(_catalog(), SIDS, [bad], "main")
-    with pytest.raises(AlignmentError):
-        build_training_corpus(_catalog(), SIDS, [], "warmup")
 
 
 def _events():

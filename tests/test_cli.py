@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from genret.cli import main
+from genret.pipeline import PipelineConfig, run_pipeline
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +79,56 @@ def test_gen_data_and_full_stage_chain(tmp_path, capsys):
     report = json.loads(out)
     assert set(report["hr"]) == {"1", "4"} or set(report["hr"]) == {1, 4}
     assert "ltrr" in report
+
+
+def test_cli_chain_reproduces_pipeline_run(tmp_path, capsys):
+    """The subcommands run the pipeline's stage functions, so a CLI chain with
+    a run's settings rebuilds its artifacts byte for byte and `eval` on its
+    results.jsonl gives the run's report.json metrics."""
+    run = tmp_path / "run"
+    run_pipeline(PipelineConfig(
+        out_dir=str(run), seed=5,
+        synthetic={"num_categories": 2, "ads_per_category": 4, "num_users": 5,
+                   "events_per_user": 6},
+        embed_dim=16,
+        rqvae={"num_levels": 2, "codebook_size": 4, "latent_dim": 4, "epochs": 30},
+        beam_width=4, eval_k=(1, 4, 8)))
+
+    def cli(*argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        return out
+
+    out = tmp_path / "cli"
+    data = json.loads(cli("gen-data", "--out", str(out / "data"), "--categories", "2",
+                          "--ads-per-category", "4", "--users", "5",
+                          "--events-per-user", "6", "--seed", "5"))
+    common = ("--catalog", data["catalog"], "--sids", str(out / "sids.jsonl"),
+              "--profiles", data["profiles"], "--events", data["events"])
+    cli("embed", "--catalog", data["catalog"], "--out", str(out / "embeddings.tsv"),
+        "--dim", "16", "--seed", "5")
+    cli("index", "--embeddings", str(out / "embeddings.tsv"), "--dim", "16",
+        "--out", str(out), "--levels", "2", "--codebook-size", "4",
+        "--latent-dim", "4", "--epochs", "30", "--seed", "5")
+    cli("build-trie", "--sids", str(out / "sids.jsonl"), "--out", str(out / "trie.json"))
+    cli("build-corpus", *common, "--out", str(out), "--seed", "5")
+    cli("train", "--sids", str(out / "sids.jsonl"), "--corpus-dir", str(out),
+        "--out", str(out / "scorer.json"), "--seed", "5")
+    cli("generate", "--scorer", str(out / "scorer.json"), "--trie", str(out / "trie.json"),
+        *common, "--beam", "4", "--out", str(out / "results.jsonl"))
+    report = json.loads(cli("eval", "--results", str(out / "results.jsonl"),
+                            "--truth", data["truth"], "--catalog", data["catalog"],
+                            "--ltr-labels", data["ltr_labels"], "--k", "1,4,8"))
+
+    produced = {p.name: p for p in out.rglob("*")}
+    manifest = json.loads((run / "manifest.json").read_text())
+    for entry in manifest:
+        if entry["file"] != "report.json":
+            digest = hashlib.sha256(produced[entry["file"]].read_bytes()).hexdigest()
+            assert digest == entry["sha256"], entry["file"]
+    expected = json.loads((run / "report.json").read_text())
+    for key in ("hr", "ndcg", "diversity", "ltrr"):
+        assert report[key] == expected[key], key
 
 
 def test_simulate_command(tmp_path, capsys):

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from genret.sid import SemanticId
 from genret.trie import (TrieError, all_sids, build, contains, load_trie,
-                         lookup_ad, save_trie, valid_children,
-                         valid_children_tokens)
+                         lookup_ad, save_trie, valid_children)
 
 # three-ad example: Ad_66 [a_12,b_7,c_4]; Ad_245 [a_12,b_7,c_14];
 # Ad_112 [a_12,b_6,c_22]
@@ -30,12 +29,7 @@ def test_example_shape(example_trie):
     assert valid_children(t, [12]) == [6, 7]
     assert valid_children(t, [12, 7]) == [4, 14]
     assert valid_children(t, [12, 6]) == [22]
-
-
-def test_example_token_children(example_trie):
-    assert valid_children_tokens(example_trie, ["a_12"]) == {"b_7", "b_6"}
-    assert valid_children_tokens(example_trie, []) == {"a_12"}
-    assert valid_children_tokens(example_trie, ["a_99"]) == set()
+    assert valid_children(t, [99]) == []
 
 
 def test_contains_and_lookup(example_trie):
