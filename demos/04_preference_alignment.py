@@ -7,8 +7,8 @@ higher-value ads while the loss falls from log 2.
 
 import math
 
-from genret.alignment import (PreferenceTriplet, build_preference_triplets,
-                              dpo_loss, dpo_update, preference_margin)
+from genret.alignment import (build_preference_triplets, dpo_loss, dpo_update,
+                              preference_margin)
 from genret.scorer import NeuralScorer, ScorerContext
 from genret.sid import SemanticId
 from genret.vocab import vocab_from_sids

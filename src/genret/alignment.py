@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog, render_description
-from .prompting import BehaviorEvent, InterestSummary, UserProfile, augment, filter_events
-from .scorer import NeuralScorer, NgramScorer, ScorerContext, ScorerError, tokenize_text
+from .prompting import InterestSummary, UserProfile, augment, filter_events
+from .scorer import NeuralScorer, NgramScorer, ScorerContext, tokenize_text
 from .sid import SemanticId
 
 STAGES = ("explicit", "implicit", "main")

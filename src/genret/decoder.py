@@ -6,21 +6,11 @@ import math
 from dataclasses import dataclass
 
 from .sid import SemanticId, render_token
-from .trie import Trie, lookup_ad
+from .trie import Trie
 
 
 class DecodeError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class BeamCandidate:
-    codes: tuple[int, ...]
-    log_score: float
-
-    @property
-    def score(self) -> float:
-        return math.exp(self.log_score)
 
 
 @dataclass
@@ -67,39 +57,24 @@ def decode(scorer, context, trie: Trie, beam_width: int, renormalize: bool = Fal
     if trie.ad_count == 0:
         raise DecodeError("empty inventory: trie holds no ads")
 
-    beam = [BeamCandidate(codes=(), log_score=0.0)]
-    node_of: dict[tuple[int, ...], object] = {(): trie.root}
-
+    # each candidate is (codes, log_score, trie node reached by codes)
+    beam = [((), 0.0, trie.root)]
     for level in range(trie.depth):
-        expanded: list[BeamCandidate] = []
-        next_nodes: dict[tuple[int, ...], object] = {}
-        for cand in beam:
-            node = node_of[cand.codes]
-            codes = node.child_codes()
-            if not codes:
+        expanded = []
+        for codes, log_score, node in beam:
+            child_codes = node.child_codes()
+            if not child_codes:
                 continue
-            prefix_tokens = tuple(
-                render_token(i, c) for i, c in enumerate(cand.codes)
-            )
-            probs = _step_prob(scorer, context, prefix_tokens, level, codes, renormalize)
-            for code, p in zip(codes, probs):
-                new_codes = cand.codes + (code,)
+            prefix_tokens = tuple(render_token(i, c) for i, c in enumerate(codes))
+            probs = _step_prob(scorer, context, prefix_tokens, level, child_codes, renormalize)
+            for code, p in zip(child_codes, probs):
                 log_p = math.log(p) if p > 0.0 else -math.inf
-                expanded.append(
-                    BeamCandidate(codes=new_codes, log_score=cand.log_score + log_p)
-                )
-                next_nodes[new_codes] = node.children[code]
-        expanded.sort(key=lambda c: (-c.log_score, c.codes))
+                expanded.append((codes + (code,), log_score + log_p, node.children[code]))
+        expanded.sort(key=lambda c: (-c[1], c[0]))
         beam = expanded[:beam_width]
-        node_of = {c.codes: next_nodes[c.codes] for c in beam}
 
-    entries = []
-    for cand in beam:
-        sid = SemanticId(cand.codes)
-        ad_id = lookup_ad(trie, sid)
-        if ad_id is None:
-            continue
-        entries.append((ad_id, sid, cand.score))
+    entries = [(node.end_of_ad, SemanticId(codes), math.exp(log_score))
+               for codes, log_score, node in beam if node.end_of_ad is not None]
     return RetrievalList(entries=entries, beam_width=beam_width)
 
 

@@ -71,7 +71,8 @@ def dice(list_a, list_b) -> float:
 def diversity(records, k: int):
     """Concentration, abundance, and their combined score.
 
-    concentration: mean share of the most frequent category in the top-k;
+    concentration: mean share of the most frequent category among the ads
+    each user got in the top-k (a list shorter than k counts its own length);
     abundance: mean number of distinct categories; score averages the two
     normalized components (undefined for k=1)."""
     records = _require(records)
@@ -82,7 +83,7 @@ def diversity(records, k: int):
         counts: dict[str, int] = {}
         for c in cats:
             counts[c] = counts.get(c, 0) + 1
-        concentrations.append(max(counts.values()) / k if counts else 0.0)
+        concentrations.append(max(counts.values()) / len(top) if counts else 0.0)
         abundances.append(len(counts))
     concentration = float(np.mean(concentrations))
     abundance = float(np.mean(abundances))

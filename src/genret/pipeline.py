@@ -225,8 +225,8 @@ def run_eval(retrieved, truth, catalog, ltr_labels, ks) -> dict:
     """HR and NDCG at each k, diversity, and LTR recall when labels exist.
 
     Diversity is taken at max(ks) capped by the longest retrieved list:
-    metrics.diversity divides by its k, so ranks that no list has would
-    read as category spread."""
+    metrics.diversity normalises abundance by k-1, so ranks that no list
+    has would lower the score."""
     cat_of = {ad.ad_id: ad.first_category for ad in catalog}
     records = [metrics.EvalRecord(user_id=uid, retrieved=ads, truth=truth[uid],
                                   categories=cat_of, ltr_labels=ltr_labels.get(uid))

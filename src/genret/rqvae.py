@@ -125,17 +125,17 @@ def decode_latent(model: RqVaeModel, z: np.ndarray) -> np.ndarray:
 def quantize(codebooks: list[np.ndarray], z_hat: np.ndarray):
     """Residual quantization: per level pick the nearest code, subtract it.
 
-    Returns (codes, z, residuals); residuals has length M+1 and includes the
-    final residual, so r[l+1] + e[codes[l]] == r[l] exactly and
-    z_hat == z + r[-1].
+    Works on the last axis, so z_hat is one vector (d,) or a batch (n, d);
+    codes[l] is then an int or an (n,) array. Returns (codes, z, residuals);
+    residuals has length M+1 and includes the final residual, so
+    r[l+1] + e[codes[l]] == r[l] exactly and z_hat == z + r[-1].
     """
     r = np.asarray(z_hat, dtype=np.float64)
-    codes: list[int] = []
+    codes = []
     residuals = [r]
     z = np.zeros_like(r)
     for cb in codebooks:
-        d = np.sum((cb - r) ** 2, axis=1)
-        k = int(np.argmin(d))
+        k = np.argmin(np.sum((cb - r[..., None, :]) ** 2, axis=-1), axis=-1)
         codes.append(k)
         z = z + cb[k]
         r = r - cb[k]
@@ -167,20 +167,15 @@ def _forward_backward(model: RqVaeModel, X: np.ndarray):
     h1 = _act(act, pre1)
     z_hat = h1 @ p["enc_w2"].T + p["enc_b2"]
 
-    all_codes = []
+    codes, Z, residuals = quantize(model.codebooks, z_hat)
     commit_grad = np.zeros_like(z_hat)
-    Z = np.zeros_like(z_hat)
     cb_grads = [np.zeros_like(cb) for cb in model.codebooks]
     quant_total = 0.0
-    for i in range(n):
-        codes, z, residuals = quantize(model.codebooks, z_hat[i])
-        all_codes.append(codes)
-        Z[i] = z
-        for l, c in enumerate(codes):
-            gap = residuals[l] - model.codebooks[l][c]
-            quant_total += (1.0 + beta) * float(np.sum(gap**2))
-            cb_grads[l][c] += -2.0 * gap / n
-            commit_grad[i] += 2.0 * beta * gap
+    for l, c in enumerate(codes):
+        gap = residuals[l] - model.codebooks[l][c]
+        quant_total += (1.0 + beta) * float(np.sum(gap**2))
+        np.add.at(cb_grads[l], c, -2.0 * gap / n)
+        commit_grad += 2.0 * beta * gap
 
     pre2 = Z @ p["dec_w1"].T + p["dec_b1"]
     h2 = _act(act, pre2)
@@ -211,7 +206,7 @@ def _forward_backward(model: RqVaeModel, X: np.ndarray):
 
     for l, g in enumerate(cb_grads):
         grads[f"codebook_{l}"] = g
-    return loss, grads, all_codes
+    return loss, grads, np.stack(codes, axis=1).tolist()
 
 
 def surrogate_loss(model: RqVaeModel, X: np.ndarray, frozen) -> float:
@@ -251,14 +246,14 @@ def surrogate_loss(model: RqVaeModel, X: np.ndarray, frozen) -> float:
 def freeze_forward(model: RqVaeModel, X: np.ndarray) -> dict:
     """Record the quantities the surrogate loss holds constant."""
     z_hat = encode(model, X)
-    frozen = {"codes": [], "residuals": [], "code_vectors": [], "z": [], "z_hat": z_hat}
-    for i in range(X.shape[0]):
-        codes, z, residuals = quantize(model.codebooks, z_hat[i])
-        frozen["codes"].append(codes)
-        frozen["residuals"].append(residuals)
-        frozen["code_vectors"].append([model.codebooks[l][c].copy() for l, c in enumerate(codes)])
-        frozen["z"].append(z)
-    return frozen
+    codes, z, residuals = quantize(model.codebooks, z_hat)
+    return {
+        "codes": np.stack(codes, axis=1),
+        "residuals": np.stack(residuals, axis=1),
+        "code_vectors": np.stack([cb[c] for cb, c in zip(model.codebooks, codes)], axis=1),
+        "z": z,
+        "z_hat": z_hat,
+    }
 
 
 def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -290,11 +285,7 @@ def seed_codebooks(model: RqVaeModel, X: np.ndarray, rng: np.random.Generator) -
     residual = encode(model, X)
     for l in range(model.config.num_levels):
         model.codebooks[l] = _kmeanspp_seed(residual, model.config.codebook_size, rng)
-        cb = model.codebooks[l]
-        idx = np.argmin(
-            ((residual[:, None, :] - cb[None, :, :]) ** 2).sum(axis=2), axis=1
-        )
-        residual = residual - cb[idx]
+        residual = quantize([model.codebooks[l]], residual)[2][-1]
 
 
 def train(config: RqVaeConfig, table: EmbeddingTable) -> RqVaeModel:
@@ -322,17 +313,13 @@ def train(config: RqVaeConfig, table: EmbeddingTable) -> RqVaeModel:
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch)
         t = epoch + 1
-        for name, _ in model.param_items():
+        for name, param in model.param_items():
             g = grads[name]
             m[name] = b1 * m[name] + (1 - b1) * g
             v[name] = b2 * v[name] + (1 - b2) * g**2
             m_hat = m[name] / (1 - b1**t)
             v_hat = v[name] / (1 - b2**t)
-            step = lr * m_hat / (np.sqrt(v_hat) + eps)
-            if name.startswith("codebook_"):
-                model.codebooks[int(name.split("_")[1])] -= step
-            else:
-                model.params[name] -= step
+            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return model
 
 
@@ -345,15 +332,14 @@ def total_loss(model: RqVaeModel, table: EmbeddingTable) -> float:
 def assign_sids(model: RqVaeModel, table: EmbeddingTable) -> dict[str, SemanticId]:
     """Base codes from quantize(encode(x)); ads sharing identical base codes
     get disambiguation indices 0, 1, 2, ... in ascending ad_id order."""
-    base: dict[str, tuple[int, ...]] = {}
-    for ad_id in sorted(table.entries):
-        z_hat = encode(model, table[ad_id])
-        codes, _, _ = quantize(model.codebooks, z_hat)
-        base[ad_id] = tuple(codes)
+    ad_ids = sorted(table.entries)
+    if not ad_ids:
+        return {}
+    codes, _, _ = quantize(model.codebooks, encode(model, table.matrix(ad_ids)))
     seen: dict[tuple[int, ...], int] = {}
     out: dict[str, SemanticId] = {}
-    for ad_id in sorted(base):
-        b = base[ad_id]
+    for ad_id, row in zip(ad_ids, np.stack(codes, axis=1).tolist()):
+        b = tuple(row)
         suffix = seen.get(b, 0)
         seen[b] = suffix + 1
         out[ad_id] = SemanticId(b + (suffix,))

@@ -9,16 +9,13 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from genret.alignment import (build_stage_corpora, compact_context, dpo_loss,
                               dpo_update, preference_margin,
                               summary_from_events, train_staged)
 from genret.alignment import PreferenceTriplet
-from genret.catalog import Catalog
 from genret.decoder import decode, decode_exhaustive
 from genret.metrics import (EvalRecord, dice, diversity, hit_ratio, ltrr,
                             ndcg)

@@ -9,7 +9,7 @@ from genret.sid import SemanticId
 from genret.trie import build
 from genret.vocab import vocab_from_sids
 
-from conftest import EXAMPLE_SIDS, TableScorer
+from conftest import TableScorer
 
 CTX = ScorerContext()
 

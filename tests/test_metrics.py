@@ -84,6 +84,13 @@ def test_diversity_hand_cases():
     assert score == pytest.approx(((1 - 1 / 3) + 1.0) / 2)
 
 
+def test_diversity_concentration_over_list_length():
+    # four same-category ads at k=8: the user got four ads, all category x
+    cats = {a: "x" for a in "abcd"}
+    conc, abund, _ = diversity([rec("u", list("abcd"), "a", cats)], 8)
+    assert (conc, abund) == (1.0, 1.0)
+
+
 def test_diversity_k1_undefined_score():
     cats = {"a": "x"}
     conc, abund, score = diversity([rec("u", ["a"], "a", cats)], 1)

@@ -61,6 +61,21 @@ def test_quantize_argmin_property(seed):
         assert dists[c] == min(dists)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 12))
+def test_quantize_batch_matches_rows(seed, n):
+    rng = np.random.default_rng(seed)
+    codebooks = [rng.normal(size=(5, 4)) for _ in range(3)]
+    Z = rng.normal(size=(n, 4))
+    codes, z, residuals = quantize(codebooks, Z)
+    for i in range(n):
+        row_codes, row_z, row_residuals = quantize(codebooks, Z[i])
+        np.testing.assert_array_equal([c[i] for c in codes], row_codes)
+        np.testing.assert_array_equal(z[i], row_z)
+        for r, row_r in zip(residuals, row_residuals, strict=True):
+            np.testing.assert_array_equal(r[i], row_r)
+
+
 # --- losses ------------------------------------------------------------------
 
 def test_losses_closed_form():
@@ -251,6 +266,7 @@ def test_assign_sids_disambiguation_by_ascending_ad_id():
     assert sids["b"].disambiguation == 1
     assert sids["c"].disambiguation == 2
     assert sids["a"].base == sids["b"].base == sids["c"].base
+    assert assign_sids(model, EmbeddingTable(2)) == {}
 
 
 def test_codebook_metrics_hand_case():
