@@ -21,7 +21,7 @@ def main():
 
     candidates = {ctx: [(sids["ad0"], 12.0), (sids["ad1"], 4.5),
                         (sids["ad2"], 4.5), (sids["ad3"], 1.2)]}
-    triplets = build_preference_triplets(candidates)
+    triplets = build_preference_triplets(candidates.items())
     print(f"{len(triplets)} triplets from 4 candidates "
           "(the equal-ECPM pair is skipped):")
     for t in triplets:

@@ -15,6 +15,7 @@ from .scorer import NeuralScorer, NgramScorer, ScorerContext, tokenize_text
 from .sid import SemanticId
 
 STAGES = ("explicit", "implicit", "main")
+HISTORY_ADS = 8  # recent ad S-IDs in a scorer context
 
 
 class AlignmentError(RuntimeError):
@@ -49,14 +50,18 @@ def make_bucket(profile: UserProfile, summary: InterestSummary, events) -> tuple
     return (profile.age // 10, profile.gender, top_cat, last_ad_code)
 
 
-def compact_context(profile: UserProfile, summary: InterestSummary, events,
-                    history_ads: int = 8) -> ScorerContext:
+def compact_context(profile: UserProfile, summary: InterestSummary, events) -> ScorerContext:
     """Feature-view context: interest categories plus recent ad S-ID tokens."""
     tokens: list[str] = [f"cat:{c}" for c, _ in summary.entries[:3]]
     ad_events = [e for e in events if e.domain == "ad" and e.sid is not None]
-    for e in ad_events[-history_ads:]:
+    for e in ad_events[-HISTORY_ADS:]:
         tokens.extend(e.sid.tokens())
     return ScorerContext(tokens=tuple(tokens), bucket=make_bucket(profile, summary, events))
+
+
+def user_context(profile: UserProfile, events, catalog: Catalog) -> ScorerContext:
+    """The scorer context of a user's logged events, for decoding and DPO."""
+    return compact_context(profile, summary_from_events(events, catalog), events)
 
 
 def explicit_pairs(catalog: Catalog, sids: dict[str, SemanticId]) -> list[CorpusPair]:
@@ -76,19 +81,21 @@ def explicit_pairs(catalog: Catalog, sids: dict[str, SemanticId]) -> list[Corpus
 
 def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
                         template_ids=(0,), strategies=("reuse",),
-                        token_budget: int = 2096, seed: int = 0,
-                        window_days: int = 90) -> dict[str, list[CorpusPair]]:
-    """Build the explicit/implicit/main corpora from structured user data."""
+                        seed: int = 0) -> dict[str, list[CorpusPair]]:
+    """Build the explicit/implicit/main corpora from structured user data.
+
+    Prompts render the filtered behaviour window; the n-gram bucket comes
+    from all of a user's events, as it does when serving."""
     corpora: dict[str, list[CorpusPair]] = {s: [] for s in STAGES}
     corpora["explicit"] = explicit_pairs(catalog, sids)
     for uid in sorted(events_by_user):
         profile = profiles[uid]
-        events = filter_events(events_by_user[uid], window_days)
+        events = filter_events(events_by_user[uid])
         summary = summary_from_events(events_by_user[uid], catalog)
-        bucket = make_bucket(profile, summary, events)
+        bucket = make_bucket(profile, summary, events_by_user[uid])
         for stage, use_sid in (("implicit", False), ("main", True)):
             samples = augment(events, profile, summary, uid, template_ids,
-                              strategies, token_budget, seed, use_sid=use_sid)
+                              strategies, seed=seed, use_sid=use_sid)
             for s in samples:
                 corpora[stage].append(CorpusPair(
                     prompt=s.prompt, response=s.response, stage=stage,
@@ -157,13 +164,12 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
     return scorer, stage_log
 
 
-def build_preference_triplets(candidates_by_user: dict) -> list[PreferenceTriplet]:
-    """candidates_by_user: user ScorerContext (or id->context) mapped to a
-    list of (SemanticId, ecpm). One triplet per unordered pair with a strict
-    ECPM inequality; equal-ECPM pairs are skipped."""
+def build_preference_triplets(users) -> list[PreferenceTriplet]:
+    """users: iterable of (ScorerContext, list of (SemanticId, ecpm)), one
+    per user. One triplet per unordered pair with a strict ECPM inequality;
+    equal-ECPM pairs are skipped."""
     triplets = []
-    for user, candidates in candidates_by_user.items():
-        context = user if isinstance(user, ScorerContext) else ScorerContext()
+    for context, candidates in users:
         for (sid_a, ecpm_a), (sid_b, ecpm_b) in itertools.combinations(candidates, 2):
             if ecpm_a == ecpm_b:
                 continue
@@ -268,17 +274,3 @@ def load_corpus(path) -> list[CorpusPair]:
                 user_id=obj.get("user_id", "")))
     return pairs
 
-
-def load_triplets(path, sids: dict[str, SemanticId]) -> list[PreferenceTriplet]:
-    """Triplets from JSONL rows {"context_tokens", "high_ad", "low_ad"}, with
-    ad ids resolved to S-IDs through sids."""
-    triplets = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            triplets.append(PreferenceTriplet(
-                user=ScorerContext(tokens=tuple(obj.get("context_tokens", ()))),
-                high_ad=sids[obj["high_ad"]], low_ad=sids[obj["low_ad"]]))
-    return triplets

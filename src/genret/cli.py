@@ -71,9 +71,11 @@ def _cmd_train(args):
 
 
 def _cmd_dpo(args):
-    triplets = alignment.load_triplets(args.triplets, rqvae.load_sids(args.sids))
-    print(json.dumps(run_dpo(load_scorer(args.policy), triplets, args.out, args.beta,
-                             args.variant, args.steps, args.learning_rate)))
+    sids = rqvae.load_sids(args.sids)
+    print(json.dumps(run_dpo(load_scorer(args.policy), load_catalog(args.catalog), sids,
+                             load_profiles(args.profiles), load_events(args.events, sids),
+                             args.out, args.beta, args.variant, args.steps,
+                             args.learning_rate)))
 
 
 def _cmd_generate(args):
@@ -187,8 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dpo", help="preference-align a neural scorer")
     p.add_argument("--policy", required=True)
+    p.add_argument("--catalog", required=True)
     p.add_argument("--sids", required=True)
-    p.add_argument("--triplets", required=True)
+    p.add_argument("--profiles", required=True)
+    p.add_argument("--events", required=True)
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--variant", choices=("prob-ratio", "log-ratio"),
                    default="log-ratio")

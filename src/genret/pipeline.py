@@ -90,9 +90,7 @@ def build_generate_fn(scorer, ad_trie, catalog, profiles, events_by_user,
 
     def generate(user_id: str, events=None):
         events = events_by_user.get(user_id, []) if events is None else events
-        summary = alignment.summary_from_events(events, catalog)
-        profile = profiles[user_id]
-        context = alignment.compact_context(profile, summary, events)
+        context = alignment.user_context(profiles[user_id], events, catalog)
         result = decoder.decode(scorer, context, ad_trie, beam_width, renormalize)
         return [(ad_id, float(score)) for ad_id, _, score in result.entries]
 
@@ -170,9 +168,16 @@ def run_train(sids, corpora, scorer_kind: str, stages, seed: int, out_path=None)
     return scorer, stage_log
 
 
-def run_dpo(policy, triplets, out_path, beta: float, variant: str, steps: int,
-            learning_rate: float = 0.01) -> dict:
-    """DPO against a frozen copy of policy; saves the aligned policy."""
+def run_dpo(policy, catalog, sids, profiles, events_by_user, out_path, beta: float,
+            variant: str, steps: int, learning_rate: float = 0.01) -> dict:
+    """DPO against a frozen copy of policy on ECPM-ordered triplets over each
+    user's first four logged ad events; saves the aligned policy."""
+    users = []
+    for uid, events in sorted(events_by_user.items()):
+        ads = [(sids[e.ad_id], catalog.get(e.ad_id).ecpm) for e in events
+               if e.domain == "ad" and e.ad_id in catalog and e.ad_id in sids]
+        users.append((alignment.user_context(profiles[uid], events, catalog), ads[:4]))
+    triplets = alignment.build_preference_triplets(users)
     reference = policy.copy()
     before = alignment.preference_margin(policy, triplets)
     policy, losses = alignment.dpo_update(
@@ -180,22 +185,8 @@ def run_dpo(policy, triplets, out_path, beta: float, variant: str, steps: int,
         steps=steps, variant=variant)
     after = alignment.preference_margin(policy, triplets)
     policy.save(out_path)
-    return {"margin_before": before, "margin_after": after,
-            "final_loss": losses[-1] if losses else 0.0}
-
-
-def _logged_preference_triplets(catalog, sids, profiles, events_by_user):
-    """ECPM-ordered triplets over each user's first four logged ad events."""
-    candidates = {}
-    for uid, events in sorted(events_by_user.items()):
-        summary = alignment.summary_from_events(events, catalog)
-        context = alignment.compact_context(profiles[uid], summary, events)
-        cands = []
-        for e in events:
-            if e.domain == "ad" and e.ad_id in catalog and e.ad_id in sids:
-                cands.append((sids[e.ad_id], catalog.get(e.ad_id).ecpm))
-        candidates[context] = cands[:4]
-    return alignment.build_preference_triplets(candidates)
+    return {"triplets": len(triplets), "margin_before": before,
+            "margin_after": after, "final_loss": losses[-1] if losses else 0.0}
 
 
 def run_generate(scorer, ad_trie, catalog, profiles, events_by_user, users,
@@ -289,13 +280,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if config.dpo_enabled:
         with _stage("dpo"):
             policy, _ = run_train(sids, corpora, "neural", ("main",), config.seed)
-            triplets = _logged_preference_triplets(catalog, sids, profiles, events_by_user)
             policy_path = os.path.join(out, "dpo_policy.json")
-            dpo = run_dpo(policy, triplets, policy_path, config.dpo_beta,
-                          config.dpo_variant, config.dpo_steps)
+            dpo = run_dpo(policy, catalog, sids, profiles, events_by_user, policy_path,
+                          config.dpo_beta, config.dpo_variant, config.dpo_steps)
             manifest.record("dpo", policy_path)
-            dpo_report = {"triplets": len(triplets), "margin_before": dpo["margin_before"],
-                          "margin_after": dpo["margin_after"]}
+            dpo_report = {k: dpo[k] for k in ("triplets", "margin_before", "margin_after")}
 
     with _stage("generate"):
         results_path = os.path.join(out, "results.jsonl")

@@ -106,17 +106,9 @@ class NgramScorer:
             json.dump(payload, fh, ensure_ascii=False)
 
     @classmethod
-    def load(cls, path) -> "NgramScorer":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("kind") != "ngram":
-            raise ScorerError(f"not an ngram scorer snapshot: {path}")
-        vocab = Vocabulary(
-            id_of={t: i for i, t in enumerate(payload["tokens"])},
-            tokens=payload["tokens"],
-        )
+    def from_payload(cls, payload: dict) -> "NgramScorer":
         scorer = cls(
-            vocab,
+            Vocabulary(payload["tokens"]),
             payload["smoothing_alpha"],
             payload["max_order"],
             tuple(payload["interpolation"]),
@@ -266,17 +258,9 @@ class NeuralScorer:
             json.dump(payload, fh, ensure_ascii=False)
 
     @classmethod
-    def load(cls, path) -> "NeuralScorer":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("kind") != "neural":
-            raise ScorerError(f"not a neural scorer snapshot: {path}")
-        vocab = Vocabulary(
-            id_of={t: i for i, t in enumerate(payload["tokens"])},
-            tokens=payload["tokens"],
-        )
+    def from_payload(cls, payload: dict) -> "NeuralScorer":
         return cls(
-            vocab=vocab,
+            vocab=Vocabulary(payload["tokens"]),
             embed_dim=payload["embed_dim"],
             hidden_dim=payload["hidden_dim"],
             max_prefix=payload["max_prefix"],
@@ -286,10 +270,12 @@ class NeuralScorer:
 
 
 def load_scorer(path):
+    """The scorer a save() wrote, of the kind its snapshot names."""
     with open(path, encoding="utf-8") as fh:
-        kind = json.load(fh).get("kind")
+        payload = json.load(fh)
+    kind = payload.get("kind")
     if kind == "ngram":
-        return NgramScorer.load(path)
+        return NgramScorer.from_payload(payload)
     if kind == "neural":
-        return NeuralScorer.load(path)
+        return NeuralScorer.from_payload(payload)
     raise ScorerError(f"unknown scorer snapshot kind {kind!r}")

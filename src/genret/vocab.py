@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 UNK = "<unk>"
 SEP = "<sep>"
@@ -18,8 +17,11 @@ class Vocabulary:
     tokens sorted by (level, code), then any extra text tokens in sorted
     order."""
 
-    id_of: dict[str, int]
     tokens: list[str]
+    id_of: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.id_of = {t: i for i, t in enumerate(self.tokens)}
 
     @classmethod
     def build(cls, sid_tokens, extra_tokens=()) -> "Vocabulary":
@@ -27,8 +29,7 @@ class Vocabulary:
 
         sid_sorted = sorted(set(sid_tokens), key=parse_token)
         extra_sorted = sorted(set(extra_tokens) - set(sid_sorted) - set(RESERVED))
-        tokens = list(RESERVED) + sid_sorted + extra_sorted
-        return cls(id_of={t: i for i, t in enumerate(tokens)}, tokens=tokens)
+        return cls(list(RESERVED) + sid_sorted + extra_sorted)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -36,16 +37,6 @@ class Vocabulary:
     def lookup(self, token: str) -> int:
         """Unknown tokens map to the reserved unknown id."""
         return self.id_of.get(token, self.id_of[UNK])
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.tokens, fh, ensure_ascii=False)
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = json.load(fh)
-        return cls(id_of={t: i for i, t in enumerate(tokens)}, tokens=tokens)
 
 
 def vocab_from_sids(sids, extra_tokens=()) -> Vocabulary:

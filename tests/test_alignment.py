@@ -8,7 +8,7 @@ from genret.alignment import (AlignmentError, PreferenceTriplet,
                               compact_context, dpo_loss, dpo_update,
                               explicit_pairs, load_corpus, make_bucket,
                               preference_margin, save_corpus,
-                              summary_from_events, train_staged)
+                              summary_from_events, train_staged, user_context)
 from genret.catalog import Ad, Catalog
 from genret.prompting import BehaviorEvent, UserProfile
 from genret.scorer import NeuralScorer, NgramScorer, ScorerContext
@@ -83,6 +83,20 @@ def test_build_stage_corpora_stages_and_sid_usage():
     assert final_main.response == SIDS["ad2"].render()
 
 
+def test_corpus_bucket_matches_serving_context():
+    """The n-gram bucket of every training pair is the one decoding builds
+    from the same logged events, also when the newest ad event is negative
+    and so outside the prompt's behaviour window."""
+    events = _events() + [BehaviorEvent(10, "close_ad", "ad", positive=False,
+                                        ad_id="ad3", title="Name 3", sid=SIDS["ad3"])]
+    corpora = build_stage_corpora(_catalog(), SIDS, {"u1": _profile()}, {"u1": events})
+    bucket = user_context(_profile(), events, _catalog()).bucket
+    assert bucket[3] == SIDS["ad3"].codes[0]
+    pairs = corpora["implicit"] + corpora["main"]
+    assert len(pairs) == 4
+    assert all(p.bucket == bucket for p in pairs)
+
+
 def test_summary_from_events_counts():
     summary = summary_from_events(_events(), _catalog())
     # ad1 -> cat1, ad2 -> cat0, content title "cat0 clip" -> cat0
@@ -150,7 +164,7 @@ def test_triplet_combinatorics():
     sids = [SemanticId((i, 0, 0)) for i in range(4)]
     candidates = {ctx: [(sids[0], 5.0), (sids[1], 3.0), (sids[2], 5.0),
                         (sids[3], 1.0)]}
-    triplets = build_preference_triplets(candidates)
+    triplets = build_preference_triplets(candidates.items())
     # C(4,2)=6 pairs minus the one equal-ECPM pair
     assert len(triplets) == 5
     for t in triplets:
@@ -163,7 +177,15 @@ def test_triplet_empty_and_all_equal():
     assert build_preference_triplets({}) == []
     ctx = ScorerContext()
     same = {ctx: [(SemanticId((0, 0)), 2.0), (SemanticId((1, 0)), 2.0)]}
-    assert build_preference_triplets(same) == []
+    assert build_preference_triplets(same.items()) == []
+
+
+def test_triplets_of_users_with_equal_contexts_are_kept():
+    ctx = ScorerContext(tokens=("cat:cat0",))
+    a = [(SemanticId((0, 0, 0)), 3.0), (SemanticId((1, 0, 0)), 1.0)]
+    b = [(SemanticId((2, 0, 0)), 1.0), (SemanticId((3, 0, 0)), 2.0)]
+    triplets = build_preference_triplets([(ctx, a), (ctx, b)])
+    assert [(t.high_ad.codes[0], t.low_ad.codes[0]) for t in triplets] == [(0, 1), (3, 2)]
 
 
 # --- DPO ---------------------------------------------------------------------

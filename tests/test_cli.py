@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from genret.cli import main
+from genret.cli import build_parser, main
 from genret.pipeline import PipelineConfig, run_pipeline
 
 
@@ -129,6 +129,66 @@ def test_cli_chain_reproduces_pipeline_run(tmp_path, capsys):
     expected = json.loads((run / "report.json").read_text())
     for key in ("hr", "ndcg", "diversity", "ltrr"):
         assert report[key] == expected[key], key
+
+
+def test_cli_chain_reproduces_dpo_run(tmp_path, capsys):
+    """`genret dpo` builds its triplets from the logged events as run_pipeline
+    does, so a CLI chain reproduces a DPO run's artifacts, dpo_policy.json
+    included, and its report's dpo entry."""
+    run = tmp_path / "run"
+    run_pipeline(PipelineConfig(
+        out_dir=str(run), seed=5,
+        synthetic={"num_categories": 2, "ads_per_category": 4, "num_users": 5,
+                   "events_per_user": 6},
+        embed_dim=16,
+        rqvae={"num_levels": 2, "codebook_size": 4, "latent_dim": 4, "epochs": 30},
+        beam_width=4, dpo_enabled=True, dpo_steps=3))
+
+    def cli(*argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        return out
+
+    out = tmp_path / "cli"
+    sids = str(out / "sids.jsonl")
+    data = json.loads(cli("gen-data", "--out", str(out / "data"), "--categories", "2",
+                          "--ads-per-category", "4", "--users", "5",
+                          "--events-per-user", "6", "--seed", "5"))
+    common = ("--catalog", data["catalog"], "--sids", sids,
+              "--profiles", data["profiles"], "--events", data["events"])
+    cli("embed", "--catalog", data["catalog"], "--out", str(out / "embeddings.tsv"),
+        "--dim", "16", "--seed", "5")
+    cli("index", "--embeddings", str(out / "embeddings.tsv"), "--dim", "16",
+        "--out", str(out), "--levels", "2", "--codebook-size", "4",
+        "--latent-dim", "4", "--epochs", "30", "--seed", "5")
+    cli("build-trie", "--sids", sids, "--out", str(out / "trie.json"))
+    cli("build-corpus", *common, "--out", str(out), "--seed", "5")
+    cli("train", "--sids", sids, "--corpus-dir", str(out),
+        "--out", str(out / "scorer.json"), "--seed", "5")
+    cli("train", "--sids", sids, "--corpus-dir", str(out), "--scorer", "neural",
+        "--stages", "main", "--out", str(tmp_path / "policy.json"), "--seed", "5")
+    dpo = json.loads(cli("dpo", "--policy", str(tmp_path / "policy.json"), *common,
+                         "--steps", "3", "--out", str(out / "dpo_policy.json")))
+    cli("generate", "--scorer", str(out / "scorer.json"), "--trie", str(out / "trie.json"),
+        *common, "--beam", "4", "--out", str(out / "results.jsonl"))
+
+    produced = {p.name: p for p in out.rglob("*")}
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert "dpo_policy.json" in {entry["file"] for entry in manifest}
+    for entry in manifest:
+        if entry["file"] != "report.json":
+            digest = hashlib.sha256(produced[entry["file"]].read_bytes()).hexdigest()
+            assert digest == entry["sha256"], entry["file"]
+    expected = json.loads((run / "report.json").read_text())["dpo"]
+    assert {k: dpo[k] for k in expected} == expected
+
+
+def test_readme_lists_every_subcommand():
+    """README's CLI block names each subcommand the parser accepts."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    missing = [name for name in sub.choices if f"genret {name} " not in readme]
+    assert missing == []
 
 
 def test_simulate_command(tmp_path, capsys):
