@@ -117,11 +117,10 @@ def summary_from_events(events, catalog: Catalog) -> InterestSummary:
     return InterestSummary(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def _pair_to_sample(pair: CorpusPair, compact: bool = True):
-    if compact and pair.stage == "main":
-        # keep only S-ID and category tokens from the rendered prompt
-        toks = [t for t in tokenize_text(pair.prompt)
-                if "_" in t or t.startswith("cat:")]
+def _pair_to_sample(pair: CorpusPair):
+    if pair.stage == "main":
+        # keep only the prompt tokens with an underscore, as S-ID tokens have
+        toks = [t for t in tokenize_text(pair.prompt) if "_" in t]
         context = ScorerContext(tokens=tuple(toks), bucket=pair.bucket)
     else:
         context = ScorerContext(tokens=tuple(tokenize_text(pair.prompt)),

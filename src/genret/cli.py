@@ -7,12 +7,12 @@ import json
 import logging
 import sys
 
-from . import alignment, rqvae, serving, synth, trie as trie_mod
+from . import alignment, rqvae, serving, synth
 from .catalog import load_catalog
 from .embed import load_embeddings
 from .pipeline import (PipelineConfig, corpus_path, load_results, run_build_corpus,
-                       run_build_trie, run_dpo, run_embed, run_eval, run_generate,
-                       run_index, run_pipeline, run_train)
+                       run_dpo, run_embed, run_eval, run_generate, run_index,
+                       run_pipeline, run_train)
 from .prompting import load_events, load_profiles
 from .scorer import load_scorer
 
@@ -46,11 +46,6 @@ def _cmd_index(args):
     print(json.dumps(codebook))
 
 
-def _cmd_build_trie(args):
-    ad_trie = run_build_trie(rqvae.load_sids(args.sids), args.out)
-    log.info("trie of %d ads, depth %d", ad_trie.ad_count, ad_trie.depth)
-
-
 def _cmd_build_corpus(args):
     sids = rqvae.load_sids(args.sids)
     corpora = run_build_corpus(
@@ -81,10 +76,9 @@ def _cmd_dpo(args):
 def _cmd_generate(args):
     sids = rqvae.load_sids(args.sids)
     events = load_events(args.events, sids)
-    run_generate(load_scorer(args.scorer), trie_mod.load_trie(args.trie),
-                 load_catalog(args.catalog), load_profiles(args.profiles), events,
-                 [args.user] if args.user else sorted(events), args.beam,
-                 args.renormalize, args.out)
+    run_generate(load_scorer(args.scorer), sids, load_catalog(args.catalog),
+                 load_profiles(args.profiles), events,
+                 [args.user] if args.user else sorted(events), args.beam, args.out)
 
 
 def _cmd_eval(args):
@@ -155,17 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--codebook-size", type=int, default=8)
-    p.add_argument("--latent-dim", type=int, default=8)
-    p.add_argument("--epochs", type=int, default=120)
-    p.add_argument("--seed", type=int, default=0)
+    rq = rqvae.RqVaeConfig()
+    p.add_argument("--levels", type=int, default=rq.num_levels)
+    p.add_argument("--codebook-size", type=int, default=rq.codebook_size)
+    p.add_argument("--latent-dim", type=int, default=rq.latent_dim)
+    p.add_argument("--epochs", type=int, default=rq.epochs)
+    p.add_argument("--seed", type=int, default=rq.seed)
     p.set_defaults(fn=_cmd_index)
-
-    p = sub.add_parser("build-trie", help="build the S-ID prefix tree")
-    p.add_argument("--sids", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_build_trie)
 
     p = sub.add_parser("build-corpus", help="render staged training corpora")
     p.add_argument("--catalog", required=True)
@@ -203,14 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="constrained-decode retrieval lists")
     p.add_argument("--scorer", required=True)
-    p.add_argument("--trie", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--sids", required=True)
     p.add_argument("--profiles", required=True)
     p.add_argument("--events", required=True)
     p.add_argument("--user")
     p.add_argument("--beam", type=int, default=8)
-    p.add_argument("--renormalize", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_generate)
 

@@ -16,7 +16,6 @@ class DecodeError(RuntimeError):
 @dataclass
 class RetrievalList:
     entries: list[tuple[str, SemanticId, float]]
-    beam_width: int
 
     def ad_ids(self) -> list[str]:
         return [ad_id for ad_id, _, _ in self.entries]
@@ -25,7 +24,7 @@ class RetrievalList:
         return len(self.entries)
 
 
-def _step_prob(scorer, context, prefix_tokens, level, codes, renormalize):
+def _step_prob(scorer, context, prefix_tokens, level, codes):
     """Per-code probabilities for the valid children at one layer."""
     dist = scorer.prob_dist(context, prefix_tokens)
     vocab = scorer.vocab
@@ -38,14 +37,10 @@ def _step_prob(scorer, context, prefix_tokens, level, codes, renormalize):
                 f"{render_token(level, code)}"
             )
         probs.append(p)
-    if renormalize:
-        total = sum(probs)
-        if total > 0.0:
-            probs = [p / total for p in probs]
     return probs
 
 
-def decode(scorer, context, trie: Trie, beam_width: int, renormalize: bool = False) -> RetrievalList:
+def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
     """Layer-by-layer beam expansion constrained to trie-valid children.
 
     After each layer the top beam_width candidates survive; ties break by
@@ -66,7 +61,7 @@ def decode(scorer, context, trie: Trie, beam_width: int, renormalize: bool = Fal
             if not child_codes:
                 continue
             prefix_tokens = tuple(render_token(i, c) for i, c in enumerate(codes))
-            probs = _step_prob(scorer, context, prefix_tokens, level, child_codes, renormalize)
+            probs = _step_prob(scorer, context, prefix_tokens, level, child_codes)
             for code, p in zip(child_codes, probs):
                 log_p = math.log(p) if p > 0.0 else -math.inf
                 expanded.append((codes + (code,), log_score + log_p, node.children[code]))
@@ -75,10 +70,10 @@ def decode(scorer, context, trie: Trie, beam_width: int, renormalize: bool = Fal
 
     entries = [(node.end_of_ad, SemanticId(codes), math.exp(log_score))
                for codes, log_score, node in beam if node.end_of_ad is not None]
-    return RetrievalList(entries=entries, beam_width=beam_width)
+    return RetrievalList(entries=entries)
 
 
-def decode_exhaustive(scorer, context, trie: Trie, renormalize: bool = False) -> RetrievalList:
+def decode_exhaustive(scorer, context, trie: Trie) -> RetrievalList:
     """Score every complete S-ID in the trie by exact per-step products.
 
     Independent oracle for decode: no pruning, full ranking.
@@ -93,11 +88,11 @@ def decode_exhaustive(scorer, context, trie: Trie, renormalize: bool = False) ->
             return
         level = len(codes)
         prefix_tokens = tuple(render_token(i, c) for i, c in enumerate(codes))
-        probs = _step_prob(scorer, context, prefix_tokens, level, child_codes, renormalize)
+        probs = _step_prob(scorer, context, prefix_tokens, level, child_codes)
         for code, p in zip(child_codes, probs):
             log_p = math.log(p) if p > 0.0 else -math.inf
             rec(node.children[code], codes + (code,), log_score + log_p)
 
     rec(trie.root, (), 0.0)
     results.sort(key=lambda e: (-e[2], e[1].codes))
-    return RetrievalList(entries=results, beam_width=len(results))
+    return RetrievalList(entries=results)

@@ -32,9 +32,7 @@ class PipelineConfig:
     embed_dim: int = 32
     embed_source: str = "hashed"  # or "file"
     embeddings_path: str | None = None
-    rqvae: dict = field(default_factory=lambda: {
-        "num_levels": 3, "codebook_size": 8, "latent_dim": 8, "epochs": 120,
-    })
+    rqvae: dict = field(default_factory=dict)  # overrides of RqVaeConfig
     scorer_kind: str = "ngram"
     stages: tuple = ("explicit", "implicit", "main")
     template_ids: tuple = (0,)
@@ -44,7 +42,6 @@ class PipelineConfig:
     dpo_variant: str = "log-ratio"
     dpo_steps: int = 20
     beam_width: int = 8
-    renormalize: bool = False
     eval_k: tuple = (1, 4, 8)
 
     @classmethod
@@ -85,13 +82,13 @@ class Manifest:
 
 
 def build_generate_fn(scorer, ad_trie, catalog, profiles, events_by_user,
-                      beam_width: int, renormalize: bool = False):
+                      beam_width: int):
     """Closure mapping a user id to an ordered retrieved ad_id list."""
 
     def generate(user_id: str, events=None):
         events = events_by_user.get(user_id, []) if events is None else events
         context = alignment.user_context(profiles[user_id], events, catalog)
-        result = decoder.decode(scorer, context, ad_trie, beam_width, renormalize)
+        result = decoder.decode(scorer, context, ad_trie, beam_width)
         return [(ad_id, float(score)) for ad_id, _, score in result.entries]
 
     return generate
@@ -136,12 +133,6 @@ def run_index(table, rq_config: rqvae.RqVaeConfig, out_dir):
     return sids, codebook, [model_path, sids_path]
 
 
-def run_build_trie(sids, out_path):
-    ad_trie = trie_mod.build(sids)
-    trie_mod.save_trie(ad_trie, out_path)
-    return ad_trie
-
-
 def run_build_corpus(catalog, sids, profiles, events_by_user, out_dir,
                      template_ids, strategies, seed: int):
     """Build the staged corpora and save each as corpus_path(out_dir, stage)."""
@@ -172,6 +163,8 @@ def run_dpo(policy, catalog, sids, profiles, events_by_user, out_path, beta: flo
             variant: str, steps: int, learning_rate: float = 0.01) -> dict:
     """DPO against a frozen copy of policy on ECPM-ordered triplets over each
     user's first four logged ad events; saves the aligned policy."""
+    if not isinstance(policy, NeuralScorer):
+        raise TypeError(f"DPO needs a neural scorer, got {type(policy).__name__}")
     users = []
     for uid, events in sorted(events_by_user.items()):
         ads = [(sids[e.ad_id], catalog.get(e.ad_id).ecpm) for e in events
@@ -189,11 +182,12 @@ def run_dpo(policy, catalog, sids, profiles, events_by_user, out_path, beta: flo
             "margin_after": after, "final_loss": losses[-1] if losses else 0.0}
 
 
-def run_generate(scorer, ad_trie, catalog, profiles, events_by_user, users,
-                 beam_width: int, renormalize: bool, out_path) -> None:
-    """Decode a list per user and write them to out_path as JSON lines."""
-    generate = build_generate_fn(scorer, ad_trie, catalog, profiles,
-                                 events_by_user, beam_width, renormalize)
+def run_generate(scorer, sids, catalog, profiles, events_by_user, users,
+                 beam_width: int, out_path) -> None:
+    """Decode a list per user over the trie of sids and write them to
+    out_path as JSON lines."""
+    generate = build_generate_fn(scorer, trie_mod.build(sids), catalog, profiles,
+                                 events_by_user, beam_width)
     with open(out_path, "w", encoding="utf-8") as fh:
         for uid in users:
             for ad_id, score in generate(uid):
@@ -259,11 +253,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         sids, codebook, paths = run_index(table, rq_config, out)
         manifest.record("index", *paths)
 
-    with _stage("build-trie"):
-        trie_path = os.path.join(out, "trie.json")
-        ad_trie = run_build_trie(sids, trie_path)
-        manifest.record("build-trie", trie_path)
-
     with _stage("build-corpus"):
         events_by_user = load_events(data_paths["events"], sids)
         corpora = run_build_corpus(catalog, sids, profiles, events_by_user, out,
@@ -288,9 +277,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     with _stage("generate"):
         results_path = os.path.join(out, "results.jsonl")
-        run_generate(scorer, ad_trie, catalog, profiles, events_by_user,
-                     sorted(events_by_user), config.beam_width, config.renormalize,
-                     results_path)
+        run_generate(scorer, sids, catalog, profiles, events_by_user,
+                     sorted(events_by_user), config.beam_width, results_path)
         manifest.record("generate", results_path)
 
     with _stage("eval"):

@@ -29,12 +29,12 @@ class TrainingDivergedError(RqVaeError):
 
 @dataclass
 class RqVaeConfig:
-    num_levels: int = 4
-    codebook_size: int = 1024
+    num_levels: int = 3
+    codebook_size: int = 8
     latent_dim: int = 8
     commitment_weight: float = 0.25
     learning_rate: float = 5e-3
-    epochs: int = 200
+    epochs: int = 120
     seed: int = 0
     hidden_dim: int | None = None
     activation: str = "tanh"  # "tanh" or "identity"

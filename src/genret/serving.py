@@ -20,7 +20,6 @@ class ServingError(RuntimeError):
 class Request:
     user_id: str
     arrival_tick: int
-    kind: str = "ad_request"
 
 
 class FeatureStore:

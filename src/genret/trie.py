@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .sid import SemanticId
@@ -85,51 +84,3 @@ def contains(trie: Trie, sid: SemanticId) -> bool:
 def lookup_ad(trie: Trie, sid: SemanticId) -> str | None:
     node = _walk(trie, sid.codes)
     return node.end_of_ad if node is not None else None
-
-
-def all_sids(trie: Trie) -> dict[str, SemanticId]:
-    """Reconstruct the ad_id -> S-ID mapping from root-to-marker paths."""
-    out: dict[str, SemanticId] = {}
-
-    def rec(node: TrieNode, path: list[int]):
-        if node.end_of_ad is not None:
-            out[node.end_of_ad] = SemanticId(tuple(path))
-        for code in node.child_codes():
-            rec(node.children[code], path + [code])
-
-    rec(trie.root, [])
-    return out
-
-
-def save_trie(trie: Trie, path) -> None:
-    """Serialize as a preorder listing of (code, child_count, ad_id)."""
-    rows = []
-
-    def rec(code: int | None, node: TrieNode):
-        rows.append([code, len(node.children), node.end_of_ad])
-        for c in node.child_codes():
-            rec(c, node.children[c])
-
-    rec(None, trie.root)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"depth": trie.depth, "ad_count": trie.ad_count, "nodes": rows}, fh)
-
-
-def load_trie(path) -> Trie:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    rows = payload["nodes"]
-    pos = 0
-
-    def rec() -> tuple[int | None, TrieNode]:
-        nonlocal pos
-        code, n_children, ad_id = rows[pos]
-        pos += 1
-        node = TrieNode(end_of_ad=ad_id)
-        for _ in range(n_children):
-            child_code, child = rec()
-            node.children[child_code] = child
-        return code, node
-
-    _, root = rec()
-    return Trie(root=root, depth=payload["depth"], ad_count=payload["ad_count"])

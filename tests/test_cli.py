@@ -38,11 +38,6 @@ def test_gen_data_and_full_stage_chain(tmp_path, capsys):
     assert 0.0 <= stats["collision_rate"] <= 1.0
     sids = idx / "sids.jsonl"
 
-    trie_path = tmp_path / "trie.json"
-    code, _, _ = run_cli(capsys, "build-trie", "--sids", str(sids),
-                         "--out", str(trie_path))
-    assert code == 0 and trie_path.exists()
-
     corpus = tmp_path / "corpus"
     code, out, _ = run_cli(capsys, "build-corpus", "--catalog",
                            paths["catalog"], "--sids", str(sids),
@@ -62,8 +57,7 @@ def test_gen_data_and_full_stage_chain(tmp_path, capsys):
 
     results = tmp_path / "results.jsonl"
     code, _, _ = run_cli(capsys, "generate", "--scorer", str(scorer_path),
-                         "--trie", str(trie_path), "--catalog",
-                         paths["catalog"], "--sids", str(sids),
+                         "--catalog", paths["catalog"], "--sids", str(sids),
                          "--profiles", paths["profiles"],
                          "--events", paths["events"], "--beam", "4",
                          "--out", str(results))
@@ -110,12 +104,11 @@ def test_cli_chain_reproduces_pipeline_run(tmp_path, capsys):
     cli("index", "--embeddings", str(out / "embeddings.tsv"), "--dim", "16",
         "--out", str(out), "--levels", "2", "--codebook-size", "4",
         "--latent-dim", "4", "--epochs", "30", "--seed", "5")
-    cli("build-trie", "--sids", str(out / "sids.jsonl"), "--out", str(out / "trie.json"))
     cli("build-corpus", *common, "--out", str(out), "--seed", "5")
     cli("train", "--sids", str(out / "sids.jsonl"), "--corpus-dir", str(out),
         "--out", str(out / "scorer.json"), "--seed", "5")
-    cli("generate", "--scorer", str(out / "scorer.json"), "--trie", str(out / "trie.json"),
-        *common, "--beam", "4", "--out", str(out / "results.jsonl"))
+    cli("generate", "--scorer", str(out / "scorer.json"), *common, "--beam", "4",
+        "--out", str(out / "results.jsonl"))
     report = json.loads(cli("eval", "--results", str(out / "results.jsonl"),
                             "--truth", data["truth"], "--catalog", data["catalog"],
                             "--ltr-labels", data["ltr_labels"], "--k", "1,4,8"))
@@ -161,7 +154,6 @@ def test_cli_chain_reproduces_dpo_run(tmp_path, capsys):
     cli("index", "--embeddings", str(out / "embeddings.tsv"), "--dim", "16",
         "--out", str(out), "--levels", "2", "--codebook-size", "4",
         "--latent-dim", "4", "--epochs", "30", "--seed", "5")
-    cli("build-trie", "--sids", sids, "--out", str(out / "trie.json"))
     cli("build-corpus", *common, "--out", str(out), "--seed", "5")
     cli("train", "--sids", sids, "--corpus-dir", str(out),
         "--out", str(out / "scorer.json"), "--seed", "5")
@@ -169,8 +161,8 @@ def test_cli_chain_reproduces_dpo_run(tmp_path, capsys):
         "--stages", "main", "--out", str(tmp_path / "policy.json"), "--seed", "5")
     dpo = json.loads(cli("dpo", "--policy", str(tmp_path / "policy.json"), *common,
                          "--steps", "3", "--out", str(out / "dpo_policy.json")))
-    cli("generate", "--scorer", str(out / "scorer.json"), "--trie", str(out / "trie.json"),
-        *common, "--beam", "4", "--out", str(out / "results.jsonl"))
+    cli("generate", "--scorer", str(out / "scorer.json"), *common, "--beam", "4",
+        "--out", str(out / "results.jsonl"))
 
     produced = {p.name: p for p in out.rglob("*")}
     manifest = json.loads((run / "manifest.json").read_text())
@@ -181,6 +173,27 @@ def test_cli_chain_reproduces_dpo_run(tmp_path, capsys):
             assert digest == entry["sha256"], entry["file"]
     expected = json.loads((run / "report.json").read_text())["dpo"]
     assert {k: dpo[k] for k in expected} == expected
+
+
+def test_dpo_rejects_ngram_policy(tmp_path, capsys):
+    """DPO needs per-sequence gradients, which only the neural scorer has."""
+    run = tmp_path / "run"
+    run_pipeline(PipelineConfig(
+        out_dir=str(run), seed=5,
+        synthetic={"num_categories": 2, "ads_per_category": 4, "num_users": 5,
+                   "events_per_user": 6},
+        embed_dim=16,
+        rqvae={"num_levels": 2, "codebook_size": 4, "latent_dim": 4, "epochs": 30},
+        beam_width=4))
+    code, _, err = run_cli(capsys, "dpo", "--policy", str(run / "scorer.json"),
+                           "--catalog", str(run / "data" / "catalog.jsonl"),
+                           "--sids", str(run / "sids.jsonl"),
+                           "--profiles", str(run / "data" / "profiles.jsonl"),
+                           "--events", str(run / "data" / "events.jsonl"),
+                           "--out", str(tmp_path / "dpo_policy.json"))
+    assert code == 1
+    assert "DPO needs a neural scorer" in json.loads(err.strip().splitlines()[-1])["message"]
+    assert not (tmp_path / "dpo_policy.json").exists()
 
 
 def test_readme_lists_every_subcommand():

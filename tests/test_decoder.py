@@ -155,16 +155,6 @@ def test_empty_trie_error(example_scorer):
         decode(example_scorer, CTX, build({}), 2)
 
 
-def test_renormalize_flag(example_trie, example_scorer):
-    result = decode(example_scorer, CTX, example_trie, 3, renormalize=True)
-    # level 1: 0.6 -> 1.0; level 2: 0.5/0.9 vs 0.4/0.9; level 3: Ad_112's
-    # single child renormalizes to 1.0, so it overtakes Ad_66
-    by_ad = {ad: score for ad, _, score in result.entries}
-    assert by_ad["Ad_112"] == pytest.approx(0.4 / 0.9, rel=1e-12)
-    assert by_ad["Ad_66"] == pytest.approx((0.5 / 0.9) * (0.8 / 1.2), rel=1e-12)
-    assert result.ad_ids()[0] == "Ad_112"
-
-
 def test_prefix_score_monotone(example_trie, example_scorer):
     # each candidate's score is <= the product up to any earlier layer
     result = decode(example_scorer, CTX, example_trie, 3)

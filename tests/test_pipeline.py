@@ -28,7 +28,7 @@ def test_pipeline_produces_artifacts_and_report(tmp_path):
     config, report = _run(tmp_path, "run")
     out = Path(config.out_dir)
     for fname in ("embeddings.tsv", "rqvae_model.json", "sids.jsonl",
-                  "trie.json", "corpus_explicit.jsonl", "corpus_main.jsonl",
+                  "corpus_explicit.jsonl", "corpus_main.jsonl",
                   "scorer.json", "results.jsonl", "report.json",
                   "manifest.json"):
         assert (out / fname).exists(), fname
@@ -42,8 +42,8 @@ def test_manifest_lists_every_stage(tmp_path):
     config, _ = _run(tmp_path, "run")
     manifest = json.loads((Path(config.out_dir) / "manifest.json").read_text())
     stages = {e["stage"] for e in manifest}
-    assert stages == {"gen-data", "embed", "index", "build-trie",
-                      "build-corpus", "train", "generate", "eval"}
+    assert stages == {"gen-data", "embed", "index", "build-corpus", "train",
+                      "generate", "eval"}
     for e in manifest:
         assert len(e["sha256"]) == 64
 
@@ -67,6 +67,17 @@ def test_pipeline_stage_error_attribution(tmp_path):
     with pytest.raises(PipelineError) as exc:
         _run(tmp_path, "bad", rqvae={"num_levels": 0})
     assert exc.value.stage == "index"
+
+
+def test_rqvae_override_keeps_other_defaults(tmp_path):
+    """config.rqvae holds overrides only: an epochs-only override keeps the
+    default 3 levels of 8 codes."""
+    config, report = _run(tmp_path, "epochs", rqvae={"epochs": 5})
+    model = json.loads((Path(config.out_dir) / "rqvae_model.json").read_text())
+    assert model["config"]["epochs"] == 5
+    assert model["config"]["num_levels"] == 3
+    assert model["config"]["codebook_size"] == 8
+    assert len(report["codebook"]["usage_rate_per_level"]) == 3
 
 
 def test_pipeline_with_dpo_and_neural(tmp_path):

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from genret.sid import SemanticId
-from genret.trie import (TrieError, all_sids, build, contains, load_trie,
-                         lookup_ad, save_trie, valid_children)
+from genret.trie import TrieError, build, contains, lookup_ad, valid_children
 
 # three-ad example: Ad_66 [a_12,b_7,c_4]; Ad_245 [a_12,b_7,c_14];
 # Ad_112 [a_12,b_6,c_22]
@@ -60,18 +59,6 @@ def test_ragged_lengths_rejected():
 
 def test_leaf_has_no_children(example_trie):
     assert valid_children(example_trie, [12, 7, 4]) == []
-
-
-def test_roundtrip_reconstructs_input(example_trie):
-    assert all_sids(example_trie) == EXAMPLE_SIDS
-
-
-def test_save_load(tmp_path, example_trie):
-    path = tmp_path / "trie.json"
-    save_trie(example_trie, path)
-    loaded = load_trie(path)
-    assert all_sids(loaded) == EXAMPLE_SIDS
-    assert loaded.depth == 3 and loaded.ad_count == 3
 
 
 @given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5),
