@@ -8,7 +8,7 @@ width on which ads survive.
 import numpy as np
 
 from genret.decoder import decode, decode_exhaustive
-from genret.scorer import ScorerContext
+from genret.scorer import RowScorer, ScorerContext
 from genret.sid import SemanticId, render_token
 from genret.trie import build, valid_children
 from genret.vocab import vocab_from_sids
@@ -27,7 +27,7 @@ PROBS = {
 }
 
 
-class TableScorer:
+class TableScorer(RowScorer):
     """Fixed per-prefix probabilities; leftover mass goes to <unk>."""
 
     def __init__(self, vocab):

@@ -7,7 +7,7 @@ from .embed import EmbeddingTable, embed_hashed, load_embeddings
 from .rqvae import RqVaeConfig, RqVaeModel, assign_sids, quantize, train
 from .scorer import NeuralScorer, NgramScorer, ScorerContext
 from .sid import SemanticId
-from .trie import Trie, build as build_trie, contains, lookup_ad, valid_children
+from .trie import Trie, build as build_trie, contains, valid_children
 from .vocab import Vocabulary
 
 __all__ = [
@@ -17,7 +17,7 @@ __all__ = [
     "RqVaeConfig", "RqVaeModel", "assign_sids", "quantize", "train",
     "NeuralScorer", "NgramScorer", "ScorerContext",
     "SemanticId",
-    "Trie", "build_trie", "contains", "lookup_ad", "valid_children",
+    "Trie", "build_trie", "contains", "valid_children",
     "Vocabulary",
 ]
 

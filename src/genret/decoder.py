@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .sid import SemanticId, render_token
 from .trie import Trie
@@ -43,33 +46,58 @@ def _step_prob(scorer, context, prefix_tokens, level, codes):
 def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
     """Layer-by-layer beam expansion constrained to trie-valid children.
 
-    After each layer the top beam_width candidates survive; ties break by
-    higher score first, then lexicographic code sequence. Scores are
-    cumulative products of per-step probabilities (log-sum internally).
+    Each layer makes one ``scorer.next_probs`` call over the whole beam. After
+    each layer the top beam_width candidates survive; ties break by higher
+    score first, then lexicographic code sequence. Scores are cumulative
+    products of per-step probabilities (log-sum internally).
     """
     if beam_width < 1:
         raise DecodeError(f"beam_width must be >= 1, got {beam_width}")
     if trie.ad_count == 0:
         raise DecodeError("empty inventory: trie holds no ads")
 
-    # each candidate is (codes, log_score, trie node reached by codes)
-    beam = [((), 0.0, trie.root)]
+    # The beam is kept in lexicographic code order, so expanding each entry's
+    # children in ascending code order lists the candidates in lexicographic
+    # order too, and a stable sort on -score ranks them by (-score, codes).
+    codes = [()]
+    tokens = [()]
+    scores = np.zeros(1)
+    nodes = [trie.root]
     for level in range(trie.depth):
-        expanded = []
-        for codes, log_score, node in beam:
-            child_codes = node.child_codes()
-            if not child_codes:
-                continue
-            prefix_tokens = tuple(render_token(i, c) for i, c in enumerate(codes))
-            probs = _step_prob(scorer, context, prefix_tokens, level, child_codes)
-            for code, p in zip(child_codes, probs):
-                log_p = math.log(p) if p > 0.0 else -math.inf
-                expanded.append((codes + (code,), log_score + log_p, node.children[code]))
-        expanded.sort(key=lambda c: (-c[1], c[0]))
-        beam = expanded[:beam_width]
+        probs = scorer.next_probs(context, tokens)
+        if probs.shape != (len(tokens), len(scorer.vocab)):
+            raise DecodeError(
+                f"scorer contract violated: next_probs returned shape "
+                f"{probs.shape} for {len(tokens)} prefixes")
+        parent = np.arange(len(nodes)).repeat([len(n.sorted_codes) for n in nodes])
+        child = list(chain.from_iterable(n.sorted_codes for n in nodes))
+        slot_of: dict[int, int] = {}  # this level's codes, numbered as first seen
+        slot = [slot_of.setdefault(c, len(slot_of)) for c in child]
+        token_of = [render_token(level, c) for c in slot_of]
+        token_ids = np.array([scorer.vocab.lookup(t) for t in token_of])
+        p = probs[parent, token_ids[slot]]
+        low, high = p.min(), p.max()  # a NaN shows in both
+        if not (low >= 0.0 and high < math.inf):
+            i = int(np.argmax(~(np.isfinite(p) & (p >= 0.0))))
+            raise DecodeError(f"scorer contract violated: p={p[i]} for token "
+                              f"{token_of[slot[i]]}")
+        # math.log per candidate: np.log can differ from it in the last bit,
+        # which would change the scores
+        log_p = (list(map(math.log, p.tolist())) if low > 0.0 else
+                 [math.log(x) if x > 0.0 else -math.inf for x in p.tolist()])
+        expanded = scores[parent] + log_p
+        keep = np.sort(np.argsort(-expanded, kind="stable")[:beam_width])
+        children = list(chain.from_iterable(n.sorted_children for n in nodes))
+        scores = expanded[keep]
+        kept = list(zip(keep.tolist(), parent[keep].tolist()))
+        codes = [codes[i] + (child[k],) for k, i in kept]
+        tokens = [tokens[i] + (token_of[slot[k]],) for k, i in kept]
+        nodes = [children[k] for k, _ in kept]
 
-    entries = [(node.end_of_ad, SemanticId(codes), math.exp(log_score))
-               for codes, log_score, node in beam if node.end_of_ad is not None]
+    ranked = np.argsort(-scores, kind="stable").tolist()
+    log_scores = scores.tolist()
+    entries = [(nodes[i].end_of_ad, SemanticId(codes[i]), math.exp(log_scores[i]))
+               for i in ranked if nodes[i].end_of_ad is not None]
     return RetrievalList(entries=entries)
 
 

@@ -3,6 +3,10 @@
 Two implementations of the same contract: a count-based interpolated n-gram
 scorer (deterministic, no gradients) and a small neural scorer with exact
 analytic gradients used for preference optimization.
+
+The contract is ``next_probs(context, prefixes) -> (B, |V|)``: one row of
+next-token probabilities per prefix, answered in one call for a whole beam.
+``prob_dist(context, prefix_tokens) -> (|V|,)`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +36,14 @@ def tokenize_text(text: str) -> list[str]:
 class ScorerContext:
     tokens: tuple[str, ...] = ()
     bucket: tuple = ()
+
+
+class RowScorer:
+    """Base for scorers that answer one prefix at a time: ``next_probs``
+    stacks their ``prob_dist`` rows."""
+
+    def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
+        return np.array([self.prob_dist(context, p) for p in prefixes])
 
 
 class NgramScorer:
@@ -55,8 +68,11 @@ class NgramScorer:
         # (bucket, window) -> {token_id: count}
         self.counts: dict[tuple, dict[int, float]] = {}
         self.totals: dict[tuple, float] = {}
+        # (component rows, key -> row), built from counts on first read
+        self._rows: tuple[np.ndarray, dict[tuple, int]] | None = None
 
     def observe(self, bucket: tuple, prefix_tokens, next_token: str, weight: float = 1.0):
+        self._rows = None
         tid = self.vocab.lookup(next_token)
         ids = tuple(self.vocab.lookup(t) for t in prefix_tokens)
         for order in range(self.max_order + 1):
@@ -72,22 +88,43 @@ class NgramScorer:
             for i, tok in enumerate(response):
                 self.observe(context.bucket, response[:i], tok, weight)
 
-    def prob_dist(self, context: ScorerContext, prefix_tokens) -> np.ndarray:
-        v = len(self.vocab)
-        alpha = self.smoothing_alpha
-        ids = tuple(self.vocab.lookup(t) for t in prefix_tokens)
-        dist = np.zeros(v)
+    def _component_rows(self) -> tuple[np.ndarray, dict[tuple, int]]:
+        """One smoothed component row per (bucket, window) key with counts,
+        then one uniform row that every unseen key shares."""
+        if self._rows is None:
+            v, alpha = len(self.vocab), self.smoothing_alpha
+            index = {key: i for i, key in enumerate(self.counts)}
+            slots = list(self.counts.values())
+            denom = np.array([self.totals[key] + alpha * v for key in self.counts]
+                             + [alpha * v])
+            rows = np.repeat((alpha / denom)[:, None], v, axis=1)
+            row = np.repeat(np.arange(len(slots)), [len(slot) for slot in slots])
+            tid = np.fromiter(chain.from_iterable(slots), dtype=np.int64, count=len(row))
+            c = np.fromiter(chain.from_iterable(slot.values() for slot in slots),
+                            dtype=np.float64, count=len(row))
+            rows[row, tid] += c / denom[row]
+            self._rows = rows, index
+        return self._rows
+
+    def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
+        """The interpolated distribution after each prefix, one row each,
+        mixed from the cached component rows."""
+        rows, index = self._component_rows()
+        unseen = len(rows) - 1
+        lookup = self.vocab.lookup
+        ids = [tuple(map(lookup, p)) for p in prefixes]
+        dist = np.zeros((len(ids), len(self.vocab)))
+        bucket = context.bucket
         for order, w in enumerate(self.interpolation):
-            window = ids[len(ids) - order:] if order else ()
-            key = (context.bucket, window)
-            counts = self.counts.get(key)
-            total = self.totals.get(key, 0.0)
-            component = np.full(v, alpha / (total + alpha * v))
-            if counts:
-                for tid, c in counts.items():
-                    component[tid] += c / (total + alpha * v)
-            dist += w * component
+            if order:
+                keys = [index.get((bucket, p[len(p) - order:]), unseen) for p in ids]
+            else:  # one order-0 row, broadcast over the batch
+                keys = index.get((bucket, ()), unseen)
+            dist += w * rows[keys]
         return dist
+
+    def prob_dist(self, context: ScorerContext, prefix_tokens) -> np.ndarray:
+        return self.next_probs(context, [prefix_tokens])[0]
 
     def save(self, path):
         payload = {
@@ -121,7 +158,7 @@ class NgramScorer:
 
 
 @dataclass
-class NeuralScorer:
+class NeuralScorer(RowScorer):
     """Tiny feedforward next-token model with exact analytic gradients.
 
     Input is the mean-pooled context embedding plus the mean-pooled prefix

@@ -15,6 +15,10 @@ class TrieError(ValueError):
 class TrieNode:
     children: dict[int, "TrieNode"] = field(default_factory=dict)
     end_of_ad: str | None = None
+    # the children in ascending code order, filled in once by build()
+    sorted_codes: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    sorted_children: tuple["TrieNode", ...] = field(default=(), repr=False,
+                                                    compare=False)
 
     def child_codes(self) -> list[int]:
         return sorted(self.children)
@@ -52,6 +56,12 @@ def build(sids: dict[str, SemanticId]) -> Trie:
         if cur.end_of_ad is None:
             count += 1
         cur.end_of_ad = ad_id
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.sorted_codes = tuple(sorted(node.children))
+        node.sorted_children = tuple(node.children[c] for c in node.sorted_codes)
+        stack.extend(node.sorted_children)
     return Trie(root=root, depth=depth, ad_count=count)
 
 
@@ -79,8 +89,3 @@ def valid_children(trie: Trie, prefix) -> list[int]:
 def contains(trie: Trie, sid: SemanticId) -> bool:
     node = _walk(trie, sid.codes)
     return node is not None and node.end_of_ad is not None
-
-
-def lookup_ad(trie: Trie, sid: SemanticId) -> str | None:
-    node = _walk(trie, sid.codes)
-    return node.end_of_ad if node is not None else None

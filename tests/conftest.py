@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from genret.prompting import BehaviorEvent, InterestSummary, UserProfile
+from genret.scorer import RowScorer
 from genret.sid import SemanticId
 from genret.trie import build
 from genret.vocab import Vocabulary, vocab_from_sids
@@ -22,7 +23,7 @@ EXAMPLE_PROBS = {
 }
 
 
-class TableScorer:
+class TableScorer(RowScorer):
     """Scorer backed by an explicit per-prefix probability table; mass not
     listed goes to the unknown token so distributions still sum to 1."""
 

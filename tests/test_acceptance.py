@@ -26,7 +26,7 @@ from genret.rqvae import (RqVaeConfig, _forward_backward, assign_sids,
                           codebook_metrics, freeze_forward, init_model,
                           quantize, seed_codebooks, surrogate_loss,
                           total_loss, train)
-from genret.scorer import NeuralScorer, ScorerContext
+from genret.scorer import NeuralScorer, RowScorer, ScorerContext
 from genret.serving import (AdmissionPolicy, FeatureStore, Request,
                             WorkerPool, nearline_tick, run_simulation)
 from genret.sid import SemanticId
@@ -112,7 +112,7 @@ def test_03_oracle_equivalence_fuzz():
             vocab = vocab_from_sids(sids)
             seed = int(rng.integers(1 << 31))
 
-            class RandomScorer:
+            class RandomScorer(RowScorer):
                 def __init__(self):
                     self.vocab = vocab
 

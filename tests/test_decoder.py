@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from genret import rqvae, synth
+from genret.alignment import build_stage_corpora, train_staged, user_context
+from genret.catalog import load_catalog
 from genret.decoder import DecodeError, decode, decode_exhaustive
-from genret.scorer import ScorerContext
+from genret.embed import embed_catalog
+from genret.prompting import load_events, load_profiles
+from genret.scorer import NeuralScorer, RowScorer, ScorerContext
 from genret.sid import SemanticId
 from genret.trie import build
 from genret.vocab import vocab_from_sids
@@ -63,7 +68,7 @@ def _random_setup(rng, n_ads=12, levels=3, span=4):
     trie = build(sids)
     vocab = vocab_from_sids(sids)
 
-    class RandomScorer:
+    class RandomScorer(RowScorer):
         def __init__(self):
             self.vocab = vocab
             self.seed = int(rng.integers(1 << 31))
@@ -139,7 +144,7 @@ def test_determinism(example_trie, example_scorer):
 
 
 def test_scorer_contract_errors(example_trie, example_scorer):
-    class BadScorer:
+    class BadScorer(RowScorer):
         vocab = example_scorer.vocab
 
         def prob_dist(self, context, prefix_tokens):
@@ -148,6 +153,31 @@ def test_scorer_contract_errors(example_trie, example_scorer):
 
     with pytest.raises(DecodeError, match="contract"):
         decode(BadScorer(), CTX, example_trie, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scorer_contract_nonfinite(example_trie, example_scorer, bad):
+    class NonFiniteScorer(RowScorer):
+        vocab = example_scorer.vocab
+
+        def prob_dist(self, context, prefix_tokens):
+            dist = example_scorer.prob_dist(context, prefix_tokens)
+            dist[self.vocab.lookup("b_6")] = bad
+            return dist
+
+    with pytest.raises(DecodeError, match="contract"):
+        decode(NonFiniteScorer(), CTX, example_trie, 2)
+
+
+def test_scorer_contract_batch_shape(example_trie, example_scorer):
+    class ShortBatchScorer:
+        vocab = example_scorer.vocab
+
+        def next_probs(self, context, prefixes):
+            return np.zeros((len(prefixes) + 1, len(self.vocab)))
+
+    with pytest.raises(DecodeError, match="contract"):
+        decode(ShortBatchScorer(), CTX, example_trie, 2)
 
 
 def test_empty_trie_error(example_scorer):
@@ -161,3 +191,61 @@ def test_prefix_score_monotone(example_trie, example_scorer):
     for _, sid, score in result.entries:
         assert score <= 1.0
         assert score <= math.prod([0.6])  # layer-1 prefix bound
+
+
+class CountingScorer:
+    """Answers batches from another scorer's rows, recording each batch; a
+    one-row prob_dist call fails the test."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.vocab = rows.vocab
+        self.batches = []
+
+    def next_probs(self, context, prefixes):
+        self.batches.append(list(prefixes))
+        return np.stack([self.rows.prob_dist(context, p) for p in prefixes])
+
+    def prob_dist(self, context, prefix_tokens):
+        raise AssertionError("decode asked for a single prefix")
+
+
+def test_one_scorer_call_per_level(example_trie, example_scorer):
+    counting = CountingScorer(example_scorer)
+    result = decode(counting, CTX, example_trie, beam_width=2)
+    assert result.entries == decode_exhaustive(example_scorer, CTX,
+                                               example_trie).entries[:2]
+    assert len(counting.batches) == example_trie.depth
+    assert counting.batches[0] == [()]
+    assert sorted(counting.batches[2]) == [("a_12", "b_6"), ("a_12", "b_7")]
+
+    rng = np.random.default_rng(17)
+    for beam_width in (1, 3, 8):
+        sids, trie, scorer = _random_setup(rng, n_ads=40, levels=4, span=3)
+        counting = CountingScorer(scorer)
+        decode(counting, CTX, trie, beam_width)
+        assert len(counting.batches) <= trie.depth
+        assert all(len(batch) <= beam_width for batch in counting.batches)
+
+
+def test_neural_decode_equals_exhaustive_on_trained_index(tmp_path):
+    # the check the benchmark applies to the neural scorer: a whole-inventory
+    # beam gives exactly the oracle's ads and scores
+    seed = 3
+    paths = synth.gen_data(synth.SyntheticSpec(seed=seed), tmp_path)
+    catalog = load_catalog(paths["catalog"])
+    profiles = load_profiles(paths["profiles"])
+    table = embed_catalog(catalog, 32, seed)
+    model = rqvae.train(rqvae.RqVaeConfig(epochs=30, seed=seed), table)
+    sids = rqvae.assign_sids(model, table)
+    trie = build(sids)
+    events = load_events(paths["events"], sids)
+    corpora = build_stage_corpora(catalog, sids, profiles, events, seed=seed)
+    scorer, _ = train_staged(NeuralScorer(vocab_from_sids(sids), seed=seed),
+                             {"main": corpora["main"]}, order=("main",), seed=seed)
+    for uid in sorted(events)[:5]:
+        context = user_context(profiles[uid], events[uid], catalog)
+        beam = decode(scorer, context, trie, trie.ad_count)
+        full = decode_exhaustive(scorer, context, trie)
+        assert len(beam) == trie.ad_count
+        assert beam.entries == full.entries

@@ -115,6 +115,60 @@ def test_ngram_dist_sums_to_one(prefix, seed):
     assert (dist >= 0).all()
 
 
+def loop_prob_dist(scorer, context, prefix_tokens):
+    """The per-order loop over counts that the batched component rows
+    replace, kept as the reference."""
+    v = len(scorer.vocab)
+    alpha = scorer.smoothing_alpha
+    ids = tuple(scorer.vocab.lookup(t) for t in prefix_tokens)
+    dist = np.zeros(v)
+    for order, w in enumerate(scorer.interpolation):
+        window = ids[len(ids) - order:] if order else ()
+        key = (context.bucket, window)
+        counts = scorer.counts.get(key)
+        total = scorer.totals.get(key, 0.0)
+        component = np.full(v, alpha / (total + alpha * v))
+        if counts:
+            for tid, c in counts.items():
+                component[tid] += c / (total + alpha * v)
+        dist += w * component
+    return dist
+
+
+BUCKETS = [("g", 1), ("h",), ()]
+TOKENS = ["a_0", "a_1", "a_2", "b_0", "b_1", "b_2"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(BUCKETS),
+                          st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4)),
+                max_size=12),
+       st.lists(st.lists(st.sampled_from(TOKENS + ["novel"]), max_size=4),
+                min_size=1, max_size=6),
+       st.sampled_from(BUCKETS + [("unseen",)]),
+       st.integers(0, 3),
+       st.sampled_from([0.1, 0.5, 1e-3]))
+def test_ngram_batch_rows_equal_loop_reference(samples, prefixes, bucket,
+                                               max_order, alpha):
+    vocab = vocab_from_sids(SIDS)
+    scorer = NgramScorer(vocab, smoothing_alpha=alpha, max_order=max_order)
+    scorer.train([(ScorerContext(bucket=b), seq) for b, seq in samples])
+    ctx = ScorerContext(bucket=bucket)
+    before = scorer.next_probs(ctx, prefixes)
+    assert before.shape == (len(prefixes), len(vocab))
+    for row, prefix in zip(before, prefixes):
+        expected = loop_prob_dist(scorer, ctx, prefix)
+        np.testing.assert_array_equal(row, expected)
+        np.testing.assert_array_equal(scorer.prob_dist(ctx, prefix), expected)
+    # a read after observe sees the new count: the cached rows are dropped
+    scorer.observe(bucket, prefixes[0], "a_0")
+    after = scorer.next_probs(ctx, prefixes)
+    for row, prefix in zip(after, prefixes):
+        np.testing.assert_array_equal(row, loop_prob_dist(scorer, ctx, prefix))
+    tid = vocab.lookup("a_0")
+    assert after[0][tid] > before[0][tid]
+
+
 # --- neural scorer -----------------------------------------------------------
 
 def oracle_forward(scorer, ctx_tokens, prefix_tokens):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from genret.sid import SemanticId
-from genret.trie import TrieError, build, contains, lookup_ad, valid_children
+from genret.trie import TrieError, build, contains, valid_children
 
 # three-ad example: Ad_66 [a_12,b_7,c_4]; Ad_245 [a_12,b_7,c_14];
 # Ad_112 [a_12,b_6,c_22]
@@ -33,7 +33,6 @@ def test_example_shape(example_trie):
 
 def test_contains_and_lookup(example_trie):
     assert contains(example_trie, SemanticId((12, 7, 4)))
-    assert lookup_ad(example_trie, SemanticId((12, 7, 4))) == "Ad_66"
     assert not contains(example_trie, SemanticId((12, 7)))
     assert not contains(example_trie, SemanticId((12, 6, 4)))
 
