@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-
-import numpy as np
 
 from .sid import SemanticId, render_token
 from .trie import Trie
@@ -56,47 +53,39 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
     if trie.ad_count == 0:
         raise DecodeError("empty inventory: trie holds no ads")
 
-    # The beam is kept in lexicographic code order, so expanding each entry's
+    # The beam is kept in lexicographic code order, so listing each entry's
     # children in ascending code order lists the candidates in lexicographic
-    # order too, and a stable sort on -score ranks them by (-score, codes).
-    codes = [()]
-    tokens = [()]
-    scores = np.zeros(1)
-    nodes = [trie.root]
+    # order too, and a stable sort on score ranks them by (-score, codes).
+    v = len(scorer.vocab)
+    codes, tokens, scores, nodes = [()], [()], [0.0], [trie.root]
     for level in range(trie.depth):
         probs = scorer.next_probs(context, tokens)
-        if probs.shape != (len(tokens), len(scorer.vocab)):
+        if probs.shape != (len(tokens), v):
             raise DecodeError(
                 f"scorer contract violated: next_probs returned shape "
                 f"{probs.shape} for {len(tokens)} prefixes")
-        parent = np.arange(len(nodes)).repeat([len(n.sorted_codes) for n in nodes])
-        child = list(chain.from_iterable(n.sorted_codes for n in nodes))
-        slot_of: dict[int, int] = {}  # this level's codes, numbered as first seen
-        slot = [slot_of.setdefault(c, len(slot_of)) for c in child]
-        token_of = [render_token(level, c) for c in slot_of]
-        token_ids = np.array([scorer.vocab.lookup(t) for t in token_of])
-        p = probs[parent, token_ids[slot]]
-        low, high = p.min(), p.max()  # a NaN shows in both
-        if not (low >= 0.0 and high < math.inf):
-            i = int(np.argmax(~(np.isfinite(p) & (p >= 0.0))))
-            raise DecodeError(f"scorer contract violated: p={p[i]} for token "
-                              f"{token_of[slot[i]]}")
+        candidates = [(i, c) for i, node in enumerate(nodes) for c in node.sorted_codes]
+        token_of = {c: render_token(level, c) for c in {c for _, c in candidates}}
+        id_of = {c: scorer.vocab.lookup(t) for c, t in token_of.items()}
+        p = probs.ravel()[[i * v + id_of[c] for i, c in candidates]].tolist()
+        bad = [k for k, x in enumerate(p) if not 0.0 <= x < math.inf]
+        if bad:
+            raise DecodeError(f"scorer contract violated: p={p[bad[0]]} for token "
+                              f"{token_of[candidates[bad[0]][1]]}")
         # math.log per candidate: np.log can differ from it in the last bit,
         # which would change the scores
-        log_p = (list(map(math.log, p.tolist())) if low > 0.0 else
-                 [math.log(x) if x > 0.0 else -math.inf for x in p.tolist()])
-        expanded = scores[parent] + log_p
-        keep = np.sort(np.argsort(-expanded, kind="stable")[:beam_width])
-        children = list(chain.from_iterable(n.sorted_children for n in nodes))
-        scores = expanded[keep]
-        kept = list(zip(keep.tolist(), parent[keep].tolist()))
-        codes = [codes[i] + (child[k],) for k, i in kept]
-        tokens = [tokens[i] + (token_of[slot[k]],) for k, i in kept]
-        nodes = [children[k] for k, _ in kept]
+        expanded = [scores[i] + (math.log(x) if x > 0.0 else -math.inf)
+                    for (i, _), x in zip(candidates, p)]
+        ranked = sorted(range(len(expanded)), key=expanded.__getitem__, reverse=True)
+        keep = sorted(ranked[:beam_width])
+        scores = [expanded[k] for k in keep]
+        kept = [candidates[k] for k in keep]
+        codes = [codes[i] + (c,) for i, c in kept]
+        tokens = [tokens[i] + (token_of[c],) for i, c in kept]
+        nodes = [nodes[i].children[c] for i, c in kept]
 
-    ranked = np.argsort(-scores, kind="stable").tolist()
-    log_scores = scores.tolist()
-    entries = [(nodes[i].end_of_ad, SemanticId(codes[i]), math.exp(log_scores[i]))
+    ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    entries = [(nodes[i].end_of_ad, SemanticId(codes[i]), math.exp(scores[i]))
                for i in ranked if nodes[i].end_of_ad is not None]
     return RetrievalList(entries=entries)
 
@@ -111,7 +100,7 @@ def decode_exhaustive(scorer, context, trie: Trie) -> RetrievalList:
     def rec(node, codes: tuple[int, ...], log_score: float):
         if node.end_of_ad is not None and len(codes) == trie.depth:
             results.append((node.end_of_ad, SemanticId(codes), math.exp(log_score)))
-        child_codes = node.child_codes()
+        child_codes = node.sorted_codes
         if not child_codes:
             return
         level = len(codes)

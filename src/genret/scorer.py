@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -68,11 +68,11 @@ class NgramScorer:
         # (bucket, window) -> {token_id: count}
         self.counts: dict[tuple, dict[int, float]] = {}
         self.totals: dict[tuple, float] = {}
-        # (component rows, key -> row), built from counts on first read
-        self._rows: tuple[np.ndarray, dict[tuple, int]] | None = None
+        # the counts as sparse smoothed components, built on first read
+        self._components: tuple | None = None
 
     def observe(self, bucket: tuple, prefix_tokens, next_token: str, weight: float = 1.0):
-        self._rows = None
+        self._components = None
         tid = self.vocab.lookup(next_token)
         ids = tuple(self.vocab.lookup(t) for t in prefix_tokens)
         for order in range(self.max_order + 1):
@@ -88,39 +88,50 @@ class NgramScorer:
             for i, tok in enumerate(response):
                 self.observe(context.bucket, response[:i], tok, weight)
 
-    def _component_rows(self) -> tuple[np.ndarray, dict[tuple, int]]:
-        """One smoothed component row per (bucket, window) key with counts,
-        then one uniform row that every unseen key shares."""
-        if self._rows is None:
+    def _smoothed(self) -> tuple:
+        """Each (bucket, window) key with counts, numbered in counts order, as
+        its uniform share alpha/denom plus its counted (token id, c/denom)
+        entries; one more share, with no entries, stands for every unseen key."""
+        if self._components is None:
             v, alpha = len(self.vocab), self.smoothing_alpha
-            index = {key: i for i, key in enumerate(self.counts)}
             slots = list(self.counts.values())
+            sizes = [len(slot) for slot in slots]
             denom = np.array([self.totals[key] + alpha * v for key in self.counts]
                              + [alpha * v])
-            rows = np.repeat((alpha / denom)[:, None], v, axis=1)
-            row = np.repeat(np.arange(len(slots)), [len(slot) for slot in slots])
-            tid = np.fromiter(chain.from_iterable(slots), dtype=np.int64, count=len(row))
+            tid = list(chain.from_iterable(slots))
             c = np.fromiter(chain.from_iterable(slot.values() for slot in slots),
-                            dtype=np.float64, count=len(row))
-            rows[row, tid] += c / denom[row]
-            self._rows = rows, index
-        return self._rows
+                            dtype=np.float64, count=sum(sizes))
+            spans = [range(e - n, e) for n, e in zip(sizes, accumulate(sizes))] + [range(0)]
+            index: dict[tuple, dict[tuple, int]] = {}  # bucket -> window -> number
+            for i, (bucket, window) in enumerate(self.counts):
+                index.setdefault(bucket, {})[window] = i
+            self._components = index, alpha / denom, spans, tid, c / denom[:-1].repeat(sizes)
+        return self._components
 
     def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
-        """The interpolated distribution after each prefix, one row each,
-        mixed from the cached component rows."""
-        rows, index = self._component_rows()
-        unseen = len(rows) - 1
+        """The interpolated distribution after each prefix, one row each.
+
+        Each distinct key the batch asks for gets one dense component row,
+        filled from its sparse entries, so memory stays O(entries + B·|V|).
+        """
+        index, share, spans, tid, val = self._smoothed()
+        v, unseen = len(self.vocab), len(share) - 1
         lookup = self.vocab.lookup
         ids = [tuple(map(lookup, p)) for p in prefixes]
-        dist = np.zeros((len(ids), len(self.vocab)))
-        bucket = context.bucket
-        for order, w in enumerate(self.interpolation):
-            if order:
-                keys = [index.get((bucket, p[len(p) - order:]), unseen) for p in ids]
-            else:  # one order-0 row, broadcast over the batch
-                keys = index.get((bucket, ()), unseen)
-            dist += w * rows[keys]
+        numbers = index.get(context.bucket, {})
+        keys = [[numbers.get(p[len(p) - order:], unseen) for p in ids]
+                for order in range(len(self.interpolation))]
+        row_of = {k: r for r, k in enumerate(dict.fromkeys(chain.from_iterable(keys)))}
+        # the component rows laid end to end: each key's uniform share, plus
+        # its counted entries
+        rows = share[list(row_of)].repeat(v)
+        at = [a for k in row_of for a in spans[k]]
+        rows[[r * v + tid[a] for k, r in row_of.items() for a in spans[k]]] += val[at]
+        # each order's component rows for the batch, then mixed in order
+        parts = rows.reshape(-1, v)[[row_of[k] for order_keys in keys for k in order_keys]]
+        dist = np.zeros((len(ids), v))
+        for w, part in zip(self.interpolation, parts.reshape(len(keys), len(ids), v)):
+            dist += w * part
         return dist
 
     def prob_dist(self, context: ScorerContext, prefix_tokens) -> np.ndarray:

@@ -15,13 +15,8 @@ class TrieError(ValueError):
 class TrieNode:
     children: dict[int, "TrieNode"] = field(default_factory=dict)
     end_of_ad: str | None = None
-    # the children in ascending code order, filled in once by build()
+    # the children's codes in ascending order, filled in once by build()
     sorted_codes: tuple[int, ...] = field(default=(), repr=False, compare=False)
-    sorted_children: tuple["TrieNode", ...] = field(default=(), repr=False,
-                                                    compare=False)
-
-    def child_codes(self) -> list[int]:
-        return sorted(self.children)
 
 
 @dataclass
@@ -60,8 +55,7 @@ def build(sids: dict[str, SemanticId]) -> Trie:
     while stack:
         node = stack.pop()
         node.sorted_codes = tuple(sorted(node.children))
-        node.sorted_children = tuple(node.children[c] for c in node.sorted_codes)
-        stack.extend(node.sorted_children)
+        stack.extend(node.children.values())
     return Trie(root=root, depth=depth, ad_count=count)
 
 
@@ -83,7 +77,7 @@ def valid_children(trie: Trie, prefix) -> list[int]:
     node = _walk(trie, prefix)
     if node is None:
         return []
-    return node.child_codes()
+    return list(node.sorted_codes)
 
 
 def contains(trie: Trie, sid: SemanticId) -> bool:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext,
                            ScorerError, load_scorer, tokenize_text)
 from genret.sid import SemanticId
-from genret.vocab import vocab_from_sids
+from genret.vocab import Vocabulary, vocab_from_sids
 
 SIDS = {f"ad{i}": SemanticId((i % 3, i // 3)) for i in range(9)}
 CTX = ScorerContext(tokens=("cat", ":", "x"), bucket=("g", 1))
@@ -160,13 +162,35 @@ def test_ngram_batch_rows_equal_loop_reference(samples, prefixes, bucket,
         expected = loop_prob_dist(scorer, ctx, prefix)
         np.testing.assert_array_equal(row, expected)
         np.testing.assert_array_equal(scorer.prob_dist(ctx, prefix), expected)
-    # a read after observe sees the new count: the cached rows are dropped
+    # a read after observe sees the new count: the cached components are dropped
     scorer.observe(bucket, prefixes[0], "a_0")
     after = scorer.next_probs(ctx, prefixes)
     for row, prefix in zip(after, prefixes):
         np.testing.assert_array_equal(row, loop_prob_dist(scorer, ctx, prefix))
     tid = vocab.lookup("a_0")
     assert after[0][tid] > before[0][tid]
+
+
+def test_ngram_read_memory_is_linear_in_counts():
+    # 600 (bucket, window) keys over a 20 000-token vocabulary: one dense
+    # component row per key would take 600 * 20 000 * 8 bytes = 96 MB
+    tokens = [f"t_{i}" for i in range(20_000)]
+    scorer = NgramScorer(Vocabulary(["<unk>"] + tokens))
+    rng = np.random.default_rng(0)
+    for b in range(20):
+        for _ in range(15):
+            seq = [tokens[int(i)] for i in rng.integers(len(tokens), size=3)]
+            scorer.train([(ScorerContext(bucket=(b,)), seq)])
+    assert len(scorer.counts) > 600
+    prefixes = [(tokens[0], tokens[1]), (tokens[2],), ()]
+    tracemalloc.start()
+    try:
+        scorer.next_probs(ScorerContext(bucket=(3,)), prefixes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the batch itself needs a few (orders x rows x |V|) arrays, about 2 MB
+    assert peak < 8 * 2**20
 
 
 # --- neural scorer -----------------------------------------------------------
