@@ -8,7 +8,7 @@ width on which ads survive.
 import numpy as np
 
 from genret.decoder import decode, decode_exhaustive
-from genret.scorer import RowScorer, ScorerContext
+from genret.scorer import ScorerContext
 from genret.sid import SemanticId, render_token
 from genret.trie import build, valid_children
 from genret.vocab import vocab_from_sids
@@ -27,11 +27,14 @@ PROBS = {
 }
 
 
-class TableScorer(RowScorer):
+class TableScorer:
     """Fixed per-prefix probabilities; leftover mass goes to <unk>."""
 
     def __init__(self, vocab):
         self.vocab = vocab
+
+    def next_probs(self, context, prefixes):
+        return np.array([self.prob_dist(context, p) for p in prefixes])
 
     def prob_dist(self, context, prefix_tokens):
         dist = np.zeros(len(self.vocab))

@@ -185,15 +185,25 @@ def dpo_loss(policy: NeuralScorer, reference: NeuralScorer,
     prob-ratio uses raw sequence-probability ratios inside the sigmoid;
     log-ratio is the standard log-probability-ratio form.
     """
-    ctx = triplet.user
-    toks_h = list(triplet.high_ad.tokens())
-    toks_l = list(triplet.low_ad.tokens())
-    logp_h, grad_h = policy.seq_logprob_and_grad(ctx, toks_h)
-    logp_l, grad_l = policy.seq_logprob_and_grad(ctx, toks_l)
-    ref_h = reference.seq_logprob(ctx, toks_h)
-    ref_l = reference.seq_logprob(ctx, toks_l)
+    return _dpo_loss(policy, triplet, _reference_logprobs(reference, triplet),
+                     beta, variant)
+
+
+def _reference_logprobs(reference: NeuralScorer, triplet: PreferenceTriplet):
+    """(log pi_ref(a_h|u), log pi_ref(a_l|u)) of one triplet."""
+    ref_h = reference.seq_logprob(triplet.user, list(triplet.high_ad.tokens()))
+    ref_l = reference.seq_logprob(triplet.user, list(triplet.low_ad.tokens()))
     if not (math.isfinite(ref_h) and math.isfinite(ref_l)):
         raise AlignmentError("degenerate reference: zero sequence probability")
+    return ref_h, ref_l
+
+
+def _dpo_loss(policy: NeuralScorer, triplet: PreferenceTriplet, ref, beta, variant):
+    """dpo_loss given the reference's log probabilities ``ref``."""
+    ctx = triplet.user
+    logp_h, grad_h = policy.seq_logprob_and_grad(ctx, list(triplet.high_ad.tokens()))
+    logp_l, grad_l = policy.seq_logprob_and_grad(ctx, list(triplet.low_ad.tokens()))
+    ref_h, ref_l = ref
 
     if variant == "prob-ratio":
         rho_h = math.exp(logp_h - ref_h)
@@ -227,18 +237,20 @@ def preference_margin(policy: NeuralScorer, triplets) -> float:
 def dpo_update(policy: NeuralScorer, reference: NeuralScorer, triplets,
                beta: float = 0.1, learning_rate: float = 0.01, steps: int = 1,
                variant: str = "log-ratio"):
-    """Batch gradient steps on the mean DPO loss; reference stays frozen.
+    """Batch gradient steps on the mean DPO loss; reference stays frozen, so
+    its log probabilities are computed once, before the first step.
 
     Returns (policy, mean_loss_per_step)."""
     losses = []
+    refs = [_reference_logprobs(reference, t) for t in triplets] if steps > 0 else []
     for step in range(steps):
         if not triplets:
             losses.append(0.0)
             continue
         total = policy.zero_grads()
         loss_sum = 0.0
-        for t in triplets:
-            loss, grads = dpo_loss(policy, reference, t, beta, variant)
+        for t, ref in zip(triplets, refs):
+            loss, grads = _dpo_loss(policy, t, ref, beta, variant)
             loss_sum += loss
             for k in total:
                 total[k] += grads[k] / len(triplets)

@@ -38,14 +38,6 @@ class ScorerContext:
     bucket: tuple = ()
 
 
-class RowScorer:
-    """Base for scorers that answer one prefix at a time: ``next_probs``
-    stacks their ``prob_dist`` rows."""
-
-    def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
-        return np.array([self.prob_dist(context, p) for p in prefixes])
-
-
 class NgramScorer:
     """Interpolated additive-smoothed count model.
 
@@ -169,7 +161,7 @@ class NgramScorer:
 
 
 @dataclass
-class NeuralScorer(RowScorer):
+class NeuralScorer:
     """Tiny feedforward next-token model with exact analytic gradients.
 
     Input is the mean-pooled context embedding plus the mean-pooled prefix
@@ -211,27 +203,48 @@ class NeuralScorer(RowScorer):
         return [self.vocab.lookup(t) for t in tokens]
 
     def _forward(self, ctx_ids, prefix_ids):
+        """The forward pass for one context and equal-length prefixes.
+
+        ``prefix_ids`` holds one prefix of L ids, or a (B, L) batch of them.
+        The context is pooled once, and each layer is a stack of one
+        matrix-vector product per row, so every row takes the BLAS path of a
+        lone prefix and its bits do not depend on the batch size.
+        """
         p = self.params
-        d = self.embed_dim
-        pool = np.zeros(d)
+        ids = np.asarray(prefix_ids, dtype=np.intp)
+        pool = np.zeros(ids.shape[:-1] + (self.embed_dim,))
         if ctx_ids:
             pool = pool + p["emb"][ctx_ids].mean(axis=0)
-        if prefix_ids:
-            pool = pool + p["emb"][prefix_ids].mean(axis=0)
-        plen = min(len(prefix_ids), self.max_prefix)
+        if ids.shape[-1]:
+            pool = pool + p["emb"][ids].mean(axis=-2)
+        plen = min(ids.shape[-1], self.max_prefix)
         pool = pool + p["pos"][plen]
-        pre = p["w1"] @ pool + p["b1"]
+        pre = np.matmul(p["w1"], pool[..., None])[..., 0] + p["b1"]
         h = np.tanh(pre)
-        logits = p["w2"] @ h + p["b2"]
-        logits = logits - logits.max()
+        logits = np.matmul(p["w2"], h[..., None])[..., 0] + p["b2"]
+        logits = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(logits)
-        probs = exp / exp.sum()
+        probs = exp / exp.sum(axis=-1, keepdims=True)
         return {"pool": pool, "pre": pre, "h": h, "probs": probs,
                 "ctx_ids": ctx_ids, "prefix_ids": prefix_ids, "plen": plen}
 
+    def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
+        """The next-token distribution after each prefix, one row each, from
+        one forward per prefix length in the batch."""
+        ctx_ids = self._ids(context.tokens)
+        ids = [self._ids(p) for p in prefixes]
+        rows_of: dict[int, list[int]] = {}
+        for r, row in enumerate(ids):
+            rows_of.setdefault(len(row), []).append(r)
+        if len(rows_of) == 1:
+            return self._forward(ctx_ids, ids)["probs"]
+        probs = np.empty((len(ids), len(self.vocab)))
+        for rows in rows_of.values():
+            probs[rows] = self._forward(ctx_ids, [ids[r] for r in rows])["probs"]
+        return probs
+
     def prob_dist(self, context: ScorerContext, prefix_tokens) -> np.ndarray:
-        cache = self._forward(self._ids(context.tokens), self._ids(prefix_tokens))
-        return cache["probs"]
+        return self.next_probs(context, [prefix_tokens])[0]
 
     def _backward_logits(self, cache, d_logits, grads):
         p = self.params

@@ -76,12 +76,6 @@ class WorkerPool:
         return worker
 
 
-def dispatch(pool: WorkerPool, n_requests: int) -> list[int]:
-    for _ in range(n_requests):
-        pool.dispatch_one()
-    return list(pool.processed)
-
-
 def handle_request(store: FeatureStore, request: Request, triggers: list,
                    stats: dict, seq: list) -> tuple:
     """Latency-sensitive path: pure store lookup plus a nearline trigger."""
@@ -127,12 +121,22 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
 
     scorer_swap: optional (tick, new_generate_fn) modeling the daily model
     refresh. Returns a report of hit rate, staleness, queue lengths, and
-    per-group admission shares.
+    per-group admission shares. Raises ServingError when a generate function
+    runs while a request is being handled.
     """
     for a, b in zip(trace, trace[1:]):
         if a.arrival_tick > b.arrival_tick:
             raise ServingError("trace must be tick-ordered")
     store = store or FeatureStore()
+    calls = [0]
+
+    def counted(fn):
+        def generate(user_id):
+            calls[0] += 1
+            return fn(user_id)
+        return generate
+
+    generate = counted(generate_fn)
     triggers: list = []
     stats: dict = {"hits": 0, "misses": 0, "staleness": []}
     seq = [0]
@@ -140,13 +144,19 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
     i = 0
     for tick in range(ticks):
         if scorer_swap is not None and tick == scorer_swap[0]:
-            generate_fn = scorer_swap[1]
+            generate = counted(scorer_swap[1])
         while i < len(trace) and trace[i].arrival_tick == tick:
-            before = store.decoder_invocations_in_request_path
+            # the generate function runs only on the nearline path: a call
+            # made while a request is handled is a decode the user waits for
+            before = calls[0]
             handle_request(store, trace[i], triggers, stats, seq)
-            assert store.decoder_invocations_in_request_path == before
+            if calls[0] != before:
+                store.decoder_invocations_in_request_path += calls[0] - before
+                raise ServingError(
+                    f"request for {trace[i].user_id!r} at tick {tick} ran the "
+                    f"generate function in the request path")
             i += 1
-        nearline_tick(store, triggers, policy, pool, generate_fn, tick, stats)
+        nearline_tick(store, triggers, policy, pool, generate, tick, stats)
         queue_lengths.append(len(triggers))
 
     total = stats["hits"] + stats["misses"]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from genret.prompting import BehaviorEvent, InterestSummary, UserProfile
-from genret.scorer import RowScorer
 from genret.sid import SemanticId
 from genret.trie import build
 from genret.vocab import Vocabulary, vocab_from_sids
@@ -21,6 +20,14 @@ EXAMPLE_PROBS = {
     ("a_12", "b_7"): {"c_4": 0.8, "c_14": 0.4},
     ("a_12", "b_6"): {"c_22": 0.8},
 }
+
+
+class RowScorer:
+    """Base for test scorers that answer one prefix at a time: ``next_probs``
+    stacks their ``prob_dist`` rows."""
+
+    def next_probs(self, context, prefixes) -> np.ndarray:
+        return np.array([self.prob_dist(context, p) for p in prefixes])
 
 
 class TableScorer(RowScorer):

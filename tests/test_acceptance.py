@@ -26,7 +26,7 @@ from genret.rqvae import (RqVaeConfig, _forward_backward, assign_sids,
                           codebook_metrics, freeze_forward, init_model,
                           quantize, seed_codebooks, surrogate_loss,
                           total_loss, train)
-from genret.scorer import NeuralScorer, RowScorer, ScorerContext
+from genret.scorer import NeuralScorer, ScorerContext
 from genret.serving import (AdmissionPolicy, FeatureStore, Request,
                             WorkerPool, nearline_tick, run_simulation)
 from genret.sid import SemanticId
@@ -35,8 +35,8 @@ from genret.synth import SyntheticSpec, make_catalog, make_cluster_table, \
 from genret.trie import build, contains
 from genret.vocab import vocab_from_sids
 
-from conftest import (EXAMPLE_PROBS, EXAMPLE_SIDS, WORKED_PROMPT, TableScorer,
-                      worked_prompt_inputs)
+from conftest import (EXAMPLE_PROBS, EXAMPLE_SIDS, WORKED_PROMPT, RowScorer,
+                      TableScorer, worked_prompt_inputs)
 
 CTX = ScorerContext()
 

@@ -9,12 +9,12 @@ from genret.catalog import load_catalog
 from genret.decoder import DecodeError, decode, decode_exhaustive
 from genret.embed import embed_catalog
 from genret.prompting import load_events, load_profiles
-from genret.scorer import NeuralScorer, RowScorer, ScorerContext
+from genret.scorer import NeuralScorer, ScorerContext
 from genret.sid import SemanticId
 from genret.trie import build
 from genret.vocab import vocab_from_sids
 
-from conftest import TableScorer
+from conftest import RowScorer, TableScorer
 
 CTX = ScorerContext()
 

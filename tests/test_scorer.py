@@ -292,3 +292,90 @@ def test_neural_dist_valid_probability(prefix):
     assert dist.shape == (len(vocab),)
     assert (dist > 0).all()
     assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def loop_forward(scorer, ctx_tokens, prefix_tokens):
+    """The single-row forward that the batched one replaces, kept as the
+    reference: every row of a batch must equal it bit for bit."""
+    p = scorer.params
+    ctx_ids = [scorer.vocab.lookup(t) for t in ctx_tokens]
+    prefix_ids = [scorer.vocab.lookup(t) for t in prefix_tokens]
+    pool = np.zeros(scorer.embed_dim)
+    if ctx_ids:
+        pool = pool + p["emb"][ctx_ids].mean(axis=0)
+    if prefix_ids:
+        pool = pool + p["emb"][prefix_ids].mean(axis=0)
+    pool = pool + p["pos"][min(len(prefix_ids), scorer.max_prefix)]
+    h = np.tanh(p["w1"] @ pool + p["b1"])
+    logits = p["w2"] @ h + p["b2"]
+    logits = logits - logits.max()
+    exp = np.exp(logits)
+    return exp / exp.sum()
+
+
+NEURAL_TOKENS = ["a_0", "a_1", "a_2", "b_0", "b_1", "b_2", "<unk>", "novel"]
+
+
+def assert_rows_equal_loop(scorer, ctx, prefixes):
+    batch = scorer.next_probs(ctx, prefixes)
+    assert batch.shape == (len(prefixes), len(scorer.vocab))
+    for row, prefix in zip(batch, prefixes):
+        np.testing.assert_array_equal(row, loop_forward(scorer, ctx.tokens, prefix))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(NEURAL_TOKENS), max_size=7),
+                min_size=1, max_size=40),
+       st.lists(st.sampled_from(NEURAL_TOKENS + ["cat", ":"]), max_size=12),
+       st.integers(0, 5),
+       st.integers(0, 1000))
+def test_neural_batch_rows_equal_loop_reference(prefixes, ctx_tokens, max_prefix, seed):
+    # mixed lengths, empty prefixes and prefixes longer than max_prefix, with
+    # or without context tokens
+    scorer = NeuralScorer(vocab_from_sids(SIDS), max_prefix=max_prefix, seed=seed)
+    ctx = ScorerContext(tokens=tuple(ctx_tokens))
+    assert_rows_equal_loop(scorer, ctx, prefixes)
+    # the same rows again as one equal-length batch, and one row at a time
+    same = [p for p in prefixes if len(p) == len(prefixes[0])]
+    assert_rows_equal_loop(scorer, ctx, same)
+    for prefix in prefixes[:3]:
+        np.testing.assert_array_equal(scorer.prob_dist(ctx, prefix),
+                                      loop_forward(scorer, ctx.tokens, prefix))
+
+
+def test_neural_large_batch_rows_equal_loop_reference():
+    # batch sizes where a single gemm would change the last bits of rows
+    tokens = [f"{level}_{code}" for level in "abcd" for code in range(40)]
+    scorer = NeuralScorer(Vocabulary(["<unk>"] + tokens), seed=9)
+    rng = np.random.default_rng(9)
+    ctx = ScorerContext(tokens=tuple(rng.choice(tokens, size=20)))
+    mixed = [tuple(rng.choice(tokens, size=int(rng.integers(0, 4))))
+             for _ in range(1100)]
+    assert_rows_equal_loop(scorer, ctx, mixed)
+    level = [tuple(rng.choice(tokens, size=3)) for _ in range(1000)]
+    assert_rows_equal_loop(scorer, ScorerContext(), level)
+
+
+def test_neural_decode_makes_one_batched_call_per_level(monkeypatch):
+    from genret.decoder import decode
+    from genret.trie import build
+
+    sids = {f"ad{i}": SemanticId((i % 3, (i // 3) % 3, i % 2)) for i in range(12)}
+    trie = build(sids)
+    scorer = NeuralScorer(vocab_from_sids(sids), seed=8)
+    batches = []
+    real = NeuralScorer.next_probs
+
+    def spy(self, context, prefixes):
+        batches.append(len(prefixes))
+        return real(self, context, prefixes)
+
+    def forbidden(self, context, prefix_tokens):
+        raise AssertionError("decode asked for a single prefix")
+
+    monkeypatch.setattr(NeuralScorer, "next_probs", spy)
+    monkeypatch.setattr(NeuralScorer, "prob_dist", forbidden)
+    result = decode(scorer, CTX, trie, beam_width=4)
+    assert len(batches) == trie.depth
+    assert batches[0] == 1 and max(batches) <= 4
+    assert len(result) == 4

@@ -2,8 +2,9 @@ import threading
 
 import pytest
 
+from genret import serving
 from genret.serving import (AdmissionPolicy, FeatureStore, Request,
-                            ServingError, WorkerPool, dispatch, handle_request,
+                            ServingError, WorkerPool, handle_request,
                             load_trace, nearline_tick, run_simulation)
 
 
@@ -84,6 +85,32 @@ def test_request_path_never_invokes_decoder():
     assert calls  # generation happened, but only on the nearline path
 
 
+def test_leaky_handler_trips_request_path_gate(monkeypatch):
+    # a handler that gets hold of the nearline generate function and decodes
+    # while the user waits
+    handed = []
+
+    def spy_tick(store, triggers, policy, pool, generate_fn, tick, stats):
+        handed.append(generate_fn)
+        nearline_tick(store, triggers, policy, pool, generate_fn, tick, stats)
+
+    def leaky(store, request, triggers, stats, seq):
+        if handed:
+            handed[-1](request.user_id)
+        return handle_request(store, request, triggers, stats, seq)
+
+    monkeypatch.setattr(serving, "nearline_tick", spy_tick)
+    monkeypatch.setattr(serving, "handle_request", leaky)
+    store = FeatureStore()
+    trace = [Request("u1", t) for t in range(3)]
+    with pytest.raises(ServingError, match="request path"):
+        run_simulation(trace, lambda u: [("x", 1.0)], _policy(["u1"], budget=1),
+                       WorkerPool(1), ticks=3, store=store)
+    # the tick-0 request ran before any generate function was handed out
+    assert len(handed) == 1
+    assert store.decoder_invocations_in_request_path == 1
+
+
 # --- admission ---------------------------------------------------------------
 
 def test_arpu_groups_quantiles():
@@ -144,16 +171,6 @@ def test_generation_errors_counted_and_skipped():
 
 
 # --- dispatch ----------------------------------------------------------------
-
-def test_dispatch_exact_division():
-    assert dispatch(WorkerPool(4), 12) == [3, 3, 3, 3]
-
-
-def test_dispatch_remainder_balance():
-    counts = dispatch(WorkerPool(4), 14)
-    assert sum(counts) == 14
-    assert max(counts) - min(counts) <= 1
-
 
 def test_dispatch_concurrent_8_threads():
     pool = WorkerPool(5)
