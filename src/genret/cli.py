@@ -122,25 +122,27 @@ def _cmd_pipeline(args):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="genret")
+    defaults, spec = PipelineConfig(), synth.SyntheticSpec()
     parser.add_argument("--verbose", action="store_true",
                         help="structured logging to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--categories", type=int, default=4)
-    p.add_argument("--ads-per-category", type=int, default=8)
-    p.add_argument("--users", type=int, default=20)
-    p.add_argument("--events-per-user", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--categories", type=int, default=spec.num_categories)
+    p.add_argument("--ads-per-category", type=int, default=spec.ads_per_category)
+    p.add_argument("--users", type=int, default=spec.num_users)
+    p.add_argument("--events-per-user", type=int, default=spec.events_per_user)
+    p.add_argument("--seed", type=int, default=spec.seed)
     p.set_defaults(fn=_cmd_gen_data)
 
     p = sub.add_parser("embed", help="embed catalog descriptions")
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--embed-source", choices=("hashed", "file"), default="hashed")
+    p.add_argument("--dim", type=int, default=defaults.embed_dim)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--embed-source", choices=("hashed", "file"),
+                   default=defaults.embed_source)
     p.add_argument("--embeddings", help="TSV when --embed-source file")
     p.set_defaults(fn=_cmd_embed)
 
@@ -148,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON quantizer config file")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--dim", type=int, default=defaults.embed_dim)
     rq = rqvae.RqVaeConfig()
     p.add_argument("--levels", type=int, default=rq.num_levels)
     p.add_argument("--codebook-size", type=int, default=rq.codebook_size)
@@ -163,18 +165,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--events", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--templates", default="0")
-    p.add_argument("--strategies", default="reuse")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--templates", default=",".join(map(str, defaults.template_ids)))
+    p.add_argument("--strategies", default=",".join(defaults.strategies))
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.set_defaults(fn=_cmd_build_corpus)
 
     p = sub.add_parser("train", help="staged scorer training")
     p.add_argument("--sids", required=True)
     p.add_argument("--corpus-dir", required=True)
-    p.add_argument("--stages", default="explicit,implicit,main")
-    p.add_argument("--scorer", choices=("ngram", "neural"), default="ngram")
+    p.add_argument("--stages", default=",".join(defaults.stages))
+    p.add_argument("--scorer", choices=("ngram", "neural"), default=defaults.scorer_kind)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("dpo", help="preference-align a neural scorer")
@@ -183,11 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sids", required=True)
     p.add_argument("--profiles", required=True)
     p.add_argument("--events", required=True)
-    p.add_argument("--beta", type=float, default=0.1)
+    p.add_argument("--beta", type=float, default=defaults.dpo_beta)
     p.add_argument("--variant", choices=("prob-ratio", "log-ratio"),
-                   default="log-ratio")
+                   default=defaults.dpo_variant)
     p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=int, default=defaults.dpo_steps)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_dpo)
 
@@ -198,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--events", required=True)
     p.add_argument("--user")
-    p.add_argument("--beam", type=int, default=8)
+    p.add_argument("--beam", type=int, default=defaults.beam_width)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_generate)
 
@@ -207,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--ltr-labels")
-    p.add_argument("--k", default="1,4,8")
+    p.add_argument("--k", default=",".join(map(str, defaults.eval_k)))
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("simulate", help="run the serving simulator")

@@ -124,49 +124,3 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
         for ad_id, vec in table.entries.items():
             fh.write(ad_id + "\t" + " ".join(repr(float(v)) for v in vec) + "\n")
 
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
-def category_retrieval_accuracy(
-    table: EmbeddingTable,
-    catalog: Catalog,
-    samples_per_category: int,
-    k: int,
-    seed: int = 0,
-) -> float:
-    """Mean fraction of k nearest neighbors (cosine) sharing first_category.
-
-    Sampling is per category; ties in cosine break by ascending ad_id.
-    """
-    if len(catalog) < k + 1:
-        raise EmbeddingError(
-            f"catalog of {len(catalog)} ads too small for k={k} retrieval"
-        )
-    rng = np.random.default_rng(seed)
-    all_ids = sorted(ad.ad_id for ad in catalog)
-    mat = table.matrix(all_ids)
-    norms = np.linalg.norm(mat, axis=1)
-    norms[norms == 0.0] = 1.0
-    unit = mat / norms[:, None]
-    pos = {ad_id: i for i, ad_id in enumerate(all_ids)}
-    cat_of = {ad.ad_id: ad.first_category for ad in catalog}
-
-    fractions = []
-    for category in sorted(catalog.category_index):
-        members = sorted(catalog.category_index[category])
-        take = min(samples_per_category, len(members))
-        picked = list(rng.choice(len(members), size=take, replace=False))
-        for idx in sorted(picked):
-            ad_id = members[idx]
-            sims = unit @ unit[pos[ad_id]]
-            # sort by descending similarity, ascending ad_id on ties
-            order = sorted(range(len(all_ids)), key=lambda i: (-sims[i], all_ids[i]))
-            neighbors = [i for i in order if all_ids[i] != ad_id][:k]
-            same = sum(1 for i in neighbors if cat_of[all_ids[i]] == category)
-            fractions.append(same / k)
-    return float(np.mean(fractions))

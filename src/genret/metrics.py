@@ -1,4 +1,4 @@
-"""Offline evaluation: HR@K, NDCG@K, Dice, diversity, LTRR, truncation study."""
+"""Offline evaluation: HR@K, NDCG@K, Dice, diversity, LTRR."""
 
 from __future__ import annotations
 
@@ -110,37 +110,3 @@ def ltrr(records, k: int):
         raise MetricError("no user has LTR labels")
     return float(np.mean(recalls)), excluded
 
-
-def truncation_study(decode_fn, user_sequences: dict, max_drop: int, group_fn=None):
-    """Mean Dice between the full-sequence retrieval and each truncation.
-
-    decode_fn(user_id, events) -> ordered ad_id list; drop l removes the l
-    oldest events. Users are grouped by group_fn (default: ad-event count
-    quartile); returns {group: [mean dice per drop 0..max_drop]}.
-    """
-    if group_fn is None:
-        ad_counts = sorted(
-            sum(1 for e in seq if getattr(e, "domain", "ad") == "ad")
-            for seq in user_sequences.values()
-        )
-
-        def group_fn(seq):
-            count = sum(1 for e in seq if getattr(e, "domain", "ad") == "ad")
-            rank = sum(1 for c in ad_counts if c <= count) / len(ad_counts)
-            return f"q{min(3, int(rank * 4))}"
-
-    per_group: dict[str, list[list[float]]] = {}
-    for uid, seq in user_sequences.items():
-        seq = list(seq)
-        if len(seq) <= max_drop:
-            raise MetricError(f"user {uid!r} sequence shorter than max_drop")
-        base = decode_fn(uid, seq)
-        curve = []
-        for drop in range(max_drop + 1):
-            lst = base if drop == 0 else decode_fn(uid, seq[drop:])
-            curve.append(dice(base, lst))
-        per_group.setdefault(group_fn(seq), []).append(curve)
-    return {
-        g: list(np.mean(np.array(curves), axis=0))
-        for g, curves in sorted(per_group.items())
-    }

@@ -118,19 +118,17 @@ def run_embed(catalog, out_path, dim: int, seed: int, source: str, embeddings_pa
 
 
 def run_index(table, rq_config: rqvae.RqVaeConfig, out_dir):
-    """Train the quantizer, assign S-IDs and save both under out_dir;
-    returns (sids, codebook report, written paths)."""
+    """Train the quantizer, assign S-IDs and save them as out_dir/sids.jsonl;
+    returns (sids, codebook report, sids path)."""
     model = rqvae.train(rq_config, table)
     sids = rqvae.assign_sids(model, table)
     os.makedirs(out_dir, exist_ok=True)
-    model_path = os.path.join(out_dir, "rqvae_model.json")
     sids_path = os.path.join(out_dir, "sids.jsonl")
-    rqvae.save_model(model, model_path)
     rqvae.save_sids(sids, sids_path)
     collision_rate, max_collision, usage = rqvae.codebook_metrics(sids, rq_config)
     codebook = {"collision_rate": collision_rate, "max_collision": max_collision,
                 "usage_rate_per_level": usage}
-    return sids, codebook, [model_path, sids_path]
+    return sids, codebook, sids_path
 
 
 def run_build_corpus(catalog, sids, profiles, events_by_user, out_dir,
@@ -250,8 +248,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     with _stage("index"):
         rq_config = rqvae.RqVaeConfig(seed=config.seed, **config.rqvae)
-        sids, codebook, paths = run_index(table, rq_config, out)
-        manifest.record("index", *paths)
+        sids, codebook, sids_path = run_index(table, rq_config, out)
+        manifest.record("index", sids_path)
 
     with _stage("build-corpus"):
         events_by_user = load_events(data_paths["events"], sids)

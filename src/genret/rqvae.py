@@ -9,7 +9,7 @@ quantization loss; the encoder additionally receives the commitment term.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class RqVaeConfig:
     learning_rate: float = 5e-3
     epochs: int = 120
     seed: int = 0
-    hidden_dim: int | None = None
     activation: str = "tanh"  # "tanh" or "identity"
 
     def __post_init__(self):
@@ -69,19 +68,11 @@ class RqVaeModel:
         for l, cb in enumerate(self.codebooks):
             yield f"codebook_{l}", cb
 
-    def copy(self) -> "RqVaeModel":
-        return RqVaeModel(
-            config=self.config,
-            input_dim=self.input_dim,
-            params={k: v.copy() for k, v in self.params.items()},
-            codebooks=[cb.copy() for cb in self.codebooks],
-        )
-
 
 def init_model(config: RqVaeConfig, input_dim: int, rng: np.random.Generator | None = None) -> RqVaeModel:
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    hidden = config.hidden_dim or max(16, 2 * config.latent_dim)
+    hidden = max(16, 2 * config.latent_dim)
     d_in, d_rq = input_dim, config.latent_dim
 
     def layer(n_out, n_in):
@@ -363,28 +354,6 @@ def codebook_metrics(assignments: dict[str, SemanticId], config: RqVaeConfig):
         used = len({b[l] for b in bases})
         usage.append(used / config.codebook_size)
     return collision_rate, max_collision, usage
-
-
-def save_model(model: RqVaeModel, path) -> None:
-    payload = {
-        "config": asdict(model.config),
-        "input_dim": model.input_dim,
-        "params": {k: v.tolist() for k, v in model.params.items()},
-        "codebooks": [cb.tolist() for cb in model.codebooks],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_model(path) -> RqVaeModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return RqVaeModel(
-        config=RqVaeConfig(**payload["config"]),
-        input_dim=payload["input_dim"],
-        params={k: np.array(v) for k, v in payload["params"].items()},
-        codebooks=[np.array(cb) for cb in payload["codebooks"]],
-    )
 
 
 def save_sids(sids: dict[str, SemanticId], path) -> None:

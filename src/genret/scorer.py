@@ -257,13 +257,9 @@ class NeuralScorer:
         d_pool = p["w1"].T @ d_pre
         ctx_ids, prefix_ids = cache["ctx_ids"], cache["prefix_ids"]
         if ctx_ids:
-            share = d_pool / len(ctx_ids)
-            for tid in ctx_ids:
-                grads["emb"][tid] += share
+            np.add.at(grads["emb"], ctx_ids, d_pool / len(ctx_ids))
         if prefix_ids:
-            share = d_pool / len(prefix_ids)
-            for tid in prefix_ids:
-                grads["emb"][tid] += share
+            np.add.at(grads["emb"], prefix_ids, d_pool / len(prefix_ids))
         grads["pos"][cache["plen"]] += d_pool
 
     def zero_grads(self) -> dict[str, np.ndarray]:

@@ -175,6 +175,32 @@ def test_cli_chain_reproduces_dpo_run(tmp_path, capsys):
     assert {k: dpo[k] for k in expected} == expected
 
 
+def test_default_cli_chain_matches_default_pipeline(tmp_path, capsys):
+    """The subcommands take their defaults from PipelineConfig and
+    SyntheticSpec, so gen-data, embed and index with no size flags build the
+    data, embeddings and S-IDs of a default pipeline run."""
+    run = tmp_path / "run"
+    run_pipeline(PipelineConfig(out_dir=str(run), seed=0))
+
+    def cli(*argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        return out
+
+    out = tmp_path / "cli"
+    data = json.loads(cli("gen-data", "--out", str(out / "data")))
+    cli("embed", "--catalog", data["catalog"], "--out", str(out / "embeddings.tsv"))
+    cli("index", "--embeddings", str(out / "embeddings.tsv"), "--out", str(out))
+
+    produced = {p.name: p for p in out.rglob("*")}
+    manifest = json.loads((run / "manifest.json").read_text())
+    checked = [e for e in manifest if e["stage"] in ("gen-data", "embed", "index")]
+    assert {"embeddings.tsv", "sids.jsonl"} <= {e["file"] for e in checked}
+    for entry in checked:
+        digest = hashlib.sha256(produced[entry["file"]].read_bytes()).hexdigest()
+        assert digest == entry["sha256"], entry["file"]
+
+
 def test_dpo_rejects_ngram_policy(tmp_path, capsys):
     """DPO needs per-sequence gradients, which only the neural scorer has."""
     run = tmp_path / "run"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genret.metrics import (EvalRecord, MetricError, dice, diversity,
-                            hit_ratio, ltrr, ndcg, truncation_study)
+                            hit_ratio, ltrr, ndcg)
 
 
 def rec(uid, retrieved, truth, cats=None, labels=None):
@@ -145,50 +145,3 @@ def test_ndcg_le_hit_ratio_random():
     for k in (1, 3, 6):
         assert ndcg(records, k) <= hit_ratio(records, k) + 1e-12
 
-
-class _Ev:
-    def __init__(self, domain):
-        self.domain = domain
-
-
-def test_truncation_study_identity_decoder():
-    # a decoder ignoring history yields dice 1.0 at every drop
-    seqs = {f"u{i}": [_Ev("ad")] * (4 + i) for i in range(8)}
-    out = truncation_study(lambda uid, ev: ["a", "b"], seqs, max_drop=3)
-    for curve in out.values():
-        assert curve == [1.0] * 4
-
-
-def test_truncation_study_sensitive_decoder():
-    # retrieval keyed to remaining length: dice decays away from drop 0
-    seqs = {"u1": [_Ev("ad")] * 6}
-    def decode(uid, events):
-        return [f"a{i}" for i in range(len(events))]
-    out = truncation_study(decode, seqs, max_drop=2)
-    (curve,) = out.values()
-    assert curve[0] == 1.0
-    assert curve[1] == pytest.approx(dice(range(6), range(5)))
-    assert curve[2] == pytest.approx(dice(range(6), range(4)))
-
-
-def test_truncation_study_grouping_and_errors():
-    seqs = {"short": [_Ev("ad")] * 2, "long": [_Ev("ad")] * 9}
-    with pytest.raises(MetricError, match="short"):
-        truncation_study(lambda uid, ev: ["a"], seqs, max_drop=5)
-    out = truncation_study(lambda uid, ev: ["a"], seqs, max_drop=1,
-                           group_fn=lambda seq: "big" if len(seq) > 5 else "small")
-    assert set(out) == {"big", "small"}
-
-
-def test_truncation_values_in_unit_range():
-    rng = np.random.default_rng(3)
-    seqs = {f"u{i}": [_Ev("ad")] * 5 for i in range(5)}
-
-    def decode(uid, events):
-        local = np.random.default_rng((hash(uid) & 0xFFFF, len(events)))
-        return [f"a{j}" for j in local.choice(10, size=4, replace=False)]
-
-    out = truncation_study(decode, seqs, max_drop=3)
-    for curve in out.values():
-        assert curve[0] == 1.0
-        assert all(0.0 <= v <= 1.0 for v in curve)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from genret import rqvae
 from genret.pipeline import (Manifest, PipelineConfig, PipelineError,
                              run_pipeline)
 
@@ -27,7 +28,7 @@ def _run(tmp_path, name, **overrides):
 def test_pipeline_produces_artifacts_and_report(tmp_path):
     config, report = _run(tmp_path, "run")
     out = Path(config.out_dir)
-    for fname in ("embeddings.tsv", "rqvae_model.json", "sids.jsonl",
+    for fname in ("embeddings.tsv", "sids.jsonl",
                   "corpus_explicit.jsonl", "corpus_main.jsonl",
                   "scorer.json", "results.jsonl", "report.json",
                   "manifest.json"):
@@ -69,14 +70,22 @@ def test_pipeline_stage_error_attribution(tmp_path):
     assert exc.value.stage == "index"
 
 
-def test_rqvae_override_keeps_other_defaults(tmp_path):
+def test_rqvae_override_keeps_other_defaults(tmp_path, monkeypatch):
     """config.rqvae holds overrides only: an epochs-only override keeps the
     default 3 levels of 8 codes."""
-    config, report = _run(tmp_path, "epochs", rqvae={"epochs": 5})
-    model = json.loads((Path(config.out_dir) / "rqvae_model.json").read_text())
-    assert model["config"]["epochs"] == 5
-    assert model["config"]["num_levels"] == 3
-    assert model["config"]["codebook_size"] == 8
+    seen = []
+    real_train = rqvae.train
+
+    def recording_train(config, table):
+        seen.append(config)
+        return real_train(config, table)
+
+    monkeypatch.setattr(rqvae, "train", recording_train)
+    _, report = _run(tmp_path, "epochs", rqvae={"epochs": 5})
+    (config,) = seen
+    assert config.epochs == 5
+    assert config.num_levels == 3
+    assert config.codebook_size == 8
     assert len(report["codebook"]["usage_rate_per_level"]) == 3
 
 

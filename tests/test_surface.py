@@ -1,0 +1,105 @@
+"""Every public name in the package has a caller outside the tests.
+
+An AST scan: each public (non-underscore) top-level function or class in
+src/genret/*.py must be referenced outside its own definition, somewhere in
+src/genret (the re-exporting __init__.py does not count), benchmarks/ or
+demos/. A bare name counts in its own module and in files that import it by
+name; an attribute (``rqvae.train``) counts anywhere.
+
+ORACLES lists the test-only names that are kept on purpose. The scan also
+fails when one of them is gone or has gained a caller, so the list cannot
+go stale.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "genret"
+
+# Test-only oracles and fixtures. decode_exhaustive is one too, but the
+# batch-generate benchmark and demo 02 call it, so it needs no entry.
+ORACLES = {
+    "dice",                # acceptance criterion 07
+    "freeze_forward",      # rqvae finite-difference gradient check
+    "losses",              # rqvae per-sample loss oracle
+    "make_cluster_table",  # quantizer test data
+    "surrogate_loss",      # rqvae finite-difference gradient check
+    "total_loss",          # rqvae training-progress check
+}
+
+
+def public_definitions(package: Path) -> dict[str, tuple[Path, ast.AST]]:
+    """Public top-level functions and classes: name -> (module path, node)."""
+    out = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                out[node.name] = (path, node)
+    return out
+
+
+def referenced(definitions, sources: dict[Path, str]) -> set[str]:
+    """Names in definitions referenced in sources (path -> text) outside
+    their own definition."""
+    found = set()
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        for ref in ast.walk(tree):
+            if isinstance(ref, ast.Attribute):
+                name = ref.attr
+            elif isinstance(ref, ast.Name):
+                name = ref.id
+            else:
+                continue
+            if name not in definitions:
+                continue
+            home, node = definitions[name]
+            if path == home:
+                if node.lineno <= ref.lineno <= node.end_lineno:
+                    continue
+            elif isinstance(ref, ast.Name) and name not in imported:
+                continue
+            found.add(name)
+    return found
+
+
+def surface_problems(definitions, sources, oracles) -> list[str]:
+    used = referenced(definitions, sources)
+    unused = sorted(n for n in definitions if n not in used and n not in oracles)
+    gone = sorted(n for n in oracles if n not in definitions)
+    called = sorted(n for n in oracles if n in used)
+    return ([f"no caller: {n}" for n in unused]
+            + [f"oracle no longer defined: {n}" for n in gone]
+            + [f"oracle has a caller: {n}" for n in called])
+
+
+def test_scan_flags_each_kind_of_problem(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def used():\n    return used\n\n"
+        "def dead():\n    return dead()\n\n"
+        "def _private():\n    pass\n\n"
+        "def oracle():\n    pass\n\n"
+        "class Called:\n    pass\n")
+    definitions = public_definitions(tmp_path)
+    sources = {tmp_path / "mod.py": (tmp_path / "mod.py").read_text(),
+               tmp_path / "user.py": "import mod\nfrom mod import used\n"
+                                     "used()\nmod.Called()\n"}
+    assert surface_problems(definitions, sources, {"oracle", "missing"}) == [
+        "no caller: dead",
+        "oracle no longer defined: missing",
+    ]
+    assert surface_problems(definitions, sources, {"used"}) == [
+        "no caller: dead", "no caller: oracle", "oracle has a caller: used"]
+
+
+def test_every_public_name_has_a_caller():
+    files = ([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+             + list((ROOT / "benchmarks").glob("*.py"))
+             + list((ROOT / "demos").glob("*.py")))
+    sources = {p: p.read_text(encoding="utf-8") for p in files}
+    problems = surface_problems(public_definitions(PACKAGE), sources, ORACLES)
+    assert not problems, "\n".join(problems)
