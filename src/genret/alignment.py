@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonl
 from .catalog import Catalog, render_description
 from .prompting import InterestSummary, UserProfile, augment, filter_events
 from .scorer import NeuralScorer, NgramScorer, ScorerContext, tokenize_text
@@ -263,25 +263,14 @@ def dpo_update(policy: NeuralScorer, reference: NeuralScorer, triplets,
 
 
 def save_corpus(pairs, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(json.dumps({
-                "prompt": p.prompt, "response": p.response, "stage": p.stage,
-                "bucket": list(p.bucket), "user_id": p.user_id,
-            }, ensure_ascii=False) + "\n")
+    jsonl.write(path, ({
+        "prompt": p.prompt, "response": p.response, "stage": p.stage,
+        "bucket": list(p.bucket), "user_id": p.user_id,
+    } for p in pairs), ensure_ascii=False)
 
 
 def load_corpus(path) -> list[CorpusPair]:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            pairs.append(CorpusPair(
-                prompt=obj["prompt"], response=obj["response"],
-                stage=obj["stage"], bucket=tuple(obj.get("bucket", ())),
-                user_id=obj.get("user_id", "")))
-    return pairs
-
+    return [CorpusPair(prompt=obj["prompt"], response=obj["response"],
+                       stage=obj["stage"], bucket=tuple(obj.get("bucket", ())),
+                       user_id=obj.get("user_id", ""))
+            for _, obj in jsonl.read(path)]

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+
+from . import jsonl
 
 
 class CatalogError(ValueError):
@@ -87,32 +88,27 @@ def _ad_from_obj(obj: dict) -> Ad:
 def load_catalog(path) -> Catalog:
     """Load a JSONL catalog, one ad object per line, preserving file order."""
     catalog = Catalog()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    try:
+        for lineno, obj in jsonl.read(path):
             try:
-                obj = json.loads(line)
                 ad = _ad_from_obj(obj)
             except CatalogError:
                 raise
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CatalogError(f"malformed catalog line {lineno}: {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CatalogError(f"{path}: line {lineno}: malformed ad: {exc}") from exc
             catalog.add(ad)
+    except jsonl.JsonlError as exc:
+        raise CatalogError(str(exc)) from exc
     return catalog
 
 
 def save_catalog(catalog: Catalog, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ad in catalog:
-            obj = {
-                "ad_id": ad.ad_id,
-                "name": ad.name,
-                "product_type": ad.product_type,
-                "first_category": ad.first_category,
-                "second_category": ad.second_category,
-                "attributes": [[k, v] for k, v in ad.attributes],
-                "ecpm": ad.ecpm,
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    jsonl.write(path, ({
+        "ad_id": ad.ad_id,
+        "name": ad.name,
+        "product_type": ad.product_type,
+        "first_category": ad.first_category,
+        "second_category": ad.second_category,
+        "attributes": [[k, v] for k, v in ad.attributes],
+        "ecpm": ad.ecpm,
+    } for ad in catalog), ensure_ascii=False)

@@ -9,7 +9,7 @@ import json
 import os
 from dataclasses import dataclass, field, asdict
 
-from . import alignment, decoder, metrics, rqvae, synth, trie as trie_mod
+from . import alignment, decoder, jsonl, metrics, rqvae, synth, trie as trie_mod
 from .catalog import load_catalog
 from .embed import embed_catalog, load_embeddings, save_embeddings
 from .prompting import load_events, load_profiles
@@ -186,21 +186,15 @@ def run_generate(scorer, sids, catalog, profiles, events_by_user, users,
     out_path as JSON lines."""
     generate = build_generate_fn(scorer, trie_mod.build(sids), catalog, profiles,
                                  events_by_user, beam_width)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for uid in users:
-            for ad_id, score in generate(uid):
-                fh.write(json.dumps({"user_id": uid, "ad_id": ad_id,
-                                     "score": score}) + "\n")
+    jsonl.write(out_path, ({"user_id": uid, "ad_id": ad_id, "score": score}
+                           for uid in users for ad_id, score in generate(uid)))
 
 
 def load_results(path) -> dict[str, list[str]]:
     """Retrieved ad_ids per user, in rank order, from a results JSONL."""
     retrieved: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                retrieved.setdefault(obj["user_id"], []).append(obj["ad_id"])
+    for _, obj in jsonl.read(path):
+        retrieved.setdefault(obj["user_id"], []).append(obj["ad_id"])
     return retrieved
 
 

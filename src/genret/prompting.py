@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass, field
 
+from . import jsonl
 from .sid import SemanticId
 
 DEFAULT_TOKEN_BUDGET = 2096
@@ -250,14 +250,9 @@ def augment(
 
 def load_profiles(path) -> dict[str, UserProfile]:
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            uid = str(obj.pop("user_id"))
-            out[uid] = UserProfile(**obj)
+    for _, obj in jsonl.read(path):
+        uid = str(obj.pop("user_id"))
+        out[uid] = UserProfile(**obj)
     return out
 
 
@@ -265,27 +260,21 @@ def load_events(path, sids=None) -> dict[str, list[BehaviorEvent]]:
     """Events JSONL keyed by user; ad events resolve S-IDs from the given
     assignment when available."""
     out: dict[str, list[BehaviorEvent]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            uid = str(obj["user_id"])
-            sid = None
-            if sids is not None and obj.get("ad_id") in sids:
-                sid = sids[obj["ad_id"]]
-            out.setdefault(uid, []).append(
-                BehaviorEvent(
-                    days_ago=int(obj["days_ago"]),
-                    event_type=str(obj["event_type"]),
-                    domain=str(obj["domain"]),
-                    positive=bool(obj.get("positive", True)),
-                    title=obj.get("title"),
-                    ad_id=obj.get("ad_id"),
-                    sid=sid,
-                )
+    for _, obj in jsonl.read(path):
+        sid = None
+        if sids is not None and obj.get("ad_id") in sids:
+            sid = sids[obj["ad_id"]]
+        out.setdefault(str(obj["user_id"]), []).append(
+            BehaviorEvent(
+                days_ago=int(obj["days_ago"]),
+                event_type=str(obj["event_type"]),
+                domain=str(obj["domain"]),
+                positive=bool(obj.get("positive", True)),
+                title=obj.get("title"),
+                ad_id=obj.get("ad_id"),
+                sid=sid,
             )
+        )
     for uid in out:
         out[uid].sort(key=lambda e: -e.days_ago)
     return out

@@ -8,11 +8,11 @@ quantization loss; the encoder additionally receives the commitment term.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonl
 from .embed import EmbeddingTable
 from .sid import SemanticId
 
@@ -357,21 +357,10 @@ def codebook_metrics(assignments: dict[str, SemanticId], config: RqVaeConfig):
 
 
 def save_sids(sids: dict[str, SemanticId], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ad_id in sorted(sids):
-            fh.write(json.dumps({"ad_id": ad_id, "tokens": list(sids[ad_id].tokens())}) + "\n")
+    jsonl.write(path, ({"ad_id": ad_id, "tokens": list(sids[ad_id].tokens())}
+                       for ad_id in sorted(sids)))
 
 
 def load_sids(path) -> dict[str, SemanticId]:
-    from .sid import parse_token
-
-    out: dict[str, SemanticId] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            codes = tuple(parse_token(t)[1] for t in obj["tokens"])
-            out[obj["ad_id"]] = SemanticId(codes)
-    return out
+    return {obj["ad_id"]: SemanticId.from_tokens(obj["tokens"])
+            for _, obj in jsonl.read(path)}

@@ -7,9 +7,10 @@ decoder; it only reads precomputed lists and enqueues nearline triggers.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
+
+from . import jsonl
 
 
 class ServingError(RuntimeError):
@@ -175,13 +176,5 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
 
 
 def load_trace(path) -> list[Request]:
-    trace = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            trace.append(Request(user_id=str(obj["user_id"]),
-                                 arrival_tick=int(obj["tick"])))
-    return trace
+    return [Request(user_id=str(obj["user_id"]), arrival_tick=int(obj["tick"]))
+            for _, obj in jsonl.read(path)]

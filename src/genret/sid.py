@@ -62,18 +62,22 @@ class SemanticId:
         return "<" + ", ".join(self.tokens()) + ">"
 
     @classmethod
+    def from_tokens(cls, tokens) -> "SemanticId":
+        """Build from level-prefixed tokens, checking each token's level."""
+        codes = []
+        for i, token in enumerate(tokens):
+            level, code = parse_token(token)
+            if level != i:
+                raise SidError(f"token {token!r} at position {i} has wrong level prefix")
+            codes.append(code)
+        return cls(tuple(codes))
+
+    @classmethod
     def parse(cls, text: str) -> "SemanticId":
         text = text.strip()
         if not (text.startswith("<") and text.endswith(">")):
             raise SidError(f"S-ID rendering must be angle-bracketed: {text!r}")
-        parts = [p.strip() for p in text[1:-1].split(",")]
-        codes = []
-        for i, part in enumerate(parts):
-            level, code = parse_token(part)
-            if level != i:
-                raise SidError(f"token {part!r} at position {i} has wrong level prefix")
-            codes.append(code)
-        return cls(tuple(codes))
+        return cls.from_tokens(p.strip() for p in text[1:-1].split(","))
 
     def __len__(self) -> int:
         return len(self.codes)

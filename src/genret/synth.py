@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonl
 from .catalog import Ad, Catalog
 from .embed import EmbeddingTable
 
@@ -140,28 +140,19 @@ def gen_data(spec: SyntheticSpec, out_dir) -> dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     catalog = make_catalog(spec)
     profiles = make_profiles(spec)
-    train_events, truth, ltr_labels, full_events = make_events(spec, catalog)
+    train_events, truth, ltr_labels, _ = make_events(spec, catalog)
 
-    paths = {name: os.path.join(out_dir, fname) for name, fname in (
-        ("catalog", "catalog.jsonl"), ("profiles", "profiles.jsonl"),
-        ("events", "events.jsonl"), ("full_events", "full_events.jsonl"),
-        ("truth", "truth.jsonl"), ("ltr_labels", "ltr_labels.jsonl"),
-    )}
+    paths = {name: os.path.join(out_dir, f"{name}.jsonl")
+             for name in ("catalog", "profiles", "events", "truth", "ltr_labels")}
     save_catalog(catalog, paths["catalog"])
-    with open(paths["profiles"], "w", encoding="utf-8") as fh:
-        for uid in sorted(profiles):
-            fh.write(json.dumps(profiles[uid], sort_keys=True) + "\n")
-    for key, events in (("events", train_events), ("full_events", full_events)):
-        with open(paths[key], "w", encoding="utf-8") as fh:
-            for uid in sorted(events):
-                for e in events[uid]:
-                    fh.write(json.dumps(e, sort_keys=True) + "\n")
-    with open(paths["truth"], "w", encoding="utf-8") as fh:
-        for uid in sorted(truth):
-            fh.write(json.dumps({"user_id": uid, "ad_id": truth[uid]}) + "\n")
-    with open(paths["ltr_labels"], "w", encoding="utf-8") as fh:
-        for uid in sorted(ltr_labels):
-            fh.write(json.dumps({"user_id": uid, "ad_ids": ltr_labels[uid]}) + "\n")
+    jsonl.write(paths["profiles"], (profiles[uid] for uid in sorted(profiles)),
+                sort_keys=True)
+    jsonl.write(paths["events"], (e for uid in sorted(train_events)
+                                  for e in train_events[uid]), sort_keys=True)
+    jsonl.write(paths["truth"], ({"user_id": uid, "ad_id": truth[uid]}
+                                 for uid in sorted(truth)))
+    jsonl.write(paths["ltr_labels"], ({"user_id": uid, "ad_ids": ltr_labels[uid]}
+                                      for uid in sorted(ltr_labels)))
     return paths
 
 
@@ -180,20 +171,8 @@ def make_cluster_table(num_clusters: int = 4, per_cluster: int = 16,
 
 
 def load_truth(path) -> dict[str, str]:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                out[obj["user_id"]] = obj["ad_id"]
-    return out
+    return {obj["user_id"]: obj["ad_id"] for _, obj in jsonl.read(path)}
 
 
 def load_ltr_labels(path) -> dict[str, set[str]]:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                out[obj["user_id"]] = set(obj["ad_ids"])
-    return out
+    return {obj["user_id"]: set(obj["ad_ids"]) for _, obj in jsonl.read(path)}

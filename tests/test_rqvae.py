@@ -300,6 +300,15 @@ def test_sids_round_trip(tmp_path):
     assert load_sids(path) == sids
 
 
+def test_load_sids_rejects_tokens_at_the_wrong_level(tmp_path):
+    from genret.sid import SidError
+
+    path = tmp_path / "sids.jsonl"
+    path.write_text('{"ad_id": "x", "tokens": ["b_1", "a_2", "c_0"]}\n')
+    with pytest.raises(SidError, match="b_1"):
+        load_sids(path)
+
+
 def test_config_validation():
     with pytest.raises(RqVaeError):
         RqVaeConfig(num_levels=0)

@@ -103,3 +103,15 @@ def test_every_public_name_has_a_caller():
     sources = {p: p.read_text(encoding="utf-8") for p in files}
     problems = surface_problems(public_definitions(PACKAGE), sources, ORACLES)
     assert not problems, "\n".join(problems)
+
+
+def test_only_jsonl_parses_json_lines():
+    """The JSON-lines record format lives in genret.jsonl alone."""
+    callers = sorted(
+        f"{path.name}:{node.lineno}" for path in PACKAGE.glob("*.py")
+        if path.name != "jsonl.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "loads" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json")
+    assert not callers, callers

@@ -66,8 +66,7 @@ def test_gen_data_files_and_determinism(tmp_path):
     spec = _spec()
     paths_a = gen_data(spec, tmp_path / "a")
     paths_b = gen_data(spec, tmp_path / "b")
-    assert set(paths_a) == {"catalog", "profiles", "events", "full_events",
-                            "truth", "ltr_labels"}
+    assert set(paths_a) == {"catalog", "profiles", "events", "truth", "ltr_labels"}
     for key in paths_a:
         assert Path(paths_a[key]).read_bytes() == Path(paths_b[key]).read_bytes()
     # a different seed changes the bytes
