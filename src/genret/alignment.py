@@ -80,12 +80,12 @@ def explicit_pairs(catalog: Catalog, sids: dict[str, SemanticId]) -> list[Corpus
 
 
 def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
-                        template_ids=(0,), strategies=("reuse",),
-                        seed: int = 0) -> dict[str, list[CorpusPair]]:
+                        template_ids=(0,), seed: int = 0) -> dict[str, list[CorpusPair]]:
     """Build the explicit/implicit/main corpora from structured user data.
 
     Prompts render the filtered behaviour window; the n-gram bucket comes
     from all of a user's events, as it does when serving."""
+    # seed is unused; it stays because benchmarks/workloads.py passes seed=
     corpora: dict[str, list[CorpusPair]] = {s: [] for s in STAGES}
     corpora["explicit"] = explicit_pairs(catalog, sids)
     for uid in sorted(events_by_user):
@@ -95,7 +95,7 @@ def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
         bucket = make_bucket(profile, summary, events_by_user[uid])
         for stage, use_sid in (("implicit", False), ("main", True)):
             samples = augment(events, profile, summary, uid, template_ids,
-                              strategies, seed=seed, use_sid=use_sid)
+                              use_sid=use_sid)
             for s in samples:
                 corpora[stage].append(CorpusPair(
                     prompt=s.prompt, response=s.response, stage=stage,
@@ -270,7 +270,6 @@ def save_corpus(pairs, path):
 
 
 def load_corpus(path) -> list[CorpusPair]:
-    return [CorpusPair(prompt=obj["prompt"], response=obj["response"],
-                       stage=obj["stage"], bucket=tuple(obj.get("bucket", ())),
-                       user_id=obj.get("user_id", ""))
-            for _, obj in jsonl.read(path)]
+    return list(jsonl.read(path, lambda obj: CorpusPair(
+        prompt=obj["prompt"], response=obj["response"], stage=obj["stage"],
+        bucket=tuple(obj.get("bucket", ())), user_id=obj.get("user_id", ""))))

@@ -88,17 +88,8 @@ def _ad_from_obj(obj: dict) -> Ad:
 def load_catalog(path) -> Catalog:
     """Load a JSONL catalog, one ad object per line, preserving file order."""
     catalog = Catalog()
-    try:
-        for lineno, obj in jsonl.read(path):
-            try:
-                ad = _ad_from_obj(obj)
-            except CatalogError:
-                raise
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CatalogError(f"{path}: line {lineno}: malformed ad: {exc}") from exc
-            catalog.add(ad)
-    except jsonl.JsonlError as exc:
-        raise CatalogError(str(exc)) from exc
+    for ad in jsonl.read(path, _ad_from_obj, CatalogError):
+        catalog.add(ad)
     return catalog
 
 

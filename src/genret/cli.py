@@ -29,8 +29,7 @@ def _cmd_gen_data(args):
 
 
 def _cmd_embed(args):
-    table = run_embed(load_catalog(args.catalog), args.out, args.dim, args.seed,
-                      args.embed_source, args.embeddings)
+    table = run_embed(load_catalog(args.catalog), args.out, args.dim, args.seed)
     log.info("embedded %d ads at dimension %d", len(table), args.dim)
 
 
@@ -42,7 +41,7 @@ def _cmd_index(args):
         cfg = rqvae.RqVaeConfig(num_levels=args.levels, codebook_size=args.codebook_size,
                                 latent_dim=args.latent_dim, epochs=args.epochs,
                                 seed=args.seed)
-    _, codebook, _ = run_index(load_embeddings(args.embeddings, args.dim), cfg, args.out)
+    _, codebook, _ = run_index(load_embeddings(args.embeddings), cfg, args.out)
     print(json.dumps(codebook))
 
 
@@ -51,8 +50,7 @@ def _cmd_build_corpus(args):
     corpora = run_build_corpus(
         load_catalog(args.catalog), sids, load_profiles(args.profiles),
         load_events(args.events, sids), args.out,
-        [int(t) for t in args.templates.split(",")], args.strategies.split(","),
-        args.seed)
+        [int(t) for t in args.templates.split(",")])
     print(json.dumps({name: len(pairs) for name, pairs in corpora.items()}))
 
 
@@ -141,16 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--dim", type=int, default=defaults.embed_dim)
     p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--embed-source", choices=("hashed", "file"),
-                   default=defaults.embed_source)
-    p.add_argument("--embeddings", help="TSV when --embed-source file")
     p.set_defaults(fn=_cmd_embed)
 
     p = sub.add_parser("index", help="train the quantizer and assign S-IDs")
     p.add_argument("--config", help="JSON quantizer config file")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=defaults.embed_dim)
     rq = rqvae.RqVaeConfig()
     p.add_argument("--levels", type=int, default=rq.num_levels)
     p.add_argument("--codebook-size", type=int, default=rq.codebook_size)
@@ -166,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--templates", default=",".join(map(str, defaults.template_ids)))
-    p.add_argument("--strategies", default=",".join(defaults.strategies))
-    p.add_argument("--seed", type=int, default=defaults.seed)
     p.set_defaults(fn=_cmd_build_corpus)
 
     p = sub.add_parser("train", help="staged scorer training")

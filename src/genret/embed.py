@@ -93,12 +93,13 @@ def embed_catalog(catalog: Catalog, dimension: int = 64, seed: int = 0) -> Embed
     return table
 
 
-def load_embeddings(path, dimension: int) -> EmbeddingTable:
-    """Load a TSV of ad_id<TAB>space-separated decimals.
+def load_embeddings(path) -> EmbeddingTable:
+    """Load a TSV of ad_id<TAB>space-separated decimals. The first row sets
+    the width; a row of another width, or a file with no rows, is an error.
 
     Duplicate ad_ids follow last-writer-wins with a warning.
     """
-    table = EmbeddingTable(dimension)
+    table = None
     duplicates = 0
     with open(path, encoding="utf-8") as fh:
         for rowno, line in enumerate(fh, start=1):
@@ -107,13 +108,19 @@ def load_embeddings(path, dimension: int) -> EmbeddingTable:
                 continue
             ad_id, _, rest = line.partition("\t")
             values = np.array([float(v) for v in rest.split()])
-            if values.shape != (dimension,):
+            if not values.size:
+                raise EmbeddingError(f"row {rowno}: no values")
+            if table is None:
+                table = EmbeddingTable(values.size)
+            if values.size != table.dimension:
                 raise EmbeddingError(
-                    f"row {rowno}: expected {dimension} values, got {values.size}"
+                    f"row {rowno}: expected {table.dimension} values, got {values.size}"
                 )
             if ad_id in table.entries:
                 duplicates += 1
             table.entries[ad_id] = values
+    if table is None:
+        raise EmbeddingError(f"{path}: no embedding rows")
     if duplicates:
         warnings.warn(f"{duplicates} duplicate ad_id rows overwritten (last wins)")
     return table

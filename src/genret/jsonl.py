@@ -9,17 +9,21 @@ class JsonlError(ValueError):
     pass
 
 
-def read(path):
-    """Yield (1-based line number, record) for each non-blank line of a UTF-8
-    file, in order. A line that is not JSON raises JsonlError naming the file
-    and the line."""
+def read(path, build, error=JsonlError):
+    """Yield build(record) for each non-blank line of a UTF-8 file, in order.
+    A line that is not JSON, or a record that build rejects with a KeyError,
+    TypeError, ValueError or AttributeError (a record that is not an object),
+    raises error naming the file and the line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    yield lineno, json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise JsonlError(f"{path}: line {lineno}: {exc}") from exc
+            if not line.strip():
+                continue
+            try:
+                item = build(json.loads(line))
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise error(
+                    f"{path}: line {lineno}: {type(exc).__name__}: {exc}") from exc
+            yield item
 
 
 def write(path, rows, **dumps) -> None:

@@ -29,14 +29,12 @@ class PipelineConfig:
     out_dir: str = "pipeline_out"
     seed: int = 0
     synthetic: dict = field(default_factory=dict)
-    embed_dim: int = 32
-    embed_source: str = "hashed"  # or "file"
-    embeddings_path: str | None = None
+    embed_dim: int = 32  # hashed width; a loaded TSV sets its own width
+    embeddings_path: str | None = None  # a TSV to load in place of hashing
     rqvae: dict = field(default_factory=dict)  # overrides of RqVaeConfig
     scorer_kind: str = "ngram"
     stages: tuple = ("explicit", "implicit", "main")
     template_ids: tuple = (0,)
-    strategies: tuple = ("reuse",)
     dpo_enabled: bool = False
     dpo_beta: float = 0.1
     dpo_variant: str = "log-ratio"
@@ -107,10 +105,11 @@ def corpus_path(out_dir, stage: str) -> str:
     return os.path.join(out_dir, f"corpus_{stage}.jsonl")
 
 
-def run_embed(catalog, out_path, dim: int, seed: int, source: str, embeddings_path):
-    """Embed the catalog, or load a TSV when source is "file", and save it."""
-    if source == "file":
-        table = load_embeddings(embeddings_path, dim)
+def run_embed(catalog, out_path, dim: int, seed: int, embeddings_path=None):
+    """Hash-embed the catalog at width dim, or load embeddings_path when one
+    is given, and save the table to out_path."""
+    if embeddings_path is not None:
+        table = load_embeddings(embeddings_path)
     else:
         table = embed_catalog(catalog, dim, seed)
     save_embeddings(table, out_path)
@@ -131,12 +130,10 @@ def run_index(table, rq_config: rqvae.RqVaeConfig, out_dir):
     return sids, codebook, sids_path
 
 
-def run_build_corpus(catalog, sids, profiles, events_by_user, out_dir,
-                     template_ids, strategies, seed: int):
+def run_build_corpus(catalog, sids, profiles, events_by_user, out_dir, template_ids):
     """Build the staged corpora and save each as corpus_path(out_dir, stage)."""
     corpora = alignment.build_stage_corpora(
-        catalog, sids, profiles, events_by_user, template_ids=template_ids,
-        strategies=strategies, seed=seed)
+        catalog, sids, profiles, events_by_user, template_ids=template_ids)
     os.makedirs(out_dir, exist_ok=True)
     for name, pairs in corpora.items():
         alignment.save_corpus(pairs, corpus_path(out_dir, name))
@@ -193,8 +190,8 @@ def run_generate(scorer, sids, catalog, profiles, events_by_user, users,
 def load_results(path) -> dict[str, list[str]]:
     """Retrieved ad_ids per user, in rank order, from a results JSONL."""
     retrieved: dict[str, list[str]] = {}
-    for _, obj in jsonl.read(path):
-        retrieved.setdefault(obj["user_id"], []).append(obj["ad_id"])
+    for uid, ad_id in jsonl.read(path, lambda obj: (obj["user_id"], obj["ad_id"])):
+        retrieved.setdefault(uid, []).append(ad_id)
     return retrieved
 
 
@@ -237,7 +234,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     with _stage("embed"):
         emb_path = os.path.join(out, "embeddings.tsv")
         table = run_embed(catalog, emb_path, config.embed_dim, config.seed,
-                          config.embed_source, config.embeddings_path)
+                          config.embeddings_path)
         manifest.record("embed", emb_path)
 
     with _stage("index"):
@@ -248,7 +245,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     with _stage("build-corpus"):
         events_by_user = load_events(data_paths["events"], sids)
         corpora = run_build_corpus(catalog, sids, profiles, events_by_user, out,
-                                   config.template_ids, config.strategies, config.seed)
+                                   config.template_ids)
         manifest.record("build-corpus", *(corpus_path(out, name) for name in corpora))
 
     with _stage("train"):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass, field
 
@@ -109,11 +108,8 @@ _BEHAVIOR_HEAD = (
 )
 
 
-def _render_profile(profile: UserProfile, order=None) -> str:
-    clauses = profile.clauses()
-    if order is not None:
-        clauses = [clauses[i] for i in order]
-    return ", ".join(clauses) + "."
+def _render_profile(profile: UserProfile) -> str:
+    return ", ".join(profile.clauses()) + "."
 
 
 def _render_summary(summary: InterestSummary) -> str:
@@ -156,7 +152,6 @@ def build_prompt(
     events,
     template_id: int = 0,
     token_budget: int = DEFAULT_TOKEN_BUDGET,
-    profile_order=None,
     use_sid: bool = True,
 ) -> str:
     """Render one prompt; events must be chronologically ordered oldest-first.
@@ -168,7 +163,7 @@ def build_prompt(
     for a, b in zip(events, events[1:]):
         if a.days_ago < b.days_ago:
             raise PromptError("events must be ordered oldest-first")
-    profile_text = _render_profile(profile, profile_order)
+    profile_text = _render_profile(profile)
     summary_text = _render_summary(summary)
 
     skeleton = _assemble(template_id, profile_text, summary_text, _render_behaviors([], use_sid))
@@ -208,73 +203,55 @@ def augment(
     summary: InterestSummary,
     user_id: str,
     template_ids=(0,),
-    strategies=("reuse",),
     token_budget: int = DEFAULT_TOKEN_BUDGET,
-    seed: int = 0,
     use_sid: bool = True,
 ) -> list[PromptSample]:
-    """Apply the selected augmentation strategies to one user sequence.
+    """Interaction reuse crossed with the listed templates: one sample per
+    (positive ad split, template id), in sequence order."""
+    if not template_ids:
+        raise PromptError("template_ids must name at least one template")
+    return [
+        PromptSample(
+            prompt=build_prompt(profile, summary, history, tid, token_budget, use_sid),
+            response=target.sid.render(),
+            template_id=tid,
+            user_id=user_id,
+        )
+        for history, target in interaction_reuse_splits(list(events))
+        for tid in template_ids
+    ]
 
-    "reuse" splits at every positive ad interaction; "templates" crosses
-    samples with every template id; "reorder" shuffles profile clause order
-    with a seeded stream.
-    """
-    events = list(events)
-    if "reuse" in strategies:
-        pairs = interaction_reuse_splits(events)
-    else:
-        pairs = interaction_reuse_splits(events)[-1:]
-    tids = tuple(template_ids) if "templates" in strategies else (template_ids[0],)
-    rng = random.Random(seed)
 
-    samples = []
-    for history, target in pairs:
-        for tid in tids:
-            order = None
-            if "reorder" in strategies:
-                order = list(range(5))
-                rng.shuffle(order)
-            prompt = build_prompt(
-                profile, summary, history, tid, token_budget, order, use_sid
-            )
-            samples.append(
-                PromptSample(
-                    prompt=prompt,
-                    response=target.sid.render(),
-                    template_id=tid,
-                    user_id=user_id,
-                )
-            )
-    return samples
+def _profile_entry(obj) -> tuple[str, UserProfile]:
+    uid = str(obj.pop("user_id"))
+    return uid, UserProfile(**obj)
 
 
 def load_profiles(path) -> dict[str, UserProfile]:
-    out = {}
-    for _, obj in jsonl.read(path):
-        uid = str(obj.pop("user_id"))
-        out[uid] = UserProfile(**obj)
-    return out
+    return dict(jsonl.read(path, _profile_entry))
 
 
 def load_events(path, sids=None) -> dict[str, list[BehaviorEvent]]:
     """Events JSONL keyed by user; ad events resolve S-IDs from the given
     assignment when available."""
-    out: dict[str, list[BehaviorEvent]] = {}
-    for _, obj in jsonl.read(path):
+
+    def entry(obj):
         sid = None
         if sids is not None and obj.get("ad_id") in sids:
             sid = sids[obj["ad_id"]]
-        out.setdefault(str(obj["user_id"]), []).append(
-            BehaviorEvent(
-                days_ago=int(obj["days_ago"]),
-                event_type=str(obj["event_type"]),
-                domain=str(obj["domain"]),
-                positive=bool(obj.get("positive", True)),
-                title=obj.get("title"),
-                ad_id=obj.get("ad_id"),
-                sid=sid,
-            )
+        return str(obj["user_id"]), BehaviorEvent(
+            days_ago=int(obj["days_ago"]),
+            event_type=str(obj["event_type"]),
+            domain=str(obj["domain"]),
+            positive=bool(obj.get("positive", True)),
+            title=obj.get("title"),
+            ad_id=obj.get("ad_id"),
+            sid=sid,
         )
+
+    out: dict[str, list[BehaviorEvent]] = {}
+    for uid, event in jsonl.read(path, entry):
+        out.setdefault(uid, []).append(event)
     for uid in out:
         out[uid].sort(key=lambda e: -e.days_ago)
     return out

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import jsonl
 from .embed import EmbeddingTable
-from .sid import SemanticId
+from .sid import SemanticId, SidError
 
 
 class RqVaeError(RuntimeError):
@@ -362,5 +362,5 @@ def save_sids(sids: dict[str, SemanticId], path) -> None:
 
 
 def load_sids(path) -> dict[str, SemanticId]:
-    return {obj["ad_id"]: SemanticId.from_tokens(obj["tokens"])
-            for _, obj in jsonl.read(path)}
+    return dict(jsonl.read(path, lambda obj: (
+        obj["ad_id"], SemanticId.from_tokens(obj["tokens"])), SidError))

@@ -176,5 +176,5 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
 
 
 def load_trace(path) -> list[Request]:
-    return [Request(user_id=str(obj["user_id"]), arrival_tick=int(obj["tick"]))
-            for _, obj in jsonl.read(path)]
+    return list(jsonl.read(path, lambda obj: Request(
+        user_id=str(obj["user_id"]), arrival_tick=int(obj["tick"]))))

@@ -171,8 +171,8 @@ def make_cluster_table(num_clusters: int = 4, per_cluster: int = 16,
 
 
 def load_truth(path) -> dict[str, str]:
-    return {obj["user_id"]: obj["ad_id"] for _, obj in jsonl.read(path)}
+    return dict(jsonl.read(path, lambda obj: (obj["user_id"], obj["ad_id"])))
 
 
 def load_ltr_labels(path) -> dict[str, set[str]]:
-    return {obj["user_id"]: set(obj["ad_ids"]) for _, obj in jsonl.read(path)}
+    return dict(jsonl.read(path, lambda obj: (obj["user_id"], set(obj["ad_ids"]))))

@@ -30,7 +30,7 @@ def test_gen_data_and_full_stage_chain(tmp_path, capsys):
 
     idx = tmp_path / "index"
     code, out, _ = run_cli(capsys, "index", "--embeddings", str(emb),
-                           "--dim", "16", "--out", str(idx),
+                           "--out", str(idx),
                            "--levels", "2", "--codebook-size", "4",
                            "--latent-dim", "4", "--epochs", "20")
     assert code == 0
@@ -101,10 +101,10 @@ def test_cli_chain_reproduces_pipeline_run(tmp_path, capsys):
               "--profiles", data["profiles"], "--events", data["events"])
     cli("embed", "--catalog", data["catalog"], "--out", str(out / "embeddings.tsv"),
         "--dim", "16", "--seed", "5")
-    cli("index", "--embeddings", str(out / "embeddings.tsv"), "--dim", "16",
+    cli("index", "--embeddings", str(out / "embeddings.tsv"),
         "--out", str(out), "--levels", "2", "--codebook-size", "4",
         "--latent-dim", "4", "--epochs", "30", "--seed", "5")
-    cli("build-corpus", *common, "--out", str(out), "--seed", "5")
+    cli("build-corpus", *common, "--out", str(out))
     cli("train", "--sids", str(out / "sids.jsonl"), "--corpus-dir", str(out),
         "--out", str(out / "scorer.json"), "--seed", "5")
     cli("generate", "--scorer", str(out / "scorer.json"), *common, "--beam", "4",
@@ -151,10 +151,10 @@ def test_cli_chain_reproduces_dpo_run(tmp_path, capsys):
               "--profiles", data["profiles"], "--events", data["events"])
     cli("embed", "--catalog", data["catalog"], "--out", str(out / "embeddings.tsv"),
         "--dim", "16", "--seed", "5")
-    cli("index", "--embeddings", str(out / "embeddings.tsv"), "--dim", "16",
+    cli("index", "--embeddings", str(out / "embeddings.tsv"),
         "--out", str(out), "--levels", "2", "--codebook-size", "4",
         "--latent-dim", "4", "--epochs", "30", "--seed", "5")
-    cli("build-corpus", *common, "--out", str(out), "--seed", "5")
+    cli("build-corpus", *common, "--out", str(out))
     cli("train", "--sids", sids, "--corpus-dir", str(out),
         "--out", str(out / "scorer.json"), "--seed", "5")
     cli("train", "--sids", sids, "--corpus-dir", str(out), "--scorer", "neural",

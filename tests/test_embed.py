@@ -58,7 +58,7 @@ def test_load_save_round_trip(tmp_path):
         table.add(f"a{i}", rng.normal(size=8))
     path = tmp_path / "emb.tsv"
     save_embeddings(table, path)
-    loaded = load_embeddings(path, 8)
+    loaded = load_embeddings(path)
     assert len(loaded) == 5
     for k in table.entries:
         np.testing.assert_array_equal(loaded[k], table[k])
@@ -66,14 +66,15 @@ def test_load_save_round_trip(tmp_path):
 
 def test_load_dimension_mismatch(tmp_path):
     path = tmp_path / "emb.tsv"
-    path.write_text("a1\t" + " ".join(["0.1"] * 63) + "\n")
-    with pytest.raises(EmbeddingError, match="row 1"):
-        load_embeddings(path, 64)
+    path.write_text("a1\t" + " ".join(["0.1"] * 64) + "\n"
+                    "a2\t" + " ".join(["0.1"] * 63) + "\n")
+    with pytest.raises(EmbeddingError, match="row 2"):
+        load_embeddings(path)
 
 
 def test_duplicate_rows_last_wins(tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_text("a1\t1 0 0 0 0 0 0 0\na1\t0 1 0 0 0 0 0 0\n")
     with pytest.warns(UserWarning, match="1 duplicate"):
-        table = load_embeddings(path, 8)
+        table = load_embeddings(path)
     assert table["a1"][1] == 1.0

@@ -56,14 +56,6 @@ def test_pipeline_deterministic_manifest(tmp_path):
     assert read(config_a) == read(config_b)
 
 
-def test_pipeline_seed_changes_outputs(tmp_path):
-    config_a, _ = _run(tmp_path, "a", seed=0)
-    config_b, _ = _run(tmp_path, "b", seed=1)
-    hash_of = lambda c: {e["file"]: e["sha256"]
-                         for e in json.loads((Path(c.out_dir) / "manifest.json").read_text())}
-    assert hash_of(config_a)["results.jsonl"] != hash_of(config_b)["results.jsonl"]
-
-
 def test_pipeline_stage_error_attribution(tmp_path):
     with pytest.raises(PipelineError) as exc:
         _run(tmp_path, "bad", rqvae={"num_levels": 0})
@@ -109,6 +101,11 @@ def test_config_from_file(tmp_path):
     bad.write_text(json.dumps({"nonsense": 1}))
     with pytest.raises(PipelineError):
         PipelineConfig.from_file(bad)
+    # keys of deleted fields are unknown, not silently ignored
+    for key, value in (("strategies", ["reuse"]), ("embed_source", "hashed")):
+        bad.write_text(json.dumps({key: value}))
+        with pytest.raises(PipelineError, match="unknown key"):
+            PipelineConfig.from_file(bad)
 
 
 def test_manifest_hash_matches_file_content(tmp_path):

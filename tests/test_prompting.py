@@ -119,25 +119,20 @@ def test_augment_reuse_counts_and_responses():
 def test_augment_template_cross_product():
     seq = [_content(50, "c1"), _ad(40, 2), _ad(30, 3)]
     samples = augment(seq, _profile(), InterestSummary([]), "u1",
-                      template_ids=(0, 1, 2), strategies=("reuse", "templates"))
+                      template_ids=(0, 1, 2))
     assert len(samples) == 6
     assert sorted({s.template_id for s in samples}) == [0, 1, 2]
 
 
-def test_augment_reorder_preserves_clause_multiset():
-    profile = _profile()
+def test_augment_rejects_no_templates():
     seq = [_content(50, "c1"), _ad(40, 2)]
-    samples = augment(seq, profile, InterestSummary([]), "u1",
-                      strategies=("reuse", "reorder"), seed=11)
-    for s in samples:
-        for clause in profile.clauses():
-            assert clause in s.prompt
+    with pytest.raises(PromptError, match="template"):
+        augment(seq, _profile(), InterestSummary([]), "u1", template_ids=())
 
 
 def test_augment_deterministic():
     seq = [_content(50, "c1"), _ad(40, 2), _ad(30, 3)]
-    kw = dict(template_ids=(0, 1), strategies=("reuse", "templates", "reorder"),
-              seed=4)
+    kw = dict(template_ids=(0, 1))
     a = augment(seq, _profile(), InterestSummary([]), "u1", **kw)
     b = augment(seq, _profile(), InterestSummary([]), "u1", **kw)
     assert a == b
