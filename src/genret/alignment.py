@@ -125,8 +125,11 @@ def _pair_to_sample(pair: CorpusPair):
     else:
         context = ScorerContext(tokens=tuple(tokenize_text(pair.prompt)),
                                 bucket=pair.bucket)
-    response = list(SemanticId.parse(pair.response).tokens())
-    return context, response
+    return context, _response_tokens(pair)
+
+
+def _response_tokens(pair: CorpusPair) -> list[str]:
+    return list(SemanticId.parse(pair.response).tokens())
 
 
 def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
@@ -144,12 +147,14 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
         if not pairs:
             stage_log.append({"stage": stage, "pairs": 0})
             continue
-        samples = [_pair_to_sample(p) for p in pairs]
         if isinstance(scorer, NgramScorer):
+            # the n-gram reads only the bucket, so no prompt is tokenized
             weight = (stage_weights or {}).get(stage, 1.0)
-            scorer.train(samples, weight=weight)
+            scorer.train([(ScorerContext(bucket=p.bucket), _response_tokens(p))
+                          for p in pairs], weight=weight)
             stage_log.append({"stage": stage, "pairs": len(pairs), "weight": weight})
         elif isinstance(scorer, NeuralScorer):
+            samples = [_pair_to_sample(p) for p in pairs]
             epochs = (epochs_per_stage or {}).get(stage, 3)
             for _ in range(epochs):
                 idx = rng.permutation(len(samples))

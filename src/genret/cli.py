@@ -34,13 +34,16 @@ def _cmd_embed(args):
 
 
 def _cmd_index(args):
+    """Each quantizer setting comes from its flag, else from --config, else
+    from RqVaeConfig's default."""
+    fields = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = rqvae.RqVaeConfig(**json.load(fh))
-    else:
-        cfg = rqvae.RqVaeConfig(num_levels=args.levels, codebook_size=args.codebook_size,
-                                latent_dim=args.latent_dim, epochs=args.epochs,
-                                seed=args.seed)
+            fields = json.load(fh)
+    flags = {"num_levels": args.levels, "codebook_size": args.codebook_size,
+             "latent_dim": args.latent_dim, "epochs": args.epochs, "seed": args.seed}
+    fields.update({k: v for k, v in flags.items() if v is not None})
+    cfg = rqvae.RqVaeConfig(**fields)
     _, codebook, _ = run_index(load_embeddings(args.embeddings), cfg, args.out)
     print(json.dumps(codebook))
 
@@ -142,15 +145,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_embed)
 
     p = sub.add_parser("index", help="train the quantizer and assign S-IDs")
-    p.add_argument("--config", help="JSON quantizer config file")
+    p.add_argument("--config",
+                   help="JSON quantizer config file; flags given beside it win")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
-    rq = rqvae.RqVaeConfig()
-    p.add_argument("--levels", type=int, default=rq.num_levels)
-    p.add_argument("--codebook-size", type=int, default=rq.codebook_size)
-    p.add_argument("--latent-dim", type=int, default=rq.latent_dim)
-    p.add_argument("--epochs", type=int, default=rq.epochs)
-    p.add_argument("--seed", type=int, default=rq.seed)
+    p.add_argument("--levels", type=int)
+    p.add_argument("--codebook-size", type=int)
+    p.add_argument("--latent-dim", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_index)
 
     p = sub.add_parser("build-corpus", help="render staged training corpora")

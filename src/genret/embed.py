@@ -61,21 +61,32 @@ def _signed_slot(feature: str, dimension: int, seed: int) -> tuple[int, float]:
     return slot, sign
 
 
-def embed_hashed(text: str, dimension: int = 64, seed: int = 0) -> np.ndarray:
+def embed_hashed(text: str, dimension: int = 64, seed: int = 0, *,
+                 memo: dict | None = None) -> np.ndarray:
     """Deterministic feature-hashed embedding of a text, L2-normalized.
 
     Accumulates signed hashes of character 3-grams and whitespace tokens.
     Identical (text, dimension, seed) always yields identical output.
+
+    memo maps a feature to its (slot, sign) under this dimension and seed;
+    a caller embedding many texts passes one dict so that each distinct
+    feature is hashed once. The terms are +-1.0, so every sum is exact and
+    a shared memo leaves the vector's bits unchanged.
     """
     if dimension < 8:
         raise EmbeddingError(f"dimension must be >= 8, got {dimension}")
     feats = _features(text)
     if not feats:
         raise EmbeddingError("cannot embed empty text: no features")
-    vec = np.zeros(dimension)
+    if memo is None:
+        memo = {}
+    acc = [0.0] * dimension
     for feat in feats:
-        slot, sign = _signed_slot(feat, dimension, seed)
-        vec[slot] += sign
+        hit = memo.get(feat)
+        if hit is None:
+            hit = memo[feat] = _signed_slot(feat, dimension, seed)
+        acc[hit[0]] += hit[1]
+    vec = np.array(acc)
     norm = np.linalg.norm(vec)
     if norm == 0.0:
         # vanishingly unlikely sign cancellation; perturb the first slot
@@ -88,14 +99,17 @@ def embed_catalog(catalog: Catalog, dimension: int = 64, seed: int = 0) -> Embed
     from .catalog import render_description
 
     table = EmbeddingTable(dimension)
+    memo: dict[str, tuple[int, float]] = {}  # freed when the call returns
     for ad in catalog:
-        table.add(ad.ad_id, embed_hashed(render_description(ad), dimension, seed))
+        table.add(ad.ad_id, embed_hashed(render_description(ad), dimension, seed,
+                                         memo=memo))
     return table
 
 
 def load_embeddings(path) -> EmbeddingTable:
     """Load a TSV of ad_id<TAB>space-separated decimals. The first row sets
-    the width; a row of another width, or a file with no rows, is an error.
+    the width; a row of another width, a value that is not a finite number,
+    or a file with no rows is an error naming the file (and the row).
 
     Duplicate ad_ids follow last-writer-wins with a warning.
     """
@@ -107,14 +121,20 @@ def load_embeddings(path) -> EmbeddingTable:
             if not line:
                 continue
             ad_id, _, rest = line.partition("\t")
-            values = np.array([float(v) for v in rest.split()])
+            try:
+                values = np.array([float(v) for v in rest.split()])
+            except ValueError as exc:
+                raise EmbeddingError(f"{path}: row {rowno}: {exc}") from exc
             if not values.size:
-                raise EmbeddingError(f"row {rowno}: no values")
+                raise EmbeddingError(f"{path}: row {rowno}: no values")
+            if not np.isfinite(values).all():
+                raise EmbeddingError(f"{path}: row {rowno}: non-finite value")
             if table is None:
                 table = EmbeddingTable(values.size)
             if values.size != table.dimension:
                 raise EmbeddingError(
-                    f"row {rowno}: expected {table.dimension} values, got {values.size}"
+                    f"{path}: row {rowno}: expected {table.dimension} values, "
+                    f"got {values.size}"
                 )
             if ad_id in table.entries:
                 duplicates += 1

@@ -19,8 +19,17 @@ class PromptError(ValueError):
 
 
 def count_tokens(text: str) -> int:
-    """Whitespace+punctuation token count used for the prompt budget."""
+    """Whitespace+punctuation token count used for the prompt budget.
+
+    Every token spans at least one character, so the count never exceeds
+    len(text)."""
     return len(_WORD_RE.findall(text))
+
+
+def _fits(text: str, token_budget: int) -> bool:
+    """count_tokens(text) <= token_budget, scanning only a text longer than
+    the budget, since a shorter one cannot hold more tokens."""
+    return len(text) <= token_budget or count_tokens(text) <= token_budget
 
 
 @dataclass(frozen=True)
@@ -167,7 +176,7 @@ def build_prompt(
     summary_text = _render_summary(summary)
 
     skeleton = _assemble(template_id, profile_text, summary_text, _render_behaviors([], use_sid))
-    if count_tokens(skeleton) > token_budget:
+    if not _fits(skeleton, token_budget):
         raise PromptError(
             f"token budget {token_budget} too small for the prompt skeleton "
             f"({count_tokens(skeleton)} tokens)"
@@ -176,7 +185,7 @@ def build_prompt(
         prompt = _assemble(
             template_id, profile_text, summary_text, _render_behaviors(events, use_sid)
         )
-        if count_tokens(prompt) <= token_budget or not events:
+        if _fits(prompt, token_budget) or not events:
             return prompt
         events = events[1:]  # drop the oldest
 

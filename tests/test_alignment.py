@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from genret import alignment
 from genret.alignment import (AlignmentError, PreferenceTriplet,
                               build_preference_triplets, build_stage_corpora,
                               compact_context, dpo_loss, dpo_update,
                               explicit_pairs, load_corpus, make_bucket,
                               preference_margin, save_corpus,
                               summary_from_events, train_staged, user_context)
+from genret.alignment import _pair_to_sample
 from genret.catalog import Ad, Catalog
 from genret.prompting import BehaviorEvent, UserProfile
 from genret.scorer import NeuralScorer, NgramScorer, ScorerContext
@@ -122,20 +124,28 @@ def test_corpus_round_trip(tmp_path):
 
 # --- staged training ---------------------------------------------------------
 
-def test_staged_ngram_equals_weighted_single_pass(vocab):
+def test_staged_ngram_equals_weighted_single_pass(vocab, monkeypatch):
     corpora = build_stage_corpora(_catalog(), SIDS, {"u1": _profile()},
                                   {"u1": _events()})
     weights = {"explicit": 0.5, "implicit": 1.0, "main": 2.0}
     staged = NgramScorer(vocab)
-    train_staged(staged, corpora, stage_weights=weights)
+
+    def no_tokenizing(text):
+        raise AssertionError("the n-gram reads only the bucket")
+
+    # the n-gram path never tokenizes a prompt
+    with monkeypatch.context() as patch:
+        patch.setattr(alignment, "tokenize_text", no_tokenizing)
+        train_staged(staged, corpora, stage_weights=weights)
 
     # training stage-by-stage with those weights must equal three direct
-    # weighted train() calls (count accumulation is order-independent)
+    # weighted train() calls on the full samples (count accumulation is
+    # order-independent)
     direct = NgramScorer(vocab)
-    from genret.alignment import _pair_to_sample
     for stage in ("explicit", "implicit", "main"):
         direct.train([_pair_to_sample(p) for p in corpora[stage]],
                      weight=weights[stage])
+    assert staged.counts == direct.counts and staged.totals == direct.totals
     ctx = ScorerContext(bucket=(3, "female", "cat0", SIDS["ad2"].codes[0]))
     np.testing.assert_allclose(staged.prob_dist(ctx, ["a_1"]),
                                direct.prob_dist(ctx, ["a_1"]), atol=1e-12)

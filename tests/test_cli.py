@@ -201,6 +201,32 @@ def test_default_cli_chain_matches_default_pipeline(tmp_path, capsys):
         assert digest == entry["sha256"], entry["file"]
 
 
+def test_index_flags_override_config_file(tmp_path, capsys):
+    """A flag given beside --config wins; a setting it leaves out comes from
+    the file."""
+    def cli(*argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        return out
+
+    data = json.loads(cli("gen-data", "--out", str(tmp_path / "data"),
+                          "--categories", "2", "--ads-per-category", "4"))
+    emb = tmp_path / "emb.tsv"
+    cli("embed", "--catalog", data["catalog"], "--out", str(emb), "--dim", "16")
+    rq = tmp_path / "rq.json"
+    rq.write_text(json.dumps({"num_levels": 3, "codebook_size": 4,
+                              "latent_dim": 4, "epochs": 20}))
+
+    def sids(name, *flags):
+        cli("index", "--embeddings", str(emb), "--out", str(tmp_path / name), *flags)
+        return (tmp_path / name / "sids.jsonl").read_bytes()
+
+    levels2 = sids("l2", "--config", str(rq), "--levels", "2")
+    assert levels2 != sids("l3", "--config", str(rq), "--levels", "3")
+    assert levels2 == sids("flags", "--levels", "2", "--codebook-size", "4",
+                           "--latent-dim", "4", "--epochs", "20")
+
+
 def test_dpo_rejects_ngram_policy(tmp_path, capsys):
     """DPO needs per-sequence gradients, which only the neural scorer has."""
     run = tmp_path / "run"

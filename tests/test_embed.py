@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from genret import embed
+from genret.catalog import Ad, Catalog, render_description
 from genret.embed import (EmbeddingError, EmbeddingTable, embed_hashed,
                           load_embeddings, save_embeddings)
 
@@ -64,11 +66,44 @@ def test_load_save_round_trip(tmp_path):
         np.testing.assert_array_equal(loaded[k], table[k])
 
 
+def test_embed_catalog_hashes_each_distinct_feature_once(monkeypatch):
+    """embed_catalog shares one feature table across its ads, and its vectors
+    equal per-text embed_hashed calls and the oracle bit for bit."""
+    catalog = Catalog()
+    for i in range(6):
+        catalog.add(Ad(ad_id=f"ad{i}", name=f"Trail shoe {i % 3}", product_type="shoes",
+                       first_category="sport", second_category="running"))
+    texts = {ad.ad_id: render_description(ad) for ad in catalog}
+    calls = []
+    real = embed._signed_slot
+
+    def counting(feature, dimension, seed):
+        calls.append(feature)
+        return real(feature, dimension, seed)
+
+    monkeypatch.setattr(embed, "_signed_slot", counting)
+    table = embed.embed_catalog(catalog, 32, 5)
+    monkeypatch.undo()
+    distinct = set().union(*(embed._features(t) for t in texts.values()))
+    assert len(calls) == len(distinct) and set(calls) == distinct
+    for ad_id, text in texts.items():
+        np.testing.assert_array_equal(table[ad_id], embed_hashed(text, 32, 5))
+        np.testing.assert_array_equal(table[ad_id], oracle_embed(text, 32, 5))
+
+
 def test_load_dimension_mismatch(tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_text("a1\t" + " ".join(["0.1"] * 64) + "\n"
                     "a2\t" + " ".join(["0.1"] * 63) + "\n")
     with pytest.raises(EmbeddingError, match="row 2"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("bad", ["x", "nan", "inf"])
+def test_load_bad_value_names_file_and_row(tmp_path, bad):
+    path = tmp_path / "emb.tsv"
+    path.write_text("a0\t0.1 0.2 0.3\n" f"a1\t0.1 {bad} 0.3\n")
+    with pytest.raises(EmbeddingError, match=r"emb\.tsv: row 2"):
         load_embeddings(path)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -117,3 +118,38 @@ def test_manifest_hash_matches_file_content(tmp_path):
     manifest.record("stage", str(path))
     expected = hashlib.sha256(path.read_bytes()).hexdigest()
     assert manifest.entries[0]["sha256"] == expected
+
+
+# sha256 of the artifacts of a default PipelineConfig run at seeds 0 and 7.
+GOLDEN = {
+    0: {
+        "embeddings.tsv": "5841e398705012015f7d90790f7e25e355f0e9d3d3ec3b8f545ed411096aa3da",
+        "sids.jsonl": "2a11ff62d4cb60746316acacefe2809e54768bca775d410393bb90400030507b",
+        "corpus_explicit.jsonl": "5dafedf2f0ce0d20e4054f5e4823b921a24bfeb61acfd41b384dba0474e3c8b7",
+        "corpus_implicit.jsonl": "edf564870a2fa6f7e4d6c7d507d02a62267845623f94864eff340750a743b7e8",
+        "corpus_main.jsonl": "193cce0136fa228ec36b3ccfdff2db8f6053ad02b055d4afc08605c53eb94696",
+        "scorer.json": "7b6c0ccbe2af26f6d2b5ddf8caacf5099a254ef2e3f8ffe2baff7e68c09f8399",
+        "results.jsonl": "d7eca928146ad6cddb349af23586061f998cd0127bbf8cd9d4f52449c9dfa0d0",
+    },
+    7: {
+        "embeddings.tsv": "411f2588f171dc27eaabe329451b3bde165f94b94262df561cc4ffeed7b8c31f",
+        "sids.jsonl": "8109a11859477415bdb617f57090a6183e325dc47341971665940b7042b24853",
+        "corpus_explicit.jsonl": "4f4fa1a01f582bd4e2d0576f7df52683b13f8dd1a50d900bb0a0a882f452b14e",
+        "corpus_implicit.jsonl": "bf496b05b5b0e8d311688c720d1981943b0c21c5eee8d7281131e3599e3c7f06",
+        "corpus_main.jsonl": "4650b9bbcdbd6cb48c42cd0c80013e8fd8fa8e176e87967ebb5a4ee248226807",
+        "scorer.json": "637f115bd6ef4efd24c09093f3b602513c8b764b1d21fe50589b70a1e22a8500",
+        "results.jsonl": "c6ba334d17e6edde73495902f7bd2a16fd46f76d22dd7fa3f1de11c8be63d5a4",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_default_artifacts_match_golden_digests(tmp_path, seed):
+    """The default pipeline's artifacts keep their bytes, so a speed-up
+    cannot move an output unnoticed. A change that moves one of these on
+    purpose updates the digest here and says why in CHANGES.md."""
+    out = tmp_path / f"seed{seed}"
+    run_pipeline(PipelineConfig(out_dir=str(out), seed=seed))
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN[seed]}
+    assert digests == GOLDEN[seed]

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genret.prompting import (BehaviorEvent, InterestSummary, PromptError,
                               UserProfile, augment, build_prompt, count_tokens,
@@ -56,6 +57,60 @@ def test_budget_truncation_drops_oldest():
     assert "title8" not in prompt and "title7" not in prompt
     for i in range(1, 7):
         assert f"title{i}" in prompt
+
+
+@given(st.text())
+def test_count_tokens_never_exceeds_length(text):
+    assert count_tokens(text) <= len(text)
+
+
+def full_scan_prompt(profile, summary, events, template_id, token_budget):
+    """The budget loop as a full token scan of every candidate prompt: drop
+    the oldest event until the prompt fits or no event is left."""
+    unbounded = 10**9
+    for start in range(len(events) + 1):
+        prompt = build_prompt(profile, summary, events[start:], template_id, unbounded)
+        if count_tokens(prompt) <= token_budget or start == len(events):
+            return prompt
+
+
+# punctuation titles are one token per character, which brings a prompt's
+# length closest to its token count
+_titles = st.one_of(
+    st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)),
+            min_size=1, max_size=12),
+    st.text("!?.,;:^", min_size=1, max_size=60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(titles=st.lists(_titles, max_size=8), template_id=st.sampled_from([0, 1, 2]),
+       data=st.data())
+def test_build_prompt_equals_full_scan(titles, template_id, data):
+    """Skipping the count of a prompt no longer than the budget drops the
+    same events as scanning every prompt, for budgets from the skeleton's
+    size upward: below the full prompt's count (events drop) and above it,
+    up to past its length (no prompt is scanned)."""
+    profile, summary = _profile(), InterestSummary([("travel", 3)])
+    events = [_content(len(titles) - i, t) for i, t in enumerate(titles)]
+    skeleton = count_tokens(build_prompt(profile, summary, [], template_id))
+    full = build_prompt(profile, summary, events, template_id, 10**9)
+    budget = data.draw(st.one_of(
+        st.integers(skeleton, count_tokens(full)),
+        st.integers(count_tokens(full), len(full) + 2)))
+    assert (build_prompt(profile, summary, events, template_id, budget)
+            == full_scan_prompt(profile, summary, events, template_id, budget))
+
+
+def test_build_prompt_equals_full_scan_at_every_budget():
+    """The densest prompts (punctuation titles, one token per character) at
+    every budget from the skeleton's count to past the full prompt's length."""
+    profile, summary = _profile(), InterestSummary([("travel", 3)])
+    events = [_content(8 - i, "!?" * 30) for i in range(8)]
+    skeleton = count_tokens(build_prompt(profile, summary, [], 1))
+    full = build_prompt(profile, summary, events, 1, 10**9)
+    for budget in range(skeleton, len(full) + 2):
+        assert (build_prompt(profile, summary, events, 1, budget)
+                == full_scan_prompt(profile, summary, events, 1, budget)), budget
 
 
 def test_budget_too_small_for_skeleton():
