@@ -117,19 +117,23 @@ def summary_from_events(events, catalog: Catalog) -> InterestSummary:
     return InterestSummary(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def _pair_to_sample(pair: CorpusPair):
+def _context(pair: CorpusPair) -> ScorerContext:
+    """The neural scorer's context of a pair: its prompt's tokens, or for
+    the main stage only those with an underscore, as S-ID tokens have."""
+    toks = tokenize_text(pair.prompt)
     if pair.stage == "main":
-        # keep only the prompt tokens with an underscore, as S-ID tokens have
-        toks = [t for t in tokenize_text(pair.prompt) if "_" in t]
-        context = ScorerContext(tokens=tuple(toks), bucket=pair.bucket)
-    else:
-        context = ScorerContext(tokens=tuple(tokenize_text(pair.prompt)),
-                                bucket=pair.bucket)
-    return context, _response_tokens(pair)
+        toks = [t for t in toks if "_" in t]
+    return ScorerContext(tokens=tuple(toks), bucket=pair.bucket)
 
 
-def _response_tokens(pair: CorpusPair) -> list[str]:
-    return list(SemanticId.parse(pair.response).tokens())
+def _response_tokens(pairs, parsed: dict[str, list[str]]) -> list[list[str]]:
+    """Each pair's response as S-ID tokens. ``parsed`` maps the response
+    strings seen so far to their tokens; a new string is parsed once and
+    added, and pairs that share a string share its list."""
+    for p in pairs:
+        if p.response not in parsed:
+            parsed[p.response] = list(SemanticId.parse(p.response).tokens())
+    return [parsed[p.response] for p in pairs]
 
 
 def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
@@ -142,6 +146,7 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
     """
     stage_log = []
     rng = np.random.default_rng(seed)
+    parsed: dict[str, list[str]] = {}  # response -> tokens, for this call only
     for stage in order:
         pairs = corpora.get(stage, [])
         if not pairs:
@@ -150,18 +155,16 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
         if isinstance(scorer, NgramScorer):
             # the n-gram reads only the bucket, so no prompt is tokenized
             weight = (stage_weights or {}).get(stage, 1.0)
-            scorer.train([(ScorerContext(bucket=p.bucket), _response_tokens(p))
-                          for p in pairs], weight=weight)
+            scorer.train([(ScorerContext(bucket=p.bucket), tokens)
+                          for p, tokens in zip(pairs, _response_tokens(pairs, parsed))],
+                         weight=weight)
             stage_log.append({"stage": stage, "pairs": len(pairs), "weight": weight})
         elif isinstance(scorer, NeuralScorer):
-            samples = [_pair_to_sample(p) for p in pairs]
+            samples = list(zip(map(_context, pairs), _response_tokens(pairs, parsed)))
             epochs = (epochs_per_stage or {}).get(stage, 3)
             for _ in range(epochs):
-                idx = rng.permutation(len(samples))
-                for i in idx:
-                    context, response = samples[i]
-                    _, grads = scorer.cross_entropy_and_grad(context, response)
-                    scorer.apply_grads(grads, learning_rate)
+                for i in rng.permutation(len(samples)):
+                    scorer.train_step(*samples[i], learning_rate)
             stage_log.append({"stage": stage, "pairs": len(pairs), "epochs": epochs})
         else:
             raise AlignmentError(f"unsupported scorer type {type(scorer).__name__}")

@@ -51,8 +51,9 @@ def _act(name: str, x: np.ndarray) -> np.ndarray:
     return np.tanh(x) if name == "tanh" else x
 
 
-def _act_grad(name: str, x: np.ndarray) -> np.ndarray:
-    return 1.0 - np.tanh(x) ** 2 if name == "tanh" else np.ones_like(x)
+def _act_grad(name: str, h: np.ndarray) -> np.ndarray:
+    """The activation's derivative, from its output h = _act(name, x)."""
+    return 1.0 - h**2 if name == "tanh" else np.ones_like(h)
 
 
 @dataclass
@@ -120,13 +121,53 @@ def quantize(codebooks: list[np.ndarray], z_hat: np.ndarray):
     codes[l] is then an int or an (n,) array. Returns (codes, z, residuals);
     residuals has length M+1 and includes the final residual, so
     r[l+1] + e[codes[l]] == r[l] exactly and z_hat == z + r[-1].
+
+    The nearest code is the argmin of the rounded distances
+    E_k = fl(sum((c_k - r)**2)), lower index first on ties. Each level ranks
+    the codes by S_k = fl(|c_k|^2 - 2 r.c_k), one matrix product, and keeps
+    that ranking only for rows where it is certain to pick the same code.
+    With u = 2^-53, R = |r|^2 + max_k |c_k|^2 and exact D_k = |c_k - r|^2:
+
+    - |E_k - D_k| <= 1.01 (d + 2) u D_k <= 2.02 (d + 2) u R, because each term
+      of the sum carries at most three roundings, the sum d - 1 more, and
+      D_k <= 2 R;
+    - |S_k - (D_k - |r|^2)| <= 1.01 (2 d + 2) u R: |c_k|^2 is off by at most
+      1.01 d u |c_k|^2, r.c_k by 1.01 d u |r| |c_k| <= 1.01 d u R / 2 in any
+      summation order, and the final subtraction by u |S_k| <= 2 u R.
+
+    So if S_j - S_best > 2 (e_S + e_E), with e_S and e_E the two bounds above,
+    for every j != best, then E_best < E_j and the argmin of E is best. The
+    gap is taken against 16 (d + 3) 2^-52 R, which exceeds 2 (e_S + e_E) =
+    1.01 (4 d + 6) 2^-52 R, plus the smallest normal float, which covers
+    rounding in underflow. Rows within the bound, ties included, and rows
+    where R could overflow are recomputed with E itself, so the codes are
+    those of the argmin of E in every case.
     """
     r = np.asarray(z_hat, dtype=np.float64)
     codes = []
     residuals = [r]
     z = np.zeros_like(r)
+    d = r.shape[-1]
+    tol = 16.0 * (d + 3) * 2.0**-52
+    tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max / 4
     for cb in codebooks:
-        k = np.argmin(np.sum((cb - r[..., None, :]) ** 2, axis=-1), axis=-1)
+        rows = r.reshape(-1, d)
+        c2 = np.sum(cb * cb, axis=-1)
+        # (codes, rows), so both reductions run down the short outer axis
+        scores = cb @ rows.T
+        scores *= -2.0
+        scores += c2[:, None]
+        k = np.argmin(scores, axis=0)
+        at = np.arange(len(k))
+        best = scores[k, at]
+        scores[k, at] = np.inf
+        gap = scores.min(axis=0) - best
+        scale = np.einsum("ij,ij->i", rows, rows) + c2.max()
+        unsure = ~((gap > tol * scale + tiny) & (scale < big))
+        if unsure.any():
+            k[unsure] = np.argmin(np.sum((cb - rows[unsure, None, :]) ** 2, axis=-1),
+                                  axis=-1)
+        k = k.reshape(r.shape[:-1]) if r.ndim > 1 else k[0]
         codes.append(k)
         z = z + cb[k]
         r = r - cb[k]
@@ -160,12 +201,16 @@ def _forward_backward(model: RqVaeModel, X: np.ndarray):
 
     codes, Z, residuals = quantize(model.codebooks, z_hat)
     commit_grad = np.zeros_like(z_hat)
-    cb_grads = [np.zeros_like(cb) for cb in model.codebooks]
+    cb_grads = []
     quant_total = 0.0
     for l, c in enumerate(codes):
-        gap = residuals[l] - model.codebooks[l][c]
+        cb = model.codebooks[l]
+        gap = residuals[l] - cb[c]
         quant_total += (1.0 + beta) * float(np.sum(gap**2))
-        np.add.at(cb_grads[l], c, -2.0 * gap / n)
+        # each code's rows summed from zero in row order, as np.add.at would
+        cells = (c[:, None] * cb.shape[1] + np.arange(cb.shape[1])).ravel()
+        cb_grads.append(np.bincount(cells, weights=(-2.0 * gap / n).ravel(),
+                                    minlength=cb.size).reshape(cb.shape))
         commit_grad += 2.0 * beta * gap
 
     pre2 = Z @ p["dec_w1"].T + p["dec_b1"]
@@ -180,7 +225,7 @@ def _forward_backward(model: RqVaeModel, X: np.ndarray):
     grads["dec_w2"] = d_xhat.T @ h2
     grads["dec_b2"] = d_xhat.sum(axis=0)
     d_h2 = d_xhat @ p["dec_w2"]
-    d_pre2 = d_h2 * _act_grad(act, pre2)
+    d_pre2 = d_h2 * _act_grad(act, h2)
     grads["dec_w1"] = d_pre2.T @ Z
     grads["dec_b1"] = d_pre2.sum(axis=0)
     d_z = d_pre2 @ p["dec_w1"]
@@ -191,7 +236,7 @@ def _forward_backward(model: RqVaeModel, X: np.ndarray):
     grads["enc_w2"] = d_zhat.T @ h1
     grads["enc_b2"] = d_zhat.sum(axis=0)
     d_h1 = d_zhat @ p["enc_w2"]
-    d_pre1 = d_h1 * _act_grad(act, pre1)
+    d_pre1 = d_h1 * _act_grad(act, h1)
     grads["enc_w1"] = d_pre1.T @ X
     grads["enc_b1"] = d_pre1.sum(axis=0)
 

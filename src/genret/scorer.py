@@ -202,13 +202,25 @@ class NeuralScorer:
     def _ids(self, tokens) -> list[int]:
         return [self.vocab.lookup(t) for t in tokens]
 
-    def _forward(self, ctx_ids, prefix_ids):
-        """The forward pass for one context and equal-length prefixes.
+    def _layers(self, pool):
+        """The hidden layer and the softmax over a stack of pooled inputs.
+
+        Each layer is a stack of one matrix-vector product per row, so every
+        row takes the BLAS path of a lone input and its bits do not depend on
+        the stack. Returns (h, probs).
+        """
+        p = self.params
+        h = np.tanh(np.matmul(p["w1"], pool[..., None])[..., 0] + p["b1"])
+        logits = np.matmul(p["w2"], h[..., None])[..., 0] + p["b2"]
+        logits = logits - logits.max(axis=-1, keepdims=True)
+        exp = np.exp(logits)
+        return h, exp / exp.sum(axis=-1, keepdims=True)
+
+    def _forward(self, ctx_ids, prefix_ids) -> np.ndarray:
+        """Next-token probabilities for one context and equal-length prefixes.
 
         ``prefix_ids`` holds one prefix of L ids, or a (B, L) batch of them.
-        The context is pooled once, and each layer is a stack of one
-        matrix-vector product per row, so every row takes the BLAS path of a
-        lone prefix and its bits do not depend on the batch size.
+        The context is pooled once.
         """
         p = self.params
         ids = np.asarray(prefix_ids, dtype=np.intp)
@@ -217,16 +229,8 @@ class NeuralScorer:
             pool = pool + p["emb"][ctx_ids].mean(axis=0)
         if ids.shape[-1]:
             pool = pool + p["emb"][ids].mean(axis=-2)
-        plen = min(ids.shape[-1], self.max_prefix)
-        pool = pool + p["pos"][plen]
-        pre = np.matmul(p["w1"], pool[..., None])[..., 0] + p["b1"]
-        h = np.tanh(pre)
-        logits = np.matmul(p["w2"], h[..., None])[..., 0] + p["b2"]
-        logits = logits - logits.max(axis=-1, keepdims=True)
-        exp = np.exp(logits)
-        probs = exp / exp.sum(axis=-1, keepdims=True)
-        return {"pool": pool, "pre": pre, "h": h, "probs": probs,
-                "ctx_ids": ctx_ids, "prefix_ids": prefix_ids, "plen": plen}
+        pool = pool + p["pos"][min(ids.shape[-1], self.max_prefix)]
+        return self._layers(pool)[1]
 
     def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
         """The next-token distribution after each prefix, one row each, from
@@ -237,64 +241,108 @@ class NeuralScorer:
         for r, row in enumerate(ids):
             rows_of.setdefault(len(row), []).append(r)
         if len(rows_of) == 1:
-            return self._forward(ctx_ids, ids)["probs"]
+            return self._forward(ctx_ids, ids)
         probs = np.empty((len(ids), len(self.vocab)))
         for rows in rows_of.values():
-            probs[rows] = self._forward(ctx_ids, [ids[r] for r in rows])["probs"]
+            probs[rows] = self._forward(ctx_ids, [ids[r] for r in rows])
         return probs
 
     def prob_dist(self, context: ScorerContext, prefix_tokens) -> np.ndarray:
         return self.next_probs(context, [prefix_tokens])[0]
 
-    def _backward_logits(self, cache, d_logits, grads):
+    def _teacher_forced(self, ctx_ids, resp_ids):
+        """The forward of every step of one response, stacked: row i predicts
+        resp_ids[i] from resp_ids[:i]. Returns (pool, plen, h, probs).
+
+        Row i equals ``_forward(ctx_ids, resp_ids[:i])`` bit for bit: the
+        context mean is the same, and a prefix mean is a running sum over
+        axis 0 divided by its length, which adds in the order ``mean`` does.
+        """
         p = self.params
-        grads["w2"] += np.outer(d_logits, cache["h"])
-        grads["b2"] += d_logits
-        d_h = p["w2"].T @ d_logits
-        d_pre = d_h * (1.0 - cache["h"] ** 2)
-        grads["w1"] += np.outer(d_pre, cache["pool"])
-        grads["b1"] += d_pre
-        d_pool = p["w1"].T @ d_pre
-        ctx_ids, prefix_ids = cache["ctx_ids"], cache["prefix_ids"]
+        n = len(resp_ids)
+        pool = np.zeros((n, self.embed_dim))
         if ctx_ids:
-            np.add.at(grads["emb"], ctx_ids, d_pool / len(ctx_ids))
-        if prefix_ids:
-            np.add.at(grads["emb"], prefix_ids, d_pool / len(prefix_ids))
-        grads["pos"][cache["plen"]] += d_pool
+            pool = pool + p["emb"][ctx_ids].mean(axis=0)
+        if n > 1:
+            sums = np.cumsum(p["emb"][resp_ids[:-1]], axis=0)
+            pool[1:] = pool[1:] + sums / np.arange(1, n)[:, None]
+        plen = np.minimum(np.arange(n), self.max_prefix)
+        pool = pool + p["pos"][plen]
+        return (pool, plen) + self._layers(pool)
+
+    def _backward(self, ctx_ids, resp_ids, pool, plen, h, d_logits):
+        """Gradients of sum_i d_logits[i] . logits_i over a teacher-forced
+        pass, equal bit for bit to a loop over the steps that adds each
+        step's share, in step order, to gradients that start at zero.
+
+        Returns (grads, emb_rows): emb_rows holds the embedding rows the
+        pass touched, in step order, with repeats.
+        """
+        p = self.params
+        n, nc = len(resp_ids), len(ctx_ids)
+        grads = {}
+        # sums over the steps (axis 0) add from zero in step order
+        grads["w2"] = (d_logits[:, :, None] * h[:, None, :]).sum(axis=0)
+        grads["b2"] = d_logits.sum(axis=0)
+        d_h = np.matmul(p["w2"].T, d_logits[..., None])[..., 0]
+        d_pre = d_h * (1.0 - h**2)
+        grads["w1"] = (d_pre[:, :, None] * pool[:, None, :]).sum(axis=0)
+        grads["b1"] = d_pre.sum(axis=0)
+        d_pool = np.matmul(p["w1"].T, d_pre[..., None])[..., 0]
+        # step i adds d_pool[i] / nc to each context row, then
+        # d_pool[i] / i to each row of its prefix
+        emb_rows = np.array([t for i in range(n) for t in chain(ctx_ids, resp_ids[:i])],
+                            dtype=np.intp)
+        steps = [i for i in range(n) for _ in range(nc + i)]
+        counts = [c for i in range(n) for c in [nc] * nc + [i] * i]
+        grads["emb"] = np.zeros_like(p["emb"])
+        np.add.at(grads["emb"], emb_rows, d_pool[steps] / np.array(counts)[:, None])
+        grads["pos"] = np.zeros_like(p["pos"])
+        np.add.at(grads["pos"], plen, d_pool)
+        return grads, emb_rows
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
+
+    def _logprob(self, probs, resp_ids) -> float:
+        """sum_i log probs[i, resp_ids[i]], added in step order."""
+        logp = 0.0
+        for i, tid in enumerate(resp_ids):
+            logp += float(np.log(probs[i, tid]))
+        return logp
 
     def seq_logprob_and_grad(self, context: ScorerContext, response_tokens):
         """log P(response | context) = sum of per-step log conditionals,
         with its exact gradient."""
         ctx_ids = self._ids(context.tokens)
         resp_ids = self._ids(response_tokens)
-        grads = self.zero_grads()
-        logp = 0.0
-        for i, tid in enumerate(resp_ids):
-            cache = self._forward(ctx_ids, resp_ids[:i])
-            probs = cache["probs"]
-            logp += float(np.log(probs[tid]))
-            d_logits = probs.copy()
-            d_logits[tid] -= 1.0  # grad of -log p; negate below for log p
-            self._backward_logits(cache, -d_logits, grads)
-        return logp, grads
+        pool, plen, h, probs = self._teacher_forced(ctx_ids, resp_ids)
+        d_logits = probs.copy()
+        d_logits[np.arange(len(resp_ids)), resp_ids] -= 1.0  # grad of -log p
+        grads, _ = self._backward(ctx_ids, resp_ids, pool, plen, h, -d_logits)
+        return self._logprob(probs, resp_ids), grads
 
     def seq_logprob(self, context: ScorerContext, response_tokens) -> float:
         ctx_ids = self._ids(context.tokens)
         resp_ids = self._ids(response_tokens)
-        logp = 0.0
-        for i, tid in enumerate(resp_ids):
-            cache = self._forward(ctx_ids, resp_ids[:i])
-            logp += float(np.log(cache["probs"][tid]))
-        return logp
+        return self._logprob(self._teacher_forced(ctx_ids, resp_ids)[3], resp_ids)
 
-    def cross_entropy_and_grad(self, context: ScorerContext, response_tokens):
-        logp, grads = self.seq_logprob_and_grad(context, response_tokens)
-        for g in grads.values():
-            g *= -1.0
-        return -logp, grads
+    def train_step(self, context: ScorerContext, response_tokens, lr: float) -> None:
+        """One in-place gradient step on -log P(response | context).
+
+        Only the embedding rows the pair touched are updated: any other row
+        has a zero gradient, and subtracting lr * 0.0 would keep its bits.
+        """
+        ctx_ids = self._ids(context.tokens)
+        resp_ids = self._ids(response_tokens)
+        pool, plen, h, probs = self._teacher_forced(ctx_ids, resp_ids)
+        d_logits = probs.copy()
+        d_logits[np.arange(len(resp_ids)), resp_ids] -= 1.0
+        grads, emb_rows = self._backward(ctx_ids, resp_ids, pool, plen, h, d_logits)
+        for k in ("w1", "b1", "w2", "b2", "pos"):
+            self.params[k] -= lr * grads[k]
+        rows = np.unique(emb_rows)
+        self.params["emb"][rows] -= lr * grads["emb"][rows]
 
     def apply_grads(self, grads, lr: float):
         for k in self.params:

@@ -10,7 +10,6 @@ from genret.alignment import (AlignmentError, PreferenceTriplet,
                               explicit_pairs, load_corpus, make_bucket,
                               preference_margin, save_corpus,
                               summary_from_events, train_staged, user_context)
-from genret.alignment import _pair_to_sample
 from genret.catalog import Ad, Catalog
 from genret.prompting import BehaviorEvent, UserProfile
 from genret.scorer import NeuralScorer, NgramScorer, ScorerContext
@@ -139,16 +138,46 @@ def test_staged_ngram_equals_weighted_single_pass(vocab, monkeypatch):
         train_staged(staged, corpora, stage_weights=weights)
 
     # training stage-by-stage with those weights must equal three direct
-    # weighted train() calls on the full samples (count accumulation is
-    # order-independent)
+    # weighted train() calls that parse every pair's response on its own
+    # (count accumulation is order-independent)
     direct = NgramScorer(vocab)
     for stage in ("explicit", "implicit", "main"):
-        direct.train([_pair_to_sample(p) for p in corpora[stage]],
-                     weight=weights[stage])
+        direct.train([(ScorerContext(bucket=p.bucket),
+                       list(SemanticId.parse(p.response).tokens()))
+                      for p in corpora[stage]], weight=weights[stage])
     assert staged.counts == direct.counts and staged.totals == direct.totals
     ctx = ScorerContext(bucket=(3, "female", "cat0", SIDS["ad2"].codes[0]))
     np.testing.assert_allclose(staged.prob_dist(ctx, ["a_1"]),
                                direct.prob_dist(ctx, ["a_1"]), atol=1e-12)
+
+
+def test_staged_ngram_parses_each_distinct_response_once(vocab, monkeypatch):
+    users = {f"u{i}": _profile() for i in range(4)}
+    corpora = build_stage_corpora(_catalog(), SIDS, users,
+                                  {uid: _events() for uid in users})
+    pairs = [p for stage in ("explicit", "implicit", "main") for p in corpora[stage]]
+    distinct = {p.response for p in pairs}
+    assert len(pairs) > len(distinct)
+
+    parsed = []
+    real = SemanticId.parse.__func__
+
+    def counting(cls, text):
+        parsed.append(text)
+        return real(cls, text)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SemanticId, "parse", classmethod(counting))
+        staged, _ = train_staged(NgramScorer(vocab), corpora)
+    assert sorted(parsed) == sorted(distinct)
+
+    # the count tables equal those of parsing every pair on its own
+    per_pair = NgramScorer(vocab)
+    for stage in ("explicit", "implicit", "main"):
+        per_pair.train([(ScorerContext(bucket=p.bucket),
+                         list(SemanticId.parse(p.response).tokens()))
+                        for p in corpora[stage]])
+    assert staged.counts == per_pair.counts and staged.totals == per_pair.totals
 
 
 def test_staged_neural_order_and_log(vocab):

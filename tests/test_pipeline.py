@@ -153,3 +153,23 @@ def test_default_artifacts_match_golden_digests(tmp_path, seed):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in GOLDEN[seed]}
     assert digests == GOLDEN[seed]
+
+
+# sha256 of the neural + DPO artifacts of the SMALL config at seed 0.
+NEURAL_GOLDEN = {
+    "scorer.json": "8f09783bc0e4eb97700ec8034f05bd067b6d9e64c4e74a706fe85a0f59252a3c",
+    "dpo_policy.json": "cba9cb8b11768a3903c899f59700ad97a37d32dbbcb118dc893d175a75f05462",
+    "results.jsonl": "7c780e66cdcabd2eeed6b3e1ca6f440b5f9859159202b7b179cb5fa0835146fe",
+}
+
+
+def test_neural_dpo_artifacts_match_golden_digests(tmp_path):
+    """Neural training and DPO keep their bytes: the trained scorer, the
+    aligned policy and the lists it serves. A change that moves one of
+    these on purpose updates the digest here and says why in CHANGES.md."""
+    config, _ = _run(tmp_path, "neural", scorer_kind="neural", dpo_enabled=True,
+                     dpo_steps=2)
+    out = Path(config.out_dir)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in NEURAL_GOLDEN}
+    assert digests == NEURAL_GOLDEN

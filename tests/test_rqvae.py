@@ -75,6 +75,105 @@ def test_quantize_batch_matches_rows(seed, n):
             np.testing.assert_array_equal(r[i], row_r)
 
 
+def broadcast_quantize(codebooks, z_hat):
+    """The exact nearest-code search that quantize certifies its fast ranking
+    against, kept as the reference: one broadcast distance per code."""
+    r = np.asarray(z_hat, dtype=np.float64)
+    codes, residuals, z = [], [r], np.zeros_like(r)
+    for cb in codebooks:
+        k = np.argmin(np.sum((cb - r[..., None, :]) ** 2, axis=-1), axis=-1)
+        codes.append(k)
+        z = z + cb[k]
+        r = r - cb[k]
+        residuals.append(r)
+    return codes, z, residuals
+
+
+SCALES = [1e-8, 1e-4, 0.37, 1.0, 1e3, 1e6]
+
+
+@st.composite
+def quantizer_inputs(draw):
+    """Codebooks and a vector or batch, with the cases where a fast ranking
+    and the exact distances could disagree: duplicated codes, rows at or
+    next to the midpoint of two codes, zero rows and zero codes, and codes
+    on an integer grid, where ties are exact."""
+    d = draw(st.integers(1, 64))
+    k = draw(st.integers(1, 9))
+    levels = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 8))
+    one_row = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from(SCALES))
+    if draw(st.booleans()):
+        codebooks = [rng.integers(-2, 3, size=(k, d)) * scale for _ in range(levels)]
+    else:
+        codebooks = [rng.normal(size=(k, d)) * scale * draw(st.sampled_from([1.0, 1e-3]))
+                     for _ in range(levels)]
+    for cb in codebooks:
+        if k > 1 and draw(st.booleans()):
+            cb[rng.integers(k)] = cb[rng.integers(k)]        # a duplicated code
+        if draw(st.booleans()):
+            cb[rng.integers(k)] = 0.0                        # a zero code
+    rows = rng.normal(size=(max(n, 1), d)) * scale
+    cb0 = codebooks[0]
+    for i in range(len(rows)):
+        kind = draw(st.sampled_from(["random", "midpoint", "near-midpoint", "zero",
+                                     "code"]))
+        a, b = cb0[rng.integers(k)], cb0[rng.integers(k)]
+        if kind == "midpoint":
+            rows[i] = (a + b) / 2
+        elif kind == "near-midpoint":
+            rows[i] = (a + b) / 2 * (1 + rng.normal(size=d) * 2.0**-50)
+        elif kind == "zero":
+            rows[i] = 0.0
+        elif kind == "code":
+            rows[i] = a
+    z_hat = rows[0] if one_row else rows[:n]
+    return codebooks, z_hat
+
+
+@settings(max_examples=300, deadline=None)
+@given(quantizer_inputs())
+def test_quantize_equals_broadcast_argmin(inputs):
+    codebooks, z_hat = inputs
+    codes, z, residuals = quantize(codebooks, z_hat)
+    want_codes, want_z, want_residuals = broadcast_quantize(codebooks, z_hat)
+    for got, want in zip(codes, want_codes, strict=True):
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(z, want_z)
+    for got, want in zip(residuals, want_residuals, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_quantize_breaks_ties_to_the_lower_code():
+    # the row sits exactly between codes 1 and 3, and code 2 duplicates 1
+    cb = np.array([[4.0, 4.0], [1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    codes, _, _ = quantize([cb], np.zeros((3, 2)))
+    np.testing.assert_array_equal(codes[0], [1, 1, 1])
+
+
+def test_train_runs_one_quantize_per_epoch_and_level(monkeypatch):
+    """rqvae.train reaches the nearest-code search only through the module's
+    quantize: once per epoch and once per level while seeding codebooks."""
+    from genret import rqvae
+
+    calls = []
+    real = rqvae.quantize
+
+    def counting(codebooks, z_hat):
+        calls.append(len(codebooks))
+        return real(codebooks, z_hat)
+
+    monkeypatch.setattr(rqvae, "quantize", counting)
+    table = make_cluster_table(2, 8, dim=16, seed=1)
+    config = RqVaeConfig(num_levels=3, codebook_size=4, latent_dim=8, epochs=7)
+    rqvae.train(config, table)
+    assert len(calls) == config.epochs + config.num_levels
+    assert calls.count(1) == config.num_levels
+
+
 # --- losses ------------------------------------------------------------------
 
 def test_losses_closed_form():

@@ -260,9 +260,9 @@ def test_seq_grad_matches_finite_differences(vocab):
 def test_cross_entropy_training_step_reduces_loss(vocab):
     scorer = NeuralScorer(vocab, seed=5)
     resp = ["a_2", "b_1"]
-    loss0, grads = scorer.cross_entropy_and_grad(CTX, resp)
-    scorer.apply_grads(grads, lr=0.5)
-    loss1, _ = scorer.cross_entropy_and_grad(CTX, resp)
+    loss0 = -scorer.seq_logprob(CTX, resp)
+    scorer.train_step(CTX, resp, lr=0.5)
+    loss1 = -scorer.seq_logprob(CTX, resp)
     assert loss1 < loss0
 
 
@@ -379,3 +379,115 @@ def test_neural_decode_makes_one_batched_call_per_level(monkeypatch):
     assert len(batches) == trie.depth
     assert batches[0] == 1 and max(batches) <= 4
     assert len(result) == 4
+
+
+# --- teacher-forced pass: bit-exact against the per-step loop ---------------
+
+def loop_logprob_and_grad(scorer, ctx_tokens, resp_tokens):
+    """The per-step loop that the stacked teacher-forced pass replaces, kept
+    as the reference: one single-row forward and backward per response
+    token, each adding its share to gradients that start at zero."""
+    p = scorer.params
+    ctx_ids = [scorer.vocab.lookup(t) for t in ctx_tokens]
+    resp_ids = [scorer.vocab.lookup(t) for t in resp_tokens]
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    logp = 0.0
+    for i, tid in enumerate(resp_ids):
+        prefix_ids = resp_ids[:i]
+        pool = np.zeros(scorer.embed_dim)
+        if ctx_ids:
+            pool = pool + p["emb"][ctx_ids].mean(axis=0)
+        if prefix_ids:
+            pool = pool + p["emb"][prefix_ids].mean(axis=0)
+        plen = min(len(prefix_ids), scorer.max_prefix)
+        pool = pool + p["pos"][plen]
+        h = np.tanh(np.matmul(p["w1"], pool[..., None])[..., 0] + p["b1"])
+        logits = np.matmul(p["w2"], h[..., None])[..., 0] + p["b2"]
+        logits = logits - logits.max()
+        exp = np.exp(logits)
+        probs = exp / exp.sum()
+        logp += float(np.log(probs[tid]))
+        d_logits = probs.copy()
+        d_logits[tid] -= 1.0
+        d_logits = -d_logits
+        grads["w2"] += np.outer(d_logits, h)
+        grads["b2"] += d_logits
+        d_pre = (p["w2"].T @ d_logits) * (1.0 - h**2)
+        grads["w1"] += np.outer(d_pre, pool)
+        grads["b1"] += d_pre
+        d_pool = p["w1"].T @ d_pre
+        if ctx_ids:
+            np.add.at(grads["emb"], ctx_ids, d_pool / len(ctx_ids))
+        if prefix_ids:
+            np.add.at(grads["emb"], prefix_ids, d_pool / len(prefix_ids))
+        grads["pos"][plen] += d_pool
+    return logp, grads
+
+
+def loop_train_step(scorer, ctx_tokens, resp_tokens, lr):
+    """The training step the in-place one replaces: negate the log-prob
+    gradient, then subtract lr times it from every parameter."""
+    _, grads = loop_logprob_and_grad(scorer, ctx_tokens, resp_tokens)
+    for g in grads.values():
+        g *= -1.0
+    for k in scorer.params:
+        scorer.params[k] -= lr * grads[k]
+
+
+# context tokens may repeat, be <unk> or be out of vocabulary; responses
+# repeat tokens and run past max_prefix
+TF_TOKENS = ["a_0", "a_1", "b_0", "b_1", "c_2", "<unk>", "novel"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(TF_TOKENS + ["cat", ":"]), max_size=10),
+       st.lists(st.sampled_from(TF_TOKENS), max_size=7),
+       st.integers(0, 6), st.integers(0, 1000))
+def test_seq_logprob_and_grad_equal_step_loop(ctx_tokens, resp, max_prefix, seed):
+    scorer = NeuralScorer(vocab_from_sids(SIDS), embed_dim=6, hidden_dim=5,
+                          max_prefix=max_prefix, seed=seed)
+    ctx = ScorerContext(tokens=tuple(ctx_tokens))
+    logp, grads = scorer.seq_logprob_and_grad(ctx, resp)
+    want_logp, want = loop_logprob_and_grad(scorer, ctx_tokens, resp)
+    assert logp == want_logp
+    assert scorer.seq_logprob(ctx, resp) == want_logp
+    assert grads.keys() == want.keys()
+    for k in want:
+        np.testing.assert_array_equal(grads[k], want[k], err_msg=k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from(TF_TOKENS), max_size=6),
+                          st.lists(st.sampled_from(TF_TOKENS), min_size=1,
+                                   max_size=5)),
+                min_size=1, max_size=6),
+       st.integers(0, 4), st.integers(0, 1000))
+def test_train_step_equals_loop_step(pairs, max_prefix, seed):
+    scorer = NeuralScorer(vocab_from_sids(SIDS), embed_dim=6, hidden_dim=5,
+                          max_prefix=max_prefix, seed=seed)
+    reference = scorer.copy()
+    for ctx_tokens, resp in pairs:
+        scorer.train_step(ScorerContext(tokens=tuple(ctx_tokens)), resp, lr=0.3)
+        loop_train_step(reference, ctx_tokens, resp, lr=0.3)
+        for k in reference.params:
+            np.testing.assert_array_equal(scorer.params[k], reference.params[k],
+                                          err_msg=k)
+
+
+def test_teacher_forced_rows_equal_single_prefix_forward():
+    # every step of one long response, at about the vocabulary, context and
+    # response sizes of the medium benchmark scale
+    tokens = [f"{level}_{code}" for level in "abcd" for code in range(30)]
+    scorer = NeuralScorer(Vocabulary(["<unk>"] + tokens), max_prefix=3, seed=2)
+    rng = np.random.default_rng(2)
+    ctx = ScorerContext(tokens=tuple(rng.choice(tokens, size=35)))
+    resp = list(rng.choice(tokens, size=9))
+    ids = [scorer.vocab.lookup(t) for t in resp]
+    probs = scorer._teacher_forced(scorer._ids(ctx.tokens), ids)[3]
+    for i in range(len(resp)):
+        np.testing.assert_array_equal(probs[i], loop_forward(scorer, ctx.tokens, resp[:i]))
+    logp, grads = scorer.seq_logprob_and_grad(ctx, resp)
+    want_logp, want = loop_logprob_and_grad(scorer, ctx.tokens, resp)
+    assert logp == want_logp
+    for k in want:
+        np.testing.assert_array_equal(grads[k], want[k], err_msg=k)
