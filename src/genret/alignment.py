@@ -164,7 +164,9 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
             epochs = (epochs_per_stage or {}).get(stage, 3)
             for _ in range(epochs):
                 for i in rng.permutation(len(samples)):
-                    scorer.train_step(*samples[i], learning_rate)
+                    # gradient ascent on log P(response | context)
+                    _, grads = scorer.seq_logprob_and_grad(*samples[i])
+                    scorer.apply_grads(grads, -learning_rate)
             stage_log.append({"stage": stage, "pairs": len(pairs), "epochs": epochs})
         else:
             raise AlignmentError(f"unsupported scorer type {type(scorer).__name__}")

@@ -197,8 +197,8 @@ def filter_events(events, window_days: int = DEFAULT_BEHAVIOR_WINDOW_DAYS):
 
 def interaction_reuse_splits(events):
     """Split the sequence at every positive ad event: one (history, target)
-    pair per split, newest split first is not required; order follows the
-    sequence."""
+    pair per split, where history is every event before the target, in
+    sequence order."""
     pairs = []
     for i, e in enumerate(events):
         if e.domain == "ad" and e.positive:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
 
 import numpy as np
@@ -59,7 +59,6 @@ class NgramScorer:
         self.interpolation = tuple(w / total for w in interpolation)
         # (bucket, window) -> {token_id: count}
         self.counts: dict[tuple, dict[int, float]] = {}
-        self.totals: dict[tuple, float] = {}
         # the counts as sparse smoothed components, built on first read
         self._components: tuple | None = None
 
@@ -72,7 +71,6 @@ class NgramScorer:
             key = (bucket, window)
             slot = self.counts.setdefault(key, {})
             slot[tid] = slot.get(tid, 0.0) + weight
-            self.totals[key] = self.totals.get(key, 0.0) + weight
 
     def train(self, samples, weight: float = 1.0):
         """samples: iterable of (ScorerContext, response token list)."""
@@ -83,12 +81,13 @@ class NgramScorer:
     def _smoothed(self) -> tuple:
         """Each (bucket, window) key with counts, numbered in counts order, as
         its uniform share alpha/denom plus its counted (token id, c/denom)
-        entries; one more share, with no entries, stands for every unseen key."""
+        entries, where denom is the key's count total plus alpha·|V|; one
+        more share, with no entries, stands for every unseen key."""
         if self._components is None:
             v, alpha = len(self.vocab), self.smoothing_alpha
             slots = list(self.counts.values())
             sizes = [len(slot) for slot in slots]
-            denom = np.array([self.totals[key] + alpha * v for key in self.counts]
+            denom = np.array([sum(slot.values()) + alpha * v for slot in slots]
                              + [alpha * v])
             tid = list(chain.from_iterable(slots))
             c = np.fromiter(chain.from_iterable(slot.values() for slot in slots),
@@ -154,9 +153,8 @@ class NgramScorer:
             tuple(payload["interpolation"]),
         )
         for bucket, window, slot in payload["counts"]:
-            key = (tuple(bucket), tuple(window))
-            scorer.counts[key] = {int(t): float(c) for t, c in slot}
-            scorer.totals[key] = sum(scorer.counts[key].values())
+            scorer.counts[(tuple(bucket), tuple(window))] = {
+                int(t): float(c) for t, c in slot}
         return scorer
 
 
@@ -190,14 +188,7 @@ class NeuralScorer:
             }
 
     def copy(self) -> "NeuralScorer":
-        return NeuralScorer(
-            vocab=self.vocab,
-            embed_dim=self.embed_dim,
-            hidden_dim=self.hidden_dim,
-            max_prefix=self.max_prefix,
-            seed=self.seed,
-            params={k: v.copy() for k, v in self.params.items()},
-        )
+        return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
     def _ids(self, tokens) -> list[int]:
         return [self.vocab.lookup(t) for t in tokens]
@@ -217,10 +208,8 @@ class NeuralScorer:
         return h, exp / exp.sum(axis=-1, keepdims=True)
 
     def _forward(self, ctx_ids, prefix_ids) -> np.ndarray:
-        """Next-token probabilities for one context and equal-length prefixes.
-
-        ``prefix_ids`` holds one prefix of L ids, or a (B, L) batch of them.
-        The context is pooled once.
+        """Next-token probabilities for one context and a (B, L) batch of
+        equal-length prefixes. The context is pooled once.
         """
         p = self.params
         ids = np.asarray(prefix_ids, dtype=np.intp)
@@ -240,8 +229,6 @@ class NeuralScorer:
         rows_of: dict[int, list[int]] = {}
         for r, row in enumerate(ids):
             rows_of.setdefault(len(row), []).append(r)
-        if len(rows_of) == 1:
-            return self._forward(ctx_ids, ids)
         probs = np.empty((len(ids), len(self.vocab)))
         for rows in rows_of.values():
             probs[rows] = self._forward(ctx_ids, [ids[r] for r in rows])
@@ -254,7 +241,7 @@ class NeuralScorer:
         """The forward of every step of one response, stacked: row i predicts
         resp_ids[i] from resp_ids[:i]. Returns (pool, plen, h, probs).
 
-        Row i equals ``_forward(ctx_ids, resp_ids[:i])`` bit for bit: the
+        Row i equals ``_forward(ctx_ids, [resp_ids[:i]])[0]`` bit for bit: the
         context mean is the same, and a prefix mean is a running sum over
         axis 0 divided by its length, which adds in the order ``mean`` does.
         """
@@ -273,11 +260,7 @@ class NeuralScorer:
     def _backward(self, ctx_ids, resp_ids, pool, plen, h, d_logits):
         """Gradients of sum_i d_logits[i] . logits_i over a teacher-forced
         pass, equal bit for bit to a loop over the steps that adds each
-        step's share, in step order, to gradients that start at zero.
-
-        Returns (grads, emb_rows): emb_rows holds the embedding rows the
-        pass touched, in step order, with repeats.
-        """
+        step's share, in step order, to gradients that start at zero."""
         p = self.params
         n, nc = len(resp_ids), len(ctx_ids)
         grads = {}
@@ -299,7 +282,7 @@ class NeuralScorer:
         np.add.at(grads["emb"], emb_rows, d_pool[steps] / np.array(counts)[:, None])
         grads["pos"] = np.zeros_like(p["pos"])
         np.add.at(grads["pos"], plen, d_pool)
-        return grads, emb_rows
+        return grads
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -313,13 +296,14 @@ class NeuralScorer:
 
     def seq_logprob_and_grad(self, context: ScorerContext, response_tokens):
         """log P(response | context) = sum of per-step log conditionals,
-        with its exact gradient."""
+        with its exact gradient. Fine-tuning ascends it, with
+        ``apply_grads(grads, -lr)``, and DPO steps on a difference of two."""
         ctx_ids = self._ids(context.tokens)
         resp_ids = self._ids(response_tokens)
         pool, plen, h, probs = self._teacher_forced(ctx_ids, resp_ids)
         d_logits = probs.copy()
         d_logits[np.arange(len(resp_ids)), resp_ids] -= 1.0  # grad of -log p
-        grads, _ = self._backward(ctx_ids, resp_ids, pool, plen, h, -d_logits)
+        grads = self._backward(ctx_ids, resp_ids, pool, plen, h, -d_logits)
         return self._logprob(probs, resp_ids), grads
 
     def seq_logprob(self, context: ScorerContext, response_tokens) -> float:
@@ -327,24 +311,8 @@ class NeuralScorer:
         resp_ids = self._ids(response_tokens)
         return self._logprob(self._teacher_forced(ctx_ids, resp_ids)[3], resp_ids)
 
-    def train_step(self, context: ScorerContext, response_tokens, lr: float) -> None:
-        """One in-place gradient step on -log P(response | context).
-
-        Only the embedding rows the pair touched are updated: any other row
-        has a zero gradient, and subtracting lr * 0.0 would keep its bits.
-        """
-        ctx_ids = self._ids(context.tokens)
-        resp_ids = self._ids(response_tokens)
-        pool, plen, h, probs = self._teacher_forced(ctx_ids, resp_ids)
-        d_logits = probs.copy()
-        d_logits[np.arange(len(resp_ids)), resp_ids] -= 1.0
-        grads, emb_rows = self._backward(ctx_ids, resp_ids, pool, plen, h, d_logits)
-        for k in ("w1", "b1", "w2", "b2", "pos"):
-            self.params[k] -= lr * grads[k]
-        rows = np.unique(emb_rows)
-        self.params["emb"][rows] -= lr * grads["emb"][rows]
-
     def apply_grads(self, grads, lr: float):
+        """The one parameter update, in place: params -= lr * grads."""
         for k in self.params:
             self.params[k] -= lr * grads[k]
 

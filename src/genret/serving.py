@@ -122,11 +122,19 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
 
     scorer_swap: optional (tick, new_generate_fn) modeling the daily model
     refresh. Returns a report of hit rate, staleness, queue lengths, and
-    per-group admission shares. Raises ServingError when a generate function
-    runs while a request is being handled.
+    per-group admission shares; requests_past_ticks counts the requests at
+    tick ``ticks`` or later, which the simulation ends before. Raises
+    ServingError when the trace is out of tick order or a request arrives at
+    a negative tick, and when a generate function runs while a request is
+    being handled.
     """
-    for a, b in zip(trace, trace[1:]):
-        if a.arrival_tick > b.arrival_tick:
+    for k, req in enumerate(trace):
+        # no tick of the loop reaches a negative one, and so none after it
+        if req.arrival_tick < 0:
+            raise ServingError(
+                f"request {k} for {req.user_id!r} arrives at negative tick "
+                f"{req.arrival_tick}")
+        if k and trace[k - 1].arrival_tick > req.arrival_tick:
             raise ServingError("trace must be tick-ordered")
     store = store or FeatureStore()
     calls = [0]
@@ -164,6 +172,7 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
     staleness = stats["staleness"]
     return {
         "requests": total,
+        "requests_past_ticks": len(trace) - i,
         "hit_rate": stats["hits"] / total if total else 0.0,
         "mean_staleness": sum(staleness) / len(staleness) if staleness else 0.0,
         "max_staleness": max(staleness) if staleness else 0,

@@ -145,7 +145,7 @@ def test_staged_ngram_equals_weighted_single_pass(vocab, monkeypatch):
         direct.train([(ScorerContext(bucket=p.bucket),
                        list(SemanticId.parse(p.response).tokens()))
                       for p in corpora[stage]], weight=weights[stage])
-    assert staged.counts == direct.counts and staged.totals == direct.totals
+    assert staged.counts == direct.counts
     ctx = ScorerContext(bucket=(3, "female", "cat0", SIDS["ad2"].codes[0]))
     np.testing.assert_allclose(staged.prob_dist(ctx, ["a_1"]),
                                direct.prob_dist(ctx, ["a_1"]), atol=1e-12)
@@ -177,7 +177,7 @@ def test_staged_ngram_parses_each_distinct_response_once(vocab, monkeypatch):
         per_pair.train([(ScorerContext(bucket=p.bucket),
                          list(SemanticId.parse(p.response).tokens()))
                         for p in corpora[stage]])
-    assert staged.counts == per_pair.counts and staged.totals == per_pair.totals
+    assert staged.counts == per_pair.counts
 
 
 def test_staged_neural_order_and_log(vocab):
@@ -188,6 +188,29 @@ def test_staged_neural_order_and_log(vocab):
                                                             ("explicit", "implicit", "main")})
     assert [e["stage"] for e in log] == ["explicit", "implicit", "main"]
     assert all(e["pairs"] > 0 for e in log)
+
+
+def test_fine_tuning_and_dpo_update_through_apply_grads(vocab, monkeypatch):
+    # apply_grads is the one parameter update: fine-tuning ascends the
+    # log-likelihood with one call per pair and epoch, DPO makes one per step
+    rates = []
+    real = NeuralScorer.apply_grads
+
+    def spy(self, grads, lr):
+        rates.append(lr)
+        return real(self, grads, lr)
+
+    monkeypatch.setattr(NeuralScorer, "apply_grads", spy)
+    corpora = build_stage_corpora(_catalog(), SIDS, {"u1": _profile()},
+                                  {"u1": _events()})
+    epochs = {"explicit": 2, "implicit": 1, "main": 3}
+    scorer = NeuralScorer(vocab, embed_dim=8, hidden_dim=8, seed=0)
+    train_staged(scorer, corpora, epochs_per_stage=epochs, learning_rate=0.05)
+    assert rates == [-0.05] * sum(epochs[s] * len(corpora[s]) for s in epochs)
+
+    rates.clear()
+    dpo_update(scorer, scorer.copy(), [_triplet(vocab)], learning_rate=0.1, steps=4)
+    assert rates == [0.1] * 4
 
 
 def test_staged_unsupported_scorer(vocab):

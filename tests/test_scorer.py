@@ -84,14 +84,20 @@ def test_train_weighting_equivalence(vocab):
 
 
 def test_ngram_save_load_round_trip(vocab, tmp_path):
+    # at a stage weight that is not a whole number, a count total depends on
+    # the order its terms are added in; the loaded scorer must still agree
+    # to the bit
     scorer = NgramScorer(vocab, smoothing_alpha=0.3)
     scorer.train([(CTX, ["a_0", "b_1"]), (CTX, ["a_2", "b_0"])])
+    scorer.train([(CTX, [a, b]) for a in ("a_0", "a_1", "a_2")
+                  for b in ("b_0", "b_1", "b_2", "b_1")], weight=0.1)
     path = tmp_path / "scorer.json"
     scorer.save(path)
     loaded = load_scorer(path)
     assert isinstance(loaded, NgramScorer)
-    np.testing.assert_allclose(loaded.prob_dist(CTX, ["a_0"]),
-                               scorer.prob_dist(CTX, ["a_0"]), atol=1e-15)
+    prefixes = [[], ["a_0"], ["a_1"], ["a_2"], ["b_1"]]
+    np.testing.assert_array_equal(loaded.next_probs(CTX, prefixes),
+                                  scorer.next_probs(CTX, prefixes))
 
 
 def test_invalid_alpha(vocab):
@@ -128,7 +134,7 @@ def loop_prob_dist(scorer, context, prefix_tokens):
         window = ids[len(ids) - order:] if order else ()
         key = (context.bucket, window)
         counts = scorer.counts.get(key)
-        total = scorer.totals.get(key, 0.0)
+        total = sum(counts.values()) if counts else 0.0
         component = np.full(v, alpha / (total + alpha * v))
         if counts:
             for tid, c in counts.items():
@@ -261,7 +267,8 @@ def test_cross_entropy_training_step_reduces_loss(vocab):
     scorer = NeuralScorer(vocab, seed=5)
     resp = ["a_2", "b_1"]
     loss0 = -scorer.seq_logprob(CTX, resp)
-    scorer.train_step(CTX, resp, lr=0.5)
+    _, grads = scorer.seq_logprob_and_grad(CTX, resp)
+    scorer.apply_grads(grads, -0.5)
     loss1 = -scorer.seq_logprob(CTX, resp)
     assert loss1 < loss0
 
@@ -425,7 +432,7 @@ def loop_logprob_and_grad(scorer, ctx_tokens, resp_tokens):
 
 
 def loop_train_step(scorer, ctx_tokens, resp_tokens, lr):
-    """The training step the in-place one replaces: negate the log-prob
+    """A fine-tuning step by the per-position loop: negate the log-prob
     gradient, then subtract lr times it from every parameter."""
     _, grads = loop_logprob_and_grad(scorer, ctx_tokens, resp_tokens)
     for g in grads.values():
@@ -467,7 +474,9 @@ def test_train_step_equals_loop_step(pairs, max_prefix, seed):
                           max_prefix=max_prefix, seed=seed)
     reference = scorer.copy()
     for ctx_tokens, resp in pairs:
-        scorer.train_step(ScorerContext(tokens=tuple(ctx_tokens)), resp, lr=0.3)
+        _, grads = scorer.seq_logprob_and_grad(ScorerContext(tokens=tuple(ctx_tokens)),
+                                               resp)
+        scorer.apply_grads(grads, -0.3)
         loop_train_step(reference, ctx_tokens, resp, lr=0.3)
         for k in reference.params:
             np.testing.assert_array_equal(scorer.params[k], reference.params[k],

@@ -227,6 +227,26 @@ def test_simulation_rejects_unordered_trace():
         run_simulation(trace, lambda u: [], _policy(["u1"]), WorkerPool(1), 6)
 
 
+def test_simulation_rejects_negative_tick():
+    # no tick of the loop reaches -1, so every request after it would be
+    # dropped as well
+    trace = [Request("u1", -1), Request("u2", 0), Request("u3", 1)]
+    with pytest.raises(ServingError, match=r"request 0 for 'u1' arrives at negative tick -1"):
+        run_simulation(trace, lambda u: [], _policy(["u1", "u2", "u3"]),
+                       WorkerPool(1), 3)
+
+
+def test_simulation_counts_requests_past_ticks():
+    trace = [Request("u1", 0), Request("u2", 1), Request("u2", 2), Request("u1", 2)]
+    report = run_simulation(trace, lambda u: [], _policy(["u1", "u2"]),
+                            WorkerPool(1), 2)
+    assert report["requests"] == 2
+    assert report["requests_past_ticks"] == 2
+    whole = run_simulation(trace, lambda u: [], _policy(["u1", "u2"]),
+                           WorkerPool(1), 3)
+    assert (whole["requests"], whole["requests_past_ticks"]) == (4, 0)
+
+
 def test_scorer_swap_changes_lists():
     trace = [Request("u1", t) for t in range(6)]
     report_store = FeatureStore()
