@@ -12,7 +12,7 @@ from . import jsonl
 from .catalog import Catalog, render_description
 from .prompting import InterestSummary, UserProfile, augment, filter_events
 from .scorer import NeuralScorer, NgramScorer, ScorerContext, tokenize_text
-from .sid import SemanticId
+from .sid import SemanticId, is_token
 
 STAGES = ("explicit", "implicit", "main")
 HISTORY_ADS = 8  # recent ad S-IDs in a scorer context
@@ -119,10 +119,10 @@ def summary_from_events(events, catalog: Catalog) -> InterestSummary:
 
 def _context(pair: CorpusPair) -> ScorerContext:
     """The neural scorer's context of a pair: its prompt's tokens, or for
-    the main stage only those with an underscore, as S-ID tokens have."""
+    the main stage only its S-ID tokens, as serving's context has."""
     toks = tokenize_text(pair.prompt)
     if pair.stage == "main":
-        toks = [t for t in toks if "_" in t]
+        toks = [t for t in toks if is_token(t)]
     return ScorerContext(tokens=tuple(toks), bucket=pair.bucket)
 
 

@@ -36,7 +36,6 @@ class RqVaeConfig:
     learning_rate: float = 5e-3
     epochs: int = 120
     seed: int = 0
-    activation: str = "tanh"  # "tanh" or "identity"
 
     def __post_init__(self):
         if self.num_levels < 1:
@@ -45,15 +44,6 @@ class RqVaeConfig:
             raise RqVaeError("codebook_size must be >= 2")
         if self.latent_dim < 2:
             raise RqVaeError("latent_dim must be >= 2")
-
-
-def _act(name: str, x: np.ndarray) -> np.ndarray:
-    return np.tanh(x) if name == "tanh" else x
-
-
-def _act_grad(name: str, h: np.ndarray) -> np.ndarray:
-    """The activation's derivative, from its output h = _act(name, x)."""
-    return 1.0 - h**2 if name == "tanh" else np.ones_like(h)
 
 
 @dataclass
@@ -96,6 +86,15 @@ def init_model(config: RqVaeConfig, input_dim: int, rng: np.random.Generator | N
     return RqVaeModel(config=config, input_dim=input_dim, params=params, codebooks=codebooks)
 
 
+def _half(model: RqVaeModel, half: str, x: np.ndarray):
+    """One half of the autoencoder, "enc" or "dec": x -> tanh hidden ->
+    output. Returns (hidden, output); training keeps the hidden layer for
+    its backward."""
+    p = model.params
+    h = np.tanh(x @ p[f"{half}_w1"].T + p[f"{half}_b1"])
+    return h, h @ p[f"{half}_w2"].T + p[f"{half}_b2"]
+
+
 def encode(model: RqVaeModel, x: np.ndarray) -> np.ndarray:
     """Two-layer encoder forward pass: d_PLM -> hidden -> d_RQ."""
     x = np.asarray(x, dtype=np.float64)
@@ -103,15 +102,11 @@ def encode(model: RqVaeModel, x: np.ndarray) -> np.ndarray:
         raise RqVaeError(
             f"input dimension {x.shape[-1]} != encoder input {model.input_dim}"
         )
-    p, a = model.params, model.config.activation
-    h = _act(a, x @ p["enc_w1"].T + p["enc_b1"])
-    return h @ p["enc_w2"].T + p["enc_b2"]
+    return _half(model, "enc", x)[1]
 
 
 def decode_latent(model: RqVaeModel, z: np.ndarray) -> np.ndarray:
-    p, a = model.params, model.config.activation
-    h = _act(a, z @ p["dec_w1"].T + p["dec_b1"])
-    return h @ p["dec_w2"].T + p["dec_b2"]
+    return _half(model, "dec", z)[1]
 
 
 def quantize(codebooks: list[np.ndarray], z_hat: np.ndarray):
@@ -191,14 +186,10 @@ def losses(model: RqVaeModel, x: np.ndarray, codes, residuals) -> tuple[float, f
 def _forward_backward(model: RqVaeModel, X: np.ndarray):
     """Mean total loss over the batch and analytic gradients."""
     p = model.params
-    act = model.config.activation
     beta = model.config.commitment_weight
     n = X.shape[0]
 
-    pre1 = X @ p["enc_w1"].T + p["enc_b1"]
-    h1 = _act(act, pre1)
-    z_hat = h1 @ p["enc_w2"].T + p["enc_b2"]
-
+    h1, z_hat = _half(model, "enc", X)
     codes, Z, residuals = quantize(model.codebooks, z_hat)
     commit_grad = np.zeros_like(z_hat)
     cb_grads = []
@@ -213,9 +204,7 @@ def _forward_backward(model: RqVaeModel, X: np.ndarray):
                                     minlength=cb.size).reshape(cb.shape))
         commit_grad += 2.0 * beta * gap
 
-    pre2 = Z @ p["dec_w1"].T + p["dec_b1"]
-    h2 = _act(act, pre2)
-    x_hat = h2 @ p["dec_w2"].T + p["dec_b2"]
+    h2, x_hat = _half(model, "dec", Z)
     diff = x_hat - X
     recons_total = float(np.sum(diff**2))
     loss = (recons_total + quant_total) / n
@@ -225,7 +214,7 @@ def _forward_backward(model: RqVaeModel, X: np.ndarray):
     grads["dec_w2"] = d_xhat.T @ h2
     grads["dec_b2"] = d_xhat.sum(axis=0)
     d_h2 = d_xhat @ p["dec_w2"]
-    d_pre2 = d_h2 * _act_grad(act, h2)
+    d_pre2 = d_h2 * (1.0 - h2**2)
     grads["dec_w1"] = d_pre2.T @ Z
     grads["dec_b1"] = d_pre2.sum(axis=0)
     d_z = d_pre2 @ p["dec_w1"]
@@ -236,7 +225,7 @@ def _forward_backward(model: RqVaeModel, X: np.ndarray):
     grads["enc_w2"] = d_zhat.T @ h1
     grads["enc_b2"] = d_zhat.sum(axis=0)
     d_h1 = d_zhat @ p["enc_w2"]
-    d_pre1 = d_h1 * _act_grad(act, h1)
+    d_pre1 = d_h1 * (1.0 - h1**2)
     grads["enc_w1"] = d_pre1.T @ X
     grads["enc_b1"] = d_pre1.sum(axis=0)
 
@@ -249,15 +238,15 @@ def surrogate_loss(model: RqVaeModel, X: np.ndarray, frozen) -> float:
     """Differentiable surrogate whose gradient the analytic backward computes.
 
     Stop-gradients and the argmin code selection are frozen at the values of
-    a base forward pass; intended for finite-difference validation only.
+    a base forward pass; intended for finite-difference validation only. Its
+    forward is written out here, apart from _half, so the check does not
+    run the code it checks.
     """
     p = model.params
-    act = model.config.activation
     beta = model.config.commitment_weight
     n = X.shape[0]
 
-    pre1 = X @ p["enc_w1"].T + p["enc_b1"]
-    h1 = _act(act, pre1)
+    h1 = np.tanh(X @ p["enc_w1"].T + p["enc_b1"])
     z_hat = h1 @ p["enc_w2"].T + p["enc_b2"]
 
     total = 0.0
@@ -272,8 +261,7 @@ def surrogate_loss(model: RqVaeModel, X: np.ndarray, frozen) -> float:
             total += beta * float(np.sum((r_eff - e_bar) ** 2))
         Z_in[i] = z_hat[i] - frozen["z_hat"][i] + frozen["z"][i]
 
-    pre2 = Z_in @ p["dec_w1"].T + p["dec_b1"]
-    h2 = _act(act, pre2)
+    h2 = np.tanh(Z_in @ p["dec_w1"].T + p["dec_b1"])
     x_hat = h2 @ p["dec_w2"].T + p["dec_b2"]
     total += float(np.sum((x_hat - X) ** 2))
     return total / n

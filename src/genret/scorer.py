@@ -118,11 +118,13 @@ class NgramScorer:
         rows = share[list(row_of)].repeat(v)
         at = [a for k in row_of for a in spans[k]]
         rows[[r * v + tid[a] for k, r in row_of.items() for a in spans[k]]] += val[at]
-        # each order's component rows for the batch, then mixed in order
-        parts = rows.reshape(-1, v)[[row_of[k] for order_keys in keys for k in order_keys]]
+        # each order's component rows for the batch, mixed in order
+        rows = rows.reshape(-1, v)
+        picks = np.array([[row_of[k] for k in order_keys] for order_keys in keys],
+                         dtype=np.intp)
         dist = np.zeros((len(ids), v))
-        for w, part in zip(self.interpolation, parts.reshape(len(keys), len(ids), v)):
-            dist += w * part
+        for w, pick in zip(self.interpolation, picks):
+            dist += w * rows[pick]
         return dist
 
     def prob_dist(self, context: ScorerContext, prefix_tokens) -> np.ndarray:
@@ -207,19 +209,19 @@ class NeuralScorer:
         exp = np.exp(logits)
         return h, exp / exp.sum(axis=-1, keepdims=True)
 
-    def _forward(self, ctx_ids, prefix_ids) -> np.ndarray:
-        """Next-token probabilities for one context and a (B, L) batch of
-        equal-length prefixes. The context is pooled once.
-        """
+    def _pool(self, ctx_ids, sums, lengths):
+        """The layers' input, one row per prefix: the context mean, plus the
+        prefix's sum over its length, plus the length's position row. Each
+        mean is a sum divided by its count, which is how ``mean`` computes it;
+        an empty prefix adds 0.0 over 1, which leaves the pool, begun at +0.0,
+        unchanged. Returns (pool, plen)."""
         p = self.params
-        ids = np.asarray(prefix_ids, dtype=np.intp)
-        pool = np.zeros(ids.shape[:-1] + (self.embed_dim,))
+        pool = np.zeros((len(lengths), self.embed_dim))
         if ctx_ids:
-            pool = pool + p["emb"][ctx_ids].mean(axis=0)
-        if ids.shape[-1]:
-            pool = pool + p["emb"][ids].mean(axis=-2)
-        pool = pool + p["pos"][min(ids.shape[-1], self.max_prefix)]
-        return self._layers(pool)[1]
+            pool = pool + p["emb"][ctx_ids].sum(axis=0) / len(ctx_ids)
+        pool = pool + sums / np.maximum(lengths, 1)[:, None]
+        plen = np.minimum(lengths, self.max_prefix)
+        return pool + p["pos"][plen], plen
 
     def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
         """The next-token distribution after each prefix, one row each, from
@@ -230,8 +232,11 @@ class NeuralScorer:
         for r, row in enumerate(ids):
             rows_of.setdefault(len(row), []).append(r)
         probs = np.empty((len(ids), len(self.vocab)))
-        for rows in rows_of.values():
-            probs[rows] = self._forward(ctx_ids, [ids[r] for r in rows])
+        emb = self.params["emb"]
+        for length, rows in rows_of.items():
+            sums = emb[np.array([ids[r] for r in rows], dtype=np.intp)].sum(axis=1)
+            pool = self._pool(ctx_ids, sums, np.full(len(rows), length))[0]
+            probs[rows] = self._layers(pool)[1]
         return probs
 
     def prob_dist(self, context: ScorerContext, prefix_tokens) -> np.ndarray:
@@ -239,22 +244,13 @@ class NeuralScorer:
 
     def _teacher_forced(self, ctx_ids, resp_ids):
         """The forward of every step of one response, stacked: row i predicts
-        resp_ids[i] from resp_ids[:i]. Returns (pool, plen, h, probs).
-
-        Row i equals ``_forward(ctx_ids, [resp_ids[:i]])[0]`` bit for bit: the
-        context mean is the same, and a prefix mean is a running sum over
-        axis 0 divided by its length, which adds in the order ``mean`` does.
-        """
-        p = self.params
+        resp_ids[i] from resp_ids[:i], bit for bit as ``next_probs`` does: a
+        running sum adds in the order a sum over one prefix does. Returns
+        (pool, plen, h, probs)."""
         n = len(resp_ids)
-        pool = np.zeros((n, self.embed_dim))
-        if ctx_ids:
-            pool = pool + p["emb"][ctx_ids].mean(axis=0)
-        if n > 1:
-            sums = np.cumsum(p["emb"][resp_ids[:-1]], axis=0)
-            pool[1:] = pool[1:] + sums / np.arange(1, n)[:, None]
-        plen = np.minimum(np.arange(n), self.max_prefix)
-        pool = pool + p["pos"][plen]
+        sums = np.zeros((n, self.embed_dim))
+        np.cumsum(self.params["emb"][resp_ids[:-1]], axis=0, out=sums[1:])
+        pool, plen = self._pool(ctx_ids, sums, np.arange(n))
         return (pool, plen) + self._layers(pool)
 
     def _backward(self, ctx_ids, resp_ids, pool, plen, h, d_logits):

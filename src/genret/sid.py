@@ -24,6 +24,11 @@ def render_token(level: int, code: int) -> str:
     return f"{level_prefix(level)}_{code}"
 
 
+def is_token(token: str) -> bool:
+    """Whether token is a level-prefixed S-ID token such as ``b_3``."""
+    return _TOKEN_RE.match(token) is not None
+
+
 def parse_token(token: str) -> tuple[int, int]:
     m = _TOKEN_RE.match(token)
     if not m:

@@ -98,6 +98,25 @@ def test_corpus_bucket_matches_serving_context():
     assert all(p.bucket == bucket for p in pairs)
 
 
+def test_main_neural_context_keeps_only_sid_tokens():
+    """Words with an underscore in event types and titles are not S-ID
+    tokens: the main-stage context keeps the history ad's S-ID alone, as
+    serving's context does."""
+    sids = dict(SIDS, ad9=SemanticId((1, 2, 0)))
+    events = [
+        BehaviorEvent(40, "play_video", "content", title="travel_vlog 3"),
+        BehaviorEvent(30, "click_ad", "ad", ad_id="ad9", title="Name 9", sid=sids["ad9"]),
+        BehaviorEvent(20, "click_ad", "ad", ad_id="ad2", title="Name 2", sid=sids["ad2"]),
+    ]
+    pair = build_stage_corpora(_catalog(), sids, {"u1": _profile()},
+                               {"u1": events})["main"][-1]
+    assert "play_video" in pair.prompt and "click_ad" in pair.prompt
+    tokens = alignment._context(pair).tokens
+    assert tokens == ("a_1", "b_2", "c_0")
+    serving = user_context(_profile(), events[:2], _catalog()).tokens
+    assert set(tokens) <= set(serving)
+
+
 def test_summary_from_events_counts():
     summary = summary_from_events(_events(), _catalog())
     # ad1 -> cat1, ad2 -> cat0, content title "cat0 clip" -> cat0

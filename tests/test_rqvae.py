@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,10 +179,9 @@ def test_train_runs_one_quantize_per_epoch_and_level(monkeypatch):
 # --- losses ------------------------------------------------------------------
 
 def test_losses_closed_form():
-    config = small_config(commitment_weight=0.25, activation="identity",
-                          latent_dim=2)
+    config = small_config(commitment_weight=0.25, latent_dim=2)
     model = init_model(config, 2)
-    # identity-ish decoder: z -> z via hand-set weights
+    # hand-set decoder: z -> tanh(z)
     hidden = model.params["dec_w1"].shape[0]
     model.params["dec_w1"] = np.zeros((hidden, 2))
     model.params["dec_w1"][:2, :2] = np.eye(2)
@@ -196,8 +197,8 @@ def test_losses_closed_form():
     recons, quant = losses(model, x, codes, residuals)
     # codes: level0 -> (1,0); residual (-0.2, 0.1) -> level1 nearest (0,0)
     assert codes == [0, 0]
-    # x_hat = z = (1,0); recons = 0.04 + 0.01
-    assert recons == pytest.approx(0.05, abs=1e-12)
+    # x_hat = tanh(z) = (tanh 1, tanh 0)
+    assert recons == pytest.approx((0.8 - math.tanh(1.0))**2 + 0.1**2, abs=1e-12)
     # quant = (1+beta) * (||r0-e0||^2 + ||r1-e1||^2)
     expected = 1.25 * ((0.2**2 + 0.1**2) + (0.2**2 + 0.1**2))
     assert quant == pytest.approx(expected, abs=1e-12)
@@ -253,14 +254,6 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
     model = init_model(config, 16)
     X = rng.normal(size=(5, 16))
-    _fd_check(model, X, rel_tol=1e-4)
-
-
-def test_gradients_identity_activation():
-    config = small_config(activation="identity")
-    rng = np.random.default_rng(7)
-    model = init_model(config, 16)
-    X = rng.normal(size=(4, 16))
     _fd_check(model, X, rel_tol=1e-4)
 
 
@@ -322,8 +315,7 @@ def test_zero_epochs_returns_seeded_model():
 def test_divergence_raises_with_epoch():
     table = make_cluster_table(2, 8, dim=16, seed=1)
     config = RqVaeConfig(num_levels=2, codebook_size=4, latent_dim=8,
-                         epochs=50, seed=0, learning_rate=1e80,
-                         activation="identity")
+                         epochs=50, seed=0, learning_rate=1e200)
     with pytest.raises(TrainingDivergedError) as exc:
         train(config, table)
     assert exc.value.epoch >= 1
@@ -350,8 +342,7 @@ def test_assign_sids_injective_and_zero_collisions_when_k_large():
 
 def test_assign_sids_disambiguation_by_ascending_ad_id():
     # force every ad onto the same base codes with a degenerate model
-    config = RqVaeConfig(num_levels=2, codebook_size=2, latent_dim=2,
-                         activation="identity", seed=0)
+    config = RqVaeConfig(num_levels=2, codebook_size=2, latent_dim=2, seed=0)
     model = init_model(config, 2)
     for k in model.params:
         model.params[k] = np.zeros_like(model.params[k])

@@ -237,10 +237,9 @@ def test_seq_logprob_factorizes(vocab):
     resp = ["a_1", "b_0"]
     manual = (np.log(scorer.prob_dist(CTX, [])[vocab.lookup("a_1")])
               + np.log(scorer.prob_dist(CTX, ["a_1"])[vocab.lookup("b_0")]))
-    assert scorer.seq_logprob(CTX, resp) == pytest.approx(float(manual),
-                                                          rel=1e-12)
+    assert scorer.seq_logprob(CTX, resp) == float(manual)
     logp, _ = scorer.seq_logprob_and_grad(CTX, resp)
-    assert logp == pytest.approx(float(manual), rel=1e-12)
+    assert logp == float(manual)
 
 
 def test_seq_grad_matches_finite_differences(vocab):
