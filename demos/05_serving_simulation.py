@@ -2,8 +2,9 @@
 
 Requests only read precomputed lists (never the decoder); each request
 queues a nearline trigger; the per-tick generation budget is spent on the
-highest-ARPU groups first; and a mid-run scorer swap models the daily
-model refresh.
+highest-ARPU groups first; a trigger for a user whose list the current model
+already produced, with no request since, republishes it without a decode;
+and a mid-run scorer swap models the daily model refresh.
 """
 
 from genret.serving import (AdmissionPolicy, Request, WorkerPool,
@@ -36,6 +37,9 @@ def main():
           f"max {report['max_staleness']}")
     print(f"decoder invocations in the request path: "
           f"{report['decoder_invocations_in_request_path']} (always 0)")
+    print(f"decodes saved (list unchanged since the last decode): "
+          f"{report['decodes_saved']} of {sum(report['admitted_per_group'].values())} "
+          f"admitted triggers")
     print(f"worker counts (round-robin): {report['worker_counts']}")
     print("admissions by ARPU group (higher groups first in line):")
     for group, count in sorted(report["admitted_per_group"].items(),

@@ -188,12 +188,25 @@ class NeuralScorer:
                 "w2": rng.normal(0, 1.0 / np.sqrt(h), size=(v, h)),
                 "b2": np.zeros(v),
             }
+        self._last_context = (None, [])
 
     def copy(self) -> "NeuralScorer":
         return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
     def _ids(self, tokens) -> list[int]:
         return [self.vocab.lookup(t) for t in tokens]
+
+    def _context_ids(self, context: ScorerContext) -> list[int]:
+        """The context's ids, looked up once for the last context object
+        asked about: a decode asks with the same one at every trie level.
+        The ids depend on the vocabulary alone, so training cannot stale
+        them."""
+        last, ids = self._last_context
+        if last is context:
+            return ids
+        ids = self._ids(context.tokens)
+        self._last_context = (context, ids)
+        return ids
 
     def _layers(self, pool):
         """The hidden layer and the softmax over a stack of pooled inputs.
@@ -226,7 +239,7 @@ class NeuralScorer:
     def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
         """The next-token distribution after each prefix, one row each, from
         one forward per prefix length in the batch."""
-        ctx_ids = self._ids(context.tokens)
+        ctx_ids = self._context_ids(context)
         ids = [self._ids(p) for p in prefixes]
         rows_of: dict[int, list[int]] = {}
         for r, row in enumerate(ids):

@@ -25,15 +25,24 @@ class Request:
 
 class FeatureStore:
     """Per-user precomputed retrieval lists with atomic whole-list
-    publication (readers see the old or the new complete list, never a mix)."""
+    publication (readers see the old or the new complete list, never a mix).
+
+    ``published_by`` maps a user to the generate function whose list is
+    current for them: ``publish`` sets or clears it, and the user's next
+    request drops it."""
 
     def __init__(self):
         self.user_lists: dict[str, tuple[tuple, int]] = {}
+        self.published_by: dict[str, object] = {}
         self.decoder_invocations_in_request_path = 0
 
-    def publish(self, user_id: str, entries, generated_at: int) -> None:
+    def publish(self, user_id: str, entries, generated_at: int, by=None) -> None:
         # single atomic dict assignment of an immutable snapshot
         self.user_lists[user_id] = (tuple(entries), generated_at)
+        if by is None:
+            self.published_by.pop(user_id, None)
+        else:
+            self.published_by[user_id] = by
 
     def get(self, user_id: str):
         return self.user_lists.get(user_id)
@@ -79,7 +88,9 @@ class WorkerPool:
 
 def handle_request(store: FeatureStore, request: Request, triggers: list,
                    stats: dict, seq: list) -> tuple:
-    """Latency-sensitive path: pure store lookup plus a nearline trigger."""
+    """Latency-sensitive path: pure store lookup plus a nearline trigger.
+    The request ends the reuse of the user's current list."""
+    store.published_by.pop(request.user_id, None)
     entry = store.get(request.user_id)
     if entry is None:
         stats["misses"] = stats.get("misses", 0) + 1
@@ -98,7 +109,13 @@ def handle_request(store: FeatureStore, request: Request, triggers: list,
 def nearline_tick(store: FeatureStore, triggers: list, policy: AdmissionPolicy,
                   pool: WorkerPool, generate_fn, tick: int, stats: dict) -> None:
     """Admit up to budget_per_tick triggers by descending ARPU group
-    (FIFO within a group), decode, and atomically publish the new lists."""
+    (FIFO within a group), decode, and atomically publish the new lists.
+
+    A user whose current list ``generate_fn`` itself published, and who has
+    sent no request since, gets that list republished at this tick without a
+    decode: by the contract of ``run_simulation`` the decode would return it
+    again. A failed decode is counted, the first one is named in
+    ``stats["first_generation_error"]``, and it publishes nothing."""
     triggers.sort(key=lambda t: (-policy.group_of(t[2]), t[1]))
     admitted = triggers[: policy.budget_per_tick]
     del triggers[: policy.budget_per_tick]
@@ -107,12 +124,17 @@ def nearline_tick(store: FeatureStore, triggers: list, policy: AdmissionPolicy,
         group = policy.group_of(user_id)
         stats.setdefault("admitted_per_group", {}).setdefault(group, 0)
         stats["admitted_per_group"][group] += 1
-        try:
-            entries = generate_fn(user_id)
-        except Exception:
-            stats["generation_errors"] = stats.get("generation_errors", 0) + 1
-            continue
-        store.publish(user_id, entries, tick)
+        if store.published_by.get(user_id) is generate_fn:
+            stats["decodes_saved"] = stats.get("decodes_saved", 0) + 1
+            entries = store.get(user_id)[0]
+        else:
+            try:
+                entries = generate_fn(user_id)
+            except Exception as exc:
+                stats["generation_errors"] = stats.get("generation_errors", 0) + 1
+                stats.setdefault("first_generation_error", f"{type(exc).__name__}: {exc}")
+                continue
+        store.publish(user_id, entries, tick, by=generate_fn)
 
 
 def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
@@ -121,12 +143,20 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
     """Deterministic discrete-tick simulation over a tick-ordered trace.
 
     scorer_swap: optional (tick, new_generate_fn) modeling the daily model
-    refresh. Returns a report of hit rate, staleness, queue lengths, and
-    per-group admission shares; requests_past_ticks counts the requests at
-    tick ``ticks`` or later, which the simulation ends before. Raises
-    ServingError when the trace is out of tick order or a request arrives at
-    a negative tick, and when a generate function runs while a request is
-    being handled.
+    refresh. A generate function must return the same list for a user until
+    that user's next request or the swap: a trigger admitted for a user whose
+    list this run's current function published, with no request since, is
+    served by republishing that list, and ``decodes_saved`` counts these.
+    Each run, and the swap, wraps its function anew, so no list is reused
+    across a swap or from an earlier run on the same ``store``.
+
+    Returns a report of hit rate, staleness, queue lengths, and per-group
+    admission shares; requests_past_ticks counts the requests at tick
+    ``ticks`` or later, which the simulation ends before;
+    first_generation_error is ``"<type>: <message>"`` of the first failed
+    decode, or None. Raises ServingError when the trace is out of tick order
+    or a request arrives at a negative tick, and when a generate function
+    runs while a request is being handled.
     """
     for k, req in enumerate(trace):
         # no tick of the loop reaches a negative one, and so none after it
@@ -179,6 +209,8 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
         "queue_lengths": queue_lengths,
         "admitted_per_group": dict(sorted(stats.get("admitted_per_group", {}).items())),
         "generation_errors": stats.get("generation_errors", 0),
+        "first_generation_error": stats.get("first_generation_error"),
+        "decodes_saved": stats.get("decodes_saved", 0),
         "decoder_invocations_in_request_path": store.decoder_invocations_in_request_path,
         "worker_counts": list(pool.processed),
     }

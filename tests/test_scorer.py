@@ -387,6 +387,33 @@ def test_neural_decode_makes_one_batched_call_per_level(monkeypatch):
     assert len(result) == 4
 
 
+def test_neural_context_ids_memo_rows_equal_fresh_scorer():
+    vocab = vocab_from_sids(SIDS)
+    scorer = NeuralScorer(vocab, seed=5)
+    a = ScorerContext(tokens=("a_0", "b_1", "novel", "a_0"))
+    b = ScorerContext(tokens=("a_2", "<unk>"))
+    prefixes = [(), ("a_1",), ("a_0", "b_2"), ("c_9",)]
+    for ctx in (a, b, a):
+        np.testing.assert_array_equal(scorer.next_probs(ctx, prefixes),
+                                      NeuralScorer(vocab, seed=5).next_probs(ctx, prefixes))
+    # the memo holds the last context: asking with it again looks up only
+    # the prefixes, and an equal but distinct context is looked up anew
+    looked_up = []
+    vocab.lookup = lambda token: looked_up.append(token) or Vocabulary.lookup(vocab, token)
+    scorer.next_probs(a, [("a_1",)])
+    assert looked_up == ["a_1"]
+    scorer.next_probs(ScorerContext(tokens=a.tokens), [()])
+    assert looked_up == ["a_1"] + list(a.tokens)
+    del vocab.lookup
+    # a parameter update after the memo filled still reaches every row
+    before = scorer.next_probs(a, prefixes)
+    _, grads = scorer.seq_logprob_and_grad(a, ["a_1", "b_0"])
+    scorer.apply_grads(grads, -0.5)
+    after = scorer.next_probs(a, prefixes)
+    assert not np.array_equal(before, after)
+    np.testing.assert_array_equal(after, scorer.copy().next_probs(a, prefixes))
+
+
 # --- teacher-forced pass: bit-exact against the per-step loop ---------------
 
 def loop_logprob_and_grad(scorer, ctx_tokens, resp_tokens):

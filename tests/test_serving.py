@@ -1,6 +1,7 @@
 import threading
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from genret import serving
 from genret.serving import (AdmissionPolicy, FeatureStore, Request,
@@ -166,8 +167,41 @@ def test_generation_errors_counted_and_skipped():
     nearline_tick(store, triggers, _policy(["bad", "ok"], budget=2),
                   WorkerPool(1), generate, 0, stats)
     assert stats["generation_errors"] == 1
+    assert stats["first_generation_error"] == "RuntimeError: boom"
     assert store.get("bad") is None
     assert store.get("ok") is not None
+    # the report names the first failure only, and None when nothing failed
+    trace = [Request("bad", 0), Request("ok", 0), Request("bad", 1)]
+    report = run_simulation(trace, generate, _policy(["bad", "ok"]),
+                            WorkerPool(1), ticks=2)
+    assert report["generation_errors"] == 2
+    assert report["first_generation_error"] == "RuntimeError: boom"
+    clean = run_simulation(trace, lambda u: [("x", 1.0)], _policy(["bad", "ok"]),
+                           WorkerPool(1), ticks=2)
+    assert clean["generation_errors"] == 0
+    assert clean["first_generation_error"] is None
+
+
+def test_failed_generate_leaves_no_reuse_mark():
+    # the first decode of u1 fails, so its second trigger decodes again
+    calls = []
+
+    def flaky(user_id):
+        calls.append(user_id)
+        if len(calls) == 1:
+            raise ValueError("cold cache")
+        return [("x", 1.0)]
+
+    store, stats = FeatureStore(), {}
+    policy = _policy(["u1"], budget=1)
+    triggers = [(0, 1, "u1"), (0, 2, "u1")]
+    nearline_tick(store, triggers, policy, WorkerPool(1), flaky, 0, stats)
+    assert store.get("u1") is None and "u1" not in store.published_by
+    nearline_tick(store, triggers, policy, WorkerPool(1), flaky, 1, stats)
+    assert calls == ["u1", "u1"]
+    assert store.get("u1") == ((("x", 1.0),), 1)
+    assert stats["first_generation_error"] == "ValueError: cold cache"
+    assert "decodes_saved" not in stats
 
 
 # --- dispatch ----------------------------------------------------------------
@@ -255,6 +289,205 @@ def test_scorer_swap_changes_lists():
                    scorer_swap=(3, lambda u: [("new", 1.0)]))
     entries, _ = report_store.get("u1")
     assert entries == (("new", 1.0),)
+    # two triggers from tick 0, one admitted per tick: the one admitted after
+    # the swap decodes with the new function, although u1 sent no request
+    # since its tick-0 list
+    calls = []
+
+    def counted(tag):
+        return lambda u: calls.append(tag) or [(tag, 1.0)]
+
+    store = FeatureStore()
+    report = run_simulation([Request("u1", 0), Request("u1", 0)], counted("old"),
+                            _policy(["u1"], budget=1), WorkerPool(1), ticks=2,
+                            store=store, scorer_swap=(1, counted("new")))
+    assert calls == ["old", "new"]
+    assert store.get("u1") == ((("new", 1.0),), 1)
+    assert report["decodes_saved"] == 0
+
+
+# --- reuse of a list that cannot have changed --------------------------------
+
+def _counting(calls):
+    def generate(user_id):
+        calls.append(user_id)
+        return [(f"{user_id}:ad", 1.0)]
+    return generate
+
+
+def test_trigger_without_request_since_reuses_list():
+    calls = []
+    generate = _counting(calls)
+    store, stats = FeatureStore(), {}
+    policy = _policy(["u1", "u2"], budget=1)
+    triggers = [(0, 1, "u1"), (0, 2, "u1")]
+    nearline_tick(store, triggers, policy, WorkerPool(1), generate, 3, stats)
+    assert calls == ["u1"]
+    assert store.get("u1") == ((("u1:ad", 1.0),), 3)
+    # no request from u1 since tick 3: its next admitted trigger republishes
+    # the same entries at the new tick without calling generate_fn
+    nearline_tick(store, triggers, policy, WorkerPool(1), generate, 5, stats)
+    assert calls == ["u1"]
+    assert store.get("u1") == ((("u1:ad", 1.0),), 5)
+    assert stats["decodes_saved"] == 1
+    assert stats["admitted_per_group"] == {policy.group_of("u1"): 2}
+
+
+def test_request_in_between_forces_decode():
+    calls = []
+    generate = _counting(calls)
+    store, stats = FeatureStore(), {}
+    policy = _policy(["u1", "u2"], budget=1)
+    triggers = [(0, 1, "u1"), (0, 2, "u1")]
+    nearline_tick(store, triggers, policy, WorkerPool(1), generate, 0, stats)
+    # a request from another user leaves u1's list reusable; u1's own does not
+    handle_request(store, Request("u2", 1), [], stats, [2])
+    assert store.published_by["u1"] is generate
+    handle_request(store, Request("u1", 1), [], stats, [3])
+    nearline_tick(store, triggers, policy, WorkerPool(1), generate, 1, stats)
+    assert calls == ["u1", "u1"]
+    assert "decodes_saved" not in stats
+
+
+def test_direct_publish_clears_reuse_mark():
+    calls = []
+    generate = _counting(calls)
+    store = FeatureStore()
+    triggers = [(0, 1, "u1"), (0, 2, "u1")]
+    policy = _policy(["u1"], budget=1)
+    nearline_tick(store, triggers, policy, WorkerPool(1), generate, 0, {})
+    store.publish("u1", [("manual", 1.0)], 1)
+    nearline_tick(store, triggers, policy, WorkerPool(1), generate, 2, {})
+    assert calls == ["u1", "u1"]
+    assert store.get("u1") == ((("u1:ad", 1.0),), 2)
+
+
+def test_shared_store_second_run_decodes_each_user_first():
+    calls = []
+    generate = _counting(calls)
+    trace = [Request("u1", 0), Request("u1", 0), Request("u2", 0), Request("u2", 0)]
+    store = FeatureStore()
+    policy = _policy(["u1", "u2"], budget=4)
+    first = run_simulation(trace, generate, policy, WorkerPool(1), 1, store=store)
+    assert sorted(calls) == ["u1", "u2"]
+    assert first["decodes_saved"] == 2
+    calls.clear()
+    second = run_simulation(trace, generate, policy, WorkerPool(1), 1, store=store)
+    assert sorted(calls) == ["u1", "u2"]
+    assert second["decodes_saved"] == 2
+    assert {u: store.get(u)[0] for u in ("u1", "u2")} == {
+        "u1": (("u1:ad", 1.0),), "u2": (("u2:ad", 1.0),)}
+
+
+def reference_simulation(trace, generate_fn, policy, num_workers, ticks,
+                         scorer_swap=None, on_request=lambda user: None):
+    """Every admitted trigger calls the generate function: the simulation
+    without reuse, written out as its own loop. Returns (report, lists)."""
+    lists, triggers, staleness, queue_lengths = {}, [], [], []
+    admitted_per_group, workers = {}, [0] * num_workers
+    hits = misses = errors = dispatched = i = 0
+    generate = generate_fn
+    for tick in range(ticks):
+        if scorer_swap is not None and tick == scorer_swap[0]:
+            generate = scorer_swap[1]
+        while i < len(trace) and trace[i].arrival_tick == tick:
+            user = trace[i].user_id
+            on_request(user)
+            if user in lists:
+                hits += 1
+                staleness.append(tick - lists[user][1])
+            else:
+                misses += 1
+            i += 1
+            triggers.append((i, user))
+        triggers.sort(key=lambda t: (-policy.group_of(t[1]), t[0]))
+        admitted = triggers[: policy.budget_per_tick]
+        triggers = triggers[policy.budget_per_tick:]
+        for _, user in admitted:
+            workers[dispatched % num_workers] += 1
+            dispatched += 1
+            group = policy.group_of(user)
+            admitted_per_group[group] = admitted_per_group.get(group, 0) + 1
+            try:
+                entries = generate(user)
+            except Exception:
+                errors += 1
+                continue
+            lists[user] = (tuple(entries), tick)
+        queue_lengths.append(len(triggers))
+    total = hits + misses
+    return {
+        "requests": total,
+        "requests_past_ticks": len(trace) - i,
+        "hit_rate": hits / total if total else 0.0,
+        "mean_staleness": sum(staleness) / len(staleness) if staleness else 0.0,
+        "max_staleness": max(staleness) if staleness else 0,
+        "queue_lengths": queue_lengths,
+        "admitted_per_group": dict(sorted(admitted_per_group.items())),
+        "generation_errors": errors,
+        "decoder_invocations_in_request_path": 0,
+        "worker_counts": workers,
+    }, lists
+
+
+USERS = ["u0", "u1", "u2", "u3", "u4"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.sampled_from(USERS), st.integers(1, 3)),
+                max_size=12),
+       st.integers(0, 4),
+       st.integers(1, 9),
+       st.one_of(st.none(), st.integers(0, 9)),
+       st.sets(st.sampled_from(USERS), max_size=2),
+       st.integers(1, 3))
+# a burst whose second trigger is admitted after the swap; a burst, then a
+# request before the user's last trigger is admitted
+@example([(0, "u1", 2)], 1, 2, 1, set(), 1)
+@example([(0, "u4", 3), (1, "u4", 1)], 1, 5, None, set(), 2)
+def test_reuse_report_equals_decode_every_trigger(arrivals, budget, ticks, swap_tick,
+                                                  failing, num_workers):
+    # a burst of n requests queues n triggers that no request separates
+    trace = [Request(u, t) for t, u, n in sorted(arrivals, key=lambda a: a[0])
+             for _ in range(n)]
+    policy = _policy(USERS, budget=budget, num_groups=3)
+    asked, calls = {}, []
+
+    def count(user_id):
+        asked[user_id] = asked.get(user_id, 0) + 1
+
+    def model(version):
+        # deterministic, and within the contract: the list changes only with
+        # the user's requests and with the version
+        def generate(user_id):
+            calls.append(user_id)
+            if user_id in failing and version == "v1":
+                raise RuntimeError(f"{user_id} has no profile")
+            return [(f"{user_id}:{version}:{asked.get(user_id, 0)}:ad{j}", 1.0 - j / 4)
+                    for j in range(3)]
+        return generate
+
+    def handle(store, request, *args):
+        count(request.user_id)
+        return handle_request(store, request, *args)
+
+    def swap():
+        return None if swap_tick is None else (swap_tick, model("v2"))
+
+    store = FeatureStore()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serving, "handle_request", handle)
+        report = run_simulation(trace, model("v1"), policy, WorkerPool(num_workers),
+                                ticks, store=store, scorer_swap=swap())
+    # generate calls plus reused lists cover every admitted trigger
+    assert len(calls) + report["decodes_saved"] == sum(report["admitted_per_group"].values())
+    assert (report.pop("first_generation_error") is None) == (report["generation_errors"] == 0)
+    report.pop("decodes_saved")
+    asked.clear()
+    expected, lists = reference_simulation(trace, model("v1"), policy, num_workers, ticks,
+                                           scorer_swap=swap(), on_request=count)
+    assert report == expected
+    assert store.user_lists == lists
 
 
 def test_load_trace(tmp_path):
