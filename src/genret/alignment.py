@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,11 +12,16 @@ import numpy as np
 from . import jsonl
 from .catalog import Catalog, render_description
 from .prompting import InterestSummary, UserProfile, augment, filter_events
-from .scorer import NeuralScorer, NgramScorer, ScorerContext, tokenize_text
+from .scorer import NeuralScorer, NgramScorer, ScorerContext, id_array, tokenize_text
 from .sid import SemanticId, is_token
+from .vocab import UNK
 
 STAGES = ("explicit", "implicit", "main")
 HISTORY_ADS = 8  # recent ad S-IDs in a scorer context
+# Among tokenize_text's tokens, in order, the whole words that begin with a
+# lower-case letter and an underscore, as S-ID tokens do, and "" for each
+# <...> marker, which is one token there and matched whole here too
+_SID_LIKE_RE = re.compile(r"<[^>\s]+>|(?<!\w)([a-z]_\w+)")
 
 
 class AlignmentError(RuntimeError):
@@ -117,19 +123,40 @@ def summary_from_events(events, catalog: Catalog) -> InterestSummary:
     return InterestSummary(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def _context(pair: CorpusPair) -> ScorerContext:
-    """The neural scorer's context of a pair: its prompt's tokens, or for
-    the main stage only its S-ID tokens, as serving's context has."""
-    toks = tokenize_text(pair.prompt)
-    if pair.stage == "main":
-        toks = [t for t in toks if is_token(t)]
-    return ScorerContext(tokens=tuple(toks), bucket=pair.bucket)
+@dataclass(frozen=True)
+class CompiledCorpus:
+    """Pairs as the neural scorer reads them: per pair, its context's and
+    its response's int id arrays, and the share of all context tokens that
+    map to ``<unk>`` (0.0 without context tokens)."""
+    contexts: list[np.ndarray]
+    responses: list[np.ndarray]
+    unk_share: float
+
+
+def compile_corpus(pairs, vocab) -> CompiledCorpus:
+    """Map each pair to ids once. A main-stage context keeps only its
+    prompt's S-ID tokens, as serving's context has; other stages keep every
+    prompt token. Pairs that share a response string share its array."""
+    contexts, responses = [], []
+    parsed: dict[str, np.ndarray] = {}  # response -> ids, for this call only
+    for p in pairs:
+        if p.stage == "main":
+            tokens = [t for t in _SID_LIKE_RE.findall(p.prompt) if t and is_token(t)]
+        else:
+            tokens = tokenize_text(p.prompt)
+        contexts.append(id_array(vocab, tokens))
+        if p.response not in parsed:
+            parsed[p.response] = id_array(vocab, SemanticId.parse(p.response).tokens())
+        responses.append(parsed[p.response])
+    total = sum(map(len, contexts))
+    unk = sum(int(np.count_nonzero(c == vocab.id_of[UNK])) for c in contexts)
+    return CompiledCorpus(contexts, responses, unk / total if total else 0.0)
 
 
 def _response_tokens(pairs, parsed: dict[str, list[str]]) -> list[list[str]]:
-    """Each pair's response as S-ID tokens. ``parsed`` maps the response
-    strings seen so far to their tokens; a new string is parsed once and
-    added, and pairs that share a string share its list."""
+    """Each pair's response as S-ID tokens, for the n-gram. ``parsed`` maps
+    the response strings seen so far to their tokens; a new string is parsed
+    once and added, and pairs that share a string share its list."""
     for p in pairs:
         if p.response not in parsed:
             parsed[p.response] = list(SemanticId.parse(p.response).tokens())
@@ -142,11 +169,12 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
     """Consume stage corpora strictly in the configured order.
 
     NgramScorer accumulates weighted counts; NeuralScorer runs gradient
-    epochs per stage. Returns (scorer, stage_log).
+    epochs per stage over the stage's pairs compiled to ids once, and logs
+    the stage's ``unk_share``. Returns (scorer, stage_log).
     """
     stage_log = []
     rng = np.random.default_rng(seed)
-    parsed: dict[str, list[str]] = {}  # response -> tokens, for this call only
+    parsed: dict[str, list[str]] = {}  # response -> n-gram tokens, for this call only
     for stage in order:
         pairs = corpora.get(stage, [])
         if not pairs:
@@ -160,14 +188,16 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
                          weight=weight)
             stage_log.append({"stage": stage, "pairs": len(pairs), "weight": weight})
         elif isinstance(scorer, NeuralScorer):
-            samples = list(zip(map(_context, pairs), _response_tokens(pairs, parsed)))
+            corpus = compile_corpus(pairs, scorer.vocab)
             epochs = (epochs_per_stage or {}).get(stage, 3)
             for _ in range(epochs):
-                for i in rng.permutation(len(samples)):
+                for i in rng.permutation(len(pairs)):
                     # gradient ascent on log P(response | context)
-                    _, grads = scorer.seq_logprob_and_grad(*samples[i])
+                    _, grads = scorer.seq_logprob_and_grad_ids(corpus.contexts[i],
+                                                               corpus.responses[i])
                     scorer.apply_grads(grads, -learning_rate)
-            stage_log.append({"stage": stage, "pairs": len(pairs), "epochs": epochs})
+            stage_log.append({"stage": stage, "pairs": len(pairs), "epochs": epochs,
+                              "unk_share": corpus.unk_share})
         else:
             raise AlignmentError(f"unsupported scorer type {type(scorer).__name__}")
     return scorer, stage_log
@@ -195,24 +225,40 @@ def dpo_loss(policy: NeuralScorer, reference: NeuralScorer,
     prob-ratio uses raw sequence-probability ratios inside the sigmoid;
     log-ratio is the standard log-probability-ratio form.
     """
-    return _dpo_loss(policy, triplet, _reference_logprobs(reference, triplet),
-                     beta, variant)
+    (ids,) = _triplet_ids(_shared_vocab(policy, reference), [triplet])
+    return _dpo_loss(policy, ids, _reference_logprobs(reference, ids), beta, variant)
 
 
-def _reference_logprobs(reference: NeuralScorer, triplet: PreferenceTriplet):
-    """(log pi_ref(a_h|u), log pi_ref(a_l|u)) of one triplet."""
-    ref_h = reference.seq_logprob(triplet.user, list(triplet.high_ad.tokens()))
-    ref_l = reference.seq_logprob(triplet.user, list(triplet.low_ad.tokens()))
+def _shared_vocab(policy: NeuralScorer, reference: NeuralScorer):
+    """The vocabulary a DPO call maps its triplets in once, for the policy
+    and the reference alike, so the two must share it."""
+    if reference.vocab != policy.vocab:
+        raise AlignmentError("policy and reference have different vocabularies")
+    return policy.vocab
+
+
+def _triplet_ids(vocab, triplets):
+    """Each triplet's (context, high response, low response) as id arrays."""
+    return [(id_array(vocab, t.user.tokens), id_array(vocab, t.high_ad.tokens()),
+             id_array(vocab, t.low_ad.tokens())) for t in triplets]
+
+
+def _reference_logprobs(reference: NeuralScorer, ids):
+    """(log pi_ref(a_h|u), log pi_ref(a_l|u)) of one triplet's ids."""
+    ctx, high, low = ids
+    ref_h = reference.seq_logprob_ids(ctx, high)
+    ref_l = reference.seq_logprob_ids(ctx, low)
     if not (math.isfinite(ref_h) and math.isfinite(ref_l)):
         raise AlignmentError("degenerate reference: zero sequence probability")
     return ref_h, ref_l
 
 
-def _dpo_loss(policy: NeuralScorer, triplet: PreferenceTriplet, ref, beta, variant):
-    """dpo_loss given the reference's log probabilities ``ref``."""
-    ctx = triplet.user
-    logp_h, grad_h = policy.seq_logprob_and_grad(ctx, list(triplet.high_ad.tokens()))
-    logp_l, grad_l = policy.seq_logprob_and_grad(ctx, list(triplet.low_ad.tokens()))
+def _dpo_loss(policy: NeuralScorer, ids, ref, beta, variant):
+    """dpo_loss of one triplet's ids given the reference's log
+    probabilities ``ref``."""
+    ctx, high, low = ids
+    logp_h, grad_h = policy.seq_logprob_and_grad_ids(ctx, high)
+    logp_l, grad_l = policy.seq_logprob_and_grad_ids(ctx, low)
     ref_h, ref_l = ref
 
     if variant == "prob-ratio":
@@ -236,11 +282,8 @@ def _dpo_loss(policy: NeuralScorer, triplet: PreferenceTriplet, ref, beta, varia
 
 def preference_margin(policy: NeuralScorer, triplets) -> float:
     """Mean of log pi(a_h|u) - log pi(a_l|u) over the batch."""
-    margins = [
-        policy.seq_logprob(t.user, list(t.high_ad.tokens()))
-        - policy.seq_logprob(t.user, list(t.low_ad.tokens()))
-        for t in triplets
-    ]
+    margins = [policy.seq_logprob_ids(ctx, high) - policy.seq_logprob_ids(ctx, low)
+               for ctx, high, low in _triplet_ids(policy.vocab, triplets)]
     return float(np.mean(margins)) if margins else 0.0
 
 
@@ -248,19 +291,21 @@ def dpo_update(policy: NeuralScorer, reference: NeuralScorer, triplets,
                beta: float = 0.1, learning_rate: float = 0.01, steps: int = 1,
                variant: str = "log-ratio"):
     """Batch gradient steps on the mean DPO loss; reference stays frozen, so
-    its log probabilities are computed once, before the first step.
+    its log probabilities are computed once, before the first step, and
+    each triplet is mapped to ids once.
 
     Returns (policy, mean_loss_per_step)."""
     losses = []
-    refs = [_reference_logprobs(reference, t) for t in triplets] if steps > 0 else []
+    ids = _triplet_ids(_shared_vocab(policy, reference), triplets) if steps > 0 else []
+    refs = [_reference_logprobs(reference, i) for i in ids]
     for step in range(steps):
         if not triplets:
             losses.append(0.0)
             continue
         total = policy.zero_grads()
         loss_sum = 0.0
-        for t, ref in zip(triplets, refs):
-            loss, grads = _dpo_loss(policy, t, ref, beta, variant)
+        for i, ref in zip(ids, refs):
+            loss, grads = _dpo_loss(policy, i, ref, beta, variant)
             loss_sum += loss
             for k in total:
                 total[k] += grads[k] / len(triplets)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import accumulate, chain
 
 import numpy as np
@@ -30,6 +31,12 @@ class ScorerError(RuntimeError):
 def tokenize_text(text: str) -> list[str]:
     """Whitespace/punctuation tokenization keeping <...> markers whole."""
     return _WORD_RE.findall(text)
+
+
+def id_array(vocab: Vocabulary, tokens) -> np.ndarray:
+    """The tokens' ids in order, as the int array the neural scorer's id
+    entry points take."""
+    return np.array([vocab.lookup(t) for t in tokens], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -160,6 +167,23 @@ class NgramScorer:
         return scorer
 
 
+@lru_cache(maxsize=256)
+def _backward_plan(nc: int, n: int):
+    """The embedding rows a teacher-forced pass over a context of nc ids and
+    a response of n pools, in step order: step i pools the context, then
+    the response's first i ids, which are the first nc + i entries of
+    concat(ctx_ids, resp_ids). Returns (positions in that concatenation,
+    step of each, and the count each step divides by, as an (m, 1) float
+    column)."""
+    at = np.array([t for i in range(n) for t in range(nc + i)], dtype=np.intp)
+    steps = np.array([i for i in range(n) for _ in range(nc + i)], dtype=np.intp)
+    counts = np.array([c for i in range(n) for c in [nc] * nc + [i] * i],
+                      dtype=np.float64).reshape(-1, 1)
+    for a in (at, steps, counts):
+        a.flags.writeable = False
+    return at, steps, counts
+
+
 @dataclass
 class NeuralScorer:
     """Tiny feedforward next-token model with exact analytic gradients.
@@ -230,7 +254,7 @@ class NeuralScorer:
         unchanged. Returns (pool, plen)."""
         p = self.params
         pool = np.zeros((len(lengths), self.embed_dim))
-        if ctx_ids:
+        if len(ctx_ids):
             pool = pool + p["emb"][ctx_ids].sum(axis=0) / len(ctx_ids)
         pool = pool + sums / np.maximum(lengths, 1)[:, None]
         plen = np.minimum(lengths, self.max_prefix)
@@ -271,7 +295,6 @@ class NeuralScorer:
         pass, equal bit for bit to a loop over the steps that adds each
         step's share, in step order, to gradients that start at zero."""
         p = self.params
-        n, nc = len(resp_ids), len(ctx_ids)
         grads = {}
         # sums over the steps (axis 0) add from zero in step order
         grads["w2"] = (d_logits[:, :, None] * h[:, None, :]).sum(axis=0)
@@ -281,14 +304,10 @@ class NeuralScorer:
         grads["w1"] = (d_pre[:, :, None] * pool[:, None, :]).sum(axis=0)
         grads["b1"] = d_pre.sum(axis=0)
         d_pool = np.matmul(p["w1"].T, d_pre[..., None])[..., 0]
-        # step i adds d_pool[i] / nc to each context row, then
-        # d_pool[i] / i to each row of its prefix
-        emb_rows = np.array([t for i in range(n) for t in chain(ctx_ids, resp_ids[:i])],
-                            dtype=np.intp)
-        steps = [i for i in range(n) for _ in range(nc + i)]
-        counts = [c for i in range(n) for c in [nc] * nc + [i] * i]
+        at, steps, counts = _backward_plan(len(ctx_ids), len(resp_ids))
         grads["emb"] = np.zeros_like(p["emb"])
-        np.add.at(grads["emb"], emb_rows, d_pool[steps] / np.array(counts)[:, None])
+        np.add.at(grads["emb"], np.concatenate((ctx_ids, resp_ids))[at],
+                  d_pool[steps] / counts)
         grads["pos"] = np.zeros_like(p["pos"])
         np.add.at(grads["pos"], plen, d_pool)
         return grads
@@ -303,22 +322,28 @@ class NeuralScorer:
             logp += float(np.log(probs[i, tid]))
         return logp
 
-    def seq_logprob_and_grad(self, context: ScorerContext, response_tokens):
+    def seq_logprob_and_grad_ids(self, ctx_ids, resp_ids):
         """log P(response | context) = sum of per-step log conditionals,
-        with its exact gradient. Fine-tuning ascends it, with
-        ``apply_grads(grads, -lr)``, and DPO steps on a difference of two."""
-        ctx_ids = self._ids(context.tokens)
-        resp_ids = self._ids(response_tokens)
+        with its exact gradient, for int id arrays. Fine-tuning ascends it,
+        with ``apply_grads(grads, -lr)``, and DPO steps on a difference of
+        two."""
         pool, plen, h, probs = self._teacher_forced(ctx_ids, resp_ids)
         d_logits = probs.copy()
         d_logits[np.arange(len(resp_ids)), resp_ids] -= 1.0  # grad of -log p
         grads = self._backward(ctx_ids, resp_ids, pool, plen, h, -d_logits)
         return self._logprob(probs, resp_ids), grads
 
-    def seq_logprob(self, context: ScorerContext, response_tokens) -> float:
-        ctx_ids = self._ids(context.tokens)
-        resp_ids = self._ids(response_tokens)
+    def seq_logprob_ids(self, ctx_ids, resp_ids) -> float:
         return self._logprob(self._teacher_forced(ctx_ids, resp_ids)[3], resp_ids)
+
+    def seq_logprob_and_grad(self, context: ScorerContext, response_tokens):
+        """``seq_logprob_and_grad_ids`` of the context's and response's tokens."""
+        return self.seq_logprob_and_grad_ids(id_array(self.vocab, context.tokens),
+                                             id_array(self.vocab, response_tokens))
+
+    def seq_logprob(self, context: ScorerContext, response_tokens) -> float:
+        return self.seq_logprob_ids(id_array(self.vocab, context.tokens),
+                                    id_array(self.vocab, response_tokens))
 
     def apply_grads(self, grads, lr: float):
         """The one parameter update, in place: params -= lr * grads."""

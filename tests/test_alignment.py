@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from genret import alignment
+from genret import alignment, rqvae, synth
 from genret.alignment import (AlignmentError, PreferenceTriplet,
                               build_preference_triplets, build_stage_corpora,
-                              compact_context, dpo_loss, dpo_update,
+                              compact_context, compile_corpus, dpo_loss, dpo_update,
                               explicit_pairs, load_corpus, make_bucket,
                               preference_margin, save_corpus,
                               summary_from_events, train_staged, user_context)
-from genret.catalog import Ad, Catalog
-from genret.prompting import BehaviorEvent, UserProfile
-from genret.scorer import NeuralScorer, NgramScorer, ScorerContext
-from genret.sid import SemanticId
-from genret.vocab import vocab_from_sids
+from genret.catalog import Ad, Catalog, load_catalog
+from genret.embed import embed_catalog
+from genret.prompting import BehaviorEvent, UserProfile, load_events, load_profiles
+from genret.scorer import NeuralScorer, NgramScorer, ScorerContext, tokenize_text
+from genret.sid import SemanticId, is_token
+from genret.vocab import Vocabulary, vocab_from_sids
 
 SIDS = {f"ad{i}": SemanticId((i % 4, i // 4, 0)) for i in range(8)}
 
@@ -111,7 +113,8 @@ def test_main_neural_context_keeps_only_sid_tokens():
     pair = build_stage_corpora(_catalog(), sids, {"u1": _profile()},
                                {"u1": events})["main"][-1]
     assert "play_video" in pair.prompt and "click_ad" in pair.prompt
-    tokens = alignment._context(pair).tokens
+    vocab = vocab_from_sids(sids)
+    tokens = tuple(vocab.tokens[i] for i in compile_corpus([pair], vocab).contexts[0])
     assert tokens == ("a_1", "b_2", "c_0")
     serving = user_context(_profile(), events[:2], _catalog()).tokens
     assert set(tokens) <= set(serving)
@@ -238,6 +241,132 @@ def test_staged_unsupported_scorer(vocab):
                      order=("explicit",))
 
 
+# --- compiled corpus: the neural scorer's ids, mapped once ----------------------
+
+def string_context(pair):
+    """The neural context of a pair by the string path: the prompt's tokens,
+    and for the main stage only its S-ID tokens."""
+    tokens = tokenize_text(pair.prompt)
+    if pair.stage == "main":
+        tokens = [t for t in tokens if is_token(t)]
+    return tokens
+
+
+def string_response(pair):
+    return list(SemanticId.parse(pair.response).tokens())
+
+
+# words that are, or nearly are, S-ID tokens or markers; a_\u0661 ends in a
+# non-ASCII digit, which is_token's \d accepts
+ADVERSARIAL = ["a_1", "b_0", "c_0", "<a_1>", "a_1x", "xa_1", "A_1", "play_video",
+               "<sep>", "a_\u0661", "<unk>", "a_", "_1", "b_01", "z_9", "cat:cat0",
+               "Name", "3"]
+SEPARATORS = [" ", ", ", "<", ">", "", "\n", "^", "<a_1 ", "> "]
+
+
+@st.composite
+def corpus_pairs(draw):
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        parts = draw(st.lists(st.tuples(st.sampled_from(ADVERSARIAL),
+                                        st.sampled_from(SEPARATORS)), max_size=12))
+        prompt = "".join(w + sep for w, sep in parts)
+        response = SIDS[draw(st.sampled_from(sorted(SIDS)))].render()
+        pairs.append(alignment.CorpusPair(prompt=prompt, response=response,
+                                          stage=draw(st.sampled_from(alignment.STAGES))))
+    return pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus_pairs())
+@example([alignment.CorpusPair(
+    prompt="<a_1> a_1x xa_1 A_1 play_video <sep> a_\u0661 <b_0, c_0> a_1",
+    response=SIDS["ad1"].render(), stage=stage) for stage in alignment.STAGES]
+    + [alignment.CorpusPair(prompt="", response=SIDS["ad2"].render(), stage="main")])
+@example([alignment.CorpusPair(prompt="", response=SIDS["ad2"].render(), stage="main")])
+def test_compiled_ids_equal_string_path(pairs):
+    vocab = vocab_from_sids(SIDS, extra_tokens=["a_\u0661", "play_video", "cat:cat0"])
+    compiled = compile_corpus(pairs, vocab)
+    assert len(compiled.contexts) == len(compiled.responses) == len(pairs)
+    unk = total = 0
+    for pair, ctx, resp in zip(pairs, compiled.contexts, compiled.responses):
+        want = [vocab.lookup(t) for t in string_context(pair)]
+        assert ctx.tolist() == want, pair.prompt
+        assert resp.tolist() == [vocab.lookup(t) for t in string_response(pair)]
+        unk += sum(i == vocab.lookup("<unk>") for i in want)
+        total += len(want)
+    assert compiled.unk_share == (unk / total if total else 0.0)
+
+
+@pytest.fixture(scope="module")
+def world_s(tmp_path_factory):
+    """Scale S: 4 categories x 8 ads, 20 users, 3 levels of 8 codes."""
+    paths = synth.gen_data(synth.SyntheticSpec(), tmp_path_factory.mktemp("s"))
+    catalog = load_catalog(paths["catalog"])
+    table = embed_catalog(catalog, 16, 0)
+    sids = rqvae.assign_sids(rqvae.train(rqvae.RqVaeConfig(
+        codebook_size=8, latent_dim=8, epochs=30, seed=0), table), table)
+    corpora = build_stage_corpora(catalog, sids, load_profiles(paths["profiles"]),
+                                  load_events(paths["events"], sids))
+    return sids, corpora
+
+
+def string_path_train(scorer, corpora, epochs, learning_rate=0.05, seed=0):
+    """train_staged's neural loop over strings: every pair mapped to tokens
+    and stepped through the string entry point."""
+    rng = np.random.default_rng(seed)
+    for stage in alignment.STAGES:
+        samples = [(ScorerContext(tokens=tuple(string_context(p))), string_response(p))
+                   for p in corpora[stage]]
+        for _ in range(epochs):
+            for i in rng.permutation(len(samples)):
+                _, grads = scorer.seq_logprob_and_grad(*samples[i])
+                scorer.apply_grads(grads, -learning_rate)
+
+
+def test_staged_neural_equals_string_path_at_scale_s(world_s):
+    sids, corpora = world_s
+    assert all(corpora[stage] for stage in alignment.STAGES)
+    epochs = {stage: 2 for stage in alignment.STAGES}
+    staged, _ = train_staged(NeuralScorer(vocab_from_sids(sids), seed=4), corpora,
+                             epochs_per_stage=epochs, seed=4)
+    reference = NeuralScorer(vocab_from_sids(sids), seed=4)
+    string_path_train(reference, corpora, epochs=2, seed=4)
+    for k in reference.params:
+        np.testing.assert_array_equal(staged.params[k], reference.params[k], err_msg=k)
+
+
+def test_unk_share_per_stage_at_scale_s(world_s):
+    """The explicit and implicit prompts hold no S-ID token, so over the
+    S-ID vocabulary every one of their context tokens is <unk>."""
+    sids, corpora = world_s
+    _, log = train_staged(NeuralScorer(vocab_from_sids(sids), embed_dim=4, hidden_dim=4),
+                          corpora, epochs_per_stage={s: 1 for s in alignment.STAGES})
+    assert {e["stage"]: e["unk_share"] for e in log} == {
+        "explicit": 1.0, "implicit": 1.0, "main": 0.0}
+
+
+def test_neural_lookups_do_not_grow_with_epochs(vocab, monkeypatch):
+    users = {f"u{i}": _profile() for i in range(3)}
+    corpora = build_stage_corpora(_catalog(), SIDS, users,
+                                  {uid: _events() for uid in users})
+    calls = []
+    real = Vocabulary.lookup
+
+    def counting(self, token):
+        calls.append(token)
+        return real(self, token)
+
+    monkeypatch.setattr(Vocabulary, "lookup", counting)
+    counts = []
+    for epochs in (1, 3):
+        calls.clear()
+        train_staged(NeuralScorer(vocab, embed_dim=4, hidden_dim=4), corpora,
+                     epochs_per_stage={s: epochs for s in alignment.STAGES})
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 # --- preference triplets -----------------------------------------------------
 
 def test_triplet_combinatorics():
@@ -352,3 +481,13 @@ def test_dpo_empty_triplets(vocab):
     policy = NeuralScorer(vocab, embed_dim=8, hidden_dim=8, seed=0)
     _, losses = dpo_update(policy, policy.copy(), [], steps=3)
     assert losses == [0.0, 0.0, 0.0]
+
+
+def test_dpo_rejects_reference_with_other_vocabulary(vocab):
+    # the reference reads the ids the policy's vocabulary gives
+    policy = NeuralScorer(vocab, embed_dim=8, hidden_dim=8, seed=0)
+    other = NeuralScorer(vocab_from_sids(SIDS), embed_dim=8, hidden_dim=8, seed=0)
+    with pytest.raises(AlignmentError, match="vocabularies"):
+        dpo_loss(policy, other, _triplet(vocab))
+    with pytest.raises(AlignmentError, match="vocabularies"):
+        dpo_update(policy, other, [_triplet(vocab)], steps=1)

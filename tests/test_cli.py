@@ -301,3 +301,27 @@ def test_error_is_machine_readable_json(tmp_path, capsys):
 def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["not-a-command"])
+
+
+def test_neural_train_prints_unk_share(tmp_path, capsys):
+    """`genret train --scorer neural` logs each stage's share of <unk>
+    context tokens: the explicit and implicit prompts hold no S-ID token."""
+    def cli(*argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        return out
+
+    data = json.loads(cli("gen-data", "--out", str(tmp_path / "data"), "--categories", "2",
+                          "--ads-per-category", "4", "--users", "4",
+                          "--events-per-user", "6"))
+    cli("embed", "--catalog", data["catalog"], "--out", str(tmp_path / "emb.tsv"),
+        "--dim", "16")
+    cli("index", "--embeddings", str(tmp_path / "emb.tsv"), "--out", str(tmp_path),
+        "--levels", "2", "--codebook-size", "4", "--latent-dim", "4", "--epochs", "20")
+    sids = str(tmp_path / "sids.jsonl")
+    cli("build-corpus", "--catalog", data["catalog"], "--sids", sids,
+        "--profiles", data["profiles"], "--events", data["events"], "--out", str(tmp_path))
+    log = json.loads(cli("train", "--sids", sids, "--corpus-dir", str(tmp_path),
+                         "--scorer", "neural", "--out", str(tmp_path / "scorer.json")))
+    assert {e["stage"]: e["unk_share"] for e in log} == {
+        "explicit": 1.0, "implicit": 1.0, "main": 0.0}
