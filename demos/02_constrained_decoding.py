@@ -36,9 +36,11 @@ class TableScorer:
     def next_probs(self, context, prefixes):
         return np.array([self.prob_dist(context, p) for p in prefixes])
 
-    def prob_dist(self, context, prefix_tokens):
+    def prob_dist(self, context, prefix):
+        """The table row of the prefix's tokens; the decoder passes ids."""
         dist = np.zeros(len(self.vocab))
-        for token, p in PROBS.get(tuple(prefix_tokens), {}).items():
+        tokens = tuple(self.vocab.tokens[i] for i in prefix)
+        for token, p in PROBS.get(tokens, {}).items():
             dist[self.vocab.lookup(token)] = p
         dist[self.vocab.lookup("<unk>")] += max(0.0, 1.0 - dist.sum())
         return dist

@@ -110,13 +110,14 @@ def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
 
 
 def summary_from_events(events, catalog: Catalog) -> InterestSummary:
-    """Interaction counts per category; negative feedback folds into counts."""
+    """Interaction counts per category; negative feedback folds into counts.
+    A content event counts under its title's first word, if it has one."""
     counts: dict[str, int] = {}
     for e in events:
         cat = None
         if e.domain == "ad" and e.ad_id is not None and e.ad_id in catalog:
             cat = catalog.get(e.ad_id).first_category
-        elif e.domain == "content" and e.title:
+        elif e.domain == "content" and e.title and not e.title.isspace():
             cat = e.title.split()[0]
         if cat:
             counts[cat] = counts.get(cat, 0) + 1
@@ -133,33 +134,31 @@ class CompiledCorpus:
     unk_share: float
 
 
-def compile_corpus(pairs, vocab) -> CompiledCorpus:
+def compile_corpus(pairs, vocab, parsed=None) -> CompiledCorpus:
     """Map each pair to ids once. A main-stage context keeps only its
     prompt's S-ID tokens, as serving's context has; other stages keep every
-    prompt token. Pairs that share a response string share its array."""
-    contexts, responses = [], []
-    parsed: dict[str, np.ndarray] = {}  # response -> ids, for this call only
+    prompt token. Responses are parsed through the caller's ``parsed`` memo
+    (see ``_response_ids``), or a fresh one."""
+    contexts = []
     for p in pairs:
         if p.stage == "main":
             tokens = [t for t in _SID_LIKE_RE.findall(p.prompt) if t and is_token(t)]
         else:
             tokens = tokenize_text(p.prompt)
         contexts.append(id_array(vocab, tokens))
-        if p.response not in parsed:
-            parsed[p.response] = id_array(vocab, SemanticId.parse(p.response).tokens())
-        responses.append(parsed[p.response])
+    responses = _response_ids(pairs, vocab, {} if parsed is None else parsed)
     total = sum(map(len, contexts))
     unk = sum(int(np.count_nonzero(c == vocab.id_of[UNK])) for c in contexts)
     return CompiledCorpus(contexts, responses, unk / total if total else 0.0)
 
 
-def _response_tokens(pairs, parsed: dict[str, list[str]]) -> list[list[str]]:
-    """Each pair's response as S-ID tokens, for the n-gram. ``parsed`` maps
-    the response strings seen so far to their tokens; a new string is parsed
-    once and added, and pairs that share a string share its list."""
+def _response_ids(pairs, vocab, parsed: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Each pair's response as an id array. ``parsed`` maps the response
+    strings seen so far to their arrays; a new string is parsed once and
+    added, and pairs that share a string share its array."""
     for p in pairs:
         if p.response not in parsed:
-            parsed[p.response] = list(SemanticId.parse(p.response).tokens())
+            parsed[p.response] = id_array(vocab, SemanticId.parse(p.response).tokens())
     return [parsed[p.response] for p in pairs]
 
 
@@ -168,13 +167,14 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
                  learning_rate: float = 0.05, seed: int = 0):
     """Consume stage corpora strictly in the configured order.
 
+    Each distinct response string is parsed to ids once per call.
     NgramScorer accumulates weighted counts; NeuralScorer runs gradient
     epochs per stage over the stage's pairs compiled to ids once, and logs
     the stage's ``unk_share``. Returns (scorer, stage_log).
     """
     stage_log = []
     rng = np.random.default_rng(seed)
-    parsed: dict[str, list[str]] = {}  # response -> n-gram tokens, for this call only
+    parsed: dict[str, np.ndarray] = {}  # response -> ids, for this call only
     for stage in order:
         pairs = corpora.get(stage, [])
         if not pairs:
@@ -183,12 +183,13 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
         if isinstance(scorer, NgramScorer):
             # the n-gram reads only the bucket, so no prompt is tokenized
             weight = (stage_weights or {}).get(stage, 1.0)
-            scorer.train([(ScorerContext(bucket=p.bucket), tokens)
-                          for p, tokens in zip(pairs, _response_tokens(pairs, parsed))],
+            # counts keep Python ints, which json can write
+            scorer.train([(p.bucket, ids.tolist()) for p, ids
+                          in zip(pairs, _response_ids(pairs, scorer.vocab, parsed))],
                          weight=weight)
             stage_log.append({"stage": stage, "pairs": len(pairs), "weight": weight})
         elif isinstance(scorer, NeuralScorer):
-            corpus = compile_corpus(pairs, scorer.vocab)
+            corpus = compile_corpus(pairs, scorer.vocab, parsed)
             epochs = (epochs_per_stage or {}).get(stage, 3)
             for _ in range(epochs):
                 for i in rng.permutation(len(pairs)):

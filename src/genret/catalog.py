@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import jsonl
@@ -26,8 +27,9 @@ class Ad:
             raise CatalogError("ad_id must be non-empty")
         if not self.name:
             raise CatalogError(f"ad {self.ad_id!r}: name must be non-empty")
-        if self.ecpm < 0:
-            raise CatalogError(f"ad {self.ad_id!r}: ecpm must be >= 0")
+        if not (math.isfinite(self.ecpm) and self.ecpm >= 0):
+            raise CatalogError(f"ad {self.ad_id!r}: ecpm must be finite and >= 0, "
+                               f"got {self.ecpm}")
 
 
 @dataclass

@@ -24,9 +24,9 @@ class RetrievalList:
         return len(self.entries)
 
 
-def _step_prob(scorer, context, prefix_tokens, level, codes):
+def _step_prob(scorer, context, prefix, level, codes):
     """Per-code probabilities for the valid children at one layer."""
-    dist = scorer.prob_dist(context, prefix_tokens)
+    dist = scorer.prob_dist(context, prefix)
     vocab = scorer.vocab
     probs = []
     for code in codes:
@@ -56,22 +56,23 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
     # The beam is kept in lexicographic code order, so listing each entry's
     # children in ascending code order lists the candidates in lexicographic
     # order too, and a stable sort on score ranks them by (-score, codes).
+    # Each entry's prefix is its vocabulary ids, which is what the scorer reads.
     v = len(scorer.vocab)
-    codes, tokens, scores, nodes = [()], [()], [0.0], [trie.root]
+    codes, prefixes, scores, nodes = [()], [()], [0.0], [trie.root]
     for level in range(trie.depth):
-        probs = scorer.next_probs(context, tokens)
-        if probs.shape != (len(tokens), v):
+        probs = scorer.next_probs(context, prefixes)
+        if probs.shape != (len(prefixes), v):
             raise DecodeError(
                 f"scorer contract violated: next_probs returned shape "
-                f"{probs.shape} for {len(tokens)} prefixes")
+                f"{probs.shape} for {len(prefixes)} prefixes")
         candidates = [(i, c) for i, node in enumerate(nodes) for c in node.sorted_codes]
-        token_of = {c: render_token(level, c) for c in {c for _, c in candidates}}
-        id_of = {c: scorer.vocab.lookup(t) for c, t in token_of.items()}
+        id_of = {c: scorer.vocab.lookup(render_token(level, c))
+                 for c in {c for _, c in candidates}}
         p = probs.ravel()[[i * v + id_of[c] for i, c in candidates]].tolist()
         bad = [k for k, x in enumerate(p) if not 0.0 <= x < math.inf]
         if bad:
             raise DecodeError(f"scorer contract violated: p={p[bad[0]]} for token "
-                              f"{token_of[candidates[bad[0]][1]]}")
+                              f"{render_token(level, candidates[bad[0]][1])}")
         # math.log per candidate: np.log can differ from it in the last bit,
         # which would change the scores
         expanded = [scores[i] + (math.log(x) if x > 0.0 else -math.inf)
@@ -81,7 +82,7 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
         scores = [expanded[k] for k in keep]
         kept = [candidates[k] for k in keep]
         codes = [codes[i] + (c,) for i, c in kept]
-        tokens = [tokens[i] + (token_of[c],) for i, c in kept]
+        prefixes = [prefixes[i] + (id_of[c],) for i, c in kept]
         nodes = [nodes[i].children[c] for i, c in kept]
 
     ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
@@ -104,8 +105,8 @@ def decode_exhaustive(scorer, context, trie: Trie) -> RetrievalList:
         if not child_codes:
             return
         level = len(codes)
-        prefix_tokens = tuple(render_token(i, c) for i, c in enumerate(codes))
-        probs = _step_prob(scorer, context, prefix_tokens, level, child_codes)
+        prefix = tuple(scorer.vocab.lookup(render_token(i, c)) for i, c in enumerate(codes))
+        probs = _step_prob(scorer, context, prefix, level, child_codes)
         for code, p in zip(child_codes, probs):
             log_p = math.log(p) if p > 0.0 else -math.inf
             rec(node.children[code], codes + (code,), log_score + log_p)

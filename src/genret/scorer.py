@@ -6,7 +6,8 @@ analytic gradients used for preference optimization.
 
 The contract is ``next_probs(context, prefixes) -> (B, |V|)``: one row of
 next-token probabilities per prefix, answered in one call for a whole beam.
-``prob_dist(context, prefix_tokens) -> (|V|,)`` is the one-row case.
+``prob_dist(context, prefix) -> (|V|,)`` is the one-row case. A prefix is a
+sequence of vocabulary ids; the context keeps its feature tokens.
 """
 
 from __future__ import annotations
@@ -69,21 +70,21 @@ class NgramScorer:
         # the counts as sparse smoothed components, built on first read
         self._components: tuple | None = None
 
-    def observe(self, bucket: tuple, prefix_tokens, next_token: str, weight: float = 1.0):
+    def observe(self, bucket: tuple, prefix_ids, next_id: int, weight: float = 1.0):
+        """Count ``next_id`` after the prefix's trailing windows. Ids are
+        Python ints: they key the snapshot, and json rejects numpy ints."""
         self._components = None
-        tid = self.vocab.lookup(next_token)
-        ids = tuple(self.vocab.lookup(t) for t in prefix_tokens)
+        ids = tuple(prefix_ids)
         for order in range(self.max_order + 1):
             window = ids[len(ids) - order:] if order else ()
-            key = (bucket, window)
-            slot = self.counts.setdefault(key, {})
-            slot[tid] = slot.get(tid, 0.0) + weight
+            slot = self.counts.setdefault((bucket, window), {})
+            slot[next_id] = slot.get(next_id, 0.0) + weight
 
     def train(self, samples, weight: float = 1.0):
-        """samples: iterable of (ScorerContext, response token list)."""
-        for context, response in samples:
-            for i, tok in enumerate(response):
-                self.observe(context.bucket, response[:i], tok, weight)
+        """samples: iterable of (bucket, response ids)."""
+        for bucket, response in samples:
+            for i, tid in enumerate(response):
+                self.observe(bucket, response[:i], tid, weight)
 
     def _smoothed(self) -> tuple:
         """Each (bucket, window) key with counts, numbered in counts order, as
@@ -114,8 +115,7 @@ class NgramScorer:
         """
         index, share, spans, tid, val = self._smoothed()
         v, unseen = len(self.vocab), len(share) - 1
-        lookup = self.vocab.lookup
-        ids = [tuple(map(lookup, p)) for p in prefixes]
+        ids = [tuple(p) for p in prefixes]
         numbers = index.get(context.bucket, {})
         keys = [[numbers.get(p[len(p) - order:], unseen) for p in ids]
                 for order in range(len(self.interpolation))]
@@ -134,8 +134,8 @@ class NgramScorer:
             dist += w * rows[pick]
         return dist
 
-    def prob_dist(self, context: ScorerContext, prefix_tokens) -> np.ndarray:
-        return self.next_probs(context, [prefix_tokens])[0]
+    def prob_dist(self, context: ScorerContext, prefix) -> np.ndarray:
+        return self.next_probs(context, [prefix])[0]
 
     def save(self, path):
         payload = {
@@ -217,10 +217,7 @@ class NeuralScorer:
     def copy(self) -> "NeuralScorer":
         return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
-    def _ids(self, tokens) -> list[int]:
-        return [self.vocab.lookup(t) for t in tokens]
-
-    def _context_ids(self, context: ScorerContext) -> list[int]:
+    def _context_ids(self, context: ScorerContext) -> np.ndarray:
         """The context's ids, looked up once for the last context object
         asked about: a decode asks with the same one at every trie level.
         The ids depend on the vocabulary alone, so training cannot stale
@@ -228,7 +225,7 @@ class NeuralScorer:
         last, ids = self._last_context
         if last is context:
             return ids
-        ids = self._ids(context.tokens)
+        ids = id_array(self.vocab, context.tokens)
         self._last_context = (context, ids)
         return ids
 
@@ -264,20 +261,20 @@ class NeuralScorer:
         """The next-token distribution after each prefix, one row each, from
         one forward per prefix length in the batch."""
         ctx_ids = self._context_ids(context)
-        ids = [self._ids(p) for p in prefixes]
         rows_of: dict[int, list[int]] = {}
-        for r, row in enumerate(ids):
-            rows_of.setdefault(len(row), []).append(r)
-        probs = np.empty((len(ids), len(self.vocab)))
+        for r, prefix in enumerate(prefixes):
+            rows_of.setdefault(len(prefix), []).append(r)
+        probs = np.empty((len(prefixes), len(self.vocab)))
         emb = self.params["emb"]
         for length, rows in rows_of.items():
-            sums = emb[np.array([ids[r] for r in rows], dtype=np.intp)].sum(axis=1)
+            # an intp array: a tuple index into emb would be multi-dimensional
+            sums = emb[np.array([prefixes[r] for r in rows], dtype=np.intp)].sum(axis=1)
             pool = self._pool(ctx_ids, sums, np.full(len(rows), length))[0]
             probs[rows] = self._layers(pool)[1]
         return probs
 
-    def prob_dist(self, context: ScorerContext, prefix_tokens) -> np.ndarray:
-        return self.next_probs(context, [prefix_tokens])[0]
+    def prob_dist(self, context: ScorerContext, prefix) -> np.ndarray:
+        return self.next_probs(context, [prefix])[0]
 
     def _teacher_forced(self, ctx_ids, resp_ids):
         """The forward of every step of one response, stacked: row i predicts
@@ -335,15 +332,6 @@ class NeuralScorer:
 
     def seq_logprob_ids(self, ctx_ids, resp_ids) -> float:
         return self._logprob(self._teacher_forced(ctx_ids, resp_ids)[3], resp_ids)
-
-    def seq_logprob_and_grad(self, context: ScorerContext, response_tokens):
-        """``seq_logprob_and_grad_ids`` of the context's and response's tokens."""
-        return self.seq_logprob_and_grad_ids(id_array(self.vocab, context.tokens),
-                                             id_array(self.vocab, response_tokens))
-
-    def seq_logprob(self, context: ScorerContext, response_tokens) -> float:
-        return self.seq_logprob_ids(id_array(self.vocab, context.tokens),
-                                    id_array(self.vocab, response_tokens))
 
     def apply_grads(self, grads, lr: float):
         """The one parameter update, in place: params -= lr * grads."""

@@ -56,6 +56,8 @@ class AdmissionPolicy:
     _group_of: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if self.budget_per_tick < 0:
+            raise ServingError(f"budget_per_tick must be >= 0, got {self.budget_per_tick}")
         ordered = sorted(self.arpu_of, key=lambda u: (self.arpu_of[u], u))
         n = len(ordered)
         for i, user in enumerate(ordered):

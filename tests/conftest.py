@@ -38,9 +38,10 @@ class TableScorer(RowScorer):
         self.table = table
         self.vocab = vocab
 
-    def prob_dist(self, context, prefix_tokens):
+    def prob_dist(self, context, prefix):
+        """The table row of the prefix's tokens; the decoder passes ids."""
         dist = np.zeros(len(self.vocab))
-        row = self.table.get(tuple(prefix_tokens), {})
+        row = self.table.get(tuple(self.vocab.tokens[i] for i in prefix), {})
         for token, p in row.items():
             dist[self.vocab.lookup(token)] = p
         dist[self.vocab.lookup("<unk>")] += max(0.0, 1.0 - dist.sum())

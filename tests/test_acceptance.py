@@ -116,9 +116,9 @@ def test_03_oracle_equivalence_fuzz():
                 def __init__(self):
                     self.vocab = vocab
 
-                def prob_dist(self, context, prefix_tokens):
+                def prob_dist(self, context, prefix):
                     local = np.random.default_rng(
-                        (seed, hash(tuple(prefix_tokens)) & 0x7FFFFFFF))
+                        (seed, hash(tuple(prefix)) & 0x7FFFFFFF))
                     dist = local.random(len(vocab)) + 1e-9
                     return dist / dist.sum()
 

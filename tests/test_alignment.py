@@ -14,7 +14,7 @@ from genret.alignment import (AlignmentError, PreferenceTriplet,
 from genret.catalog import Ad, Catalog, load_catalog
 from genret.embed import embed_catalog
 from genret.prompting import BehaviorEvent, UserProfile, load_events, load_profiles
-from genret.scorer import NeuralScorer, NgramScorer, ScorerContext, tokenize_text
+from genret.scorer import NeuralScorer, NgramScorer, ScorerContext, id_array, tokenize_text
 from genret.sid import SemanticId, is_token
 from genret.vocab import Vocabulary, vocab_from_sids
 
@@ -126,6 +126,14 @@ def test_summary_from_events_counts():
     assert summary.entries == [("cat0", 2), ("cat1", 1)]
 
 
+def test_summary_from_events_skips_blank_titles():
+    # a title of only whitespace names no category, as an empty one does
+    blank = [BehaviorEvent(50, "play_short_video", "content", title=t)
+             for t in ("   ", "\t\n", "")]
+    summary = summary_from_events(blank + _events(), _catalog())
+    assert summary.entries == [("cat0", 2), ("cat1", 1)]
+
+
 def test_make_bucket_and_compact_context():
     summary = summary_from_events(_events(), _catalog())
     bucket = make_bucket(_profile(), summary, _events())
@@ -164,13 +172,12 @@ def test_staged_ngram_equals_weighted_single_pass(vocab, monkeypatch):
     # (count accumulation is order-independent)
     direct = NgramScorer(vocab)
     for stage in ("explicit", "implicit", "main"):
-        direct.train([(ScorerContext(bucket=p.bucket),
-                       list(SemanticId.parse(p.response).tokens()))
+        direct.train([(p.bucket, [vocab.lookup(t) for t in string_response(p)])
                       for p in corpora[stage]], weight=weights[stage])
     assert staged.counts == direct.counts
     ctx = ScorerContext(bucket=(3, "female", "cat0", SIDS["ad2"].codes[0]))
-    np.testing.assert_allclose(staged.prob_dist(ctx, ["a_1"]),
-                               direct.prob_dist(ctx, ["a_1"]), atol=1e-12)
+    np.testing.assert_allclose(staged.prob_dist(ctx, [vocab.lookup("a_1")]),
+                               direct.prob_dist(ctx, [vocab.lookup("a_1")]), atol=1e-12)
 
 
 def test_staged_ngram_parses_each_distinct_response_once(vocab, monkeypatch):
@@ -196,8 +203,7 @@ def test_staged_ngram_parses_each_distinct_response_once(vocab, monkeypatch):
     # the count tables equal those of parsing every pair on its own
     per_pair = NgramScorer(vocab)
     for stage in ("explicit", "implicit", "main"):
-        per_pair.train([(ScorerContext(bucket=p.bucket),
-                         list(SemanticId.parse(p.response).tokens()))
+        per_pair.train([(p.bucket, [vocab.lookup(t) for t in string_response(p)])
                         for p in corpora[stage]])
     assert staged.counts == per_pair.counts
 
@@ -316,11 +322,11 @@ def string_path_train(scorer, corpora, epochs, learning_rate=0.05, seed=0):
     and stepped through the string entry point."""
     rng = np.random.default_rng(seed)
     for stage in alignment.STAGES:
-        samples = [(ScorerContext(tokens=tuple(string_context(p))), string_response(p))
-                   for p in corpora[stage]]
+        samples = [(id_array(scorer.vocab, string_context(p)),
+                    id_array(scorer.vocab, string_response(p))) for p in corpora[stage]]
         for _ in range(epochs):
             for i in rng.permutation(len(samples)):
-                _, grads = scorer.seq_logprob_and_grad(*samples[i])
+                _, grads = scorer.seq_logprob_and_grad_ids(*samples[i])
                 scorer.apply_grads(grads, -learning_rate)
 
 

@@ -83,6 +83,16 @@ def test_load_catalog_malformed_line_number(tmp_path):
         load_catalog(path)
 
 
+@pytest.mark.parametrize("ecpm", ["NaN", "Infinity", "-Infinity"])
+def test_load_catalog_rejects_non_finite_ecpm(tmp_path, ecpm):
+    # Python's json reads NaN and Infinity; a NaN ecpm is neither < 0 nor >= 0
+    path = tmp_path / "cat.jsonl"
+    path.write_text(json.dumps({"ad_id": "a1", "name": "n", "ecpm": 1.0}) + "\n"
+                    + '{"ad_id": "a2", "name": "n", "ecpm": ' + ecpm + "}\n")
+    with pytest.raises(CatalogError, match=r"cat\.jsonl: line 2: .*ecpm must be finite"):
+        load_catalog(path)
+
+
 def test_round_trip(tmp_path):
     catalog = Catalog()
     catalog.add(VOLKSWAGEN)

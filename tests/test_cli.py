@@ -269,6 +269,17 @@ def test_simulate_command(tmp_path, capsys):
     assert max(report["worker_counts"]) - min(report["worker_counts"]) <= 1
 
 
+def test_simulate_rejects_negative_budget(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"user_id": "u0", "tick": 0}) + "\n")
+    code, out, err = run_cli(capsys, "simulate", "--trace", str(trace),
+                             "--budget", "-1", "--ticks", "2")
+    assert code == 1 and out == ""
+    obj = json.loads(err.strip().splitlines()[-1])
+    assert obj["error"] == "ServingError"
+    assert "budget_per_tick" in obj["message"]
+
+
 def test_pipeline_command_with_config(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -9,10 +9,10 @@ from genret.catalog import load_catalog
 from genret.decoder import DecodeError, decode, decode_exhaustive
 from genret.embed import embed_catalog
 from genret.prompting import load_events, load_profiles
-from genret.scorer import NeuralScorer, ScorerContext
-from genret.sid import SemanticId
+from genret.scorer import NeuralScorer, NgramScorer, ScorerContext
+from genret.sid import SemanticId, parse_token
 from genret.trie import build
-from genret.vocab import vocab_from_sids
+from genret.vocab import Vocabulary, vocab_from_sids
 
 from conftest import RowScorer, TableScorer
 
@@ -73,9 +73,9 @@ def _random_setup(rng, n_ads=12, levels=3, span=4):
             self.vocab = vocab
             self.seed = int(rng.integers(1 << 31))
 
-        def prob_dist(self, context, prefix_tokens):
+        def prob_dist(self, context, prefix):
             local = np.random.default_rng(
-                (self.seed, hash(tuple(prefix_tokens)) & 0x7FFFFFFF))
+                (self.seed, hash(tuple(prefix)) & 0x7FFFFFFF))
             dist = local.random(len(vocab)) + 1e-6
             return dist / dist.sum()
 
@@ -147,7 +147,7 @@ def test_scorer_contract_errors(example_trie, example_scorer):
     class BadScorer(RowScorer):
         vocab = example_scorer.vocab
 
-        def prob_dist(self, context, prefix_tokens):
+        def prob_dist(self, context, prefix):
             dist = np.full(len(self.vocab), -0.5)
             return dist
 
@@ -160,8 +160,8 @@ def test_scorer_contract_nonfinite(example_trie, example_scorer, bad):
     class NonFiniteScorer(RowScorer):
         vocab = example_scorer.vocab
 
-        def prob_dist(self, context, prefix_tokens):
-            dist = example_scorer.prob_dist(context, prefix_tokens)
+        def prob_dist(self, context, prefix):
+            dist = example_scorer.prob_dist(context, prefix)
             dist[self.vocab.lookup("b_6")] = bad
             return dist
 
@@ -206,7 +206,7 @@ class CountingScorer:
         self.batches.append(list(prefixes))
         return np.stack([self.rows.prob_dist(context, p) for p in prefixes])
 
-    def prob_dist(self, context, prefix_tokens):
+    def prob_dist(self, context, prefix):
         raise AssertionError("decode asked for a single prefix")
 
 
@@ -217,7 +217,9 @@ def test_one_scorer_call_per_level(example_trie, example_scorer):
                                                example_trie).entries[:2]
     assert len(counting.batches) == example_trie.depth
     assert counting.batches[0] == [()]
-    assert sorted(counting.batches[2]) == [("a_12", "b_6"), ("a_12", "b_7")]
+    vocab = example_scorer.vocab
+    assert sorted(counting.batches[2]) == [tuple(map(vocab.lookup, p)) for p in
+                                           (("a_12", "b_6"), ("a_12", "b_7"))]
 
     rng = np.random.default_rng(17)
     for beam_width in (1, 3, 8):
@@ -226,6 +228,54 @@ def test_one_scorer_call_per_level(example_trie, example_scorer):
         decode(counting, CTX, trie, beam_width)
         assert len(counting.batches) <= trie.depth
         assert all(len(batch) <= beam_width for batch in counting.batches)
+
+
+class LevelMarks:
+    """Delegates to a scorer, marking how many lookups ``looked_up`` held
+    when each level's ``next_probs`` call began."""
+
+    def __init__(self, scorer, looked_up):
+        self.scorer, self.vocab = scorer, scorer.vocab
+        self.looked_up, self.marks = looked_up, []
+
+    def next_probs(self, context, prefixes):
+        self.marks.append(len(self.looked_up))
+        return self.scorer.next_probs(context, prefixes)
+
+
+def test_prefixes_reach_the_scorer_as_ids(monkeypatch):
+    """No prefix token is looked up: NgramScorer.next_probs looks up
+    nothing, NeuralScorer.next_probs only a new context's tokens, and a
+    decode at beam 8 only each level's candidate tokens, once each."""
+    sids, trie, _ = _random_setup(np.random.default_rng(19), n_ads=40, levels=4, span=3)
+    vocab = vocab_from_sids(sids)
+    ngram = NgramScorer(vocab)
+    ngram.train([((), [vocab.lookup(t) for t in sid.tokens()]) for sid in sids.values()])
+    context = ScorerContext(tokens=("cat:x", "novel"))
+    prefixes = [(), (vocab.lookup("a_0"),), (vocab.lookup("a_1"), vocab.lookup("b_2"))]
+    looked_up = []
+    real = Vocabulary.lookup
+    monkeypatch.setattr(Vocabulary, "lookup",
+                        lambda self, token: looked_up.append(token) or real(self, token))
+    ngram.next_probs(context, prefixes)
+    assert looked_up == []
+    neural = NeuralScorer(vocab, seed=2)
+    neural.next_probs(context, prefixes)
+    neural.next_probs(context, prefixes)
+    assert looked_up == list(context.tokens)
+
+    for scorer, context_lookups in ((ngram, []), (NeuralScorer(vocab, seed=2),
+                                                  list(context.tokens))):
+        looked_up.clear()
+        marked = LevelMarks(scorer, looked_up)
+        assert len(decode(marked, context, trie, beam_width=8)) == 8
+        assert [t for t in looked_up if t in context.tokens] == context_lookups
+        bounds = marked.marks + [len(looked_up)]
+        assert len(bounds) == trie.depth + 1
+        for level, (start, end) in enumerate(zip(bounds, bounds[1:])):
+            tokens = [t for t in looked_up[start:end] if t not in context.tokens]
+            assert tokens and all(parse_token(t)[0] == level for t in tokens)
+            assert len(set(tokens)) == len(tokens)
 
 
 def test_neural_decode_equals_exhaustive_on_trained_index(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext,
-                           ScorerError, load_scorer, tokenize_text)
+                           ScorerError, id_array, load_scorer, tokenize_text)
 from genret.sid import SemanticId
 from genret.vocab import Vocabulary, vocab_from_sids
 
@@ -16,6 +16,11 @@ CTX = ScorerContext(tokens=("cat", ":", "x"), bucket=("g", 1))
 @pytest.fixture
 def vocab():
     return vocab_from_sids(SIDS)
+
+
+def ids(vocab, tokens):
+    """The tokens' ids as Python ints, the form a prefix or response takes."""
+    return [vocab.lookup(t) for t in tokens]
 
 
 def test_tokenize_keeps_markers_whole():
@@ -41,18 +46,18 @@ def test_untrained_uniform(vocab):
 def test_counts_dominate_as_alpha_vanishes(vocab):
     scorer = NgramScorer(vocab, smoothing_alpha=1e-9)
     for _ in range(10):
-        scorer.observe(CTX.bucket, ["a_0"], "b_1")
-    dist = scorer.prob_dist(CTX, ["a_0"])
+        scorer.observe(CTX.bucket, ids(vocab, ["a_0"]), vocab.lookup("b_1"))
+    dist = scorer.prob_dist(CTX, ids(vocab, ["a_0"]))
     assert dist[vocab.lookup("b_1")] > 0.999
 
 
 def test_observed_closed_form(vocab):
     # one observation, alpha=0.5, order weights (1,2,4)/7
     scorer = NgramScorer(vocab, smoothing_alpha=0.5, max_order=2)
-    scorer.observe(CTX.bucket, ["a_0"], "b_1")
+    scorer.observe(CTX.bucket, ids(vocab, ["a_0"]), vocab.lookup("b_1"))
     v = len(vocab)
     tid = vocab.lookup("b_1")
-    dist = scorer.prob_dist(CTX, ["a_0"])
+    dist = scorer.prob_dist(CTX, ids(vocab, ["a_0"]))
     # a one-token prefix clamps the order-2 window to the order-1 window, so
     # that slot holds count 2; the order-0 slot holds count 1
     w0, w1, w2 = 1 / 7, 2 / 7, 4 / 7
@@ -64,7 +69,7 @@ def test_observed_closed_form(vocab):
 
 def test_bucket_isolation(vocab):
     scorer = NgramScorer(vocab)
-    scorer.observe(("g1",), [], "a_1")
+    scorer.observe(("g1",), [], vocab.lookup("a_1"))
     d1 = scorer.prob_dist(ScorerContext(bucket=("g1",)), [])
     d2 = scorer.prob_dist(ScorerContext(bucket=("g2",)), [])
     assert d1[vocab.lookup("a_1")] > d2[vocab.lookup("a_1")]
@@ -74,13 +79,13 @@ def test_bucket_isolation(vocab):
 
 def test_train_weighting_equivalence(vocab):
     # training once with weight 2 equals training the same sample twice
-    sample = (CTX, ["a_0", "b_1"])
+    sample = (CTX.bucket, ids(vocab, ["a_0", "b_1"]))
     a = NgramScorer(vocab)
     a.train([sample], weight=2.0)
     b = NgramScorer(vocab)
     b.train([sample, sample])
-    np.testing.assert_allclose(a.prob_dist(CTX, ["a_0"]),
-                               b.prob_dist(CTX, ["a_0"]), atol=1e-12)
+    np.testing.assert_allclose(a.prob_dist(CTX, ids(vocab, ["a_0"])),
+                               b.prob_dist(CTX, ids(vocab, ["a_0"])), atol=1e-12)
 
 
 def test_ngram_save_load_round_trip(vocab, tmp_path):
@@ -88,14 +93,15 @@ def test_ngram_save_load_round_trip(vocab, tmp_path):
     # the order its terms are added in; the loaded scorer must still agree
     # to the bit
     scorer = NgramScorer(vocab, smoothing_alpha=0.3)
-    scorer.train([(CTX, ["a_0", "b_1"]), (CTX, ["a_2", "b_0"])])
-    scorer.train([(CTX, [a, b]) for a in ("a_0", "a_1", "a_2")
+    scorer.train([(CTX.bucket, ids(vocab, ["a_0", "b_1"])),
+                  (CTX.bucket, ids(vocab, ["a_2", "b_0"]))])
+    scorer.train([(CTX.bucket, ids(vocab, [a, b])) for a in ("a_0", "a_1", "a_2")
                   for b in ("b_0", "b_1", "b_2", "b_1")], weight=0.1)
     path = tmp_path / "scorer.json"
     scorer.save(path)
     loaded = load_scorer(path)
     assert isinstance(loaded, NgramScorer)
-    prefixes = [[], ["a_0"], ["a_1"], ["a_2"], ["b_1"]]
+    prefixes = [ids(vocab, p) for p in [[], ["a_0"], ["a_1"], ["a_2"], ["b_1"]]]
     np.testing.assert_array_equal(loaded.next_probs(CTX, prefixes),
                                   scorer.next_probs(CTX, prefixes))
 
@@ -117,8 +123,8 @@ def test_ngram_dist_sums_to_one(prefix, seed):
     for _ in range(10):
         n = int(rng.integers(1, 4))
         seq = [tokens[int(rng.integers(len(tokens)))] for _ in range(n)]
-        scorer.train([(CTX, seq)])
-    dist = scorer.prob_dist(CTX, prefix)
+        scorer.train([(CTX.bucket, ids(vocab, seq))])
+    dist = scorer.prob_dist(CTX, ids(vocab, prefix))
     assert dist.sum() == pytest.approx(1.0, abs=1e-9)
     assert (dist >= 0).all()
 
@@ -160,17 +166,18 @@ def test_ngram_batch_rows_equal_loop_reference(samples, prefixes, bucket,
                                                max_order, alpha):
     vocab = vocab_from_sids(SIDS)
     scorer = NgramScorer(vocab, smoothing_alpha=alpha, max_order=max_order)
-    scorer.train([(ScorerContext(bucket=b), seq) for b, seq in samples])
+    scorer.train([(b, ids(vocab, seq)) for b, seq in samples])
     ctx = ScorerContext(bucket=bucket)
-    before = scorer.next_probs(ctx, prefixes)
+    prefix_ids = [ids(vocab, p) for p in prefixes]
+    before = scorer.next_probs(ctx, prefix_ids)
     assert before.shape == (len(prefixes), len(vocab))
     for row, prefix in zip(before, prefixes):
         expected = loop_prob_dist(scorer, ctx, prefix)
         np.testing.assert_array_equal(row, expected)
-        np.testing.assert_array_equal(scorer.prob_dist(ctx, prefix), expected)
+        np.testing.assert_array_equal(scorer.prob_dist(ctx, ids(vocab, prefix)), expected)
     # a read after observe sees the new count: the cached components are dropped
-    scorer.observe(bucket, prefixes[0], "a_0")
-    after = scorer.next_probs(ctx, prefixes)
+    scorer.observe(bucket, prefix_ids[0], vocab.lookup("a_0"))
+    after = scorer.next_probs(ctx, prefix_ids)
     for row, prefix in zip(after, prefixes):
         np.testing.assert_array_equal(row, loop_prob_dist(scorer, ctx, prefix))
     tid = vocab.lookup("a_0")
@@ -186,9 +193,9 @@ def test_ngram_read_memory_is_linear_in_counts():
     for b in range(20):
         for _ in range(15):
             seq = [tokens[int(i)] for i in rng.integers(len(tokens), size=3)]
-            scorer.train([(ScorerContext(bucket=(b,)), seq)])
+            scorer.train([((b,), ids(scorer.vocab, seq))])
     assert len(scorer.counts) > 600
-    prefixes = [(tokens[0], tokens[1]), (tokens[2],), ()]
+    prefixes = [ids(scorer.vocab, p) for p in [(tokens[0], tokens[1]), (tokens[2],), ()]]
     tracemalloc.start()
     try:
         scorer.next_probs(ScorerContext(bucket=(3,)), prefixes)
@@ -220,32 +227,32 @@ def oracle_forward(scorer, ctx_tokens, prefix_tokens):
 
 def test_neural_forward_matches_oracle(vocab):
     scorer = NeuralScorer(vocab, seed=4)
-    dist = scorer.prob_dist(CTX, ["a_0", "b_1"])
+    dist = scorer.prob_dist(CTX, ids(vocab, ["a_0", "b_1"]))
     expected = oracle_forward(scorer, CTX.tokens, ["a_0", "b_1"])
     np.testing.assert_allclose(dist, expected, atol=1e-12)
     assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_neural_deterministic(vocab):
-    a = NeuralScorer(vocab, seed=1).prob_dist(CTX, ["a_0"])
-    b = NeuralScorer(vocab, seed=1).prob_dist(CTX, ["a_0"])
+    a = NeuralScorer(vocab, seed=1).prob_dist(CTX, ids(vocab, ["a_0"]))
+    b = NeuralScorer(vocab, seed=1).prob_dist(CTX, ids(vocab, ["a_0"]))
     np.testing.assert_array_equal(a, b)
 
 
 def test_seq_logprob_factorizes(vocab):
     scorer = NeuralScorer(vocab, seed=2)
-    resp = ["a_1", "b_0"]
+    ctx, resp = id_array(vocab, CTX.tokens), id_array(vocab, ["a_1", "b_0"])
     manual = (np.log(scorer.prob_dist(CTX, [])[vocab.lookup("a_1")])
-              + np.log(scorer.prob_dist(CTX, ["a_1"])[vocab.lookup("b_0")]))
-    assert scorer.seq_logprob(CTX, resp) == float(manual)
-    logp, _ = scorer.seq_logprob_and_grad(CTX, resp)
+              + np.log(scorer.prob_dist(CTX, ids(vocab, ["a_1"]))[vocab.lookup("b_0")]))
+    assert scorer.seq_logprob_ids(ctx, resp) == float(manual)
+    logp, _ = scorer.seq_logprob_and_grad_ids(ctx, resp)
     assert logp == float(manual)
 
 
 def test_seq_grad_matches_finite_differences(vocab):
     scorer = NeuralScorer(vocab, embed_dim=6, hidden_dim=8, seed=3)
-    resp = ["a_1", "b_0"]
-    _, grads = scorer.seq_logprob_and_grad(CTX, resp)
+    ctx, resp = id_array(vocab, CTX.tokens), id_array(vocab, ["a_1", "b_0"])
+    _, grads = scorer.seq_logprob_and_grad_ids(ctx, resp)
     eps = 1e-6
     rng = np.random.default_rng(0)
     for name, arr in scorer.params.items():
@@ -253,9 +260,9 @@ def test_seq_grad_matches_finite_differences(vocab):
         for j in rng.choice(flat.size, size=min(8, flat.size), replace=False):
             old = flat[j]
             flat[j] = old + eps
-            up = scorer.seq_logprob(CTX, resp)
+            up = scorer.seq_logprob_ids(ctx, resp)
             flat[j] = old - eps
-            down = scorer.seq_logprob(CTX, resp)
+            down = scorer.seq_logprob_ids(ctx, resp)
             flat[j] = old
             fd = (up - down) / (2 * eps)
             g = grads[name].reshape(-1)[j]
@@ -264,11 +271,11 @@ def test_seq_grad_matches_finite_differences(vocab):
 
 def test_cross_entropy_training_step_reduces_loss(vocab):
     scorer = NeuralScorer(vocab, seed=5)
-    resp = ["a_2", "b_1"]
-    loss0 = -scorer.seq_logprob(CTX, resp)
-    _, grads = scorer.seq_logprob_and_grad(CTX, resp)
+    ctx, resp = id_array(vocab, CTX.tokens), id_array(vocab, ["a_2", "b_1"])
+    loss0 = -scorer.seq_logprob_ids(ctx, resp)
+    _, grads = scorer.seq_logprob_and_grad_ids(ctx, resp)
     scorer.apply_grads(grads, -0.5)
-    loss1 = -scorer.seq_logprob(CTX, resp)
+    loss1 = -scorer.seq_logprob_ids(ctx, resp)
     assert loss1 < loss0
 
 
@@ -278,8 +285,8 @@ def test_neural_save_load_round_trip(vocab, tmp_path):
     scorer.save(path)
     loaded = load_scorer(path)
     assert isinstance(loaded, NeuralScorer)
-    np.testing.assert_allclose(loaded.prob_dist(CTX, ["a_0"]),
-                               scorer.prob_dist(CTX, ["a_0"]), atol=1e-15)
+    np.testing.assert_allclose(loaded.prob_dist(CTX, ids(vocab, ["a_0"])),
+                               scorer.prob_dist(CTX, ids(vocab, ["a_0"])), atol=1e-15)
 
 
 def test_load_scorer_unknown_kind(tmp_path):
@@ -294,7 +301,7 @@ def test_load_scorer_unknown_kind(tmp_path):
 def test_neural_dist_valid_probability(prefix):
     vocab = vocab_from_sids(SIDS)
     scorer = NeuralScorer(vocab, seed=7)
-    dist = scorer.prob_dist(CTX, prefix)
+    dist = scorer.prob_dist(CTX, ids(vocab, prefix))
     assert dist.shape == (len(vocab),)
     assert (dist > 0).all()
     assert dist.sum() == pytest.approx(1.0, abs=1e-9)
@@ -323,7 +330,7 @@ NEURAL_TOKENS = ["a_0", "a_1", "a_2", "b_0", "b_1", "b_2", "<unk>", "novel"]
 
 
 def assert_rows_equal_loop(scorer, ctx, prefixes):
-    batch = scorer.next_probs(ctx, prefixes)
+    batch = scorer.next_probs(ctx, [ids(scorer.vocab, p) for p in prefixes])
     assert batch.shape == (len(prefixes), len(scorer.vocab))
     for row, prefix in zip(batch, prefixes):
         np.testing.assert_array_equal(row, loop_forward(scorer, ctx.tokens, prefix))
@@ -345,7 +352,7 @@ def test_neural_batch_rows_equal_loop_reference(prefixes, ctx_tokens, max_prefix
     same = [p for p in prefixes if len(p) == len(prefixes[0])]
     assert_rows_equal_loop(scorer, ctx, same)
     for prefix in prefixes[:3]:
-        np.testing.assert_array_equal(scorer.prob_dist(ctx, prefix),
+        np.testing.assert_array_equal(scorer.prob_dist(ctx, ids(scorer.vocab, prefix)),
                                       loop_forward(scorer, ctx.tokens, prefix))
 
 
@@ -376,7 +383,7 @@ def test_neural_decode_makes_one_batched_call_per_level(monkeypatch):
         batches.append(len(prefixes))
         return real(self, context, prefixes)
 
-    def forbidden(self, context, prefix_tokens):
+    def forbidden(self, context, prefix):
         raise AssertionError("decode asked for a single prefix")
 
     monkeypatch.setattr(NeuralScorer, "next_probs", spy)
@@ -392,22 +399,24 @@ def test_neural_context_ids_memo_rows_equal_fresh_scorer():
     scorer = NeuralScorer(vocab, seed=5)
     a = ScorerContext(tokens=("a_0", "b_1", "novel", "a_0"))
     b = ScorerContext(tokens=("a_2", "<unk>"))
-    prefixes = [(), ("a_1",), ("a_0", "b_2"), ("c_9",)]
+    prefixes = [tuple(ids(vocab, p)) for p in [(), ("a_1",), ("a_0", "b_2"), ("c_9",)]]
     for ctx in (a, b, a):
         np.testing.assert_array_equal(scorer.next_probs(ctx, prefixes),
                                       NeuralScorer(vocab, seed=5).next_probs(ctx, prefixes))
-    # the memo holds the last context: asking with it again looks up only
-    # the prefixes, and an equal but distinct context is looked up anew
+    # the memo holds the last context: asking with it again looks up no
+    # token but the one this call site maps to an id, and an equal but
+    # distinct context is looked up anew
     looked_up = []
     vocab.lookup = lambda token: looked_up.append(token) or Vocabulary.lookup(vocab, token)
-    scorer.next_probs(a, [("a_1",)])
+    scorer.next_probs(a, [(vocab.lookup("a_1"),)])
     assert looked_up == ["a_1"]
     scorer.next_probs(ScorerContext(tokens=a.tokens), [()])
     assert looked_up == ["a_1"] + list(a.tokens)
     del vocab.lookup
     # a parameter update after the memo filled still reaches every row
     before = scorer.next_probs(a, prefixes)
-    _, grads = scorer.seq_logprob_and_grad(a, ["a_1", "b_0"])
+    _, grads = scorer.seq_logprob_and_grad_ids(id_array(vocab, a.tokens),
+                                               id_array(vocab, ["a_1", "b_0"]))
     scorer.apply_grads(grads, -0.5)
     after = scorer.next_probs(a, prefixes)
     assert not np.array_equal(before, after)
@@ -479,11 +488,11 @@ TF_TOKENS = ["a_0", "a_1", "b_0", "b_1", "c_2", "<unk>", "novel"]
 def test_seq_logprob_and_grad_equal_step_loop(ctx_tokens, resp, max_prefix, seed):
     scorer = NeuralScorer(vocab_from_sids(SIDS), embed_dim=6, hidden_dim=5,
                           max_prefix=max_prefix, seed=seed)
-    ctx = ScorerContext(tokens=tuple(ctx_tokens))
-    logp, grads = scorer.seq_logprob_and_grad(ctx, resp)
+    ctx, resp_ids = id_array(scorer.vocab, ctx_tokens), id_array(scorer.vocab, resp)
+    logp, grads = scorer.seq_logprob_and_grad_ids(ctx, resp_ids)
     want_logp, want = loop_logprob_and_grad(scorer, ctx_tokens, resp)
     assert logp == want_logp
-    assert scorer.seq_logprob(ctx, resp) == want_logp
+    assert scorer.seq_logprob_ids(ctx, resp_ids) == want_logp
     assert grads.keys() == want.keys()
     for k in want:
         np.testing.assert_array_equal(grads[k], want[k], err_msg=k)
@@ -500,8 +509,8 @@ def test_train_step_equals_loop_step(pairs, max_prefix, seed):
                           max_prefix=max_prefix, seed=seed)
     reference = scorer.copy()
     for ctx_tokens, resp in pairs:
-        _, grads = scorer.seq_logprob_and_grad(ScorerContext(tokens=tuple(ctx_tokens)),
-                                               resp)
+        _, grads = scorer.seq_logprob_and_grad_ids(id_array(scorer.vocab, ctx_tokens),
+                                                   id_array(scorer.vocab, resp))
         scorer.apply_grads(grads, -0.3)
         loop_train_step(reference, ctx_tokens, resp, lr=0.3)
         for k in reference.params:
@@ -517,11 +526,11 @@ def test_teacher_forced_rows_equal_single_prefix_forward():
     rng = np.random.default_rng(2)
     ctx = ScorerContext(tokens=tuple(rng.choice(tokens, size=35)))
     resp = list(rng.choice(tokens, size=9))
-    ids = [scorer.vocab.lookup(t) for t in resp]
-    probs = scorer._teacher_forced(scorer._ids(ctx.tokens), ids)[3]
+    ctx_ids, resp_ids = id_array(scorer.vocab, ctx.tokens), id_array(scorer.vocab, resp)
+    probs = scorer._teacher_forced(ctx_ids, resp_ids)[3]
     for i in range(len(resp)):
         np.testing.assert_array_equal(probs[i], loop_forward(scorer, ctx.tokens, resp[:i]))
-    logp, grads = scorer.seq_logprob_and_grad(ctx, resp)
+    logp, grads = scorer.seq_logprob_and_grad_ids(ctx_ids, resp_ids)
     want_logp, want = loop_logprob_and_grad(scorer, ctx.tokens, resp)
     assert logp == want_logp
     for k in want:

@@ -228,6 +228,13 @@ def test_worker_pool_validation():
         WorkerPool(0)
 
 
+def test_admission_budget_validation():
+    # a negative budget would slice off all queued triggers but the last
+    with pytest.raises(ServingError, match="budget_per_tick"):
+        _policy(["u1"], budget=-1)
+    assert _policy(["u1"], budget=0).budget_per_tick == 0
+
+
 # --- end-to-end simulation ---------------------------------------------------
 
 def test_simulation_staleness_and_hits():

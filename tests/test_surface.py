@@ -1,10 +1,12 @@
 """Every public name in the package has a caller outside the tests.
 
 An AST scan: each public (non-underscore) top-level function or class in
-src/genret/*.py must be referenced outside its own definition, somewhere in
-src/genret (the re-exporting __init__.py does not count), benchmarks/ or
-demos/. A bare name counts in its own module and in files that import it by
-name; an attribute (``rqvae.train``) counts anywhere.
+src/genret/*.py, and each public method or property of a public class, must
+be referenced outside its own definition, somewhere in src/genret (the
+re-exporting __init__.py does not count), benchmarks/ or demos/. A bare name
+counts in its own module and in files that import it by name; an attribute
+(``rqvae.train``) counts anywhere. A method counts only by attribute, and
+any attribute of its name counts, whatever object it is read from.
 
 ORACLES lists the test-only names that are kept on purpose. The scan also
 fails when one of them is gone or has gained a caller, so the list cannot
@@ -17,8 +19,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "genret"
 
-# Test-only oracles and fixtures. decode_exhaustive is one too, but the
-# batch-generate benchmark and demo 02 call it, so it needs no entry.
+# Test-only oracles, fixtures and conveniences. decode_exhaustive is one
+# too, but the batch-generate benchmark and demo 02 call it, so it needs no
+# entry.
 ORACLES = {
     "dice",                # acceptance criterion 07
     "freeze_forward",      # rqvae finite-difference gradient check
@@ -26,23 +29,34 @@ ORACLES = {
     "make_cluster_table",  # quantizer test data
     "surrogate_loss",      # rqvae finite-difference gradient check
     "total_loss",          # rqvae training-progress check
+    "RetrievalList.ad_ids",         # test convenience: a list's ads in rank order
+    "SemanticId.disambiguation",    # test convenience: the collision suffix
 }
 
 
 def public_definitions(package: Path) -> dict[str, tuple[Path, ast.AST]]:
-    """Public top-level functions and classes: name -> (module path, node)."""
+    """Public top-level functions and classes, and the public methods and
+    properties of public classes under ``Class.method``: name -> (module
+    path, node)."""
     out = {}
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
                 out[node.name] = (path, node)
+                for member in node.body if isinstance(node, ast.ClassDef) else ():
+                    if (isinstance(member, ast.FunctionDef)
+                            and not member.name.startswith("_")):
+                        out[f"{node.name}.{member.name}"] = (path, member)
     return out
 
 
 def referenced(definitions, sources: dict[Path, str]) -> set[str]:
     """Names in definitions referenced in sources (path -> text) outside
     their own definition."""
+    by_ref: dict[str, list[str]] = {}  # the name a reference reads -> definitions
+    for name in definitions:
+        by_ref.setdefault(name.rpartition(".")[2], []).append(name)
     found = set()
     for path, text in sources.items():
         tree = ast.parse(text)
@@ -50,20 +64,19 @@ def referenced(definitions, sources: dict[Path, str]) -> set[str]:
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         for ref in ast.walk(tree):
             if isinstance(ref, ast.Attribute):
-                name = ref.attr
+                ref_name = ref.attr
             elif isinstance(ref, ast.Name):
-                name = ref.id
+                ref_name = ref.id
             else:
                 continue
-            if name not in definitions:
-                continue
-            home, node = definitions[name]
-            if path == home:
-                if node.lineno <= ref.lineno <= node.end_lineno:
+            for name in by_ref.get(ref_name, ()):
+                home, node = definitions[name]
+                if path == home and node.lineno <= ref.lineno <= node.end_lineno:
                     continue
-            elif isinstance(ref, ast.Name) and name not in imported:
-                continue
-            found.add(name)
+                if isinstance(ref, ast.Name) and (
+                        "." in name or (path != home and ref_name not in imported)):
+                    continue
+                found.add(name)
     return found
 
 
@@ -83,16 +96,22 @@ def test_scan_flags_each_kind_of_problem(tmp_path):
         "def dead():\n    return dead()\n\n"
         "def _private():\n    pass\n\n"
         "def oracle():\n    pass\n\n"
-        "class Called:\n    pass\n")
+        "class Called:\n"
+        "    def called(self):\n        return self._private()\n\n"
+        "    def dead_method(self):\n        return self.dead_method()\n\n"
+        "    def _private(self):\n        pass\n")
     definitions = public_definitions(tmp_path)
+    # a bare name is no call of a method of that name
     sources = {tmp_path / "mod.py": (tmp_path / "mod.py").read_text(),
                tmp_path / "user.py": "import mod\nfrom mod import used\n"
-                                     "used()\nmod.Called()\n"}
+                                     "used()\nmod.Called().called()\n"
+                                     "dead_method = None\n"}
     assert surface_problems(definitions, sources, {"oracle", "missing"}) == [
+        "no caller: Called.dead_method",
         "no caller: dead",
         "oracle no longer defined: missing",
     ]
-    assert surface_problems(definitions, sources, {"used"}) == [
+    assert surface_problems(definitions, sources, {"used", "Called.dead_method"}) == [
         "no caller: dead", "no caller: oracle", "oracle has a caller: used"]
 
 
