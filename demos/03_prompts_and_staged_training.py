@@ -32,10 +32,10 @@ def main():
     print(build_prompt(profile, summary, events))
 
     print("\n=== interaction-reuse augmentation ===")
-    samples = augment(events, profile, summary, "u42")
+    samples = augment(events, profile, summary)
     for s in samples:
         history = s.prompt.count("days ago")
-        print(f"  sample: {history} history events -> response {s.response}")
+        print(f"  sample: {history} history events -> response {s.response.render()}")
 
     print("\n=== staged curriculum on synthetic users ===")
     spec = SyntheticSpec(num_categories=2, ads_per_category=4, num_users=6,
@@ -60,7 +60,7 @@ def main():
         print(f"  {stage}: {len(corpora[stage])} pairs; e.g.")
         example = corpora[stage][0]
         print(f"    prompt[:72] = {example.prompt[:72]!r}")
-        print(f"    response    = {example.response}")
+        print(f"    response    = {example.response.render()}")
 
     scorer = NgramScorer(vocab_from_sids(sids))
     _, log = train_staged(scorer, corpora,

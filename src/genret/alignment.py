@@ -31,7 +31,7 @@ class AlignmentError(RuntimeError):
 @dataclass(frozen=True)
 class CorpusPair:
     prompt: str
-    response: str
+    response: SemanticId
     stage: str
     bucket: tuple = ()
     user_id: str = ""
@@ -80,8 +80,7 @@ def explicit_pairs(catalog: Catalog, sids: dict[str, SemanticId]) -> list[Corpus
             f'Given the ad\'s detailed description "{render_description(ad)}", '
             f"what is the corresponding ad?"
         )
-        pairs.append(CorpusPair(prompt=prompt, response=sids[ad.ad_id].render(),
-                                stage="explicit"))
+        pairs.append(CorpusPair(prompt=prompt, response=sids[ad.ad_id], stage="explicit"))
     return pairs
 
 
@@ -100,9 +99,7 @@ def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
         summary = summary_from_events(events_by_user[uid], catalog)
         bucket = make_bucket(profile, summary, events_by_user[uid])
         for stage, use_sid in (("implicit", False), ("main", True)):
-            samples = augment(events, profile, summary, uid, template_ids,
-                              use_sid=use_sid)
-            for s in samples:
+            for s in augment(events, profile, summary, template_ids, use_sid=use_sid):
                 corpora[stage].append(CorpusPair(
                     prompt=s.prompt, response=s.response, stage=stage,
                     bucket=bucket, user_id=uid))
@@ -134,11 +131,10 @@ class CompiledCorpus:
     unk_share: float
 
 
-def compile_corpus(pairs, vocab, parsed=None) -> CompiledCorpus:
+def compile_corpus(pairs, vocab) -> CompiledCorpus:
     """Map each pair to ids once. A main-stage context keeps only its
     prompt's S-ID tokens, as serving's context has; other stages keep every
-    prompt token. Responses are parsed through the caller's ``parsed`` memo
-    (see ``_response_ids``), or a fresh one."""
+    prompt token."""
     contexts = []
     for p in pairs:
         if p.stage == "main":
@@ -146,20 +142,10 @@ def compile_corpus(pairs, vocab, parsed=None) -> CompiledCorpus:
         else:
             tokens = tokenize_text(p.prompt)
         contexts.append(id_array(vocab, tokens))
-    responses = _response_ids(pairs, vocab, {} if parsed is None else parsed)
+    responses = [np.array(vocab.sid_ids(p.response), dtype=np.intp) for p in pairs]
     total = sum(map(len, contexts))
     unk = sum(int(np.count_nonzero(c == vocab.id_of[UNK])) for c in contexts)
     return CompiledCorpus(contexts, responses, unk / total if total else 0.0)
-
-
-def _response_ids(pairs, vocab, parsed: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Each pair's response as an id array. ``parsed`` maps the response
-    strings seen so far to their arrays; a new string is parsed once and
-    added, and pairs that share a string share its array."""
-    for p in pairs:
-        if p.response not in parsed:
-            parsed[p.response] = id_array(vocab, SemanticId.parse(p.response).tokens())
-    return [parsed[p.response] for p in pairs]
 
 
 def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
@@ -167,14 +153,12 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
                  learning_rate: float = 0.05, seed: int = 0):
     """Consume stage corpora strictly in the configured order.
 
-    Each distinct response string is parsed to ids once per call.
     NgramScorer accumulates weighted counts; NeuralScorer runs gradient
     epochs per stage over the stage's pairs compiled to ids once, and logs
     the stage's ``unk_share``. Returns (scorer, stage_log).
     """
     stage_log = []
     rng = np.random.default_rng(seed)
-    parsed: dict[str, np.ndarray] = {}  # response -> ids, for this call only
     for stage in order:
         pairs = corpora.get(stage, [])
         if not pairs:
@@ -183,13 +167,11 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
         if isinstance(scorer, NgramScorer):
             # the n-gram reads only the bucket, so no prompt is tokenized
             weight = (stage_weights or {}).get(stage, 1.0)
-            # counts keep Python ints, which json can write
-            scorer.train([(p.bucket, ids.tolist()) for p, ids
-                          in zip(pairs, _response_ids(pairs, scorer.vocab, parsed))],
+            scorer.train([(p.bucket, scorer.vocab.sid_ids(p.response)) for p in pairs],
                          weight=weight)
             stage_log.append({"stage": stage, "pairs": len(pairs), "weight": weight})
         elif isinstance(scorer, NeuralScorer):
-            corpus = compile_corpus(pairs, scorer.vocab, parsed)
+            corpus = compile_corpus(pairs, scorer.vocab)
             epochs = (epochs_per_stage or {}).get(stage, 3)
             for _ in range(epochs):
                 for i in rng.permutation(len(pairs)):
@@ -240,8 +222,9 @@ def _shared_vocab(policy: NeuralScorer, reference: NeuralScorer):
 
 def _triplet_ids(vocab, triplets):
     """Each triplet's (context, high response, low response) as id arrays."""
-    return [(id_array(vocab, t.user.tokens), id_array(vocab, t.high_ad.tokens()),
-             id_array(vocab, t.low_ad.tokens())) for t in triplets]
+    return [(id_array(vocab, t.user.tokens),
+             np.array(vocab.sid_ids(t.high_ad), dtype=np.intp),
+             np.array(vocab.sid_ids(t.low_ad), dtype=np.intp)) for t in triplets]
 
 
 def _reference_logprobs(reference: NeuralScorer, ids):
@@ -320,12 +303,20 @@ def dpo_update(policy: NeuralScorer, reference: NeuralScorer, triplets,
 
 def save_corpus(pairs, path):
     jsonl.write(path, ({
-        "prompt": p.prompt, "response": p.response, "stage": p.stage,
+        "prompt": p.prompt, "response": p.response.render(), "stage": p.stage,
         "bucket": list(p.bucket), "user_id": p.user_id,
     } for p in pairs), ensure_ascii=False)
 
 
+def _corpus_pair(obj) -> CorpusPair:
+    if obj["stage"] not in STAGES:
+        raise ValueError(f"unknown stage {obj['stage']!r}; expected one of {STAGES}")
+    return CorpusPair(prompt=obj["prompt"], response=SemanticId.parse(obj["response"]),
+                      stage=obj["stage"], bucket=tuple(obj.get("bucket", ())),
+                      user_id=obj.get("user_id", ""))
+
+
 def load_corpus(path) -> list[CorpusPair]:
-    return list(jsonl.read(path, lambda obj: CorpusPair(
-        prompt=obj["prompt"], response=obj["response"], stage=obj["stage"],
-        bucket=tuple(obj.get("bucket", ())), user_id=obj.get("user_id", ""))))
+    """A saved corpus; a malformed response or an unknown stage fails,
+    naming the file and line."""
+    return list(jsonl.read(path, _corpus_pair))

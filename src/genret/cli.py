@@ -40,6 +40,9 @@ def _cmd_index(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             fields = json.load(fh)
+        if not isinstance(fields, dict):
+            raise ValueError(f"{args.config}: expected a JSON object, "
+                             f"got {type(fields).__name__}")
     flags = {"num_levels": args.levels, "codebook_size": args.codebook_size,
              "latent_dim": args.latent_dim, "epochs": args.epochs, "seed": args.seed}
     fields.update({k: v for k, v in flags.items() if v is not None})

@@ -24,22 +24,6 @@ class RetrievalList:
         return len(self.entries)
 
 
-def _step_prob(scorer, context, prefix, level, codes):
-    """Per-code probabilities for the valid children at one layer."""
-    dist = scorer.prob_dist(context, prefix)
-    vocab = scorer.vocab
-    probs = []
-    for code in codes:
-        p = float(dist[vocab.lookup(render_token(level, code))])
-        if not math.isfinite(p) or p < 0.0:
-            raise DecodeError(
-                f"scorer contract violated: p={p} for token "
-                f"{render_token(level, code)}"
-            )
-        probs.append(p)
-    return probs
-
-
 def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
     """Layer-by-layer beam expansion constrained to trie-valid children.
 
@@ -66,8 +50,7 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
                 f"scorer contract violated: next_probs returned shape "
                 f"{probs.shape} for {len(prefixes)} prefixes")
         candidates = [(i, c) for i, node in enumerate(nodes) for c in node.sorted_codes]
-        id_of = {c: scorer.vocab.lookup(render_token(level, c))
-                 for c in {c for _, c in candidates}}
+        id_of = {c: scorer.vocab.code_id(level, c) for c in {c for _, c in candidates}}
         p = probs.ravel()[[i * v + id_of[c] for i, c in candidates]].tolist()
         bad = [k for k, x in enumerate(p) if not 0.0 <= x < math.inf]
         if bad:
@@ -98,19 +81,23 @@ def decode_exhaustive(scorer, context, trie: Trie) -> RetrievalList:
     """
     results: list[tuple[str, SemanticId, float]] = []
 
-    def rec(node, codes: tuple[int, ...], log_score: float):
+    def rec(node, codes: tuple[int, ...], prefix: tuple[int, ...], log_score: float):
         if node.end_of_ad is not None and len(codes) == trie.depth:
             results.append((node.end_of_ad, SemanticId(codes), math.exp(log_score)))
-        child_codes = node.sorted_codes
-        if not child_codes:
+        if not node.sorted_codes:
             return
         level = len(codes)
-        prefix = tuple(scorer.vocab.lookup(render_token(i, c)) for i, c in enumerate(codes))
-        probs = _step_prob(scorer, context, prefix, level, child_codes)
-        for code, p in zip(child_codes, probs):
+        dist = scorer.prob_dist(context, prefix)
+        ids = [scorer.vocab.code_id(level, c) for c in node.sorted_codes]
+        probs = [float(dist[i]) for i in ids]
+        bad = [k for k, p in enumerate(probs) if not 0.0 <= p < math.inf]
+        if bad:
+            raise DecodeError(f"scorer contract violated: p={probs[bad[0]]} for token "
+                              f"{render_token(level, node.sorted_codes[bad[0]])}")
+        for code, i, p in zip(node.sorted_codes, ids, probs):
             log_p = math.log(p) if p > 0.0 else -math.inf
-            rec(node.children[code], codes + (code,), log_score + log_p)
+            rec(node.children[code], codes + (code,), prefix + (i,), log_score + log_p)
 
-    rec(trie.root, (), 0.0)
+    rec(trie.root, (), (), 0.0)
     results.sort(key=lambda e: (-e[2], e[1].codes))
     return RetrievalList(entries=results)

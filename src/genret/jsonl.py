@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 
 
 class JsonlError(ValueError):
@@ -27,7 +29,17 @@ def read(path, build, error=JsonlError):
 
 
 def write(path, rows, **dumps) -> None:
-    """Write one json.dumps(row, **dumps) line per row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, **dumps) + "\n")
+    """Write one json.dumps(row, **dumps) line per row. The lines go to a
+    sibling temporary file that replaces path only once every row is
+    written, so a failure leaves neither a partial artifact nor the
+    temporary file."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, **dumps) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

@@ -46,6 +46,9 @@ class PipelineConfig:
     def from_file(cls, path) -> "PipelineConfig":
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise PipelineError("config", ValueError(
+                f"{path}: expected a JSON object, got {type(obj).__name__}"))
         cfg = cls()
         for key, value in obj.items():
             if not hasattr(cfg, key):
@@ -180,7 +183,11 @@ def run_dpo(policy, catalog, sids, profiles, events_by_user, out_path, beta: flo
 def run_generate(scorer, sids, catalog, profiles, events_by_user, users,
                  beam_width: int, out_path) -> None:
     """Decode a list per user over the trie of sids and write them to
-    out_path as JSON lines."""
+    out_path as JSON lines. A user without a profile fails before anything
+    is written."""
+    unknown = [uid for uid in users if uid not in profiles]
+    if unknown:
+        raise ValueError(f"unknown user {unknown[0]!r}: no profile")
     generate = build_generate_fn(scorer, trie_mod.build(sids), catalog, profiles,
                                  events_by_user, beam_width)
     jsonl.write(out_path, ({"user_id": uid, "ad_id": ad_id, "score": score}

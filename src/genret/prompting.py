@@ -97,9 +97,7 @@ class InterestSummary:
 @dataclass(frozen=True)
 class PromptSample:
     prompt: str
-    response: str
-    template_id: int
-    user_id: str
+    response: SemanticId
 
 
 _PREAMBLE = (
@@ -210,7 +208,6 @@ def augment(
     events,
     profile: UserProfile,
     summary: InterestSummary,
-    user_id: str,
     template_ids=(0,),
     token_budget: int = DEFAULT_TOKEN_BUDGET,
     use_sid: bool = True,
@@ -219,14 +216,16 @@ def augment(
     (positive ad split, template id), in sequence order."""
     if not template_ids:
         raise PromptError("template_ids must name at least one template")
+    splits = interaction_reuse_splits(list(events))
+    for _, target in splits:
+        if target.sid is None:
+            raise PromptError(f"ad event {target.ad_id!r} has no S-ID")
     return [
         PromptSample(
             prompt=build_prompt(profile, summary, history, tid, token_budget, use_sid),
-            response=target.sid.render(),
-            template_id=tid,
-            user_id=user_id,
+            response=target.sid,
         )
-        for history, target in interaction_reuse_splits(list(events))
+        for history, target in splits
         for tid in template_ids
     ]
 

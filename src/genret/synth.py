@@ -19,6 +19,10 @@ _CONSUMPTION = ("low", "medium", "high")
 _EVENT_TYPES_CONTENT = ("play short video", "search")
 _EVENT_TYPES_AD = ("click on ad", "conversion ad")
 
+# make_events puts each of a user's events on its own day of 1..89, and a
+# spec asks for at most 88 of them
+MAX_EVENTS_PER_USER = 88
+
 _CATEGORY_WORDS = (
     "automobile", "travel", "emotion", "education", "finance", "fitness",
     "gaming", "beauty", "grocery", "fashion", "realty", "pets",
@@ -40,6 +44,9 @@ class SyntheticSpec:
         if min(self.num_categories, self.ads_per_category, self.num_users,
                self.events_per_user) < 1:
             raise ValueError("synthetic sizes must be positive")
+        if self.events_per_user > MAX_EVENTS_PER_USER:
+            raise ValueError(f"events_per_user {self.events_per_user} exceeds "
+                             f"{MAX_EVENTS_PER_USER}, one event per day of the window")
 
 
 def make_catalog(spec: SyntheticSpec) -> Catalog:
@@ -98,7 +105,7 @@ def make_events(spec: SyntheticSpec, catalog: Catalog):
         uid = f"u{ui:03d}"
         favorites = rng.sample(categories, k=min(2, len(categories)))
         events = []
-        days = sorted(rng.sample(range(1, 90), k=min(spec.events_per_user, 88)),
+        days = sorted(rng.sample(range(1, 90), k=spec.events_per_user),
                       reverse=True)
         n_ads = 0
         for di, day in enumerate(days):

@@ -1,8 +1,11 @@
-"""Token vocabulary shared by scorers and the constrained decoder."""
+"""Token vocabulary shared by scorers and the constrained decoder, and the
+one place an S-ID code becomes a model id."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .sid import is_token, parse_token, render_token
 
 UNK = "<unk>"
 SEP = "<sep>"
@@ -19,14 +22,16 @@ class Vocabulary:
 
     tokens: list[str]
     id_of: dict[str, int] = field(init=False, repr=False, compare=False)
+    # (level, code) -> id of the token render_token spells for it
+    _code_id: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.id_of = {t: i for i, t in enumerate(self.tokens)}
+        self._code_id = {parse_token(t): i for t, i in self.id_of.items()
+                         if is_token(t) and render_token(*parse_token(t)) == t}
 
     @classmethod
     def build(cls, sid_tokens, extra_tokens=()) -> "Vocabulary":
-        from .sid import parse_token
-
         sid_sorted = sorted(set(sid_tokens), key=parse_token)
         extra_sorted = sorted(set(extra_tokens) - set(sid_sorted) - set(RESERVED))
         return cls(list(RESERVED) + sid_sorted + extra_sorted)
@@ -37,6 +42,15 @@ class Vocabulary:
     def lookup(self, token: str) -> int:
         """Unknown tokens map to the reserved unknown id."""
         return self.id_of.get(token, self.id_of[UNK])
+
+    def code_id(self, level: int, code: int) -> int:
+        """The id of S-ID code ``code`` at ``level``, as
+        ``lookup(render_token(level, code))`` gives it, with no rendering."""
+        return self._code_id.get((level, code), self.id_of[UNK])
+
+    def sid_ids(self, sid) -> list[int]:
+        """A SemanticId's codes as ids, level by level."""
+        return [self.code_id(level, code) for level, code in enumerate(sid.codes)]
 
 
 def vocab_from_sids(sids, extra_tokens=()) -> Vocabulary:

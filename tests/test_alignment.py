@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from genret.alignment import (AlignmentError, PreferenceTriplet,
                               summary_from_events, train_staged, user_context)
 from genret.catalog import Ad, Catalog, load_catalog
 from genret.embed import embed_catalog
+from genret.jsonl import JsonlError
 from genret.prompting import BehaviorEvent, UserProfile, load_events, load_profiles
 from genret.scorer import NeuralScorer, NgramScorer, ScorerContext, id_array, tokenize_text
 from genret.sid import SemanticId, is_token
@@ -48,7 +50,7 @@ def test_explicit_pairs_shape():
     p = next(p for p in pairs if "Name 3" in p.prompt)
     assert p.prompt.startswith("Given the ad's detailed description \"")
     assert p.prompt.endswith("what is the corresponding ad?")
-    assert p.response == SIDS["ad3"].render()
+    assert p.response == SIDS["ad3"]
     assert p.stage == "explicit"
 
 
@@ -81,9 +83,9 @@ def test_build_stage_corpora_stages_and_sid_usage():
     assert "Name 1" in final_implicit.prompt
     assert SIDS["ad1"].render() not in final_implicit.prompt
     assert SIDS["ad1"].render() in final_main.prompt
-    # responses are rendered S-IDs in both
-    assert final_implicit.response == SIDS["ad2"].render()
-    assert final_main.response == SIDS["ad2"].render()
+    # responses are the target's S-ID in both
+    assert final_implicit.response == SIDS["ad2"]
+    assert final_main.response == SIDS["ad2"]
 
 
 def test_corpus_bucket_matches_serving_context():
@@ -151,6 +153,35 @@ def test_corpus_round_trip(tmp_path):
     assert load_corpus(path) == pairs
 
 
+def test_stage_corpora_round_trip(tmp_path):
+    """Every stage's pairs, with their buckets and users, load back equal:
+    the file holds rendered S-IDs and load_corpus parses them back."""
+    users = {f"u{i}": _profile() for i in range(2)}
+    corpora = build_stage_corpora(_catalog(), SIDS, users,
+                                  {uid: _events() for uid in users})
+    for stage, pairs in corpora.items():
+        path = tmp_path / f"{stage}.jsonl"
+        save_corpus(pairs, path)
+        assert SIDS["ad2"].render() in path.read_text(encoding="utf-8")
+        assert load_corpus(path) == pairs
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"prompt": "p", "response": "<a_1, b_0>", "stage": "Main"}, "unknown stage"),
+    ({"prompt": "p", "response": "<a_1, b_0>", "stage": "dpo"}, "unknown stage"),
+    ({"prompt": "p", "response": "<b_1, a_0>", "stage": "main"}, "wrong level"),
+    ({"prompt": "p", "response": "a_1, b_0", "stage": "main"}, "angle-bracketed"),
+])
+def test_load_corpus_rejects_bad_stage_and_response(tmp_path, record, message):
+    path = tmp_path / "corpus.jsonl"
+    good = {"prompt": "p", "response": "<a_1, b_0>", "stage": "main"}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(JsonlError, match=message) as info:
+        load_corpus(path)
+    assert f"{path}: line 2" in str(info.value)
+
+
 # --- staged training ---------------------------------------------------------
 
 def test_staged_ngram_equals_weighted_single_pass(vocab, monkeypatch):
@@ -180,13 +211,14 @@ def test_staged_ngram_equals_weighted_single_pass(vocab, monkeypatch):
                                direct.prob_dist(ctx, [vocab.lookup("a_1")]), atol=1e-12)
 
 
-def test_staged_ngram_parses_each_distinct_response_once(vocab, monkeypatch):
+def test_staged_training_parses_no_response(vocab, monkeypatch):
+    """Responses reach train_staged as SemanticIds, so neither scorer's
+    training parses an S-ID string."""
     users = {f"u{i}": _profile() for i in range(4)}
     corpora = build_stage_corpora(_catalog(), SIDS, users,
                                   {uid: _events() for uid in users})
     pairs = [p for stage in ("explicit", "implicit", "main") for p in corpora[stage]]
-    distinct = {p.response for p in pairs}
-    assert len(pairs) > len(distinct)
+    assert len(pairs) > len({p.response for p in pairs})
 
     parsed = []
     real = SemanticId.parse.__func__
@@ -198,7 +230,9 @@ def test_staged_ngram_parses_each_distinct_response_once(vocab, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(SemanticId, "parse", classmethod(counting))
         staged, _ = train_staged(NgramScorer(vocab), corpora)
-    assert sorted(parsed) == sorted(distinct)
+        train_staged(NeuralScorer(vocab, embed_dim=8, hidden_dim=8, seed=0), corpora,
+                     epochs_per_stage={s: 1 for s in alignment.STAGES})
+    assert parsed == []
 
     # the count tables equal those of parsing every pair on its own
     per_pair = NgramScorer(vocab)
@@ -259,7 +293,7 @@ def string_context(pair):
 
 
 def string_response(pair):
-    return list(SemanticId.parse(pair.response).tokens())
+    return list(pair.response.tokens())
 
 
 # words that are, or nearly are, S-ID tokens or markers; a_\u0661 ends in a
@@ -277,7 +311,7 @@ def corpus_pairs(draw):
         parts = draw(st.lists(st.tuples(st.sampled_from(ADVERSARIAL),
                                         st.sampled_from(SEPARATORS)), max_size=12))
         prompt = "".join(w + sep for w, sep in parts)
-        response = SIDS[draw(st.sampled_from(sorted(SIDS)))].render()
+        response = SIDS[draw(st.sampled_from(sorted(SIDS)))]
         pairs.append(alignment.CorpusPair(prompt=prompt, response=response,
                                           stage=draw(st.sampled_from(alignment.STAGES))))
     return pairs
@@ -287,9 +321,9 @@ def corpus_pairs(draw):
 @given(corpus_pairs())
 @example([alignment.CorpusPair(
     prompt="<a_1> a_1x xa_1 A_1 play_video <sep> a_\u0661 <b_0, c_0> a_1",
-    response=SIDS["ad1"].render(), stage=stage) for stage in alignment.STAGES]
-    + [alignment.CorpusPair(prompt="", response=SIDS["ad2"].render(), stage="main")])
-@example([alignment.CorpusPair(prompt="", response=SIDS["ad2"].render(), stage="main")])
+    response=SIDS["ad1"], stage=stage) for stage in alignment.STAGES]
+    + [alignment.CorpusPair(prompt="", response=SIDS["ad2"], stage="main")])
+@example([alignment.CorpusPair(prompt="", response=SIDS["ad2"], stage="main")])
 def test_compiled_ids_equal_string_path(pairs):
     vocab = vocab_from_sids(SIDS, extra_tokens=["a_\u0661", "play_video", "cat:cat0"])
     compiled = compile_corpus(pairs, vocab)

@@ -248,6 +248,49 @@ def test_dpo_rejects_ngram_policy(tmp_path, capsys):
     assert not (tmp_path / "dpo_policy.json").exists()
 
 
+def test_generate_names_an_unknown_user_and_writes_nothing(tmp_path, capsys):
+    run = tmp_path / "run"
+    run_pipeline(PipelineConfig(
+        out_dir=str(run), seed=5,
+        synthetic={"num_categories": 2, "ads_per_category": 4, "num_users": 3,
+                   "events_per_user": 6},
+        embed_dim=16,
+        rqvae={"num_levels": 2, "codebook_size": 4, "latent_dim": 4, "epochs": 10},
+        beam_width=4))
+    out = tmp_path / "generated"
+    out.mkdir()
+    code, _, err = run_cli(capsys, "generate", "--scorer", str(run / "scorer.json"),
+                           "--catalog", str(run / "data" / "catalog.jsonl"),
+                           "--sids", str(run / "sids.jsonl"),
+                           "--profiles", str(run / "data" / "profiles.jsonl"),
+                           "--events", str(run / "data" / "events.jsonl"),
+                           "--user", "u999", "--out", str(out / "results.jsonl"))
+    assert code == 1
+    obj = json.loads(err.strip().splitlines()[-1])
+    assert "unknown user 'u999'" in obj["message"]
+    assert list(out.iterdir()) == []
+
+
+def test_index_config_must_be_an_object(tmp_path, capsys):
+    config = tmp_path / "rq.json"
+    config.write_text(json.dumps([["num_levels", 2]]))
+    code, _, err = run_cli(capsys, "index", "--config", str(config),
+                           "--embeddings", str(tmp_path / "emb.tsv"),
+                           "--out", str(tmp_path / "index"))
+    assert code == 1
+    obj = json.loads(err.strip().splitlines()[-1])
+    assert obj["error"] == "ValueError"
+    assert str(config) in obj["message"] and "JSON object" in obj["message"]
+
+
+def test_gen_data_rejects_more_events_than_days(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "gen-data", "--out", str(tmp_path / "data"),
+                             "--events-per-user", "100")
+    assert code == 1 and out == ""
+    assert "events_per_user 100" in json.loads(err.strip().splitlines()[-1])["message"]
+    assert not (tmp_path / "data").exists()
+
+
 def test_readme_lists_every_subcommand():
     """README's CLI block names each subcommand the parser accepts."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

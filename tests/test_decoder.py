@@ -10,7 +10,7 @@ from genret.decoder import DecodeError, decode, decode_exhaustive
 from genret.embed import embed_catalog
 from genret.prompting import load_events, load_profiles
 from genret.scorer import NeuralScorer, NgramScorer, ScorerContext
-from genret.sid import SemanticId, parse_token
+from genret.sid import SemanticId
 from genret.trie import build
 from genret.vocab import Vocabulary, vocab_from_sids
 
@@ -230,23 +230,11 @@ def test_one_scorer_call_per_level(example_trie, example_scorer):
         assert all(len(batch) <= beam_width for batch in counting.batches)
 
 
-class LevelMarks:
-    """Delegates to a scorer, marking how many lookups ``looked_up`` held
-    when each level's ``next_probs`` call began."""
-
-    def __init__(self, scorer, looked_up):
-        self.scorer, self.vocab = scorer, scorer.vocab
-        self.looked_up, self.marks = looked_up, []
-
-    def next_probs(self, context, prefixes):
-        self.marks.append(len(self.looked_up))
-        return self.scorer.next_probs(context, prefixes)
-
-
 def test_prefixes_reach_the_scorer_as_ids(monkeypatch):
     """No prefix token is looked up: NgramScorer.next_probs looks up
     nothing, NeuralScorer.next_probs only a new context's tokens, and a
-    decode at beam 8 only each level's candidate tokens, once each."""
+    decode at beam 8 no S-ID token, since Vocabulary.code_id maps each
+    candidate code to its id."""
     sids, trie, _ = _random_setup(np.random.default_rng(19), n_ads=40, levels=4, span=3)
     vocab = vocab_from_sids(sids)
     ngram = NgramScorer(vocab)
@@ -267,15 +255,11 @@ def test_prefixes_reach_the_scorer_as_ids(monkeypatch):
     for scorer, context_lookups in ((ngram, []), (NeuralScorer(vocab, seed=2),
                                                   list(context.tokens))):
         looked_up.clear()
-        marked = LevelMarks(scorer, looked_up)
-        assert len(decode(marked, context, trie, beam_width=8)) == 8
-        assert [t for t in looked_up if t in context.tokens] == context_lookups
-        bounds = marked.marks + [len(looked_up)]
-        assert len(bounds) == trie.depth + 1
-        for level, (start, end) in enumerate(zip(bounds, bounds[1:])):
-            tokens = [t for t in looked_up[start:end] if t not in context.tokens]
-            assert tokens and all(parse_token(t)[0] == level for t in tokens)
-            assert len(set(tokens)) == len(tokens)
+        assert len(decode(scorer, context, trie, beam_width=8)) == 8
+        assert looked_up == context_lookups
+    looked_up.clear()
+    assert len(decode_exhaustive(ngram, context, trie)) == trie.ad_count
+    assert looked_up == []
 
 
 def test_neural_decode_equals_exhaustive_on_trained_index(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from genret.alignment import load_corpus
 from genret.catalog import CatalogError, load_catalog
-from genret.jsonl import JsonlError
+from genret.jsonl import JsonlError, write
 from genret.pipeline import load_results
 from genret.prompting import load_events, load_profiles
 from genret.rqvae import load_sids
@@ -67,3 +67,26 @@ def test_non_object_record_names_file_and_line(tmp_path, load, record, _):
 def test_bad_record_names_file_and_line(tmp_path, load, record, bad):
     error = _load_second_line(tmp_path, load, json.dumps(record), json.dumps(bad))
     assert isinstance(error, ERRORS.get(load, JsonlError))
+
+
+def test_write_leaves_nothing_when_rows_fail(tmp_path):
+    """A row generator that raises midway leaves no partial artifact and no
+    temporary file; an artifact already at the path stays as it was."""
+    def rows(fail_at):
+        for i in range(5):
+            if i == fail_at:
+                raise RuntimeError("row generator failed")
+            yield {"i": i}
+
+    path = tmp_path / "rows.jsonl"
+    with pytest.raises(RuntimeError, match="row generator"):
+        write(path, rows(3))
+    assert list(tmp_path.iterdir()) == []
+
+    write(path, rows(None))
+    before = path.read_bytes()
+    assert before.count(b"\n") == 5
+    with pytest.raises(RuntimeError, match="row generator"):
+        write(path, rows(2))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

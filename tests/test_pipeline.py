@@ -109,6 +109,15 @@ def test_config_from_file(tmp_path):
             PipelineConfig.from_file(bad)
 
 
+def test_config_from_file_needs_an_object(tmp_path):
+    path = tmp_path / "config.json"
+    for value in ([["seed", 9]], 9, "seed", None):
+        path.write_text(json.dumps(value))
+        with pytest.raises(PipelineError, match="JSON object") as info:
+            PipelineConfig.from_file(path)
+        assert str(path) in str(info.value)
+
+
 def test_manifest_hash_matches_file_content(tmp_path):
     import hashlib
 

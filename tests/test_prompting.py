@@ -164,32 +164,40 @@ def test_augment_reuse_counts_and_responses():
     c1, a2, a3 = _content(50, "c1"), _ad(40, 2), _ad(30, 3)
     c4, a5 = _content(20, "c4"), _ad(10, 5)
     samples = augment([c1, a2, a3, c4, a5], _profile(),
-                      InterestSummary([("x", 1)]), "u1")
+                      InterestSummary([("x", 1)]))
     assert len(samples) == 3
-    assert [s.response for s in samples] == [
-        a2.sid.render(), a3.sid.render(), a5.sid.render()]
-    assert all(s.user_id == "u1" for s in samples)
+    assert [s.response for s in samples] == [a2.sid, a3.sid, a5.sid]
 
 
 def test_augment_template_cross_product():
     seq = [_content(50, "c1"), _ad(40, 2), _ad(30, 3)]
-    samples = augment(seq, _profile(), InterestSummary([]), "u1",
-                      template_ids=(0, 1, 2))
+    samples = augment(seq, _profile(), InterestSummary([]), template_ids=(0, 1, 2))
     assert len(samples) == 6
-    assert sorted({s.template_id for s in samples}) == [0, 1, 2]
+    # split-major, one sample per template in the order given
+    assert [s.prompt for s in samples] == [
+        build_prompt(_profile(), InterestSummary([]), history, tid)
+        for history, _ in interaction_reuse_splits(seq) for tid in (0, 1, 2)]
 
 
 def test_augment_rejects_no_templates():
     seq = [_content(50, "c1"), _ad(40, 2)]
     with pytest.raises(PromptError, match="template"):
-        augment(seq, _profile(), InterestSummary([]), "u1", template_ids=())
+        augment(seq, _profile(), InterestSummary([]), template_ids=())
+
+
+def test_augment_rejects_a_target_without_sid():
+    # the response is the target's S-ID, so a target without one cannot
+    # become a sample
+    seq = [_content(50, "c1"), _ad(40, 2), BehaviorEvent(30, "click_ad", "ad", ad_id="adX")]
+    with pytest.raises(PromptError, match="adX"):
+        augment(seq, _profile(), InterestSummary([]), use_sid=False)
 
 
 def test_augment_deterministic():
     seq = [_content(50, "c1"), _ad(40, 2), _ad(30, 3)]
     kw = dict(template_ids=(0, 1))
-    a = augment(seq, _profile(), InterestSummary([]), "u1", **kw)
-    b = augment(seq, _profile(), InterestSummary([]), "u1", **kw)
+    a = augment(seq, _profile(), InterestSummary([]), **kw)
+    b = augment(seq, _profile(), InterestSummary([]), **kw)
     assert a == b
 
 
@@ -197,8 +205,8 @@ def test_no_label_leakage():
     # the response S-ID never appears in the prompt's behavior section when
     # the target ad wasn't interacted with earlier
     seq = [_content(50, "c1"), _ad(40, 2), _ad(30, 3), _ad(20, 4)]
-    for s in augment(seq, _profile(), InterestSummary([]), "u1"):
-        assert s.response not in s.prompt
+    for s in augment(seq, _profile(), InterestSummary([])):
+        assert s.response.render() not in s.prompt
 
 
 def test_summary_sorted_descending_distinct():

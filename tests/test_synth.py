@@ -110,3 +110,14 @@ def test_cluster_table_shape_and_tightness():
 def test_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(num_users=0)
+
+
+def test_spec_rejects_more_events_than_days():
+    """make_events puts each event on its own day, so a spec cannot ask for
+    more events than it has days; the largest spec it can serve gives every
+    user exactly that many events."""
+    with pytest.raises(ValueError, match="events_per_user 89"):
+        _spec(events_per_user=89)
+    spec = _spec(events_per_user=88, num_users=2)
+    _, _, _, full = make_events(spec, make_catalog(spec))
+    assert [len(events) for events in full.values()] == [88, 88]
