@@ -118,7 +118,7 @@ def summary_from_events(events, catalog: Catalog) -> InterestSummary:
             cat = e.title.split()[0]
         if cat:
             counts[cat] = counts.get(cat, 0) + 1
-    return InterestSummary(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+    return InterestSummary(list(counts.items()))
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,9 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
     epochs per stage over the stage's pairs compiled to ids once, and logs
     the stage's ``unk_share``. Returns (scorer, stage_log).
     """
+    unknown = [stage for stage in order if stage not in STAGES]
+    if unknown:
+        raise AlignmentError(f"unknown stage {unknown[0]!r}; expected one of {STAGES}")
     stage_log = []
     rng = np.random.default_rng(seed)
     for stage in order:

@@ -49,7 +49,7 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
             raise DecodeError(
                 f"scorer contract violated: next_probs returned shape "
                 f"{probs.shape} for {len(prefixes)} prefixes")
-        candidates = [(i, c) for i, node in enumerate(nodes) for c in node.sorted_codes]
+        candidates = [(i, c) for i, node in enumerate(nodes) for c in node.children]
         id_of = {c: scorer.vocab.code_id(level, c) for c in {c for _, c in candidates}}
         p = probs.ravel()[[i * v + id_of[c] for i, c in candidates]].tolist()
         bad = [k for k, x in enumerate(p) if not 0.0 <= x < math.inf]
@@ -84,19 +84,19 @@ def decode_exhaustive(scorer, context, trie: Trie) -> RetrievalList:
     def rec(node, codes: tuple[int, ...], prefix: tuple[int, ...], log_score: float):
         if node.end_of_ad is not None and len(codes) == trie.depth:
             results.append((node.end_of_ad, SemanticId(codes), math.exp(log_score)))
-        if not node.sorted_codes:
+        if not node.children:
             return
         level = len(codes)
         dist = scorer.prob_dist(context, prefix)
-        ids = [scorer.vocab.code_id(level, c) for c in node.sorted_codes]
+        ids = [scorer.vocab.code_id(level, c) for c in node.children]
         probs = [float(dist[i]) for i in ids]
         bad = [k for k, p in enumerate(probs) if not 0.0 <= p < math.inf]
         if bad:
             raise DecodeError(f"scorer contract violated: p={probs[bad[0]]} for token "
-                              f"{render_token(level, node.sorted_codes[bad[0]])}")
-        for code, i, p in zip(node.sorted_codes, ids, probs):
+                              f"{render_token(level, list(node.children)[bad[0]])}")
+        for (code, child), i, p in zip(node.children.items(), ids, probs):
             log_p = math.log(p) if p > 0.0 else -math.inf
-            rec(node.children[code], codes + (code,), prefix + (i,), log_score + log_p)
+            rec(child, codes + (code,), prefix + (i,), log_score + log_p)
 
     rec(trie.root, (), (), 0.0)
     results.sort(key=lambda e: (-e[2], e[1].codes))

@@ -14,7 +14,8 @@ from .catalog import load_catalog
 from .embed import embed_catalog, load_embeddings, save_embeddings
 from .prompting import load_events, load_profiles
 from .scorer import NgramScorer, NeuralScorer
-from .vocab import vocab_from_sids
+from .sid import render_token
+from .vocab import UNK, vocab_from_sids
 
 
 class PipelineError(RuntimeError):
@@ -52,8 +53,14 @@ class PipelineConfig:
         cfg = cls()
         for key, value in obj.items():
             if not hasattr(cfg, key):
-                raise PipelineError("config", ValueError(f"unknown key {key!r}"))
-            setattr(cfg, key, tuple(value) if isinstance(getattr(cfg, key), tuple) else value)
+                raise PipelineError("config", ValueError(f"{path}: unknown key {key!r}"))
+            if isinstance(getattr(cfg, key), tuple):
+                # tuple("main") would be four stages of one letter each
+                if not isinstance(value, list):
+                    raise PipelineError("config", ValueError(
+                        f"{path}: {key!r} must be a JSON array, got {value!r}"))
+                value = tuple(value)
+            setattr(cfg, key, value)
         return cfg
 
 
@@ -149,20 +156,36 @@ def run_train(sids, corpora, scorer_kind: str, stages, seed: int, out_path=None)
     vocab = vocab_from_sids(sids)
     if scorer_kind == "neural":
         scorer = NeuralScorer(vocab=vocab, seed=seed)
-    else:
+    elif scorer_kind == "ngram":
         scorer = NgramScorer(vocab)
+    else:
+        raise ValueError(f"unknown scorer kind {scorer_kind!r}; "
+                         f"expected 'ngram' or 'neural'")
     scorer, stage_log = alignment.train_staged(scorer, corpora, order=stages, seed=seed)
     if out_path is not None:
         scorer.save(out_path)
     return scorer, stage_log
 
 
+def _check_vocabulary(scorer, sids) -> None:
+    """Raise naming the first S-ID token of sids, in ad-id order, that the
+    scorer's vocabulary lacks: the scorer would read it as <unk>."""
+    unk = scorer.vocab.id_of[UNK]
+    for ad_id in sorted(sids):
+        for level, code in enumerate(sids[ad_id].codes):
+            if scorer.vocab.code_id(level, code) == unk:
+                raise ValueError(f"S-ID token {render_token(level, code)!r} of ad "
+                                 f"{ad_id!r} is not in the scorer's vocabulary")
+
+
 def run_dpo(policy, catalog, sids, profiles, events_by_user, out_path, beta: float,
             variant: str, steps: int, learning_rate: float = 0.01) -> dict:
     """DPO against a frozen copy of policy on ECPM-ordered triplets over each
-    user's first four logged ad events; saves the aligned policy."""
+    user's first four logged ad events; saves the aligned policy. An S-ID
+    token the policy lacks fails before anything is written."""
     if not isinstance(policy, NeuralScorer):
         raise TypeError(f"DPO needs a neural scorer, got {type(policy).__name__}")
+    _check_vocabulary(policy, sids)
     users = []
     for uid, events in sorted(events_by_user.items()):
         ads = [(sids[e.ad_id], catalog.get(e.ad_id).ecpm) for e in events
@@ -183,11 +206,12 @@ def run_dpo(policy, catalog, sids, profiles, events_by_user, out_path, beta: flo
 def run_generate(scorer, sids, catalog, profiles, events_by_user, users,
                  beam_width: int, out_path) -> None:
     """Decode a list per user over the trie of sids and write them to
-    out_path as JSON lines. A user without a profile fails before anything
-    is written."""
+    out_path as JSON lines. A user without a profile, or an S-ID token the
+    scorer lacks, fails before anything is written."""
     unknown = [uid for uid in users if uid not in profiles]
     if unknown:
         raise ValueError(f"unknown user {unknown[0]!r}: no profile")
+    _check_vocabulary(scorer, sids)
     generate = build_generate_fn(scorer, trie_mod.build(sids), catalog, profiles,
                                  events_by_user, beam_width)
     jsonl.write(out_path, ({"user_id": uid, "ad_id": ad_id, "score": score}

@@ -231,7 +231,7 @@ def _forward_backward(model: RqVaeModel, X: np.ndarray):
 
     for l, g in enumerate(cb_grads):
         grads[f"codebook_{l}"] = g
-    return loss, grads, np.stack(codes, axis=1).tolist()
+    return loss, grads
 
 
 def surrogate_loss(model: RqVaeModel, X: np.ndarray, frozen) -> float:
@@ -333,7 +333,7 @@ def train(config: RqVaeConfig, table: EmbeddingTable) -> RqVaeModel:
     lr = config.learning_rate
 
     for epoch in range(config.epochs):
-        loss, grads, _ = _forward_backward(model, X)
+        loss, grads = _forward_backward(model, X)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch)
         t = epoch + 1
@@ -349,7 +349,7 @@ def train(config: RqVaeConfig, table: EmbeddingTable) -> RqVaeModel:
 
 def total_loss(model: RqVaeModel, table: EmbeddingTable) -> float:
     X = table.matrix(sorted(table.entries))
-    loss, _, _ = _forward_backward(model, X)
+    loss, _ = _forward_backward(model, X)
     return loss
 
 

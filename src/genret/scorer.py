@@ -4,10 +4,11 @@ Two implementations of the same contract: a count-based interpolated n-gram
 scorer (deterministic, no gradients) and a small neural scorer with exact
 analytic gradients used for preference optimization.
 
-The contract is ``next_probs(context, prefixes) -> (B, |V|)``: one row of
-next-token probabilities per prefix, answered in one call for a whole beam.
-``prob_dist(context, prefix) -> (|V|,)`` is the one-row case. A prefix is a
-sequence of vocabulary ids; the context keeps its feature tokens.
+The contract is ``next_probs(context, prefixes) -> (B, |V|)``: one call is
+one trie level, B prefixes of one length, and gets one row of next-token
+probabilities per prefix. ``prob_dist(context, prefix) -> (|V|,)`` is the
+one-row case. A prefix is a sequence of vocabulary ids; the context keeps its
+feature tokens.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class NgramScorer:
         return self._components
 
     def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
-        """The interpolated distribution after each prefix, one row each.
+        """The interpolated distribution after each prefix of one trie level,
+        one row each.
 
         Each distinct key the batch asks for gets one dense component row,
         filled from its sparse entries, so memory stays O(entries + B·|V|).
@@ -258,20 +260,15 @@ class NeuralScorer:
         return pool + p["pos"][plen], plen
 
     def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
-        """The next-token distribution after each prefix, one row each, from
-        one forward per prefix length in the batch."""
-        ctx_ids = self._context_ids(context)
-        rows_of: dict[int, list[int]] = {}
-        for r, prefix in enumerate(prefixes):
-            rows_of.setdefault(len(prefix), []).append(r)
-        probs = np.empty((len(prefixes), len(self.vocab)))
-        emb = self.params["emb"]
-        for length, rows in rows_of.items():
-            # an intp array: a tuple index into emb would be multi-dimensional
-            sums = emb[np.array([prefixes[r] for r in rows], dtype=np.intp)].sum(axis=1)
-            pool = self._pool(ctx_ids, sums, np.full(len(rows), length))[0]
-            probs[rows] = self._layers(pool)[1]
-        return probs
+        """The next-token distribution after each prefix of one trie level,
+        one row each, from one forward. Prefixes of mixed lengths make
+        numpy raise ValueError."""
+        # an intp array: a tuple index into emb would be multi-dimensional
+        ids = np.array(prefixes, dtype=np.intp)
+        sums = self.params["emb"][ids].sum(axis=1)
+        pool = self._pool(self._context_ids(context), sums,
+                          np.full(len(ids), ids.shape[1]))[0]
+        return self._layers(pool)[1]
 
     def prob_dist(self, context: ScorerContext, prefix) -> np.ndarray:
         return self.next_probs(context, [prefix])[0]

@@ -13,10 +13,10 @@ class TrieError(ValueError):
 
 @dataclass
 class TrieNode:
+    # build() is the only writer and inserts in ascending code order, so the
+    # dict iterates its codes in that order
     children: dict[int, "TrieNode"] = field(default_factory=dict)
     end_of_ad: str | None = None
-    # the children's codes in ascending order, filled in once by build()
-    sorted_codes: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass
@@ -27,16 +27,16 @@ class Trie:
 
 
 def build(sids: dict[str, SemanticId]) -> Trie:
-    """Insert every S-ID sequence code by code, marking ad ends at leaves.
+    """Insert every S-ID code by code in (codes, ad_id) order, so each node's
+    children are in ascending code order, and mark ad ends at leaves.
 
-    Insertion is idempotent for repeated identical sequences; ragged lengths
-    are rejected.
+    A repeated sequence keeps one leaf, owned by the greatest ad_id; ragged
+    lengths are rejected.
     """
     root = TrieNode()
     depth = 0
     count = 0
-    for ad_id in sorted(sids):
-        sid = sids[ad_id]
+    for ad_id, sid in sorted(sids.items(), key=lambda kv: (kv[1].codes, kv[0])):
         if depth == 0:
             depth = len(sid)
         elif len(sid) != depth:
@@ -51,11 +51,6 @@ def build(sids: dict[str, SemanticId]) -> Trie:
         if cur.end_of_ad is None:
             count += 1
         cur.end_of_ad = ad_id
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        node.sorted_codes = tuple(sorted(node.children))
-        stack.extend(node.children.values())
     return Trie(root=root, depth=depth, ad_count=count)
 
 
@@ -77,7 +72,7 @@ def valid_children(trie: Trie, prefix) -> list[int]:
     node = _walk(trie, prefix)
     if node is None:
         return []
-    return list(node.sorted_codes)
+    return list(node.children)
 
 
 def contains(trie: Trie, sid: SemanticId) -> bool:

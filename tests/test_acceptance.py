@@ -150,7 +150,7 @@ def test_04_rqvae_correctness():
         model = init_model(config, 16)
         X = np.random.default_rng(1).normal(size=(6, 16))
         frozen = freeze_forward(model, X)
-        base_loss, grads, _ = _forward_backward(model, X)
+        base_loss, grads = _forward_backward(model, X)
         assert abs(surrogate_loss(model, X, frozen) - base_loss) < 1e-12
         eps = 1e-6
         check_rng = np.random.default_rng(2)

@@ -281,6 +281,23 @@ def test_staged_unsupported_scorer(vocab):
                      order=("explicit",))
 
 
+def test_staged_rejects_an_unknown_stage(vocab):
+    # a misspelled stage used to be skipped with "pairs": 0; no stage trains
+    # before the check
+    corpora = {"explicit": explicit_pairs(_catalog(), SIDS)}
+    order = ("explicit", "implcit", "main")
+    ngram = NgramScorer(vocab)
+    with pytest.raises(AlignmentError, match="unknown stage 'implcit'"):
+        train_staged(ngram, corpora, order=order)
+    assert ngram.counts == {}
+    neural = NeuralScorer(vocab, embed_dim=4, hidden_dim=4)
+    with pytest.raises(AlignmentError, match="unknown stage 'implcit'"):
+        train_staged(neural, corpora, order=order)
+    fresh = NeuralScorer(vocab, embed_dim=4, hidden_dim=4)
+    for name, value in fresh.params.items():
+        np.testing.assert_array_equal(neural.params[name], value)
+
+
 # --- compiled corpus: the neural scorer's ids, mapped once ----------------------
 
 def string_context(pair):

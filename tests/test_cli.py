@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,41 @@ def test_generate_names_an_unknown_user_and_writes_nothing(tmp_path, capsys):
     assert code == 1
     obj = json.loads(err.strip().splitlines()[-1])
     assert "unknown user 'u999'" in obj["message"]
+    assert list(out.iterdir()) == []
+
+
+def test_generate_and_dpo_reject_an_index_the_scorer_does_not_cover(tmp_path, capsys):
+    """A scorer trained on one index, paired with the S-IDs of another, would
+    read the codes it lacks as <unk>: generate and dpo name the first such
+    token and write nothing."""
+    run = tmp_path / "run"
+    run_pipeline(PipelineConfig(
+        out_dir=str(run), seed=0,
+        synthetic={"num_categories": 2, "ads_per_category": 8, "num_users": 3,
+                   "events_per_user": 6},
+        embed_dim=16,
+        rqvae={"num_levels": 2, "codebook_size": 4, "latent_dim": 4, "epochs": 10},
+        beam_width=4, dpo_enabled=True, dpo_steps=1))
+    other = tmp_path / "other"
+    code, _, err = run_cli(capsys, "index", "--embeddings", str(run / "embeddings.tsv"),
+                           "--out", str(other), "--levels", "2", "--codebook-size", "16",
+                           "--latent-dim", "4", "--epochs", "10", "--seed", "7")
+    assert code == 0, err
+    data = ("--catalog", str(run / "data" / "catalog.jsonl"),
+            "--sids", str(other / "sids.jsonl"),
+            "--profiles", str(run / "data" / "profiles.jsonl"),
+            "--events", str(run / "data" / "events.jsonl"))
+    out = tmp_path / "generated"
+    out.mkdir()
+    for argv in (("generate", "--scorer", str(run / "scorer.json"), *data,
+                  "--out", str(out / "results.jsonl")),
+                 ("dpo", "--policy", str(run / "dpo_policy.json"), *data,
+                  "--out", str(out / "dpo_policy.json"))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        message = json.loads(err.strip().splitlines()[-1])["message"]
+        assert re.search(r"S-ID token '[ab]_\d+' of ad '\w+' is not in the "
+                         r"scorer's vocabulary", message), message
     assert list(out.iterdir()) == []
 
 

@@ -240,16 +240,18 @@ def test_prefixes_reach_the_scorer_as_ids(monkeypatch):
     ngram = NgramScorer(vocab)
     ngram.train([((), [vocab.lookup(t) for t in sid.tokens()]) for sid in sids.values()])
     context = ScorerContext(tokens=("cat:x", "novel"))
-    prefixes = [(), (vocab.lookup("a_0"),), (vocab.lookup("a_1"), vocab.lookup("b_2"))]
+    levels = [[()], [(vocab.lookup("a_0"),), (vocab.lookup("a_1"),)],
+              [(vocab.lookup("a_1"), vocab.lookup("b_2"))]]
     looked_up = []
     real = Vocabulary.lookup
     monkeypatch.setattr(Vocabulary, "lookup",
                         lambda self, token: looked_up.append(token) or real(self, token))
-    ngram.next_probs(context, prefixes)
+    for prefixes in levels:
+        ngram.next_probs(context, prefixes)
     assert looked_up == []
     neural = NeuralScorer(vocab, seed=2)
-    neural.next_probs(context, prefixes)
-    neural.next_probs(context, prefixes)
+    for prefixes in levels + levels:
+        neural.next_probs(context, prefixes)
     assert looked_up == list(context.tokens)
 
     for scorer, context_lookups in ((ngram, []), (NeuralScorer(vocab, seed=2),

@@ -6,7 +6,8 @@ import pytest
 
 from genret import rqvae
 from genret.pipeline import (Manifest, PipelineConfig, PipelineError,
-                             run_pipeline)
+                             run_pipeline, run_train)
+from genret.sid import SemanticId
 
 SMALL = dict(
     synthetic={"num_categories": 2, "ads_per_category": 4, "num_users": 5,
@@ -116,6 +117,25 @@ def test_config_from_file_needs_an_object(tmp_path):
         with pytest.raises(PipelineError, match="JSON object") as info:
             PipelineConfig.from_file(path)
         assert str(path) in str(info.value)
+
+
+def test_config_tuple_fields_need_an_array(tmp_path):
+    # tuple("main") would give four one-letter stages and train nothing
+    path = tmp_path / "config.json"
+    for key, value in (("stages", "main"), ("eval_k", 8), ("template_ids", {"0": 1})):
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(PipelineError, match="JSON array") as info:
+            PipelineConfig.from_file(path)
+        assert str(path) in str(info.value) and repr(key) in str(info.value)
+    path.write_text(json.dumps({"stages": ["main"], "eval_k": [1, 4]}))
+    config = PipelineConfig.from_file(path)
+    assert config.stages == ("main",) and config.eval_k == (1, 4)
+
+
+def test_run_train_rejects_an_unknown_scorer_kind():
+    sids = {"ad0": SemanticId((0, 1)), "ad1": SemanticId((1, 0))}
+    with pytest.raises(ValueError, match="unknown scorer kind 'neurl'"):
+        run_train(sids, {}, "neurl", ("main",), seed=0)
 
 
 def test_manifest_hash_matches_file_content(tmp_path):

@@ -343,14 +343,14 @@ def assert_rows_equal_loop(scorer, ctx, prefixes):
        st.integers(0, 5),
        st.integers(0, 1000))
 def test_neural_batch_rows_equal_loop_reference(prefixes, ctx_tokens, max_prefix, seed):
-    # mixed lengths, empty prefixes and prefixes longer than max_prefix, with
-    # or without context tokens
+    # each length's prefixes as one batch, as a trie level sends them: empty
+    # prefixes and prefixes longer than max_prefix, with or without context
+    # tokens
     scorer = NeuralScorer(vocab_from_sids(SIDS), max_prefix=max_prefix, seed=seed)
     ctx = ScorerContext(tokens=tuple(ctx_tokens))
-    assert_rows_equal_loop(scorer, ctx, prefixes)
-    # the same rows again as one equal-length batch, and one row at a time
-    same = [p for p in prefixes if len(p) == len(prefixes[0])]
-    assert_rows_equal_loop(scorer, ctx, same)
+    for length in sorted({len(p) for p in prefixes}):
+        assert_rows_equal_loop(scorer, ctx, [p for p in prefixes if len(p) == length])
+    # and one row at a time
     for prefix in prefixes[:3]:
         np.testing.assert_array_equal(scorer.prob_dist(ctx, ids(scorer.vocab, prefix)),
                                       loop_forward(scorer, ctx.tokens, prefix))
@@ -362,9 +362,9 @@ def test_neural_large_batch_rows_equal_loop_reference():
     scorer = NeuralScorer(Vocabulary(["<unk>"] + tokens), seed=9)
     rng = np.random.default_rng(9)
     ctx = ScorerContext(tokens=tuple(rng.choice(tokens, size=20)))
-    mixed = [tuple(rng.choice(tokens, size=int(rng.integers(0, 4))))
-             for _ in range(1100)]
-    assert_rows_equal_loop(scorer, ctx, mixed)
+    for length in range(4):
+        batch = [tuple(rng.choice(tokens, size=length)) for _ in range(1100)]
+        assert_rows_equal_loop(scorer, ctx, batch)
     level = [tuple(rng.choice(tokens, size=3)) for _ in range(1000)]
     assert_rows_equal_loop(scorer, ScorerContext(), level)
 
@@ -399,10 +399,13 @@ def test_neural_context_ids_memo_rows_equal_fresh_scorer():
     scorer = NeuralScorer(vocab, seed=5)
     a = ScorerContext(tokens=("a_0", "b_1", "novel", "a_0"))
     b = ScorerContext(tokens=("a_2", "<unk>"))
-    prefixes = [tuple(ids(vocab, p)) for p in [(), ("a_1",), ("a_0", "b_2"), ("c_9",)]]
+    levels = [[tuple(ids(vocab, p)) for p in level]
+              for level in ([()], [("a_1",), ("c_9",)], [("a_0", "b_2")])]
     for ctx in (a, b, a):
-        np.testing.assert_array_equal(scorer.next_probs(ctx, prefixes),
-                                      NeuralScorer(vocab, seed=5).next_probs(ctx, prefixes))
+        for prefixes in levels:
+            np.testing.assert_array_equal(
+                scorer.next_probs(ctx, prefixes),
+                NeuralScorer(vocab, seed=5).next_probs(ctx, prefixes))
     # the memo holds the last context: asking with it again looks up no
     # token but the one this call site maps to an id, and an equal but
     # distinct context is looked up anew
@@ -414,13 +417,21 @@ def test_neural_context_ids_memo_rows_equal_fresh_scorer():
     assert looked_up == ["a_1"] + list(a.tokens)
     del vocab.lookup
     # a parameter update after the memo filled still reaches every row
-    before = scorer.next_probs(a, prefixes)
+    before = [scorer.next_probs(a, prefixes) for prefixes in levels]
     _, grads = scorer.seq_logprob_and_grad_ids(id_array(vocab, a.tokens),
                                                id_array(vocab, ["a_1", "b_0"]))
     scorer.apply_grads(grads, -0.5)
-    after = scorer.next_probs(a, prefixes)
-    assert not np.array_equal(before, after)
-    np.testing.assert_array_equal(after, scorer.copy().next_probs(a, prefixes))
+    after = [scorer.next_probs(a, prefixes) for prefixes in levels]
+    assert not any(np.array_equal(x, y) for x, y in zip(before, after))
+    for prefixes, rows in zip(levels, after):
+        np.testing.assert_array_equal(rows, scorer.copy().next_probs(a, prefixes))
+
+
+def test_neural_next_probs_rejects_mixed_lengths():
+    # one call is one trie level: prefixes of two lengths are not one
+    vocab = vocab_from_sids(SIDS)
+    with pytest.raises(ValueError):
+        NeuralScorer(vocab, seed=5).next_probs(CTX, [(), (vocab.lookup("a_1"),)])
 
 
 # --- teacher-forced pass: bit-exact against the per-step loop ---------------

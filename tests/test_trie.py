@@ -76,3 +76,32 @@ def test_membership_exhaustive(codes_set):
             expected = sorted({c[prefix_len] for c in codes_set
                                if c[:prefix_len] == prefix})
             assert valid_children(t, list(prefix)) == expected
+
+
+def reference_owners(sids):
+    """Leaf owners as inserting in ad-id order leaves them: the last
+    inserter of a repeated sequence, the greatest ad id, owns its leaf."""
+    owners = {}
+    for ad_id in sorted(sids):
+        owners[sids[ad_id].codes] = ad_id
+    return owners
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2)),
+                min_size=1, max_size=30)
+       .flatmap(lambda codes: st.permutations(list(enumerate(codes)))))
+def test_children_in_code_order_for_any_insertion_order(entries):
+    # dict insertion order is the order the entries were drawn in; repeated
+    # code sequences make duplicate S-IDs
+    sids = {f"ad{i}": SemanticId(codes) for i, codes in entries}
+    t = build(sids)
+    owners = {}
+    stack = [(t.root, ())]
+    while stack:
+        node, codes = stack.pop()
+        assert list(node.children) == sorted(node.children)
+        if node.end_of_ad is not None:
+            owners[codes] = node.end_of_ad
+        stack.extend((child, codes + (c,)) for c, child in node.children.items())
+    assert owners == reference_owners(sids)
+    assert t.ad_count == len(owners)
