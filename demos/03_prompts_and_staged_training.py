@@ -63,9 +63,7 @@ def main():
         print(f"    response    = {example.response.render()}")
 
     scorer = NgramScorer(vocab_from_sids(sids))
-    _, log = train_staged(scorer, corpora,
-                          stage_weights={"explicit": 0.5, "implicit": 1.0,
-                                         "main": 2.0})
+    _, log = train_staged(scorer, corpora)
     print("  stage log:", log)
 
 

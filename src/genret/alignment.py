@@ -149,11 +149,11 @@ def compile_corpus(pairs, vocab) -> CompiledCorpus:
 
 
 def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
-                 order=STAGES, stage_weights=None, epochs_per_stage=None,
+                 order=STAGES, epochs_per_stage=None,
                  learning_rate: float = 0.05, seed: int = 0):
     """Consume stage corpora strictly in the configured order.
 
-    NgramScorer accumulates weighted counts; NeuralScorer runs gradient
+    NgramScorer accumulates counts; NeuralScorer runs gradient
     epochs per stage over the stage's pairs compiled to ids once, and logs
     the stage's ``unk_share``. Returns (scorer, stage_log).
     """
@@ -169,10 +169,8 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
             continue
         if isinstance(scorer, NgramScorer):
             # the n-gram reads only the bucket, so no prompt is tokenized
-            weight = (stage_weights or {}).get(stage, 1.0)
-            scorer.train([(p.bucket, scorer.vocab.sid_ids(p.response)) for p in pairs],
-                         weight=weight)
-            stage_log.append({"stage": stage, "pairs": len(pairs), "weight": weight})
+            scorer.train([(p.bucket, scorer.vocab.sid_ids(p.response)) for p in pairs])
+            stage_log.append({"stage": stage, "pairs": len(pairs)})
         elif isinstance(scorer, NeuralScorer):
             corpus = compile_corpus(pairs, scorer.vocab)
             epochs = (epochs_per_stage or {}).get(stage, 3)

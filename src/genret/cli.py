@@ -10,9 +10,9 @@ import sys
 from . import alignment, rqvae, serving, synth
 from .catalog import load_catalog
 from .embed import load_embeddings
-from .pipeline import (PipelineConfig, corpus_path, load_results, run_build_corpus,
-                       run_dpo, run_embed, run_eval, run_generate, run_index,
-                       run_pipeline, run_train)
+from .pipeline import (PipelineConfig, check_fields, corpus_path, load_results,
+                       run_build_corpus, run_dpo, run_embed, run_eval, run_generate,
+                       run_index, run_pipeline, run_train)
 from .prompting import load_events, load_profiles
 from .scorer import load_scorer
 
@@ -40,9 +40,7 @@ def _cmd_index(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             fields = json.load(fh)
-        if not isinstance(fields, dict):
-            raise ValueError(f"{args.config}: expected a JSON object, "
-                             f"got {type(fields).__name__}")
+        check_fields(fields, rqvae.RqVaeConfig(), args.config)
     flags = {"num_levels": args.levels, "codebook_size": args.codebook_size,
              "latent_dim": args.latent_dim, "epochs": args.epochs, "seed": args.seed}
     fields.update({k: v for k, v in flags.items() if v is not None})

@@ -4,6 +4,7 @@ run_pipeline, which chains them and records a content-hash manifest."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -34,7 +35,7 @@ class PipelineConfig:
     embeddings_path: str | None = None  # a TSV to load in place of hashing
     rqvae: dict = field(default_factory=dict)  # overrides of RqVaeConfig
     scorer_kind: str = "ngram"
-    stages: tuple = ("explicit", "implicit", "main")
+    stages: tuple = alignment.STAGES
     template_ids: tuple = (0,)
     dpo_enabled: bool = False
     dpo_beta: float = 0.1
@@ -43,25 +44,59 @@ class PipelineConfig:
     beam_width: int = 8
     eval_k: tuple = (1, 4, 8)
 
+    def __post_init__(self):
+        for key in ("stages", "template_ids", "eval_k"):
+            if not getattr(self, key):
+                raise ValueError(f"{key!r} must not be empty")
+
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
+        """The defaults overridden by the JSON object in path. A key that
+        names no field, a value of another JSON type than its field's
+        default, a nested synthetic or rqvae override that does the same or
+        sets the seed (the top-level seed sets it), and an empty stages,
+        template_ids or eval_k raise PipelineError("config")."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise PipelineError("config", ValueError(
-                f"{path}: expected a JSON object, got {type(obj).__name__}"))
-        cfg = cls()
-        for key, value in obj.items():
-            if not hasattr(cfg, key):
-                raise PipelineError("config", ValueError(f"{path}: unknown key {key!r}"))
-            if isinstance(getattr(cfg, key), tuple):
-                # tuple("main") would be four stages of one letter each
-                if not isinstance(value, list):
-                    raise PipelineError("config", ValueError(
-                        f"{path}: {key!r} must be a JSON array, got {value!r}"))
-                value = tuple(value)
-            setattr(cfg, key, value)
-        return cfg
+        try:
+            # tuple("main") would be four stages of one letter each, so a
+            # tuple field takes only an array
+            check_fields(obj, cls(), path)
+            for key, defaults in (("synthetic", synth.SyntheticSpec()),
+                                  ("rqvae", rqvae.RqVaeConfig())):
+                if "seed" in obj.get(key, {}):
+                    raise ValueError(f"{path}: {key!r} must not set 'seed'; "
+                                     f"the top-level 'seed' sets it")
+                check_fields(obj.get(key, {}), defaults, f"{path}: {key!r}")
+            return cls(**{k: tuple(v) if isinstance(v, list) else v
+                          for k, v in obj.items()})
+        except ValueError as exc:
+            raise PipelineError("config", exc) from exc
+
+
+# the JSON type a value must have, and its name, by the type of the default
+# of the field it sets
+_JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string"),
+               type(None): ((str, type(None)), "a string or null"),
+               dict: ((dict,), "a JSON object"), tuple: ((list,), "a JSON array")}
+
+
+def check_fields(obj, defaults, where) -> None:
+    """Raise ValueError naming where unless obj is a JSON object whose every
+    key names a field of the dataclass instance defaults and whose every
+    value has the JSON type of that field's default there."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    names = {f.name for f in dataclasses.fields(defaults)}
+    for key, value in obj.items():
+        if key not in names:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        types, name = _JSON_TYPES[type(getattr(defaults, key))]
+        # true is an int to isinstance, but no JSON integer or number
+        if not isinstance(value, types) or (isinstance(value, bool)
+                                            and bool not in types):
+            raise ValueError(f"{where}: {key!r} must be {name}, got {json.dumps(value)}")
 
 
 def _sha256(path) -> str:
@@ -249,12 +284,16 @@ def run_eval(retrieved, truth, catalog, ltr_labels, ks) -> dict:
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
+    # each stage's settings are built before any stage writes
+    with _stage("gen-data"):
+        spec = synth.SyntheticSpec(seed=config.seed, **config.synthetic)
+    with _stage("index"):
+        rq_config = rqvae.RqVaeConfig(seed=config.seed, **config.rqvae)
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     manifest = Manifest()
 
     with _stage("gen-data"):
-        spec = synth.SyntheticSpec(seed=config.seed, **config.synthetic)
         data_paths = synth.gen_data(spec, os.path.join(out, "data"))
         manifest.record("gen-data", *data_paths.values())
         catalog = load_catalog(data_paths["catalog"])
@@ -269,7 +308,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         manifest.record("embed", emb_path)
 
     with _stage("index"):
-        rq_config = rqvae.RqVaeConfig(seed=config.seed, **config.rqvae)
         sids, codebook, sids_path = run_index(table, rq_config, out)
         manifest.record("index", sids_path)
 

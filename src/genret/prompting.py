@@ -9,7 +9,7 @@ from . import jsonl
 from .sid import SemanticId
 
 DEFAULT_TOKEN_BUDGET = 2096
-DEFAULT_BEHAVIOR_WINDOW_DAYS = 90
+BEHAVIOR_WINDOW_DAYS = 90
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -188,9 +188,9 @@ def build_prompt(
         events = events[1:]  # drop the oldest
 
 
-def filter_events(events, window_days: int = DEFAULT_BEHAVIOR_WINDOW_DAYS):
+def filter_events(events):
     """Positive events within the behavior window, for sequence rendering."""
-    return [e for e in events if e.positive and e.days_ago <= window_days]
+    return [e for e in events if e.positive and e.days_ago <= BEHAVIOR_WINDOW_DAYS]
 
 
 def interaction_reuse_splits(events):
@@ -239,14 +239,12 @@ def load_profiles(path) -> dict[str, UserProfile]:
     return dict(jsonl.read(path, _profile_entry))
 
 
-def load_events(path, sids=None) -> dict[str, list[BehaviorEvent]]:
-    """Events JSONL keyed by user; ad events resolve S-IDs from the given
-    assignment when available."""
+def load_events(path, sids) -> dict[str, list[BehaviorEvent]]:
+    """Events JSONL keyed by user; an ad event carries its ad's S-ID from
+    sids, or None when sids has none."""
 
     def entry(obj):
-        sid = None
-        if sids is not None and obj.get("ad_id") in sids:
-            sid = sids[obj["ad_id"]]
+        sid = sids.get(obj.get("ad_id"))
         return str(obj["user_id"]), BehaviorEvent(
             days_ago=int(obj["days_ago"]),
             event_type=str(obj["event_type"]),

@@ -71,7 +71,7 @@ class NgramScorer:
         # the counts as sparse smoothed components, built on first read
         self._components: tuple | None = None
 
-    def observe(self, bucket: tuple, prefix_ids, next_id: int, weight: float = 1.0):
+    def observe(self, bucket: tuple, prefix_ids, next_id: int):
         """Count ``next_id`` after the prefix's trailing windows. Ids are
         Python ints: they key the snapshot, and json rejects numpy ints."""
         self._components = None
@@ -79,13 +79,14 @@ class NgramScorer:
         for order in range(self.max_order + 1):
             window = ids[len(ids) - order:] if order else ()
             slot = self.counts.setdefault((bucket, window), {})
-            slot[next_id] = slot.get(next_id, 0.0) + weight
+            # float counts: scorer.json writes each as 1.0, 2.0, ...
+            slot[next_id] = slot.get(next_id, 0.0) + 1.0
 
-    def train(self, samples, weight: float = 1.0):
+    def train(self, samples):
         """samples: iterable of (bucket, response ids)."""
         for bucket, response in samples:
             for i, tid in enumerate(response):
-                self.observe(bucket, response[:i], tid, weight)
+                self.observe(bucket, response[:i], tid)
 
     def _smoothed(self) -> tuple:
         """Each (bucket, window) key with counts, numbered in counts order, as

@@ -25,24 +25,14 @@ class Request:
 
 class FeatureStore:
     """Per-user precomputed retrieval lists with atomic whole-list
-    publication (readers see the old or the new complete list, never a mix).
-
-    ``published_by`` maps a user to the generate function whose list is
-    current for them: ``publish`` sets or clears it, and the user's next
-    request drops it."""
+    publication (readers see the old or the new complete list, never a mix)."""
 
     def __init__(self):
         self.user_lists: dict[str, tuple[tuple, int]] = {}
-        self.published_by: dict[str, object] = {}
-        self.decoder_invocations_in_request_path = 0
 
-    def publish(self, user_id: str, entries, generated_at: int, by=None) -> None:
+    def publish(self, user_id: str, entries, generated_at: int) -> None:
         # single atomic dict assignment of an immutable snapshot
         self.user_lists[user_id] = (tuple(entries), generated_at)
-        if by is None:
-            self.published_by.pop(user_id, None)
-        else:
-            self.published_by[user_id] = by
 
     def get(self, user_id: str):
         return self.user_lists.get(user_id)
@@ -92,7 +82,7 @@ def handle_request(store: FeatureStore, request: Request, triggers: list,
                    stats: dict, seq: list) -> tuple:
     """Latency-sensitive path: pure store lookup plus a nearline trigger.
     The request ends the reuse of the user's current list."""
-    store.published_by.pop(request.user_id, None)
+    stats.get("reusable", set()).discard(request.user_id)
     entry = store.get(request.user_id)
     if entry is None:
         stats["misses"] = stats.get("misses", 0) + 1
@@ -113,11 +103,13 @@ def nearline_tick(store: FeatureStore, triggers: list, policy: AdmissionPolicy,
     """Admit up to budget_per_tick triggers by descending ARPU group
     (FIFO within a group), decode, and atomically publish the new lists.
 
-    A user whose current list ``generate_fn`` itself published, and who has
-    sent no request since, gets that list republished at this tick without a
-    decode: by the contract of ``run_simulation`` the decode would return it
-    again. A failed decode is counted, the first one is named in
+    A user in ``stats["reusable"]``, whose current list ``generate_fn``
+    published with no request from them since, gets that list republished
+    at this tick without a decode: by the contract of ``run_simulation`` the
+    decode would return it again. Every publish marks its user reusable. A
+    failed decode is counted, the first one is named in
     ``stats["first_generation_error"]``, and it publishes nothing."""
+    reusable = stats.setdefault("reusable", set())
     triggers.sort(key=lambda t: (-policy.group_of(t[2]), t[1]))
     admitted = triggers[: policy.budget_per_tick]
     del triggers[: policy.budget_per_tick]
@@ -126,7 +118,7 @@ def nearline_tick(store: FeatureStore, triggers: list, policy: AdmissionPolicy,
         group = policy.group_of(user_id)
         stats.setdefault("admitted_per_group", {}).setdefault(group, 0)
         stats["admitted_per_group"][group] += 1
-        if store.published_by.get(user_id) is generate_fn:
+        if user_id in reusable:
             stats["decodes_saved"] = stats.get("decodes_saved", 0) + 1
             entries = store.get(user_id)[0]
         else:
@@ -136,7 +128,8 @@ def nearline_tick(store: FeatureStore, triggers: list, policy: AdmissionPolicy,
                 stats["generation_errors"] = stats.get("generation_errors", 0) + 1
                 stats.setdefault("first_generation_error", f"{type(exc).__name__}: {exc}")
                 continue
-        store.publish(user_id, entries, tick, by=generate_fn)
+        store.publish(user_id, entries, tick)
+        reusable.add(user_id)
 
 
 def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
@@ -149,8 +142,9 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
     that user's next request or the swap: a trigger admitted for a user whose
     list this run's current function published, with no request since, is
     served by republishing that list, and ``decodes_saved`` counts these.
-    Each run, and the swap, wraps its function anew, so no list is reused
-    across a swap or from an earlier run on the same ``store``.
+    The run keeps these reuse marks in its own ``stats`` and drops them at
+    the swap, so no list is reused across a swap or from an earlier run on
+    the same ``store``.
 
     Returns a report of hit rate, staleness, queue lengths, and per-group
     admission shares; requests_past_ticks counts the requests at tick
@@ -171,7 +165,7 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
     store = store or FeatureStore()
     calls = [0]
 
-    def counted(fn):
+    def counted(fn):  # calls counted for the request-path check
         def generate(user_id):
             calls[0] += 1
             return fn(user_id)
@@ -186,13 +180,13 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
     for tick in range(ticks):
         if scorer_swap is not None and tick == scorer_swap[0]:
             generate = counted(scorer_swap[1])
+            stats.pop("reusable", None)
         while i < len(trace) and trace[i].arrival_tick == tick:
             # the generate function runs only on the nearline path: a call
             # made while a request is handled is a decode the user waits for
             before = calls[0]
             handle_request(store, trace[i], triggers, stats, seq)
             if calls[0] != before:
-                store.decoder_invocations_in_request_path += calls[0] - before
                 raise ServingError(
                     f"request for {trace[i].user_id!r} at tick {tick} ran the "
                     f"generate function in the request path")
@@ -213,7 +207,8 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
         "generation_errors": stats.get("generation_errors", 0),
         "first_generation_error": stats.get("first_generation_error"),
         "decodes_saved": stats.get("decodes_saved", 0),
-        "decoder_invocations_in_request_path": store.decoder_invocations_in_request_path,
+        # a decode in the request path raised above, so a report counts none
+        "decoder_invocations_in_request_path": 0,
         "worker_counts": list(pool.processed),
     }
 

@@ -184,10 +184,9 @@ def test_load_corpus_rejects_bad_stage_and_response(tmp_path, record, message):
 
 # --- staged training ---------------------------------------------------------
 
-def test_staged_ngram_equals_weighted_single_pass(vocab, monkeypatch):
+def test_staged_ngram_equals_direct_train(vocab, monkeypatch):
     corpora = build_stage_corpora(_catalog(), SIDS, {"u1": _profile()},
                                   {"u1": _events()})
-    weights = {"explicit": 0.5, "implicit": 1.0, "main": 2.0}
     staged = NgramScorer(vocab)
 
     def no_tokenizing(text):
@@ -196,15 +195,14 @@ def test_staged_ngram_equals_weighted_single_pass(vocab, monkeypatch):
     # the n-gram path never tokenizes a prompt
     with monkeypatch.context() as patch:
         patch.setattr(alignment, "tokenize_text", no_tokenizing)
-        train_staged(staged, corpora, stage_weights=weights)
+        train_staged(staged, corpora)
 
-    # training stage-by-stage with those weights must equal three direct
-    # weighted train() calls that parse every pair's response on its own
-    # (count accumulation is order-independent)
+    # training stage-by-stage must equal three direct train() calls that
+    # parse every pair's response on its own
     direct = NgramScorer(vocab)
     for stage in ("explicit", "implicit", "main"):
         direct.train([(p.bucket, [vocab.lookup(t) for t in string_response(p)])
-                      for p in corpora[stage]], weight=weights[stage])
+                      for p in corpora[stage]])
     assert staged.counts == direct.counts
     ctx = ScorerContext(bucket=(3, "female", "cat0", SIDS["ad2"].codes[0]))
     np.testing.assert_allclose(staged.prob_dist(ctx, [vocab.lookup("a_1")]),

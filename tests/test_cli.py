@@ -319,6 +319,26 @@ def test_index_config_must_be_an_object(tmp_path, capsys):
     assert str(config) in obj["message"] and "JSON object" in obj["message"]
 
 
+def test_index_config_values_need_their_json_type(tmp_path, capsys):
+    # true would be seed 1 to RqVaeConfig
+    code, out, _ = run_cli(capsys, "gen-data", "--out", str(tmp_path / "data"),
+                           "--categories", "2", "--ads-per-category", "4")
+    assert code == 0
+    emb = tmp_path / "emb.tsv"
+    assert run_cli(capsys, "embed", "--catalog", json.loads(out)["catalog"],
+                   "--out", str(emb), "--dim", "8")[0] == 0
+    config = tmp_path / "rq.json"
+    config.write_text(json.dumps({"seed": True, "epochs": 5}))
+    code, _, err = run_cli(capsys, "index", "--config", str(config),
+                           "--embeddings", str(emb), "--out", str(tmp_path / "index"))
+    assert code == 1
+    obj = json.loads(err.strip().splitlines()[-1])
+    assert obj["error"] == "ValueError"
+    assert str(config) in obj["message"]
+    assert "'seed' must be an integer, got true" in obj["message"]
+    assert not (tmp_path / "index").exists()
+
+
 def test_gen_data_rejects_more_events_than_days(tmp_path, capsys):
     code, out, err = run_cli(capsys, "gen-data", "--out", str(tmp_path / "data"),
                              "--events-per-user", "100")

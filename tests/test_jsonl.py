@@ -1,6 +1,7 @@
 """Every stage artifact reader reports a malformed line or a bad record by
 file and line."""
 
+import functools
 import json
 
 import pytest
@@ -23,7 +24,7 @@ LOADERS = [
     (load_catalog, {"ad_id": "a1", "name": "n"},
      {"ad_id": "a2", "name": "n", "ecpm": -1}),
     (load_profiles, PROFILE, dict(PROFILE, user_id="u1", age=300)),
-    (load_events, {"user_id": "u0", "days_ago": 1, "event_type": "search",
+    (functools.partial(load_events, sids={}), {"user_id": "u0", "days_ago": 1, "event_type": "search",
                    "domain": "content", "title": "t"},
      {"user_id": "u0", "days_ago": 2, "event_type": "search", "domain": "content"}),
     (load_trace, {"user_id": "u0", "tick": 0}, {"user_id": "u1"}),
@@ -36,7 +37,7 @@ LOADERS = [
     (load_results, {"user_id": "u0", "ad_id": "a1", "score": 0.0},
      {"user_id": "u0", "score": 0.0}),
 ]
-IDS = [f.__name__ for f, _, _ in LOADERS]
+IDS = [getattr(f, "func", f).__name__ for f, _, _ in LOADERS]
 # the catalog and the S-IDs keep their own error types; the rest raise JsonlError
 ERRORS = {load_catalog: CatalogError, load_sids: SidError}
 

@@ -132,6 +132,62 @@ def test_config_tuple_fields_need_an_array(tmp_path):
     assert config.stages == ("main",) and config.eval_k == (1, 4)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    # "false" is a true string: DPO would run
+    ("dpo_enabled", "false", "must be true or false, got \"false\""),
+    # true is the int 1 to Python: beam 1
+    ("beam_width", True, "must be an integer, got true"),
+    ("embed_dim", "16", "must be an integer, got \"16\""),
+    ("dpo_steps", 2.5, "must be an integer, got 2.5"),
+    ("dpo_beta", "0.1", "must be a number, got \"0.1\""),
+    ("embeddings_path", 3, "must be a string or null, got 3"),
+    ("synthetic", [1], "must be a JSON object, got [1]"),
+])
+def test_config_values_need_the_json_type_of_their_default(tmp_path, key, value,
+                                                           message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(PipelineError) as info:
+        PipelineConfig.from_file(path)
+    assert info.value.stage == "config"
+    assert f"{path}: {key!r} {message}" in str(info.value)
+
+
+def test_config_accepts_each_json_type(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dpo_beta": 1, "embeddings_path": None,
+                                "dpo_enabled": False, "synthetic": {"ecpm_low": 2},
+                                "rqvae": {"learning_rate": 0.01, "epochs": 3}}))
+    config = PipelineConfig.from_file(path)
+    assert config.dpo_beta == 1 and config.rqvae == {"learning_rate": 0.01, "epochs": 3}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("rqvae", {"epoch": 10}, "'rqvae': unknown key 'epoch'"),
+    ("rqvae", {"seed": 1}, "'rqvae' must not set 'seed'"),
+    ("synthetic", {"seed": 1}, "'synthetic' must not set 'seed'"),
+    ("synthetic", {"num_users": 5.0}, "'synthetic': 'num_users' must be an integer"),
+    ("stages", [], "'stages' must not be empty"),
+    ("template_ids", [], "'template_ids' must not be empty"),
+    ("eval_k", [], "'eval_k' must not be empty"),
+])
+def test_config_rejects_bad_overrides_and_empty_arrays(tmp_path, key, value, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(PipelineError) as info:
+        PipelineConfig.from_file(path)
+    assert info.value.stage == "config" and message in str(info.value)
+
+
+@pytest.mark.parametrize("rq", [{"epoch": 10}, {"seed": 1}])
+def test_bad_rqvae_override_fails_before_anything_is_written(tmp_path, rq):
+    out = tmp_path / "run"
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(PipelineConfig(out_dir=str(out), rqvae=rq))
+    assert info.value.stage == "index"
+    assert not out.exists()
+
+
 def test_run_train_rejects_an_unknown_scorer_kind():
     sids = {"ad0": SemanticId((0, 1)), "ad1": SemanticId((1, 0))}
     with pytest.raises(ValueError, match="unknown scorer kind 'neurl'"):

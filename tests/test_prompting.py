@@ -143,7 +143,7 @@ def test_filter_events_window_and_positivity():
                       sid=SemanticId((0, 0))),
         _ad(5, 1),
     ]
-    kept = filter_events(events, window_days=90)
+    kept = filter_events(events)
     assert kept == [events[1], events[3]]
 
 

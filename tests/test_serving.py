@@ -109,7 +109,33 @@ def test_leaky_handler_trips_request_path_gate(monkeypatch):
                        WorkerPool(1), ticks=3, store=store)
     # the tick-0 request ran before any generate function was handed out
     assert len(handed) == 1
-    assert store.decoder_invocations_in_request_path == 1
+
+
+def test_clean_run_after_a_raising_run_counts_no_request_path_decode(monkeypatch):
+    # the request-path count belongs to the run: a run that raised leaves
+    # nothing on the shared store for the next run to report
+    handed = []
+
+    def spy_tick(store, triggers, policy, pool, generate_fn, tick, stats):
+        handed.append(generate_fn)
+        nearline_tick(store, triggers, policy, pool, generate_fn, tick, stats)
+
+    def leaky(store, request, triggers, stats, seq):
+        if handed:
+            handed[-1](request.user_id)
+        return handle_request(store, request, triggers, stats, seq)
+
+    store = FeatureStore()
+    trace = [Request("u1", t) for t in range(3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(serving, "nearline_tick", spy_tick)
+        patch.setattr(serving, "handle_request", leaky)
+        with pytest.raises(ServingError, match="request path"):
+            run_simulation(trace, lambda u: [("x", 1.0)], _policy(["u1"], budget=1),
+                           WorkerPool(1), ticks=3, store=store)
+    report = run_simulation(trace, lambda u: [("x", 1.0)], _policy(["u1"], budget=1),
+                            WorkerPool(1), ticks=3, store=store)
+    assert report["decoder_invocations_in_request_path"] == 0
 
 
 # --- admission ---------------------------------------------------------------
@@ -196,7 +222,7 @@ def test_failed_generate_leaves_no_reuse_mark():
     policy = _policy(["u1"], budget=1)
     triggers = [(0, 1, "u1"), (0, 2, "u1")]
     nearline_tick(store, triggers, policy, WorkerPool(1), flaky, 0, stats)
-    assert store.get("u1") is None and "u1" not in store.published_by
+    assert store.get("u1") is None and "u1" not in stats["reusable"]
     nearline_tick(store, triggers, policy, WorkerPool(1), flaky, 1, stats)
     assert calls == ["u1", "u1"]
     assert store.get("u1") == ((("x", 1.0),), 1)
@@ -349,24 +375,11 @@ def test_request_in_between_forces_decode():
     nearline_tick(store, triggers, policy, WorkerPool(1), generate, 0, stats)
     # a request from another user leaves u1's list reusable; u1's own does not
     handle_request(store, Request("u2", 1), [], stats, [2])
-    assert store.published_by["u1"] is generate
+    assert "u1" in stats["reusable"]
     handle_request(store, Request("u1", 1), [], stats, [3])
     nearline_tick(store, triggers, policy, WorkerPool(1), generate, 1, stats)
     assert calls == ["u1", "u1"]
     assert "decodes_saved" not in stats
-
-
-def test_direct_publish_clears_reuse_mark():
-    calls = []
-    generate = _counting(calls)
-    store = FeatureStore()
-    triggers = [(0, 1, "u1"), (0, 2, "u1")]
-    policy = _policy(["u1"], budget=1)
-    nearline_tick(store, triggers, policy, WorkerPool(1), generate, 0, {})
-    store.publish("u1", [("manual", 1.0)], 1)
-    nearline_tick(store, triggers, policy, WorkerPool(1), generate, 2, {})
-    assert calls == ["u1", "u1"]
-    assert store.get("u1") == ((("u1:ad", 1.0),), 2)
 
 
 def test_shared_store_second_run_decodes_each_user_first():
