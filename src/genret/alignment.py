@@ -17,6 +17,7 @@ from .sid import SemanticId, is_token
 from .vocab import UNK
 
 STAGES = ("explicit", "implicit", "main")
+DPO_VARIANTS = ("prob-ratio", "log-ratio")
 HISTORY_ADS = 8  # recent ad S-IDs in a scorer context
 # Among tokenize_text's tokens, in order, the whole words that begin with a
 # lower-case letter and an underscore, as S-ID tokens do, and "" for each
@@ -255,7 +256,8 @@ def _dpo_loss(policy: NeuralScorer, ids, ref, beta, variant):
         inner = beta * ((logp_h - ref_h) - (logp_l - ref_l))
         coef_h, coef_l = beta, beta
     else:
-        raise AlignmentError(f"unknown DPO variant {variant!r}")
+        raise AlignmentError(f"unknown DPO variant {variant!r}; "
+                             f"expected one of {DPO_VARIANTS}")
 
     # loss = -log sigmoid(inner) = softplus(-inner)
     loss = math.log1p(math.exp(-abs(inner))) + max(-inner, 0.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -10,9 +11,9 @@ import sys
 from . import alignment, rqvae, serving, synth
 from .catalog import load_catalog
 from .embed import load_embeddings
-from .pipeline import (PipelineConfig, check_fields, corpus_path, load_results,
-                       run_build_corpus, run_dpo, run_embed, run_eval, run_generate,
-                       run_index, run_pipeline, run_train)
+from .pipeline import (SCORER_KINDS, PipelineConfig, check_fields, corpus_path,
+                       load_results, run_build_corpus, run_dpo, run_embed, run_eval,
+                       run_generate, run_index, run_pipeline, run_train)
 from .prompting import load_events, load_profiles
 from .scorer import load_scorer
 
@@ -108,17 +109,17 @@ def _cmd_simulate(args):
 
 
 def _cmd_pipeline(args):
-    if args.config:
-        config = PipelineConfig.from_file(args.config)
-    else:
-        config = PipelineConfig()
+    """The flags override the config file; the final config is checked as
+    a whole before anything is written."""
+    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    overrides = {}
     if args.out:
-        config.out_dir = args.out
+        overrides["out_dir"] = args.out
     if args.seed is not None:
-        config.seed = args.seed
+        overrides["seed"] = args.seed
     if args.dpo:
-        config.dpo_enabled = True
-    report = run_pipeline(config)
+        overrides["dpo_enabled"] = True
+    report = run_pipeline(dataclasses.replace(config, **overrides))
     print(json.dumps(report, indent=1))
 
 
@@ -170,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sids", required=True)
     p.add_argument("--corpus-dir", required=True)
     p.add_argument("--stages", default=",".join(defaults.stages))
-    p.add_argument("--scorer", choices=("ngram", "neural"), default=defaults.scorer_kind)
+    p.add_argument("--scorer", choices=SCORER_KINDS, default=defaults.scorer_kind)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.set_defaults(fn=_cmd_train)
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--events", required=True)
     p.add_argument("--beta", type=float, default=defaults.dpo_beta)
-    p.add_argument("--variant", choices=("prob-ratio", "log-ratio"),
+    p.add_argument("--variant", choices=alignment.DPO_VARIANTS,
                    default=defaults.dpo_variant)
     p.add_argument("--learning-rate", type=float, default=0.01)
     p.add_argument("--steps", type=int, default=defaults.dpo_steps)

@@ -19,6 +19,9 @@ from .sid import render_token
 from .vocab import UNK, vocab_from_sids
 
 
+SCORER_KINDS = ("ngram", "neural")
+
+
 class PipelineError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"pipeline stage {stage!r} failed: {cause}")
@@ -45,17 +48,32 @@ class PipelineConfig:
     eval_k: tuple = (1, 4, 8)
 
     def __post_init__(self):
-        for key in ("stages", "template_ids", "eval_k"):
-            if not getattr(self, key):
-                raise ValueError(f"{key!r} must not be empty")
+        """Raise PipelineError("config") for a setting that no stage can
+        run, so a bad config fails before any stage writes."""
+        with _stage("config"):
+            for key in ("stages", "template_ids", "eval_k"):
+                if not getattr(self, key):
+                    raise ValueError(f"{key!r} must not be empty")
+            named = [("stages", stage, alignment.STAGES) for stage in self.stages]
+            named += [("scorer_kind", self.scorer_kind, SCORER_KINDS),
+                      ("dpo_variant", self.dpo_variant, alignment.DPO_VARIANTS)]
+            for key, name, allowed in named:
+                if name not in allowed:
+                    raise ValueError(f"{key!r}: unknown value {name!r}; "
+                                     f"expected one of {allowed}")
+            # DPO aligns the scorer the train stage made, and only the
+            # neural scorer has the gradients it steps on
+            if self.dpo_enabled and self.scorer_kind != "neural":
+                raise ValueError(f"'dpo_enabled' needs 'scorer_kind' 'neural', "
+                                 f"got {self.scorer_kind!r}")
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         """The defaults overridden by the JSON object in path. A key that
         names no field, a value of another JSON type than its field's
         default, a nested synthetic or rqvae override that does the same or
-        sets the seed (the top-level seed sets it), and an empty stages,
-        template_ids or eval_k raise PipelineError("config")."""
+        sets the seed (the top-level seed sets it), and any setting
+        __post_init__ rejects raise PipelineError("config")."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         try:
@@ -195,7 +213,7 @@ def run_train(sids, corpora, scorer_kind: str, stages, seed: int, out_path=None)
         scorer = NgramScorer(vocab)
     else:
         raise ValueError(f"unknown scorer kind {scorer_kind!r}; "
-                         f"expected 'ngram' or 'neural'")
+                         f"expected one of {SCORER_KINDS}")
     scorer, stage_log = alignment.train_staged(scorer, corpora, order=stages, seed=seed)
     if out_path is not None:
         scorer.save(out_path)
@@ -215,9 +233,11 @@ def _check_vocabulary(scorer, sids) -> None:
 
 def run_dpo(policy, catalog, sids, profiles, events_by_user, out_path, beta: float,
             variant: str, steps: int, learning_rate: float = 0.01) -> dict:
-    """DPO against a frozen copy of policy on ECPM-ordered triplets over each
-    user's first four logged ad events; saves the aligned policy. An S-ID
-    token the policy lacks fails before anything is written."""
+    """Align policy in place by DPO against a frozen copy of it, on
+    ECPM-ordered triplets over each user's first four logged ad events, and
+    save it to out_path; returns the triplet count, the preference margin
+    before and after, and the final loss. An S-ID token the policy lacks
+    fails before anything is written."""
     if not isinstance(policy, NeuralScorer):
         raise TypeError(f"DPO needs a neural scorer, got {type(policy).__name__}")
     _check_vocabulary(policy, sids)
@@ -229,7 +249,7 @@ def run_dpo(policy, catalog, sids, profiles, events_by_user, out_path, beta: flo
     triplets = alignment.build_preference_triplets(users)
     reference = policy.copy()
     before = alignment.preference_margin(policy, triplets)
-    policy, losses = alignment.dpo_update(
+    _, losses = alignment.dpo_update(
         policy, reference, triplets, beta, learning_rate=learning_rate,
         steps=steps, variant=variant)
     after = alignment.preference_margin(policy, triplets)
@@ -326,9 +346,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
     dpo_report = None
     if config.dpo_enabled:
         with _stage("dpo"):
-            policy, _ = run_train(sids, corpora, "neural", ("main",), config.seed)
+            # aligns the scorer in place: scorer.json keeps the snapshot from
+            # before, and the aligned scorer is the one generate decodes with
             policy_path = os.path.join(out, "dpo_policy.json")
-            dpo = run_dpo(policy, catalog, sids, profiles, events_by_user, policy_path,
+            dpo = run_dpo(scorer, catalog, sids, profiles, events_by_user, policy_path,
                           config.dpo_beta, config.dpo_variant, config.dpo_steps)
             manifest.record("dpo", policy_path)
             dpo_report = {k: dpo[k] for k in ("triplets", "margin_before", "margin_after")}

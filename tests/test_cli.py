@@ -127,8 +127,9 @@ def test_cli_chain_reproduces_pipeline_run(tmp_path, capsys):
 
 def test_cli_chain_reproduces_dpo_run(tmp_path, capsys):
     """`genret dpo` builds its triplets from the logged events as run_pipeline
-    does, so a CLI chain reproduces a DPO run's artifacts, dpo_policy.json
-    included, and its report's dpo entry."""
+    does, and a DPO run aligns and serves the scorer it trained, so a CLI
+    chain that aligns scorer.json and decodes with dpo_policy.json
+    reproduces the run's artifacts and its report's dpo entry."""
     run = tmp_path / "run"
     run_pipeline(PipelineConfig(
         out_dir=str(run), seed=5,
@@ -136,7 +137,7 @@ def test_cli_chain_reproduces_dpo_run(tmp_path, capsys):
                    "events_per_user": 6},
         embed_dim=16,
         rqvae={"num_levels": 2, "codebook_size": 4, "latent_dim": 4, "epochs": 30},
-        beam_width=4, dpo_enabled=True, dpo_steps=3))
+        beam_width=4, scorer_kind="neural", dpo_enabled=True, dpo_steps=3))
 
     def cli(*argv):
         code, out, err = run_cli(capsys, *argv)
@@ -156,13 +157,11 @@ def test_cli_chain_reproduces_dpo_run(tmp_path, capsys):
         "--out", str(out), "--levels", "2", "--codebook-size", "4",
         "--latent-dim", "4", "--epochs", "30", "--seed", "5")
     cli("build-corpus", *common, "--out", str(out))
-    cli("train", "--sids", sids, "--corpus-dir", str(out),
-        "--out", str(out / "scorer.json"), "--seed", "5")
     cli("train", "--sids", sids, "--corpus-dir", str(out), "--scorer", "neural",
-        "--stages", "main", "--out", str(tmp_path / "policy.json"), "--seed", "5")
-    dpo = json.loads(cli("dpo", "--policy", str(tmp_path / "policy.json"), *common,
+        "--out", str(out / "scorer.json"), "--seed", "5")
+    dpo = json.loads(cli("dpo", "--policy", str(out / "scorer.json"), *common,
                          "--steps", "3", "--out", str(out / "dpo_policy.json")))
-    cli("generate", "--scorer", str(out / "scorer.json"), *common, "--beam", "4",
+    cli("generate", "--scorer", str(out / "dpo_policy.json"), *common, "--beam", "4",
         "--out", str(out / "results.jsonl"))
 
     produced = {p.name: p for p in out.rglob("*")}
@@ -283,7 +282,7 @@ def test_generate_and_dpo_reject_an_index_the_scorer_does_not_cover(tmp_path, ca
                    "events_per_user": 6},
         embed_dim=16,
         rqvae={"num_levels": 2, "codebook_size": 4, "latent_dim": 4, "epochs": 10},
-        beam_width=4, dpo_enabled=True, dpo_steps=1))
+        beam_width=4, scorer_kind="neural", dpo_enabled=True, dpo_steps=1))
     other = tmp_path / "other"
     code, _, err = run_cli(capsys, "index", "--embeddings", str(run / "embeddings.tsv"),
                            "--out", str(other), "--levels", "2", "--codebook-size", "16",
@@ -396,6 +395,26 @@ def test_pipeline_command_with_config(tmp_path, capsys):
     report = json.loads(out)
     assert "hr" in report and "codebook" in report
     assert (tmp_path / "run" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("settings, flags, message", [
+    ({"stages": ["mian"]}, (), "'stages': unknown value 'mian'"),
+    ({"scorer_kind": "neurl"}, (), "'scorer_kind': unknown value 'neurl'"),
+    ({"dpo_variant": "log-ratios"}, (), "'dpo_variant': unknown value 'log-ratios'"),
+    ({"dpo_enabled": True}, (), "'dpo_enabled' needs 'scorer_kind' 'neural'"),
+    ({}, ("--dpo",), "'dpo_enabled' needs 'scorer_kind' 'neural'"),
+], ids=["stage", "scorer_kind", "dpo_variant", "dpo-ngram", "dpo-flag-ngram"])
+def test_pipeline_rejects_a_bad_config_before_writing(tmp_path, capsys, settings,
+                                                      flags, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synthetic": {"num_users": 3}, **settings}))
+    out = tmp_path / "run"
+    code, _, err = run_cli(capsys, "pipeline", "--config", str(config),
+                           "--out", str(out), *flags)
+    assert code == 1
+    obj = json.loads(err.strip().splitlines()[-1])
+    assert obj["error"] == "PipelineError" and message in obj["message"]
+    assert not out.exists()
 
 
 def test_error_is_machine_readable_json(tmp_path, capsys):

@@ -9,9 +9,10 @@ Path options and --verbose are exempt and named in EXEMPT. The cases are
 found by enumerating dataclasses.fields(PipelineConfig) and build_parser(),
 so a knob without a case fails here.
 
-A case that needs another knob's value to matter (DPO settings need DPO on,
-template ids need the neural scorer) carries that value in its base. The
-runs use tests/test_pipeline.py's SMALL scale.
+A case that needs another knob's value to matter (DPO settings need DPO on
+and the neural scorer it aligns, template ids need the neural scorer)
+carries that value in its base. The runs use tests/test_pipeline.py's SMALL
+scale.
 """
 
 import dataclasses
@@ -34,6 +35,8 @@ from conftest import worked_prompt_inputs
 from test_pipeline import SMALL
 
 TEMPLATE_IDS = (0, 1, 2)
+NEURAL = {"scorer_kind": "neural"}
+DPO = {**NEURAL, "dpo_enabled": True}
 ARTIFACTS = ("scorer.json", "dpo_policy.json", "results.jsonl")
 
 
@@ -83,16 +86,16 @@ CONFIG_CASES = [
     ("embeddings_path", "embeddings_path=tsv", {},
      {"embeddings_path": _seed1_embeddings}, None),
     ("rqvae", "rqvae.epochs=10", {}, {"rqvae": {**SMALL["rqvae"], "epochs": 10}}, None),
-    ("dpo_enabled", "dpo_enabled=True", {}, {"dpo_enabled": True}, None),
-    ("dpo_beta", "dpo_beta=0.5", {"dpo_enabled": True}, {"dpo_beta": 0.5}, None),
-    ("dpo_steps", "dpo_steps=5", {"dpo_enabled": True}, {"dpo_steps": 5}, None),
+    ("dpo_enabled", "dpo_enabled=True", NEURAL, {"dpo_enabled": True}, "results.jsonl"),
+    ("dpo_beta", "dpo_beta=0.5", DPO, {"dpo_beta": 0.5}, None),
+    ("dpo_steps", "dpo_steps=5", DPO, {"dpo_steps": 5}, None),
     ("beam_width", "beam_width=2", {}, {"beam_width": 2}, None),
     ("eval_k", "eval_k=1,2", {}, {"eval_k": (1, 2)}, None),
 ]
 # enumerated choices: each value against another one
 for _field, _values, _context in (
         ("scorer_kind", _choices("train", "--scorer"), {}),
-        ("dpo_variant", _choices("dpo", "--variant"), {"dpo_enabled": True})):
+        ("dpo_variant", _choices("dpo", "--variant"), DPO)):
     for _value in _values:
         _other = next(v for v in _values if v != _value)
         CONFIG_CASES.append((_field, f"{_field}={_value}",
@@ -110,7 +113,7 @@ CONFIG_CASES.append(("template_ids", "template_ids=0,1,2", {},
 for _tid in TEMPLATE_IDS:
     _other = TEMPLATE_IDS[(_tid + 1) % len(TEMPLATE_IDS)]
     CONFIG_CASES.append(("template_ids", f"template_ids={_tid}",
-                         {"scorer_kind": "neural", "template_ids": (_other,)},
+                         {**NEURAL, "template_ids": (_other,)},
                          {"template_ids": (_tid,)}, None))
 
 
@@ -157,11 +160,9 @@ def test_config_knob_moves_an_output(run, field, base, changed, must):
         assert must in moved(before, after)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 4: the DPO-aligned policy never serves, "
-                   "so DPO leaves the lists unchanged")
 def test_dpo_changes_the_lists(run):
-    assert "results.jsonl" in moved(run(), run(dpo_enabled=True))
+    # the aligned scorer is the one that serves
+    assert "results.jsonl" in moved(run(**NEURAL), run(**DPO))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -251,11 +252,11 @@ def test_every_cli_option_has_a_case_or_is_exempt():
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """Artifacts of one SMALL DPO pipeline run, a SMALL pipeline config and a
-    short trace: the inputs of every subcommand."""
+    """Artifacts of one SMALL neural DPO pipeline run, a SMALL neural
+    pipeline config and a short trace: the inputs of every subcommand."""
     root = tmp_path_factory.mktemp("cli_inputs")
-    run_pipeline(PipelineConfig(out_dir=str(root / "run"), dpo_enabled=True, **SMALL))
-    (root / "config.json").write_text(json.dumps(SMALL))
+    run_pipeline(PipelineConfig(out_dir=str(root / "run"), **DPO, **SMALL))
+    (root / "config.json").write_text(json.dumps({**SMALL, **NEURAL}))
     (root / "trace.jsonl").write_text("".join(
         json.dumps({"user_id": f"u{i % 3}", "tick": i // 3}) + "\n" for i in range(12)))
     return root

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from genret import rqvae
+from genret import alignment, rqvae
 from genret.pipeline import (Manifest, PipelineConfig, PipelineError,
                              run_pipeline, run_train)
 from genret.sid import SemanticId
@@ -83,9 +83,19 @@ def test_rqvae_override_keeps_other_defaults(tmp_path, monkeypatch):
     assert len(report["codebook"]["usage_rate_per_level"]) == 3
 
 
-def test_pipeline_with_dpo_and_neural(tmp_path):
+def test_pipeline_with_dpo_and_neural(tmp_path, monkeypatch):
+    """DPO aligns the scorer the train stage made; it trains none of its own."""
+    orders = []
+    real_train_staged = alignment.train_staged
+
+    def recording_train_staged(*args, **kwargs):
+        orders.append(kwargs.get("order"))
+        return real_train_staged(*args, **kwargs)
+
+    monkeypatch.setattr(alignment, "train_staged", recording_train_staged)
     config, report = _run(tmp_path, "dpo", scorer_kind="neural",
                           dpo_enabled=True, dpo_steps=3)
+    assert orders == [alignment.STAGES]
     assert report["dpo"] is not None
     assert report["dpo"]["triplets"] > 0
     assert (Path(config.out_dir) / "dpo_policy.json").exists()
@@ -170,6 +180,11 @@ def test_config_accepts_each_json_type(tmp_path):
     ("stages", [], "'stages' must not be empty"),
     ("template_ids", [], "'template_ids' must not be empty"),
     ("eval_k", [], "'eval_k' must not be empty"),
+    ("stages", ["main", "mian"], "'stages': unknown value 'mian'"),
+    ("scorer_kind", "neurl", "'scorer_kind': unknown value 'neurl'"),
+    ("dpo_variant", "mystery", "'dpo_variant': unknown value 'mystery'"),
+    # the default scorer is the n-gram, which DPO cannot align
+    ("dpo_enabled", True, "'dpo_enabled' needs 'scorer_kind' 'neural', got 'ngram'"),
 ])
 def test_config_rejects_bad_overrides_and_empty_arrays(tmp_path, key, value, message):
     path = tmp_path / "config.json"
@@ -243,8 +258,8 @@ def test_default_artifacts_match_golden_digests(tmp_path, seed):
 # sha256 of the neural + DPO artifacts of the SMALL config at seed 0.
 NEURAL_GOLDEN = {
     "scorer.json": "8f09783bc0e4eb97700ec8034f05bd067b6d9e64c4e74a706fe85a0f59252a3c",
-    "dpo_policy.json": "cba9cb8b11768a3903c899f59700ad97a37d32dbbcb118dc893d175a75f05462",
-    "results.jsonl": "7c780e66cdcabd2eeed6b3e1ca6f440b5f9859159202b7b179cb5fa0835146fe",
+    "dpo_policy.json": "316ff120b0d5b8bd60d08094a87eb7196ea0475e400657d840bf051829b20b74",
+    "results.jsonl": "37773a47e32504e2e6ab3b7e0b3d2af9f99b03829d8330675f3f7a7b72585ccc",
 }
 
 
