@@ -149,6 +149,13 @@ def compile_corpus(pairs, vocab) -> CompiledCorpus:
     return CompiledCorpus(contexts, responses, unk / total if total else 0.0)
 
 
+def check_stages(stages) -> None:
+    """Raise AlignmentError naming the first stage outside STAGES."""
+    unknown = [stage for stage in stages if stage not in STAGES]
+    if unknown:
+        raise AlignmentError(f"unknown stage {unknown[0]!r}; expected one of {STAGES}")
+
+
 def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
                  order=STAGES, epochs_per_stage=None,
                  learning_rate: float = 0.05, seed: int = 0):
@@ -158,9 +165,7 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
     epochs per stage over the stage's pairs compiled to ids once, and logs
     the stage's ``unk_share``. Returns (scorer, stage_log).
     """
-    unknown = [stage for stage in order if stage not in STAGES]
-    if unknown:
-        raise AlignmentError(f"unknown stage {unknown[0]!r}; expected one of {STAGES}")
+    check_stages(order)
     stage_log = []
     rng = np.random.default_rng(seed)
     for stage in order:

@@ -61,6 +61,7 @@ def _cmd_build_corpus(args):
 
 def _cmd_train(args):
     stages = args.stages.split(",")
+    alignment.check_stages(stages)  # before any corpus file is opened
     corpora = {stage: alignment.load_corpus(corpus_path(args.corpus_dir, stage))
                for stage in stages}
     _, stage_log = run_train(rqvae.load_sids(args.sids), corpora, args.scorer, stages,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .sid import SemanticId, render_token
 from .trie import Trie
 
@@ -37,41 +39,53 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
     if trie.ad_count == 0:
         raise DecodeError("empty inventory: trie holds no ads")
 
-    # The beam is kept in lexicographic code order, so listing each entry's
-    # children in ascending code order lists the candidates in lexicographic
-    # order too, and a stable sort on score ranks them by (-score, codes).
-    # Each entry's prefix is its vocabulary ids, which is what the scorer reads.
+    # The beam is its trie nodes in breadth-first number order, which is
+    # lexicographic code order, with their scores; each entry's prefix is its
+    # vocabulary ids, which is what the scorer reads. The candidates, the
+    # children of the kept nodes, come in number order too, so a stable sort
+    # on score ranks them by (-score, codes).
     v = len(scorer.vocab)
-    codes, prefixes, scores, nodes = [()], [()], [0.0], [trie.root]
+    nodes, scores, prefixes = np.zeros(1, dtype=np.intp), np.zeros(1), [()]
     for level in range(trie.depth):
         probs = scorer.next_probs(context, prefixes)
         if probs.shape != (len(prefixes), v):
             raise DecodeError(
                 f"scorer contract violated: next_probs returned shape "
                 f"{probs.shape} for {len(prefixes)} prefixes")
-        candidates = [(i, c) for i, node in enumerate(nodes) for c in node.children]
-        id_of = {c: scorer.vocab.code_id(level, c) for c in {c for _, c in candidates}}
-        p = probs.ravel()[[i * v + id_of[c] for i, c in candidates]].tolist()
-        bad = [k for k, x in enumerate(p) if not 0.0 <= x < math.inf]
-        if bad:
-            raise DecodeError(f"scorer contract violated: p={p[bad[0]]} for token "
-                              f"{render_token(level, candidates[bad[0]][1])}")
+        start, lo, hi = trie.level_start[level:level + 3]
+        if len(nodes) == lo - start:  # the whole level is kept
+            candidates = np.arange(lo, hi)
+            rows = trie.parent[lo:hi] - start
+        else:
+            kept = np.zeros(lo, dtype=bool)
+            kept[nodes] = True
+            candidates = lo + kept[trie.parent[lo:hi]].nonzero()[0]
+            rows = nodes.searchsorted(trie.parent[candidates])
+        ids = scorer.vocab.code_ids(level, trie.code[candidates])
+        p = probs[rows, ids]
+        lowest, highest = p.min(), p.max()  # nan if any is
+        if not (lowest >= 0.0 and highest < math.inf):
+            k = np.flatnonzero(~((p >= 0.0) & (p < math.inf)))[0]
+            raise DecodeError(f"scorer contract violated: p={p.tolist()[k]} for token "
+                              f"{render_token(level, int(trie.code[candidates[k]]))}")
         # math.log per candidate: np.log can differ from it in the last bit,
         # which would change the scores
-        expanded = [scores[i] + (math.log(x) if x > 0.0 else -math.inf)
-                    for (i, _), x in zip(candidates, p)]
-        ranked = sorted(range(len(expanded)), key=expanded.__getitem__, reverse=True)
-        keep = sorted(ranked[:beam_width])
-        scores = [expanded[k] for k in keep]
-        kept = [candidates[k] for k in keep]
-        codes = [codes[i] + (c,) for i, c in kept]
-        prefixes = [prefixes[i] + (id_of[c],) for i, c in kept]
-        nodes = [nodes[i].children[c] for i, c in kept]
+        p = p.tolist()
+        logs = (map(math.log, p) if lowest > 0.0 else
+                (math.log(x) if x > 0.0 else -math.inf for x in p))
+        scores = scores[rows] + np.fromiter(logs, dtype=np.float64, count=len(p))
+        if len(p) > beam_width:
+            keep = np.sort((-scores).argsort(kind="stable")[:beam_width])
+            candidates, scores, rows, ids = (candidates[keep], scores[keep],
+                                             rows[keep], ids[keep])
+        nodes = candidates
+        prefixes = [prefixes[r] + (i,) for r, i in zip(rows.tolist(), ids.tolist())]
 
-    ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
-    entries = [(nodes[i].end_of_ad, SemanticId(codes[i]), math.exp(scores[i]))
-               for i in ranked if nodes[i].end_of_ad is not None]
-    return RetrievalList(entries=entries)
+    ranked = (-scores).argsort(kind="stable")
+    leaves = map(trie.leaves.__getitem__,
+                 (nodes[ranked] - trie.level_start[trie.depth]).tolist())
+    return RetrievalList(entries=[(ad_id, sid, score) for (ad_id, sid), score in
+                                  zip(leaves, map(math.exp, scores[ranked].tolist()))])
 
 
 def decode_exhaustive(scorer, context, trie: Trie) -> RetrievalList:

@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -92,21 +92,23 @@ class NgramScorer:
         """Each (bucket, window) key with counts, numbered in counts order, as
         its uniform share alpha/denom plus its counted (token id, c/denom)
         entries, where denom is the key's count total plus alpha·|V|; one
-        more share, with no entries, stands for every unseen key."""
+        more share, with no entries, stands for every unseen key. The entries
+        lie end to end, key k's ``size[k]`` of them from ``start[k]``."""
         if self._components is None:
             v, alpha = len(self.vocab), self.smoothing_alpha
             slots = list(self.counts.values())
-            sizes = [len(slot) for slot in slots]
+            size = np.array([len(slot) for slot in slots] + [0], dtype=np.intp)
             denom = np.array([sum(slot.values()) + alpha * v for slot in slots]
                              + [alpha * v])
-            tid = list(chain.from_iterable(slots))
+            total = int(size.sum())
+            tid = np.fromiter(chain.from_iterable(slots), dtype=np.intp, count=total)
             c = np.fromiter(chain.from_iterable(slot.values() for slot in slots),
-                            dtype=np.float64, count=sum(sizes))
-            spans = [range(e - n, e) for n, e in zip(sizes, accumulate(sizes))] + [range(0)]
+                            dtype=np.float64, count=total)
             index: dict[tuple, dict[tuple, int]] = {}  # bucket -> window -> number
             for i, (bucket, window) in enumerate(self.counts):
                 index.setdefault(bucket, {})[window] = i
-            self._components = index, alpha / denom, spans, tid, c / denom[:-1].repeat(sizes)
+            self._components = (index, alpha / denom, size.cumsum() - size, size, tid,
+                                c / denom.repeat(size))
         return self._components
 
     def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
@@ -116,18 +118,24 @@ class NgramScorer:
         Each distinct key the batch asks for gets one dense component row,
         filled from its sparse entries, so memory stays O(entries + B·|V|).
         """
-        index, share, spans, tid, val = self._smoothed()
+        index, share, start, size, tid, val = self._smoothed()
         v, unseen = len(self.vocab), len(share) - 1
         ids = [tuple(p) for p in prefixes]
         numbers = index.get(context.bucket, {})
-        keys = [[numbers.get(p[len(p) - order:], unseen) for p in ids]
-                for order in range(len(self.interpolation))]
+        # order 0's window is () whatever the prefix
+        keys = [[numbers.get((), unseen)] * len(ids)] + [
+            [numbers.get(p[len(p) - order:], unseen) for p in ids]
+            for order in range(1, len(self.interpolation))]
         row_of = {k: r for r, k in enumerate(dict.fromkeys(chain.from_iterable(keys)))}
         # the component rows laid end to end: each key's uniform share, plus
-        # its counted entries
-        rows = share[list(row_of)].repeat(v)
-        at = [a for k in row_of for a in spans[k]]
-        rows[[r * v + tid[a] for k, r in row_of.items() for a in spans[k]]] += val[at]
+        # its counted entries, the r-th key's n[r] of them gathered from
+        # start[key] into the row that starts at r·|V|
+        distinct = np.fromiter(row_of, dtype=np.intp, count=len(row_of))
+        rows = share[distinct].repeat(v)
+        n = size[distinct]
+        end = n.cumsum()
+        at = np.arange(n.sum()) + (start[distinct] - end + n).repeat(n)
+        rows[(np.arange(len(n)) * v).repeat(n) + tid[at]] += val[at]
         # each order's component rows for the batch, mixed in order
         rows = rows.reshape(-1, v)
         picks = np.array([[row_of[k] for k in order_keys] for order_keys in keys],

@@ -7,6 +7,7 @@ decoder; it only reads precomputed lists and enqueues nearline triggers.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from dataclasses import dataclass, field
 
@@ -102,6 +103,8 @@ def nearline_tick(store: FeatureStore, triggers: list, policy: AdmissionPolicy,
                   pool: WorkerPool, generate_fn, tick: int, stats: dict) -> None:
     """Admit up to budget_per_tick triggers by descending ARPU group
     (FIFO within a group), decode, and atomically publish the new lists.
+    ``triggers`` is left in admission order; between ticks a caller only
+    appends to it.
 
     A user in ``stats["reusable"]``, whose current list ``generate_fn``
     published with no request from them since, gets that list republished
@@ -109,10 +112,20 @@ def nearline_tick(store: FeatureStore, triggers: list, policy: AdmissionPolicy,
     decode would return it again. Every publish marks its user reusable. A
     failed decode is counted, the first one is named in
     ``stats["first_generation_error"]``, and it publishes nothing."""
+    def admission(trigger):
+        return -policy.group_of(trigger[2]), trigger[1]
+
     reusable = stats.setdefault("reusable", set())
-    triggers.sort(key=lambda t: (-policy.group_of(t[2]), t[1]))
+    # the triggers before stats["in_order"] are still in admission order from
+    # the last tick; only those appended since are placed
+    ordered = stats.get("in_order", 0)
+    added = triggers[ordered:]
+    del triggers[ordered:]
+    for trigger in added:
+        bisect.insort(triggers, trigger, key=admission)
     admitted = triggers[: policy.budget_per_tick]
     del triggers[: policy.budget_per_tick]
+    stats["in_order"] = len(triggers)
     for _, _, user_id in admitted:
         pool.dispatch_one()
         group = policy.group_of(user_id)

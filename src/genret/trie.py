@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .sid import SemanticId
 
 
@@ -21,14 +23,25 @@ class TrieNode:
 
 @dataclass
 class Trie:
+    """The node tree, and the same nodes numbered breadth-first with children
+    in code order: the root is 0, and level l (prefixes of length l) is the
+    range level_start[l]:level_start[l + 1], in lexicographic prefix order.
+    build() is the only writer."""
+
     root: TrieNode
     depth: int
     ad_count: int
+    level_start: tuple[int, ...]
+    parent: np.ndarray  # parent[n]; -1 for the root
+    code: np.ndarray    # the code on the edge into n; -1 for the root
+    # (ad_id, its SemanticId) of leaf level_start[depth] + k, at k
+    leaves: list[tuple[str, SemanticId]]
 
 
 def build(sids: dict[str, SemanticId]) -> Trie:
     """Insert every S-ID code by code in (codes, ad_id) order, so each node's
-    children are in ascending code order, and mark ad ends at leaves.
+    children are in ascending code order, mark ad ends at leaves, then number
+    the nodes breadth-first.
 
     A repeated sequence keeps one leaf, owned by the greatest ad_id; ragged
     lengths are rejected.
@@ -51,7 +64,21 @@ def build(sids: dict[str, SemanticId]) -> Trie:
         if cur.end_of_ad is None:
             count += 1
         cur.end_of_ad = ad_id
-    return Trie(root=root, depth=depth, ad_count=count)
+    level_start, parent, codes, level = [0], [-1], [-1], [root]
+    for _ in range(depth):
+        level_start.append(len(parent))
+        below = []
+        for n, node in enumerate(level, level_start[-2]):
+            for code, child in node.children.items():
+                parent.append(n)
+                codes.append(code)
+                below.append(child)
+        level = below
+    level_start.append(len(parent))
+    leaves = [(node.end_of_ad, sids[node.end_of_ad]) for node in level] if depth else []
+    return Trie(root=root, depth=depth, ad_count=count, level_start=tuple(level_start),
+                parent=np.array(parent, dtype=np.intp),
+                code=np.array(codes, dtype=np.intp), leaves=leaves)
 
 
 def _walk(trie: Trie, codes) -> TrieNode | None:

@@ -417,6 +417,19 @@ def test_pipeline_rejects_a_bad_config_before_writing(tmp_path, capsys, settings
     assert not out.exists()
 
 
+def test_train_names_an_unknown_stage_before_opening_a_corpus(tmp_path, capsys):
+    # neither the S-ID table nor any corpus exists: a command that opened one
+    # would fail with FileNotFoundError
+    code, out, err = run_cli(capsys, "train", "--sids", str(tmp_path / "sids.jsonl"),
+                             "--corpus-dir", str(tmp_path), "--stages", "main,mian",
+                             "--out", str(tmp_path / "scorer.json"))
+    assert code == 1 and out == ""
+    obj = json.loads(err.strip().splitlines()[-1])
+    assert obj["error"] == "AlignmentError"
+    assert "unknown stage 'mian'" in obj["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_error_is_machine_readable_json(tmp_path, capsys):
     code, out, err = run_cli(capsys, "embed", "--catalog",
                              str(tmp_path / "missing.jsonl"),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genret import rqvae, synth
 from genret.alignment import build_stage_corpora, train_staged, user_context
@@ -14,7 +15,7 @@ from genret.sid import SemanticId
 from genret.trie import build
 from genret.vocab import Vocabulary, vocab_from_sids
 
-from conftest import RowScorer, TableScorer
+from conftest import RowScorer, TableScorer, reference_decode
 
 CTX = ScorerContext()
 
@@ -285,3 +286,98 @@ def test_neural_decode_equals_exhaustive_on_trained_index(tmp_path):
         full = decode_exhaustive(scorer, context, trie)
         assert len(beam) == trie.ad_count
         assert beam.entries == full.entries
+
+
+# a few probabilities, so that candidate scores tie exactly, and zeros, whose
+# -inf scores tie too
+TIE_VALUES = (0.0, 0.0, 0.125, 0.25, 0.25, 0.5, 1.0 / 3.0, 1.0)
+
+
+class TieScorer(RowScorer):
+    """Each prefix's row drawn from TIE_VALUES by a seed of its own. Each
+    (token id, value) of ``bad`` is put in about half the rows, so a contract
+    violation can come at any level and at more than one candidate."""
+
+    def __init__(self, vocab, seed, bad=()):
+        self.vocab = vocab
+        self.seed = seed
+        self.bad = bad
+
+    def prob_dist(self, context, prefix):
+        rng = np.random.default_rng([self.seed, len(prefix), *prefix])
+        dist = rng.choice(TIE_VALUES, size=len(self.vocab))
+        for token_id, value in self.bad:
+            if rng.random() < 0.5:
+                dist[token_id] = value
+        return dist
+
+
+@st.composite
+def collision_tries(draw):
+    """S-IDs of 1 to 3 base codes plus a suffix that numbers each collision
+    group, as assign_sids gives them, and a few ads that repeat another's
+    S-ID; returns (sids, trie)."""
+    levels, span = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    bases = draw(st.lists(st.tuples(*[st.integers(0, span - 1)] * levels),
+                          min_size=1, max_size=24))
+    seen: dict[tuple, int] = {}
+    codes = []
+    for base in bases:
+        seen[base] = seen.get(base, -1) + 1
+        codes.append(base + (seen[base],))
+    codes += [codes[i] for i in draw(st.lists(st.integers(0, len(codes) - 1),
+                                              max_size=3))]
+    sids = {f"ad{i:02d}": SemanticId(c) for i, c in enumerate(codes)}
+    return sids, build(sids)
+
+
+def _bits(result):
+    return [(ad_id, sid, score.hex()) for ad_id, sid, score in result.entries]
+
+
+@settings(max_examples=300, deadline=None)
+@given(collision_tries(), st.integers(0, 2**31 - 1), st.data())
+def test_decode_equals_the_pruning_oracle(tree, seed, data):
+    sids, trie = tree
+    beam = data.draw(st.integers(1, trie.ad_count), label="beam")
+    scorer = TieScorer(vocab_from_sids(sids), seed)
+    result = decode(scorer, CTX, trie, beam)
+    assert _bits(result) == _bits(reference_decode(scorer, CTX, trie, beam))
+    assert all(entry[1] is sids[entry[0]] for entry in result.entries)
+
+
+BAD_VALUES = (-0.5, -math.inf, math.inf, math.nan, -1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(collision_tries(), st.integers(0, 2**31 - 1), st.data())
+def test_decode_names_the_oracles_contract_violation(tree, seed, data):
+    sids, trie = tree
+    vocab = vocab_from_sids(sids)
+    beam = data.draw(st.integers(1, trie.ad_count), label="beam")
+    bad = data.draw(st.lists(st.tuples(st.integers(0, len(vocab) - 1),
+                                       st.sampled_from(BAD_VALUES)),
+                             min_size=1, max_size=3), label="bad")
+    scorer = TieScorer(vocab, seed, bad)
+    try:
+        expected = _bits(reference_decode(scorer, CTX, trie, beam))
+    except DecodeError as exc:
+        with pytest.raises(DecodeError) as raised:
+            decode(scorer, CTX, trie, beam)
+        assert str(raised.value) == str(exc)
+    else:
+        assert _bits(decode(scorer, CTX, trie, beam)) == expected
+
+
+def test_decode_equals_the_pruning_oracle_with_trained_scorers():
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        sids, trie, _ = _random_setup(rng, n_ads=40, levels=4, span=3)
+        vocab = vocab_from_sids(sids)
+        ngram = NgramScorer(vocab)
+        ngram.train([((), vocab.sid_ids(sid)) for sid in list(sids.values())[::2]])
+        context = ScorerContext(tokens=("cat:x", "a_1"))
+        for scorer in (ngram, NeuralScorer(vocab, seed=int(rng.integers(100)))):
+            for beam in (1, 3, 8, 40):
+                assert _bits(decode(scorer, context, trie, beam)) == _bits(
+                    reference_decode(scorer, context, trie, beam))

@@ -171,6 +171,13 @@ def test_ngram_batch_rows_equal_loop_reference(samples, prefixes, bucket,
     assert after[0][tid] > before[0][tid]
 
 
+def test_ngram_empty_batch_has_no_rows():
+    vocab = vocab_from_sids(SIDS)
+    scorer = NgramScorer(vocab)
+    scorer.train([(BUCKETS[0], ids(vocab, ["a_0", "b_1"]))])
+    assert scorer.next_probs(ScorerContext(), []).shape == (0, len(vocab))
+
+
 def test_ngram_read_memory_is_linear_in_counts():
     # 600 (bucket, window) keys over a 20 000-token vocabulary: one dense
     # component row per key would take 600 * 20 000 * 8 bytes = 96 MB

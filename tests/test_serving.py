@@ -171,6 +171,35 @@ def test_admission_priority_and_fifo():
     assert [t[1] for t in triggers] == [1, 4]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcde"), max_size=6), max_size=10),
+       st.integers(0, 4))
+def test_admission_order_equals_a_full_sort_each_tick(arrivals, budget):
+    # one stats dict across ticks, as run_simulation keeps: the backlog is
+    # kept in order from tick to tick and only the new triggers are placed
+    policy = _policy(list("abcde"), budget=budget, num_groups=3)
+    triggers, expected, stats, seq = [], [], {}, 0
+    admitted = []
+
+    def failing(user):  # a failed decode marks no list for reuse
+        admitted.append(user)
+        raise RuntimeError("no list")
+
+    for tick, users in enumerate(arrivals):
+        for user in users:
+            seq += 1
+            triggers.append((tick, seq, user))
+            expected.append((tick, seq, user))
+        expected.sort(key=lambda t: (-policy.group_of(t[2]), t[1]))
+        want = expected[:budget]
+        del expected[:budget]
+        before = len(admitted)
+        nearline_tick(FeatureStore(), triggers, policy, WorkerPool(1), failing,
+                      tick, stats)
+        assert admitted[before:] == [t[2] for t in want]
+        assert triggers == expected
+
+
 def test_admission_budget_zero_starves():
     store = FeatureStore()
     trace = [Request("u1", t) for t in range(5)]

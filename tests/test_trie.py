@@ -105,3 +105,39 @@ def test_children_in_code_order_for_any_insertion_order(entries):
         stack.extend((child, codes + (c,)) for c, child in node.children.items())
     assert owners == reference_owners(sids)
     assert t.ad_count == len(owners)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+                min_size=1, max_size=30)
+       .flatmap(lambda codes: st.permutations(list(enumerate(codes)))))
+def test_breadth_first_arrays_agree_with_the_node_walk(entries):
+    sids = {f"ad{i}": SemanticId(codes) for i, codes in entries}
+    t = build(sids)
+    assert t.level_start[0] == 0 and t.level_start[-1] == len(t.parent) == len(t.code)
+    assert (t.parent[0], t.code[0]) == (-1, -1)
+    number = {(): 0}
+    for level in range(1, t.depth + 1):
+        # level l is the distinct l-code prefixes, contiguous and in
+        # lexicographic order
+        prefixes = sorted({sid.codes[:level] for sid in sids.values()})
+        lo, hi = t.level_start[level], t.level_start[level + 1]
+        assert hi - lo == len(prefixes)
+        for n, prefix in enumerate(prefixes, lo):
+            number[prefix] = n
+            assert t.parent[n] == number[prefix[:-1]]
+            assert t.code[n] == prefix[-1]
+    # each node's children by the arrays are its children by the node walk
+    for prefix, n in number.items():
+        assert t.code[t.parent == n].tolist() == valid_children(t, list(prefix))
+    first = t.level_start[t.depth]
+    owners = reference_owners(sids)
+    assert len(t.leaves) == len(owners) == t.ad_count
+    for codes, ad_id in owners.items():
+        leaf_ad, leaf_sid = t.leaves[number[codes] - first]
+        assert leaf_ad == ad_id and leaf_sid is sids[ad_id]
+
+
+def test_empty_trie_arrays():
+    t = build({})
+    assert t.level_start == (0, 1) and t.leaves == []
+    assert t.parent.tolist() == [-1] and t.code.tolist() == [-1]

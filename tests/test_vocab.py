@@ -1,9 +1,10 @@
 """Vocabulary.code_id: the one map from an S-ID code to a model id."""
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from genret.sid import SemanticId, render_token
-from genret.vocab import Vocabulary, vocab_from_sids
+from genret.vocab import TABLE_CODES, Vocabulary, vocab_from_sids
 
 # spellings that parse as S-ID tokens but are not render_token's, and
 # tokens that are not S-ID tokens at all
@@ -34,3 +35,13 @@ def test_sid_ids_are_the_tokens_ids(codes):
     sid = SemanticId(tuple(codes))
     vocab = vocab_from_sids({"ad": SemanticId((1, 2, 0))}, extra_tokens=["a_01"])
     assert vocab.sid_ids(sid) == [vocab.lookup(t) for t in sid.tokens()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vocabularies(), st.integers(0, 25), st.lists(st.integers(0, 15), max_size=12))
+@example(Vocabulary.build([], ["a_007"]), 0, [7, 0])
+@example(Vocabulary.build(["b_3"]), 0, [3])
+@example(Vocabulary.build(["a_3", f"a_{TABLE_CODES}"]), 0, [3, 7])  # no tables
+def test_code_ids_gathers_code_id(vocab, level, codes):
+    ids = vocab.code_ids(level, np.array(codes, dtype=np.intp))
+    assert ids.tolist() == [vocab.code_id(level, code) for code in codes]
