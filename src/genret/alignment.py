@@ -89,8 +89,11 @@ def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
                         template_ids=(0,), seed: int = 0) -> dict[str, list[CorpusPair]]:
     """Build the explicit/implicit/main corpora from structured user data.
 
-    Prompts render the filtered behaviour window; the n-gram bucket comes
-    from all of a user's events, as it does when serving."""
+    Prompts render the filtered behaviour window. The n-gram bucket of every
+    split reads all of the user's logged events, the split's own target and
+    later events included, while serving reads only the past: at M, seed 0,
+    the bucket's last-ad code equals the response's level-0 code in 70% of
+    main pairs (ROADMAP item 4)."""
     # seed is unused; it stays because benchmarks/workloads.py passes seed=
     corpora: dict[str, list[CorpusPair]] = {s: [] for s in STAGES}
     corpora["explicit"] = explicit_pairs(catalog, sids)
@@ -287,6 +290,8 @@ def dpo_update(policy: NeuralScorer, reference: NeuralScorer, triplets,
     each triplet is mapped to ids once.
 
     Returns (policy, mean_loss_per_step)."""
+    if steps < 0:
+        raise AlignmentError(f"steps must be >= 0, got {steps}")
     losses = []
     ids = _triplet_ids(_shared_vocab(policy, reference), triplets) if steps > 0 else []
     refs = [_reference_logprobs(reference, i) for i in ids]

@@ -61,6 +61,10 @@ def _signed_slot(feature: str, dimension: int, seed: int) -> tuple[int, float]:
     return slot, sign
 
 
+# the narrowest width embed_hashed spreads features over
+MIN_HASHED_DIM = 8
+
+
 def embed_hashed(text: str, dimension: int = 64, seed: int = 0, *,
                  memo: dict | None = None) -> np.ndarray:
     """Deterministic feature-hashed embedding of a text, L2-normalized.
@@ -73,8 +77,8 @@ def embed_hashed(text: str, dimension: int = 64, seed: int = 0, *,
     feature is hashed once. The terms are +-1.0, so every sum is exact and
     a shared memo leaves the vector's bits unchanged.
     """
-    if dimension < 8:
-        raise EmbeddingError(f"dimension must be >= 8, got {dimension}")
+    if dimension < MIN_HASHED_DIM:
+        raise EmbeddingError(f"dimension must be >= {MIN_HASHED_DIM}, got {dimension}")
     feats = _features(text)
     if not feats:
         raise EmbeddingError("cannot embed empty text: no features")

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, asdict
 
 from . import alignment, decoder, jsonl, metrics, rqvae, synth, trie as trie_mod
 from .catalog import load_catalog
-from .embed import embed_catalog, load_embeddings, save_embeddings
-from .prompting import load_events, load_profiles
+from .embed import MIN_HASHED_DIM, embed_catalog, load_embeddings, save_embeddings
+from .prompting import TEMPLATE_IDS, load_events, load_profiles
 from .scorer import NgramScorer, NeuralScorer
 from .sid import render_token
 from .vocab import UNK, vocab_from_sids
@@ -57,10 +57,18 @@ class PipelineConfig:
             named = [("stages", stage, alignment.STAGES) for stage in self.stages]
             named += [("scorer_kind", self.scorer_kind, SCORER_KINDS),
                       ("dpo_variant", self.dpo_variant, alignment.DPO_VARIANTS)]
+            named += [("template_ids", tid, TEMPLATE_IDS) for tid in self.template_ids]
             for key, name, allowed in named:
                 if name not in allowed:
                     raise ValueError(f"{key!r}: unknown value {name!r}; "
                                      f"expected one of {allowed}")
+            low = [("beam_width", self.beam_width, 1), ("dpo_steps", self.dpo_steps, 0)]
+            low += [("eval_k", k, 1) for k in self.eval_k]
+            if self.embeddings_path is None:  # a loaded TSV sets its own width
+                low.append(("embed_dim", self.embed_dim, MIN_HASHED_DIM))
+            for key, value, least in low:
+                if value < least:
+                    raise ValueError(f"{key!r} must be >= {least}, got {value}")
             # DPO aligns the scorer the train stage made, and only the
             # neural scorer has the gradients it steps on
             if self.dpo_enabled and self.scorer_kind != "neural":

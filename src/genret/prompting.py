@@ -132,6 +132,10 @@ def _render_behaviors(events, use_sid: bool = True) -> str:
     return _BEHAVIOR_HEAD + body + ("." if body else "")
 
 
+# the template ids _assemble renders
+TEMPLATE_IDS = (0, 1, 2)
+
+
 def _assemble(template_id: int, profile_text, summary_text, behavior_text) -> str:
     if template_id == 0:
         return (

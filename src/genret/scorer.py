@@ -9,6 +9,10 @@ one trie level, B prefixes of one length, and gets one row of next-token
 probabilities per prefix. ``prob_dist(context, prefix) -> (|V|,)`` is the
 one-row case. A prefix is a sequence of vocabulary ids; the context keeps its
 feature tokens.
+
+A scorer holds only its parameters and caches derived from them: its rows
+depend on its parameters and the call's arguments alone, and no call keeps
+anything of its context for the next.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
-from .vocab import Vocabulary
+from .vocab import UNK, Vocabulary
 
 _WORD_RE = re.compile(r"<[^>\s]+>|\w+|[^\w\s]")
 
@@ -36,9 +40,11 @@ def tokenize_text(text: str) -> list[str]:
 
 
 def id_array(vocab: Vocabulary, tokens) -> np.ndarray:
-    """The tokens' ids in order, as the int array the neural scorer's id
-    entry points take."""
-    return np.array([vocab.lookup(t) for t in tokens], dtype=np.intp)
+    """The tokens' ids in order, ``vocab.lookup`` of each, as the int array
+    the neural scorer's id entry points take: one pass over the map lookup
+    reads."""
+    return np.fromiter(map(vocab.id_of.get, tokens, repeat(vocab.id_of[UNK])),
+                       dtype=np.intp, count=len(tokens))
 
 
 @dataclass(frozen=True)
@@ -223,22 +229,9 @@ class NeuralScorer:
                 "w2": rng.normal(0, 1.0 / np.sqrt(h), size=(v, h)),
                 "b2": np.zeros(v),
             }
-        self._last_context = (None, [])
 
     def copy(self) -> "NeuralScorer":
         return replace(self, params={k: v.copy() for k, v in self.params.items()})
-
-    def _context_ids(self, context: ScorerContext) -> np.ndarray:
-        """The context's ids, looked up once for the last context object
-        asked about: a decode asks with the same one at every trie level.
-        The ids depend on the vocabulary alone, so training cannot stale
-        them."""
-        last, ids = self._last_context
-        if last is context:
-            return ids
-        ids = id_array(self.vocab, context.tokens)
-        self._last_context = (context, ids)
-        return ids
 
     def _layers(self, pool):
         """The hidden layer and the softmax over a stack of pooled inputs.
@@ -275,7 +268,7 @@ class NeuralScorer:
         # an intp array: a tuple index into emb would be multi-dimensional
         ids = np.array(prefixes, dtype=np.intp)
         sums = self.params["emb"][ids].sum(axis=1)
-        pool = self._pool(self._context_ids(context), sums,
+        pool = self._pool(id_array(self.vocab, context.tokens), sums,
                           np.full(len(ids), ids.shape[1]))[0]
         return self._layers(pool)[1]
 

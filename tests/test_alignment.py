@@ -18,7 +18,7 @@ from genret.jsonl import JsonlError
 from genret.prompting import BehaviorEvent, UserProfile, load_events, load_profiles
 from genret.scorer import NeuralScorer, NgramScorer, ScorerContext, id_array, tokenize_text
 from genret.sid import SemanticId, is_token
-from genret.vocab import Vocabulary, vocab_from_sids
+from genret.vocab import vocab_from_sids
 
 SIDS = {f"ad{i}": SemanticId((i % 4, i // 4, 0)) for i in range(8)}
 
@@ -406,13 +406,13 @@ def test_neural_lookups_do_not_grow_with_epochs(vocab, monkeypatch):
     corpora = build_stage_corpora(_catalog(), SIDS, users,
                                   {uid: _events() for uid in users})
     calls = []
-    real = Vocabulary.lookup
+    real = alignment.id_array
 
-    def counting(self, token):
-        calls.append(token)
-        return real(self, token)
+    def counting(vocab, tokens):
+        calls.extend(tokens)
+        return real(vocab, tokens)
 
-    monkeypatch.setattr(Vocabulary, "lookup", counting)
+    monkeypatch.setattr(alignment, "id_array", counting)
     counts = []
     for epochs in (1, 3):
         calls.clear()
@@ -536,6 +536,12 @@ def test_dpo_empty_triplets(vocab):
     policy = NeuralScorer(vocab, embed_dim=8, hidden_dim=8, seed=0)
     _, losses = dpo_update(policy, policy.copy(), [], steps=3)
     assert losses == [0.0, 0.0, 0.0]
+
+
+def test_dpo_update_rejects_negative_steps(vocab):
+    policy = NeuralScorer(vocab, embed_dim=8, hidden_dim=8, seed=0)
+    with pytest.raises(AlignmentError, match="steps must be >= 0, got -1"):
+        dpo_update(policy, policy.copy(), [_triplet(vocab)], steps=-1)
 
 
 def test_dpo_rejects_reference_with_other_vocabulary(vocab):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genret import rqvae, synth
+from genret import rqvae, scorer as scorer_mod, synth
 from genret.alignment import build_stage_corpora, train_staged, user_context
 from genret.catalog import load_catalog
 from genret.decoder import DecodeError, decode, decode_exhaustive
@@ -232,10 +232,10 @@ def test_one_scorer_call_per_level(example_trie, example_scorer):
 
 
 def test_prefixes_reach_the_scorer_as_ids(monkeypatch):
-    """No prefix token is looked up: NgramScorer.next_probs looks up
-    nothing, NeuralScorer.next_probs only a new context's tokens, and a
-    decode at beam 8 no S-ID token, since Vocabulary.code_id maps each
-    candidate code to its id."""
+    """No token is looked up one by one, and no prefix is mapped to ids:
+    NgramScorer.next_probs maps nothing, NeuralScorer.next_probs maps exactly
+    its context's tokens on each call, and a decode at beam 8 maps no S-ID
+    token, since Vocabulary.code_ids maps each candidate code to its id."""
     sids, trie, _ = _random_setup(np.random.default_rng(19), n_ads=40, levels=4, span=3)
     vocab = vocab_from_sids(sids)
     ngram = NgramScorer(vocab)
@@ -243,26 +243,27 @@ def test_prefixes_reach_the_scorer_as_ids(monkeypatch):
     context = ScorerContext(tokens=("cat:x", "novel"))
     levels = [[()], [(vocab.lookup("a_0"),), (vocab.lookup("a_1"),)],
               [(vocab.lookup("a_1"), vocab.lookup("b_2"))]]
-    looked_up = []
-    real = Vocabulary.lookup
+    looked_up, mapped = [], []
+    real_lookup, real_id_array = Vocabulary.lookup, scorer_mod.id_array
     monkeypatch.setattr(Vocabulary, "lookup",
-                        lambda self, token: looked_up.append(token) or real(self, token))
+                        lambda self, token: looked_up.append(token) or real_lookup(self, token))
+    monkeypatch.setattr(scorer_mod, "id_array",
+                        lambda v, tokens: mapped.append(tuple(tokens)) or real_id_array(v, tokens))
     for prefixes in levels:
         ngram.next_probs(context, prefixes)
-    assert looked_up == []
+    assert mapped == []
     neural = NeuralScorer(vocab, seed=2)
     for prefixes in levels + levels:
         neural.next_probs(context, prefixes)
-    assert looked_up == list(context.tokens)
+    assert mapped == [context.tokens] * (2 * len(levels))
 
-    for scorer, context_lookups in ((ngram, []), (NeuralScorer(vocab, seed=2),
-                                                  list(context.tokens))):
-        looked_up.clear()
+    for scorer, calls in ((ngram, 0), (neural, trie.depth)):
+        mapped.clear()
         assert len(decode(scorer, context, trie, beam_width=8)) == 8
-        assert looked_up == context_lookups
-    looked_up.clear()
+        assert mapped == [context.tokens] * calls
+    mapped.clear()
     assert len(decode_exhaustive(ngram, context, trie)) == trie.ad_count
-    assert looked_up == []
+    assert mapped == [] and looked_up == []
 
 
 def test_neural_decode_equals_exhaustive_on_trained_index(tmp_path):

@@ -28,13 +28,12 @@ from genret.catalog import load_catalog
 from genret.cli import build_parser, main
 from genret.embed import embed_catalog, save_embeddings
 from genret.pipeline import PipelineConfig, run_pipeline
-from genret.prompting import PromptError, build_prompt
+from genret.prompting import TEMPLATE_IDS, PromptError, build_prompt
 from genret.synth import SyntheticSpec, gen_data
 
 from conftest import worked_prompt_inputs
 from test_pipeline import SMALL
 
-TEMPLATE_IDS = (0, 1, 2)
 NEURAL = {"scorer_kind": "neural"}
 DPO = {**NEURAL, "dpo_enabled": True}
 ARTIFACTS = ("scorer.json", "dpo_policy.json", "results.jsonl")

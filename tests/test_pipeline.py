@@ -185,6 +185,12 @@ def test_config_accepts_each_json_type(tmp_path):
     ("dpo_variant", "mystery", "'dpo_variant': unknown value 'mystery'"),
     # the default scorer is the n-gram, which DPO cannot align
     ("dpo_enabled", True, "'dpo_enabled' needs 'scorer_kind' 'neural', got 'ngram'"),
+    # settings a stage would reject only after earlier stages wrote
+    ("beam_width", 0, "'beam_width' must be >= 1, got 0"),
+    ("eval_k", [0, 4], "'eval_k' must be >= 1, got 0"),
+    ("template_ids", [7], "'template_ids': unknown value 7"),
+    ("embed_dim", 4, "'embed_dim' must be >= 8, got 4"),
+    ("dpo_steps", -1, "'dpo_steps' must be >= 0, got -1"),
 ])
 def test_config_rejects_bad_overrides_and_empty_arrays(tmp_path, key, value, message):
     path = tmp_path / "config.json"
@@ -192,6 +198,11 @@ def test_config_rejects_bad_overrides_and_empty_arrays(tmp_path, key, value, mes
     with pytest.raises(PipelineError) as info:
         PipelineConfig.from_file(path)
     assert info.value.stage == "config" and message in str(info.value)
+
+
+def test_config_takes_a_narrow_embed_dim_beside_an_embeddings_path():
+    # a loaded TSV sets its own width, so only hashing needs the minimum
+    assert PipelineConfig(embed_dim=4, embeddings_path="emb.tsv").embed_dim == 4
 
 
 @pytest.mark.parametrize("rq", [{"epoch": 10}, {"seed": 1}])

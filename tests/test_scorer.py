@@ -388,7 +388,9 @@ def test_neural_decode_makes_one_batched_call_per_level(monkeypatch):
     assert len(result) == 4
 
 
-def test_neural_context_ids_memo_rows_equal_fresh_scorer():
+def test_neural_rows_depend_only_on_params_and_arguments():
+    # a scorer keeps nothing of one call's context for the next: contexts
+    # A, B, A give a fresh scorer's rows, and an update reaches every row
     vocab = vocab_from_sids(SIDS)
     scorer = NeuralScorer(vocab, seed=5)
     a = ScorerContext(tokens=("a_0", "b_1", "novel", "a_0"))
@@ -400,17 +402,6 @@ def test_neural_context_ids_memo_rows_equal_fresh_scorer():
             np.testing.assert_array_equal(
                 scorer.next_probs(ctx, prefixes),
                 NeuralScorer(vocab, seed=5).next_probs(ctx, prefixes))
-    # the memo holds the last context: asking with it again looks up no
-    # token but the one this call site maps to an id, and an equal but
-    # distinct context is looked up anew
-    looked_up = []
-    vocab.lookup = lambda token: looked_up.append(token) or Vocabulary.lookup(vocab, token)
-    scorer.next_probs(a, [(vocab.lookup("a_1"),)])
-    assert looked_up == ["a_1"]
-    scorer.next_probs(ScorerContext(tokens=a.tokens), [()])
-    assert looked_up == ["a_1"] + list(a.tokens)
-    del vocab.lookup
-    # a parameter update after the memo filled still reaches every row
     before = [scorer.next_probs(a, prefixes) for prefixes in levels]
     _, grads = scorer.seq_logprob_and_grad_ids(id_array(vocab, a.tokens),
                                                id_array(vocab, ["a_1", "b_0"]))
@@ -419,6 +410,23 @@ def test_neural_context_ids_memo_rows_equal_fresh_scorer():
     assert not any(np.array_equal(x, y) for x, y in zip(before, after))
     for prefixes, rows in zip(levels, after):
         np.testing.assert_array_equal(rows, scorer.copy().next_probs(a, prefixes))
+
+
+_ID_TOKENS = st.one_of(
+    st.sampled_from(["a_0", "b_1", "c_2", "a_9", "<unk>", "<sep>", "<task>",
+                     "cat:x", "cat:", "novel", ""]),
+    st.builds(lambda level, code: f"{'abc'[level]}_{code}",
+              st.integers(0, 2), st.integers(0, 4)),
+    st.builds("cat:{}".format, st.text(max_size=3)),
+    st.text(max_size=4))
+
+
+@given(st.lists(_ID_TOKENS, max_size=12))
+def test_id_array_equals_lookup_per_token(tokens):
+    vocab = vocab_from_sids(SIDS, extra_tokens=("cat:x", "novel"))
+    got = id_array(vocab, tokens)
+    want = np.array([vocab.lookup(t) for t in tokens], dtype=np.intp)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def test_neural_next_probs_rejects_mixed_lengths():
