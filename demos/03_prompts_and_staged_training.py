@@ -1,16 +1,17 @@
 """Render intent prompts and run the three-stage training curriculum.
 
 Shows the prompt template with profile, interest summary, and the merged
-behavior sequence; the interaction-reuse augmentation; and staged training
-(explicit -> implicit -> main) of an n-gram scorer.
+behavior sequence; the interaction-reuse augmentation; staged training
+(explicit -> implicit -> main) of an n-gram scorer; and one fine-tuning step
+of the neural scorer on one pair.
 """
 
-from genret.alignment import build_stage_corpora, train_staged
+from genret.alignment import build_stage_corpora, compile_corpus, train_staged
 from genret.embed import embed_catalog
 from genret.prompting import (BehaviorEvent, InterestSummary, UserProfile,
                               augment, build_prompt)
 from genret.rqvae import RqVaeConfig, assign_sids, train
-from genret.scorer import NgramScorer
+from genret.scorer import NeuralScorer, NgramScorer
 from genret.sid import SemanticId
 from genret.synth import SyntheticSpec, make_catalog
 from genret.vocab import vocab_from_sids
@@ -65,6 +66,16 @@ def main():
     scorer = NgramScorer(vocab_from_sids(sids))
     _, log = train_staged(scorer, corpora)
     print("  stage log:", log)
+
+    # fine-tuning ascends log P(response | context); train_staged steps on
+    # the summed gradient of a minibatch, this is one pair's step
+    neural = NeuralScorer(vocab_from_sids(sids), seed=1)
+    pair = compile_corpus(corpora["main"][:1], neural.vocab)
+    ctx, resp = pair.contexts[0], pair.responses[0]
+    before, grads = neural.seq_logprob_and_grad_ids(ctx, resp)
+    neural.apply_grads(grads, -0.05)
+    print(f"  one neural step on the first main pair: log P {before:.4f} -> "
+          f"{neural.seq_logprob_ids(ctx, resp):.4f}")
 
 
 if __name__ == "__main__":

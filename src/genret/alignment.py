@@ -12,13 +12,21 @@ import numpy as np
 from . import jsonl
 from .catalog import Catalog, render_description
 from .prompting import InterestSummary, UserProfile, augment, filter_events
-from .scorer import NeuralScorer, NgramScorer, ScorerContext, id_array, tokenize_text
+from .scorer import (NeuralScorer, NgramScorer, ScorerContext, csr, csr_take, id_array,
+                     tokenize_text)
 from .sid import SemanticId, is_token
 from .vocab import UNK
 
 STAGES = ("explicit", "implicit", "main")
 DPO_VARIANTS = ("prob-ratio", "log-ratio")
 HISTORY_ADS = 8  # recent ad S-IDs in a scorer context
+# Pairs per fine-tuning step: each step sums its pairs' gradients, so the
+# learning rate scales with it (B=32 at lr 0.05 diverged at M; ROADMAP item 8)
+TRAIN_BATCH = 16
+# Triplets per forward and backward of a DPO step. It bounds the step's
+# temporaries, a few (rows, |V|) arrays of 2·n rows a triplet: unchunked, at
+# M (2 740 triplets, |V| 95) each would take about 17 MB
+DPO_CHUNK = 64
 # Among tokenize_text's tokens, in order, the whole words that begin with a
 # lower-case letter and an underscore, as S-ID tokens do, and "" for each
 # <...> marker, which is one token there and matched whole here too
@@ -47,7 +55,7 @@ class PreferenceTriplet:
 
 def make_bucket(profile: UserProfile, summary: InterestSummary, events) -> tuple:
     """Compact n-gram context: age band, gender, top interest, last ad's
-    level-1 code."""
+    level-0 code."""
     top_cat = summary.entries[0][0] if summary.entries else ""
     last_ad_code = -1
     for e in reversed(list(events)):
@@ -159,14 +167,24 @@ def check_stages(stages) -> None:
         raise AlignmentError(f"unknown stage {unknown[0]!r}; expected one of {STAGES}")
 
 
+def _stacked(responses) -> np.ndarray:
+    """Equal-length response id arrays as one (P, n) array."""
+    if len({len(r) for r in responses}) > 1:
+        raise AlignmentError("responses differ in length; a batch needs S-IDs of "
+                             "one depth")
+    return np.array(responses, dtype=np.intp).reshape(len(responses), -1)
+
+
 def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
                  order=STAGES, epochs_per_stage=None,
-                 learning_rate: float = 0.05, seed: int = 0):
+                 learning_rate: float = 0.02, seed: int = 0):
     """Consume stage corpora strictly in the configured order.
 
-    NgramScorer accumulates counts; NeuralScorer runs gradient
-    epochs per stage over the stage's pairs compiled to ids once, and logs
-    the stage's ``unk_share``. Returns (scorer, stage_log).
+    NgramScorer accumulates counts; NeuralScorer runs gradient epochs per
+    stage over the stage's pairs compiled to ids once: each epoch's seeded
+    permutation is cut into minibatches of TRAIN_BATCH pairs, and each
+    minibatch makes one step on the sum of its pairs' gradients. A neural
+    stage logs its ``unk_share``. Returns (scorer, stage_log).
     """
     check_stages(order)
     stage_log = []
@@ -182,13 +200,17 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
             stage_log.append({"stage": stage, "pairs": len(pairs)})
         elif isinstance(scorer, NeuralScorer):
             corpus = compile_corpus(pairs, scorer.vocab)
+            ctx_ptr, ctx_ids = csr(corpus.contexts)
+            responses = _stacked(corpus.responses)
             epochs = (epochs_per_stage or {}).get(stage, 3)
             for _ in range(epochs):
-                for i in rng.permutation(len(pairs)):
-                    # gradient ascent on log P(response | context)
-                    _, grads = scorer.seq_logprob_and_grad_ids(corpus.contexts[i],
-                                                               corpus.responses[i])
-                    scorer.apply_grads(grads, -learning_rate)
+                perm = rng.permutation(len(pairs))
+                for start in range(0, len(perm), TRAIN_BATCH):
+                    rows = perm[start:start + TRAIN_BATCH]
+                    # gradient ascent on sum log P(response | context)
+                    _, pullback = scorer.seq_logprob_vjp(
+                        *csr_take(ctx_ptr, ctx_ids, rows), responses[rows])
+                    scorer.apply_grads(pullback(), -learning_rate)
             stage_log.append({"stage": stage, "pairs": len(pairs), "epochs": epochs,
                               "unk_share": corpus.unk_share})
         else:
@@ -218,8 +240,11 @@ def dpo_loss(policy: NeuralScorer, reference: NeuralScorer,
     prob-ratio uses raw sequence-probability ratios inside the sigmoid;
     log-ratio is the standard log-probability-ratio form.
     """
-    (ids,) = _triplet_ids(_shared_vocab(policy, reference), [triplet])
-    return _dpo_loss(policy, ids, _reference_logprobs(reference, ids), beta, variant)
+    (chunk,) = _triplet_chunks(_shared_vocab(policy, reference), [triplet])
+    logps, pullback = policy.seq_logprob_vjp(*chunk)
+    loss, weights = _dpo_terms(logps, _reference_logprobs(reference, [chunk])[0],
+                               beta, variant)
+    return float(loss[0]), pullback(weights)
 
 
 def _shared_vocab(policy: NeuralScorer, reference: NeuralScorer):
@@ -230,56 +255,58 @@ def _shared_vocab(policy: NeuralScorer, reference: NeuralScorer):
     return policy.vocab
 
 
-def _triplet_ids(vocab, triplets):
-    """Each triplet's (context, high response, low response) as id arrays."""
-    return [(id_array(vocab, t.user.tokens),
-             np.array(vocab.sid_ids(t.high_ad), dtype=np.intp),
-             np.array(vocab.sid_ids(t.low_ad), dtype=np.intp)) for t in triplets]
+def _triplet_chunks(vocab, triplets):
+    """The triplets as id batches of at most DPO_CHUNK triplets each: a
+    chunk of C triplets is (ctx_ptr, ctx_ids, responses) over 2C sequences,
+    the C high responses and then the C low ones, each under its triplet's
+    context."""
+    chunks = []
+    for start in range(0, len(triplets), DPO_CHUNK):
+        part = triplets[start:start + DPO_CHUNK]
+        contexts = [id_array(vocab, t.user.tokens) for t in part]
+        chunks.append(csr(contexts + contexts) + (_stacked(
+            [vocab.sid_ids(t.high_ad) for t in part]
+            + [vocab.sid_ids(t.low_ad) for t in part]),))
+    return chunks
 
 
-def _reference_logprobs(reference: NeuralScorer, ids):
-    """(log pi_ref(a_h|u), log pi_ref(a_l|u)) of one triplet's ids."""
-    ctx, high, low = ids
-    ref_h = reference.seq_logprob_ids(ctx, high)
-    ref_l = reference.seq_logprob_ids(ctx, low)
-    if not (math.isfinite(ref_h) and math.isfinite(ref_l)):
+def _reference_logprobs(reference: NeuralScorer, chunks):
+    """Each chunk's log pi_ref of its sequences (high, then low)."""
+    ref = [reference.seq_logprob_vjp(*chunk)[0] for chunk in chunks]
+    if not all(np.isfinite(r).all() for r in ref):
         raise AlignmentError("degenerate reference: zero sequence probability")
-    return ref_h, ref_l
+    return ref
 
 
-def _dpo_loss(policy: NeuralScorer, ids, ref, beta, variant):
-    """dpo_loss of one triplet's ids given the reference's log
-    probabilities ``ref``."""
-    ctx, high, low = ids
-    logp_h, grad_h = policy.seq_logprob_and_grad_ids(ctx, high)
-    logp_l, grad_l = policy.seq_logprob_and_grad_ids(ctx, low)
-    ref_h, ref_l = ref
-
+def _dpo_terms(logps, ref, beta, variant):
+    """The DPO loss of each triplet of a chunk, and the weight of each of
+    its sequences' log-probability in the gradient of the loss sum:
+    (loss (C,), weights (2C,), high responses first)."""
+    c = len(logps) // 2
+    delta_h, delta_l = logps[:c] - ref[:c], logps[c:] - ref[c:]
     if variant == "prob-ratio":
-        rho_h = math.exp(logp_h - ref_h)
-        rho_l = math.exp(logp_l - ref_l)
+        rho_h, rho_l = np.exp(delta_h), np.exp(delta_l)
         inner = beta * (rho_h - rho_l)
         coef_h, coef_l = beta * rho_h, beta * rho_l
     elif variant == "log-ratio":
-        inner = beta * ((logp_h - ref_h) - (logp_l - ref_l))
-        coef_h, coef_l = beta, beta
+        inner = beta * (delta_h - delta_l)
+        coef_h = coef_l = beta
     else:
         raise AlignmentError(f"unknown DPO variant {variant!r}; "
                              f"expected one of {DPO_VARIANTS}")
-
     # loss = -log sigmoid(inner) = softplus(-inner)
-    loss = math.log1p(math.exp(-abs(inner))) + max(-inner, 0.0)
-    d_inner = -1.0 / (1.0 + math.exp(inner))  # -sigmoid(-inner)
-    grads = {k: d_inner * (coef_h * grad_h[k] - coef_l * grad_l[k])
-             for k in grad_h}
-    return loss, grads
+    loss = np.log1p(np.exp(-np.abs(inner))) + np.maximum(-inner, 0.0)
+    d_inner = -1.0 / (1.0 + np.exp(inner))  # -sigmoid(-inner)
+    return loss, np.concatenate((d_inner * coef_h, -d_inner * coef_l))
 
 
 def preference_margin(policy: NeuralScorer, triplets) -> float:
     """Mean of log pi(a_h|u) - log pi(a_l|u) over the batch."""
-    margins = [policy.seq_logprob_ids(ctx, high) - policy.seq_logprob_ids(ctx, low)
-               for ctx, high, low in _triplet_ids(policy.vocab, triplets)]
-    return float(np.mean(margins)) if margins else 0.0
+    margins = []
+    for chunk in _triplet_chunks(policy.vocab, triplets):
+        logps = policy.seq_logprob_vjp(*chunk)[0]
+        margins.append(logps[:len(logps) // 2] - logps[len(logps) // 2:])
+    return float(np.mean(np.concatenate(margins))) if margins else 0.0
 
 
 def dpo_update(policy: NeuralScorer, reference: NeuralScorer, triplets,
@@ -287,28 +314,34 @@ def dpo_update(policy: NeuralScorer, reference: NeuralScorer, triplets,
                variant: str = "log-ratio"):
     """Batch gradient steps on the mean DPO loss; reference stays frozen, so
     its log probabilities are computed once, before the first step, and
-    each triplet is mapped to ids once.
+    each triplet is mapped to ids once. A step is one forward and one
+    weighted backward per DPO_CHUNK triplets, each sequence weighted by its
+    share of the mean loss's gradient.
 
     Returns (policy, mean_loss_per_step)."""
     if steps < 0:
         raise AlignmentError(f"steps must be >= 0, got {steps}")
+    if not (math.isfinite(beta) and beta > 0):
+        raise AlignmentError(f"beta must be a finite number > 0, got {beta}")
     losses = []
-    ids = _triplet_ids(_shared_vocab(policy, reference), triplets) if steps > 0 else []
-    refs = [_reference_logprobs(reference, i) for i in ids]
+    chunks = _triplet_chunks(_shared_vocab(policy, reference), triplets) if steps else []
+    refs = _reference_logprobs(reference, chunks)
     for step in range(steps):
         if not triplets:
             losses.append(0.0)
             continue
         total = policy.zero_grads()
         loss_sum = 0.0
-        for i, ref in zip(ids, refs):
-            loss, grads = _dpo_loss(policy, i, ref, beta, variant)
-            loss_sum += loss
-            for k in total:
-                total[k] += grads[k] / len(triplets)
+        for chunk, ref in zip(chunks, refs):
+            logps, pullback = policy.seq_logprob_vjp(*chunk)
+            loss, weights = _dpo_terms(logps, ref, beta, variant)
+            loss_sum += float(loss.sum())
+            for k, g in pullback(weights / len(triplets)).items():
+                total[k] += g
         mean_loss = loss_sum / len(triplets)
-        if not math.isfinite(mean_loss):
-            raise AlignmentError(f"non-finite DPO loss at step {step}")
+        if not (math.isfinite(mean_loss) and all(np.isfinite(g).all()
+                                                 for g in total.values())):
+            raise AlignmentError(f"non-finite DPO loss or gradient at step {step}")
         policy.apply_grads(total, learning_rate)
         losses.append(mean_loss)
     return policy, losses

@@ -7,6 +7,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -69,6 +70,11 @@ class PipelineConfig:
             for key, value, least in low:
                 if value < least:
                     raise ValueError(f"{key!r} must be >= {least}, got {value}")
+            # beta 0 leaves the policy where it is, and a negative one steps
+            # it away from the preferred ads
+            if not (math.isfinite(self.dpo_beta) and self.dpo_beta > 0):
+                raise ValueError(f"'dpo_beta' must be a finite number > 0, "
+                                 f"got {self.dpo_beta}")
             # DPO aligns the scorer the train stage made, and only the
             # neural scorer has the gradients it steps on
             if self.dpo_enabled and self.scorer_kind != "neural":

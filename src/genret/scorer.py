@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from itertools import chain, repeat
 
 import numpy as np
@@ -184,21 +183,62 @@ class NgramScorer:
         return scorer
 
 
-@lru_cache(maxsize=256)
-def _backward_plan(nc: int, n: int):
-    """The embedding rows a teacher-forced pass over a context of nc ids and
-    a response of n pools, in step order: step i pools the context, then
-    the response's first i ids, which are the first nc + i entries of
-    concat(ctx_ids, resp_ids). Returns (positions in that concatenation,
-    step of each, and the count each step divides by, as an (m, 1) float
-    column)."""
-    at = np.array([t for i in range(n) for t in range(nc + i)], dtype=np.intp)
-    steps = np.array([i for i in range(n) for _ in range(nc + i)], dtype=np.intp)
-    counts = np.array([c for i in range(n) for c in [nc] * nc + [i] * i],
-                      dtype=np.float64).reshape(-1, 1)
-    for a in (at, steps, counts):
-        a.flags.writeable = False
-    return at, steps, counts
+def csr(arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Id arrays laid end to end as (ptr, ids): array k is
+    ``ids[ptr[k]:ptr[k + 1]]``. The neural scorer's batched calls take their
+    contexts in this form."""
+    ptr = np.zeros(len(arrays) + 1, dtype=np.intp)
+    np.cumsum([len(a) for a in arrays], out=ptr[1:])
+    ids = np.concatenate(arrays).astype(np.intp) if len(arrays) else ptr[:0]
+    return ptr, ids
+
+
+def csr_take(ptr, ids, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The (ptr, ids) of the arrays ``rows`` of a CSR pair, in that order."""
+    lengths = (ptr[1:] - ptr[:-1])[rows]
+    out = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=out[1:])
+    return out, ids[np.arange(out[-1]) + (ptr[rows] - out[:-1]).repeat(lengths)]
+
+
+def _embedding_plan(ctx_ptr, ctx_ids, responses):
+    """The embedding rows a teacher-forced pass over P pairs pools, pair by
+    pair and, within a pair, in step order: step i of pair p pools p's
+    context, then responses[p, :i]. Returns (vocabulary id, forward row
+    p·n + i, and the count that row's pooled mean divides by) per entry."""
+    n_pairs, n = responses.shape
+    nc = ctx_ptr[1:] - ctx_ptr[:-1]
+    size = (nc[:, None] + np.arange(n)).ravel()  # entries of row p·n + i
+    row = np.arange(n_pairs * n).repeat(size)
+    at = np.arange(len(row)) - (size.cumsum() - size).repeat(size)  # within the row
+    pair = row // max(n, 1)
+    past = at - nc[pair]  # >= 0: the response id at that step of the pair
+    in_ctx = past < 0
+    token = np.empty(len(row), dtype=np.intp)
+    token[in_ctx] = ctx_ids[(ctx_ptr[pair] + at)[in_ctx]]
+    token[~in_ctx] = responses.ravel()[(pair * n + past)[~in_ctx]]
+    count = np.where(in_ctx, nc[pair], row - pair * n).astype(np.float64)
+    return token, row, count
+
+
+def _added_rows(like, at, values) -> np.ndarray:
+    """Zeros shaped like ``like`` with values[k] added to row at[k], in k
+    order, as ``np.add.at`` adds; flat, which takes numpy's fast 1-d path."""
+    out = np.zeros_like(like)
+    width = like.shape[1]
+    np.add.at(out.reshape(-1), (at[:, None] * width + np.arange(width)).ravel(),
+              values.ravel())
+    return out
+
+
+def _seq_logprobs(probs, responses) -> np.ndarray:
+    """Per pair of a stacked forward, the sum over its steps i of log
+    probs[p·n + i, responses[p, i]], added in step order."""
+    n_pairs, n = responses.shape
+    if not n:
+        return np.zeros(n_pairs)
+    logs = np.log(probs[np.arange(n_pairs * n), responses.ravel()])
+    return np.cumsum(logs.reshape(n_pairs, n), axis=1)[:, -1]
 
 
 @dataclass
@@ -247,19 +287,31 @@ class NeuralScorer:
         exp = np.exp(logits)
         return h, exp / exp.sum(axis=-1, keepdims=True)
 
-    def _pool(self, ctx_ids, sums, lengths):
-        """The layers' input, one row per prefix: the context mean, plus the
-        prefix's sum over its length, plus the length's position row. Each
-        mean is a sum divided by its count, which is how ``mean`` computes it;
-        an empty prefix adds 0.0 over 1, which leaves the pool, begun at +0.0,
-        unchanged. Returns (pool, plen)."""
-        p = self.params
-        pool = np.zeros((len(lengths), self.embed_dim))
-        if len(ctx_ids):
-            pool = pool + p["emb"][ctx_ids].sum(axis=0) / len(ctx_ids)
+    def _context_means(self, ctx_ptr, ctx_ids):
+        """(P, embed_dim): the mean embedding of each CSR context, 0.0 for an
+        empty one. The contexts are padded with an appended zero row, which
+        leaves each sum unchanged: numpy adds along a non-contiguous axis in
+        order, so a context's mean equals the mean of it alone bit for bit.
+        (At embed_dim 1 the axis is contiguous and numpy sums it pairwise,
+        so there the padding can move the last bit.)"""
+        lengths = ctx_ptr[1:] - ctx_ptr[:-1]
+        emb = self.params["emb"]
+        padded = np.full((len(lengths), lengths.max(initial=0)), len(emb))
+        padded[np.arange(padded.shape[1]) < lengths[:, None]] = ctx_ids
+        rows = np.concatenate((emb, np.zeros((1, self.embed_dim))))[padded]
+        return rows.sum(axis=1) / np.maximum(lengths, 1)[:, None]
+
+    def _pool(self, ctx_mean, sums, lengths):
+        """The layers' input, one row per prefix: its context's mean, plus
+        the prefix's sum over its length, plus the length's position row.
+        Each mean is a sum divided by its count, which is how ``mean``
+        computes it; an empty prefix adds 0.0 over 1, and an empty context
+        a mean of 0.0, which leave the pool, begun at +0.0, unchanged.
+        Returns (pool, plen)."""
+        pool = np.zeros((len(lengths), self.embed_dim)) + ctx_mean
         pool = pool + sums / np.maximum(lengths, 1)[:, None]
         plen = np.minimum(lengths, self.max_prefix)
-        return pool + p["pos"][plen], plen
+        return pool + self.params["pos"][plen], plen
 
     def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
         """The next-token distribution after each prefix of one trie level,
@@ -268,69 +320,96 @@ class NeuralScorer:
         # an intp array: a tuple index into emb would be multi-dimensional
         ids = np.array(prefixes, dtype=np.intp)
         sums = self.params["emb"][ids].sum(axis=1)
-        pool = self._pool(id_array(self.vocab, context.tokens), sums,
-                          np.full(len(ids), ids.shape[1]))[0]
+        # one context, pooled alone: the padded pooling of _context_means
+        # gives the same bits but costs a decode level about 20 us more
+        ctx_ids = id_array(self.vocab, context.tokens)
+        mean = 0.0
+        if len(ctx_ids):
+            mean = self.params["emb"][ctx_ids].sum(axis=0) / len(ctx_ids)
+        pool = self._pool(mean, sums, np.full(len(ids), ids.shape[1]))[0]
         return self._layers(pool)[1]
 
     def prob_dist(self, context: ScorerContext, prefix) -> np.ndarray:
         return self.next_probs(context, [prefix])[0]
 
-    def _teacher_forced(self, ctx_ids, resp_ids):
-        """The forward of every step of one response, stacked: row i predicts
-        resp_ids[i] from resp_ids[:i], bit for bit as ``next_probs`` does: a
-        running sum adds in the order a sum over one prefix does. Returns
-        (pool, plen, h, probs)."""
-        n = len(resp_ids)
-        sums = np.zeros((n, self.embed_dim))
-        np.cumsum(self.params["emb"][resp_ids[:-1]], axis=0, out=sums[1:])
-        pool, plen = self._pool(ctx_ids, sums, np.arange(n))
+    def _forward(self, ctx_ptr, ctx_ids, responses):
+        """The forward of every step of P pairs, stacked pair by pair: row
+        p·n + i predicts responses[p, i] from responses[p, :i], bit for bit as
+        ``next_probs`` does: a running sum adds in the order a sum over one
+        prefix does. Returns (pool, plen, h, probs)."""
+        n_pairs, n = responses.shape
+        sums = np.zeros((n_pairs, n, self.embed_dim))
+        np.cumsum(self.params["emb"][responses[:, :-1]], axis=1, out=sums[:, 1:])
+        means = self._context_means(ctx_ptr, ctx_ids).repeat(n, axis=0)
+        pool, plen = self._pool(means, sums.reshape(-1, self.embed_dim),
+                                np.tile(np.arange(n), n_pairs))
         return (pool, plen) + self._layers(pool)
 
-    def _backward(self, ctx_ids, resp_ids, pool, plen, h, d_logits):
-        """Gradients of sum_i d_logits[i] . logits_i over a teacher-forced
-        pass, equal bit for bit to a loop over the steps that adds each
-        step's share, in step order, to gradients that start at zero."""
+    def _teacher_forced(self, ctx_ids, resp_ids):
+        """``_forward`` of one pair: row i predicts resp_ids[i]. Returns
+        (pool, plen, h, probs)."""
+        return self._forward(*csr([ctx_ids]), np.asarray(resp_ids, dtype=np.intp)[None])
+
+    def _backward(self, ctx_ptr, ctx_ids, responses, pool, plen, h, d_logits):
+        """Gradients of sum_r d_logits[r] . logits_r over a stacked forward.
+        Every sum over rows adds from zero in row order and the embedding
+        shares add pair by pair in step order, so one pair's gradients equal
+        bit for bit a loop over its steps that adds each step's share, in
+        step order, to gradients that start at zero."""
         p = self.params
         grads = {}
-        # sums over the steps (axis 0) add from zero in step order
-        grads["w2"] = (d_logits[:, :, None] * h[:, None, :]).sum(axis=0)
+        # sums over the rows (axis 0) add from zero in row order; einsum's
+        # outer products accumulate row by row too, with no (rows, |V|,
+        # hidden) temporary, and take no BLAS path
+        grads["w2"] = np.einsum("rv,rj->vj", d_logits, h)
         grads["b2"] = d_logits.sum(axis=0)
         d_h = np.matmul(p["w2"].T, d_logits[..., None])[..., 0]
         d_pre = d_h * (1.0 - h**2)
-        grads["w1"] = (d_pre[:, :, None] * pool[:, None, :]).sum(axis=0)
+        grads["w1"] = np.einsum("rj,rd->jd", d_pre, pool)
         grads["b1"] = d_pre.sum(axis=0)
         d_pool = np.matmul(p["w1"].T, d_pre[..., None])[..., 0]
-        at, steps, counts = _backward_plan(len(ctx_ids), len(resp_ids))
-        grads["emb"] = np.zeros_like(p["emb"])
-        np.add.at(grads["emb"], np.concatenate((ctx_ids, resp_ids))[at],
-                  d_pool[steps] / counts)
-        grads["pos"] = np.zeros_like(p["pos"])
-        np.add.at(grads["pos"], plen, d_pool)
+        token, row, count = _embedding_plan(ctx_ptr, ctx_ids, responses)
+        grads["emb"] = _added_rows(p["emb"], token, d_pool[row] / count[:, None])
+        grads["pos"] = _added_rows(p["pos"], plen, d_pool)
         return grads
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def _logprob(self, probs, resp_ids) -> float:
-        """sum_i log probs[i, resp_ids[i]], added in step order."""
-        logp = 0.0
-        for i, tid in enumerate(resp_ids):
-            logp += float(np.log(probs[i, tid]))
-        return logp
+    def seq_logprob_vjp(self, ctx_ptr, ctx_ids, responses):
+        """log P(responses[p] | context p) of P pairs from one forward, and
+        its pullback: ``pullback(weights)`` is the exact gradient of
+        sum_p weights[p] · logp[p] (all weights 1.0 when None). Contexts come
+        in CSR form (``csr``); responses are a (P, n) id array.
+
+        Each log-probability adds its steps' logs in step order, so it
+        equals ``seq_logprob_ids`` of its pair bit for bit whatever the
+        batch. Fine-tuning ascends the sum, with ``apply_grads(grads,
+        -lr)``, and DPO weights each sequence by its share of the loss."""
+        responses = np.asarray(responses, dtype=np.intp)
+        pool, plen, h, probs = self._forward(ctx_ptr, ctx_ids, responses)
+        n_pairs, n = responses.shape
+
+        def pullback(weights=None):
+            d_logits = probs.copy()
+            # grad of -log p, then scaled by -weight
+            d_logits[np.arange(n_pairs * n), responses.ravel()] -= 1.0
+            scale = np.ones(n_pairs) if weights is None else np.asarray(weights, float)
+            d_logits *= -scale.repeat(n)[:, None]
+            return self._backward(ctx_ptr, ctx_ids, responses, pool, plen, h, d_logits)
+
+        return _seq_logprobs(probs, responses), pullback
 
     def seq_logprob_and_grad_ids(self, ctx_ids, resp_ids):
         """log P(response | context) = sum of per-step log conditionals,
-        with its exact gradient, for int id arrays. Fine-tuning ascends it,
-        with ``apply_grads(grads, -lr)``, and DPO steps on a difference of
-        two."""
-        pool, plen, h, probs = self._teacher_forced(ctx_ids, resp_ids)
-        d_logits = probs.copy()
-        d_logits[np.arange(len(resp_ids)), resp_ids] -= 1.0  # grad of -log p
-        grads = self._backward(ctx_ids, resp_ids, pool, plen, h, -d_logits)
-        return self._logprob(probs, resp_ids), grads
+        with its exact gradient, for int id arrays: the one-pair case of
+        ``seq_logprob_vjp``."""
+        logps, pullback = self.seq_logprob_vjp(*csr([ctx_ids]), np.asarray(resp_ids)[None])
+        return float(logps[0]), pullback()
 
     def seq_logprob_ids(self, ctx_ids, resp_ids) -> float:
-        return self._logprob(self._teacher_forced(ctx_ids, resp_ids)[3], resp_ids)
+        probs = self._teacher_forced(ctx_ids, resp_ids)[3]
+        return float(_seq_logprobs(probs, np.asarray(resp_ids, dtype=np.intp)[None])[0])
 
     def apply_grads(self, grads, lr: float):
         """The one parameter update, in place: params -= lr * grads."""

@@ -16,7 +16,8 @@ from genret.catalog import Ad, Catalog, load_catalog
 from genret.embed import embed_catalog
 from genret.jsonl import JsonlError
 from genret.prompting import BehaviorEvent, UserProfile, load_events, load_profiles
-from genret.scorer import NeuralScorer, NgramScorer, ScorerContext, id_array, tokenize_text
+from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext, csr, id_array,
+                           tokenize_text)
 from genret.sid import SemanticId, is_token
 from genret.vocab import vocab_from_sids
 
@@ -252,7 +253,8 @@ def test_staged_neural_order_and_log(vocab):
 
 def test_fine_tuning_and_dpo_update_through_apply_grads(vocab, monkeypatch):
     # apply_grads is the one parameter update: fine-tuning ascends the
-    # log-likelihood with one call per pair and epoch, DPO makes one per step
+    # log-likelihood with one call per minibatch of TRAIN_BATCH pairs and
+    # epoch, DPO makes one per step
     rates = []
     real = NeuralScorer.apply_grads
 
@@ -266,7 +268,8 @@ def test_fine_tuning_and_dpo_update_through_apply_grads(vocab, monkeypatch):
     epochs = {"explicit": 2, "implicit": 1, "main": 3}
     scorer = NeuralScorer(vocab, embed_dim=8, hidden_dim=8, seed=0)
     train_staged(scorer, corpora, epochs_per_stage=epochs, learning_rate=0.05)
-    assert rates == [-0.05] * sum(epochs[s] * len(corpora[s]) for s in epochs)
+    assert rates == [-0.05] * sum(epochs[s] * -(-len(corpora[s]) // alignment.TRAIN_BATCH)
+                                  for s in epochs)
 
     rates.clear()
     dpo_update(scorer, scorer.copy(), [_triplet(vocab)], learning_rate=0.1, steps=4)
@@ -366,17 +369,21 @@ def world_s(tmp_path_factory):
     return sids, corpora
 
 
-def string_path_train(scorer, corpora, epochs, learning_rate=0.05, seed=0):
-    """train_staged's neural loop over strings: every pair mapped to tokens
-    and stepped through the string entry point."""
+def string_path_train(scorer, corpora, epochs, learning_rate=0.02, seed=0):
+    """train_staged's neural loop over strings: every pair mapped to tokens,
+    and each minibatch of the seeded permutation stepped through the
+    batched gradient."""
     rng = np.random.default_rng(seed)
     for stage in alignment.STAGES:
         samples = [(id_array(scorer.vocab, string_context(p)),
                     id_array(scorer.vocab, string_response(p))) for p in corpora[stage]]
         for _ in range(epochs):
-            for i in rng.permutation(len(samples)):
-                _, grads = scorer.seq_logprob_and_grad_ids(*samples[i])
-                scorer.apply_grads(grads, -learning_rate)
+            perm = rng.permutation(len(samples))
+            for start in range(0, len(perm), alignment.TRAIN_BATCH):
+                batch = [samples[i] for i in perm[start:start + alignment.TRAIN_BATCH]]
+                _, pullback = scorer.seq_logprob_vjp(*csr([c for c, _ in batch]),
+                                                     np.array([r for _, r in batch]))
+                scorer.apply_grads(pullback(), -learning_rate)
 
 
 def test_staged_neural_equals_string_path_at_scale_s(world_s):
@@ -524,6 +531,68 @@ def test_dpo_update_increases_margin(vocab):
     np.testing.assert_array_equal(reference.params["emb"],
                                   NeuralScorer(vocab, embed_dim=8,
                                                hidden_dim=8, seed=5).params["emb"])
+
+
+def loop_dpo_step(policy, reference, triplets, beta, learning_rate, variant):
+    """A dpo_update step as a loop over the triplets, kept as the reference:
+    each triplet's loss and gradient from the one-pair gradient of its two
+    responses, added over len(triplets) to gradients that start at zero.
+    Returns the mean loss."""
+    total, loss_sum = policy.zero_grads(), 0.0
+    for t in triplets:
+        ctx = id_array(policy.vocab, t.user.tokens)
+        high, low = (np.array(policy.vocab.sid_ids(sid)) for sid in (t.high_ad, t.low_ad))
+        ref_h, ref_l = reference.seq_logprob_ids(ctx, high), reference.seq_logprob_ids(ctx, low)
+        logp_h, grad_h = policy.seq_logprob_and_grad_ids(ctx, high)
+        logp_l, grad_l = policy.seq_logprob_and_grad_ids(ctx, low)
+        if variant == "prob-ratio":
+            rho_h, rho_l = math.exp(logp_h - ref_h), math.exp(logp_l - ref_l)
+            inner, coef_h, coef_l = beta * (rho_h - rho_l), beta * rho_h, beta * rho_l
+        else:
+            inner = beta * ((logp_h - ref_h) - (logp_l - ref_l))
+            coef_h = coef_l = beta
+        loss_sum += math.log1p(math.exp(-abs(inner))) + max(-inner, 0.0)
+        d_inner = -1.0 / (1.0 + math.exp(inner))
+        for k in total:
+            total[k] += d_inner * (coef_h * grad_h[k] - coef_l * grad_l[k]) / len(triplets)
+    policy.apply_grads(total, learning_rate)
+    return loss_sum / len(triplets)
+
+
+CONTEXT_TOKENS = ["cat:cat0", "cat:cat1", "a_1", "b_0", "c_0", "novel"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from(CONTEXT_TOKENS), max_size=6),
+                          st.sampled_from(sorted(SIDS)), st.sampled_from(sorted(SIDS))),
+                min_size=1, max_size=9),
+       st.sampled_from(alignment.DPO_VARIANTS), st.integers(1, 4),
+       st.floats(0.05, 2.0), st.integers(0, 100))
+def test_dpo_step_equals_per_triplet_loop(raw, variant, chunk, beta, seed):
+    vocab = vocab_from_sids(SIDS, extra_tokens=["cat:cat0", "cat:cat1"])
+    triplets = [PreferenceTriplet(user=ScorerContext(tokens=tuple(ctx)),
+                                  high_ad=SIDS[high], low_ad=SIDS[low])
+                for ctx, high, low in raw]
+    reference = NeuralScorer(vocab, embed_dim=6, hidden_dim=5, seed=seed)
+    policy = NeuralScorer(vocab, embed_dim=6, hidden_dim=5, seed=seed + 1)
+    looped = policy.copy()
+    want_loss = loop_dpo_step(looped, reference, triplets, beta, 0.3, variant)
+    # chunks of 1 to 4 triplets: a step spans several of them
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(alignment, "DPO_CHUNK", chunk)
+        _, (loss,) = dpo_update(policy, reference, triplets, beta=beta,
+                                learning_rate=0.3, steps=1, variant=variant)
+    assert loss == pytest.approx(want_loss, rel=0, abs=1e-12)
+    for k in looped.params:
+        np.testing.assert_allclose(policy.params[k], looped.params[k],
+                                   rtol=0, atol=1e-12, err_msg=k)
+
+
+def test_dpo_update_rejects_a_beta_that_cannot_align(vocab):
+    policy = NeuralScorer(vocab, embed_dim=8, hidden_dim=8, seed=0)
+    for beta in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(AlignmentError, match="beta must be a finite number > 0"):
+            dpo_update(policy, policy.copy(), [_triplet(vocab)], beta=beta, steps=1)
 
 
 def test_dpo_unknown_variant(vocab):

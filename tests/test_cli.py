@@ -269,6 +269,28 @@ def test_dpo_rejects_negative_steps_and_writes_no_policy(tmp_path, capsys):
     assert not (tmp_path / "dpo_policy.json").exists()
 
 
+def test_dpo_rejects_a_beta_that_cannot_align_and_writes_no_policy(tmp_path, capsys):
+    run = tmp_path / "run"
+    run_pipeline(PipelineConfig(
+        out_dir=str(run), seed=5,
+        synthetic={"num_categories": 2, "ads_per_category": 4, "num_users": 3,
+                   "events_per_user": 6},
+        embed_dim=16,
+        rqvae={"num_levels": 2, "codebook_size": 4, "latent_dim": 4, "epochs": 10},
+        scorer_kind="neural", beam_width=4))
+    code, _, err = run_cli(capsys, "dpo", "--policy", str(run / "scorer.json"),
+                           "--catalog", str(run / "data" / "catalog.jsonl"),
+                           "--sids", str(run / "sids.jsonl"),
+                           "--profiles", str(run / "data" / "profiles.jsonl"),
+                           "--events", str(run / "data" / "events.jsonl"),
+                           "--beta", "0", "--out", str(tmp_path / "dpo_policy.json"))
+    assert code == 1
+    obj = json.loads(err.strip().splitlines()[-1])
+    assert obj["error"] == "AlignmentError"
+    assert "beta must be a finite number > 0, got 0.0" in obj["message"]
+    assert not (tmp_path / "dpo_policy.json").exists()
+
+
 def test_generate_names_an_unknown_user_and_writes_nothing(tmp_path, capsys):
     run = tmp_path / "run"
     run_pipeline(PipelineConfig(
@@ -429,8 +451,10 @@ def test_pipeline_command_with_config(tmp_path, capsys):
     ({"template_ids": [7]}, (), "'template_ids': unknown value 7"),
     ({"embed_dim": 4}, (), "'embed_dim' must be >= 8"),
     ({"scorer_kind": "neural", "dpo_steps": -1}, ("--dpo",), "'dpo_steps' must be >= 0"),
+    ({"scorer_kind": "neural", "dpo_beta": 0}, ("--dpo",),
+     "'dpo_beta' must be a finite number > 0, got 0"),
 ], ids=["stage", "scorer_kind", "dpo_variant", "dpo-ngram", "dpo-flag-ngram",
-        "beam_width", "eval_k", "template_ids", "embed_dim", "dpo_steps"])
+        "beam_width", "eval_k", "template_ids", "embed_dim", "dpo_steps", "dpo_beta"])
 def test_pipeline_rejects_a_bad_config_before_writing(tmp_path, capsys, settings,
                                                       flags, message):
     config = tmp_path / "config.json"

@@ -191,6 +191,8 @@ def test_config_accepts_each_json_type(tmp_path):
     ("template_ids", [7], "'template_ids': unknown value 7"),
     ("embed_dim", 4, "'embed_dim' must be >= 8, got 4"),
     ("dpo_steps", -1, "'dpo_steps' must be >= 0, got -1"),
+    # json reads NaN, and a beta that is not above 0 cannot align
+    ("dpo_beta", float("nan"), "'dpo_beta' must be a finite number > 0, got nan"),
 ])
 def test_config_rejects_bad_overrides_and_empty_arrays(tmp_path, key, value, message):
     path = tmp_path / "config.json"
@@ -267,10 +269,12 @@ def test_default_artifacts_match_golden_digests(tmp_path, seed):
 
 
 # sha256 of the neural + DPO artifacts of the SMALL config at seed 0.
+# Re-pinned when fine-tuning moved from one step per pair to minibatches of
+# alignment.TRAIN_BATCH pairs and a DPO step to chunked batched passes.
 NEURAL_GOLDEN = {
-    "scorer.json": "8f09783bc0e4eb97700ec8034f05bd067b6d9e64c4e74a706fe85a0f59252a3c",
-    "dpo_policy.json": "316ff120b0d5b8bd60d08094a87eb7196ea0475e400657d840bf051829b20b74",
-    "results.jsonl": "37773a47e32504e2e6ab3b7e0b3d2af9f99b03829d8330675f3f7a7b72585ccc",
+    "scorer.json": "e2729f5b885e45172571b4ecd4d43c22ded56499143cc5123ce7bcb2d9b6c2ac",
+    "dpo_policy.json": "dbb4619d847ae81715b6f291d0fba94ecc8e3fda1834c6787107fe63349b128c",
+    "results.jsonl": "de9717412a004827e9d02b94f83169d16f54662284418a726087dd3f9267ca92",
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext,
-                           ScorerError, id_array, load_scorer, tokenize_text)
+                           ScorerError, csr, id_array, load_scorer, tokenize_text)
 from genret.sid import SemanticId
 from genret.vocab import Vocabulary, vocab_from_sids
 
@@ -548,3 +548,37 @@ def test_teacher_forced_rows_equal_single_prefix_forward():
     assert logp == want_logp
     for k in want:
         np.testing.assert_array_equal(grads[k], want[k], err_msg=k)
+
+
+# --- batched gradient: P pairs in one pass ----------------------------------
+
+@st.composite
+def pair_batches(draw):
+    """P pairs of mixed context lengths, empty contexts among them, and one
+    response length that may run past max_prefix, with a weight each."""
+    n = draw(st.integers(0, 7))
+    return draw(st.lists(st.tuples(
+        st.lists(st.sampled_from(TF_TOKENS + ["cat", ":"]), max_size=12),
+        st.lists(st.sampled_from(TF_TOKENS), min_size=n, max_size=n),
+        st.floats(-2.0, 2.0, allow_nan=False)), min_size=1, max_size=7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_batches(), st.integers(0, 4), st.integers(0, 1000), st.booleans())
+def test_batched_gradient_equals_sum_of_pair_gradients(pairs, max_prefix, seed, weighted):
+    scorer = NeuralScorer(vocab_from_sids(SIDS), embed_dim=6, hidden_dim=5,
+                          max_prefix=max_prefix, seed=seed)
+    contexts = [id_array(scorer.vocab, c) for c, _, _ in pairs]
+    responses = [id_array(scorer.vocab, r) for _, r, _ in pairs]
+    weights = [w if weighted else 1.0 for _, _, w in pairs]
+    logps, pullback = scorer.seq_logprob_vjp(*csr(contexts),
+                                             np.array(responses).reshape(len(pairs), -1))
+    grads = pullback(weights if weighted else None)
+    want = scorer.zero_grads()
+    for ctx, resp, w, logp in zip(contexts, responses, weights, logps):
+        assert logp == scorer.seq_logprob_ids(ctx, resp)
+        for k, g in scorer.seq_logprob_and_grad_ids(ctx, resp)[1].items():
+            want[k] += w * g
+    assert grads.keys() == want.keys()
+    for k in want:
+        np.testing.assert_allclose(grads[k], want[k], rtol=0, atol=1e-12, err_msg=k)
