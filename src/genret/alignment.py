@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -31,19 +32,37 @@ DPO_CHUNK = 64
 # lower-case letter and an underscore, as S-ID tokens do, and "" for each
 # <...> marker, which is one token there and matched whole here too
 _SID_LIKE_RE = re.compile(r"<[^>\s]+>|(?<!\w)([a-z]_\w+)")
+# is_token of the words _SID_LIKE_RE finds, which repeat across a corpus
+_is_sid_token = functools.lru_cache(maxsize=1 << 12)(is_token)
 
 
 class AlignmentError(RuntimeError):
     pass
 
 
+def sid_context(text: str) -> tuple[str, ...]:
+    """The S-ID tokens of a text, in order: a main-stage pair's neural
+    context, as serving's context holds only S-ID tokens."""
+    if "_" not in text:  # every S-ID token holds one
+        return ()
+    return tuple(filter(_is_sid_token, filter(None, _SID_LIKE_RE.findall(text))))
+
+
 @dataclass(frozen=True)
 class CorpusPair:
+    """One training pair. A main pair's ``context`` is ``sid_context`` of
+    its prompt, derived from the prompt when not given; the other stages
+    leave it None, as their neural context is every prompt token."""
     prompt: str
     response: SemanticId
     stage: str
     bucket: tuple = ()
     user_id: str = ""
+    context: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if self.stage == "main" and self.context is None:
+            object.__setattr__(self, "context", sid_context(self.prompt))
 
 
 @dataclass(frozen=True)
@@ -101,20 +120,39 @@ def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
     split reads all of the user's logged events, the split's own target and
     later events included, while serving reads only the past: at M, seed 0,
     the bucket's last-ad code equals the response's level-0 code in 70% of
-    main pairs (ROADMAP item 4)."""
+    main pairs (ROADMAP item 4).
+
+    A main pair carries its neural context, found by scanning each distinct
+    profile, summary and behaviour-line text of the prompts once."""
     # seed is unused; it stays because benchmarks/workloads.py passes seed=
     corpora: dict[str, list[CorpusPair]] = {s: [] for s in STAGES}
     corpora["explicit"] = explicit_pairs(catalog, sids)
+    scanned: dict[str, tuple[str, ...]] = {}  # piece -> sid_context(piece)
     for uid in sorted(events_by_user):
         profile = profiles[uid]
         events = filter_events(events_by_user[uid])
         summary = summary_from_events(events_by_user[uid], catalog)
         bucket = make_bucket(profile, summary, events_by_user[uid])
-        for stage, use_sid in (("implicit", False), ("main", True)):
-            for s in augment(events, profile, summary, template_ids, use_sid=use_sid):
-                corpora[stage].append(CorpusPair(
-                    prompt=s.prompt, response=s.response, stage=stage,
-                    bucket=bucket, user_id=uid))
+        for s in augment(events, profile, summary, template_ids, use_sid=False):
+            corpora["implicit"].append(CorpusPair(
+                prompt=s.prompt, response=s.response, stage="implicit",
+                bucket=bucket, user_id=uid))
+        for s in augment(events, profile, summary, template_ids, use_sid=True):
+            # a main context is the scan of the prompt's pieces, each scanned
+            # once. A match holds no whitespace and begins after a non-word
+            # character, and whitespace sets each piece off (a line's trailing
+            # ";" or "." is no word character, and whitespace follows it), so
+            # a piece scans alike alone and in the prompt; the template's
+            # fixed text holds no S-ID token
+            context = ()
+            for piece in s.pieces:
+                found = scanned.get(piece)
+                if found is None:
+                    found = scanned[piece] = sid_context(piece)
+                context += found
+            corpora["main"].append(CorpusPair(
+                prompt=s.prompt, response=s.response, stage="main", bucket=bucket,
+                user_id=uid, context=context))
     return corpora
 
 
@@ -143,21 +181,32 @@ class CompiledCorpus:
     unk_share: float
 
 
+def _distinct_ids(vocab, pairs) -> dict:
+    """Each distinct response of the pairs as its list of vocabulary ids."""
+    return {sid: vocab.sid_ids(sid) for sid in dict.fromkeys(p.response for p in pairs)}
+
+
 def compile_corpus(pairs, vocab) -> CompiledCorpus:
-    """Map each pair to ids once. A main-stage context keeps only its
-    prompt's S-ID tokens, as serving's context has; other stages keep every
-    prompt token."""
-    contexts = []
-    for p in pairs:
-        if p.stage == "main":
-            tokens = [t for t in _SID_LIKE_RE.findall(p.prompt) if t and is_token(t)]
-        else:
-            tokens = tokenize_text(p.prompt)
-        contexts.append(id_array(vocab, tokens))
-    responses = [np.array(vocab.sid_ids(p.response), dtype=np.intp) for p in pairs]
-    total = sum(map(len, contexts))
-    unk = sum(int(np.count_nonzero(c == vocab.id_of[UNK])) for c in contexts)
-    return CompiledCorpus(contexts, responses, unk / total if total else 0.0)
+    """Map each pair to ids once: the context tokens of all pairs in one
+    pass, and each distinct response once, its pairs sharing its array. A
+    main pair's context is its ``context``, its prompt's S-ID tokens as
+    serving's context has; other stages keep every prompt token."""
+    tokens = [p.context if p.stage == "main" else tokenize_text(p.prompt) for p in pairs]
+    ids = id_array(vocab, list(itertools.chain.from_iterable(tokens)))
+    ends = np.cumsum([len(t) for t in tokens], dtype=np.intp).tolist()
+    contexts = [ids[end - len(t):end] for t, end in zip(tokens, ends)]
+    arrays = {sid: np.array(r, dtype=np.intp)
+              for sid, r in _distinct_ids(vocab, pairs).items()}
+    unk = int(np.count_nonzero(ids == vocab.id_of[UNK]))
+    return CompiledCorpus(contexts, [arrays[p.response] for p in pairs],
+                          unk / len(ids) if len(ids) else 0.0)
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Raise AlignmentError unless value is a finite number above 0: at 0 a
+    step leaves the scorer where it is, and below it steps the wrong way."""
+    if not (math.isfinite(value) and value > 0):
+        raise AlignmentError(f"{name} must be a finite number > 0, got {value}")
 
 
 def check_stages(stages) -> None:
@@ -184,9 +233,11 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
     stage over the stage's pairs compiled to ids once: each epoch's seeded
     permutation is cut into minibatches of TRAIN_BATCH pairs, and each
     minibatch makes one step on the sum of its pairs' gradients. A neural
-    stage logs its ``unk_share``. Returns (scorer, stage_log).
+    stage logs its ``unk_share``. Returns (scorer, stage_log). A learning
+    rate that is not a finite number above 0 fails before any stage trains.
     """
     check_stages(order)
+    _check_positive("learning_rate", learning_rate)
     stage_log = []
     rng = np.random.default_rng(seed)
     for stage in order:
@@ -196,7 +247,8 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
             continue
         if isinstance(scorer, NgramScorer):
             # the n-gram reads only the bucket, so no prompt is tokenized
-            scorer.train([(p.bucket, scorer.vocab.sid_ids(p.response)) for p in pairs])
+            ids = _distinct_ids(scorer.vocab, pairs)
+            scorer.train([(p.bucket, ids[p.response]) for p in pairs])
             stage_log.append({"stage": stage, "pairs": len(pairs)})
         elif isinstance(scorer, NeuralScorer):
             corpus = compile_corpus(pairs, scorer.vocab)
@@ -321,8 +373,8 @@ def dpo_update(policy: NeuralScorer, reference: NeuralScorer, triplets,
     Returns (policy, mean_loss_per_step)."""
     if steps < 0:
         raise AlignmentError(f"steps must be >= 0, got {steps}")
-    if not (math.isfinite(beta) and beta > 0):
-        raise AlignmentError(f"beta must be a finite number > 0, got {beta}")
+    _check_positive("beta", beta)
+    _check_positive("learning_rate", learning_rate)
     losses = []
     chunks = _triplet_chunks(_shared_vocab(policy, reference), triplets) if steps else []
     refs = _reference_logprobs(reference, chunks)

@@ -98,6 +98,11 @@ class InterestSummary:
 class PromptSample:
     prompt: str
     response: SemanticId
+    # the texts the prompt holds besides its template's fixed text, in prompt
+    # order: the rendered profile, summary and each behaviour line kept.
+    # Whitespace parts each piece from the next and from the fixed text; only
+    # the "; " after a line and the "." after the last one touch a piece
+    pieces: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
 
 _PREAMBLE = (
@@ -125,10 +130,12 @@ def _render_summary(summary: InterestSummary) -> str:
     return _SUMMARY_HEAD + "; ".join(f"{c}^{n} times" for c, n in summary.entries) + ";"
 
 
-def _render_behaviors(events, use_sid: bool = True) -> str:
-    body = "; ".join(
-        f"{e.days_ago} days ago^{e.event_type}^{e.subject_text(use_sid)}" for e in events
-    )
+def _render_line(event: BehaviorEvent, use_sid: bool = True) -> str:
+    return f"{event.days_ago} days ago^{event.event_type}^{event.subject_text(use_sid)}"
+
+
+def _render_behaviors(lines) -> str:
+    body = "; ".join(lines)
     return _BEHAVIOR_HEAD + body + ("." if body else "")
 
 
@@ -157,6 +164,47 @@ def _assemble(template_id: int, profile_text, summary_text, behavior_text) -> st
     raise PromptError(f"unknown template_id {template_id}")
 
 
+def _around_behaviors(template_id: int, profile_text, summary_text) -> tuple:
+    """The profile and summary texts that come before the behaviour text in
+    the template's prompt, and those that come after it, read off the
+    template rendered with one marker character per slot."""
+    marked = _assemble(template_id, "\0", "\1", "\2")
+    order = sorted(((profile_text, "\0"), (summary_text, "\1"), (None, "\2")),
+                   key=lambda slot: marked.index(slot[1]))
+    texts = [text for text, _ in order]
+    at = texts.index(None)
+    return tuple(texts[:at]), tuple(texts[at + 1:])
+
+
+def _first_unordered(events) -> int:
+    """The index of the first event newer than the one after it, or
+    len(events) if they are ordered oldest-first."""
+    return next((b for b in range(len(events) - 1)
+                 if events[b].days_ago < events[b + 1].days_ago), len(events))
+
+
+def _check_skeleton(template_id, profile_text, summary_text, token_budget) -> None:
+    skeleton = _assemble(template_id, profile_text, summary_text, _render_behaviors([]))
+    if not _fits(skeleton, token_budget):
+        raise PromptError(
+            f"token budget {token_budget} too small for the prompt skeleton "
+            f"({count_tokens(skeleton)} tokens)"
+        )
+
+
+def _fitted(template_id, profile_text, summary_text, lines, token_budget) -> tuple:
+    """The prompt of the rendered behaviour lines (oldest first) that fits
+    the budget, dropping the oldest first; returns (prompt, how many lines
+    were dropped)."""
+    start = 0
+    while True:
+        prompt = _assemble(template_id, profile_text, summary_text,
+                           _render_behaviors(lines[start:] if start else lines))
+        if _fits(prompt, token_budget) or start == len(lines):
+            return prompt, start
+        start += 1  # drop the oldest
+
+
 def build_prompt(
     profile: UserProfile,
     summary: InterestSummary,
@@ -171,25 +219,13 @@ def build_prompt(
     until the prompt fits.
     """
     events = list(events)
-    for a, b in zip(events, events[1:]):
-        if a.days_ago < b.days_ago:
-            raise PromptError("events must be ordered oldest-first")
+    if _first_unordered(events) < len(events):
+        raise PromptError("events must be ordered oldest-first")
     profile_text = _render_profile(profile)
     summary_text = _render_summary(summary)
-
-    skeleton = _assemble(template_id, profile_text, summary_text, _render_behaviors([], use_sid))
-    if not _fits(skeleton, token_budget):
-        raise PromptError(
-            f"token budget {token_budget} too small for the prompt skeleton "
-            f"({count_tokens(skeleton)} tokens)"
-        )
-    while True:
-        prompt = _assemble(
-            template_id, profile_text, summary_text, _render_behaviors(events, use_sid)
-        )
-        if _fits(prompt, token_budget) or not events:
-            return prompt
-        events = events[1:]  # drop the oldest
+    _check_skeleton(template_id, profile_text, summary_text, token_budget)
+    lines = [_render_line(e, use_sid) for e in events]
+    return _fitted(template_id, profile_text, summary_text, lines, token_budget)[0]
 
 
 def filter_events(events):
@@ -217,21 +253,45 @@ def augment(
     use_sid: bool = True,
 ) -> list[PromptSample]:
     """Interaction reuse crossed with the listed templates: one sample per
-    (positive ad split, template id), in sequence order."""
+    (positive ad split, template id), in sequence order.
+
+    The profile, the summary and each behaviour line are rendered once, and
+    every split's prompt is built from a prefix of the lines. Each sample
+    equals ``build_prompt`` of its split's history, and raises where that
+    would: the order check over each history, and the skeleton check once a
+    split exists. A sample's ``pieces`` are its rendered profile, summary
+    and kept lines in prompt order."""
     if not template_ids:
         raise PromptError("template_ids must name at least one template")
-    splits = interaction_reuse_splits(list(events))
+    events = list(events)
+    splits = interaction_reuse_splits(events)
     for _, target in splits:
         if target.sid is None:
             raise PromptError(f"ad event {target.ad_id!r} has no S-ID")
-    return [
-        PromptSample(
-            prompt=build_prompt(profile, summary, history, tid, token_budget, use_sid),
-            response=target.sid,
-        )
-        for history, target in splits
-        for tid in template_ids
-    ]
+    # a history is a prefix of events, so it is out of order when it holds
+    # the first unordered event and the one after it
+    unordered = _first_unordered(events)
+    profile_text = _render_profile(profile)
+    summary_text = _render_summary(summary)
+    around = {}  # template id -> _around_behaviors, once its skeleton fits
+    lines: list[str] = []
+    samples = []
+    for history, target in splits:
+        i = len(history)
+        if unordered + 1 < i:
+            raise PromptError("events must be ordered oldest-first")
+        for tid in template_ids:
+            if tid not in around:
+                _check_skeleton(tid, profile_text, summary_text, token_budget)
+                around[tid] = _around_behaviors(tid, profile_text, summary_text)
+            if len(lines) < i:
+                lines += [_render_line(e, use_sid) for e in events[len(lines):i]]
+            prompt, start = _fitted(tid, profile_text, summary_text, lines[:i],
+                                    token_budget)
+            before, after = around[tid]
+            samples.append(PromptSample(prompt, target.sid,
+                                        (*before, *lines[start:i], *after)))
+    return samples
 
 
 def _profile_entry(obj) -> tuple[str, UserProfile]:

@@ -8,6 +8,7 @@ quantization loss; the encoder additionally receives the commitment term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,16 @@ class RqVaeConfig:
             raise RqVaeError("codebook_size must be >= 2")
         if self.latent_dim < 2:
             raise RqVaeError("latent_dim must be >= 2")
+        if self.epochs < 0:
+            raise RqVaeError(f"epochs must be >= 0, got {self.epochs}")
+        # a rate of 0 leaves the model where it is, a negative one climbs the
+        # loss, and nan shows only later, as divergence at epoch 1
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise RqVaeError(f"learning_rate must be a finite number > 0, "
+                             f"got {self.learning_rate}")
+        if not (math.isfinite(self.commitment_weight) and self.commitment_weight >= 0):
+            raise RqVaeError(f"commitment_weight must be a finite number >= 0, "
+                             f"got {self.commitment_weight}")
 
 
 @dataclass
@@ -164,8 +175,9 @@ def quantize(codebooks: list[np.ndarray], z_hat: np.ndarray):
                                   axis=-1)
         k = k.reshape(r.shape[:-1]) if r.ndim > 1 else k[0]
         codes.append(k)
-        z = z + cb[k]
-        r = r - cb[k]
+        chosen = cb[k]
+        z = z + chosen
+        r = r - chosen
         residuals.append(r)
     return codes, z, residuals
 
@@ -196,7 +208,7 @@ def _forward_backward(model: RqVaeModel, X: np.ndarray):
     quant_total = 0.0
     for l, c in enumerate(codes):
         cb = model.codebooks[l]
-        gap = residuals[l] - cb[c]
+        gap = residuals[l + 1]  # residuals[l] - cb[c], as quantize computed it
         quant_total += (1.0 + beta) * float(np.sum(gap**2))
         # each code's rows summed from zero in row order, as np.add.at would
         cells = (c[:, None] * cb.shape[1] + np.arange(cb.shape[1])).ravel()
@@ -312,8 +324,27 @@ def seed_codebooks(model: RqVaeModel, X: np.ndarray, rng: np.random.Generator) -
         residual = quantize([model.codebooks[l]], residual)[2][-1]
 
 
+def _flat_params(model: RqVaeModel) -> np.ndarray:
+    """Lay the parameters end to end in one buffer, in ``param_items``
+    order, and make each parameter a view of its slice, so that one update
+    of the buffer steps them all."""
+    names = sorted(model.params)
+    arrays = [model.params[name] for name in names] + model.codebooks
+    flat = np.concatenate([a.ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays])
+    views = [flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+    model.params = dict(zip(names, views))
+    model.codebooks = views[len(names):]
+    return flat
+
+
 def train(config: RqVaeConfig, table: EmbeddingTable) -> RqVaeModel:
     """Adam optimization of reconstruction + quantization loss.
+
+    The parameters and Adam's two moments live in flat buffers (the model's
+    arrays are views of the parameter buffer), so an epoch makes one update;
+    Adam works element by element, so each parameter's bits equal those of
+    one update per parameter array.
 
     Deterministic given config.seed; raises TrainingDivergedError if the
     loss goes non-finite.
@@ -327,8 +358,9 @@ def train(config: RqVaeConfig, table: EmbeddingTable) -> RqVaeModel:
     model = init_model(config, X.shape[1], rng)
     seed_codebooks(model, X, rng)
 
-    m = {name: np.zeros_like(v) for name, v in model.param_items()}
-    v = {name: np.zeros_like(val) for name, val in model.param_items()}
+    flat = _flat_params(model)
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
     b1, b2, eps = 0.9, 0.999, 1e-8
     lr = config.learning_rate
 
@@ -337,13 +369,12 @@ def train(config: RqVaeConfig, table: EmbeddingTable) -> RqVaeModel:
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch)
         t = epoch + 1
-        for name, param in model.param_items():
-            g = grads[name]
-            m[name] = b1 * m[name] + (1 - b1) * g
-            v[name] = b2 * v[name] + (1 - b2) * g**2
-            m_hat = m[name] / (1 - b1**t)
-            v_hat = v[name] / (1 - b2**t)
-            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        g = np.concatenate([grads[name].ravel() for name, _ in model.param_items()])
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g**2
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return model
 
 

@@ -77,21 +77,81 @@ class NgramScorer:
         self._components: tuple | None = None
 
     def observe(self, bucket: tuple, prefix_ids, next_id: int):
-        """Count ``next_id`` after the prefix's trailing windows. Ids are
-        Python ints: they key the snapshot, and json rejects numpy ints."""
-        self._components = None
-        ids = tuple(prefix_ids)
-        for order in range(self.max_order + 1):
-            window = ids[len(ids) - order:] if order else ()
-            slot = self.counts.setdefault((bucket, window), {})
-            # float counts: scorer.json writes each as 1.0, 2.0, ...
-            slot[next_id] = slot.get(next_id, 0.0) + 1.0
+        """Count ``next_id`` after the prefix's trailing windows: the
+        one-observation case of ``train``'s counting."""
+        ids = np.array([*prefix_ids, next_id], dtype=np.int64)
+        at = np.array([len(ids) - 1])
+        self._count([bucket], np.zeros(1, dtype=np.intp), ids, at, at)
 
     def train(self, samples):
-        """samples: iterable of (bucket, response ids)."""
-        for bucket, response in samples:
-            for i, tid in enumerate(response):
-                self.observe(bucket, response[:i], tid)
+        """samples: iterable of (bucket, response ids). Counts every
+        response id after the ids before it in its response, in one
+        ``_count`` over all of them."""
+        samples = list(samples)
+        number: dict = {}  # bucket -> its number, in first-seen order
+        bucket_of = np.fromiter((number.setdefault(b, len(number)) for b, _ in samples),
+                                dtype=np.intp, count=len(samples))
+        lengths = np.fromiter((len(r) for _, r in samples), dtype=np.intp,
+                              count=len(samples))
+        ids = np.fromiter(chain.from_iterable(r for _, r in samples), dtype=np.int64,
+                          count=int(lengths.sum()))
+        at = np.arange(len(ids))
+        self._count(list(number), bucket_of.repeat(lengths), ids, at,
+                    at - (lengths.cumsum() - lengths).repeat(lengths))
+
+    def _count(self, buckets, bucket_of, ids, at, length):
+        """Add 1.0 to ``counts[(bucket, window)][ids[at[j]]]`` for each
+        observation j, in j order, and for each window order 0..max_order
+        in order: the bucket is ``buckets[bucket_of[j]]``, and the window
+        of order o is ``prefix[len(prefix) - o:]`` if o else (), where the
+        prefix is the ``length[j]`` ids before ``at[j]`` (a negative start
+        counts from the end, as a slice's does).
+
+        Equal (key, id) events are counted together, with array passes: the
+        dict updates are one per distinct key and one per distinct (key,
+        id), each made at its first event, so the keys and each slot's ids
+        keep the insertion order of one update per event. Adding n at once
+        equals adding 1.0 n times, since the counts are whole numbers."""
+        if not len(at):
+            return
+        self._components = None
+        orders = np.arange(self.max_order + 1)
+        size = np.where(length[:, None] >= orders, orders,
+                        np.minimum(length[:, None], orders - length[:, None]))
+        # an event per (observation, order), observation-major; its window
+        # as max_order columns of ids shifted to >= 0, padded with 0
+        low = int(ids.min())
+        start = (at[:, None] - size).ravel()
+        size = size.ravel()
+        windows = (np.where(k < size, ids[np.where(k < size, start + k, 0)] - low, 0)
+                   for k in range(self.max_order))
+        key = _row_codes(len(size), [np.repeat(bucket_of, len(orders)), size], windows)
+        pair = _row_codes(len(size), [key, np.repeat(ids[at], len(orders)) - low])
+        # the distinct (key, id) pairs, in code order, with each one's first
+        # event and count; a key's pairs lie together in that order
+        order = np.argsort(pair)
+        sorted_pair = pair[order]
+        runs = np.flatnonzero(np.r_[True, sorted_pair[1:] != sorted_pair[:-1]])
+        first = np.minimum.reduceat(order, runs)
+        times = np.diff(np.r_[runs, len(order)]).tolist()
+        pair_key = key[first]
+        new_key = np.r_[True, pair_key[1:] != pair_key[:-1]]
+        key_runs = np.flatnonzero(new_key)
+        key_first = np.minimum.reduceat(first, key_runs)
+        key_of_pair = (np.cumsum(new_key) - 1).tolist()
+        # the keys in first-event order, then the pairs in first-event order
+        id_list = ids.tolist()
+        slots = [None] * len(key_runs)
+        by_first = np.argsort(key_first)
+        e = key_first[by_first]
+        for k, s, n, b in zip(by_first.tolist(), start[e].tolist(), size[e].tolist(),
+                              bucket_of[e // len(orders)].tolist()):
+            slots[k] = self.counts.setdefault((buckets[b], tuple(id_list[s:s + n])), {})
+        next_of_pair = ids[at[first // len(orders)]].tolist()
+        for p in np.argsort(first).tolist():
+            slot, tid = slots[key_of_pair[p]], next_of_pair[p]
+            # float counts: scorer.json writes each as 1.0, 2.0, ...
+            slot[tid] = slot.get(tid, 0.0) + times[p]
 
     def _smoothed(self) -> tuple:
         """Each (bucket, window) key with counts, numbered in counts order, as
@@ -181,6 +241,25 @@ class NgramScorer:
             scorer.counts[(tuple(bucket), tuple(window))] = {
                 int(t): float(c) for t, c in slot}
         return scorer
+
+
+def _row_codes(rows: int, *columns) -> np.ndarray:
+    """One int64 per row of the int columns (values >= 0), given as
+    iterables of arrays, that orders the rows as their tuples do. Where a
+    column would take the codes past 2^62, the codes so far and the column
+    are first renumbered densely, which keeps their order, so no code
+    overflows."""
+    code = np.zeros(rows, dtype=np.int64)
+    span = 1  # every code so far is below it
+    for column in chain.from_iterable(columns):
+        radix = int(column.max(initial=0)) + 1
+        if span * radix > 2**62:
+            distinct, code = np.unique(code, return_inverse=True)
+            values, column = np.unique(column, return_inverse=True)
+            span, radix = len(distinct), len(values)
+        code = code * radix + column
+        span *= radix
+    return code
 
 
 def csr(arrays) -> tuple[np.ndarray, np.ndarray]:

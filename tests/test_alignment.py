@@ -276,6 +276,22 @@ def test_fine_tuning_and_dpo_update_through_apply_grads(vocab, monkeypatch):
     assert rates == [0.1] * 4
 
 
+@pytest.mark.parametrize("rate", [0.0, -0.1, math.nan, math.inf])
+def test_staged_rejects_a_learning_rate_that_cannot_train(vocab, rate):
+    corpora = build_stage_corpora(_catalog(), SIDS, {"u1": _profile()},
+                                  {"u1": _events()})
+    ngram = NgramScorer(vocab)
+    with pytest.raises(AlignmentError, match="learning_rate must be a finite number > 0"):
+        train_staged(ngram, corpora, learning_rate=rate)
+    assert ngram.counts == {}
+    neural = NeuralScorer(vocab, embed_dim=4, hidden_dim=4)
+    with pytest.raises(AlignmentError, match="learning_rate must be a finite number > 0"):
+        train_staged(neural, corpora, learning_rate=rate)
+    fresh = NeuralScorer(vocab, embed_dim=4, hidden_dim=4)
+    for name, value in fresh.params.items():
+        np.testing.assert_array_equal(neural.params[name], value)
+
+
 def test_staged_unsupported_scorer(vocab):
     with pytest.raises(AlignmentError, match="unsupported"):
         train_staged(object(), {"explicit": explicit_pairs(_catalog(), SIDS)},
@@ -354,6 +370,79 @@ def test_compiled_ids_equal_string_path(pairs):
         unk += sum(i == vocab.lookup("<unk>") for i in want)
         total += len(want)
     assert compiled.unk_share == (unk / total if total else 0.0)
+
+
+def sid_like_scan(prompt):
+    """The main-stage context by a scan of the whole prompt."""
+    return tuple(t for t in alignment._SID_LIKE_RE.findall(prompt) if t and is_token(t))
+
+
+def adversarial_world(titles, profile_words):
+    """Three users whose titles and profile hold words near S-ID tokens and
+    markers; each user's events alternate content and ad events."""
+    profiles, events = {}, {}
+    for u in range(3):
+        profiles[f"u{u}"] = UserProfile(
+            age=20 + u, gender=profile_words[u % len(profile_words)],
+            residence=profile_words[(u + 1) % len(profile_words)], education_level="e",
+            occupation=profile_words[(u + 2) % len(profile_words)], consumption_level="c")
+        user_events = []
+        for k, title in enumerate(titles):
+            days = 60 - 5 * k
+            if k % 2:
+                ad = f"ad{(u + k) % 8}"
+                user_events.append(BehaviorEvent(days, title.split(" ")[0] or "click",
+                                                  "ad", ad_id=ad, title=title,
+                                                  sid=SIDS[ad]))
+            else:
+                user_events.append(BehaviorEvent(days, "play_video", "content",
+                                                 title=title))
+        events[f"u{u}"] = user_events
+    return profiles, events
+
+
+def check_main_contexts(corpora, tmp_path):
+    for pair in corpora["main"]:
+        assert pair.context == sid_like_scan(pair.prompt), pair.prompt
+    assert all(p.context is None for p in corpora["implicit"] + corpora["explicit"])
+    # a pair read back from text derives the same context from its prompt
+    path = tmp_path / "corpus_main.jsonl"
+    save_corpus(corpora["main"], path)
+    assert load_corpus(path) == corpora["main"]
+
+
+_adversarial_words = st.lists(st.tuples(st.sampled_from(ADVERSARIAL),
+                                        st.sampled_from(["", " ", "_", "<", ">", ";",
+                                                         ".", "^", "\n", ", "])),
+                              min_size=1, max_size=6).map(
+    lambda parts: "".join(w + sep for w, sep in parts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_adversarial_words, min_size=2, max_size=8),
+       st.lists(_adversarial_words, min_size=1, max_size=3))
+def test_main_context_equals_a_scan_of_the_prompt(tmp_path_factory, titles, words):
+    """Each main pair's context, scanned piece by piece, equals a scan of
+    its whole prompt, whatever words its profile, summary and lines hold, in
+    every template."""
+    profiles, events = adversarial_world(titles, words)
+    corpora = build_stage_corpora(_catalog(), SIDS, profiles, events,
+                                  template_ids=(0, 1, 2))
+    assert corpora["main"]
+    check_main_contexts(corpora, tmp_path_factory.mktemp("c"))
+
+
+def test_main_context_of_trimmed_histories(tmp_path):
+    """Titles of about 700 tokens each take the prompts past the token
+    budget, so the oldest lines drop; the context holds the kept lines'
+    S-ID tokens only."""
+    titles = [f"a_1 <b_2> {'word ' * 700}x_{k}" for k in range(6)]
+    profiles, events = adversarial_world(titles, ["c_0", "<a_1>"])
+    corpora = build_stage_corpora(_catalog(), SIDS, profiles, events,
+                                  template_ids=(0, 1, 2))
+    trimmed = [p for p in corpora["main"] if "x_0" not in p.prompt]
+    assert trimmed and len(trimmed) < len(corpora["main"])
+    check_main_contexts(corpora, tmp_path)
 
 
 @pytest.fixture(scope="module")
@@ -593,6 +682,19 @@ def test_dpo_update_rejects_a_beta_that_cannot_align(vocab):
     for beta in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(AlignmentError, match="beta must be a finite number > 0"):
             dpo_update(policy, policy.copy(), [_triplet(vocab)], beta=beta, steps=1)
+
+
+def test_dpo_update_rejects_a_learning_rate_that_cannot_align(vocab):
+    # at 0 every step returns the same loss, and below 0 the loss rises
+    policy = NeuralScorer(vocab, embed_dim=8, hidden_dim=8, seed=0)
+    fresh = policy.copy()
+    for rate in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(AlignmentError,
+                           match="learning_rate must be a finite number > 0"):
+            dpo_update(policy, policy.copy(), [_triplet(vocab)], learning_rate=rate,
+                       steps=1)
+    for name, value in fresh.params.items():
+        np.testing.assert_array_equal(policy.params[name], value)
 
 
 def test_dpo_unknown_variant(vocab):

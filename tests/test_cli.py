@@ -291,6 +291,31 @@ def test_dpo_rejects_a_beta_that_cannot_align_and_writes_no_policy(tmp_path, cap
     assert not (tmp_path / "dpo_policy.json").exists()
 
 
+@pytest.mark.parametrize("rate", ["0", "-0.1", "nan"])
+def test_dpo_rejects_a_learning_rate_that_cannot_align_and_writes_no_policy(
+        tmp_path, capsys, rate):
+    run = tmp_path / "run"
+    run_pipeline(PipelineConfig(
+        out_dir=str(run), seed=5,
+        synthetic={"num_categories": 2, "ads_per_category": 4, "num_users": 3,
+                   "events_per_user": 6},
+        embed_dim=16,
+        rqvae={"num_levels": 2, "codebook_size": 4, "latent_dim": 4, "epochs": 10},
+        scorer_kind="neural", beam_width=4))
+    code, _, err = run_cli(capsys, "dpo", "--policy", str(run / "scorer.json"),
+                           "--catalog", str(run / "data" / "catalog.jsonl"),
+                           "--sids", str(run / "sids.jsonl"),
+                           "--profiles", str(run / "data" / "profiles.jsonl"),
+                           "--events", str(run / "data" / "events.jsonl"),
+                           "--learning-rate", rate,
+                           "--out", str(tmp_path / "dpo_policy.json"))
+    assert code == 1
+    obj = json.loads(err.strip().splitlines()[-1])
+    assert obj["error"] == "AlignmentError"
+    assert "learning_rate must be a finite number > 0" in obj["message"]
+    assert not (tmp_path / "dpo_policy.json").exists()
+
+
 def test_generate_names_an_unknown_user_and_writes_nothing(tmp_path, capsys):
     run = tmp_path / "run"
     run_pipeline(PipelineConfig(

@@ -207,7 +207,9 @@ def test_config_takes_a_narrow_embed_dim_beside_an_embeddings_path():
     assert PipelineConfig(embed_dim=4, embeddings_path="emb.tsv").embed_dim == 4
 
 
-@pytest.mark.parametrize("rq", [{"epoch": 10}, {"seed": 1}])
+@pytest.mark.parametrize("rq", [{"epoch": 10}, {"seed": 1}, {"epochs": -3},
+                                {"learning_rate": 0.0}, {"learning_rate": float("nan")},
+                                {"commitment_weight": -1.0}])
 def test_bad_rqvae_override_fails_before_anything_is_written(tmp_path, rq):
     out = tmp_path / "run"
     with pytest.raises(PipelineError) as info:

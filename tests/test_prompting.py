@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genret.prompting import (BehaviorEvent, InterestSummary, PromptError,
-                              UserProfile, augment, build_prompt, count_tokens,
-                              filter_events, interaction_reuse_splits,
+                              PromptSample, UserProfile, augment, build_prompt,
+                              count_tokens, filter_events, interaction_reuse_splits,
                               load_events, load_profiles)
 from genret.sid import SemanticId
 
@@ -177,6 +177,105 @@ def test_augment_template_cross_product():
     assert [s.prompt for s in samples] == [
         build_prompt(_profile(), InterestSummary([]), history, tid)
         for history, _ in interaction_reuse_splits(seq) for tid in (0, 1, 2)]
+
+
+def split_by_split(events, profile, summary, template_ids, token_budget, use_sid):
+    """augment as one build_prompt per split and template, kept as the
+    reference for rendering each behaviour line once."""
+    if not template_ids:
+        raise PromptError("template_ids must name at least one template")
+    splits = interaction_reuse_splits(list(events))
+    for _, target in splits:
+        if target.sid is None:
+            raise PromptError(f"ad event {target.ad_id!r} has no S-ID")
+    return [PromptSample(build_prompt(profile, summary, history, tid, token_budget,
+                                      use_sid), target.sid)
+            for history, target in splits for tid in template_ids]
+
+
+def outcome(fn, *args):
+    """fn's samples as (prompt, response) pairs, or the error it raised."""
+    try:
+        return [(s.prompt, s.response) for s in fn(*args)]
+    except PromptError as exc:
+        return repr(exc)
+
+
+# words near S-ID tokens and markers, and the punctuation around pieces
+_words = st.sampled_from(["a_1", "<b_2>", "<a_1", "c_0>", "x_y", "<task>", "^",
+                          ";", ".", "_", "Name", "filler " * 60, ""])
+_text = st.lists(_words, min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def augment_inputs(draw):
+    events = []
+    positive = st.sampled_from([True, True, True, False])
+    for k in range(draw(st.integers(0, 7))):
+        days = draw(st.integers(0, 30))
+        if draw(st.booleans()):
+            events.append(BehaviorEvent(days, draw(_text), "content", title=draw(_text),
+                                        positive=draw(positive)))
+        else:
+            sid = draw(st.sampled_from([SemanticId((k, 1, 0))] * 5 + [None]))
+            events.append(BehaviorEvent(days, "click_ad", "ad", ad_id=f"ad{k}", sid=sid,
+                                        title=draw(st.one_of(st.none(), _text)),
+                                        positive=draw(positive)))
+    if draw(st.booleans()):  # most histories are in order
+        events.sort(key=lambda e: -e.days_ago)
+    profile = UserProfile(age=draw(st.integers(0, 120)), gender=draw(_text),
+                          residence=draw(_text), education_level="e",
+                          occupation=draw(_text), consumption_level="c")
+    summary = InterestSummary(list(draw(st.dictionaries(_text, st.integers(1, 4),
+                                                        max_size=3)).items()))
+    template_ids = tuple(draw(st.one_of(
+        st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=3),
+        st.lists(st.sampled_from([0, 1, 2, 7]), max_size=3))))
+    budget = draw(st.one_of(st.integers(0, 150), st.integers(100, 1000), st.just(2096)))
+    return events, profile, summary, template_ids, budget, draw(st.booleans())
+
+
+_NO_SID = BehaviorEvent(25, "close_ad", "ad", positive=False, ad_id="adN")
+
+
+@settings(max_examples=300, deadline=None)
+@given(augment_inputs())
+# a history ad without an S-ID fails where its line is first rendered, after
+# the first split's skeleton check and before the next template's
+@example(([_content(30), _ad(28, 1), _NO_SID, _ad(20, 2)], _profile(),
+          InterestSummary([]), (0, 7), 2096, True))
+@example(([_content(30), _NO_SID, _ad(20, 2)], _profile(), InterestSummary([]),
+          (0,), 3, True))
+@example(([_content(30), _NO_SID, _ad(20, 2)], _profile(), InterestSummary([]),
+          (0, 7), 2096, True))
+@example(([_content(30), _NO_SID, _ad(20, 2)], _profile(), InterestSummary([]),
+          (0,), 2096, False))
+# the order check covers each history, not events after the last split
+@example(([_ad(30, 1), _content(20), _ad(25, 2), _ad(10, 3)], _profile(),
+          InterestSummary([]), (0,), 2096, True))
+@example(([_ad(30, 1), _ad(20, 2), _content(25)], _profile(), InterestSummary([]),
+          (1, 2), 2096, True))
+def test_augment_equals_build_prompt_per_split(inputs):
+    """Rendering each line once gives the prompts of one build_prompt per
+    split, and raises the error that would raise first: an unknown template
+    or a skeleton over budget only once a split exists, the order check over
+    each split's history, a missing S-ID where a line is first rendered."""
+    assert outcome(augment, *inputs) == outcome(split_by_split, *inputs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(augment_inputs())
+def test_augment_pieces_lie_in_prompt_order(inputs):
+    try:
+        samples = augment(*inputs)
+    except PromptError:
+        return
+    for sample in samples:
+        at = 0
+        for piece in sample.pieces:
+            found = sample.prompt.find(piece, at)
+            assert found >= at, piece
+            at = found + len(piece)
 
 
 def test_augment_rejects_no_templates():

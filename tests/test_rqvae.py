@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from genret.rqvae import (RqVaeConfig, RqVaeError, TrainingDivergedError,
                           _forward_backward, freeze_forward, init_model,
                           load_sids, losses, quantize, save_sids, seed_codebooks,
                           surrogate_loss, total_loss, train)
-from genret.embed import EmbeddingTable
+from genret import synth
+from genret.catalog import load_catalog
+from genret.embed import EmbeddingTable, embed_catalog
 from genret.synth import make_cluster_table
 
 
@@ -292,6 +295,39 @@ def init_from(config, table):
     return model
 
 
+def per_parameter_adam(config, table):
+    """train's Adam as one update per parameter array, kept as the reference
+    for its flat buffers."""
+    model = init_from(config, table)
+    X = table.matrix(sorted(table.entries))
+    m = {name: np.zeros_like(value) for name, value in model.param_items()}
+    v = {name: np.zeros_like(value) for name, value in model.param_items()}
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, config.learning_rate
+    for epoch in range(config.epochs):
+        _, grads = _forward_backward(model, X)
+        t = epoch + 1
+        for name, param in model.param_items():
+            g = grads[name]
+            m[name] = b1 * m[name] + (1 - b1) * g
+            v[name] = b2 * v[name] + (1 - b2) * g**2
+            m_hat = m[name] / (1 - b1**t)
+            v_hat = v[name] / (1 - b2**t)
+            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return model
+
+
+def test_train_equals_per_parameter_adam_at_scale_s(tmp_path):
+    paths = synth.gen_data(synth.SyntheticSpec(), tmp_path)
+    table = embed_catalog(load_catalog(paths["catalog"]), 16, 0)
+    config = RqVaeConfig(codebook_size=8, latent_dim=8, epochs=6, seed=0)
+    model, reference = train(config, table), per_parameter_adam(config, table)
+    assert ([name for name, _ in model.param_items()]
+            == [name for name, _ in reference.param_items()])
+    for (name, got), (_, want) in zip(model.param_items(), reference.param_items()):
+        assert got.shape == want.shape, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
 def test_train_deterministic():
     table = make_cluster_table(2, 8, dim=16, seed=1)
     config = RqVaeConfig(num_levels=2, codebook_size=4, latent_dim=8,
@@ -405,3 +441,25 @@ def test_config_validation():
         RqVaeConfig(num_levels=0)
     with pytest.raises(RqVaeError):
         RqVaeConfig(codebook_size=1)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epochs", -3, "epochs must be >= 0, got -3"),
+    # 0 leaves the model at its seeded state, and a negative rate climbs the
+    # loss; nan used to surface only as divergence at epoch 1
+    ("learning_rate", 0.0, "learning_rate must be a finite number > 0, got 0.0"),
+    ("learning_rate", -0.1, "learning_rate must be a finite number > 0, got -0.1"),
+    ("learning_rate", math.nan, "learning_rate must be a finite number > 0, got nan"),
+    ("learning_rate", math.inf, "learning_rate must be a finite number > 0, got inf"),
+    ("commitment_weight", -1.0, "commitment_weight must be a finite number >= 0, got -1.0"),
+    ("commitment_weight", math.nan, "commitment_weight must be a finite number >= 0"),
+])
+def test_config_rejects_settings_that_cannot_train(key, value, message):
+    with pytest.raises(RqVaeError, match=re.escape(message)):
+        RqVaeConfig(**{key: value})
+
+
+def test_config_keeps_the_edges_that_train():
+    # zero epochs returns the seeded model, and a zero commitment weight
+    # leaves only the codebook pull in the quantization loss
+    assert RqVaeConfig(epochs=0, commitment_weight=0.0).epochs == 0

@@ -200,6 +200,72 @@ def test_ngram_read_memory_is_linear_in_counts():
     assert peak < 8 * 2**20
 
 
+def observe_loop(counts, max_order, bucket, prefix_ids, next_id):
+    """One dict update per window order: the per-token counting that
+    NgramScorer.train's array passes replace, kept as the reference."""
+    ids = tuple(prefix_ids)
+    for order in range(max_order + 1):
+        window = ids[len(ids) - order:] if order else ()
+        slot = counts.setdefault((bucket, window), {})
+        slot[next_id] = slot.get(next_id, 0.0) + 1.0
+
+
+def in_order(counts):
+    """The counts with every key's and every token's insertion order."""
+    return [(key, list(slot.items())) for key, slot in counts.items()]
+
+
+# buckets that share keys ((1,) and (True,) hash and compare equal) and ids
+# that are never vocabulary ids, to count whatever ints come in
+_ngram_samples = st.lists(st.tuples(st.sampled_from([("g", 1), ("h",), (), (1,), (True,)]),
+                                    st.lists(st.integers(-3, 6), max_size=5)),
+                          max_size=8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_ngram_samples, min_size=1, max_size=4), st.integers(0, 4),
+       st.lists(st.tuples(st.sampled_from([("g", 1), ("h",)]),
+                          st.lists(st.integers(0, 6), max_size=4), st.integers(0, 6)),
+                max_size=3))
+def test_ngram_train_equals_observe_loop(batches, max_order, observations):
+    """Counting a batch in array passes gives the per-token loop's counts,
+    values and insertion order of keys and tokens alike, over ragged
+    samples, shared buckets, repeated calls and single observations."""
+    scorer = NgramScorer(Vocabulary(["<unk>"]), max_order=max_order)
+    reference: dict = {}
+    for batch in batches:
+        scorer.train(batch)
+        for bucket, response in batch:
+            for i, tid in enumerate(response):
+                observe_loop(reference, max_order, bucket, response[:i], tid)
+        assert in_order(scorer.counts) == in_order(reference)
+        for bucket, prefix, tid in observations:
+            scorer.observe(bucket, prefix, tid)
+            observe_loop(reference, max_order, bucket, prefix, tid)
+        assert in_order(scorer.counts) == in_order(reference)
+    # every count and id is a Python float or int, as scorer.json needs
+    for (_, window), slot in scorer.counts.items():
+        assert all(type(i) is int for i in (*window, *slot))
+        assert all(type(c) is float for c in slot.values())
+
+
+def test_ngram_counts_do_not_overflow_at_a_wide_vocabulary():
+    """Ids from 0 to 2^32 - 1 make each window column's radix 2^32: at order 3
+    the row codes would pass 2^64, where wrapped codes alias every window
+    that differs only in its oldest id, and across buckets. They are
+    renumbered instead, so each window keeps its own counts."""
+    top = 2**32 - 1
+    samples = [((0,), [top] * 4 + [0]), ((0,), [5, 7, 8, 9]), ((0,), [6, 7, 8, 9]),
+               ((1,), [5, 7, 8, 9])]
+    scorer = NgramScorer(Vocabulary(["<unk>"]), max_order=3)
+    scorer.train(samples)
+    reference: dict = {}
+    for bucket, response in samples:
+        for i, tid in enumerate(response):
+            observe_loop(reference, 3, bucket, response[:i], tid)
+    assert in_order(scorer.counts) == in_order(reference)
+
+
 # --- neural scorer -----------------------------------------------------------
 
 def oracle_forward(scorer, ctx_tokens, prefix_tokens):
