@@ -8,7 +8,7 @@ width on which ads survive.
 import numpy as np
 
 from genret.decoder import decode, decode_exhaustive
-from genret.scorer import ScorerContext
+from genret.scorer import RowState, ScorerContext
 from genret.sid import SemanticId, render_token
 from genret.trie import build, valid_children
 from genret.vocab import vocab_from_sids
@@ -33,8 +33,9 @@ class TableScorer:
     def __init__(self, vocab):
         self.vocab = vocab
 
-    def next_probs(self, context, prefixes):
-        return np.array([self.prob_dist(context, p) for p in prefixes])
+    def begin(self, context):
+        """decode's state: the rows of prob_dist, one prefix at a time."""
+        return RowState(self.prob_dist, context)
 
     def prob_dist(self, context, prefix):
         """The table row of the prefix's tokens; the decoder passes ids."""

@@ -29,10 +29,12 @@ class RetrievalList:
 def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
     """Layer-by-layer beam expansion constrained to trie-valid children.
 
-    Each layer makes one ``scorer.next_probs`` call over the whole beam. After
-    each layer the top beam_width candidates survive; ties break by higher
-    score first, then lexicographic code sequence. Scores are cumulative
-    products of per-step probabilities (log-sum internally).
+    One ``scorer.begin(context)`` state serves the whole decode. Each layer
+    makes one ``state.probs`` call over the trie-valid children of the whole
+    beam, and the kept ones ``extend`` the state. After each layer the top
+    beam_width candidates survive; ties break by higher score first, then
+    lexicographic code sequence. Scores are cumulative products of per-step
+    probabilities (log-sum internally).
     """
     if beam_width < 1:
         raise DecodeError(f"beam_width must be >= 1, got {beam_width}")
@@ -40,18 +42,13 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
         raise DecodeError("empty inventory: trie holds no ads")
 
     # The beam is its trie nodes in breadth-first number order, which is
-    # lexicographic code order, with their scores; each entry's prefix is its
-    # vocabulary ids, which is what the scorer reads. The candidates, the
-    # children of the kept nodes, come in number order too, so a stable sort
-    # on score ranks them by (-score, codes).
-    v = len(scorer.vocab)
-    nodes, scores, prefixes = np.zeros(1, dtype=np.intp), np.zeros(1), [()]
+    # lexicographic code order, with their scores; the state's row r is the
+    # prefix of nodes[r], as the vocabulary ids the scorer reads. The
+    # candidates, the children of the kept nodes, come in number order too,
+    # so a stable sort on score ranks them by (-score, codes).
+    state = scorer.begin(context)
+    nodes, scores = np.zeros(1, dtype=np.intp), np.zeros(1)
     for level in range(trie.depth):
-        probs = scorer.next_probs(context, prefixes)
-        if probs.shape != (len(prefixes), v):
-            raise DecodeError(
-                f"scorer contract violated: next_probs returned shape "
-                f"{probs.shape} for {len(prefixes)} prefixes")
         start, lo, hi = trie.level_start[level:level + 3]
         if len(nodes) == lo - start:  # the whole level is kept
             candidates = np.arange(lo, hi)
@@ -62,7 +59,11 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
             candidates = lo + kept[trie.parent[lo:hi]].nonzero()[0]
             rows = nodes.searchsorted(trie.parent[candidates])
         ids = scorer.vocab.code_ids(level, trie.code[candidates])
-        p = probs[rows, ids]
+        p = state.probs(rows, ids)
+        if p.shape != ids.shape:
+            raise DecodeError(
+                f"scorer contract violated: probs returned shape "
+                f"{p.shape} for {len(ids)} candidates")
         lowest, highest = p.min(), p.max()  # nan if any is
         if not (lowest >= 0.0 and highest < math.inf):
             k = np.flatnonzero(~((p >= 0.0) & (p < math.inf)))[0]
@@ -79,7 +80,8 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
             candidates, scores, rows, ids = (candidates[keep], scores[keep],
                                              rows[keep], ids[keep])
         nodes = candidates
-        prefixes = [prefixes[r] + (i,) for r, i in zip(rows.tolist(), ids.tolist())]
+        if level + 1 < trie.depth:
+            state.extend(rows, ids)
 
     ranked = (-scores).argsort(kind="stable")
     leaves = map(trie.leaves.__getitem__,

@@ -4,15 +4,25 @@ Two implementations of the same contract: a count-based interpolated n-gram
 scorer (deterministic, no gradients) and a small neural scorer with exact
 analytic gradients used for preference optimization.
 
-The contract is ``next_probs(context, prefixes) -> (B, |V|)``: one call is
-one trie level, B prefixes of one length, and gets one row of next-token
-probabilities per prefix. ``prob_dist(context, prefix) -> (|V|,)`` is the
-one-row case. A prefix is a sequence of vocabulary ids; the context keeps its
-feature tokens.
+The contract is a per-decode state: ``state = scorer.begin(context)`` reads
+what the scorer needs of the context once, and holds one row, the empty
+prefix. ``state.probs(rows, ids) -> (n,)`` gives, for each k, the
+probability of token ``ids[k]`` after the prefix of row ``rows[k]``;
+``state.extend(rows, ids)`` moves to the next trie level, whose row k is
+row ``rows[k]``'s prefix plus ``ids[k]``. A decode level is one ``probs``
+call over the trie's candidates and one ``extend`` over the kept ones.
+
+``next_probs(context, prefixes) -> (B, |V|)`` and ``prob_dist(context,
+prefix) -> (|V|,)`` are adapters over the state (``state_rows``), for
+callers that want whole rows: ``probs(rows, ids)[k]`` equals
+``next_probs(context, prefixes)[rows[k], ids[k]]`` bit for bit. A prefix is
+a sequence of vocabulary ids; the context keeps its feature tokens.
+``RowState`` is the other direction, the state of a scorer that answers one
+prefix at a time.
 
 A scorer holds only its parameters and caches derived from them: its rows
-depend on its parameters and the call's arguments alone, and no call keeps
-anything of its context for the next.
+depend on its parameters and the call's arguments alone, and a state lives
+for one decode.
 """
 
 from __future__ import annotations
@@ -20,13 +30,17 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
 from .vocab import UNK, Vocabulary
 
 _WORD_RE = re.compile(r"<[^>\s]+>|\w+|[^\w\s]")
+
+# NgramScorer.train counts this many samples per array pass, which bounds
+# the pass's per-event temporaries
+TRAIN_CHUNK = 512
 
 
 class ScorerError(RuntimeError):
@@ -50,6 +64,41 @@ def id_array(vocab: Vocabulary, tokens) -> np.ndarray:
 class ScorerContext:
     tokens: tuple[str, ...] = ()
     bucket: tuple = ()
+
+
+def state_rows(scorer, context, prefixes) -> np.ndarray:
+    """``next_probs`` over the scorer's state: (B, |V|), the row of every
+    prefix over every id. The prefixes of each length are one state, begun,
+    extended along them and asked for all their ids."""
+    v = len(scorer.vocab)
+    prefixes = [tuple(p) for p in prefixes]
+    out = np.empty((len(prefixes), v))
+    for length in sorted(set(map(len, prefixes))):
+        at = [k for k, p in enumerate(prefixes) if len(p) == length]
+        state = scorer.begin(context)
+        rows = np.zeros(len(at), dtype=np.intp)
+        for ids in np.array([prefixes[k] for k in at], dtype=np.intp).T:
+            state.extend(rows, ids)
+            rows = np.arange(len(at))
+        out[at] = state.probs(rows.repeat(v), np.tile(np.arange(v), len(at))).reshape(-1, v)
+    return out
+
+
+class RowState:
+    """The decode state of a scorer that answers one prefix at a time:
+    ``prob_dist(context, prefix)`` is the prefix's row over the vocabulary,
+    and ``probs`` reads the rows of every prefix the state holds."""
+
+    def __init__(self, prob_dist, context):
+        self.prob_dist, self.context = prob_dist, context
+        self.prefixes = [()]
+
+    def probs(self, rows, ids) -> np.ndarray:
+        dists = np.array([self.prob_dist(self.context, p) for p in self.prefixes])
+        return dists[rows, ids]
+
+    def extend(self, rows, ids):
+        self.prefixes = [self.prefixes[r] + (i,) for r, i in zip(rows.tolist(), ids.tolist())]
 
 
 class NgramScorer:
@@ -85,19 +134,22 @@ class NgramScorer:
 
     def train(self, samples):
         """samples: iterable of (bucket, response ids). Counts every
-        response id after the ids before it in its response, in one
-        ``_count`` over all of them."""
-        samples = list(samples)
-        number: dict = {}  # bucket -> its number, in first-seen order
-        bucket_of = np.fromiter((number.setdefault(b, len(number)) for b, _ in samples),
-                                dtype=np.intp, count=len(samples))
-        lengths = np.fromiter((len(r) for _, r in samples), dtype=np.intp,
-                              count=len(samples))
-        ids = np.fromiter(chain.from_iterable(r for _, r in samples), dtype=np.int64,
-                          count=int(lengths.sum()))
-        at = np.arange(len(ids))
-        self._count(list(number), bucket_of.repeat(lengths), ids, at,
-                    at - (lengths.cumsum() - lengths).repeat(lengths))
+        response id after the ids before it in its response, with one
+        ``_count`` per ``TRAIN_CHUNK`` samples, in order. The counts are
+        whole numbers and each key is first seen in the chunk of its first
+        event, so the counts and their insertion order equal one pass's."""
+        samples = iter(samples)
+        while chunk := list(islice(samples, TRAIN_CHUNK)):
+            number: dict = {}  # bucket -> its number, in first-seen order
+            bucket_of = np.fromiter((number.setdefault(b, len(number)) for b, _ in chunk),
+                                    dtype=np.intp, count=len(chunk))
+            lengths = np.fromiter((len(r) for _, r in chunk), dtype=np.intp,
+                                  count=len(chunk))
+            ids = np.fromiter(chain.from_iterable(r for _, r in chunk), dtype=np.int64,
+                              count=int(lengths.sum()))
+            at = np.arange(len(ids))
+            self._count(list(number), bucket_of.repeat(lengths), ids, at,
+                        at - (lengths.cumsum() - lengths).repeat(lengths))
 
     def _count(self, buckets, bucket_of, ids, at, length):
         """Add 1.0 to ``counts[(bucket, window)][ids[at[j]]]`` for each
@@ -155,60 +207,40 @@ class NgramScorer:
 
     def _smoothed(self) -> tuple:
         """Each (bucket, window) key with counts, numbered in counts order, as
-        its uniform share alpha/denom plus its counted (token id, c/denom)
-        entries, where denom is the key's count total plus alpha·|V|; one
-        more share, with no entries, stands for every unseen key. The entries
-        lie end to end, key k's ``size[k]`` of them from ``start[k]``."""
+        its uniform share alpha/denom plus its counted entries, where denom
+        is the key's count total plus alpha·|V|; one more share, with no
+        entries, stands for every unseen key. The entries are sorted by
+        (key, token id), each as its code key·|V| + id and its value
+        c/denom, and end in a sentinel code above every other, so a
+        ``searchsorted`` lands on an entry."""
         if self._components is None:
             v, alpha = len(self.vocab), self.smoothing_alpha
             slots = list(self.counts.values())
-            size = np.array([len(slot) for slot in slots] + [0], dtype=np.intp)
+            size = np.array([len(slot) for slot in slots], dtype=np.intp)
             denom = np.array([sum(slot.values()) + alpha * v for slot in slots]
                              + [alpha * v])
             total = int(size.sum())
-            tid = np.fromiter(chain.from_iterable(slots), dtype=np.intp, count=total)
+            tid = np.fromiter(chain.from_iterable(slots), dtype=np.int64, count=total)
             c = np.fromiter(chain.from_iterable(slot.values() for slot in slots),
                             dtype=np.float64, count=total)
+            code = np.arange(len(slots), dtype=np.int64).repeat(size) * v + tid
+            order = code.argsort()
             index: dict[tuple, dict[tuple, int]] = {}  # bucket -> window -> number
             for i, (bucket, window) in enumerate(self.counts):
                 index.setdefault(bucket, {})[window] = i
-            self._components = (index, alpha / denom, size.cumsum() - size, size, tid,
-                                c / denom.repeat(size))
+            self._components = (index, alpha / denom,
+                                np.r_[code[order], np.iinfo(np.int64).max],
+                                np.r_[(c / denom[:-1].repeat(size))[order], 0.0])
         return self._components
 
-    def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
-        """The interpolated distribution after each prefix of one trie level,
-        one row each.
+    def begin(self, context: ScorerContext) -> "_NgramState":
+        """A decode's state: the context's bucket, whose key numbers it
+        looks its windows up in."""
+        return _NgramState(self, context.bucket)
 
-        Each distinct key the batch asks for gets one dense component row,
-        filled from its sparse entries, so memory stays O(entries + B·|V|).
-        """
-        index, share, start, size, tid, val = self._smoothed()
-        v, unseen = len(self.vocab), len(share) - 1
-        ids = [tuple(p) for p in prefixes]
-        numbers = index.get(context.bucket, {})
-        # order 0's window is () whatever the prefix
-        keys = [[numbers.get((), unseen)] * len(ids)] + [
-            [numbers.get(p[len(p) - order:], unseen) for p in ids]
-            for order in range(1, len(self.interpolation))]
-        row_of = {k: r for r, k in enumerate(dict.fromkeys(chain.from_iterable(keys)))}
-        # the component rows laid end to end: each key's uniform share, plus
-        # its counted entries, the r-th key's n[r] of them gathered from
-        # start[key] into the row that starts at r·|V|
-        distinct = np.fromiter(row_of, dtype=np.intp, count=len(row_of))
-        rows = share[distinct].repeat(v)
-        n = size[distinct]
-        end = n.cumsum()
-        at = np.arange(n.sum()) + (start[distinct] - end + n).repeat(n)
-        rows[(np.arange(len(n)) * v).repeat(n) + tid[at]] += val[at]
-        # each order's component rows for the batch, mixed in order
-        rows = rows.reshape(-1, v)
-        picks = np.array([[row_of[k] for k in order_keys] for order_keys in keys],
-                         dtype=np.intp)
-        dist = np.zeros((len(ids), v))
-        for w, pick in zip(self.interpolation, picks):
-            dist += w * rows[pick]
-        return dist
+    def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
+        """The interpolated distribution after each prefix, one row each."""
+        return state_rows(self, context, prefixes)
 
     def prob_dist(self, context: ScorerContext, prefix) -> np.ndarray:
         return self.next_probs(context, [prefix])[0]
@@ -241,6 +273,44 @@ class NgramScorer:
             scorer.counts[(tuple(bucket), tuple(window))] = {
                 int(t): float(c) for t, c in slot}
         return scorer
+
+
+class _NgramState:
+    """The n-gram's rows in one decode: each row's prefix, and the number of
+    its key at each order, looked up in the bucket's key numbers when the
+    row is made. A probability is its orders' components mixed in order,
+    each the key's share plus its entry for the id, if counted."""
+
+    def __init__(self, scorer: NgramScorer, bucket):
+        index, self.share, self.code, self.value = scorer._smoothed()
+        self.numbers, self.unseen = index.get(bucket, {}), len(self.share) - 1
+        self.v = len(scorer.vocab)
+        self.weights = np.array(scorer.interpolation)[:, None]
+        self.prefixes = [()]
+        self.keys = self._keys()
+
+    def _keys(self) -> np.ndarray:
+        """(orders, rows): the key number of each order's window of each
+        row's prefix; order 0's window is () whatever the prefix."""
+        get, unseen = self.numbers.get, self.unseen
+        return np.array([[get((), unseen)] * len(self.prefixes)] + [
+            [get(p[len(p) - order:], unseen) for p in self.prefixes]
+            for order in range(1, len(self.weights))], dtype=np.int64)
+
+    def probs(self, rows, ids) -> np.ndarray:
+        key = self.keys[:, rows]
+        code = key * self.v + ids
+        at = self.code.searchsorted(code)
+        mixed = self.weights * (self.share[key]
+                                + np.where(self.code[at] == code, self.value[at], 0.0))
+        dist = np.zeros(len(rows))
+        for component in mixed:  # added order by order
+            dist += component
+        return dist
+
+    def extend(self, rows, ids):
+        self.prefixes = [self.prefixes[r] + (i,) for r, i in zip(rows.tolist(), ids.tolist())]
+        self.keys = self._keys()
 
 
 def _row_codes(rows: int, *columns) -> np.ndarray:
@@ -386,27 +456,28 @@ class NeuralScorer:
         Each mean is a sum divided by its count, which is how ``mean``
         computes it; an empty prefix adds 0.0 over 1, and an empty context
         a mean of 0.0, which leave the pool, begun at +0.0, unchanged.
-        Returns (pool, plen)."""
-        pool = np.zeros((len(lengths), self.embed_dim)) + ctx_mean
-        pool = pool + sums / np.maximum(lengths, 1)[:, None]
+        ``lengths`` is one int per row, or one for every row. Returns
+        (pool, plen)."""
+        pool = np.zeros(self.embed_dim) + ctx_mean
+        pool = pool + sums / np.maximum(lengths, 1)[..., None]
         plen = np.minimum(lengths, self.max_prefix)
         return pool + self.params["pos"][plen], plen
 
-    def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
-        """The next-token distribution after each prefix of one trie level,
-        one row each, from one forward. Prefixes of mixed lengths make
-        numpy raise ValueError."""
-        # an intp array: a tuple index into emb would be multi-dimensional
-        ids = np.array(prefixes, dtype=np.intp)
-        sums = self.params["emb"][ids].sum(axis=1)
-        # one context, pooled alone: the padded pooling of _context_means
-        # gives the same bits but costs a decode level about 20 us more
+    def begin(self, context: ScorerContext) -> "_NeuralState":
+        """A decode's state: the context mapped to ids and pooled once."""
         ctx_ids = id_array(self.vocab, context.tokens)
         mean = 0.0
         if len(ctx_ids):
             mean = self.params["emb"][ctx_ids].sum(axis=0) / len(ctx_ids)
-        pool = self._pool(mean, sums, np.full(len(ids), ids.shape[1]))[0]
-        return self._layers(pool)[1]
+        return _NeuralState(self, mean)
+
+    def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
+        """The next-token distribution after each prefix of one trie level,
+        one row each, from one forward. Prefixes of mixed lengths are not
+        one level and raise ValueError."""
+        if len(set(map(len, prefixes))) > 1:
+            raise ValueError("next_probs takes prefixes of one length")
+        return state_rows(self, context, prefixes)
 
     def prob_dist(self, context: ScorerContext, prefix) -> np.ndarray:
         return self.next_probs(context, [prefix])[0]
@@ -519,6 +590,28 @@ class NeuralScorer:
             seed=payload["seed"],
             params={k: np.array(v) for k, v in payload["params"].items()},
         )
+
+
+class _NeuralState:
+    """The neural rows in one decode: the context's mean, and each row's
+    running prefix sum, which ``extend`` adds one embedding to, in the
+    order a sum over the prefix adds. The sums begin at +0.0, which can
+    differ from a sum over the prefix only in the sign of a zero, and the
+    pool, begun at +0.0, does not see that sign. ``probs`` runs one
+    forward over the rows."""
+
+    def __init__(self, scorer: NeuralScorer, mean):
+        self.scorer, self.mean = scorer, mean
+        self.sums = np.zeros((1, scorer.embed_dim))
+        self.length = 0
+
+    def probs(self, rows, ids) -> np.ndarray:
+        pool = self.scorer._pool(self.mean, self.sums, self.length)[0]
+        return self.scorer._layers(pool)[1][rows, ids]
+
+    def extend(self, rows, ids):
+        self.sums = self.sums[rows] + self.scorer.params["emb"][ids]
+        self.length += 1
 
 
 def load_scorer(path):

@@ -5,6 +5,7 @@ import pytest
 
 from genret.decoder import DecodeError, RetrievalList
 from genret.prompting import BehaviorEvent, InterestSummary, UserProfile
+from genret.scorer import RowState
 from genret.sid import SemanticId, render_token
 from genret.trie import Trie, build
 from genret.vocab import Vocabulary, vocab_from_sids
@@ -26,8 +27,12 @@ EXAMPLE_PROBS = {
 
 
 class RowScorer:
-    """Base for test scorers that answer one prefix at a time: ``next_probs``
-    stacks their ``prob_dist`` rows."""
+    """Base for test scorers that answer one prefix at a time: ``begin``
+    gives their decode state over their ``prob_dist`` rows, and
+    ``next_probs`` stacks those rows."""
+
+    def begin(self, context) -> RowState:
+        return RowState(self.prob_dist, context)
 
     def next_probs(self, context, prefixes) -> np.ndarray:
         return np.array([self.prob_dist(context, p) for p in prefixes])

@@ -10,7 +10,7 @@ from genret.catalog import load_catalog
 from genret.decoder import DecodeError, decode, decode_exhaustive
 from genret.embed import embed_catalog
 from genret.prompting import load_events, load_profiles
-from genret.scorer import NeuralScorer, NgramScorer, ScorerContext
+from genret.scorer import NeuralScorer, NgramScorer, RowState, ScorerContext
 from genret.sid import SemanticId
 from genret.trie import build
 from genret.vocab import Vocabulary, vocab_from_sids
@@ -171,14 +171,22 @@ def test_scorer_contract_nonfinite(example_trie, example_scorer, bad):
 
 
 def test_scorer_contract_batch_shape(example_trie, example_scorer):
-    class ShortBatchScorer:
-        vocab = example_scorer.vocab
+    """A state whose probs is not one value per candidate breaks the
+    contract: one too many, one too few, or a column of them."""
+    wrong_shapes = (lambda n: (n + 1,), lambda n: (n - 1,), lambda n: (n, 1))
+    for shape_of in wrong_shapes:
+        class WrongShapeState(RowState):
+            def probs(self, rows, ids):
+                return np.full(shape_of(len(ids)), 0.5)
 
-        def next_probs(self, context, prefixes):
-            return np.zeros((len(prefixes) + 1, len(self.vocab)))
+        class WrongShapeScorer(RowScorer):
+            vocab = example_scorer.vocab
 
-    with pytest.raises(DecodeError, match="contract"):
-        decode(ShortBatchScorer(), CTX, example_trie, 2)
+            def begin(self, context):
+                return WrongShapeState(example_scorer.prob_dist, context)
+
+        with pytest.raises(DecodeError, match="contract violated: probs returned shape"):
+            decode(WrongShapeScorer(), CTX, example_trie, 2)
 
 
 def test_empty_trie_error(example_scorer):
@@ -195,17 +203,29 @@ def test_prefix_score_monotone(example_trie, example_scorer):
 
 
 class CountingScorer:
-    """Answers batches from another scorer's rows, recording each batch; a
-    one-row prob_dist call fails the test."""
+    """Answers from another scorer's rows through ``RowState``, recording
+    each ``probs`` call as (the state's prefixes, the rows asked); a
+    ``next_probs`` or ``prob_dist`` call fails the test."""
 
     def __init__(self, rows):
         self.rows = rows
         self.vocab = rows.vocab
-        self.batches = []
+        self.begun = 0
+        self.calls = []
+
+    def begin(self, context):
+        calls = self.calls
+        self.begun += 1
+
+        class CountingState(RowState):
+            def probs(self, rows, ids):
+                calls.append((list(self.prefixes), rows.tolist()))
+                return super().probs(rows, ids)
+
+        return CountingState(self.rows.prob_dist, context)
 
     def next_probs(self, context, prefixes):
-        self.batches.append(list(prefixes))
-        return np.stack([self.rows.prob_dist(context, p) for p in prefixes])
+        raise AssertionError("decode asked for whole rows")
 
     def prob_dist(self, context, prefix):
         raise AssertionError("decode asked for a single prefix")
@@ -216,26 +236,34 @@ def test_one_scorer_call_per_level(example_trie, example_scorer):
     result = decode(counting, CTX, example_trie, beam_width=2)
     assert result.entries == decode_exhaustive(example_scorer, CTX,
                                                example_trie).entries[:2]
-    assert len(counting.batches) == example_trie.depth
-    assert counting.batches[0] == [()]
+    assert counting.begun == 1
+    assert len(counting.calls) == example_trie.depth
+    assert counting.calls[0] == ([()], [0])
     vocab = example_scorer.vocab
-    assert sorted(counting.batches[2]) == [tuple(map(vocab.lookup, p)) for p in
-                                           (("a_12", "b_6"), ("a_12", "b_7"))]
+    # the beam at the last level, in code order, and each one's child
+    b6, b7 = ((vocab.lookup("a_12"), vocab.lookup(b)) for b in ("b_6", "b_7"))
+    assert counting.calls[2] == ([b6, b7], [0, 1, 1])
 
     rng = np.random.default_rng(17)
     for beam_width in (1, 3, 8):
         sids, trie, scorer = _random_setup(rng, n_ads=40, levels=4, span=3)
         counting = CountingScorer(scorer)
         decode(counting, CTX, trie, beam_width)
-        assert len(counting.batches) <= trie.depth
-        assert all(len(batch) <= beam_width for batch in counting.batches)
+        assert counting.begun == 1
+        assert len(counting.calls) == trie.depth
+        for level, (prefixes, rows) in enumerate(counting.calls):
+            # one row per kept prefix, each asked for every child it has
+            assert len(prefixes) <= beam_width and set(rows) == set(range(len(prefixes)))
+            assert all(len(p) == level for p in prefixes)
+            assert rows == sorted(rows)
 
 
 def test_prefixes_reach_the_scorer_as_ids(monkeypatch):
     """No token is looked up one by one, and no prefix is mapped to ids:
-    NgramScorer.next_probs maps nothing, NeuralScorer.next_probs maps exactly
-    its context's tokens on each call, and a decode at beam 8 maps no S-ID
-    token, since Vocabulary.code_ids maps each candidate code to its id."""
+    NgramScorer maps nothing, NeuralScorer maps exactly its context's
+    tokens once per state, which is once per next_probs call and once per
+    decode, not once per level, and a decode at beam 8 maps no S-ID token,
+    since Vocabulary.code_ids maps each candidate code to its id."""
     sids, trie, _ = _random_setup(np.random.default_rng(19), n_ads=40, levels=4, span=3)
     vocab = vocab_from_sids(sids)
     ngram = NgramScorer(vocab)
@@ -257,7 +285,8 @@ def test_prefixes_reach_the_scorer_as_ids(monkeypatch):
         neural.next_probs(context, prefixes)
     assert mapped == [context.tokens] * (2 * len(levels))
 
-    for scorer, calls in ((ngram, 0), (neural, trie.depth)):
+    assert trie.depth > 1
+    for scorer, calls in ((ngram, 0), (neural, 1)):
         mapped.clear()
         assert len(decode(scorer, context, trie, beam_width=8)) == 8
         assert mapped == [context.tokens] * calls
@@ -379,6 +408,6 @@ def test_decode_equals_the_pruning_oracle_with_trained_scorers():
         ngram.train([((), vocab.sid_ids(sid)) for sid in list(sids.values())[::2]])
         context = ScorerContext(tokens=("cat:x", "a_1"))
         for scorer in (ngram, NeuralScorer(vocab, seed=int(rng.integers(100)))):
-            for beam in (1, 3, 8, 40):
+            for beam in (1, 3, 8, 40, 128):
                 assert _bits(decode(scorer, context, trie, beam)) == _bits(
                     reference_decode(scorer, context, trie, beam))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genret import scorer as scorer_mod
 from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext,
                            ScorerError, csr, id_array, load_scorer, tokenize_text)
 from genret.sid import SemanticId
@@ -171,11 +172,13 @@ def test_ngram_batch_rows_equal_loop_reference(samples, prefixes, bucket,
     assert after[0][tid] > before[0][tid]
 
 
-def test_ngram_empty_batch_has_no_rows():
+def test_empty_batch_has_no_rows():
     vocab = vocab_from_sids(SIDS)
-    scorer = NgramScorer(vocab)
-    scorer.train([(BUCKETS[0], ids(vocab, ["a_0", "b_1"]))])
-    assert scorer.next_probs(ScorerContext(), []).shape == (0, len(vocab))
+    ngram = NgramScorer(vocab)
+    ngram.train([(BUCKETS[0], ids(vocab, ["a_0", "b_1"]))])
+    for scorer in (ngram, NeuralScorer(vocab, seed=3)):
+        assert scorer.next_probs(CTX, []).shape == (0, len(vocab))
+        assert scorer.next_probs(ScorerContext(), []).shape == (0, len(vocab))
 
 
 def test_ngram_read_memory_is_linear_in_counts():
@@ -247,6 +250,26 @@ def test_ngram_train_equals_observe_loop(batches, max_order, observations):
     for (_, window), slot in scorer.counts.items():
         assert all(type(i) is int for i in (*window, *slot))
         assert all(type(c) is float for c in slot.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([("g", 1), ("h",), (), (1,), (True,)]),
+                          st.lists(st.integers(0, 6), max_size=5)),
+                min_size=5, max_size=14),
+       st.integers(0, 3), st.integers(1, 4))
+def test_ngram_train_in_chunks_equals_observe_loop(samples, max_order, chunk):
+    """With TRAIN_CHUNK below the number of samples, train counts chunk
+    after chunk, and the counts and their insertion order still equal the
+    per-token loop's."""
+    scorer = NgramScorer(Vocabulary(["<unk>"]), max_order=max_order)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scorer_mod, "TRAIN_CHUNK", chunk)
+        scorer.train(iter(samples))
+    reference: dict = {}
+    for bucket, response in samples:
+        for i, tid in enumerate(response):
+            observe_loop(reference, max_order, bucket, response[:i], tid)
+    assert in_order(scorer.counts) == in_order(reference)
 
 
 def test_ngram_counts_do_not_overflow_at_a_wide_vocabulary():
@@ -416,6 +439,54 @@ def test_neural_batch_rows_equal_loop_reference(prefixes, ctx_tokens, max_prefix
                                       loop_forward(scorer, ctx.tokens, prefix))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["ngram", "neural"]),
+       st.lists(st.tuples(st.sampled_from(BUCKETS),
+                          st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4)),
+                max_size=12),
+       st.lists(st.sampled_from(NEURAL_TOKENS + ["cat", ":"]), max_size=6),
+       st.integers(0, 3), st.integers(0, 1000), st.data())
+def test_state_probs_equal_loop_reference(kind, samples, ctx_tokens, order, seed, data):
+    """A decode state's probs, at levels 0 to 3 of a random extend sequence
+    whose rows repeat and come out of order, equal the loop reference's
+    rows at every (row, id) asked, bit for bit."""
+    vocab = vocab_from_sids(SIDS)
+    tokens = vocab.tokens + ["novel"]
+    if kind == "ngram":
+        scorer = NgramScorer(vocab, max_order=order)
+        scorer.train([(b, ids(vocab, seq)) for b, seq in samples])
+        ctx = ScorerContext(tokens=tuple(ctx_tokens),
+                            bucket=data.draw(st.sampled_from(BUCKETS + [("unseen",)])))
+
+        def reference(prefix):
+            return loop_prob_dist(scorer, ctx, prefix)
+    else:
+        scorer = NeuralScorer(vocab, max_prefix=order, seed=seed)
+        ctx = ScorerContext(tokens=tuple(ctx_tokens))
+
+        def reference(prefix):
+            return loop_forward(scorer, ctx.tokens, prefix)
+
+    def draw_pairs(rows):
+        """Row numbers below ``rows``, repeated and unordered, and a token
+        for each."""
+        at = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=8))
+        return at, data.draw(st.lists(st.sampled_from(tokens), min_size=len(at),
+                                      max_size=len(at)))
+
+    state = scorer.begin(ctx)
+    prefixes = [()]
+    for level in range(4):
+        at, toks = draw_pairs(len(prefixes))
+        got = state.probs(np.array(at, dtype=np.intp), np.array(ids(vocab, toks), dtype=np.intp))
+        want = [reference(prefixes[r])[vocab.lookup(t)] for r, t in zip(at, toks)]
+        assert got.shape == (len(at),)
+        np.testing.assert_array_equal(got, want)
+        at, toks = draw_pairs(len(prefixes))
+        state.extend(np.array(at, dtype=np.intp), np.array(ids(vocab, toks), dtype=np.intp))
+        prefixes = [prefixes[r] + (t,) for r, t in zip(at, toks)]
+
+
 def test_neural_large_batch_rows_equal_loop_reference():
     # batch sizes where a single gemm would change the last bits of rows
     tokens = [f"{level}_{code}" for level in "abcd" for code in range(40)]
@@ -436,21 +507,37 @@ def test_neural_decode_makes_one_batched_call_per_level(monkeypatch):
     sids = {f"ad{i}": SemanticId((i % 3, (i // 3) % 3, i % 2)) for i in range(12)}
     trie = build(sids)
     scorer = NeuralScorer(vocab_from_sids(sids), seed=8)
-    batches = []
-    real = NeuralScorer.next_probs
+    states, batches, extends = [], [], []
+    real_begin = NeuralScorer.begin
 
-    def spy(self, context, prefixes):
-        batches.append(len(prefixes))
-        return real(self, context, prefixes)
+    def spy_begin(self, context):
+        state = real_begin(self, context)
+        real_probs, real_extend = state.probs, state.extend
+        states.append(state)
+
+        def probs(rows, ids):
+            batches.append(len(state.sums))
+            return real_probs(rows, ids)
+
+        def extend(rows, ids):
+            extends.append(len(rows))
+            real_extend(rows, ids)
+
+        state.probs, state.extend = probs, extend
+        return state
 
     def forbidden(self, context, prefix):
-        raise AssertionError("decode asked for a single prefix")
+        raise AssertionError("decode asked for whole rows")
 
-    monkeypatch.setattr(NeuralScorer, "next_probs", spy)
+    monkeypatch.setattr(NeuralScorer, "begin", spy_begin)
+    monkeypatch.setattr(NeuralScorer, "next_probs", forbidden)
     monkeypatch.setattr(NeuralScorer, "prob_dist", forbidden)
     result = decode(scorer, CTX, trie, beam_width=4)
+    assert len(states) == 1
     assert len(batches) == trie.depth
     assert batches[0] == 1 and max(batches) <= 4
+    # the rows each level's forward runs are the beam the level before kept
+    assert extends == batches[1:]
     assert len(result) == 4
 
 
