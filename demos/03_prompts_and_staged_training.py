@@ -11,7 +11,7 @@ from genret.embed import embed_catalog
 from genret.prompting import (BehaviorEvent, InterestSummary, UserProfile,
                               augment, build_prompt)
 from genret.rqvae import RqVaeConfig, assign_sids, train
-from genret.scorer import NeuralScorer, NgramScorer
+from genret.scorer import NeuralScorer, NgramScorer, csr
 from genret.sid import SemanticId
 from genret.synth import SyntheticSpec, make_catalog
 from genret.vocab import vocab_from_sids
@@ -71,11 +71,11 @@ def main():
     # the summed gradient of a minibatch, this is one pair's step
     neural = NeuralScorer(vocab_from_sids(sids), seed=1)
     pair = compile_corpus(corpora["main"][:1], neural.vocab)
-    ctx, resp = pair.contexts[0], pair.responses[0]
-    before, grads = neural.seq_logprob_and_grad_ids(ctx, resp)
-    neural.apply_grads(grads, -0.05)
-    print(f"  one neural step on the first main pair: log P {before:.4f} -> "
-          f"{neural.seq_logprob_ids(ctx, resp):.4f}")
+    ctx, resp = csr([pair.contexts[0]]), pair.responses[0][None]
+    before, pullback = neural.seq_logprob_vjp(*ctx, resp)
+    neural.apply_grads(pullback(), -0.05)
+    print(f"  one neural step on the first main pair: log P {before[0]:.4f} -> "
+          f"{neural.seq_logprob_vjp(*ctx, resp)[0][0]:.4f}")
 
 
 if __name__ == "__main__":

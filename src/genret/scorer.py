@@ -12,13 +12,14 @@ probability of token ``ids[k]`` after the prefix of row ``rows[k]``;
 row ``rows[k]``'s prefix plus ``ids[k]``. A decode level is one ``probs``
 call over the trie's candidates and one ``extend`` over the kept ones.
 
-``next_probs(context, prefixes) -> (B, |V|)`` and ``prob_dist(context,
-prefix) -> (|V|,)`` are adapters over the state (``state_rows``), for
-callers that want whole rows: ``probs(rows, ids)[k]`` equals
-``next_probs(context, prefixes)[rows[k], ids[k]]`` bit for bit. A prefix is
-a sequence of vocabulary ids; the context keeps its feature tokens.
-``RowState`` is the other direction, the state of a scorer that answers one
-prefix at a time.
+Each job has one entry point. The decoder asks through the state.
+``prob_dist(context, prefix) -> (|V|,)`` is the one whole-row read, for the
+exhaustive oracle: one state, extended along the prefix and asked for every
+id, so ``probs(rows, ids)[k]`` equals the ``prob_dist`` row of row
+``rows[k]``'s prefix at ``ids[k]`` bit for bit. A prefix is a sequence of
+vocabulary ids; the context keeps its feature tokens. Training and DPO take
+the neural scorer's gradient from ``seq_logprob_vjp``. ``RowState`` is the
+other direction, the state of a scorer that answers one prefix at a time.
 
 A scorer holds only its parameters and caches derived from them: its rows
 depend on its parameters and the call's arguments alone, and a state lives
@@ -28,6 +29,7 @@ for one decode.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice, repeat
@@ -66,22 +68,16 @@ class ScorerContext:
     bucket: tuple = ()
 
 
-def state_rows(scorer, context, prefixes) -> np.ndarray:
-    """``next_probs`` over the scorer's state: (B, |V|), the row of every
-    prefix over every id. The prefixes of each length are one state, begun,
-    extended along them and asked for all their ids."""
+def _prob_dist(scorer, context: ScorerContext, prefix) -> np.ndarray:
+    """The prefix's row over every id, (|V|,): a state begun on the
+    context, extended one id at a time along the prefix and asked for
+    every id. Each scorer class holds it as its ``prob_dist``."""
+    state = scorer.begin(context)
+    prefix = np.asarray(prefix, dtype=np.intp)
+    for k in range(len(prefix)):
+        state.extend(np.zeros(1, dtype=np.intp), prefix[k:k + 1])
     v = len(scorer.vocab)
-    prefixes = [tuple(p) for p in prefixes]
-    out = np.empty((len(prefixes), v))
-    for length in sorted(set(map(len, prefixes))):
-        at = [k for k, p in enumerate(prefixes) if len(p) == length]
-        state = scorer.begin(context)
-        rows = np.zeros(len(at), dtype=np.intp)
-        for ids in np.array([prefixes[k] for k in at], dtype=np.intp).T:
-            state.extend(rows, ids)
-            rows = np.arange(len(at))
-        out[at] = state.probs(rows.repeat(v), np.tile(np.arange(v), len(at))).reshape(-1, v)
-    return out
+    return state.probs(np.zeros(v, dtype=np.intp), np.arange(v))
 
 
 class RowState:
@@ -105,21 +101,23 @@ class NgramScorer:
     """Interpolated additive-smoothed count model.
 
     Counts are keyed by (context bucket, trailing prefix window); orders 0..N
-    are mixed with fixed interpolation weights. Every distribution is exact
-    over the full vocabulary and sums to 1.
+    are mixed with fixed interpolation weights, order o's proportional to
+    2^o. Every distribution is exact over the full vocabulary and sums to 1.
     """
 
     def __init__(self, vocab: Vocabulary, smoothing_alpha: float = 0.1,
-                 max_order: int = 2, interpolation: tuple[float, ...] | None = None):
-        if smoothing_alpha <= 0:
-            raise ScorerError("smoothing_alpha must be positive")
+                 max_order: int = 2):
+        if not (smoothing_alpha > 0 and math.isfinite(smoothing_alpha)):
+            raise ScorerError(f"smoothing_alpha must be positive and finite, "
+                              f"got {smoothing_alpha}")
+        if max_order < 0:
+            raise ScorerError(f"max_order must be >= 0, got {max_order}")
         self.vocab = vocab
         self.smoothing_alpha = smoothing_alpha
         self.max_order = max_order
-        if interpolation is None:
-            interpolation = tuple(2.0**o for o in range(max_order + 1))
-        total = sum(interpolation)
-        self.interpolation = tuple(w / total for w in interpolation)
+        weights = [2.0**o for o in range(max_order + 1)]
+        total = sum(weights)
+        self.interpolation = tuple(w / total for w in weights)
         # (bucket, window) -> {token_id: count}
         self.counts: dict[tuple, dict[int, float]] = {}
         # the counts as sparse smoothed components, built on first read
@@ -238,12 +236,7 @@ class NgramScorer:
         looks its windows up in."""
         return _NgramState(self, context.bucket)
 
-    def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
-        """The interpolated distribution after each prefix, one row each."""
-        return state_rows(self, context, prefixes)
-
-    def prob_dist(self, context: ScorerContext, prefix) -> np.ndarray:
-        return self.next_probs(context, [prefix])[0]
+    prob_dist = _prob_dist
 
     def save(self, path):
         payload = {
@@ -263,12 +256,12 @@ class NgramScorer:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "NgramScorer":
-        scorer = cls(
-            Vocabulary(payload["tokens"]),
-            payload["smoothing_alpha"],
-            payload["max_order"],
-            tuple(payload["interpolation"]),
-        )
+        scorer = cls(Vocabulary(payload["tokens"]), payload["smoothing_alpha"],
+                     payload["max_order"])
+        if list(payload["interpolation"]) != list(scorer.interpolation):
+            raise ScorerError(f"snapshot interpolation {payload['interpolation']} is not "
+                              f"the weights of max_order {scorer.max_order}, "
+                              f"{list(scorer.interpolation)}")
         for bucket, window, slot in payload["counts"]:
             scorer.counts[(tuple(bucket), tuple(window))] = {
                 int(t): float(c) for t, c in slot}
@@ -471,22 +464,13 @@ class NeuralScorer:
             mean = self.params["emb"][ctx_ids].sum(axis=0) / len(ctx_ids)
         return _NeuralState(self, mean)
 
-    def next_probs(self, context: ScorerContext, prefixes) -> np.ndarray:
-        """The next-token distribution after each prefix of one trie level,
-        one row each, from one forward. Prefixes of mixed lengths are not
-        one level and raise ValueError."""
-        if len(set(map(len, prefixes))) > 1:
-            raise ValueError("next_probs takes prefixes of one length")
-        return state_rows(self, context, prefixes)
-
-    def prob_dist(self, context: ScorerContext, prefix) -> np.ndarray:
-        return self.next_probs(context, [prefix])[0]
+    prob_dist = _prob_dist
 
     def _forward(self, ctx_ptr, ctx_ids, responses):
         """The forward of every step of P pairs, stacked pair by pair: row
         p·n + i predicts responses[p, i] from responses[p, :i], bit for bit as
-        ``next_probs`` does: a running sum adds in the order a sum over one
-        prefix does. Returns (pool, plen, h, probs)."""
+        the decode state's row of that prefix does: a running sum adds in
+        the order the state's ``extend`` does. Returns (pool, plen, h, probs)."""
         n_pairs, n = responses.shape
         sums = np.zeros((n_pairs, n, self.embed_dim))
         np.cumsum(self.params["emb"][responses[:, :-1]], axis=1, out=sums[:, 1:])
@@ -494,11 +478,6 @@ class NeuralScorer:
         pool, plen = self._pool(means, sums.reshape(-1, self.embed_dim),
                                 np.tile(np.arange(n), n_pairs))
         return (pool, plen) + self._layers(pool)
-
-    def _teacher_forced(self, ctx_ids, resp_ids):
-        """``_forward`` of one pair: row i predicts resp_ids[i]. Returns
-        (pool, plen, h, probs)."""
-        return self._forward(*csr([ctx_ids]), np.asarray(resp_ids, dtype=np.intp)[None])
 
     def _backward(self, ctx_ptr, ctx_ids, responses, pool, plen, h, d_logits):
         """Gradients of sum_r d_logits[r] . logits_r over a stacked forward.
@@ -533,8 +512,8 @@ class NeuralScorer:
         in CSR form (``csr``); responses are a (P, n) id array.
 
         Each log-probability adds its steps' logs in step order, so it
-        equals ``seq_logprob_ids`` of its pair bit for bit whatever the
-        batch. Fine-tuning ascends the sum, with ``apply_grads(grads,
+        equals its pair's, asked alone, bit for bit whatever the batch.
+        Fine-tuning ascends the sum, with ``apply_grads(grads,
         -lr)``, and DPO weights each sequence by its share of the loss."""
         responses = np.asarray(responses, dtype=np.intp)
         pool, plen, h, probs = self._forward(ctx_ptr, ctx_ids, responses)
@@ -549,17 +528,6 @@ class NeuralScorer:
             return self._backward(ctx_ptr, ctx_ids, responses, pool, plen, h, d_logits)
 
         return _seq_logprobs(probs, responses), pullback
-
-    def seq_logprob_and_grad_ids(self, ctx_ids, resp_ids):
-        """log P(response | context) = sum of per-step log conditionals,
-        with its exact gradient, for int id arrays: the one-pair case of
-        ``seq_logprob_vjp``."""
-        logps, pullback = self.seq_logprob_vjp(*csr([ctx_ids]), np.asarray(resp_ids)[None])
-        return float(logps[0]), pullback()
-
-    def seq_logprob_ids(self, ctx_ids, resp_ids) -> float:
-        probs = self._teacher_forced(ctx_ids, resp_ids)[3]
-        return float(_seq_logprobs(probs, np.asarray(resp_ids, dtype=np.intp)[None])[0])
 
     def apply_grads(self, grads, lr: float):
         """The one parameter update, in place: params -= lr * grads."""
@@ -582,14 +550,22 @@ class NeuralScorer:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "NeuralScorer":
-        return cls(
-            vocab=Vocabulary(payload["tokens"]),
-            embed_dim=payload["embed_dim"],
-            hidden_dim=payload["hidden_dim"],
-            max_prefix=payload["max_prefix"],
-            seed=payload["seed"],
-            params={k: np.array(v) for k, v in payload["params"].items()},
-        )
+        """The scorer a snapshot holds; a parameter whose name or shape does
+        not fit the vocabulary and dimensions raises ScorerError."""
+        vocab = Vocabulary(payload["tokens"])
+        v, d, h = len(vocab), payload["embed_dim"], payload["hidden_dim"]
+        shapes = {"emb": (v, d), "pos": (payload["max_prefix"] + 1, d), "w1": (h, d),
+                  "b1": (h,), "w2": (v, h), "b2": (v,)}
+        params = {k: np.array(x) for k, x in payload["params"].items()}
+        if params.keys() != shapes.keys():
+            raise ScorerError(f"snapshot parameters missing or unknown: "
+                              f"{sorted(params.keys() ^ shapes.keys())}")
+        for name, shape in shapes.items():
+            if params[name].shape != shape:
+                raise ScorerError(f"snapshot parameter {name!r} has shape "
+                                  f"{params[name].shape}, expected {shape}")
+        return cls(vocab=vocab, embed_dim=d, hidden_dim=h,
+                   max_prefix=payload["max_prefix"], seed=payload["seed"], params=params)
 
 
 class _NeuralState:

@@ -44,17 +44,18 @@ class AdmissionPolicy:
     arpu_of: dict[str, float]
     budget_per_tick: int
     num_groups: int = 25
-    _group_of: dict[str, int] = field(default_factory=dict, repr=False)
+    _group_of: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.budget_per_tick < 0:
             raise ServingError(f"budget_per_tick must be >= 0, got {self.budget_per_tick}")
+        if self.num_groups < 1:
+            raise ServingError(f"num_groups must be >= 1, got {self.num_groups}")
         ordered = sorted(self.arpu_of, key=lambda u: (self.arpu_of[u], u))
         n = len(ordered)
-        for i, user in enumerate(ordered):
-            # ARPU quantile group, 1 (lowest) .. num_groups (highest)
-            self._group_of[user] = 1 + min(self.num_groups - 1,
-                                           i * self.num_groups // max(1, n))
+        # ARPU quantile group, 1 (lowest) .. num_groups (highest)
+        self._group_of = {user: 1 + min(self.num_groups - 1, i * self.num_groups // max(1, n))
+                          for i, user in enumerate(ordered)}
 
     def group_of(self, user_id: str) -> int:
         return self._group_of.get(user_id, 1)

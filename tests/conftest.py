@@ -5,7 +5,7 @@ import pytest
 
 from genret.decoder import DecodeError, RetrievalList
 from genret.prompting import BehaviorEvent, InterestSummary, UserProfile
-from genret.scorer import RowState
+from genret.scorer import RowState, csr
 from genret.sid import SemanticId, render_token
 from genret.trie import Trie, build
 from genret.vocab import Vocabulary, vocab_from_sids
@@ -28,14 +28,17 @@ EXAMPLE_PROBS = {
 
 class RowScorer:
     """Base for test scorers that answer one prefix at a time: ``begin``
-    gives their decode state over their ``prob_dist`` rows, and
-    ``next_probs`` stacks those rows."""
+    gives their decode state over their ``prob_dist`` rows."""
 
     def begin(self, context) -> RowState:
         return RowState(self.prob_dist, context)
 
-    def next_probs(self, context, prefixes) -> np.ndarray:
-        return np.array([self.prob_dist(context, p) for p in prefixes])
+
+def one_pair(scorer, ctx_ids, resp_ids):
+    """log P(response | context) of one pair, as a float, and its gradient:
+    ``seq_logprob_vjp`` over a batch of that pair alone."""
+    logps, pullback = scorer.seq_logprob_vjp(*csr([ctx_ids]), np.asarray(resp_ids)[None])
+    return float(logps[0]), pullback()
 
 
 class TableScorer(RowScorer):
@@ -63,7 +66,7 @@ class TableScorer(RowScorer):
 def reference_decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
     """Layer-by-layer beam expansion constrained to trie-valid children.
 
-    Each layer makes one ``scorer.next_probs`` call over the whole beam. After
+    Each layer stacks the ``scorer.prob_dist`` rows of the whole beam. After
     each layer the top beam_width candidates survive; ties break by higher
     score first, then lexicographic code sequence. Scores are cumulative
     products of per-step probabilities (log-sum internally).
@@ -80,10 +83,10 @@ def reference_decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalL
     v = len(scorer.vocab)
     codes, prefixes, scores, nodes = [()], [()], [0.0], [trie.root]
     for level in range(trie.depth):
-        probs = scorer.next_probs(context, prefixes)
+        probs = np.array([scorer.prob_dist(context, p) for p in prefixes])
         if probs.shape != (len(prefixes), v):
             raise DecodeError(
-                f"scorer contract violated: next_probs returned shape "
+                f"scorer contract violated: prob_dist returned shape "
                 f"{probs.shape} for {len(prefixes)} prefixes")
         candidates = [(i, c) for i, node in enumerate(nodes) for c in node.children]
         id_of = {c: scorer.vocab.code_id(level, c) for c in {c for _, c in candidates}}

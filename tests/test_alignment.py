@@ -21,6 +21,8 @@ from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext, csr, id_arr
 from genret.sid import SemanticId, is_token
 from genret.vocab import vocab_from_sids
 
+from conftest import one_pair
+
 SIDS = {f"ad{i}": SemanticId((i % 4, i // 4, 0)) for i in range(8)}
 
 
@@ -631,9 +633,9 @@ def loop_dpo_step(policy, reference, triplets, beta, learning_rate, variant):
     for t in triplets:
         ctx = id_array(policy.vocab, t.user.tokens)
         high, low = (np.array(policy.vocab.sid_ids(sid)) for sid in (t.high_ad, t.low_ad))
-        ref_h, ref_l = reference.seq_logprob_ids(ctx, high), reference.seq_logprob_ids(ctx, low)
-        logp_h, grad_h = policy.seq_logprob_and_grad_ids(ctx, high)
-        logp_l, grad_l = policy.seq_logprob_and_grad_ids(ctx, low)
+        ref_h, ref_l = one_pair(reference, ctx, high)[0], one_pair(reference, ctx, low)[0]
+        logp_h, grad_h = one_pair(policy, ctx, high)
+        logp_l, grad_l = one_pair(policy, ctx, low)
         if variant == "prob-ratio":
             rho_h, rho_l = math.exp(logp_h - ref_h), math.exp(logp_l - ref_l)
             inner, coef_h, coef_l = beta * (rho_h - rho_l), beta * rho_h, beta * rho_l

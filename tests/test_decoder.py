@@ -205,7 +205,7 @@ def test_prefix_score_monotone(example_trie, example_scorer):
 class CountingScorer:
     """Answers from another scorer's rows through ``RowState``, recording
     each ``probs`` call as (the state's prefixes, the rows asked); a
-    ``next_probs`` or ``prob_dist`` call fails the test."""
+    ``prob_dist`` call fails the test."""
 
     def __init__(self, rows):
         self.rows = rows
@@ -223,9 +223,6 @@ class CountingScorer:
                 return super().probs(rows, ids)
 
         return CountingState(self.rows.prob_dist, context)
-
-    def next_probs(self, context, prefixes):
-        raise AssertionError("decode asked for whole rows")
 
     def prob_dist(self, context, prefix):
         raise AssertionError("decode asked for a single prefix")
@@ -261,7 +258,7 @@ def test_one_scorer_call_per_level(example_trie, example_scorer):
 def test_prefixes_reach_the_scorer_as_ids(monkeypatch):
     """No token is looked up one by one, and no prefix is mapped to ids:
     NgramScorer maps nothing, NeuralScorer maps exactly its context's
-    tokens once per state, which is once per next_probs call and once per
+    tokens once per state, which is once per prob_dist call and once per
     decode, not once per level, and a decode at beam 8 maps no S-ID token,
     since Vocabulary.code_ids maps each candidate code to its id."""
     sids, trie, _ = _random_setup(np.random.default_rng(19), n_ads=40, levels=4, span=3)
@@ -277,13 +274,14 @@ def test_prefixes_reach_the_scorer_as_ids(monkeypatch):
                         lambda self, token: looked_up.append(token) or real_lookup(self, token))
     monkeypatch.setattr(scorer_mod, "id_array",
                         lambda v, tokens: mapped.append(tuple(tokens)) or real_id_array(v, tokens))
-    for prefixes in levels:
-        ngram.next_probs(context, prefixes)
+    prefixes = [p for level in levels for p in level]
+    for prefix in prefixes:
+        ngram.prob_dist(context, prefix)
     assert mapped == []
     neural = NeuralScorer(vocab, seed=2)
-    for prefixes in levels + levels:
-        neural.next_probs(context, prefixes)
-    assert mapped == [context.tokens] * (2 * len(levels))
+    for prefix in prefixes + prefixes:
+        neural.prob_dist(context, prefix)
+    assert mapped == [context.tokens] * (2 * len(prefixes))
 
     assert trie.depth > 1
     for scorer, calls in ((ngram, 0), (neural, 1)):

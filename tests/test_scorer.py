@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,8 @@ from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext,
                            ScorerError, csr, id_array, load_scorer, tokenize_text)
 from genret.sid import SemanticId
 from genret.vocab import Vocabulary, vocab_from_sids
+
+from conftest import one_pair
 
 SIDS = {f"ad{i}": SemanticId((i % 3, i // 3)) for i in range(9)}
 CTX = ScorerContext(tokens=("cat", ":", "x"), bucket=("g", 1))
@@ -89,14 +92,39 @@ def test_ngram_save_load_round_trip(vocab, tmp_path):
     scorer.save(path)
     loaded = load_scorer(path)
     assert isinstance(loaded, NgramScorer)
-    prefixes = [ids(vocab, p) for p in [[], ["a_0"], ["a_1"], ["a_2"], ["b_1"]]]
-    np.testing.assert_array_equal(loaded.next_probs(CTX, prefixes),
-                                  scorer.next_probs(CTX, prefixes))
+    for prefix in [ids(vocab, p) for p in [[], ["a_0"], ["a_1"], ["a_2"], ["b_1"]]]:
+        np.testing.assert_array_equal(loaded.prob_dist(CTX, prefix),
+                                      scorer.prob_dist(CTX, prefix))
 
 
 def test_invalid_alpha(vocab):
     with pytest.raises(ScorerError):
         NgramScorer(vocab, smoothing_alpha=0.0)
+
+
+@pytest.mark.parametrize("alpha, max_order", [(float("nan"), 2), (float("inf"), 2),
+                                              (0.1, -1)])
+def test_ngram_rejects_bad_settings(vocab, alpha, max_order):
+    # NaN fails no `<= 0` test, and max_order -1 leaves no order to mix
+    with pytest.raises(ScorerError):
+        NgramScorer(vocab, smoothing_alpha=alpha, max_order=max_order)
+
+
+def test_ngram_snapshot_weights_are_checked(vocab, tmp_path):
+    """A snapshot's weights must be the ones its max_order gives, and its
+    settings must pass the constructor's checks."""
+    path = tmp_path / "scorer.json"
+    NgramScorer(vocab).save(path)
+    payload = json.loads(path.read_text())
+    assert payload["interpolation"] == [1 / 7, 2 / 7, 4 / 7]
+    assert isinstance(NgramScorer.from_payload(payload), NgramScorer)
+    bad = [{"interpolation": [0, 0, 0]}, {"interpolation": [1 / 3] * 3},
+           {"interpolation": [4 / 7, 2 / 7, 1 / 7]}, {"max_order": 1},
+           {"max_order": -1, "interpolation": []}, {"smoothing_alpha": float("nan")}]
+    for change in bad:
+        path.write_text(json.dumps({**payload, **change}))
+        with pytest.raises(ScorerError):
+            load_scorer(path)
 
 
 @settings(max_examples=30, deadline=None)
@@ -157,15 +185,13 @@ def test_ngram_batch_rows_equal_loop_reference(samples, prefixes, bucket,
     scorer.train([(b, ids(vocab, seq)) for b, seq in samples])
     ctx = ScorerContext(bucket=bucket)
     prefix_ids = [ids(vocab, p) for p in prefixes]
-    before = scorer.next_probs(ctx, prefix_ids)
+    before = np.array([scorer.prob_dist(ctx, p) for p in prefix_ids])
     assert before.shape == (len(prefixes), len(vocab))
     for row, prefix in zip(before, prefixes):
-        expected = loop_prob_dist(scorer, ctx, prefix)
-        np.testing.assert_array_equal(row, expected)
-        np.testing.assert_array_equal(scorer.prob_dist(ctx, ids(vocab, prefix)), expected)
+        np.testing.assert_array_equal(row, loop_prob_dist(scorer, ctx, prefix))
     # a read after observe sees the new count: the cached components are dropped
     scorer.observe(bucket, prefix_ids[0], vocab.lookup("a_0"))
-    after = scorer.next_probs(ctx, prefix_ids)
+    after = np.array([scorer.prob_dist(ctx, p) for p in prefix_ids])
     for row, prefix in zip(after, prefixes):
         np.testing.assert_array_equal(row, loop_prob_dist(scorer, ctx, prefix))
     tid = vocab.lookup("a_0")
@@ -173,12 +199,17 @@ def test_ngram_batch_rows_equal_loop_reference(samples, prefixes, bucket,
 
 
 def test_empty_batch_has_no_rows():
+    # a state asked for nothing gives nothing, and a level of no rows too
     vocab = vocab_from_sids(SIDS)
     ngram = NgramScorer(vocab)
     ngram.train([(BUCKETS[0], ids(vocab, ["a_0", "b_1"]))])
+    none = np.zeros(0, dtype=np.intp)
     for scorer in (ngram, NeuralScorer(vocab, seed=3)):
-        assert scorer.next_probs(CTX, []).shape == (0, len(vocab))
-        assert scorer.next_probs(ScorerContext(), []).shape == (0, len(vocab))
+        for ctx in (CTX, ScorerContext()):
+            state = scorer.begin(ctx)
+            assert state.probs(none, none).shape == (0,)
+            state.extend(none, none)
+            assert state.probs(none, none).shape == (0,)
 
 
 def test_ngram_read_memory_is_linear_in_counts():
@@ -195,11 +226,12 @@ def test_ngram_read_memory_is_linear_in_counts():
     prefixes = [ids(scorer.vocab, p) for p in [(tokens[0], tokens[1]), (tokens[2],), ()]]
     tracemalloc.start()
     try:
-        scorer.next_probs(ScorerContext(bucket=(3,)), prefixes)
+        for prefix in prefixes:
+            scorer.prob_dist(ScorerContext(bucket=(3,)), prefix)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the batch itself needs a few (orders x rows x |V|) arrays, about 2 MB
+    # a row itself needs a few (orders x |V|) arrays, under 2 MB
     assert peak < 8 * 2**20
 
 
@@ -327,15 +359,13 @@ def test_seq_logprob_factorizes(vocab):
     ctx, resp = id_array(vocab, CTX.tokens), id_array(vocab, ["a_1", "b_0"])
     manual = (np.log(scorer.prob_dist(CTX, [])[vocab.lookup("a_1")])
               + np.log(scorer.prob_dist(CTX, ids(vocab, ["a_1"]))[vocab.lookup("b_0")]))
-    assert scorer.seq_logprob_ids(ctx, resp) == float(manual)
-    logp, _ = scorer.seq_logprob_and_grad_ids(ctx, resp)
-    assert logp == float(manual)
+    assert one_pair(scorer, ctx, resp)[0] == float(manual)
 
 
 def test_seq_grad_matches_finite_differences(vocab):
     scorer = NeuralScorer(vocab, embed_dim=6, hidden_dim=8, seed=3)
     ctx, resp = id_array(vocab, CTX.tokens), id_array(vocab, ["a_1", "b_0"])
-    _, grads = scorer.seq_logprob_and_grad_ids(ctx, resp)
+    _, grads = one_pair(scorer, ctx, resp)
     eps = 1e-6
     rng = np.random.default_rng(0)
     for name, arr in scorer.params.items():
@@ -343,9 +373,9 @@ def test_seq_grad_matches_finite_differences(vocab):
         for j in rng.choice(flat.size, size=min(8, flat.size), replace=False):
             old = flat[j]
             flat[j] = old + eps
-            up = scorer.seq_logprob_ids(ctx, resp)
+            up = one_pair(scorer, ctx, resp)[0]
             flat[j] = old - eps
-            down = scorer.seq_logprob_ids(ctx, resp)
+            down = one_pair(scorer, ctx, resp)[0]
             flat[j] = old
             fd = (up - down) / (2 * eps)
             g = grads[name].reshape(-1)[j]
@@ -355,11 +385,10 @@ def test_seq_grad_matches_finite_differences(vocab):
 def test_cross_entropy_training_step_reduces_loss(vocab):
     scorer = NeuralScorer(vocab, seed=5)
     ctx, resp = id_array(vocab, CTX.tokens), id_array(vocab, ["a_2", "b_1"])
-    loss0 = -scorer.seq_logprob_ids(ctx, resp)
-    _, grads = scorer.seq_logprob_and_grad_ids(ctx, resp)
+    logp0, grads = one_pair(scorer, ctx, resp)
     scorer.apply_grads(grads, -0.5)
-    loss1 = -scorer.seq_logprob_ids(ctx, resp)
-    assert loss1 < loss0
+    # the loss, -log P, falls
+    assert one_pair(scorer, ctx, resp)[0] > logp0
 
 
 def test_neural_save_load_round_trip(vocab, tmp_path):
@@ -370,6 +399,29 @@ def test_neural_save_load_round_trip(vocab, tmp_path):
     assert isinstance(loaded, NeuralScorer)
     np.testing.assert_allclose(loaded.prob_dist(CTX, ids(vocab, ["a_0"])),
                                scorer.prob_dist(CTX, ids(vocab, ["a_0"])), atol=1e-15)
+
+
+def test_neural_snapshot_shapes_are_checked(vocab, tmp_path):
+    """Each parameter's name and shape must fit the snapshot's vocabulary
+    and dimensions: a loaded w2 row too many would be a token the softmax
+    spreads mass over, and a short emb would fail only at decode time."""
+    path = tmp_path / "neural.json"
+    NeuralScorer(vocab, embed_dim=4, hidden_dim=3, max_prefix=2, seed=1).save(path)
+    payload = json.loads(path.read_text())
+    params = payload["params"]
+    assert isinstance(NeuralScorer.from_payload(payload), NeuralScorer)
+    bad = {"w2": params["w2"] + params["w2"][:1], "b2": params["b2"] + [0.0],
+           "emb": params["emb"][:-1], "pos": params["pos"][:-1],
+           "w1": [row[:-1] for row in params["w1"]], "b1": params["b1"][:-1]}
+    for name, value in bad.items():
+        path.write_text(json.dumps({**payload, "params": {**params, name: value}}))
+        with pytest.raises(ScorerError, match=name):
+            load_scorer(path)
+    missing = {k: v for k, v in params.items() if k != "b1"}
+    for changed, name in ((missing, "b1"), ({**params, "w3": [0.0]}, "w3"), ({}, "emb")):
+        path.write_text(json.dumps({**payload, "params": changed}))
+        with pytest.raises(ScorerError, match=name):
+            load_scorer(path)
 
 
 def test_load_scorer_unknown_kind(tmp_path):
@@ -412,8 +464,21 @@ def loop_forward(scorer, ctx_tokens, prefix_tokens):
 NEURAL_TOKENS = ["a_0", "a_1", "a_2", "b_0", "b_1", "b_2", "<unk>", "novel"]
 
 
+def level_rows(scorer, context, prefixes) -> np.ndarray:
+    """The (B, |V|) rows of one trie level's B id prefixes, all of one
+    length, from one state: extended along the prefixes, then asked for
+    every id of every row at once."""
+    v, n = len(scorer.vocab), len(prefixes)
+    state = scorer.begin(context)
+    rows = np.zeros(n, dtype=np.intp)
+    for column in np.array(prefixes, dtype=np.intp).T:
+        state.extend(rows, column)
+        rows = np.arange(n)
+    return state.probs(rows.repeat(v), np.tile(np.arange(v), n)).reshape(n, v)
+
+
 def assert_rows_equal_loop(scorer, ctx, prefixes):
-    batch = scorer.next_probs(ctx, [ids(scorer.vocab, p) for p in prefixes])
+    batch = level_rows(scorer, ctx, [ids(scorer.vocab, p) for p in prefixes])
     assert batch.shape == (len(prefixes), len(scorer.vocab))
     for row, prefix in zip(batch, prefixes):
         np.testing.assert_array_equal(row, loop_forward(scorer, ctx.tokens, prefix))
@@ -530,7 +595,6 @@ def test_neural_decode_makes_one_batched_call_per_level(monkeypatch):
         raise AssertionError("decode asked for whole rows")
 
     monkeypatch.setattr(NeuralScorer, "begin", spy_begin)
-    monkeypatch.setattr(NeuralScorer, "next_probs", forbidden)
     monkeypatch.setattr(NeuralScorer, "prob_dist", forbidden)
     result = decode(scorer, CTX, trie, beam_width=4)
     assert len(states) == 1
@@ -553,16 +617,15 @@ def test_neural_rows_depend_only_on_params_and_arguments():
     for ctx in (a, b, a):
         for prefixes in levels:
             np.testing.assert_array_equal(
-                scorer.next_probs(ctx, prefixes),
-                NeuralScorer(vocab, seed=5).next_probs(ctx, prefixes))
-    before = [scorer.next_probs(a, prefixes) for prefixes in levels]
-    _, grads = scorer.seq_logprob_and_grad_ids(id_array(vocab, a.tokens),
-                                               id_array(vocab, ["a_1", "b_0"]))
+                level_rows(scorer, ctx, prefixes),
+                level_rows(NeuralScorer(vocab, seed=5), ctx, prefixes))
+    before = [level_rows(scorer, a, prefixes) for prefixes in levels]
+    _, grads = one_pair(scorer, id_array(vocab, a.tokens), id_array(vocab, ["a_1", "b_0"]))
     scorer.apply_grads(grads, -0.5)
-    after = [scorer.next_probs(a, prefixes) for prefixes in levels]
+    after = [level_rows(scorer, a, prefixes) for prefixes in levels]
     assert not any(np.array_equal(x, y) for x, y in zip(before, after))
     for prefixes, rows in zip(levels, after):
-        np.testing.assert_array_equal(rows, scorer.copy().next_probs(a, prefixes))
+        np.testing.assert_array_equal(rows, level_rows(scorer.copy(), a, prefixes))
 
 
 _ID_TOKENS = st.one_of(
@@ -580,13 +643,6 @@ def test_id_array_equals_lookup_per_token(tokens):
     got = id_array(vocab, tokens)
     want = np.array([vocab.lookup(t) for t in tokens], dtype=np.intp)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
-
-
-def test_neural_next_probs_rejects_mixed_lengths():
-    # one call is one trie level: prefixes of two lengths are not one
-    vocab = vocab_from_sids(SIDS)
-    with pytest.raises(ValueError):
-        NeuralScorer(vocab, seed=5).next_probs(CTX, [(), (vocab.lookup("a_1"),)])
 
 
 # --- teacher-forced pass: bit-exact against the per-step loop ---------------
@@ -655,10 +711,9 @@ def test_seq_logprob_and_grad_equal_step_loop(ctx_tokens, resp, max_prefix, seed
     scorer = NeuralScorer(vocab_from_sids(SIDS), embed_dim=6, hidden_dim=5,
                           max_prefix=max_prefix, seed=seed)
     ctx, resp_ids = id_array(scorer.vocab, ctx_tokens), id_array(scorer.vocab, resp)
-    logp, grads = scorer.seq_logprob_and_grad_ids(ctx, resp_ids)
+    logp, grads = one_pair(scorer, ctx, resp_ids)
     want_logp, want = loop_logprob_and_grad(scorer, ctx_tokens, resp)
     assert logp == want_logp
-    assert scorer.seq_logprob_ids(ctx, resp_ids) == want_logp
     assert grads.keys() == want.keys()
     for k in want:
         np.testing.assert_array_equal(grads[k], want[k], err_msg=k)
@@ -675,8 +730,8 @@ def test_train_step_equals_loop_step(pairs, max_prefix, seed):
                           max_prefix=max_prefix, seed=seed)
     reference = scorer.copy()
     for ctx_tokens, resp in pairs:
-        _, grads = scorer.seq_logprob_and_grad_ids(id_array(scorer.vocab, ctx_tokens),
-                                                   id_array(scorer.vocab, resp))
+        _, grads = one_pair(scorer, id_array(scorer.vocab, ctx_tokens),
+                            id_array(scorer.vocab, resp))
         scorer.apply_grads(grads, -0.3)
         loop_train_step(reference, ctx_tokens, resp, lr=0.3)
         for k in reference.params:
@@ -693,10 +748,10 @@ def test_teacher_forced_rows_equal_single_prefix_forward():
     ctx = ScorerContext(tokens=tuple(rng.choice(tokens, size=35)))
     resp = list(rng.choice(tokens, size=9))
     ctx_ids, resp_ids = id_array(scorer.vocab, ctx.tokens), id_array(scorer.vocab, resp)
-    probs = scorer._teacher_forced(ctx_ids, resp_ids)[3]
+    probs = scorer._forward(*csr([ctx_ids]), resp_ids[None])[3]
     for i in range(len(resp)):
         np.testing.assert_array_equal(probs[i], loop_forward(scorer, ctx.tokens, resp[:i]))
-    logp, grads = scorer.seq_logprob_and_grad_ids(ctx_ids, resp_ids)
+    logp, grads = one_pair(scorer, ctx_ids, resp_ids)
     want_logp, want = loop_logprob_and_grad(scorer, ctx.tokens, resp)
     assert logp == want_logp
     for k in want:
@@ -729,8 +784,9 @@ def test_batched_gradient_equals_sum_of_pair_gradients(pairs, max_prefix, seed, 
     grads = pullback(weights if weighted else None)
     want = scorer.zero_grads()
     for ctx, resp, w, logp in zip(contexts, responses, weights, logps):
-        assert logp == scorer.seq_logprob_ids(ctx, resp)
-        for k, g in scorer.seq_logprob_and_grad_ids(ctx, resp)[1].items():
+        pair_logp, pair_grads = one_pair(scorer, ctx, resp)
+        assert logp == pair_logp
+        for k, g in pair_grads.items():
             want[k] += w * g
     assert grads.keys() == want.keys()
     for k in want:

@@ -151,6 +151,16 @@ def test_arpu_groups_quantiles():
     assert policy.group_of("unknown") == 1
 
 
+def test_arpu_groups_come_from_arpu_alone():
+    # the groups are not a constructor argument, so no stale entry answers
+    with pytest.raises(TypeError):
+        AdmissionPolicy({"zz": 1.0}, 1, 25, {"x": 99})
+    assert AdmissionPolicy({"zz": 1.0}, 1, 25).group_of("x") == 1
+    for bad in (0, -3):
+        with pytest.raises(ServingError, match="num_groups"):
+            _policy(["a", "b"], num_groups=bad)
+
+
 def test_admission_priority_and_fifo():
     store = FeatureStore()
     users = ["low", "mid", "high"]
