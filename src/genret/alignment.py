@@ -72,25 +72,32 @@ class PreferenceTriplet:
     low_ad: SemanticId
 
 
+def _ad_sids(events) -> list[SemanticId]:
+    """The S-IDs of the ad events that carry one, in event order."""
+    return [e.sid for e in events if e.domain == "ad" and e.sid is not None]
+
+
+def _bucket(profile: UserProfile, summary: InterestSummary, ad_sids) -> tuple:
+    top_cat = summary.entries[0][0] if summary.entries else ""
+    return (profile.age // 10, profile.gender, top_cat,
+            ad_sids[-1].codes[0] if ad_sids else -1)
+
+
 def make_bucket(profile: UserProfile, summary: InterestSummary, events) -> tuple:
     """Compact n-gram context: age band, gender, top interest, last ad's
     level-0 code."""
-    top_cat = summary.entries[0][0] if summary.entries else ""
-    last_ad_code = -1
-    for e in reversed(list(events)):
-        if e.domain == "ad" and e.sid is not None:
-            last_ad_code = e.sid.codes[0]
-            break
-    return (profile.age // 10, profile.gender, top_cat, last_ad_code)
+    return _bucket(profile, summary, _ad_sids(events))
 
 
 def compact_context(profile: UserProfile, summary: InterestSummary, events) -> ScorerContext:
-    """Feature-view context: interest categories plus recent ad S-ID tokens."""
-    tokens: list[str] = [f"cat:{c}" for c, _ in summary.entries[:3]]
-    ad_events = [e for e in events if e.domain == "ad" and e.sid is not None]
-    for e in ad_events[-HISTORY_ADS:]:
-        tokens.extend(e.sid.tokens())
-    return ScorerContext(tokens=tuple(tokens), bucket=make_bucket(profile, summary, events))
+    """Feature-view context: interest categories plus recent ad S-ID tokens.
+    One pass over the events finds the ad S-IDs that both the tokens and
+    the bucket read."""
+    sids = _ad_sids(events)
+    tokens = [f"cat:{c}" for c, _ in summary.entries[:3]]
+    for sid in sids[-HISTORY_ADS:]:
+        tokens += sid.tokens()
+    return ScorerContext(tokens=tuple(tokens), bucket=_bucket(profile, summary, sids))
 
 
 def user_context(profile: UserProfile, events, catalog: Catalog) -> ScorerContext:
@@ -133,11 +140,15 @@ def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
         events = filter_events(events_by_user[uid])
         summary = summary_from_events(events_by_user[uid], catalog)
         bucket = make_bucket(profile, summary, events_by_user[uid])
-        for s in augment(events, profile, summary, template_ids, use_sid=False):
+        # one augment renders both views: the implicit stage's ads by title,
+        # the main stage's by S-ID
+        implicit, main = augment(events, profile, summary, template_ids,
+                                 use_sid=(False, True))
+        for s in implicit:
             corpora["implicit"].append(CorpusPair(
                 prompt=s.prompt, response=s.response, stage="implicit",
                 bucket=bucket, user_id=uid))
-        for s in augment(events, profile, summary, template_ids, use_sid=True):
+        for s in main:
             # a main context is the scan of the prompt's pieces, each scanned
             # once. A match holds no whitespace and begins after a non-word
             # character, and whitespace sets each piece off (a line's trailing
@@ -162,8 +173,11 @@ def summary_from_events(events, catalog: Catalog) -> InterestSummary:
     counts: dict[str, int] = {}
     for e in events:
         cat = None
-        if e.domain == "ad" and e.ad_id is not None and e.ad_id in catalog:
-            cat = catalog.get(e.ad_id).first_category
+        if e.domain == "ad":
+            try:  # one lookup for the ad, which the catalog almost always has
+                cat = catalog.get(e.ad_id).first_category
+            except KeyError:
+                pass
         elif e.domain == "content" and e.title and not e.title.isspace():
             cat = e.title.split()[0]
         if cat:

@@ -42,12 +42,14 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
         raise DecodeError("empty inventory: trie holds no ads")
 
     # The beam is its trie nodes in breadth-first number order, which is
-    # lexicographic code order, with their scores; the state's row r is the
-    # prefix of nodes[r], as the vocabulary ids the scorer reads. The
-    # candidates, the children of the kept nodes, come in number order too,
-    # so a stable sort on score ranks them by (-score, codes).
+    # lexicographic code order, with their costs, the negated scores; the
+    # state's row r is the prefix of nodes[r], as the vocabulary ids the
+    # scorer reads. The candidates, the children of the kept nodes, come in
+    # number order too, so a stable sort on cost ranks them by (-score,
+    # codes). A cost subtracts each log where a score would add it, and
+    # (-s) - x is -(s + x) in every bit.
     state = scorer.begin(context)
-    nodes, scores = np.zeros(1, dtype=np.intp), np.zeros(1)
+    nodes, costs = np.zeros(1, dtype=np.intp), np.zeros(1)
     for level in range(trie.depth):
         start, lo, hi = trie.level_start[level:level + 3]
         if len(nodes) == lo - start:  # the whole level is kept
@@ -64,30 +66,47 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
             raise DecodeError(
                 f"scorer contract violated: probs returned shape "
                 f"{p.shape} for {len(ids)} candidates")
-        lowest, highest = p.min(), p.max()  # nan if any is
-        if not (lowest >= 0.0 and highest < math.inf):
-            k = np.flatnonzero(~((p >= 0.0) & (p < math.inf)))[0]
-            raise DecodeError(f"scorer contract violated: p={p.tolist()[k]} for token "
-                              f"{render_token(level, int(trie.code[candidates[k]]))}")
         # math.log per candidate: np.log can differ from it in the last bit,
-        # which would change the scores
+        # which would change the scores. math.log raises for a p of zero or
+        # below, and a nan or infinite p makes the logs' sum no finite
+        # number, so both leave the fast path for the checked one
         p = p.tolist()
-        logs = (map(math.log, p) if lowest > 0.0 else
-                (math.log(x) if x > 0.0 else -math.inf for x in p))
-        scores = scores[rows] + np.fromiter(logs, dtype=np.float64, count=len(p))
+        try:
+            logs = list(map(math.log, p))
+        except ValueError:
+            logs = None
+        if logs is None or not sum(logs) < math.inf:
+            logs = _checked_logs(p, level, trie.code[candidates])
+        costs = costs[rows] - logs
+        if level + 1 == trie.depth:
+            break
         if len(p) > beam_width:
-            keep = np.sort((-scores).argsort(kind="stable")[:beam_width])
-            candidates, scores, rows, ids = (candidates[keep], scores[keep],
-                                             rows[keep], ids[keep])
+            keep = costs.argsort(kind="stable")[:beam_width]
+            keep.sort()
+            candidates, costs, rows, ids = (candidates[keep], costs[keep],
+                                            rows[keep], ids[keep])
         nodes = candidates
-        if level + 1 < trie.depth:
-            state.extend(rows, ids)
+        state.extend(rows, ids)
 
-    ranked = (-scores).argsort(kind="stable")
+    # the last level's top beam_width in rank order: the first of a stable
+    # sort of all its candidates, as a stable sort of the kept ones in
+    # number order would rank them
+    ranked = costs.argsort(kind="stable")[:beam_width]
     leaves = map(trie.leaves.__getitem__,
-                 (nodes[ranked] - trie.level_start[trie.depth]).tolist())
+                 (candidates[ranked] - trie.level_start[trie.depth]).tolist())
     return RetrievalList(entries=[(ad_id, sid, score) for (ad_id, sid), score in
-                                  zip(leaves, map(math.exp, scores[ranked].tolist()))])
+                                  zip(leaves, map(math.exp, (-costs[ranked]).tolist()))])
+
+
+def _checked_logs(p, level: int, codes) -> list[float]:
+    """The logs of a level's probabilities, -inf for a zero. A p below
+    zero, nan or infinite breaks the scorer contract: the first one raises
+    DecodeError naming its token, the code ``codes[k]`` at ``level``."""
+    for k, x in enumerate(p):
+        if not 0.0 <= x < math.inf:
+            raise DecodeError(f"scorer contract violated: p={x} for token "
+                              f"{render_token(level, int(codes[k]))}")
+    return [math.log(x) if x > 0.0 else -math.inf for x in p]
 
 
 def decode_exhaustive(scorer, context, trie: Trie) -> RetrievalList:

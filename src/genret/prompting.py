@@ -250,8 +250,8 @@ def augment(
     summary: InterestSummary,
     template_ids=(0,),
     token_budget: int = DEFAULT_TOKEN_BUDGET,
-    use_sid: bool = True,
-) -> list[PromptSample]:
+    use_sid: bool | tuple[bool, ...] = True,
+) -> list[PromptSample] | tuple[list[PromptSample], ...]:
     """Interaction reuse crossed with the listed templates: one sample per
     (positive ad split, template id), in sequence order.
 
@@ -260,7 +260,13 @@ def augment(
     equals ``build_prompt`` of its split's history, and raises where that
     would: the order check over each history, and the skeleton check once a
     split exists. A sample's ``pieces`` are its rendered profile, summary
-    and kept lines in prompt order."""
+    and kept lines in prompt order.
+
+    ``use_sid`` may be a tuple of views, one bool each. The result is then
+    a tuple of sample lists, one per view, equal to one call per view in
+    that order, and it raises what the first of those calls to raise would.
+    The profile, the summary and each line that no view changes (a non-ad
+    event's) are rendered once for every view."""
     if not template_ids:
         raise PromptError("template_ids must name at least one template")
     events = list(events)
@@ -274,24 +280,31 @@ def augment(
     profile_text = _render_profile(profile)
     summary_text = _render_summary(summary)
     around = {}  # template id -> _around_behaviors, once its skeleton fits
-    lines: list[str] = []
-    samples = []
-    for history, target in splits:
-        i = len(history)
-        if unordered + 1 < i:
-            raise PromptError("events must be ordered oldest-first")
-        for tid in template_ids:
-            if tid not in around:
-                _check_skeleton(tid, profile_text, summary_text, token_budget)
-                around[tid] = _around_behaviors(tid, profile_text, summary_text)
-            if len(lines) < i:
-                lines += [_render_line(e, use_sid) for e in events[len(lines):i]]
-            prompt, start = _fitted(tid, profile_text, summary_text, lines[:i],
-                                    token_budget)
-            before, after = around[tid]
-            samples.append(PromptSample(prompt, target.sid,
-                                        (*before, *lines[start:i], *after)))
-    return samples
+    # each history's non-ad lines, which no view changes, rendered once
+    last = len(splits[-1][0]) if splits else 0
+    fixed = {k: _render_line(e) for k, e in enumerate(events[:last]) if e.domain != "ad"}
+    views = []
+    for view in use_sid if isinstance(use_sid, tuple) else (use_sid,):
+        lines: list[str] = []
+        samples = []
+        for history, target in splits:
+            i = len(history)
+            if unordered + 1 < i:
+                raise PromptError("events must be ordered oldest-first")
+            for tid in template_ids:
+                if tid not in around:
+                    _check_skeleton(tid, profile_text, summary_text, token_budget)
+                    around[tid] = _around_behaviors(tid, profile_text, summary_text)
+                if len(lines) < i:
+                    lines += [fixed[k] if k in fixed else _render_line(events[k], view)
+                              for k in range(len(lines), i)]
+                prompt, start = _fitted(tid, profile_text, summary_text, lines[:i],
+                                        token_budget)
+                before, after = around[tid]
+                samples.append(PromptSample(prompt, target.sid,
+                                            (*before, *lines[start:i], *after)))
+        views.append(samples)
+    return tuple(views) if isinstance(use_sid, tuple) else views[0]
 
 
 def _profile_entry(obj) -> tuple[str, UserProfile]:

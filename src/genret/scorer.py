@@ -262,21 +262,31 @@ class NgramScorer:
             raise ScorerError(f"snapshot interpolation {payload['interpolation']} is not "
                               f"the weights of max_order {scorer.max_order}, "
                               f"{list(scorer.interpolation)}")
+        v = len(scorer.vocab)
         for bucket, window, slot in payload["counts"]:
-            scorer.counts[(tuple(bucket), tuple(window))] = {
-                int(t): float(c) for t, c in slot}
+            counts = {int(t): float(c) for t, c in slot}
+            # an entry is coded key·|V| + id, so an id outside [0, |V|)
+            # would read as another key's entry
+            bad = [i for i in chain(window, counts) if not 0 <= i < v]
+            if bad:
+                raise ScorerError(f"snapshot counts of bucket {bucket} and window "
+                                  f"{window} name id {bad[0]}, outside [0, {v})")
+            scorer.counts[(tuple(bucket), tuple(window))] = counts
         return scorer
 
 
 class _NgramState:
     """The n-gram's rows in one decode: each row's prefix, and the number of
     its key at each order, looked up in the bucket's key numbers when the
-    row is made. A probability is its orders' components mixed in order,
-    each the key's share plus its entry for the id, if counted."""
+    row is made. Order 0's window is () whatever the prefix, so its key is
+    looked up once, when the state begins. A probability is its orders'
+    components mixed in order, each the key's share plus its entry for the
+    id, if counted."""
 
     def __init__(self, scorer: NgramScorer, bucket):
         index, self.share, self.code, self.value = scorer._smoothed()
         self.numbers, self.unseen = index.get(bucket, {}), len(self.share) - 1
+        self.key0 = self.numbers.get((), self.unseen)
         self.v = len(scorer.vocab)
         self.weights = np.array(scorer.interpolation)[:, None]
         self.prefixes = [()]
@@ -284,21 +294,24 @@ class _NgramState:
 
     def _keys(self) -> np.ndarray:
         """(orders, rows): the key number of each order's window of each
-        row's prefix; order 0's window is () whatever the prefix."""
-        get, unseen = self.numbers.get, self.unseen
-        return np.array([[get((), unseen)] * len(self.prefixes)] + [
-            [get(p[len(p) - order:], unseen) for p in self.prefixes]
-            for order in range(1, len(self.weights))], dtype=np.int64)
+        row's prefix. Every prefix has the same length, so each order's
+        window starts at one slice start for all rows."""
+        get, unseen, prefixes = self.numbers.get, self.unseen, self.prefixes
+        n = len(prefixes[0]) if prefixes else 0
+        keys = [self.key0] * len(prefixes)
+        for order in range(1, len(self.weights)):
+            keys += [get(p[n - order:], unseen) for p in prefixes]
+        return np.array(keys, dtype=np.int64).reshape(len(self.weights), len(prefixes))
 
     def probs(self, rows, ids) -> np.ndarray:
-        key = self.keys[:, rows]
+        key = self.keys.take(rows, axis=1)
         code = key * self.v + ids
         at = self.code.searchsorted(code)
         mixed = self.weights * (self.share[key]
                                 + np.where(self.code[at] == code, self.value[at], 0.0))
-        dist = np.zeros(len(rows))
-        for component in mixed:  # added order by order
-            dist += component
+        dist = mixed[0]
+        for component in mixed[1:]:  # added order by order
+            dist = dist + component
         return dist
 
     def extend(self, rows, ids):
@@ -416,18 +429,21 @@ class NeuralScorer:
         return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
     def _layers(self, pool):
-        """The hidden layer and the softmax over a stack of pooled inputs.
+        """The hidden layer and the softmax's numerators and row sums over a
+        stack of pooled inputs: row r's probabilities are exp[r] / total[r],
+        and each caller divides only the entries it needs, which gives each
+        one the bits of the whole row's division.
 
         Each layer is a stack of one matrix-vector product per row, so every
         row takes the BLAS path of a lone input and its bits do not depend on
-        the stack. Returns (h, probs).
+        the stack. Returns (h, exp, total).
         """
         p = self.params
         h = np.tanh(np.matmul(p["w1"], pool[..., None])[..., 0] + p["b1"])
         logits = np.matmul(p["w2"], h[..., None])[..., 0] + p["b2"]
         logits = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(logits)
-        return h, exp / exp.sum(axis=-1, keepdims=True)
+        return h, exp, exp.sum(axis=-1)
 
     def _context_means(self, ctx_ptr, ctx_ids):
         """(P, embed_dim): the mean embedding of each CSR context, 0.0 for an
@@ -443,18 +459,21 @@ class NeuralScorer:
         rows = np.concatenate((emb, np.zeros((1, self.embed_dim))))[padded]
         return rows.sum(axis=1) / np.maximum(lengths, 1)[:, None]
 
-    def _pool(self, ctx_mean, sums, lengths):
-        """The layers' input, one row per prefix: its context's mean, plus
-        the prefix's sum over its length, plus the length's position row.
-        Each mean is a sum divided by its count, which is how ``mean``
-        computes it; an empty prefix adds 0.0 over 1, and an empty context
-        a mean of 0.0, which leave the pool, begun at +0.0, unchanged.
-        ``lengths`` is one int per row, or one for every row. Returns
-        (pool, plen)."""
-        pool = np.zeros(self.embed_dim) + ctx_mean
-        pool = pool + sums / np.maximum(lengths, 1)[..., None]
-        plen = np.minimum(lengths, self.max_prefix)
-        return pool + self.params["pos"][plen], plen
+    def _pool(self, base, sums, lengths):
+        """The layers' input, one row per prefix: base, which is +0.0 plus
+        its context's mean, plus the prefix's sum over its length, plus the
+        length's position row. Each mean is a sum divided by its count,
+        which is how ``mean`` computes it; an empty prefix adds 0.0 over 1,
+        and an empty context a mean of 0.0, which leave the pool, begun at
+        +0.0, unchanged. ``lengths`` is an int array, one per row, or one
+        int for every row, whose count and position row are then picked
+        with no array call. Returns (pool, plen)."""
+        if isinstance(lengths, int):
+            count, plen = max(lengths, 1), min(lengths, self.max_prefix)
+        else:
+            count = np.maximum(lengths, 1)[..., None]
+            plen = np.minimum(lengths, self.max_prefix)
+        return base + sums / count + self.params["pos"][plen], plen
 
     def begin(self, context: ScorerContext) -> "_NeuralState":
         """A decode's state: the context mapped to ids and pooled once."""
@@ -462,7 +481,7 @@ class NeuralScorer:
         mean = 0.0
         if len(ctx_ids):
             mean = self.params["emb"][ctx_ids].sum(axis=0) / len(ctx_ids)
-        return _NeuralState(self, mean)
+        return _NeuralState(self, np.zeros(self.embed_dim) + mean)
 
     prob_dist = _prob_dist
 
@@ -475,9 +494,11 @@ class NeuralScorer:
         sums = np.zeros((n_pairs, n, self.embed_dim))
         np.cumsum(self.params["emb"][responses[:, :-1]], axis=1, out=sums[:, 1:])
         means = self._context_means(ctx_ptr, ctx_ids).repeat(n, axis=0)
-        pool, plen = self._pool(means, sums.reshape(-1, self.embed_dim),
+        pool, plen = self._pool(np.zeros(self.embed_dim) + means,
+                                sums.reshape(-1, self.embed_dim),
                                 np.tile(np.arange(n), n_pairs))
-        return (pool, plen) + self._layers(pool)
+        h, exp, total = self._layers(pool)
+        return pool, plen, h, exp / total[:, None]
 
     def _backward(self, ctx_ptr, ctx_ids, responses, pool, plen, h, d_logits):
         """Gradients of sum_r d_logits[r] . logits_r over a stacked forward.
@@ -569,24 +590,26 @@ class NeuralScorer:
 
 
 class _NeuralState:
-    """The neural rows in one decode: the context's mean, and each row's
-    running prefix sum, which ``extend`` adds one embedding to, in the
-    order a sum over the prefix adds. The sums begin at +0.0, which can
-    differ from a sum over the prefix only in the sign of a zero, and the
-    pool, begun at +0.0, does not see that sign. ``probs`` runs one
-    forward over the rows."""
+    """The neural rows in one decode: the pool's base, +0.0 plus the
+    context's mean, and each row's running prefix sum, which ``extend``
+    adds one embedding to, in the order a sum over the prefix adds. The
+    sums begin at +0.0, which can differ from a sum over the prefix only in
+    the sign of a zero, and the pool, begun at +0.0, does not see that
+    sign. ``probs`` runs one forward over the rows and divides only the
+    asked entries by their rows' sums."""
 
-    def __init__(self, scorer: NeuralScorer, mean):
-        self.scorer, self.mean = scorer, mean
+    def __init__(self, scorer: NeuralScorer, base):
+        self.scorer, self.base = scorer, base
         self.sums = np.zeros((1, scorer.embed_dim))
         self.length = 0
 
     def probs(self, rows, ids) -> np.ndarray:
-        pool = self.scorer._pool(self.mean, self.sums, self.length)[0]
-        return self.scorer._layers(pool)[1][rows, ids]
+        pool = self.scorer._pool(self.base, self.sums, self.length)[0]
+        _, exp, total = self.scorer._layers(pool)
+        return exp[rows, ids] / total[rows]
 
     def extend(self, rows, ids):
-        self.sums = self.sums[rows] + self.scorer.params["emb"][ids]
+        self.sums = self.sums.take(rows, axis=0) + self.scorer.params["emb"].take(ids, axis=0)
         self.length += 1
 
 

@@ -113,25 +113,28 @@ def nearline_tick(store: FeatureStore, triggers: list, policy: AdmissionPolicy,
     decode would return it again. Every publish marks its user reusable. A
     failed decode is counted, the first one is named in
     ``stats["first_generation_error"]``, and it publishes nothing."""
-    def admission(trigger):
-        return -policy.group_of(trigger[2]), trigger[1]
-
     reusable = stats.setdefault("reusable", set())
+    per_group = stats.setdefault("admitted_per_group", {})
     # the triggers before stats["in_order"] are still in admission order from
-    # the last tick; only those appended since are placed
+    # the last tick, each beside its admission key, (-group, seq), in
+    # stats["admission_keys"]; only those appended since are placed, and
+    # each one's key is computed once
     ordered = stats.get("in_order", 0)
+    keys = stats.setdefault("admission_keys", [])
     added = triggers[ordered:]
     del triggers[ordered:]
     for trigger in added:
-        bisect.insort(triggers, trigger, key=admission)
-    admitted = triggers[: policy.budget_per_tick]
-    del triggers[: policy.budget_per_tick]
+        key = (-policy.group_of(trigger[2]), trigger[1])
+        at = bisect.bisect_right(keys, key)
+        keys.insert(at, key)
+        triggers.insert(at, trigger)
+    budget = policy.budget_per_tick
+    admitted = zip(triggers[:budget], keys[:budget])
+    del triggers[:budget], keys[:budget]
     stats["in_order"] = len(triggers)
-    for _, _, user_id in admitted:
+    for (_, _, user_id), (negated_group, _) in admitted:
         pool.dispatch_one()
-        group = policy.group_of(user_id)
-        stats.setdefault("admitted_per_group", {}).setdefault(group, 0)
-        stats["admitted_per_group"][group] += 1
+        per_group[-negated_group] = per_group.get(-negated_group, 0) + 1
         if user_id in reusable:
             stats["decodes_saved"] = stats.get("decodes_saved", 0) + 1
             entries = store.get(user_id)[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 import string
 from dataclasses import dataclass
@@ -41,7 +42,9 @@ class SemanticId:
     """Base quantization codes plus a trailing disambiguation code.
 
     codes has length num_levels + 1; the last entry separates ads that share
-    identical base codes.
+    identical base codes. The tokens are rendered on first use and kept;
+    they derive from the codes alone, so equality, hash and repr see only
+    the codes.
     """
 
     codes: tuple[int, ...]
@@ -60,8 +63,12 @@ class SemanticId:
     def disambiguation(self) -> int:
         return self.codes[-1]
 
-    def tokens(self) -> tuple[str, ...]:
+    @functools.cached_property
+    def _tokens(self) -> tuple[str, ...]:
         return tuple(render_token(i, c) for i, c in enumerate(self.codes))
+
+    def tokens(self) -> tuple[str, ...]:
+        return self._tokens
 
     def render(self) -> str:
         return "<" + ", ".join(self.tokens()) + ">"

@@ -91,6 +91,21 @@ def test_build_stage_corpora_stages_and_sid_usage():
     assert final_main.response == SIDS["ad2"]
 
 
+def test_build_stage_corpora_augments_each_user_once(monkeypatch):
+    """Both prompt views of a user come from one augment call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("use_sid"))
+        return augment(*args, **kwargs)
+
+    augment = alignment.augment
+    monkeypatch.setattr(alignment, "augment", counted)
+    profiles = {u: _profile() for u in ("u1", "u2")}
+    build_stage_corpora(_catalog(), SIDS, profiles, {u: _events() for u in profiles})
+    assert calls == [(False, True)] * 2
+
+
 def test_corpus_bucket_matches_serving_context():
     """The n-gram bucket of every training pair is the one decoding builds
     from the same logged events, also when the newest ad event is negative

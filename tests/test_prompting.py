@@ -278,6 +278,28 @@ def test_augment_pieces_lie_in_prompt_order(inputs):
             at = found + len(piece)
 
 
+def views_outcome(fn, *args):
+    """fn's sample lists, one per view, each sample as (prompt, response,
+    pieces), or the error it raised."""
+    try:
+        return [[(s.prompt, s.response, s.pieces) for s in samples]
+                for samples in fn(*args)]
+    except PromptError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(augment_inputs(), st.lists(st.booleans(), min_size=1, max_size=3))
+@example(([_content(30), _ad(28, 1), _NO_SID, _ad(20, 2)], _profile(),
+          InterestSummary([]), (0, 7), 2096, True), [False, True])
+def test_augment_views_equal_one_call_per_view(inputs, views):
+    """One call over several views renders the shared lines once and gives
+    each view's samples, or the first error, as one call per view does."""
+    args = inputs[:-1]
+    assert (views_outcome(lambda *a: augment(*a, use_sid=tuple(views)), *args)
+            == views_outcome(lambda *a: [augment(*a, use_sid=v) for v in views], *args))
+
+
 def test_augment_rejects_no_templates():
     seq = [_content(50, "c1"), _ad(40, 2)]
     with pytest.raises(PromptError, match="template"):

@@ -127,6 +127,28 @@ def test_ngram_snapshot_weights_are_checked(vocab, tmp_path):
             load_scorer(path)
 
 
+def test_ngram_snapshot_ids_are_checked():
+    """Every count's token id and every window id of a snapshot must lie in
+    [0, |V|): an entry is coded key·|V| + id, so id |V| would read as the
+    next key's entry for id 0 and leave neither row summing to 1."""
+    weights = [1 / 7, 2 / 7, 4 / 7]
+
+    def payload(g_window, g_counts):
+        return {"kind": "ngram", "version": 1, "smoothing_alpha": 0.1, "max_order": 2,
+                "interpolation": weights, "tokens": ["<unk>", "<sep>", "<task>"],
+                "counts": [[["g"], g_window, g_counts], [["h"], [], [[2, 1.0]]]]}
+
+    good = NgramScorer.from_payload(payload([], [[2, 5.0]]))
+    for bucket in ("g", "h"):
+        row = good.prob_dist(ScorerContext(bucket=(bucket,)), [])
+        assert row.sum() == pytest.approx(1.0)
+    for window, counts, bad in (([], [[2, 5.0], [3, 50.0]], "3"), ([], [[-1, 1.0]], "-1"),
+                                ([3], [[2, 1.0]], "[3]"), ([0, -1], [[2, 1.0]], "-1")):
+        with pytest.raises(ScorerError, match=r"bucket \['g'\] and window") as err:
+            NgramScorer.from_payload(payload(window, counts))
+        assert bad in str(err.value)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from(["a_0", "a_1", "b_0", "b_1", "<unk>"]),
                 max_size=5),

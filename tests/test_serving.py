@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 import threading
 
 import pytest
@@ -554,3 +557,67 @@ def test_load_trace(tmp_path):
     path.write_text('{"user_id": "u1", "tick": 0}\n{"user_id": "u2", "tick": 3}\n')
     trace = load_trace(path)
     assert [(r.user_id, r.arrival_tick) for r in trace] == [("u1", 0), ("u2", 3)]
+
+
+# --- the real generate path, pinned ------------------------------------------
+
+def _scale_s_replay(tmp_path):
+    """A seeded replay at the default pipeline scale (4 x 8 ads, 20 users)
+    through the real ``build_generate_fn`` at beam 8: the n-gram scorer
+    serves the first half and the neural scorer, through ``scorer_swap``,
+    the second. Returns the report and every generate call's (scorer kind,
+    user, list)."""
+    from genret import alignment, pipeline, rqvae, synth
+    from genret import trie as trie_mod
+    from genret.catalog import load_catalog
+    from genret.prompting import load_events, load_profiles
+
+    paths = synth.gen_data(synth.SyntheticSpec(seed=0), str(tmp_path / "data"))
+    catalog = load_catalog(paths["catalog"])
+    profiles = load_profiles(paths["profiles"])
+    table = pipeline.run_embed(catalog, str(tmp_path / "embeddings.tsv"), 32, 0)
+    sids, _, _ = pipeline.run_index(table, rqvae.RqVaeConfig(seed=0), str(tmp_path))
+    events = load_events(paths["events"], sids)
+    corpora = alignment.build_stage_corpora(catalog, sids, profiles, events)
+    ad_trie = trie_mod.build(sids)
+    calls = []
+
+    def generate_fn(kind):
+        scorer, _ = pipeline.run_train(sids, corpora, kind, alignment.STAGES, 0)
+        generate = pipeline.build_generate_fn(scorer, ad_trie, catalog, profiles,
+                                              events, 8)
+
+        def recorded(user_id):
+            entries = generate(user_id)
+            calls.append((kind, user_id, entries))
+            return entries
+        return recorded
+
+    users = sorted(profiles)
+    rng = random.Random(11)
+    ticks = 20
+    # Zipf-like popularity, so lists are reused as well as decoded
+    picks = rng.choices(users, weights=[1.0 / (i + 1) for i in range(len(users))],
+                        k=4 * ticks)
+    trace = [Request(u, k // 4) for k, u in enumerate(picks)]
+    policy = AdmissionPolicy({u: rng.lognormvariate(0.0, 1.0) for u in users},
+                             budget_per_tick=3)
+    report = run_simulation(trace, generate_fn("ngram"), policy, WorkerPool(4), ticks,
+                            scorer_swap=(ticks // 2, generate_fn("neural")))
+    return report, calls
+
+
+# sha256 of _scale_s_replay's report and calls as sorted-key JSON, which
+# writes each score's float exactly: a change to the generate path (context,
+# scorer state, decoder, admission) that moves one list or one score bit, or
+# the replay's report, fails here.
+SERVING_GOLDEN = "129a325c311eb219d5b636c56817cbb2e9b6542fb26356ff070ce9b8c4fa84d3"
+
+
+def test_scale_s_replay_matches_golden_digest(tmp_path):
+    report, calls = _scale_s_replay(tmp_path)
+    # the replay decodes with both scorers and reuses lists
+    assert {kind for kind, _, _ in calls} == {"ngram", "neural"}
+    assert report["decodes_saved"] > 0
+    replay = json.dumps({"report": report, "calls": calls}, sort_keys=True)
+    assert hashlib.sha256(replay.encode()).hexdigest() == SERVING_GOLDEN

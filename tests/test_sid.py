@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,3 +40,33 @@ def test_wrong_level_prefix_rejected():
 def test_round_trip_property(codes):
     sid = SemanticId(tuple(codes))
     assert SemanticId.parse(sid.render()) == sid
+
+
+_codes = st.lists(st.integers(0, 2000), min_size=2, max_size=8).map(tuple)
+
+
+@given(_codes)
+def test_tokens_render_each_code(codes):
+    sid = SemanticId(codes)
+    expected = tuple(render_token(i, c) for i, c in enumerate(codes))
+    assert sid.tokens() == expected
+    assert sid.tokens() == expected  # the kept tuple, read again
+    assert sid.render() == "<" + ", ".join(expected) + ">"
+
+
+@given(_codes, _codes)
+def test_kept_tokens_are_invisible(codes, other):
+    """An S-ID whose tokens were read equals, hashes, prints, pickles and
+    replaces as one whose tokens were not."""
+    read, fresh = SemanticId(codes), SemanticId(codes)
+    read.tokens()
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh) == f"SemanticId(codes={codes!r})"
+    assert [f.name for f in dataclasses.fields(read)] == ["codes"]
+    for sid in (read, fresh):
+        back = pickle.loads(pickle.dumps(sid))
+        assert back == sid and back.tokens() == sid.tokens()
+        moved = dataclasses.replace(sid, codes=other)
+        assert moved == SemanticId(other)
+        assert moved.tokens() == SemanticId(other).tokens()
+    assert (read == SemanticId(other)) == (codes == other)
