@@ -11,7 +11,7 @@ from genret.embed import embed_catalog
 from genret.prompting import (BehaviorEvent, InterestSummary, UserProfile,
                               augment, build_prompt)
 from genret.rqvae import RqVaeConfig, assign_sids, train
-from genret.scorer import NeuralScorer, NgramScorer, csr
+from genret.scorer import NeuralScorer, NgramScorer
 from genret.sid import SemanticId
 from genret.synth import SyntheticSpec, make_catalog
 from genret.vocab import vocab_from_sids
@@ -70,12 +70,11 @@ def main():
     # fine-tuning ascends log P(response | context); train_staged steps on
     # the summed gradient of a minibatch, this is one pair's step
     neural = NeuralScorer(vocab_from_sids(sids), seed=1)
-    pair = compile_corpus(corpora["main"][:1], neural.vocab)
-    ctx, resp = csr([pair.contexts[0]]), pair.responses[0][None]
-    before, pullback = neural.seq_logprob_vjp(*ctx, resp)
+    contexts, responses, _ = compile_corpus(corpora["main"][:1], neural.vocab)
+    before, pullback = neural.seq_logprob_vjp(contexts, responses)
     neural.apply_grads(pullback(), -0.05)
     print(f"  one neural step on the first main pair: log P {before[0]:.4f} -> "
-          f"{neural.seq_logprob_vjp(*ctx, resp)[0][0]:.4f}")
+          f"{neural.seq_logprob_vjp(contexts, responses)[0][0]:.4f}")
 
 
 if __name__ == "__main__":

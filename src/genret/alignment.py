@@ -13,8 +13,7 @@ import numpy as np
 from . import jsonl
 from .catalog import Catalog, render_description
 from .prompting import InterestSummary, UserProfile, augment, filter_events
-from .scorer import (NeuralScorer, NgramScorer, ScorerContext, csr, csr_take, id_array,
-                     tokenize_text)
+from .scorer import NeuralScorer, NgramScorer, ScorerContext, id_array, tokenize_text
 from .sid import SemanticId, is_token
 from .vocab import UNK
 
@@ -185,35 +184,31 @@ def summary_from_events(events, catalog: Catalog) -> InterestSummary:
     return InterestSummary(list(counts.items()))
 
 
-@dataclass(frozen=True)
-class CompiledCorpus:
-    """Pairs as the neural scorer reads them: per pair, its context's and
-    its response's int id arrays, and the share of all context tokens that
-    map to ``<unk>`` (0.0 without context tokens)."""
-    contexts: list[np.ndarray]
-    responses: list[np.ndarray]
-    unk_share: float
+def _distinct_ids(vocab, sids) -> dict:
+    """Each distinct S-ID of sids as its list of vocabulary ids."""
+    return {sid: vocab.sid_ids(sid) for sid in dict.fromkeys(sids)}
 
 
-def _distinct_ids(vocab, pairs) -> dict:
-    """Each distinct response of the pairs as its list of vocabulary ids."""
-    return {sid: vocab.sid_ids(sid) for sid in dict.fromkeys(p.response for p in pairs)}
-
-
-def compile_corpus(pairs, vocab) -> CompiledCorpus:
-    """Map each pair to ids once: the context tokens of all pairs in one
-    pass, and each distinct response once, its pairs sharing its array. A
-    main pair's context is its ``context``, its prompt's S-ID tokens as
-    serving's context has; other stages keep every prompt token."""
-    tokens = [p.context if p.stage == "main" else tokenize_text(p.prompt) for p in pairs]
-    ids = id_array(vocab, list(itertools.chain.from_iterable(tokens)))
-    ends = np.cumsum([len(t) for t in tokens], dtype=np.intp).tolist()
-    contexts = [ids[end - len(t):end] for t, end in zip(tokens, ends)]
-    arrays = {sid: np.array(r, dtype=np.intp)
-              for sid, r in _distinct_ids(vocab, pairs).items()}
+def _compiled(vocab, contexts, responses):
+    """Token contexts and their S-ID responses as the neural scorer reads
+    them: (each context's id array, mapped in one pass over all the tokens;
+    the responses as one (P, n) id array, each distinct S-ID mapped once;
+    the share of context tokens that map to ``<unk>``, 0.0 without any)."""
+    ids = id_array(vocab, list(itertools.chain.from_iterable(contexts)))
+    ends = np.cumsum([len(t) for t in contexts], dtype=np.intp).tolist()
+    arrays = _distinct_ids(vocab, responses)
     unk = int(np.count_nonzero(ids == vocab.id_of[UNK]))
-    return CompiledCorpus(contexts, [arrays[p.response] for p in pairs],
-                          unk / len(ids) if len(ids) else 0.0)
+    return ([ids[end - len(t):end] for t, end in zip(contexts, ends)],
+            _stacked([arrays[sid] for sid in responses]),
+            unk / len(ids) if len(ids) else 0.0)
+
+
+def compile_corpus(pairs, vocab):
+    """The pairs as ``_compiled`` maps them: (contexts, responses,
+    unk_share). A main pair's context is its ``context``, its prompt's S-ID
+    tokens as serving's context has; other stages keep every prompt token."""
+    return _compiled(vocab, [p.context if p.stage == "main" else tokenize_text(p.prompt)
+                             for p in pairs], [p.response for p in pairs])
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -231,11 +226,12 @@ def check_stages(stages) -> None:
 
 
 def _stacked(responses) -> np.ndarray:
-    """Equal-length response id arrays as one (P, n) array."""
-    if len({len(r) for r in responses}) > 1:
+    """Equal-length response id lists as one (P, n) array."""
+    depths = {len(r) for r in responses} or {0}
+    if len(depths) > 1:
         raise AlignmentError("responses differ in length; a batch needs S-IDs of "
                              "one depth")
-    return np.array(responses, dtype=np.intp).reshape(len(responses), -1)
+    return np.array(responses, dtype=np.intp).reshape(len(responses), depths.pop())
 
 
 def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
@@ -261,13 +257,11 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
             continue
         if isinstance(scorer, NgramScorer):
             # the n-gram reads only the bucket, so no prompt is tokenized
-            ids = _distinct_ids(scorer.vocab, pairs)
+            ids = _distinct_ids(scorer.vocab, (p.response for p in pairs))
             scorer.train([(p.bucket, ids[p.response]) for p in pairs])
             stage_log.append({"stage": stage, "pairs": len(pairs)})
         elif isinstance(scorer, NeuralScorer):
-            corpus = compile_corpus(pairs, scorer.vocab)
-            ctx_ptr, ctx_ids = csr(corpus.contexts)
-            responses = _stacked(corpus.responses)
+            contexts, responses, unk_share = compile_corpus(pairs, scorer.vocab)
             epochs = (epochs_per_stage or {}).get(stage, 3)
             for _ in range(epochs):
                 perm = rng.permutation(len(pairs))
@@ -275,10 +269,10 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
                     rows = perm[start:start + TRAIN_BATCH]
                     # gradient ascent on sum log P(response | context)
                     _, pullback = scorer.seq_logprob_vjp(
-                        *csr_take(ctx_ptr, ctx_ids, rows), responses[rows])
+                        [contexts[r] for r in rows], responses[rows])
                     scorer.apply_grads(pullback(), -learning_rate)
             stage_log.append({"stage": stage, "pairs": len(pairs), "epochs": epochs,
-                              "unk_share": corpus.unk_share})
+                              "unk_share": unk_share})
         else:
             raise AlignmentError(f"unsupported scorer type {type(scorer).__name__}")
     return scorer, stage_log
@@ -323,17 +317,13 @@ def _shared_vocab(policy: NeuralScorer, reference: NeuralScorer):
 
 def _triplet_chunks(vocab, triplets):
     """The triplets as id batches of at most DPO_CHUNK triplets each: a
-    chunk of C triplets is (ctx_ptr, ctx_ids, responses) over 2C sequences,
-    the C high responses and then the C low ones, each under its triplet's
+    chunk of C triplets is (contexts, responses) over 2C sequences, the C
+    high responses and then the C low ones, each under its triplet's
     context."""
-    chunks = []
-    for start in range(0, len(triplets), DPO_CHUNK):
-        part = triplets[start:start + DPO_CHUNK]
-        contexts = [id_array(vocab, t.user.tokens) for t in part]
-        chunks.append(csr(contexts + contexts) + (_stacked(
-            [vocab.sid_ids(t.high_ad) for t in part]
-            + [vocab.sid_ids(t.low_ad) for t in part]),))
-    return chunks
+    parts = [triplets[s:s + DPO_CHUNK] for s in range(0, len(triplets), DPO_CHUNK)]
+    return [_compiled(vocab, [t.user.tokens for t in part] * 2,
+                      [t.high_ad for t in part] + [t.low_ad for t in part])[:2]
+            for part in parts]
 
 
 def _reference_logprobs(reference: NeuralScorer, chunks):

@@ -66,6 +66,8 @@ class BehaviorEvent:
     sid: SemanticId | None = None
 
     def __post_init__(self):
+        if self.days_ago < 0:
+            raise PromptError(f"days_ago must be >= 0, got {self.days_ago}")
         if self.domain == "ad" and self.ad_id is None:
             raise PromptError("ad-domain event requires an ad reference")
         if self.domain == "content" and self.title is None:

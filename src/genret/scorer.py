@@ -271,6 +271,13 @@ class NgramScorer:
             if bad:
                 raise ScorerError(f"snapshot counts of bucket {bucket} and window "
                                   f"{window} name id {bad[0]}, outside [0, {v})")
+            # train writes whole counts >= 1; a count <= 0 or NaN leaves rows
+            # that are no distribution
+            bad = [(i, c) for i, c in counts.items() if not (math.isfinite(c) and c > 0)]
+            if bad:
+                raise ScorerError(f"snapshot counts of bucket {bucket} and window "
+                                  f"{window} give id {bad[0][0]} the count {bad[0][1]}, "
+                                  f"not a finite number > 0")
             scorer.counts[(tuple(bucket), tuple(window))] = counts
         return scorer
 
@@ -338,41 +345,22 @@ def _row_codes(rows: int, *columns) -> np.ndarray:
     return code
 
 
-def csr(arrays) -> tuple[np.ndarray, np.ndarray]:
-    """Id arrays laid end to end as (ptr, ids): array k is
-    ``ids[ptr[k]:ptr[k + 1]]``. The neural scorer's batched calls take their
-    contexts in this form."""
-    ptr = np.zeros(len(arrays) + 1, dtype=np.intp)
-    np.cumsum([len(a) for a in arrays], out=ptr[1:])
-    ids = np.concatenate(arrays).astype(np.intp) if len(arrays) else ptr[:0]
-    return ptr, ids
-
-
-def csr_take(ptr, ids, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The (ptr, ids) of the arrays ``rows`` of a CSR pair, in that order."""
-    lengths = (ptr[1:] - ptr[:-1])[rows]
-    out = np.zeros(len(lengths) + 1, dtype=np.intp)
-    np.cumsum(lengths, out=out[1:])
-    return out, ids[np.arange(out[-1]) + (ptr[rows] - out[:-1]).repeat(lengths)]
-
-
-def _embedding_plan(ctx_ptr, ctx_ids, responses):
+def _embedding_plan(padded, lengths, responses):
     """The embedding rows a teacher-forced pass over P pairs pools, pair by
     pair and, within a pair, in step order: step i of pair p pools p's
     context, then responses[p, :i]. Returns (vocabulary id, forward row
     p·n + i, and the count that row's pooled mean divides by) per entry."""
     n_pairs, n = responses.shape
-    nc = ctx_ptr[1:] - ctx_ptr[:-1]
-    size = (nc[:, None] + np.arange(n)).ravel()  # entries of row p·n + i
+    size = (lengths[:, None] + np.arange(n)).ravel()  # entries of row p·n + i
     row = np.arange(n_pairs * n).repeat(size)
     at = np.arange(len(row)) - (size.cumsum() - size).repeat(size)  # within the row
     pair = row // max(n, 1)
-    past = at - nc[pair]  # >= 0: the response id at that step of the pair
+    past = at - lengths[pair]  # >= 0: the response id at that step of the pair
     in_ctx = past < 0
     token = np.empty(len(row), dtype=np.intp)
-    token[in_ctx] = ctx_ids[(ctx_ptr[pair] + at)[in_ctx]]
+    token[in_ctx] = padded[pair[in_ctx], at[in_ctx]]
     token[~in_ctx] = responses.ravel()[(pair * n + past)[~in_ctx]]
-    count = np.where(in_ctx, nc[pair], row - pair * n).astype(np.float64)
+    count = np.where(in_ctx, lengths[pair], row - pair * n).astype(np.float64)
     return token, row, count
 
 
@@ -445,18 +433,25 @@ class NeuralScorer:
         exp = np.exp(logits)
         return h, exp, exp.sum(axis=-1)
 
-    def _context_means(self, ctx_ptr, ctx_ids):
-        """(P, embed_dim): the mean embedding of each CSR context, 0.0 for an
-        empty one. The contexts are padded with an appended zero row, which
+    def _batch_layout(self, contexts):
+        """The one layout of a batch's contexts, given as 1-D id arrays:
+        (padded, lengths), where row p of the (P, longest) matrix padded is
+        context p followed by the index of the zero row that
+        ``_context_means`` appends to the embeddings."""
+        lengths = np.fromiter(map(len, contexts), dtype=np.intp, count=len(contexts))
+        padded = np.full((len(lengths), lengths.max(initial=0)), len(self.params["emb"]))
+        padded[np.arange(padded.shape[1]) < lengths[:, None]] = (
+            np.concatenate(contexts) if len(contexts) else ())
+        return padded, lengths
+
+    def _context_means(self, padded, lengths):
+        """(P, embed_dim): the mean embedding of each laid-out context, 0.0
+        for an empty one. The padding reads an appended zero row, which
         leaves each sum unchanged: numpy adds along a non-contiguous axis in
         order, so a context's mean equals the mean of it alone bit for bit.
         (At embed_dim 1 the axis is contiguous and numpy sums it pairwise,
         so there the padding can move the last bit.)"""
-        lengths = ctx_ptr[1:] - ctx_ptr[:-1]
-        emb = self.params["emb"]
-        padded = np.full((len(lengths), lengths.max(initial=0)), len(emb))
-        padded[np.arange(padded.shape[1]) < lengths[:, None]] = ctx_ids
-        rows = np.concatenate((emb, np.zeros((1, self.embed_dim))))[padded]
+        rows = np.concatenate((self.params["emb"], np.zeros((1, self.embed_dim))))[padded]
         return rows.sum(axis=1) / np.maximum(lengths, 1)[:, None]
 
     def _pool(self, base, sums, lengths):
@@ -485,22 +480,23 @@ class NeuralScorer:
 
     prob_dist = _prob_dist
 
-    def _forward(self, ctx_ptr, ctx_ids, responses):
-        """The forward of every step of P pairs, stacked pair by pair: row
-        p·n + i predicts responses[p, i] from responses[p, :i], bit for bit as
-        the decode state's row of that prefix does: a running sum adds in
-        the order the state's ``extend`` does. Returns (pool, plen, h, probs)."""
+    def _forward(self, layout, responses):
+        """The forward of every step of P pairs, their contexts laid out by
+        ``_batch_layout``, stacked pair by pair: row p·n + i predicts
+        responses[p, i] from responses[p, :i], bit for bit as the decode
+        state's row of that prefix does: a running sum adds in the order the
+        state's ``extend`` does. Returns (pool, plen, h, probs)."""
         n_pairs, n = responses.shape
         sums = np.zeros((n_pairs, n, self.embed_dim))
         np.cumsum(self.params["emb"][responses[:, :-1]], axis=1, out=sums[:, 1:])
-        means = self._context_means(ctx_ptr, ctx_ids).repeat(n, axis=0)
+        means = self._context_means(*layout).repeat(n, axis=0)
         pool, plen = self._pool(np.zeros(self.embed_dim) + means,
                                 sums.reshape(-1, self.embed_dim),
                                 np.tile(np.arange(n), n_pairs))
         h, exp, total = self._layers(pool)
         return pool, plen, h, exp / total[:, None]
 
-    def _backward(self, ctx_ptr, ctx_ids, responses, pool, plen, h, d_logits):
+    def _backward(self, layout, responses, pool, plen, h, d_logits):
         """Gradients of sum_r d_logits[r] . logits_r over a stacked forward.
         Every sum over rows adds from zero in row order and the embedding
         shares add pair by pair in step order, so one pair's gradients equal
@@ -518,7 +514,7 @@ class NeuralScorer:
         grads["w1"] = np.einsum("rj,rd->jd", d_pre, pool)
         grads["b1"] = d_pre.sum(axis=0)
         d_pool = np.matmul(p["w1"].T, d_pre[..., None])[..., 0]
-        token, row, count = _embedding_plan(ctx_ptr, ctx_ids, responses)
+        token, row, count = _embedding_plan(*layout, responses)
         grads["emb"] = _added_rows(p["emb"], token, d_pool[row] / count[:, None])
         grads["pos"] = _added_rows(p["pos"], plen, d_pool)
         return grads
@@ -526,18 +522,22 @@ class NeuralScorer:
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def seq_logprob_vjp(self, ctx_ptr, ctx_ids, responses):
-        """log P(responses[p] | context p) of P pairs from one forward, and
+    def seq_logprob_vjp(self, contexts, responses):
+        """log P(responses[p] | contexts[p]) of P pairs from one forward, and
         its pullback: ``pullback(weights)`` is the exact gradient of
-        sum_p weights[p] · logp[p] (all weights 1.0 when None). Contexts come
-        in CSR form (``csr``); responses are a (P, n) id array.
+        sum_p weights[p] · logp[p] (all weights 1.0 when None). Each context
+        is a 1-D id array and responses are a (P, n) id array; counts that
+        differ raise ScorerError. This is the one place a batch is laid out.
 
         Each log-probability adds its steps' logs in step order, so it
         equals its pair's, asked alone, bit for bit whatever the batch.
         Fine-tuning ascends the sum, with ``apply_grads(grads,
         -lr)``, and DPO weights each sequence by its share of the loss."""
         responses = np.asarray(responses, dtype=np.intp)
-        pool, plen, h, probs = self._forward(ctx_ptr, ctx_ids, responses)
+        if len(contexts) != len(responses):
+            raise ScorerError(f"{len(contexts)} contexts for {len(responses)} responses")
+        layout = self._batch_layout(contexts)
+        pool, plen, h, probs = self._forward(layout, responses)
         n_pairs, n = responses.shape
 
         def pullback(weights=None):
@@ -546,7 +546,7 @@ class NeuralScorer:
             d_logits[np.arange(n_pairs * n), responses.ravel()] -= 1.0
             scale = np.ones(n_pairs) if weights is None else np.asarray(weights, float)
             d_logits *= -scale.repeat(n)[:, None]
-            return self._backward(ctx_ptr, ctx_ids, responses, pool, plen, h, d_logits)
+            return self._backward(layout, responses, pool, plen, h, d_logits)
 
         return _seq_logprobs(probs, responses), pullback
 
@@ -572,7 +572,8 @@ class NeuralScorer:
     @classmethod
     def from_payload(cls, payload: dict) -> "NeuralScorer":
         """The scorer a snapshot holds; a parameter whose name or shape does
-        not fit the vocabulary and dimensions raises ScorerError."""
+        not fit the vocabulary and dimensions, or that holds a value that is
+        not a finite number, raises ScorerError."""
         vocab = Vocabulary(payload["tokens"])
         v, d, h = len(vocab), payload["embed_dim"], payload["hidden_dim"]
         shapes = {"emb": (v, d), "pos": (payload["max_prefix"] + 1, d), "w1": (h, d),
@@ -585,6 +586,10 @@ class NeuralScorer:
             if params[name].shape != shape:
                 raise ScorerError(f"snapshot parameter {name!r} has shape "
                                   f"{params[name].shape}, expected {shape}")
+            if not (np.issubdtype(params[name].dtype, np.number)
+                    and np.isfinite(params[name]).all()):
+                raise ScorerError(f"snapshot parameter {name!r} holds a value that "
+                                  f"is not a finite number")
         return cls(vocab=vocab, embed_dim=d, hidden_dim=h,
                    max_prefix=payload["max_prefix"], seed=payload["seed"], params=params)
 
@@ -617,6 +622,9 @@ def load_scorer(path):
     """The scorer a save() wrote, of the kind its snapshot names."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ScorerError(f"scorer snapshot {path} holds a JSON "
+                          f"{type(payload).__name__}, not an object")
     kind = payload.get("kind")
     if kind == "ngram":
         return NgramScorer.from_payload(payload)

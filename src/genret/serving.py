@@ -115,14 +115,12 @@ def nearline_tick(store: FeatureStore, triggers: list, policy: AdmissionPolicy,
     ``stats["first_generation_error"]``, and it publishes nothing."""
     reusable = stats.setdefault("reusable", set())
     per_group = stats.setdefault("admitted_per_group", {})
-    # the triggers before stats["in_order"] are still in admission order from
-    # the last tick, each beside its admission key, (-group, seq), in
-    # stats["admission_keys"]; only those appended since are placed, and
-    # each one's key is computed once
-    ordered = stats.get("in_order", 0)
+    # the triggers the last tick left, one per key in stats["admission_keys"],
+    # are still in admission order beside their keys, (-group, seq); only
+    # those appended since are placed, each one's key computed once
     keys = stats.setdefault("admission_keys", [])
-    added = triggers[ordered:]
-    del triggers[ordered:]
+    added = triggers[len(keys):]
+    del triggers[len(keys):]
     for trigger in added:
         key = (-policy.group_of(trigger[2]), trigger[1])
         at = bisect.bisect_right(keys, key)
@@ -131,7 +129,6 @@ def nearline_tick(store: FeatureStore, triggers: list, policy: AdmissionPolicy,
     budget = policy.budget_per_tick
     admitted = zip(triggers[:budget], keys[:budget])
     del triggers[:budget], keys[:budget]
-    stats["in_order"] = len(triggers)
     for (_, _, user_id), (negated_group, _) in admitted:
         pool.dispatch_one()
         per_group[-negated_group] = per_group.get(-negated_group, 0) + 1

@@ -5,7 +5,7 @@ import pytest
 
 from genret.decoder import DecodeError, RetrievalList
 from genret.prompting import BehaviorEvent, InterestSummary, UserProfile
-from genret.scorer import RowState, csr
+from genret.scorer import RowState
 from genret.sid import SemanticId, render_token
 from genret.trie import Trie, build
 from genret.vocab import Vocabulary, vocab_from_sids
@@ -37,7 +37,7 @@ class RowScorer:
 def one_pair(scorer, ctx_ids, resp_ids):
     """log P(response | context) of one pair, as a float, and its gradient:
     ``seq_logprob_vjp`` over a batch of that pair alone."""
-    logps, pullback = scorer.seq_logprob_vjp(*csr([ctx_ids]), np.asarray(resp_ids)[None])
+    logps, pullback = scorer.seq_logprob_vjp([ctx_ids], np.asarray(resp_ids)[None])
     return float(logps[0]), pullback()
 
 

@@ -16,7 +16,7 @@ from genret.catalog import Ad, Catalog, load_catalog
 from genret.embed import embed_catalog
 from genret.jsonl import JsonlError
 from genret.prompting import BehaviorEvent, UserProfile, load_events, load_profiles
-from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext, csr, id_array,
+from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext, id_array,
                            tokenize_text)
 from genret.sid import SemanticId, is_token
 from genret.vocab import vocab_from_sids
@@ -134,7 +134,7 @@ def test_main_neural_context_keeps_only_sid_tokens():
                                {"u1": events})["main"][-1]
     assert "play_video" in pair.prompt and "click_ad" in pair.prompt
     vocab = vocab_from_sids(sids)
-    tokens = tuple(vocab.tokens[i] for i in compile_corpus([pair], vocab).contexts[0])
+    tokens = tuple(vocab.tokens[i] for i in compile_corpus([pair], vocab)[0][0])
     assert tokens == ("a_1", "b_2", "c_0")
     serving = user_context(_profile(), events[:2], _catalog()).tokens
     assert set(tokens) <= set(serving)
@@ -309,6 +309,15 @@ def test_staged_rejects_a_learning_rate_that_cannot_train(vocab, rate):
         np.testing.assert_array_equal(neural.params[name], value)
 
 
+def test_staged_neural_rejects_responses_of_different_depths(vocab):
+    # a stage's responses are one (P, n) array, so its S-IDs share a depth
+    pairs = [alignment.CorpusPair(prompt="p", response=SIDS["ad1"], stage="main"),
+             alignment.CorpusPair(prompt="p", response=SemanticId((1, 0)), stage="main")]
+    with pytest.raises(AlignmentError, match="one depth"):
+        train_staged(NeuralScorer(vocab, embed_dim=4, hidden_dim=4), {"main": pairs},
+                     order=("main",))
+
+
 def test_staged_unsupported_scorer(vocab):
     with pytest.raises(AlignmentError, match="unsupported"):
         train_staged(object(), {"explicit": explicit_pairs(_catalog(), SIDS)},
@@ -377,16 +386,16 @@ def corpus_pairs(draw):
 @example([alignment.CorpusPair(prompt="", response=SIDS["ad2"], stage="main")])
 def test_compiled_ids_equal_string_path(pairs):
     vocab = vocab_from_sids(SIDS, extra_tokens=["a_\u0661", "play_video", "cat:cat0"])
-    compiled = compile_corpus(pairs, vocab)
-    assert len(compiled.contexts) == len(compiled.responses) == len(pairs)
+    contexts, responses, unk_share = compile_corpus(pairs, vocab)
+    assert len(contexts) == len(responses) == len(pairs)
     unk = total = 0
-    for pair, ctx, resp in zip(pairs, compiled.contexts, compiled.responses):
+    for pair, ctx, resp in zip(pairs, contexts, responses):
         want = [vocab.lookup(t) for t in string_context(pair)]
         assert ctx.tolist() == want, pair.prompt
         assert resp.tolist() == [vocab.lookup(t) for t in string_response(pair)]
         unk += sum(i == vocab.lookup("<unk>") for i in want)
         total += len(want)
-    assert compiled.unk_share == (unk / total if total else 0.0)
+    assert unk_share == (unk / total if total else 0.0)
 
 
 def sid_like_scan(prompt):
@@ -487,7 +496,7 @@ def string_path_train(scorer, corpora, epochs, learning_rate=0.02, seed=0):
             perm = rng.permutation(len(samples))
             for start in range(0, len(perm), alignment.TRAIN_BATCH):
                 batch = [samples[i] for i in perm[start:start + alignment.TRAIN_BATCH]]
-                _, pullback = scorer.seq_logprob_vjp(*csr([c for c, _ in batch]),
+                _, pullback = scorer.seq_logprob_vjp([c for c, _ in batch],
                                                      np.array([r for _, r in batch]))
                 scorer.apply_grads(pullback(), -learning_rate)
 
@@ -712,6 +721,14 @@ def test_dpo_update_rejects_a_learning_rate_that_cannot_align(vocab):
                        steps=1)
     for name, value in fresh.params.items():
         np.testing.assert_array_equal(policy.params[name], value)
+
+
+def test_dpo_update_rejects_ads_of_different_depths(vocab):
+    policy = NeuralScorer(vocab, embed_dim=8, hidden_dim=8, seed=0)
+    short = PreferenceTriplet(user=_triplet(vocab).user, high_ad=SIDS["ad1"],
+                              low_ad=SemanticId((1, 0)))
+    with pytest.raises(AlignmentError, match="one depth"):
+        dpo_update(policy, policy.copy(), [_triplet(vocab), short], steps=1)
 
 
 def test_dpo_unknown_variant(vocab):

@@ -7,6 +7,8 @@ import pytest
 
 from genret.cli import build_parser, main
 from genret.pipeline import PipelineConfig, run_pipeline
+from genret.scorer import NeuralScorer
+from genret.vocab import Vocabulary
 
 
 def run_cli(capsys, *argv):
@@ -543,3 +545,28 @@ def test_neural_train_prints_unk_share(tmp_path, capsys):
                          "--scorer", "neural", "--out", str(tmp_path / "scorer.json")))
     assert {e["stage"]: e["unk_share"] for e in log} == {
         "explicit": 1.0, "implicit": 1.0, "main": 0.0}
+
+
+def test_generate_names_a_scorer_snapshot_that_cannot_load(tmp_path, capsys):
+    """A neural snapshot holding NaN, or a snapshot that is no JSON object,
+    fails the load with ScorerError before any decode runs."""
+    (tmp_path / "sids.jsonl").write_text('{"ad_id": "ad0", "tokens": ["a_0", "b_0"]}\n')
+    (tmp_path / "events.jsonl").write_text(
+        '{"user_id": "u1", "days_ago": 1, "event_type": "click_ad", '
+        '"domain": "ad", "ad_id": "ad0"}\n')
+    snapshot = tmp_path / "scorer.json"
+    NeuralScorer(Vocabulary(["<unk>", "a_0", "b_0"]), embed_dim=2, hidden_dim=2).save(snapshot)
+    payload = json.loads(snapshot.read_text())
+    payload["params"]["b2"][1] = float("nan")
+    for text, message in ((json.dumps(payload), "'b2'"), ("[]", "not an object")):
+        snapshot.write_text(text)
+        code, _, err = run_cli(capsys, "generate", "--scorer", str(snapshot),
+                               "--catalog", str(tmp_path / "catalog.jsonl"),
+                               "--sids", str(tmp_path / "sids.jsonl"),
+                               "--profiles", str(tmp_path / "profiles.jsonl"),
+                               "--events", str(tmp_path / "events.jsonl"),
+                               "--out", str(tmp_path / "results.jsonl"))
+        assert code == 1
+        obj = json.loads(err.strip().splitlines()[-1])
+        assert obj["error"] == "ScorerError" and message in obj["message"]
+        assert not (tmp_path / "results.jsonl").exists()

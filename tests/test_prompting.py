@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from genret.jsonl import JsonlError
 from genret.prompting import (BehaviorEvent, InterestSummary, PromptError,
                               PromptSample, UserProfile, augment, build_prompt,
                               count_tokens, filter_events, interaction_reuse_splits,
@@ -365,3 +366,22 @@ def test_load_profiles_and_events(tmp_path):
     events = load_events(epath, sids={"adX": SemanticId((1, 2, 0))})
     assert [e.days_ago for e in events["u1"]] == [9, 3]  # oldest first
     assert events["u1"][1].sid == SemanticId((1, 2, 0))
+
+
+def test_event_rejects_a_negative_days_ago():
+    """An event lies in the past or today: "-3 days ago" would render into
+    a prompt and pass the behaviour window."""
+    assert BehaviorEvent(0, "search", "content", title="t").days_ago == 0
+    with pytest.raises(PromptError, match="days_ago"):
+        BehaviorEvent(-3, "search", "content", title="t")
+
+
+def test_load_events_names_the_line_of_a_negative_days_ago(tmp_path):
+    epath = tmp_path / "events.jsonl"
+    epath.write_text(
+        '{"user_id": "u1", "days_ago": 3, "event_type": "search", '
+        '"domain": "content", "title": "t"}\n'
+        '{"user_id": "u1", "days_ago": -3, "event_type": "search", '
+        '"domain": "content", "title": "t"}\n')
+    with pytest.raises(JsonlError, match=r"events\.jsonl: line 2: .*days_ago"):
+        load_events(epath, sids={})

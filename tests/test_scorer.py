@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from genret import scorer as scorer_mod
 from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext,
-                           ScorerError, csr, id_array, load_scorer, tokenize_text)
+                           ScorerError, id_array, load_scorer, tokenize_text)
 from genret.sid import SemanticId
 from genret.vocab import Vocabulary, vocab_from_sids
 
@@ -127,26 +127,39 @@ def test_ngram_snapshot_weights_are_checked(vocab, tmp_path):
             load_scorer(path)
 
 
+def ngram_payload(g_window, g_counts):
+    """A 3-token n-gram snapshot: bucket g's counts after g_window, and
+    bucket h's one count."""
+    return {"kind": "ngram", "version": 1, "smoothing_alpha": 0.1, "max_order": 2,
+            "interpolation": [1 / 7, 2 / 7, 4 / 7], "tokens": ["<unk>", "<sep>", "<task>"],
+            "counts": [[["g"], g_window, g_counts], [["h"], [], [[2, 1.0]]]]}
+
+
 def test_ngram_snapshot_ids_are_checked():
     """Every count's token id and every window id of a snapshot must lie in
     [0, |V|): an entry is coded key·|V| + id, so id |V| would read as the
     next key's entry for id 0 and leave neither row summing to 1."""
-    weights = [1 / 7, 2 / 7, 4 / 7]
-
-    def payload(g_window, g_counts):
-        return {"kind": "ngram", "version": 1, "smoothing_alpha": 0.1, "max_order": 2,
-                "interpolation": weights, "tokens": ["<unk>", "<sep>", "<task>"],
-                "counts": [[["g"], g_window, g_counts], [["h"], [], [[2, 1.0]]]]}
-
-    good = NgramScorer.from_payload(payload([], [[2, 5.0]]))
+    good = NgramScorer.from_payload(ngram_payload([], [[2, 5.0]]))
     for bucket in ("g", "h"):
         row = good.prob_dist(ScorerContext(bucket=(bucket,)), [])
         assert row.sum() == pytest.approx(1.0)
     for window, counts, bad in (([], [[2, 5.0], [3, 50.0]], "3"), ([], [[-1, 1.0]], "-1"),
                                 ([3], [[2, 1.0]], "[3]"), ([0, -1], [[2, 1.0]], "-1")):
         with pytest.raises(ScorerError, match=r"bucket \['g'\] and window") as err:
-            NgramScorer.from_payload(payload(window, counts))
+            NgramScorer.from_payload(ngram_payload(window, counts))
         assert bad in str(err.value)
+
+
+@pytest.mark.parametrize("count", [-5.0, 0.0, float("nan"), float("inf")])
+def test_ngram_snapshot_counts_are_checked(tmp_path, count):
+    """Every count of a snapshot must be a finite number above 0, as train
+    writes them: [[2, -5.0]] would make bucket g's row read [-0.021,
+    -0.021, 1.043], and NaN would make it all NaN, failing only at decode."""
+    path = tmp_path / "scorer.json"
+    path.write_text(json.dumps(ngram_payload([], [[1, 2.0], [2, count]])))
+    with pytest.raises(ScorerError, match=r"bucket \['g'\] and window \[\] give id 2 "
+                                          r"the count"):
+        load_scorer(path)
 
 
 @settings(max_examples=30, deadline=None)
@@ -443,6 +456,30 @@ def test_neural_snapshot_shapes_are_checked(vocab, tmp_path):
     for changed, name in ((missing, "b1"), ({**params, "w3": [0.0]}, "w3"), ({}, "emb")):
         path.write_text(json.dumps({**payload, "params": changed}))
         with pytest.raises(ScorerError, match=name):
+            load_scorer(path)
+
+
+def test_neural_snapshot_values_are_checked(vocab, tmp_path):
+    """A parameter holding NaN, infinity or a string fails the load and is
+    named, rather than loading and failing the first decode's contract
+    check (or the load failing with numpy's TypeError)."""
+    path = tmp_path / "neural.json"
+    NeuralScorer(vocab, embed_dim=4, hidden_dim=3, max_prefix=2, seed=1).save(path)
+    payload = json.loads(path.read_text())
+    params = payload["params"]
+    for name, value in (("b2", [float("nan")] + params["b2"][1:]),
+                        ("emb", [[float("inf")] * 4] + params["emb"][1:]),
+                        ("w1", [["x"] * 4] + params["w1"][1:])):
+        path.write_text(json.dumps({**payload, "params": {**params, name: value}}))
+        with pytest.raises(ScorerError, match=f"'{name}'.*not a finite number"):
+            load_scorer(path)
+
+
+def test_load_scorer_rejects_a_snapshot_that_is_not_an_object(tmp_path):
+    path = tmp_path / "scorer.json"
+    for text in ("[]", "3", '"neural"'):
+        path.write_text(text)
+        with pytest.raises(ScorerError, match="not an object"):
             load_scorer(path)
 
 
@@ -770,7 +807,7 @@ def test_teacher_forced_rows_equal_single_prefix_forward():
     ctx = ScorerContext(tokens=tuple(rng.choice(tokens, size=35)))
     resp = list(rng.choice(tokens, size=9))
     ctx_ids, resp_ids = id_array(scorer.vocab, ctx.tokens), id_array(scorer.vocab, resp)
-    probs = scorer._forward(*csr([ctx_ids]), resp_ids[None])[3]
+    probs = scorer._forward(scorer._batch_layout([ctx_ids]), resp_ids[None])[3]
     for i in range(len(resp)):
         np.testing.assert_array_equal(probs[i], loop_forward(scorer, ctx.tokens, resp[:i]))
     logp, grads = one_pair(scorer, ctx_ids, resp_ids)
@@ -801,7 +838,7 @@ def test_batched_gradient_equals_sum_of_pair_gradients(pairs, max_prefix, seed, 
     contexts = [id_array(scorer.vocab, c) for c, _, _ in pairs]
     responses = [id_array(scorer.vocab, r) for _, r, _ in pairs]
     weights = [w if weighted else 1.0 for _, _, w in pairs]
-    logps, pullback = scorer.seq_logprob_vjp(*csr(contexts),
+    logps, pullback = scorer.seq_logprob_vjp(contexts,
                                              np.array(responses).reshape(len(pairs), -1))
     grads = pullback(weights if weighted else None)
     want = scorer.zero_grads()
@@ -813,3 +850,12 @@ def test_batched_gradient_equals_sum_of_pair_gradients(pairs, max_prefix, seed, 
     assert grads.keys() == want.keys()
     for k in want:
         np.testing.assert_allclose(grads[k], want[k], rtol=0, atol=1e-12, err_msg=k)
+
+
+def test_batched_gradient_rejects_unequal_counts():
+    scorer = NeuralScorer(vocab_from_sids(SIDS), seed=0)
+    context, response = id_array(scorer.vocab, ["a_0"]), id_array(scorer.vocab, ["a_1"])
+    for contexts, responses in (([context] * 2, [response]), ([context], [response] * 2),
+                                ([], [response])):
+        with pytest.raises(ScorerError, match="contexts for"):
+            scorer.seq_logprob_vjp(contexts, np.array(responses))

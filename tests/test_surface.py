@@ -137,3 +137,16 @@ def test_only_jsonl_parses_json_lines():
         and node.func.attr == "loads" and isinstance(node.func.value, ast.Name)
         and node.func.value.id == "json")
     assert not callers, callers
+
+
+def test_only_the_scorer_lays_out_neural_batches():
+    """A neural batch's layout lives in genret.scorer alone: callers pass
+    ``seq_logprob_vjp`` one id array per context, and no other module names
+    the layout helper or a CSR form of the contexts."""
+    layout = {"_batch_layout", "ctx_ptr", "csr"}
+    names = sorted(
+        f"{path.name}:{node.lineno}" for path in PACKAGE.glob("*.py")
+        if path.name != "scorer.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if layout & {getattr(node, attr, None) for attr in ("id", "attr", "name", "arg")})
+    assert not names, names
