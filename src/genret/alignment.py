@@ -13,7 +13,8 @@ import numpy as np
 from . import jsonl
 from .catalog import Catalog, render_description
 from .prompting import InterestSummary, UserProfile, augment, filter_events
-from .scorer import NeuralScorer, NgramScorer, ScorerContext, id_array, tokenize_text
+from .scorer import (BUCKET, NeuralScorer, NgramScorer, ScorerContext, id_array,
+                     tokenize_text)
 from .sid import SemanticId, is_token
 from .vocab import UNK
 
@@ -62,6 +63,14 @@ class CorpusPair:
     def __post_init__(self):
         if self.stage == "main" and self.context is None:
             object.__setattr__(self, "context", sid_context(self.prompt))
+
+
+# a corpus line: a pair's prompt, its response rendered, its stage, and the
+# n-gram bucket and user it came from
+CORPUS_RECORD = jsonl.spec(
+    prompt=jsonl.STRING, response=jsonl.STRING, stage=jsonl.one_of(*STAGES),
+    bucket=jsonl.optional(BUCKET),
+    user_id=jsonl.optional(jsonl.STRING))
 
 
 @dataclass(frozen=True)
@@ -411,8 +420,6 @@ def save_corpus(pairs, path):
 
 
 def _corpus_pair(obj) -> CorpusPair:
-    if obj["stage"] not in STAGES:
-        raise ValueError(f"unknown stage {obj['stage']!r}; expected one of {STAGES}")
     return CorpusPair(prompt=obj["prompt"], response=SemanticId.parse(obj["response"]),
                       stage=obj["stage"], bucket=tuple(obj.get("bucket", ())),
                       user_id=obj.get("user_id", ""))
@@ -421,4 +428,4 @@ def _corpus_pair(obj) -> CorpusPair:
 def load_corpus(path) -> list[CorpusPair]:
     """A saved corpus; a malformed response or an unknown stage fails,
     naming the file and line."""
-    return list(jsonl.read(path, _corpus_pair))
+    return list(jsonl.read(path, _corpus_pair, jsonl.JsonlError, CORPUS_RECORD))

@@ -16,9 +16,9 @@ class CatalogError(ValueError):
 class Ad:
     ad_id: str
     name: str
-    product_type: str
-    first_category: str
-    second_category: str
+    product_type: str = ""
+    first_category: str = ""
+    second_category: str = ""
     attributes: tuple[tuple[str, str], ...] = ()
     ecpm: float = 0.0
 
@@ -30,6 +30,15 @@ class Ad:
         if not (math.isfinite(self.ecpm) and self.ecpm >= 0):
             raise CatalogError(f"ad {self.ad_id!r}: ecpm must be finite and >= 0, "
                                f"got {self.ecpm}")
+
+
+# a catalog line; the fields it leaves out take Ad's defaults
+AD_RECORD = jsonl.spec(
+    ad_id=jsonl.ID, name=jsonl.STRING, product_type=jsonl.optional(jsonl.STRING),
+    first_category=jsonl.optional(jsonl.STRING),
+    second_category=jsonl.optional(jsonl.STRING),
+    attributes=jsonl.optional(jsonl.array(jsonl.tuple_of(jsonl.STRING, jsonl.STRING))),
+    ecpm=jsonl.optional(jsonl.NUMBER))
 
 
 @dataclass
@@ -75,23 +84,18 @@ def render_description(ad: Ad) -> str:
 
 
 def _ad_from_obj(obj: dict) -> Ad:
-    attributes = tuple((str(k), str(v)) for k, v in obj.get("attributes", []))
-    return Ad(
-        ad_id=str(obj["ad_id"]),
-        name=str(obj["name"]),
-        product_type=str(obj.get("product_type", "")),
-        first_category=str(obj.get("first_category", "")),
-        second_category=str(obj.get("second_category", "")),
-        attributes=attributes,
-        ecpm=float(obj.get("ecpm", 0.0)),
-    )
+    attributes = tuple(map(tuple, obj.pop("attributes", ())))
+    return Ad(**obj, attributes=attributes)
 
 
 def load_catalog(path) -> Catalog:
-    """Load a JSONL catalog, one ad object per line, preserving file order."""
+    """Load a JSONL catalog, one ad object per line, preserving file order.
+    Each ad is added as its line is read, so a duplicate ad_id raises
+    CatalogError naming the file and the line."""
     catalog = Catalog()
-    for ad in jsonl.read(path, _ad_from_obj, CatalogError):
-        catalog.add(ad)
+    for _ in jsonl.read(path, lambda obj: catalog.add(_ad_from_obj(obj)),
+                        CatalogError, AD_RECORD):
+        pass
     return catalog
 
 

@@ -8,10 +8,10 @@ import json
 import logging
 import sys
 
-from . import alignment, rqvae, serving, synth
+from . import alignment, jsonl, rqvae, serving, synth
 from .catalog import load_catalog
 from .embed import load_embeddings
-from .pipeline import (SCORER_KINDS, PipelineConfig, check_fields, corpus_path,
+from .pipeline import (SCORER_KINDS, PipelineConfig, corpus_path,
                        load_results, run_build_corpus, run_dpo, run_embed, run_eval,
                        run_generate, run_index, run_pipeline, run_train)
 from .prompting import load_events, load_profiles
@@ -41,7 +41,7 @@ def _cmd_index(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             fields = json.load(fh)
-        check_fields(fields, rqvae.RqVaeConfig(), args.config)
+        jsonl.check(fields, jsonl.fields_spec(rqvae.RqVaeConfig()), args.config)
     flags = {"num_levels": args.levels, "codebook_size": args.codebook_size,
              "latent_dim": args.latent_dim, "epochs": args.epochs, "seed": args.seed}
     fields.update({k: v for k, v in flags.items() if v is not None})

@@ -112,8 +112,9 @@ def embed_catalog(catalog: Catalog, dimension: int = 64, seed: int = 0) -> Embed
 
 def load_embeddings(path) -> EmbeddingTable:
     """Load a TSV of ad_id<TAB>space-separated decimals. The first row sets
-    the width; a row of another width, a value that is not a finite number,
-    or a file with no rows is an error naming the file (and the row).
+    the width; a row with an empty ad_id, a row of another width, a value
+    that is not a finite number, or a file with no rows is an error naming
+    the file (and the row).
 
     Duplicate ad_ids follow last-writer-wins with a warning.
     """
@@ -125,6 +126,8 @@ def load_embeddings(path) -> EmbeddingTable:
             if not line:
                 continue
             ad_id, _, rest = line.partition("\t")
+            if not ad_id:
+                raise EmbeddingError(f"{path}: row {rowno}: empty ad_id")
             try:
                 values = np.array([float(v) for v in rest.split()])
             except ValueError as exc:

@@ -1,28 +1,136 @@
-"""JSON-lines records: the one reader and writer for every stage artifact."""
+"""JSON-lines records: the one reader and writer for every stage artifact,
+and the one checker of every JSON object the program reads."""
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
+from typing import Callable, NamedTuple
 
 
 class JsonlError(ValueError):
     pass
 
 
-def read(path, build, error=JsonlError):
-    """Yield build(record) for each non-blank line of a UTF-8 file, in order.
-    A line that is not JSON, or a record that build rejects with a KeyError,
-    TypeError, ValueError or AttributeError (a record that is not an object),
-    raises error naming the file and the line."""
+class Kind(NamedTuple):
+    """What a JSON value may be: one of the Python types json gives it, and,
+    when test is set, a value test passes. An optional key may be absent."""
+    name: str
+    types: tuple
+    test: Callable | None = None
+    required: bool = True
+
+
+# true is an int to isinstance, so a kind names exact types
+ID = Kind("a non-empty string", (str,), bool)
+STRING = Kind("a string", (str,))
+INT = Kind("an integer", (int,))
+NUMBER = Kind("a number", (int, float))
+BOOL = Kind("true or false", (bool,))
+OBJECT = Kind("a JSON object", (dict,))
+
+
+def _fits(kind: Kind, value) -> bool:
+    return type(value) in kind.types and (kind.test is None or kind.test(value))
+
+
+def one_of(*values) -> Kind:
+    return Kind(f"one of {values}", tuple({type(v) for v in values}),
+                frozenset(values).__contains__)
+
+
+def array(item: Kind) -> Kind:
+    types, test = frozenset(item.types), item.test
+    return Kind(f"a JSON array whose items are each {item.name}", (list,),
+                lambda value: types.issuperset(map(type, value))
+                and (test is None or all(map(test, value))))
+
+
+def tuple_of(*items: Kind) -> Kind:
+    return Kind(f"a JSON array of {len(items)} items: "
+                f"{', '.join(item.name for item in items)}", (list,),
+                lambda value: len(value) == len(items) and all(map(_fits, items, value)))
+
+
+def optional(kind: Kind) -> Kind:
+    return kind._replace(required=False)
+
+
+class Spec(NamedTuple):
+    kinds: dict
+    required: frozenset
+
+
+def spec(**kinds: Kind) -> Spec:
+    """The record whose keys are the names of kinds, each holding a value of
+    its kind; a key the record may leave out is optional."""
+    return Spec(kinds, frozenset(key for key, kind in kinds.items() if kind.required))
+
+
+# a config field's kind, by the type of its default
+_DEFAULT_KINDS = {bool: BOOL, int: INT, float: NUMBER, str: STRING, dict: OBJECT,
+                  type(None): Kind("a string or null", (str, type(None)))}
+
+
+def fields_spec(defaults) -> Spec:
+    """The JSON object that overrides fields of the dataclass instance
+    defaults: every key optional, and each value of its default's kind. A
+    tuple field takes an array of the kind of its default's items."""
+    kinds = {}
+    for f in dataclasses.fields(defaults):
+        value = getattr(defaults, f.name)
+        kinds[f.name] = optional(array(_DEFAULT_KINDS[type(value[0])])
+                                 if type(value) is tuple else _DEFAULT_KINDS[type(value)])
+    return spec(**kinds)
+
+
+def check(obj, spec: Spec, where) -> None:
+    """Raise ValueError naming where unless obj is a JSON object whose keys
+    are keys of spec, each with a value of its kind, and which holds every
+    required key. One pass over obj's keys."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    kinds = spec.kinds
+    for key, value in obj.items():
+        kind = kinds.get(key)
+        if kind is None:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        # _fits, inlined: this runs for every key of every record read
+        if type(value) not in kind.types or (kind.test is not None
+                                             and not kind.test(value)):
+            got = json.dumps(value)
+            raise ValueError(f"{where}: {key!r} must be {kind.name}, got "
+                             f"{got if len(got) <= 80 else got[:76] + ' ...'}")
+    if not obj.keys() >= spec.required:
+        raise ValueError(f"{where}: missing key {sorted(spec.required - obj.keys())[0]!r}")
+
+
+# json.loads less its per-call wrapper: read strips the whitespace json
+# allows around a value, and checks that nothing follows the value, itself
+_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+
+
+def read(path, build, error, spec: Spec):
+    """Yield build(record) for each line of a UTF-8 file that holds more than
+    JSON whitespace, in order, once the record passes check against spec. A
+    line that is not one JSON value, a record that spec rejects, or one that
+    build rejects with a ValueError raises error naming the file and the
+    line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            text = line.strip(_JSON_SPACE)
+            if not text:
                 continue
             try:
-                item = build(json.loads(line))
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                obj, end = _decode(text)
+                if end != len(text):
+                    raise json.JSONDecodeError("Extra data", text, end)
+                check(obj, spec, "record")
+                item = build(obj)
+            except ValueError as exc:
                 raise error(
                     f"{path}: line {lineno}: {type(exc).__name__}: {exc}") from exc
             yield item

@@ -4,7 +4,6 @@ run_pipeline, which chains them and records a content-hash manifest."""
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import json
 import math
@@ -93,42 +92,18 @@ class PipelineConfig:
         try:
             # tuple("main") would be four stages of one letter each, so a
             # tuple field takes only an array
-            check_fields(obj, cls(), path)
+            jsonl.check(obj, jsonl.fields_spec(cls()), path)
             for key, defaults in (("synthetic", synth.SyntheticSpec()),
                                   ("rqvae", rqvae.RqVaeConfig())):
                 if "seed" in obj.get(key, {}):
                     raise ValueError(f"{path}: {key!r} must not set 'seed'; "
                                      f"the top-level 'seed' sets it")
-                check_fields(obj.get(key, {}), defaults, f"{path}: {key!r}")
+                jsonl.check(obj.get(key, {}), jsonl.fields_spec(defaults),
+                            f"{path}: {key!r}")
             return cls(**{k: tuple(v) if isinstance(v, list) else v
                           for k, v in obj.items()})
         except ValueError as exc:
             raise PipelineError("config", exc) from exc
-
-
-# the JSON type a value must have, and its name, by the type of the default
-# of the field it sets
-_JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-               float: ((int, float), "a number"), str: ((str,), "a string"),
-               type(None): ((str, type(None)), "a string or null"),
-               dict: ((dict,), "a JSON object"), tuple: ((list,), "a JSON array")}
-
-
-def check_fields(obj, defaults, where) -> None:
-    """Raise ValueError naming where unless obj is a JSON object whose every
-    key names a field of the dataclass instance defaults and whose every
-    value has the JSON type of that field's default there."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-    names = {f.name for f in dataclasses.fields(defaults)}
-    for key, value in obj.items():
-        if key not in names:
-            raise ValueError(f"{where}: unknown key {key!r}")
-        types, name = _JSON_TYPES[type(getattr(defaults, key))]
-        # true is an int to isinstance, but no JSON integer or number
-        if not isinstance(value, types) or (isinstance(value, bool)
-                                            and bool not in types):
-            raise ValueError(f"{where}: {key!r} must be {name}, got {json.dumps(value)}")
 
 
 def _sha256(path) -> str:
@@ -287,10 +262,15 @@ def run_generate(scorer, sids, catalog, profiles, events_by_user, users,
                            for uid in users for ad_id, score in generate(uid)))
 
 
+# a results line: one retrieved ad of a user's list, in rank order
+RESULT_RECORD = jsonl.spec(user_id=jsonl.ID, ad_id=jsonl.ID, score=jsonl.NUMBER)
+
+
 def load_results(path) -> dict[str, list[str]]:
     """Retrieved ad_ids per user, in rank order, from a results JSONL."""
     retrieved: dict[str, list[str]] = {}
-    for uid, ad_id in jsonl.read(path, lambda obj: (obj["user_id"], obj["ad_id"])):
+    for uid, ad_id in jsonl.read(path, lambda obj: (obj["user_id"], obj["ad_id"]),
+                                 jsonl.JsonlError, RESULT_RECORD):
         retrieved.setdefault(uid, []).append(ad_id)
     return retrieved
 

@@ -55,6 +55,13 @@ class UserProfile:
         ]
 
 
+# a profiles line: the user's id and every UserProfile field
+PROFILE_RECORD = jsonl.spec(
+    user_id=jsonl.ID, age=jsonl.INT, gender=jsonl.STRING, residence=jsonl.STRING,
+    education_level=jsonl.STRING, occupation=jsonl.STRING,
+    consumption_level=jsonl.STRING)
+
+
 @dataclass(frozen=True)
 class BehaviorEvent:
     days_ago: int
@@ -81,6 +88,14 @@ class BehaviorEvent:
                 return self.sid.render()
             return self.title if self.title is not None else self.ad_id
         return self.title
+
+
+# an events line: the user's id and the event's fields but its S-ID, which
+# load_events looks up by ad_id
+EVENT_RECORD = jsonl.spec(
+    user_id=jsonl.ID, days_ago=jsonl.INT, event_type=jsonl.STRING,
+    domain=jsonl.one_of("ad", "content"), positive=jsonl.optional(jsonl.BOOL),
+    title=jsonl.optional(jsonl.STRING), ad_id=jsonl.optional(jsonl.ID))
 
 
 @dataclass
@@ -310,12 +325,12 @@ def augment(
 
 
 def _profile_entry(obj) -> tuple[str, UserProfile]:
-    uid = str(obj.pop("user_id"))
+    uid = obj.pop("user_id")
     return uid, UserProfile(**obj)
 
 
 def load_profiles(path) -> dict[str, UserProfile]:
-    return dict(jsonl.read(path, _profile_entry))
+    return dict(jsonl.read(path, _profile_entry, jsonl.JsonlError, PROFILE_RECORD))
 
 
 def load_events(path, sids) -> dict[str, list[BehaviorEvent]]:
@@ -323,19 +338,11 @@ def load_events(path, sids) -> dict[str, list[BehaviorEvent]]:
     sids, or None when sids has none."""
 
     def entry(obj):
-        sid = sids.get(obj.get("ad_id"))
-        return str(obj["user_id"]), BehaviorEvent(
-            days_ago=int(obj["days_ago"]),
-            event_type=str(obj["event_type"]),
-            domain=str(obj["domain"]),
-            positive=bool(obj.get("positive", True)),
-            title=obj.get("title"),
-            ad_id=obj.get("ad_id"),
-            sid=sid,
-        )
+        uid = obj.pop("user_id")
+        return uid, BehaviorEvent(**obj, sid=sids.get(obj.get("ad_id")))
 
     out: dict[str, list[BehaviorEvent]] = {}
-    for uid, event in jsonl.read(path, entry):
+    for uid, event in jsonl.read(path, entry, jsonl.JsonlError, EVENT_RECORD):
         out.setdefault(uid, []).append(event)
     for uid in out:
         out[uid].sort(key=lambda e: -e.days_ago)

@@ -420,6 +420,10 @@ def codebook_metrics(assignments: dict[str, SemanticId], config: RqVaeConfig):
     return collision_rate, max_collision, usage
 
 
+# an S-IDs line: an ad and its S-ID's level-prefixed tokens
+SID_RECORD = jsonl.spec(ad_id=jsonl.ID, tokens=jsonl.array(jsonl.STRING))
+
+
 def save_sids(sids: dict[str, SemanticId], path) -> None:
     jsonl.write(path, ({"ad_id": ad_id, "tokens": list(sids[ad_id].tokens())}
                        for ad_id in sorted(sids)))
@@ -427,4 +431,4 @@ def save_sids(sids: dict[str, SemanticId], path) -> None:
 
 def load_sids(path) -> dict[str, SemanticId]:
     return dict(jsonl.read(path, lambda obj: (
-        obj["ad_id"], SemanticId.from_tokens(obj["tokens"])), SidError))
+        obj["ad_id"], SemanticId.from_tokens(obj["tokens"])), SidError, SID_RECORD))

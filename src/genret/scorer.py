@@ -36,6 +36,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
+from . import jsonl
 from .vocab import UNK, Vocabulary
 
 _WORD_RE = re.compile(r"<[^>\s]+>|\w+|[^\w\s]")
@@ -66,6 +67,33 @@ def id_array(vocab: Vocabulary, tokens) -> np.ndarray:
 class ScorerContext:
     tokens: tuple[str, ...] = ()
     bucket: tuple = ()
+
+
+# a bucket as an artifact holds it; its items key the n-gram's counts
+BUCKET = jsonl.array(jsonl.Kind("a string or an integer", (str, int)))
+
+# what both kinds of snapshot hold besides their parameters
+_SNAPSHOT = {
+    "kind": jsonl.one_of("ngram", "neural"), "version": jsonl.one_of(1),
+    "tokens": jsonl.Kind(f"a JSON array of distinct strings that holds {UNK!r}", (list,),
+                         lambda tokens: all(type(t) is str for t in tokens)
+                         and len(set(tokens)) == len(tokens) and UNK in tokens)}
+NGRAM_SNAPSHOT = jsonl.spec(
+    **_SNAPSHOT, smoothing_alpha=jsonl.NUMBER, max_order=jsonl.INT,
+    interpolation=jsonl.array(jsonl.NUMBER),
+    # [bucket, window ids, [[id, count], ...]] per counted key
+    counts=jsonl.array(jsonl.tuple_of(BUCKET, jsonl.array(jsonl.INT), jsonl.array(
+        jsonl.tuple_of(jsonl.INT, jsonl.NUMBER)))))
+NEURAL_SNAPSHOT = jsonl.spec(
+    **_SNAPSHOT, embed_dim=jsonl.INT, hidden_dim=jsonl.INT, max_prefix=jsonl.INT,
+    seed=jsonl.INT, params=jsonl.OBJECT)
+
+
+def _check_snapshot(payload, spec) -> None:
+    try:
+        jsonl.check(payload, spec, "snapshot")
+    except ValueError as exc:
+        raise ScorerError(str(exc)) from exc
 
 
 def _prob_dist(scorer, context: ScorerContext, prefix) -> np.ndarray:
@@ -256,15 +284,16 @@ class NgramScorer:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "NgramScorer":
+        _check_snapshot(payload, NGRAM_SNAPSHOT)
         scorer = cls(Vocabulary(payload["tokens"]), payload["smoothing_alpha"],
                      payload["max_order"])
-        if list(payload["interpolation"]) != list(scorer.interpolation):
+        if payload["interpolation"] != list(scorer.interpolation):
             raise ScorerError(f"snapshot interpolation {payload['interpolation']} is not "
                               f"the weights of max_order {scorer.max_order}, "
                               f"{list(scorer.interpolation)}")
         v = len(scorer.vocab)
         for bucket, window, slot in payload["counts"]:
-            counts = {int(t): float(c) for t, c in slot}
+            counts = dict(slot)
             # an entry is coded key·|V| + id, so an id outside [0, |V|)
             # would read as another key's entry
             bad = [i for i in chain(window, counts) if not 0 <= i < v]
@@ -574,6 +603,7 @@ class NeuralScorer:
         """The scorer a snapshot holds; a parameter whose name or shape does
         not fit the vocabulary and dimensions, or that holds a value that is
         not a finite number, raises ScorerError."""
+        _check_snapshot(payload, NEURAL_SNAPSHOT)
         vocab = Vocabulary(payload["tokens"])
         v, d, h = len(vocab), payload["embed_dim"], payload["hidden_dim"]
         shapes = {"emb": (v, d), "pos": (payload["max_prefix"] + 1, d), "w1": (h, d),
@@ -619,15 +649,13 @@ class _NeuralState:
 
 
 def load_scorer(path):
-    """The scorer a save() wrote, of the kind its snapshot names."""
+    """The scorer a save() wrote, of the kind its snapshot names. A snapshot
+    that its kind's spec rejects, or whose counts or parameters do not fit
+    its vocabulary, raises ScorerError naming path."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ScorerError(f"scorer snapshot {path} holds a JSON "
-                          f"{type(payload).__name__}, not an object")
-    kind = payload.get("kind")
-    if kind == "ngram":
-        return NgramScorer.from_payload(payload)
-    if kind == "neural":
-        return NeuralScorer.from_payload(payload)
-    raise ScorerError(f"unknown scorer snapshot kind {kind!r}")
+    neural = type(payload) is dict and payload.get("kind") == "neural"
+    try:
+        return (NeuralScorer if neural else NgramScorer).from_payload(payload)
+    except (ScorerError, ValueError) as exc:
+        raise ScorerError(f"{path}: {exc}") from exc

@@ -24,6 +24,10 @@ class Request:
     arrival_tick: int
 
 
+# a trace line: the user who asks, and the tick the request arrives at
+TRACE_RECORD = jsonl.spec(user_id=jsonl.ID, tick=jsonl.INT)
+
+
 class FeatureStore:
     """Per-user precomputed retrieval lists with atomic whole-list
     publication (readers see the old or the new complete list, never a mix)."""
@@ -228,5 +232,5 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
 
 
 def load_trace(path) -> list[Request]:
-    return list(jsonl.read(path, lambda obj: Request(
-        user_id=str(obj["user_id"]), arrival_tick=int(obj["tick"]))))
+    return list(jsonl.read(path, lambda obj: Request(obj["user_id"], obj["tick"]),
+                           jsonl.JsonlError, TRACE_RECORD))

@@ -177,9 +177,16 @@ def make_cluster_table(num_clusters: int = 4, per_cluster: int = 16,
     return table
 
 
+# a truth line: a user's held-out ad; an LTR labels line: a user's label set
+TRUTH_RECORD = jsonl.spec(user_id=jsonl.ID, ad_id=jsonl.ID)
+LTR_RECORD = jsonl.spec(user_id=jsonl.ID, ad_ids=jsonl.array(jsonl.ID))
+
+
 def load_truth(path) -> dict[str, str]:
-    return dict(jsonl.read(path, lambda obj: (obj["user_id"], obj["ad_id"])))
+    return dict(jsonl.read(path, lambda obj: (obj["user_id"], obj["ad_id"]),
+                           jsonl.JsonlError, TRUTH_RECORD))
 
 
 def load_ltr_labels(path) -> dict[str, set[str]]:
-    return dict(jsonl.read(path, lambda obj: (obj["user_id"], set(obj["ad_ids"]))))
+    return dict(jsonl.read(path, lambda obj: (obj["user_id"], set(obj["ad_ids"])),
+                           jsonl.JsonlError, LTR_RECORD))

@@ -185,8 +185,8 @@ def test_stage_corpora_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("record, message", [
-    ({"prompt": "p", "response": "<a_1, b_0>", "stage": "Main"}, "unknown stage"),
-    ({"prompt": "p", "response": "<a_1, b_0>", "stage": "dpo"}, "unknown stage"),
+    ({"prompt": "p", "response": "<a_1, b_0>", "stage": "Main"}, "'stage' must be one of"),
+    ({"prompt": "p", "response": "<a_1, b_0>", "stage": "dpo"}, "'stage' must be one of"),
     ({"prompt": "p", "response": "<b_1, a_0>", "stage": "main"}, "wrong level"),
     ({"prompt": "p", "response": "a_1, b_0", "stage": "main"}, "angle-bracketed"),
 ])

@@ -71,8 +71,8 @@ def test_load_catalog_empty_file(tmp_path):
 def test_load_catalog_duplicate_id(tmp_path):
     path = tmp_path / "cat.jsonl"
     rec = json.dumps({"ad_id": "a1", "name": "n"})
-    path.write_text(rec + "\n" + rec + "\n")
-    with pytest.raises(CatalogError, match="a1"):
+    path.write_text(rec + "\n\n" + rec + "\n")
+    with pytest.raises(CatalogError, match=r"cat\.jsonl: line 3: .*duplicate ad_id 'a1'"):
         load_catalog(path)
 
 

@@ -376,6 +376,24 @@ def test_generate_and_dpo_reject_an_index_the_scorer_does_not_cover(tmp_path, ca
     assert list(out.iterdir()) == []
 
 
+def test_eval_names_the_line_of_a_truth_record_its_spec_rejects(tmp_path, capsys):
+    """A list as a user id fails the load as JsonlError naming the file and
+    line, not as a bare TypeError for an unhashable key."""
+    (tmp_path / "catalog.jsonl").write_text('{"ad_id": "a1", "name": "n"}\n')
+    (tmp_path / "results.jsonl").write_text(
+        '{"user_id": "u0", "ad_id": "a1", "score": 0.0}\n')
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text('{"user_id": "u0", "ad_id": "a1"}\n{"user_id": [], "ad_id": "a1"}\n')
+    code, out, err = run_cli(capsys, "eval", "--results", str(tmp_path / "results.jsonl"),
+                             "--truth", str(truth),
+                             "--catalog", str(tmp_path / "catalog.jsonl"))
+    assert code == 1 and out == ""
+    obj = json.loads(err.strip().splitlines()[-1])
+    assert obj["error"] == "JsonlError"
+    assert obj["message"].startswith(f"{truth}: line 2: ")
+    assert "'user_id' must be a non-empty string, got []" in obj["message"]
+
+
 def test_index_config_must_be_an_object(tmp_path, capsys):
     config = tmp_path / "rq.json"
     config.write_text(json.dumps([["num_levels", 2]]))
@@ -558,7 +576,7 @@ def test_generate_names_a_scorer_snapshot_that_cannot_load(tmp_path, capsys):
     NeuralScorer(Vocabulary(["<unk>", "a_0", "b_0"]), embed_dim=2, hidden_dim=2).save(snapshot)
     payload = json.loads(snapshot.read_text())
     payload["params"]["b2"][1] = float("nan")
-    for text, message in ((json.dumps(payload), "'b2'"), ("[]", "not an object")):
+    for text, message in ((json.dumps(payload), "'b2'"), ("[]", "expected a JSON object")):
         snapshot.write_text(text)
         code, _, err = run_cli(capsys, "generate", "--scorer", str(snapshot),
                                "--catalog", str(tmp_path / "catalog.jsonl"),

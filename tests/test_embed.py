@@ -107,6 +107,13 @@ def test_load_bad_value_names_file_and_row(tmp_path, bad):
         load_embeddings(path)
 
 
+def test_load_rejects_an_empty_ad_id(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text("a0\t0.1 0.2\n\t0.3 0.4\n")
+    with pytest.raises(EmbeddingError, match=r"emb\.tsv: row 2: empty ad_id"):
+        load_embeddings(path)
+
+
 def test_duplicate_rows_last_wins(tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_text("a1\t1 0 0 0 0 0 0 0\na1\t0 1 0 0 0 0 0 0\n")

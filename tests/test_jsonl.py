@@ -1,10 +1,11 @@
-"""Every stage artifact reader reports a malformed line or a bad record by
-file and line."""
+"""Every stage artifact reader checks each record against its artifact's
+spec, and reports a malformed line or a bad record by file and line."""
 
 import functools
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from genret.alignment import load_corpus
 from genret.catalog import CatalogError, load_catalog
@@ -12,23 +13,33 @@ from genret.jsonl import JsonlError, write
 from genret.pipeline import load_results
 from genret.prompting import load_events, load_profiles
 from genret.rqvae import load_sids
-from genret.sid import SidError
+from genret.sid import SemanticId, SidError
 from genret.serving import load_trace
 from genret.synth import load_ltr_labels, load_truth
 
 PROFILE = {"user_id": "u0", "age": 30, "gender": "female", "residence": "r",
            "education_level": "e", "occupation": "o", "consumption_level": "low"}
 
-# loader -> (a valid first record, a record it must reject)
+
+def load_ad_events(path):
+    """Events whose ad a1 has an S-ID."""
+    return load_events(path, {"a1": SemanticId((1, 0))})
+
+
+# loader -> (a valid first record, a record it must reject). A valid record
+# holds each optional field at its default, so dropping one loads the same
+# objects.
 LOADERS = [
-    (load_catalog, {"ad_id": "a1", "name": "n"},
+    (load_catalog, {"ad_id": "a1", "name": "n", "product_type": "", "first_category": "",
+                    "second_category": "", "attributes": [], "ecpm": 0.0},
      {"ad_id": "a2", "name": "n", "ecpm": -1}),
     (load_profiles, PROFILE, dict(PROFILE, user_id="u1", age=300)),
     (functools.partial(load_events, sids={}), {"user_id": "u0", "days_ago": 1, "event_type": "search",
-                   "domain": "content", "title": "t"},
+                   "domain": "content", "title": "t", "positive": True},
      {"user_id": "u0", "days_ago": 2, "event_type": "search", "domain": "content"}),
     (load_trace, {"user_id": "u0", "tick": 0}, {"user_id": "u1"}),
-    (load_corpus, {"prompt": "p", "response": "<a_1, b_0>", "stage": "main"},
+    (load_corpus, {"prompt": "p", "response": "<a_1, b_0>", "stage": "main", "bucket": [],
+                   "user_id": ""},
      {"prompt": "p", "stage": "main"}),
     (load_sids, {"ad_id": "a1", "tokens": ["a_1", "b_0"]},
      {"ad_id": "a2", "tokens": ["b_1", "a_0"]}),
@@ -36,8 +47,12 @@ LOADERS = [
     (load_ltr_labels, {"user_id": "u0", "ad_ids": ["a1"]}, {"user_id": "u1"}),
     (load_results, {"user_id": "u0", "ad_id": "a1", "score": 0.0},
      {"user_id": "u0", "score": 0.0}),
+    (load_ad_events, {"user_id": "u0", "days_ago": 2, "event_type": "click on ad",
+                      "domain": "ad", "ad_id": "a1", "positive": True},
+     {"user_id": "u0", "days_ago": 3, "event_type": "click on ad", "domain": "ad"}),
 ]
 IDS = [getattr(f, "func", f).__name__ for f, _, _ in LOADERS]
+BY_ID = {name: row for name, row in zip(IDS, LOADERS)}
 # the catalog and the S-IDs keep their own error types; the rest raise JsonlError
 ERRORS = {load_catalog: CatalogError, load_sids: SidError}
 
@@ -68,6 +83,92 @@ def test_non_object_record_names_file_and_line(tmp_path, load, record, _):
 def test_bad_record_names_file_and_line(tmp_path, load, record, bad):
     error = _load_second_line(tmp_path, load, json.dumps(record), json.dumps(bad))
     assert isinstance(error, ERRORS.get(load, JsonlError))
+
+
+# a record's field set to a value its spec rejects, or a key its spec does
+# not name: each was read as something else, or failed with no file or line
+@pytest.mark.parametrize("name, key, value", [
+    ("load_events", "positive", "no"),  # read as true
+    ("load_events", "domain", "xyz"),
+    ("load_events", "domain", None),
+    ("load_events", "days_ago", 1.5),  # read as day 1
+    ("load_events", "days_ago", True),
+    ("load_events", "event_type", 7),
+    ("load_events", "postive", False),  # a typo
+    ("load_ad_events", "ad_id", ["a1"]),
+    ("load_catalog", "ad_id", None),  # read as the ad "None"
+    ("load_catalog", "name", None),
+    ("load_catalog", "attributes", [["k"]]),
+    ("load_catalog", "attributes", [[1, 2]]),
+    ("load_ltr_labels", "ad_ids", "xyz"),  # read as {"x", "y", "z"}
+    ("load_corpus", "bucket", "xyz"),  # read as ("x", "y", "z")
+    ("load_truth", "user_id", []),  # unhashable
+    ("load_truth", "user_id", None),
+    ("load_ltr_labels", "user_id", []),
+    ("load_results", "user_id", []),
+    ("load_sids", "ad_id", []),
+    ("load_sids", "ad_id", 1.5),  # kept as a float key
+    ("load_trace", "tick", 1.5),
+    ("load_profiles", "age", "30"),
+], ids=lambda v: json.dumps(v) if not isinstance(v, str) else v)
+def test_a_value_its_spec_rejects_names_file_and_line(tmp_path, name, key, value):
+    load, record, _ = BY_ID[name]
+    error = _load_second_line(tmp_path, load, json.dumps(record),
+                              json.dumps({**record, key: value}))
+    assert isinstance(error, ERRORS.get(load, JsonlError))
+    assert repr(key) in str(error)
+
+
+DROP = object()  # the mutation that leaves the field out
+# every field of every valid record
+FIELDS = [(name, key) for name, (_, record, _) in zip(IDS, LOADERS) for key in record]
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+           | st.text(max_size=3))
+JSON_VALUES = SCALARS | st.lists(SCALARS, max_size=3) | st.dictionaries(
+    st.text(max_size=2), SCALARS, max_size=2)
+
+
+def json_type(value) -> str:
+    """The JSON type of a value json reads: int and float are both numbers."""
+    return {bool: "boolean", int: "number", float: "number"}.get(type(value),
+                                                                type(value).__name__)
+
+
+def _retyped_or_dropped(field):
+    """field with a value of another JSON type than its valid record's, or DROP."""
+    name, key = field
+    original = json_type(BY_ID[name][1][key])
+    return st.tuples(st.just(field), st.just(DROP) | JSON_VALUES.filter(
+        lambda value: json_type(value) != original))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=st.one_of([_retyped_or_dropped(field) for field in FIELDS]))
+# values of the field's own JSON type that its spec rejects
+@example(case=(("load_events", "days_ago"), 1.5))
+@example(case=(("load_events", "domain"), "xyz"))
+@example(case=(("load_truth", "ad_id"), ""))
+@example(case=(("load_corpus", "stage"), "Main"))
+@example(case=(("load_catalog", "attributes"), [["k", "v", "w"]]))
+def test_a_retyped_or_dropped_field_loads_the_same_or_names_its_line(
+        tmp_path_factory, case):
+    """One field of a valid record set to a value of another JSON type, or
+    dropped, either loads the objects the valid record loads, or raises the
+    loader's error naming the file and the line. No TypeError, KeyError or
+    AttributeError escapes a loader."""
+    (name, key), value = case
+    load, record, _ = BY_ID[name]
+    changed = {k: v for k, v in {**record, key: value}.items() if v is not DROP}
+    root = tmp_path_factory.getbasetemp()
+    valid, path = root / "valid.jsonl", root / "changed.jsonl"
+    valid.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    path.write_text("\n" + json.dumps(changed) + "\n", encoding="utf-8")
+    try:
+        loaded = load(path)
+    except ERRORS.get(load, JsonlError) as exc:
+        assert f"{path}: line 2: " in str(exc)
+        return
+    assert loaded == load(valid)
 
 
 def test_write_leaves_nothing_when_rows_fail(tmp_path):

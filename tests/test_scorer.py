@@ -479,8 +479,45 @@ def test_load_scorer_rejects_a_snapshot_that_is_not_an_object(tmp_path):
     path = tmp_path / "scorer.json"
     for text in ("[]", "3", '"neural"'):
         path.write_text(text)
-        with pytest.raises(ScorerError, match="not an object"):
+        with pytest.raises(ScorerError, match="expected a JSON object"):
             load_scorer(path)
+
+
+DROP = object()  # a change that leaves the key out
+
+
+@pytest.mark.parametrize("kind, change, message", [
+    ("ngram", {"max_order": 1.5}, "'max_order' must be an integer, got 1.5"),
+    ("ngram", {"smoothing_alpha": None}, "'smoothing_alpha' must be a number, got null"),
+    ("ngram", {"tokens": [0, 1, 2, 3, 4]}, "'tokens' must be"),
+    ("neural", {"embed_dim": DROP}, "missing key 'embed_dim'"),
+    ("ngram", {"tokens": ["<sep>", "<task>", "a_0", "b_1"]}, "that holds '<unk>'"),
+    ("neural", {"tokens": ["<unk>", "<sep>", "<task>", "a_0", "a_0"]}, "distinct strings"),
+    ("ngram", {"version": 2}, "'version' must be one of (1,), got 2"),
+    ("neural", {"version": 2}, "'version' must be one of (1,), got 2"),
+    ("neural", {"params": [0.0]}, "'params' must be a JSON object"),
+    ("ngram", {"counts": [[["g"], [], [[1, 2.0]], []]]}, "'counts' must be"),
+    ("ngram", {"counts": [[[[1]], [], [[1, 2.0]]]]}, "'counts' must be"),
+    ("ngram", {"counts": [[["g"], [0.5], [[1, 2.0]]]]}, "'counts' must be"),
+    ("ngram", {"counts": [[["g"], [], [["1", 2.0]]]]}, "'counts' must be"),
+    ("ngram", {"interpolation": None}, "'interpolation' must be"),
+    ("neural", {"seed": True}, "'seed' must be an integer, got true"),
+    ("neural", {"hidden": 3}, "unknown key 'hidden'"),
+])
+def test_snapshot_headers_are_checked(vocab, tmp_path, kind, change, message):
+    """Each kind's snapshot is checked against its spec before a scorer is
+    built: a wrong JSON type, a missing or unknown key, a version other
+    than 1, or a token list that is not distinct strings holding <unk>
+    raises ScorerError naming the file, not a bare TypeError or KeyError,
+    and does not load a vocabulary whose ids and tokens disagree."""
+    path = tmp_path / "scorer.json"
+    (NeuralScorer(vocab, embed_dim=2, hidden_dim=3, max_prefix=2) if kind == "neural"
+     else NgramScorer(vocab)).save(path)
+    payload = {**json.loads(path.read_text()), **change}
+    path.write_text(json.dumps({k: v for k, v in payload.items() if v is not DROP}))
+    with pytest.raises(ScorerError) as info:
+        load_scorer(path)
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
 
 def test_load_scorer_unknown_kind(tmp_path):
