@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -15,7 +14,7 @@ from .catalog import Catalog, render_description
 from .prompting import InterestSummary, UserProfile, augment, filter_events
 from .scorer import (BUCKET, NeuralScorer, NgramScorer, ScorerContext, id_array,
                      tokenize_text)
-from .sid import SemanticId, is_token
+from .sid import SemanticId
 from .vocab import UNK
 
 STAGES = ("explicit", "implicit", "main")
@@ -28,12 +27,10 @@ TRAIN_BATCH = 16
 # temporaries, a few (rows, |V|) arrays of 2·n rows a triplet: unchunked, at
 # M (2 740 triplets, |V| 95) each would take about 17 MB
 DPO_CHUNK = 64
-# Among tokenize_text's tokens, in order, the whole words that begin with a
-# lower-case letter and an underscore, as S-ID tokens do, and "" for each
-# <...> marker, which is one token there and matched whole here too
-_SID_LIKE_RE = re.compile(r"<[^>\s]+>|(?<!\w)([a-z]_\w+)")
-# is_token of the words _SID_LIKE_RE finds, which repeat across a corpus
-_is_sid_token = functools.lru_cache(maxsize=1 << 12)(is_token)
+# Among tokenize_text's tokens, in order, the S-ID tokens, whole words of a
+# lower-case letter, an underscore and digits, and "" for each <...> marker,
+# which is one token there and matched whole here too
+_SID_LIKE_RE = re.compile(r"<[^>\s]+>|(?<!\w)([a-z]_\d+)(?!\w)")
 
 
 class AlignmentError(RuntimeError):
@@ -45,7 +42,7 @@ def sid_context(text: str) -> tuple[str, ...]:
     context, as serving's context holds only S-ID tokens."""
     if "_" not in text:  # every S-ID token holds one
         return ()
-    return tuple(filter(_is_sid_token, filter(None, _SID_LIKE_RE.findall(text))))
+    return tuple(filter(None, _SID_LIKE_RE.findall(text)))
 
 
 @dataclass(frozen=True)

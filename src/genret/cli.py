@@ -39,8 +39,7 @@ def _cmd_index(args):
     from RqVaeConfig's default."""
     fields = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            fields = json.load(fh)
+        fields = jsonl.load(args.config)
         jsonl.check(fields, jsonl.fields_spec(rqvae.RqVaeConfig()), args.config)
     flags = {"num_levels": args.levels, "codebook_size": args.codebook_size,
              "latent_dim": args.latent_dim, "epochs": args.epochs, "seed": args.seed}

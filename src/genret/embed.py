@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonl
 from .catalog import Catalog
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -154,7 +155,7 @@ def load_embeddings(path) -> EmbeddingTable:
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with jsonl.replacing(path) as fh:
         for ad_id, vec in table.entries.items():
             fh.write(ad_id + "\t" + " ".join(repr(float(v)) for v in vec) + "\n")
 

@@ -1,5 +1,6 @@
-"""JSON-lines records: the one reader and writer for every stage artifact,
-and the one checker of every JSON object the program reads."""
+"""How every artifact file reaches disk and is read back: JSON-lines records
+(read, write), JSON documents (load, dump) and other files, each written
+through replacing, and the one checker of every JSON object read."""
 
 from __future__ import annotations
 
@@ -136,18 +137,40 @@ def read(path, build, error, spec: Spec):
             yield item
 
 
-def write(path, rows, **dumps) -> None:
-    """Write one json.dumps(row, **dumps) line per row. The lines go to a
-    sibling temporary file that replaces path only once every row is
-    written, so a failure leaves neither a partial artifact nor the
-    temporary file."""
+@contextlib.contextmanager
+def replacing(path):
+    """A text file to write path's new content to: a sibling temporary file
+    that replaces path only once the block ends without an error, so a
+    failure leaves neither a partial artifact nor the temporary file."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, **dumps) + "\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write(path, rows, **dumps) -> None:
+    """Replace path with one json.dumps(row, **dumps) line per row."""
+    with replacing(path) as fh:
+        for row in rows:
+            fh.write(json.dumps(row, **dumps) + "\n")
+
+
+def dump(path, obj, **dumps) -> None:
+    """Replace path with the JSON document json.dump(obj, **dumps) writes."""
+    with replacing(path) as fh:
+        json.dump(obj, fh, **dumps)
+
+
+def load(path):
+    """The one JSON value a UTF-8 file holds. Text that is not UTF-8 or not
+    one JSON value raises JsonlError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise JsonlError(f"{path}: {type(exc).__name__}: {exc}") from exc

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass, field, asdict
@@ -82,14 +81,13 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        """The defaults overridden by the JSON object in path. A key that
-        names no field, a value of another JSON type than its field's
-        default, a nested synthetic or rqvae override that does the same or
-        sets the seed (the top-level seed sets it), and any setting
-        __post_init__ rejects raise PipelineError("config")."""
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        """The defaults overridden by the JSON object in path. A file that is
+        not UTF-8 JSON, a key that names no field, a value of another JSON
+        type than its field's default, a nested synthetic or rqvae override
+        that does the same or sets the seed (the top-level seed sets it), and
+        any setting __post_init__ rejects raise PipelineError("config")."""
         try:
+            obj = jsonl.load(path)
             # tuple("main") would be four stages of one letter each, so a
             # tuple field takes only an array
             jsonl.check(obj, jsonl.fields_spec(cls()), path)
@@ -127,13 +125,12 @@ class Manifest:
             })
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.entries, fh, indent=1)
+        jsonl.dump(path, self.entries, indent=1)
 
 
 def build_generate_fn(scorer, ad_trie, catalog, profiles, events_by_user,
                       beam_width: int):
-    """Closure mapping a user id to an ordered retrieved ad_id list."""
+    """Closure mapping a user id to its (ad_id, score) pairs in rank order."""
 
     def generate(user_id: str, events=None):
         events = events_by_user.get(user_id, []) if events is None else events
@@ -364,8 +361,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         report["config"] = {k: list(v) if isinstance(v, tuple) else v
                             for k, v in asdict(config).items() if k != "out_dir"}
         report_path = os.path.join(out, "report.json")
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1)
+        jsonl.dump(report_path, report, indent=1)
         manifest.record("eval", report_path)
 
     manifest.save(os.path.join(out, "manifest.json"))

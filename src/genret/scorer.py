@@ -28,7 +28,6 @@ for one decode.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -279,8 +278,7 @@ class NgramScorer:
                 for (bucket, window), slot in self.counts.items()
             ],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False)
+        jsonl.dump(path, payload, ensure_ascii=False)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "NgramScorer":
@@ -595,8 +593,7 @@ class NeuralScorer:
             "tokens": self.vocab.tokens,
             "params": {k: v.tolist() for k, v in self.params.items()},
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False)
+        jsonl.dump(path, payload, ensure_ascii=False)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "NeuralScorer":
@@ -652,10 +649,11 @@ def load_scorer(path):
     """The scorer a save() wrote, of the kind its snapshot names. A snapshot
     that its kind's spec rejects, or whose counts or parameters do not fit
     its vocabulary, raises ScorerError naming path."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    neural = type(payload) is dict and payload.get("kind") == "neural"
     try:
+        payload = jsonl.load(path)
+        neural = type(payload) is dict and payload.get("kind") == "neural"
         return (NeuralScorer if neural else NgramScorer).from_payload(payload)
+    except jsonl.JsonlError as exc:  # names path already
+        raise ScorerError(str(exc)) from exc
     except (ScorerError, ValueError) as exc:
         raise ScorerError(f"{path}: {exc}") from exc

@@ -399,8 +399,9 @@ def test_compiled_ids_equal_string_path(pairs):
 
 
 def sid_like_scan(prompt):
-    """The main-stage context by a scan of the whole prompt."""
-    return tuple(t for t in alignment._SID_LIKE_RE.findall(prompt) if t and is_token(t))
+    """The main-stage context by an oracle independent of sid_context's
+    regex: the prompt's tokens that are S-ID tokens."""
+    return tuple(t for t in tokenize_text(prompt) if is_token(t))
 
 
 def adversarial_world(titles, profile_words):

@@ -406,6 +406,25 @@ def test_index_config_must_be_an_object(tmp_path, capsys):
     assert str(config) in obj["message"] and "JSON object" in obj["message"]
 
 
+@pytest.mark.parametrize("text", [b"not json", b'{"seed": 9}\xff'],
+                         ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("command, flags, error", [
+    ("pipeline", (), "PipelineError"),
+    ("index", ("--embeddings", "emb.tsv"), "JsonlError"),
+], ids=["pipeline", "index"])
+def test_config_that_is_not_json_is_named_once(tmp_path, capsys, command, flags,
+                                               error, text):
+    config = tmp_path / "config.json"
+    config.write_bytes(text)
+    code, _, err = run_cli(capsys, command, "--config", str(config), *flags,
+                           "--out", str(tmp_path / "run"))
+    assert code == 1
+    obj = json.loads(err.strip().splitlines()[-1])
+    assert obj["error"] == error
+    assert obj["message"].count(str(config)) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_index_config_values_need_their_json_type(tmp_path, capsys):
     # true would be seed 1 to RqVaeConfig
     code, out, _ = run_cli(capsys, "gen-data", "--out", str(tmp_path / "data"),
@@ -566,8 +585,9 @@ def test_neural_train_prints_unk_share(tmp_path, capsys):
 
 
 def test_generate_names_a_scorer_snapshot_that_cannot_load(tmp_path, capsys):
-    """A neural snapshot holding NaN, or a snapshot that is no JSON object,
-    fails the load with ScorerError before any decode runs."""
+    """A neural snapshot holding NaN, a snapshot that is no JSON object, and
+    a file that is not UTF-8 or not JSON fail the load with ScorerError
+    naming the file once, before any decode runs."""
     (tmp_path / "sids.jsonl").write_text('{"ad_id": "ad0", "tokens": ["a_0", "b_0"]}\n')
     (tmp_path / "events.jsonl").write_text(
         '{"user_id": "u1", "days_ago": 1, "event_type": "click_ad", '
@@ -576,8 +596,11 @@ def test_generate_names_a_scorer_snapshot_that_cannot_load(tmp_path, capsys):
     NeuralScorer(Vocabulary(["<unk>", "a_0", "b_0"]), embed_dim=2, hidden_dim=2).save(snapshot)
     payload = json.loads(snapshot.read_text())
     payload["params"]["b2"][1] = float("nan")
-    for text, message in ((json.dumps(payload), "'b2'"), ("[]", "expected a JSON object")):
-        snapshot.write_text(text)
+    for text, message in ((json.dumps(payload).encode(), "'b2'"),
+                          (b"[]", "expected a JSON object"),
+                          (b"not json", "JSONDecodeError"),
+                          (b"{}\xff", "UnicodeDecodeError")):
+        snapshot.write_bytes(text)
         code, _, err = run_cli(capsys, "generate", "--scorer", str(snapshot),
                                "--catalog", str(tmp_path / "catalog.jsonl"),
                                "--sids", str(tmp_path / "sids.jsonl"),
@@ -587,4 +610,5 @@ def test_generate_names_a_scorer_snapshot_that_cannot_load(tmp_path, capsys):
         assert code == 1
         obj = json.loads(err.strip().splitlines()[-1])
         assert obj["error"] == "ScorerError" and message in obj["message"]
+        assert obj["message"].count(str(snapshot)) == 1
         assert not (tmp_path / "results.jsonl").exists()

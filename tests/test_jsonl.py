@@ -4,18 +4,22 @@ spec, and reports a malformed line or a bad record by file and line."""
 import functools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from genret.alignment import load_corpus
 from genret.catalog import CatalogError, load_catalog
-from genret.jsonl import JsonlError, write
+from genret.embed import EmbeddingTable, save_embeddings
+from genret.jsonl import JsonlError, dump, write
 from genret.pipeline import load_results
 from genret.prompting import load_events, load_profiles
 from genret.rqvae import load_sids
+from genret.scorer import NeuralScorer, NgramScorer
 from genret.sid import SemanticId, SidError
 from genret.serving import load_trace
 from genret.synth import load_ltr_labels, load_truth
+from genret.vocab import Vocabulary
 
 PROFILE = {"user_id": "u0", "age": 30, "gender": "female", "residence": "r",
            "education_level": "e", "occupation": "o", "consumption_level": "low"}
@@ -190,5 +194,40 @@ def test_write_leaves_nothing_when_rows_fail(tmp_path):
     assert before.count(b"\n") == 5
     with pytest.raises(RuntimeError, match="row generator"):
         write(path, rows(2))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def save_embedding_table(ad_id, path):
+    table = EmbeddingTable(2)
+    table.add(ad_id, np.array([0.5, -1.0]))
+    save_embeddings(table, path)
+
+
+# each writes a file whose text holds a string it is given; UTF-8 cannot
+# encode the lone surrogate "\ud800", which a snapshot or catalog can carry
+# as the JSON escape \ud800
+WHOLE_FILE_WRITERS = {
+    "dump": lambda text, path: dump(path, {"token": text}, ensure_ascii=False),
+    "ngram-save": lambda text, path: NgramScorer(Vocabulary(["<unk>", text])).save(path),
+    "neural-save": lambda text, path: NeuralScorer(
+        Vocabulary(["<unk>", text]), embed_dim=2, hidden_dim=2).save(path),
+    "save_embeddings": save_embedding_table,
+}
+
+
+@pytest.mark.parametrize("save", WHOLE_FILE_WRITERS.values(), ids=WHOLE_FILE_WRITERS)
+def test_whole_file_writes_leave_nothing_when_they_fail(tmp_path, save):
+    """A whole-file write that fails midway leaves no partial file and no
+    temporary file; a file already at the path stays byte for byte."""
+    path = tmp_path / "artifact"
+    with pytest.raises(UnicodeEncodeError):
+        save("\ud800", path)
+    assert list(tmp_path.iterdir()) == []
+
+    save("a_0", path)
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        save("\ud800", path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]

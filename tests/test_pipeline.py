@@ -129,6 +129,17 @@ def test_config_from_file_needs_an_object(tmp_path):
         assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("text", [b"not json", b'{"seed": 9}\xff'],
+                         ids=["not-json", "not-utf8"])
+def test_config_from_file_names_a_file_that_is_not_json(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    with pytest.raises(PipelineError) as info:
+        PipelineConfig.from_file(path)
+    assert info.value.stage == "config"
+    assert str(info.value).count(str(path)) == 1
+
+
 def test_config_tuple_fields_need_an_array(tmp_path):
     # tuple("main") would give four one-letter stages and train nothing
     path = tmp_path / "config.json"

@@ -127,15 +127,28 @@ def test_every_public_name_has_a_caller():
     assert not problems, "\n".join(problems)
 
 
+def _writes(call: ast.Call) -> bool:
+    """An open call whose mode, the second argument or mode=, may write."""
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+               for m in modes)
+
+
 def test_only_jsonl_parses_json_lines():
-    """The JSON-lines record format lives in genret.jsonl alone."""
+    """How a file reaches disk and how a JSON document is parsed live in
+    genret.jsonl alone: no other module calls json.load, json.loads or
+    json.dump, or opens a file for writing. json.dumps of printed output
+    and opens that only read are allowed."""
     callers = sorted(
         f"{path.name}:{node.lineno}" for path in PACKAGE.glob("*.py")
         if path.name != "jsonl.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "loads" and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == "json")
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("load", "loads", "dump")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+            or isinstance(node.func, ast.Name) and node.func.id == "open"
+            and _writes(node)))
     assert not callers, callers
 
 
