@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jsonl
 from .catalog import Catalog, render_description
-from .prompting import InterestSummary, UserProfile, augment, filter_events
+from .prompting import (InterestSummary, UserProfile, augment, filter_events,
+                        sid_context)
 from .scorer import (BUCKET, NeuralScorer, NgramScorer, ScorerContext, id_array,
                      tokenize_text)
 from .sid import SemanticId
@@ -27,22 +27,11 @@ TRAIN_BATCH = 16
 # temporaries, a few (rows, |V|) arrays of 2·n rows a triplet: unchunked, at
 # M (2 740 triplets, |V| 95) each would take about 17 MB
 DPO_CHUNK = 64
-# Among tokenize_text's tokens, in order, the S-ID tokens, whole words of a
-# lower-case letter, an underscore and digits, and "" for each <...> marker,
-# which is one token there and matched whole here too
-_SID_LIKE_RE = re.compile(r"<[^>\s]+>|(?<!\w)([a-z]_\d+)(?!\w)")
+DPO_LEARNING_RATE = 0.01  # the default step size of a DPO update
 
 
 class AlignmentError(RuntimeError):
     pass
-
-
-def sid_context(text: str) -> tuple[str, ...]:
-    """The S-ID tokens of a text, in order: a main-stage pair's neural
-    context, as serving's context holds only S-ID tokens."""
-    if "_" not in text:  # every S-ID token holds one
-        return ()
-    return tuple(filter(None, _SID_LIKE_RE.findall(text)))
 
 
 @dataclass(frozen=True)
@@ -134,12 +123,11 @@ def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
     the bucket's last-ad code equals the response's level-0 code in 70% of
     main pairs (ROADMAP item 4).
 
-    A main pair carries its neural context, found by scanning each distinct
-    profile, summary and behaviour-line text of the prompts once."""
+    A main pair carries its neural context, the ``context`` augment gives
+    its sample."""
     # seed is unused; it stays because benchmarks/workloads.py passes seed=
     corpora: dict[str, list[CorpusPair]] = {s: [] for s in STAGES}
     corpora["explicit"] = explicit_pairs(catalog, sids)
-    scanned: dict[str, tuple[str, ...]] = {}  # piece -> sid_context(piece)
     for uid in sorted(events_by_user):
         profile = profiles[uid]
         events = filter_events(events_by_user[uid])
@@ -154,21 +142,9 @@ def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
                 prompt=s.prompt, response=s.response, stage="implicit",
                 bucket=bucket, user_id=uid))
         for s in main:
-            # a main context is the scan of the prompt's pieces, each scanned
-            # once. A match holds no whitespace and begins after a non-word
-            # character, and whitespace sets each piece off (a line's trailing
-            # ";" or "." is no word character, and whitespace follows it), so
-            # a piece scans alike alone and in the prompt; the template's
-            # fixed text holds no S-ID token
-            context = ()
-            for piece in s.pieces:
-                found = scanned.get(piece)
-                if found is None:
-                    found = scanned[piece] = sid_context(piece)
-                context += found
             corpora["main"].append(CorpusPair(
                 prompt=s.prompt, response=s.response, stage="main", bucket=bucket,
-                user_id=uid, context=context))
+                user_id=uid, context=s.context))
     return corpora
 
 
@@ -372,8 +348,8 @@ def preference_margin(policy: NeuralScorer, triplets) -> float:
 
 
 def dpo_update(policy: NeuralScorer, reference: NeuralScorer, triplets,
-               beta: float = 0.1, learning_rate: float = 0.01, steps: int = 1,
-               variant: str = "log-ratio"):
+               beta: float = 0.1, learning_rate: float = DPO_LEARNING_RATE,
+               steps: int = 1, variant: str = "log-ratio"):
     """Batch gradient steps on the mean DPO loss; reference stays frozen, so
     its log probabilities are computed once, before the first step, and
     each triplet is mapped to ids once. A step is one forward and one

@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=defaults.dpo_beta)
     p.add_argument("--variant", choices=alignment.DPO_VARIANTS,
                    default=defaults.dpo_variant)
-    p.add_argument("--learning-rate", type=float, default=0.01)
+    p.add_argument("--learning-rate", type=float, default=alignment.DPO_LEARNING_RATE)
     p.add_argument("--steps", type=int, default=defaults.dpo_steps)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_dpo)

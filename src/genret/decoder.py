@@ -124,13 +124,8 @@ def decode_exhaustive(scorer, context, trie: Trie) -> RetrievalList:
         level = len(codes)
         dist = scorer.prob_dist(context, prefix)
         ids = [scorer.vocab.code_id(level, c) for c in node.children]
-        probs = [float(dist[i]) for i in ids]
-        bad = [k for k, p in enumerate(probs) if not 0.0 <= p < math.inf]
-        if bad:
-            raise DecodeError(f"scorer contract violated: p={probs[bad[0]]} for token "
-                              f"{render_token(level, list(node.children)[bad[0]])}")
-        for (code, child), i, p in zip(node.children.items(), ids, probs):
-            log_p = math.log(p) if p > 0.0 else -math.inf
+        logs = _checked_logs([float(dist[i]) for i in ids], level, list(node.children))
+        for (code, child), i, log_p in zip(node.children.items(), ids, logs):
             rec(child, codes + (code,), prefix + (i,), log_score + log_p)
 
     rec(trie.root, (), (), 0.0)

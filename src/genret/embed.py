@@ -66,7 +66,7 @@ def _signed_slot(feature: str, dimension: int, seed: int) -> tuple[int, float]:
 MIN_HASHED_DIM = 8
 
 
-def embed_hashed(text: str, dimension: int = 64, seed: int = 0, *,
+def embed_hashed(text: str, dimension: int, seed: int, *,
                  memo: dict | None = None) -> np.ndarray:
     """Deterministic feature-hashed embedding of a text, L2-normalized.
 
@@ -100,7 +100,7 @@ def embed_hashed(text: str, dimension: int = 64, seed: int = 0, *,
     return vec / norm
 
 
-def embed_catalog(catalog: Catalog, dimension: int = 64, seed: int = 0) -> EmbeddingTable:
+def embed_catalog(catalog: Catalog, dimension: int, seed: int) -> EmbeddingTable:
     from .catalog import render_description
 
     table = EmbeddingTable(dimension)
@@ -113,15 +113,15 @@ def embed_catalog(catalog: Catalog, dimension: int = 64, seed: int = 0) -> Embed
 
 def load_embeddings(path) -> EmbeddingTable:
     """Load a TSV of ad_id<TAB>space-separated decimals. The first row sets
-    the width; a row with an empty ad_id, a row of another width, a value
-    that is not a finite number, or a file with no rows is an error naming
-    the file (and the row).
+    the width; a row that is not UTF-8, a row with an empty ad_id, a row of
+    another width, a value that is not a finite number, or a file with no
+    rows is an error naming the file (and the row).
 
     Duplicate ad_ids follow last-writer-wins with a warning.
     """
     table = None
     duplicates = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for rowno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -130,6 +130,7 @@ def load_embeddings(path) -> EmbeddingTable:
             if not ad_id:
                 raise EmbeddingError(f"{path}: row {rowno}: empty ad_id")
             try:
+                jsonl.check_utf8(line)
                 values = np.array([float(v) for v in rest.split()])
             except ValueError as exc:
                 raise EmbeddingError(f"{path}: row {rowno}: {exc}") from exc

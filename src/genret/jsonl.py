@@ -114,18 +114,28 @@ _decode = json.JSONDecoder().raw_decode
 _JSON_SPACE = " \t\n\r"
 
 
+def check_utf8(text: str) -> None:
+    """Raise UnicodeDecodeError, a ValueError naming the byte and its
+    position, if text, read with errors="surrogateescape", held a byte
+    sequence that is not UTF-8: each such byte reads as a lone surrogate.
+    Opening a file so and checking each line names the line that is bad."""
+    if not text.isascii():
+        text.encode("utf-8", "surrogateescape").decode("utf-8")
+
+
 def read(path, build, error, spec: Spec):
     """Yield build(record) for each line of a UTF-8 file that holds more than
     JSON whitespace, in order, once the record passes check against spec. A
-    line that is not one JSON value, a record that spec rejects, or one that
-    build rejects with a ValueError raises error naming the file and the
-    line."""
-    with open(path, encoding="utf-8") as fh:
+    line that is not UTF-8 or not one JSON value, a record that spec
+    rejects, or one that build rejects with a ValueError raises error naming
+    the file and the line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip(_JSON_SPACE)
             if not text:
                 continue
             try:
+                check_utf8(text)
                 obj, end = _decode(text)
                 if end != len(text):
                     raise json.JSONDecodeError("Extra data", text, end)

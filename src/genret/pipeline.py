@@ -218,7 +218,8 @@ def _check_vocabulary(scorer, sids) -> None:
 
 
 def run_dpo(policy, catalog, sids, profiles, events_by_user, out_path, beta: float,
-            variant: str, steps: int, learning_rate: float = 0.01) -> dict:
+            variant: str, steps: int,
+            learning_rate: float = alignment.DPO_LEARNING_RATE) -> dict:
     """Align policy in place by DPO against a frozen copy of it, on
     ECPM-ordered triplets over each user's first four logged ad events, and
     save it to out_path; returns the triplet count, the preference margin

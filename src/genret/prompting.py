@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -115,11 +116,9 @@ class InterestSummary:
 class PromptSample:
     prompt: str
     response: SemanticId
-    # the texts the prompt holds besides its template's fixed text, in prompt
-    # order: the rendered profile, summary and each behaviour line kept.
-    # Whitespace parts each piece from the next and from the fixed text; only
-    # the "; " after a line and the "." after the last one touch a piece
-    pieces: tuple[str, ...] = field(default=(), compare=False, repr=False)
+    # sid_context(prompt) in a view that renders ads by S-ID; () in one that
+    # renders them by title
+    context: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
 
 _PREAMBLE = (
@@ -127,6 +126,16 @@ _PREAMBLE = (
     "Please give a response to complete this request appropriately."
 )
 _QUESTION = "what ad will the user be interested in next time?"
+# one format string per template id: a {profile}, a {summary} and a
+# {behaviors} slot between the preamble and the question
+_TEMPLATES = tuple(f"{_PREAMBLE}\n{body}{_QUESTION}" for body in (
+    "{profile} {summary}\n{behaviors} ",
+    "[Instruction]: <task> Assuming you are an ad recommender system. "
+    "{profile}\n{behaviors}\n{summary}\n",
+    "[Instruction]: <task> Given the user below, predict their next ad. "
+    "{summary}\n{profile}\n{behaviors} ",
+))
+TEMPLATE_IDS = tuple(range(len(_TEMPLATES)))
 _SUMMARY_HEAD = (
     "The categories that have been frequently interacted recently are "
     "(format: category^interaction times): "
@@ -135,6 +144,18 @@ _BEHAVIOR_HEAD = (
     "The most recent interaction behavior sequence details "
     "(format: time^behavior type^title) are "
 )
+# Among tokenize_text's tokens, in order, the S-ID tokens, whole words of a
+# lower-case letter, an underscore and digits, and "" for each <...> marker,
+# which is one token there and matched whole here too
+_SID_LIKE_RE = re.compile(r"<[^>\s]+>|(?<!\w)([a-z]_\d+)(?!\w)")
+
+
+def sid_context(text: str) -> tuple[str, ...]:
+    """The S-ID tokens of a text, in order: a main-stage pair's neural
+    context, as serving's context holds only S-ID tokens."""
+    if "_" not in text:  # every S-ID token holds one
+        return ()
+    return tuple(filter(None, _SID_LIKE_RE.findall(text)))
 
 
 def _render_profile(profile: UserProfile) -> str:
@@ -156,41 +177,23 @@ def _render_behaviors(lines) -> str:
     return _BEHAVIOR_HEAD + body + ("." if body else "")
 
 
-# the template ids _assemble renders
-TEMPLATE_IDS = (0, 1, 2)
-
-
 def _assemble(template_id: int, profile_text, summary_text, behavior_text) -> str:
-    if template_id == 0:
-        return (
-            f"{_PREAMBLE}\n{profile_text} {summary_text}\n"
-            f"{behavior_text} {_QUESTION}"
-        )
-    if template_id == 1:
-        return (
-            f"{_PREAMBLE}\n[Instruction]: <task> Assuming you are an ad "
-            f"recommender system. {profile_text}\n{behavior_text}\n"
-            f"{summary_text}\n{_QUESTION}"
-        )
-    if template_id == 2:
-        return (
-            f"{_PREAMBLE}\n[Instruction]: <task> Given the user below, "
-            f"predict their next ad. {summary_text}\n{profile_text}\n"
-            f"{behavior_text} {_QUESTION}"
-        )
-    raise PromptError(f"unknown template_id {template_id}")
+    if template_id not in TEMPLATE_IDS:
+        raise PromptError(f"unknown template_id {template_id}")
+    return _TEMPLATES[template_id].format(profile=profile_text, summary=summary_text,
+                                          behaviors=behavior_text)
 
 
-def _around_behaviors(template_id: int, profile_text, summary_text) -> tuple:
-    """The profile and summary texts that come before the behaviour text in
-    the template's prompt, and those that come after it, read off the
-    template rendered with one marker character per slot."""
-    marked = _assemble(template_id, "\0", "\1", "\2")
-    order = sorted(((profile_text, "\0"), (summary_text, "\1"), (None, "\2")),
-                   key=lambda slot: marked.index(slot[1]))
-    texts = [text for text, _ in order]
-    at = texts.index(None)
-    return tuple(texts[:at]), tuple(texts[at + 1:])
+def _around_behaviors(template_id: int, profile_context, summary_context) -> tuple:
+    """The S-ID contexts of the profile and summary slots that come before
+    the behaviour slot in the template, concatenated in slot order, and
+    those of the slots that come after it."""
+    template = _TEMPLATES[template_id]
+    at = template.index("{behaviors}")
+    slots = sorted([(template.index("{profile}"), profile_context),
+                    (template.index("{summary}"), summary_context)])
+    return (sum((c for i, c in slots if i < at), ()),
+            sum((c for i, c in slots if i > at), ()))
 
 
 def _first_unordered(events) -> int:
@@ -276,8 +279,10 @@ def augment(
     every split's prompt is built from a prefix of the lines. Each sample
     equals ``build_prompt`` of its split's history, and raises where that
     would: the order check over each history, and the skeleton check once a
-    split exists. A sample's ``pieces`` are its rendered profile, summary
-    and kept lines in prompt order.
+    split exists. In a view that renders ads by S-ID, a sample's ``context``
+    is ``sid_context`` of its prompt, joined from one scan of the profile,
+    the summary and each line: whitespace sets each of them apart from the
+    template's fixed text, which holds no S-ID token.
 
     ``use_sid`` may be a tuple of views, one bool each. The result is then
     a tuple of sample lists, one per view, equal to one call per view in
@@ -296,6 +301,7 @@ def augment(
     unordered = _first_unordered(events)
     profile_text = _render_profile(profile)
     summary_text = _render_summary(summary)
+    slot_contexts = sid_context(profile_text), sid_context(summary_text)
     around = {}  # template id -> _around_behaviors, once its skeleton fits
     # each history's non-ad lines, which no view changes, rendered once
     last = len(splits[-1][0]) if splits else 0
@@ -303,6 +309,7 @@ def augment(
     views = []
     for view in use_sid if isinstance(use_sid, tuple) else (use_sid,):
         lines: list[str] = []
+        found: list[tuple[str, ...]] = []  # each line's sid_context, in an S-ID view
         samples = []
         for history, target in splits:
             i = len(history)
@@ -311,15 +318,19 @@ def augment(
             for tid in template_ids:
                 if tid not in around:
                     _check_skeleton(tid, profile_text, summary_text, token_budget)
-                    around[tid] = _around_behaviors(tid, profile_text, summary_text)
+                    around[tid] = _around_behaviors(tid, *slot_contexts)
                 if len(lines) < i:
-                    lines += [fixed[k] if k in fixed else _render_line(events[k], view)
-                              for k in range(len(lines), i)]
+                    new = [fixed[k] if k in fixed else _render_line(events[k], view)
+                           for k in range(len(lines), i)]
+                    lines += new
+                    if view:
+                        found += map(sid_context, new)
                 prompt, start = _fitted(tid, profile_text, summary_text, lines[:i],
                                         token_budget)
                 before, after = around[tid]
-                samples.append(PromptSample(prompt, target.sid,
-                                            (*before, *lines[start:i], *after)))
+                samples.append(PromptSample(prompt, target.sid, (
+                    *before, *itertools.chain.from_iterable(found[start:i]), *after)
+                    if view else ()))
         views.append(samples)
     return tuple(views) if isinstance(use_sid, tuple) else views[0]
 

@@ -5,8 +5,8 @@ import pytest
 
 from genret.decoder import DecodeError, RetrievalList
 from genret.prompting import BehaviorEvent, InterestSummary, UserProfile
-from genret.scorer import RowState
-from genret.sid import SemanticId, render_token
+from genret.scorer import RowState, tokenize_text
+from genret.sid import SemanticId, is_token, render_token
 from genret.trie import Trie, build
 from genret.vocab import Vocabulary, vocab_from_sids
 
@@ -32,6 +32,12 @@ class RowScorer:
 
     def begin(self, context) -> RowState:
         return RowState(self.prob_dist, context)
+
+
+def sid_like_scan(prompt):
+    """The main-stage context by an oracle independent of sid_context's
+    regex: the prompt's tokens that are S-ID tokens."""
+    return tuple(t for t in tokenize_text(prompt) if is_token(t))
 
 
 def one_pair(scorer, ctx_ids, resp_ids):

@@ -21,7 +21,7 @@ from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext, id_array,
 from genret.sid import SemanticId, is_token
 from genret.vocab import vocab_from_sids
 
-from conftest import one_pair
+from conftest import one_pair, sid_like_scan
 
 SIDS = {f"ad{i}": SemanticId((i % 4, i // 4, 0)) for i in range(8)}
 
@@ -396,12 +396,6 @@ def test_compiled_ids_equal_string_path(pairs):
         unk += sum(i == vocab.lookup("<unk>") for i in want)
         total += len(want)
     assert unk_share == (unk / total if total else 0.0)
-
-
-def sid_like_scan(prompt):
-    """The main-stage context by an oracle independent of sid_context's
-    regex: the prompt's tokens that are S-ID tokens."""
-    return tuple(t for t in tokenize_text(prompt) if is_token(t))
 
 
 def adversarial_world(titles, profile_words):

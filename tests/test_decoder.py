@@ -144,30 +144,35 @@ def test_determinism(example_trie, example_scorer):
     assert a.entries == b.entries
 
 
-def test_scorer_contract_errors(example_trie, example_scorer):
+# the beam search and its exhaustive oracle, which check a scorer alike
+SEARCHES = (lambda scorer, trie: decode(scorer, CTX, trie, 2),
+            lambda scorer, trie: decode_exhaustive(scorer, CTX, trie))
+
+
+def _with_b6(example_scorer, p):
+    """The example scorer with P(b_6) set to p."""
     class BadScorer(RowScorer):
         vocab = example_scorer.vocab
 
         def prob_dist(self, context, prefix):
-            dist = np.full(len(self.vocab), -0.5)
+            dist = example_scorer.prob_dist(context, prefix)
+            dist[self.vocab.lookup("b_6")] = p
             return dist
 
-    with pytest.raises(DecodeError, match="contract"):
-        decode(BadScorer(), CTX, example_trie, 2)
+    return BadScorer()
+
+
+def test_scorer_contract_errors(example_trie, example_scorer):
+    for search in SEARCHES:
+        with pytest.raises(DecodeError, match="contract violated: p=-0.5 for token b_6"):
+            search(_with_b6(example_scorer, -0.5), example_trie)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_scorer_contract_nonfinite(example_trie, example_scorer, bad):
-    class NonFiniteScorer(RowScorer):
-        vocab = example_scorer.vocab
-
-        def prob_dist(self, context, prefix):
-            dist = example_scorer.prob_dist(context, prefix)
-            dist[self.vocab.lookup("b_6")] = bad
-            return dist
-
-    with pytest.raises(DecodeError, match="contract"):
-        decode(NonFiniteScorer(), CTX, example_trie, 2)
+    for search in SEARCHES:
+        with pytest.raises(DecodeError, match=f"contract violated: p={bad} for token b_6"):
+            search(_with_b6(example_scorer, bad), example_trie)
 
 
 def test_scorer_contract_batch_shape(example_trie, example_scorer):

@@ -99,12 +99,28 @@ def test_load_dimension_mismatch(tmp_path):
         load_embeddings(path)
 
 
-@pytest.mark.parametrize("bad", ["x", "nan", "inf"])
+@pytest.mark.parametrize("bad", [b"x", b"nan", b"inf", b"\xff"])
 def test_load_bad_value_names_file_and_row(tmp_path, bad):
     path = tmp_path / "emb.tsv"
-    path.write_text("a0\t0.1 0.2 0.3\n" f"a1\t0.1 {bad} 0.3\n")
+    path.write_bytes(b"a0\t0.1 0.2 0.3\n" b"a1\t0.1 " + bad + b" 0.3\n")
     with pytest.raises(EmbeddingError, match=r"emb\.tsv: row 2"):
         load_embeddings(path)
+
+
+def test_load_names_the_row_of_a_byte_that_is_not_utf8(tmp_path):
+    # after more than the 8 KB a text file decodes at once, in an ad_id
+    path = tmp_path / "emb.tsv"
+    path.write_bytes(b"".join(b"a%d\t0.1 0.2 0.3\n" % k for k in range(600))
+                     + b"\xff\t0.1 0.2 0.3\n")
+    with pytest.raises(EmbeddingError, match=r"emb\.tsv: row 601: .*byte 0xff in position 0"):
+        load_embeddings(path)
+
+
+def test_load_reads_crlf_rows(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_bytes(b"a0\t0.1 0.2\r\n\r\na1\t0.3 0.4\r\n")
+    table = load_embeddings(path)
+    assert list(table.entries) == ["a0", "a1"] and table["a1"].tolist() == [0.3, 0.4]
 
 
 def test_load_rejects_an_empty_ad_id(tmp_path):

@@ -75,6 +75,29 @@ def _load_second_line(tmp_path, load, first, second):
 def test_malformed_line_names_file_and_line(tmp_path, load, record, _):
     error = _load_second_line(tmp_path, load, json.dumps(record), "not json")
     assert isinstance(error, ERRORS.get(load, JsonlError))
+    # a byte that is not UTF-8 on line 302, after more than the 8 KB a text
+    # file decodes at once: lines 2-301 are JSON whitespace, which read skips
+    path = tmp_path / "not_utf8.jsonl"
+    path.write_bytes(json.dumps(record).encode() + b"\n" + (b" " * 39 + b"\n") * 300
+                     + b'{"\xff": 1}\n')
+    with pytest.raises(ERRORS.get(load, JsonlError)) as info:
+        load(path)
+    assert f"{path}: line 302: UnicodeDecodeError: " in str(info.value)
+    assert "byte 0xff in position 2" in str(info.value)
+
+
+@pytest.mark.parametrize("load, record, _", LOADERS, ids=IDS)
+def test_crlf_lines_load(tmp_path, load, record, _):
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    lf.write_bytes(json.dumps(record).encode() + b"\n")
+    crlf.write_bytes(json.dumps(record).encode() + b"\r\n\r\n")
+    assert repr(load(crlf)) == repr(load(lf))
+
+
+def test_a_utf8_line_that_is_not_ascii_loads(tmp_path):
+    path = tmp_path / "profiles.jsonl"
+    write(path, [dict(PROFILE, residence="Z\u00fcrich \u5317\u4eac")], ensure_ascii=False)
+    assert load_profiles(path)["u0"].residence == "Z\u00fcrich \u5317\u4eac"
 
 
 @pytest.mark.parametrize("load, record, _", LOADERS, ids=IDS)

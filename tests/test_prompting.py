@@ -2,13 +2,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from genret.jsonl import JsonlError
-from genret.prompting import (BehaviorEvent, InterestSummary, PromptError,
-                              PromptSample, UserProfile, augment, build_prompt,
-                              count_tokens, filter_events, interaction_reuse_splits,
-                              load_events, load_profiles)
+from genret import prompting
+from genret.prompting import (TEMPLATE_IDS, BehaviorEvent, InterestSummary,
+                              PromptError, PromptSample, UserProfile, augment,
+                              build_prompt, count_tokens, filter_events,
+                              interaction_reuse_splits, load_events, load_profiles,
+                              sid_context)
 from genret.sid import SemanticId
 
-from conftest import WORKED_PROMPT, worked_prompt_inputs
+from conftest import WORKED_PROMPT, sid_like_scan, worked_prompt_inputs
 
 
 def _profile():
@@ -202,7 +204,8 @@ def outcome(fn, *args):
         return repr(exc)
 
 
-# words near S-ID tokens and markers, and the punctuation around pieces
+# words near S-ID tokens and markers, and the punctuation between the texts
+# a prompt is built of
 _words = st.sampled_from(["a_1", "<b_2>", "<a_1", "c_0>", "x_y", "<task>", "^",
                           ";", ".", "_", "Name", "filler " * 60, ""])
 _text = st.lists(_words, min_size=1, max_size=4).map(" ".join)
@@ -264,26 +267,60 @@ def test_augment_equals_build_prompt_per_split(inputs):
     assert outcome(augment, *inputs) == outcome(split_by_split, *inputs)
 
 
+_SID_LIKE_USER = UserProfile(age=30, gender="c_0", residence="<a_1", education_level="e",
+                             occupation="x_y", consumption_level="c")
+_SID_LIKE_SUMMARY = InterestSummary([("a_1", 2), ("<b_2>", 1)])
+_SID_LIKE_EVENTS = [_content(30, "a_1 <task>"), _ad(28, 1), _content(25, "c_0>"),
+                    _ad(20, 2), _ad(10, 3)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(augment_inputs())
-def test_augment_pieces_lie_in_prompt_order(inputs):
+# S-ID-like words in every slot of every template, with the oldest lines
+# dropped (budget 150), and the same in the title view
+@example((_SID_LIKE_EVENTS, _SID_LIKE_USER, _SID_LIKE_SUMMARY, TEMPLATE_IDS, 2096, True))
+@example((_SID_LIKE_EVENTS, _SID_LIKE_USER, _SID_LIKE_SUMMARY, TEMPLATE_IDS, 150, True))
+@example((_SID_LIKE_EVENTS, _SID_LIKE_USER, _SID_LIKE_SUMMARY, TEMPLATE_IDS, 2096, False))
+def test_augment_context_is_the_prompts_sid_tokens(inputs):
+    """A sample's context, joined from scans of the texts its prompt is
+    built of, is the S-ID tokens of the whole prompt in an S-ID view, and
+    () in a view that renders ads by title."""
     try:
         samples = augment(*inputs)
     except PromptError:
         return
+    use_sid = inputs[-1]
     for sample in samples:
-        at = 0
-        for piece in sample.pieces:
-            found = sample.prompt.find(piece, at)
-            assert found >= at, piece
-            at = found + len(piece)
+        assert sample.context == (sid_like_scan(sample.prompt) if use_sid else ())
+
+
+@pytest.mark.parametrize("template_id", TEMPLATE_IDS)
+def test_template_keeps_what_the_context_scan_needs(template_id):
+    """augment scans the profile, summary and behaviour texts apart from the
+    template, which is the same as scanning the prompt only while each slot
+    is in the template once, its fixed text holds no S-ID token, and
+    whitespace sets each slot apart from the fixed text beside it."""
+    template = prompting._TEMPLATES[template_id]
+    slots = ("{profile}", "{summary}", "{behaviors}")
+    assert sid_context(template.format(profile="", summary="", behaviors="")) == ()
+    for slot in slots:
+        assert template.count(slot) == 1, slot
+        at = template.index(slot)
+        assert template[at - 1].isspace() and template[at + len(slot)].isspace(), slot
+
+
+@pytest.mark.parametrize("template_id", [len(TEMPLATE_IDS), -1])
+def test_assemble_rejects_an_unknown_template_id(template_id):
+    # -1 would index the table from its end
+    with pytest.raises(PromptError, match="unknown template_id"):
+        prompting._assemble(template_id, "p", "s", "b")
 
 
 def views_outcome(fn, *args):
     """fn's sample lists, one per view, each sample as (prompt, response,
-    pieces), or the error it raised."""
+    context), or the error it raised."""
     try:
-        return [[(s.prompt, s.response, s.pieces) for s in samples]
+        return [[(s.prompt, s.response, s.context) for s in samples]
                 for samples in fn(*args)]
     except PromptError as exc:
         return repr(exc)
