@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genret import rqvae, scorer as scorer_mod, synth
+from genret import decoder as decoder_mod, rqvae, scorer as scorer_mod, synth
 from genret.alignment import build_stage_corpora, train_staged, user_context
 from genret.catalog import load_catalog
 from genret.decoder import DecodeError, decode, decode_exhaustive
@@ -324,21 +324,28 @@ def test_neural_decode_equals_exhaustive_on_trained_index(tmp_path):
 # a few probabilities, so that candidate scores tie exactly, and zeros, whose
 # -inf scores tie too
 TIE_VALUES = (0.0, 0.0, 0.125, 0.25, 0.25, 0.5, 1.0 / 3.0, 1.0)
+# normal probabilities, some one ulp apart, so that costs tie exactly or
+# differ in their last bits, with which the last level takes its filter;
+# and the same with a subnormal, with which it mostly does not
+ULP_VALUES = (0.125, 0.25, 0.25, *np.nextafter(0.25, [0.0, 1.0]).tolist(), 0.5,
+              float(np.nextafter(0.5, 0.0)), 1.0 / 3.0, float(np.nextafter(1.0 / 3.0, 1.0)))
+SUBNORMAL_VALUES = ULP_VALUES + (5e-324,)
 
 
 class TieScorer(RowScorer):
-    """Each prefix's row drawn from TIE_VALUES by a seed of its own. Each
+    """Each prefix's row drawn from ``values`` by a seed of its own. Each
     (token id, value) of ``bad`` is put in about half the rows, so a contract
     violation can come at any level and at more than one candidate."""
 
-    def __init__(self, vocab, seed, bad=()):
+    def __init__(self, vocab, seed, bad=(), values=TIE_VALUES):
         self.vocab = vocab
         self.seed = seed
         self.bad = bad
+        self.values = values
 
     def prob_dist(self, context, prefix):
         rng = np.random.default_rng([self.seed, len(prefix), *prefix])
-        dist = rng.choice(TIE_VALUES, size=len(self.vocab))
+        dist = rng.choice(self.values, size=len(self.vocab))
         for token_id, value in self.bad:
             if rng.random() < 0.5:
                 dist[token_id] = value
@@ -368,15 +375,70 @@ def _bits(result):
     return [(ad_id, sid, score.hex()) for ad_id, sid, score in result.entries]
 
 
+def _moved_log(seed, move):
+    """math.log of each p, moved by up to the decoder's stated bound on its
+    approximate log, d(1 + |log p|): all up, all down, or each candidate
+    up, down or not, at random."""
+    rng = np.random.default_rng(seed)
+
+    def log(p):
+        exact = np.array(list(map(math.log, p.tolist())))
+        sign = {"up": 1.0, "down": -1.0}.get(move) or rng.choice((-1.0, 0.0, 1.0), len(p))
+        return exact + sign * decoder_mod._LOG_BOUND * (1.0 + np.abs(exact))
+
+    return log
+
+
 @settings(max_examples=300, deadline=None)
 @given(collision_tries(), st.integers(0, 2**31 - 1), st.data())
 def test_decode_equals_the_pruning_oracle(tree, seed, data):
+    """decode equals the oracle bit for bit on exact ties, on costs one ulp
+    apart and with a subnormal, whether the last level's filter ranks by
+    np.log or by math.log moved by up to the bound it is proven for, in
+    either direction and per candidate."""
     sids, trie = tree
     beam = data.draw(st.integers(1, trie.ad_count), label="beam")
-    scorer = TieScorer(vocab_from_sids(sids), seed)
-    result = decode(scorer, CTX, trie, beam)
+    values = data.draw(st.sampled_from((TIE_VALUES, ULP_VALUES, SUBNORMAL_VALUES)),
+                       label="values")
+    move = data.draw(st.sampled_from((None, "up", "down", "each")), label="move")
+    scorer = TieScorer(vocab_from_sids(sids), seed, values=values)
+    with pytest.MonkeyPatch.context() as patch:
+        if move is not None:
+            patch.setattr(decoder_mod, "_approx_log", _moved_log(seed, move))
+        result = decode(scorer, CTX, trie, beam)
     assert _bits(result) == _bits(reference_decode(scorer, CTX, trie, beam))
     assert all(entry[1] is sids[entry[0]] for entry in result.entries)
+
+
+def test_last_level_takes_the_log_of_few_candidates(monkeypatch):
+    """A last level of 300 distinct probabilities at beam 4 takes math.log
+    of few more than the 4 it keeps: the filter drops the rest on np.log."""
+    sids = {f"ad{i:03d}": SemanticId((i % 3, i // 3)) for i in range(300)}
+    trie = build(sids)
+    vocab = vocab_from_sids(sids)
+
+    class DistinctScorer(RowScorer):
+        def __init__(self):
+            self.vocab = vocab
+
+        def prob_dist(self, context, prefix):
+            return np.random.default_rng([len(prefix), *prefix]).uniform(0.01, 1.0, len(vocab))
+
+    scorer = DistinctScorer()
+    expected = _bits(reference_decode(scorer, CTX, trie, 4))
+    logged = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def log(self, x):
+            logged.append(x)
+            return math.log(x)
+
+    monkeypatch.setattr(decoder_mod, "math", CountingMath())
+    assert _bits(decode(scorer, CTX, trie, 4)) == expected
+    assert 4 <= len(logged) < 30  # 3 at the first level, 4 or more at the last
 
 
 BAD_VALUES = (-0.5, -math.inf, math.inf, math.nan, -1e-300)
@@ -402,15 +464,26 @@ def test_decode_names_the_oracles_contract_violation(tree, seed, data):
         assert _bits(decode(scorer, CTX, trie, beam)) == expected
 
 
+def _fan_out_setup():
+    """400 ads over 4 base codes and a suffix that numbers each collision
+    group, of 80 to 120 ads; so the last level holds 10 times the beam's
+    candidates or more at beams 1 (one group), 8 and 32 (all 400)."""
+    sizes = (80, 100, 100, 120)
+    sids = {f"ad{len(sizes) * s + g:03d}": SemanticId((g // 2, g % 2, s))
+            for g, size in enumerate(sizes) for s in range(size)}
+    return sids, build(sids), (1, 8, 32)
+
+
 def test_decode_equals_the_pruning_oracle_with_trained_scorers():
     rng = np.random.default_rng(23)
-    for _ in range(5):
-        sids, trie, _ = _random_setup(rng, n_ads=40, levels=4, span=3)
+    setups = [(*_random_setup(rng, n_ads=40, levels=4, span=3)[:2], (1, 3, 8, 40, 128))
+              for _ in range(5)] + [_fan_out_setup()]
+    for sids, trie, beams in setups:
         vocab = vocab_from_sids(sids)
         ngram = NgramScorer(vocab)
         ngram.train([((), vocab.sid_ids(sid)) for sid in list(sids.values())[::2]])
         context = ScorerContext(tokens=("cat:x", "a_1"))
         for scorer in (ngram, NeuralScorer(vocab, seed=int(rng.integers(100)))):
-            for beam in (1, 3, 8, 40, 128):
+            for beam in beams:
                 assert _bits(decode(scorer, context, trie, beam)) == _bits(
                     reference_decode(scorer, context, trie, beam))

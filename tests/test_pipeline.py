@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -279,6 +282,24 @@ def test_default_artifacts_match_golden_digests(tmp_path, seed):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in GOLDEN[seed]}
     assert digests == GOLDEN[seed]
+
+
+def test_default_results_hold_without_avx512_loops(tmp_path):
+    """The lists do not depend on numpy's log loops: decode's last level
+    filters on np.log but scores by math.log alone. A default run at seed 0
+    in a child process with numpy's AVX-512 loops off, whose np.log rounds
+    otherwise, gives the golden results.jsonl."""
+    path = [str(Path(__file__).resolve().parent.parent / "src"),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p),
+               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+    code = ("import sys; from genret.pipeline import PipelineConfig, run_pipeline; "
+            "run_pipeline(PipelineConfig(out_dir=sys.argv[1], seed=0))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256((tmp_path / "results.jsonl").read_bytes()).hexdigest()
+    assert digest == GOLDEN[0]["results.jsonl"]
 
 
 # sha256 of the neural + DPO artifacts of the SMALL config at seed 0.
