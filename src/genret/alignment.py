@@ -12,8 +12,7 @@ from . import jsonl
 from .catalog import Catalog, render_description
 from .prompting import (InterestSummary, UserProfile, augment, filter_events,
                         sid_context)
-from .scorer import (BUCKET, NeuralScorer, NgramScorer, ScorerContext, id_array,
-                     tokenize_text)
+from .scorer import BUCKET, NeuralScorer, NgramScorer, ScorerContext, tokenize_text
 from .sid import SemanticId
 from .vocab import UNK
 
@@ -176,10 +175,10 @@ def _compiled(vocab, contexts, responses):
     them: (each context's id array, mapped in one pass over all the tokens;
     the responses as one (P, n) id array, each distinct S-ID mapped once;
     the share of context tokens that map to ``<unk>``, 0.0 without any)."""
-    ids = id_array(vocab, list(itertools.chain.from_iterable(contexts)))
+    ids = vocab.ids(list(itertools.chain.from_iterable(contexts)))
     ends = np.cumsum([len(t) for t in contexts], dtype=np.intp).tolist()
     arrays = _distinct_ids(vocab, responses)
-    unk = int(np.count_nonzero(ids == vocab.id_of[UNK]))
+    unk = int(np.count_nonzero(ids == vocab.lookup(UNK)))
     return ([ids[end - len(t):end] for t, end in zip(contexts, ends)],
             _stacked([arrays[sid] for sid in responses]),
             unk / len(ids) if len(ids) else 0.0)

@@ -187,7 +187,7 @@ def decode_exhaustive(scorer, context, trie: Trie) -> RetrievalList:
             return
         level = len(codes)
         dist = scorer.prob_dist(context, prefix)
-        ids = [scorer.vocab.code_id(level, c) for c in node.children]
+        ids = scorer.vocab.code_ids(level, np.fromiter(node.children, np.intp)).tolist()
         logs = _checked_logs([float(dist[i]) for i in ids], level, list(node.children))
         for (code, child), i, log_p in zip(node.children.items(), ids, logs):
             rec(child, codes + (code,), prefix + (i,), log_score + log_p)

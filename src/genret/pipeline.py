@@ -14,7 +14,6 @@ from .catalog import load_catalog
 from .embed import MIN_HASHED_DIM, embed_catalog, load_embeddings, save_embeddings
 from .prompting import TEMPLATE_IDS, load_events, load_profiles
 from .scorer import NgramScorer, NeuralScorer
-from .sid import render_token
 from .vocab import UNK, vocab_from_sids
 
 
@@ -155,12 +154,16 @@ def corpus_path(out_dir, stage: str) -> str:
 
 
 def run_embed(catalog, out_path, dim: int, seed: int, embeddings_path=None):
-    """Hash-embed the catalog at width dim, or load embeddings_path when one
-    is given, and save the table to out_path."""
-    if embeddings_path is not None:
-        table = load_embeddings(embeddings_path)
-    else:
+    """Hash-embed the catalog at width dim, or load embeddings_path, which
+    must hold exactly the catalog's ads, and save the table to out_path."""
+    if embeddings_path is None:
         table = embed_catalog(catalog, dim, seed)
+    else:
+        table = load_embeddings(embeddings_path)
+        if ad_id := next((a for a in table.entries if a not in catalog), None):
+            raise ValueError(f"{embeddings_path}: ad {ad_id!r} is not in the catalog")
+        if ad_id := next((ad.ad_id for ad in catalog if ad.ad_id not in table), None):
+            raise ValueError(f"{embeddings_path}: catalog ad {ad_id!r} has no embedding")
     save_embeddings(table, out_path)
     return table
 
@@ -179,8 +182,17 @@ def run_index(table, rq_config: rqvae.RqVaeConfig, out_dir):
     return sids, codebook, sids_path
 
 
+def _check_profiles(profiles, users) -> None:
+    """Raise naming the first of users that has no profile."""
+    for uid in users:
+        if uid not in profiles:
+            raise ValueError(f"unknown user {uid!r}: no profile")
+
+
 def run_build_corpus(catalog, sids, profiles, events_by_user, out_dir, template_ids):
-    """Build the staged corpora and save each as corpus_path(out_dir, stage)."""
+    """Build the staged corpora and save each as corpus_path(out_dir, stage);
+    a user without a profile fails before anything is written."""
+    _check_profiles(profiles, sorted(events_by_user))
     corpora = alignment.build_stage_corpora(
         catalog, sids, profiles, events_by_user, template_ids=template_ids)
     os.makedirs(out_dir, exist_ok=True)
@@ -209,12 +221,12 @@ def run_train(sids, corpora, scorer_kind: str, stages, seed: int, out_path=None)
 def _check_vocabulary(scorer, sids) -> None:
     """Raise naming the first S-ID token of sids, in ad-id order, that the
     scorer's vocabulary lacks: the scorer would read it as <unk>."""
-    unk = scorer.vocab.id_of[UNK]
+    unk = scorer.vocab.lookup(UNK)
     for ad_id in sorted(sids):
-        for level, code in enumerate(sids[ad_id].codes):
-            if scorer.vocab.code_id(level, code) == unk:
-                raise ValueError(f"S-ID token {render_token(level, code)!r} of ad "
-                                 f"{ad_id!r} is not in the scorer's vocabulary")
+        for token in sids[ad_id].tokens():
+            if scorer.vocab.lookup(token) == unk:
+                raise ValueError(f"S-ID token {token!r} of ad {ad_id!r} "
+                                 f"is not in the scorer's vocabulary")
 
 
 def run_dpo(policy, catalog, sids, profiles, events_by_user, out_path, beta: float,
@@ -223,10 +235,11 @@ def run_dpo(policy, catalog, sids, profiles, events_by_user, out_path, beta: flo
     """Align policy in place by DPO against a frozen copy of it, on
     ECPM-ordered triplets over each user's first four logged ad events, and
     save it to out_path; returns the triplet count, the preference margin
-    before and after, and the final loss. An S-ID token the policy lacks
-    fails before anything is written."""
+    before and after, and the final loss. A user without a profile, or an
+    S-ID token the policy lacks, fails before anything is written."""
     if not isinstance(policy, NeuralScorer):
         raise TypeError(f"DPO needs a neural scorer, got {type(policy).__name__}")
+    _check_profiles(profiles, sorted(events_by_user))
     _check_vocabulary(policy, sids)
     users = []
     for uid, events in sorted(events_by_user.items()):
@@ -250,9 +263,7 @@ def run_generate(scorer, sids, catalog, profiles, events_by_user, users,
     """Decode a list per user over the trie of sids and write them to
     out_path as JSON lines. A user without a profile, or an S-ID token the
     scorer lacks, fails before anything is written."""
-    unknown = [uid for uid in users if uid not in profiles]
-    if unknown:
-        raise ValueError(f"unknown user {unknown[0]!r}: no profile")
+    _check_profiles(profiles, users)
     _check_vocabulary(scorer, sids)
     generate = build_generate_fn(scorer, trie_mod.build(sids), catalog, profiles,
                                  events_by_user, beam_width)
@@ -278,8 +289,12 @@ def run_eval(retrieved, truth, catalog, ltr_labels, ks) -> dict:
 
     Diversity is taken at max(ks) capped by the longest retrieved list:
     metrics.diversity normalises abundance by k-1, so ranks that no list
-    has would lower the score."""
+    has would lower the score. A retrieved ad that the catalog lacks fails,
+    naming its user."""
     cat_of = {ad.ad_id: ad.first_category for ad in catalog}
+    for uid, ads in sorted(retrieved.items()):
+        if ad_id := next((a for a in ads if a not in cat_of), None):
+            raise ValueError(f"user {uid!r}: retrieved ad {ad_id!r} is not in the catalog")
     records = [metrics.EvalRecord(user_id=uid, retrieved=ads, truth=truth[uid],
                                   categories=cat_of, ltr_labels=ltr_labels.get(uid))
                for uid, ads in sorted(retrieved.items()) if uid in truth]

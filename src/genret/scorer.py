@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 import numpy as np
 
@@ -52,14 +52,6 @@ class ScorerError(RuntimeError):
 def tokenize_text(text: str) -> list[str]:
     """Whitespace/punctuation tokenization keeping <...> markers whole."""
     return _WORD_RE.findall(text)
-
-
-def id_array(vocab: Vocabulary, tokens) -> np.ndarray:
-    """The tokens' ids in order, ``vocab.lookup`` of each, as the int array
-    the neural scorer's id entry points take: one pass over the map lookup
-    reads."""
-    return np.fromiter(map(vocab.id_of.get, tokens, repeat(vocab.id_of[UNK])),
-                       dtype=np.intp, count=len(tokens))
 
 
 @dataclass(frozen=True)
@@ -499,7 +491,7 @@ class NeuralScorer:
 
     def begin(self, context: ScorerContext) -> "_NeuralState":
         """A decode's state: the context mapped to ids and pooled once."""
-        ctx_ids = id_array(self.vocab, context.tokens)
+        ctx_ids = self.vocab.ids(context.tokens)
         mean = 0.0
         if len(ctx_ids):
             mean = self.params["emb"][ctx_ids].sum(axis=0) / len(ctx_ids)

@@ -95,7 +95,8 @@ def reference_decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalL
                 f"scorer contract violated: prob_dist returned shape "
                 f"{probs.shape} for {len(prefixes)} prefixes")
         candidates = [(i, c) for i, node in enumerate(nodes) for c in node.children]
-        id_of = {c: scorer.vocab.code_id(level, c) for c in {c for _, c in candidates}}
+        id_of = {c: scorer.vocab.lookup(render_token(level, c))
+                 for c in {c for _, c in candidates}}
         p = probs.ravel()[[i * v + id_of[c] for i, c in candidates]].tolist()
         bad = [k for k, x in enumerate(p) if not 0.0 <= x < math.inf]
         if bad:

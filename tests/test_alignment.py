@@ -16,10 +16,9 @@ from genret.catalog import Ad, Catalog, load_catalog
 from genret.embed import embed_catalog
 from genret.jsonl import JsonlError
 from genret.prompting import BehaviorEvent, UserProfile, load_events, load_profiles
-from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext, id_array,
-                           tokenize_text)
+from genret.scorer import NeuralScorer, NgramScorer, ScorerContext, tokenize_text
 from genret.sid import SemanticId, is_token
-from genret.vocab import vocab_from_sids
+from genret.vocab import Vocabulary, vocab_from_sids
 
 from conftest import one_pair, sid_like_scan
 
@@ -485,8 +484,8 @@ def string_path_train(scorer, corpora, epochs, learning_rate=0.02, seed=0):
     batched gradient."""
     rng = np.random.default_rng(seed)
     for stage in alignment.STAGES:
-        samples = [(id_array(scorer.vocab, string_context(p)),
-                    id_array(scorer.vocab, string_response(p))) for p in corpora[stage]]
+        samples = [(scorer.vocab.ids(string_context(p)),
+                    scorer.vocab.ids(string_response(p))) for p in corpora[stage]]
         for _ in range(epochs):
             perm = rng.permutation(len(samples))
             for start in range(0, len(perm), alignment.TRAIN_BATCH):
@@ -523,13 +522,13 @@ def test_neural_lookups_do_not_grow_with_epochs(vocab, monkeypatch):
     corpora = build_stage_corpora(_catalog(), SIDS, users,
                                   {uid: _events() for uid in users})
     calls = []
-    real = alignment.id_array
+    real = Vocabulary.ids
 
     def counting(vocab, tokens):
         calls.extend(tokens)
         return real(vocab, tokens)
 
-    monkeypatch.setattr(alignment, "id_array", counting)
+    monkeypatch.setattr(Vocabulary, "ids", counting)
     counts = []
     for epochs in (1, 3):
         calls.clear()
@@ -650,7 +649,7 @@ def loop_dpo_step(policy, reference, triplets, beta, learning_rate, variant):
     Returns the mean loss."""
     total, loss_sum = policy.zero_grads(), 0.0
     for t in triplets:
-        ctx = id_array(policy.vocab, t.user.tokens)
+        ctx = policy.vocab.ids(t.user.tokens)
         high, low = (np.array(policy.vocab.sid_ids(sid)) for sid in (t.high_ad, t.low_ad))
         ref_h, ref_l = one_pair(reference, ctx, high)[0], one_pair(reference, ctx, low)[0]
         logp_h, grad_h = one_pair(policy, ctx, high)

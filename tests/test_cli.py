@@ -341,6 +341,36 @@ def test_generate_names_an_unknown_user_and_writes_nothing(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_build_corpus_and_dpo_name_a_user_without_a_profile(tmp_path, capsys):
+    """An events file with a user the profiles lack fails build-corpus and
+    dpo as generate fails, naming the user, and writes nothing."""
+    run = tmp_path / "run"
+    run_pipeline(PipelineConfig(
+        out_dir=str(run), seed=5,
+        synthetic={"num_categories": 2, "ads_per_category": 4, "num_users": 3,
+                   "events_per_user": 6},
+        embed_dim=16,
+        rqvae={"num_levels": 2, "codebook_size": 4, "latent_dim": 4, "epochs": 10},
+        beam_width=4, scorer_kind="neural"))
+    events = (run / "data" / "events.jsonl").read_text()
+    ghost = {**json.loads(events.splitlines()[0]), "user_id": "u999"}
+    (tmp_path / "events.jsonl").write_text(events + json.dumps(ghost) + "\n")
+    data = ("--catalog", str(run / "data" / "catalog.jsonl"),
+            "--sids", str(run / "sids.jsonl"),
+            "--profiles", str(run / "data" / "profiles.jsonl"),
+            "--events", str(tmp_path / "events.jsonl"))
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in (("build-corpus", *data, "--out", str(out / "corpus")),
+                 ("dpo", "--policy", str(run / "scorer.json"), *data,
+                  "--out", str(out / "dpo_policy.json"))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        obj = json.loads(err.strip().splitlines()[-1])
+        assert obj == {"error": "ValueError", "message": "unknown user 'u999': no profile"}
+    assert list(out.iterdir()) == []
+
+
 def test_generate_and_dpo_reject_an_index_the_scorer_does_not_cover(tmp_path, capsys):
     """A scorer trained on one index, paired with the S-IDs of another, would
     read the codes it lacks as <unk>: generate and dpo name the first such
@@ -392,6 +422,21 @@ def test_eval_names_the_line_of_a_truth_record_its_spec_rejects(tmp_path, capsys
     assert obj["error"] == "JsonlError"
     assert obj["message"].startswith(f"{truth}: line 2: ")
     assert "'user_id' must be a non-empty string, got []" in obj["message"]
+
+
+def test_eval_names_a_ranked_ad_the_catalog_lacks(tmp_path, capsys):
+    (tmp_path / "catalog.jsonl").write_text('{"ad_id": "a1", "name": "n"}\n')
+    (tmp_path / "results.jsonl").write_text(
+        '{"user_id": "u0", "ad_id": "ad_zz", "score": 0.5}\n'
+        '{"user_id": "u0", "ad_id": "a1", "score": 0.25}\n')
+    (tmp_path / "truth.jsonl").write_text('{"user_id": "u0", "ad_id": "a1"}\n')
+    code, out, err = run_cli(capsys, "eval", "--results", str(tmp_path / "results.jsonl"),
+                             "--truth", str(tmp_path / "truth.jsonl"),
+                             "--catalog", str(tmp_path / "catalog.jsonl"))
+    assert code == 1 and out == ""
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "ValueError",
+        "message": "user 'u0': retrieved ad 'ad_zz' is not in the catalog"}
 
 
 def test_index_config_must_be_an_object(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genret import decoder as decoder_mod, rqvae, scorer as scorer_mod, synth
+from genret import decoder as decoder_mod, rqvae, synth
 from genret.alignment import build_stage_corpora, train_staged, user_context
 from genret.catalog import load_catalog
 from genret.decoder import DecodeError, decode, decode_exhaustive
@@ -13,7 +13,7 @@ from genret.prompting import load_events, load_profiles
 from genret.scorer import NeuralScorer, NgramScorer, RowState, ScorerContext
 from genret.sid import SemanticId
 from genret.trie import build
-from genret.vocab import Vocabulary, vocab_from_sids
+from genret.vocab import TABLE_CODES, Vocabulary, vocab_from_sids
 
 from conftest import RowScorer, TableScorer, reference_decode
 
@@ -274,11 +274,11 @@ def test_prefixes_reach_the_scorer_as_ids(monkeypatch):
     levels = [[()], [(vocab.lookup("a_0"),), (vocab.lookup("a_1"),)],
               [(vocab.lookup("a_1"), vocab.lookup("b_2"))]]
     looked_up, mapped = [], []
-    real_lookup, real_id_array = Vocabulary.lookup, scorer_mod.id_array
+    real_lookup, real_ids = Vocabulary.lookup, Vocabulary.ids
     monkeypatch.setattr(Vocabulary, "lookup",
                         lambda self, token: looked_up.append(token) or real_lookup(self, token))
-    monkeypatch.setattr(scorer_mod, "id_array",
-                        lambda v, tokens: mapped.append(tuple(tokens)) or real_id_array(v, tokens))
+    monkeypatch.setattr(Vocabulary, "ids",
+                        lambda self, tokens: mapped.append(tuple(tokens)) or real_ids(self, tokens))
     prefixes = [p for level in levels for p in level]
     for prefix in prefixes:
         ngram.prob_dist(context, prefix)
@@ -487,3 +487,20 @@ def test_decode_equals_the_pruning_oracle_with_trained_scorers():
             for beam in beams:
                 assert _bits(decode(scorer, context, trie, beam)) == _bits(
                     reference_decode(scorer, context, trie, beam))
+
+
+def test_decode_equals_the_pruning_oracle_through_a_vocabulary_without_tables():
+    """An ad whose S-ID holds a code at or above TABLE_CODES leaves its
+    vocabulary without per-level tables, so code_ids looks up each rendered
+    token: decode still equals the oracle bit for bit at beams 1 and 8."""
+    sids, _, _ = _random_setup(np.random.default_rng(29), n_ads=40, levels=4, span=3)
+    sids["ad_wide"] = SemanticId((1, TABLE_CODES, 0, 0))
+    trie, vocab = build(sids), vocab_from_sids(sids)
+    assert vocab._level_ids is None
+    ngram = NgramScorer(vocab)
+    ngram.train([((), vocab.sid_ids(sid)) for sid in sids.values()])
+    context = ScorerContext(tokens=("cat:x", "a_1"))
+    for scorer in (ngram, NeuralScorer(vocab, seed=3)):
+        for beam in (1, 8):
+            assert _bits(decode(scorer, context, trie, beam)) == _bits(
+                reference_decode(scorer, context, trie, beam))

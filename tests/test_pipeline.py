@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from genret import alignment, rqvae
+from genret import alignment, rqvae, synth
+from genret.catalog import load_catalog
+from genret.embed import embed_catalog, save_embeddings
 from genret.pipeline import (Manifest, PipelineConfig, PipelineError,
                              run_pipeline, run_train)
 from genret.sid import SemanticId
@@ -219,6 +221,36 @@ def test_config_rejects_bad_overrides_and_empty_arrays(tmp_path, key, value, mes
 def test_config_takes_a_narrow_embed_dim_beside_an_embeddings_path():
     # a loaded TSV sets its own width, so only hashing needs the minimum
     assert PipelineConfig(embed_dim=4, embeddings_path="emb.tsv").embed_dim == 4
+
+
+def _edited_catalog_tsv(tmp_path, case) -> tuple[str, str]:
+    """The SMALL catalog hashed as a TSV with one row too many ("extra": a
+    copy of the first under an id the catalog lacks) or one too few
+    ("missing": the first dropped); returns (path, the message the run names
+    the ad with)."""
+    spec = synth.SyntheticSpec(seed=0, **SMALL["synthetic"])
+    catalog = load_catalog(synth.gen_data(spec, tmp_path / "tsv_data")["catalog"])
+    path = tmp_path / f"{case}.tsv"
+    save_embeddings(embed_catalog(catalog, SMALL["embed_dim"], seed=0), path)
+    rows = path.read_text().splitlines(keepends=True)
+    first, _, vector = rows[0].partition("\t")
+    if case == "extra":
+        path.write_text("".join(rows) + "ghost_000\t" + vector)
+        return str(path), "ad 'ghost_000' is not in the catalog"
+    path.write_text("".join(rows[1:]))
+    return str(path), f"catalog ad {first!r} has no embedding"
+
+
+@pytest.mark.parametrize("case", ["extra", "missing"])
+def test_loaded_embeddings_must_hold_exactly_the_catalog(tmp_path, case):
+    """A loaded TSV with an ad the catalog lacks, or without one it has,
+    fails at stage embed, naming the ad, before the embed stage writes."""
+    path, message = _edited_catalog_tsv(tmp_path, case)
+    with pytest.raises(PipelineError) as raised:
+        _run(tmp_path, "run", embeddings_path=path)
+    assert raised.value.stage == "embed"
+    assert str(raised.value).endswith(f"{path}: {message}")
+    assert not (tmp_path / "run" / "embeddings.tsv").exists()
 
 
 @pytest.mark.parametrize("rq", [{"epoch": 10}, {"seed": 1}, {"epochs": -3},

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from genret import scorer as scorer_mod
 from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext,
-                           ScorerError, id_array, load_scorer, tokenize_text)
+                           ScorerError, load_scorer, tokenize_text)
 from genret.sid import SemanticId
 from genret.vocab import Vocabulary, vocab_from_sids
 
@@ -391,7 +391,7 @@ def test_neural_deterministic(vocab):
 
 def test_seq_logprob_factorizes(vocab):
     scorer = NeuralScorer(vocab, seed=2)
-    ctx, resp = id_array(vocab, CTX.tokens), id_array(vocab, ["a_1", "b_0"])
+    ctx, resp = vocab.ids(CTX.tokens), vocab.ids(["a_1", "b_0"])
     manual = (np.log(scorer.prob_dist(CTX, [])[vocab.lookup("a_1")])
               + np.log(scorer.prob_dist(CTX, ids(vocab, ["a_1"]))[vocab.lookup("b_0")]))
     assert one_pair(scorer, ctx, resp)[0] == float(manual)
@@ -399,7 +399,7 @@ def test_seq_logprob_factorizes(vocab):
 
 def test_seq_grad_matches_finite_differences(vocab):
     scorer = NeuralScorer(vocab, embed_dim=6, hidden_dim=8, seed=3)
-    ctx, resp = id_array(vocab, CTX.tokens), id_array(vocab, ["a_1", "b_0"])
+    ctx, resp = vocab.ids(CTX.tokens), vocab.ids(["a_1", "b_0"])
     _, grads = one_pair(scorer, ctx, resp)
     eps = 1e-6
     rng = np.random.default_rng(0)
@@ -419,7 +419,7 @@ def test_seq_grad_matches_finite_differences(vocab):
 
 def test_cross_entropy_training_step_reduces_loss(vocab):
     scorer = NeuralScorer(vocab, seed=5)
-    ctx, resp = id_array(vocab, CTX.tokens), id_array(vocab, ["a_2", "b_1"])
+    ctx, resp = vocab.ids(CTX.tokens), vocab.ids(["a_2", "b_1"])
     logp0, grads = one_pair(scorer, ctx, resp)
     scorer.apply_grads(grads, -0.5)
     # the loss, -log P, falls
@@ -716,29 +716,12 @@ def test_neural_rows_depend_only_on_params_and_arguments():
                 level_rows(scorer, ctx, prefixes),
                 level_rows(NeuralScorer(vocab, seed=5), ctx, prefixes))
     before = [level_rows(scorer, a, prefixes) for prefixes in levels]
-    _, grads = one_pair(scorer, id_array(vocab, a.tokens), id_array(vocab, ["a_1", "b_0"]))
+    _, grads = one_pair(scorer, vocab.ids(a.tokens), vocab.ids(["a_1", "b_0"]))
     scorer.apply_grads(grads, -0.5)
     after = [level_rows(scorer, a, prefixes) for prefixes in levels]
     assert not any(np.array_equal(x, y) for x, y in zip(before, after))
     for prefixes, rows in zip(levels, after):
         np.testing.assert_array_equal(rows, level_rows(scorer.copy(), a, prefixes))
-
-
-_ID_TOKENS = st.one_of(
-    st.sampled_from(["a_0", "b_1", "c_2", "a_9", "<unk>", "<sep>", "<task>",
-                     "cat:x", "cat:", "novel", ""]),
-    st.builds(lambda level, code: f"{'abc'[level]}_{code}",
-              st.integers(0, 2), st.integers(0, 4)),
-    st.builds("cat:{}".format, st.text(max_size=3)),
-    st.text(max_size=4))
-
-
-@given(st.lists(_ID_TOKENS, max_size=12))
-def test_id_array_equals_lookup_per_token(tokens):
-    vocab = vocab_from_sids(SIDS, extra_tokens=("cat:x", "novel"))
-    got = id_array(vocab, tokens)
-    want = np.array([vocab.lookup(t) for t in tokens], dtype=np.intp)
-    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 # --- teacher-forced pass: bit-exact against the per-step loop ---------------
@@ -806,7 +789,7 @@ TF_TOKENS = ["a_0", "a_1", "b_0", "b_1", "c_2", "<unk>", "novel"]
 def test_seq_logprob_and_grad_equal_step_loop(ctx_tokens, resp, max_prefix, seed):
     scorer = NeuralScorer(vocab_from_sids(SIDS), embed_dim=6, hidden_dim=5,
                           max_prefix=max_prefix, seed=seed)
-    ctx, resp_ids = id_array(scorer.vocab, ctx_tokens), id_array(scorer.vocab, resp)
+    ctx, resp_ids = scorer.vocab.ids(ctx_tokens), scorer.vocab.ids(resp)
     logp, grads = one_pair(scorer, ctx, resp_ids)
     want_logp, want = loop_logprob_and_grad(scorer, ctx_tokens, resp)
     assert logp == want_logp
@@ -826,8 +809,8 @@ def test_train_step_equals_loop_step(pairs, max_prefix, seed):
                           max_prefix=max_prefix, seed=seed)
     reference = scorer.copy()
     for ctx_tokens, resp in pairs:
-        _, grads = one_pair(scorer, id_array(scorer.vocab, ctx_tokens),
-                            id_array(scorer.vocab, resp))
+        _, grads = one_pair(scorer, scorer.vocab.ids(ctx_tokens),
+                            scorer.vocab.ids(resp))
         scorer.apply_grads(grads, -0.3)
         loop_train_step(reference, ctx_tokens, resp, lr=0.3)
         for k in reference.params:
@@ -843,7 +826,7 @@ def test_teacher_forced_rows_equal_single_prefix_forward():
     rng = np.random.default_rng(2)
     ctx = ScorerContext(tokens=tuple(rng.choice(tokens, size=35)))
     resp = list(rng.choice(tokens, size=9))
-    ctx_ids, resp_ids = id_array(scorer.vocab, ctx.tokens), id_array(scorer.vocab, resp)
+    ctx_ids, resp_ids = scorer.vocab.ids(ctx.tokens), scorer.vocab.ids(resp)
     probs = scorer._forward(scorer._batch_layout([ctx_ids]), resp_ids[None])[3]
     for i in range(len(resp)):
         np.testing.assert_array_equal(probs[i], loop_forward(scorer, ctx.tokens, resp[:i]))
@@ -872,8 +855,8 @@ def pair_batches(draw):
 def test_batched_gradient_equals_sum_of_pair_gradients(pairs, max_prefix, seed, weighted):
     scorer = NeuralScorer(vocab_from_sids(SIDS), embed_dim=6, hidden_dim=5,
                           max_prefix=max_prefix, seed=seed)
-    contexts = [id_array(scorer.vocab, c) for c, _, _ in pairs]
-    responses = [id_array(scorer.vocab, r) for _, r, _ in pairs]
+    contexts = [scorer.vocab.ids(c) for c, _, _ in pairs]
+    responses = [scorer.vocab.ids(r) for _, r, _ in pairs]
     weights = [w if weighted else 1.0 for _, _, w in pairs]
     logps, pullback = scorer.seq_logprob_vjp(contexts,
                                              np.array(responses).reshape(len(pairs), -1))
@@ -891,7 +874,7 @@ def test_batched_gradient_equals_sum_of_pair_gradients(pairs, max_prefix, seed, 
 
 def test_batched_gradient_rejects_unequal_counts():
     scorer = NeuralScorer(vocab_from_sids(SIDS), seed=0)
-    context, response = id_array(scorer.vocab, ["a_0"]), id_array(scorer.vocab, ["a_1"])
+    context, response = scorer.vocab.ids(["a_0"]), scorer.vocab.ids(["a_1"])
     for contexts, responses in (([context] * 2, [response]), ([context], [response] * 2),
                                 ([], [response])):
         with pytest.raises(ScorerError, match="contexts for"):

@@ -163,3 +163,15 @@ def test_only_the_scorer_lays_out_neural_batches():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if layout & {getattr(node, attr, None) for attr in ("id", "attr", "name", "arg")})
     assert not names, names
+
+
+def test_only_the_vocabulary_maps_tokens_to_ids():
+    """A token or an S-ID code becomes an id in genret.vocab alone: no
+    other module reads a vocabulary's ``id_of`` map; they ask ``lookup``,
+    ``ids``, ``code_ids`` or ``sid_ids``."""
+    names = sorted(
+        f"{path.name}:{node.lineno}" for path in PACKAGE.glob("*.py")
+        if path.name != "vocab.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "id_of")
+    assert not names, names
