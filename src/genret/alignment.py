@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,19 +35,16 @@ class AlignmentError(RuntimeError):
 
 @dataclass(frozen=True)
 class CorpusPair:
-    """One training pair. A main pair's ``context`` is ``sid_context`` of
-    its prompt, derived from the prompt when not given; the other stages
-    leave it None, as their neural context is every prompt token."""
+    """One training pair. A built main pair's ``context`` is the one augment
+    gave its sample; a pair read from text has None, and compile_corpus
+    derives it from the prompt. The other stages leave it None, as their
+    neural context is every prompt token."""
     prompt: str
     response: SemanticId
     stage: str
     bucket: tuple = ()
     user_id: str = ""
-    context: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.stage == "main" and self.context is None:
-            object.__setattr__(self, "context", sid_context(self.prompt))
+    context: tuple[str, ...] | None = field(default=None, compare=False)
 
 
 # a corpus line: a pair's prompt, its response rendered, its stage, and the
@@ -70,27 +67,18 @@ def _ad_sids(events) -> list[SemanticId]:
     return [e.sid for e in events if e.domain == "ad" and e.sid is not None]
 
 
-def _bucket(profile: UserProfile, summary: InterestSummary, ad_sids) -> tuple:
-    top_cat = summary.entries[0][0] if summary.entries else ""
-    return (profile.age // 10, profile.gender, top_cat,
-            ad_sids[-1].codes[0] if ad_sids else -1)
-
-
-def make_bucket(profile: UserProfile, summary: InterestSummary, events) -> tuple:
-    """Compact n-gram context: age band, gender, top interest, last ad's
-    level-0 code."""
-    return _bucket(profile, summary, _ad_sids(events))
-
-
 def compact_context(profile: UserProfile, summary: InterestSummary, events) -> ScorerContext:
-    """Feature-view context: interest categories plus recent ad S-ID tokens.
-    One pass over the events finds the ad S-IDs that both the tokens and
-    the bucket read."""
+    """The scorer context of a user's event window, the one place that
+    builds one: interest categories plus the recent ad S-ID tokens, and the
+    n-gram bucket (age band, gender, top interest, last ad's level-0 code)."""
     sids = _ad_sids(events)
     tokens = [f"cat:{c}" for c, _ in summary.entries[:3]]
     for sid in sids[-HISTORY_ADS:]:
         tokens += sid.tokens()
-    return ScorerContext(tokens=tuple(tokens), bucket=_bucket(profile, summary, sids))
+    top_cat = summary.entries[0][0] if summary.entries else ""
+    bucket = (profile.age // 10, profile.gender, top_cat,
+              sids[-1].codes[0] if sids else -1)
+    return ScorerContext(tokens=tuple(tokens), bucket=bucket)
 
 
 def user_context(profile: UserProfile, events, catalog: Catalog) -> ScorerContext:
@@ -117,10 +105,10 @@ def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
     """Build the explicit/implicit/main corpora from structured user data.
 
     Prompts render the filtered behaviour window. The n-gram bucket of every
-    split reads all of the user's logged events, the split's own target and
-    later events included, while serving reads only the past: at M, seed 0,
-    the bucket's last-ad code equals the response's level-0 code in 70% of
-    main pairs (ROADMAP item 4).
+    split is compact_context's, as serving's is, over all of the user's
+    logged events, the split's own target and later events included, while
+    serving reads only the past: at M, seed 0, the bucket's last-ad code
+    equals the response's level-0 code in 70% of main pairs (ROADMAP item 4).
 
     A main pair carries its neural context, the ``context`` augment gives
     its sample."""
@@ -131,7 +119,7 @@ def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
         profile = profiles[uid]
         events = filter_events(events_by_user[uid])
         summary = summary_from_events(events_by_user[uid], catalog)
-        bucket = make_bucket(profile, summary, events_by_user[uid])
+        bucket = compact_context(profile, summary, events_by_user[uid]).bucket
         # one augment renders both views: the implicit stage's ads by title,
         # the main stage's by S-ID
         implicit, main = augment(events, profile, summary, template_ids,
@@ -186,10 +174,13 @@ def _compiled(vocab, contexts, responses):
 
 def compile_corpus(pairs, vocab):
     """The pairs as ``_compiled`` maps them: (contexts, responses,
-    unk_share). A main pair's context is its ``context``, its prompt's S-ID
-    tokens as serving's context has; other stages keep every prompt token."""
-    return _compiled(vocab, [p.context if p.stage == "main" else tokenize_text(p.prompt)
-                             for p in pairs], [p.response for p in pairs])
+    unk_share). A main pair's context is its prompt's S-ID tokens, as
+    serving's context has: its ``context``, else ``sid_context`` of its
+    prompt. Other stages keep every prompt token."""
+    contexts = [tokenize_text(p.prompt) if p.stage != "main"
+                else p.context if p.context is not None else sid_context(p.prompt)
+                for p in pairs]
+    return _compiled(vocab, contexts, [p.response for p in pairs])
 
 
 def _check_positive(name: str, value: float) -> None:

@@ -233,18 +233,19 @@ def run_dpo(policy, catalog, sids, profiles, events_by_user, out_path, beta: flo
             variant: str, steps: int,
             learning_rate: float = alignment.DPO_LEARNING_RATE) -> dict:
     """Align policy in place by DPO against a frozen copy of it, on
-    ECPM-ordered triplets over each user's first four logged ad events, and
-    save it to out_path; returns the triplet count, the preference margin
-    before and after, and the final loss. A user without a profile, or an
-    S-ID token the policy lacks, fails before anything is written."""
+    ECPM-ordered triplets over each user's candidates, the first four logged
+    ad events that have an S-ID and a catalog entry, and save it to
+    out_path; returns the triplet count, the preference margin before and
+    after, and the final loss. A user without a profile, or an S-ID token
+    the policy lacks, fails before anything is written."""
     if not isinstance(policy, NeuralScorer):
         raise TypeError(f"DPO needs a neural scorer, got {type(policy).__name__}")
     _check_profiles(profiles, sorted(events_by_user))
     _check_vocabulary(policy, sids)
     users = []
     for uid, events in sorted(events_by_user.items()):
-        ads = [(sids[e.ad_id], catalog.get(e.ad_id).ecpm) for e in events
-               if e.domain == "ad" and e.ad_id in catalog and e.ad_id in sids]
+        ads = [(e.sid, catalog.get(e.ad_id).ecpm) for e in events
+               if e.domain == "ad" and e.sid is not None and e.ad_id in catalog]
         users.append((alignment.user_context(profiles[uid], events, catalog), ads[:4]))
     triplets = alignment.build_preference_triplets(users)
     reference = policy.copy()

@@ -44,6 +44,9 @@ class SyntheticSpec:
         if min(self.num_categories, self.ads_per_category, self.num_users,
                self.events_per_user) < 1:
             raise ValueError("synthetic sizes must be positive")
+        if self.events_per_user == 1:
+            raise ValueError("events_per_user 1 leaves no training event: each "
+                             "user's last event is held out, so it must be >= 2")
         if self.events_per_user > MAX_EVENTS_PER_USER:
             raise ValueError(f"events_per_user {self.events_per_user} exceeds "
                              f"{MAX_EVENTS_PER_USER}, one event per day of the window")

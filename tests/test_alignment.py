@@ -9,13 +9,14 @@ from genret import alignment, rqvae, synth
 from genret.alignment import (AlignmentError, PreferenceTriplet,
                               build_preference_triplets, build_stage_corpora,
                               compact_context, compile_corpus, dpo_loss, dpo_update,
-                              explicit_pairs, load_corpus, make_bucket,
+                              explicit_pairs, load_corpus,
                               preference_margin, save_corpus,
                               summary_from_events, train_staged, user_context)
 from genret.catalog import Ad, Catalog, load_catalog
 from genret.embed import embed_catalog
 from genret.jsonl import JsonlError
-from genret.prompting import BehaviorEvent, UserProfile, load_events, load_profiles
+from genret.prompting import (BehaviorEvent, UserProfile, filter_events,
+                              interaction_reuse_splits, load_events, load_profiles)
 from genret.scorer import NeuralScorer, NgramScorer, ScorerContext, tokenize_text
 from genret.sid import SemanticId, is_token
 from genret.vocab import Vocabulary, vocab_from_sids
@@ -155,10 +156,8 @@ def test_summary_from_events_skips_blank_titles():
 
 def test_make_bucket_and_compact_context():
     summary = summary_from_events(_events(), _catalog())
-    bucket = make_bucket(_profile(), summary, _events())
-    assert bucket == (3, "female", "cat0", SIDS["ad2"].codes[0])
     ctx = compact_context(_profile(), summary, _events())
-    assert ctx.bucket == bucket
+    assert ctx.bucket == (3, "female", "cat0", SIDS["ad2"].codes[0])
     assert ctx.tokens[:2] == ("cat:cat0", "cat:cat1")
     assert ctx.tokens[2:] == SIDS["ad1"].tokens() + SIDS["ad2"].tokens()
 
@@ -422,13 +421,21 @@ def adversarial_world(titles, profile_words):
 
 
 def check_main_contexts(corpora, tmp_path):
-    for pair in corpora["main"]:
+    main = corpora["main"]
+    for pair in main:
         assert pair.context == sid_like_scan(pair.prompt), pair.prompt
     assert all(p.context is None for p in corpora["implicit"] + corpora["explicit"])
-    # a pair read back from text derives the same context from its prompt
+    # a pair read back from text holds no context, and compile_corpus
+    # derives the built one from its prompt. The vocabulary holds every
+    # context token, so equal ids mean equal tokens.
     path = tmp_path / "corpus_main.jsonl"
-    save_corpus(corpora["main"], path)
-    assert load_corpus(path) == corpora["main"]
+    save_corpus(main, path)
+    loaded = load_corpus(path)
+    assert loaded == main and all(p.context is None for p in loaded)
+    vocab = Vocabulary.build([t for p in main for t in p.response.tokens()],
+                             [t for p in main for t in p.context])
+    built_ids, loaded_ids = (compile_corpus(pairs, vocab)[0] for pairs in (main, loaded))
+    assert [c.tolist() for c in loaded_ids] == [c.tolist() for c in built_ids]
 
 
 _adversarial_words = st.lists(st.tuples(st.sampled_from(ADVERSARIAL),
@@ -465,17 +472,80 @@ def test_main_context_of_trimmed_histories(tmp_path):
     check_main_contexts(corpora, tmp_path)
 
 
-@pytest.fixture(scope="module")
-def world_s(tmp_path_factory):
-    """Scale S: 4 categories x 8 ads, 20 users, 3 levels of 8 codes."""
-    paths = synth.gen_data(synth.SyntheticSpec(), tmp_path_factory.mktemp("s"))
+def load_world(spec, out_dir, assign):
+    """The world of spec written by gen_data and read back as the pipeline
+    reads it: (catalog, S-IDs, profiles, logged events by user), the S-IDs
+    from assign(catalog)."""
+    paths = synth.gen_data(spec, out_dir)
     catalog = load_catalog(paths["catalog"])
+    sids = assign(catalog)
+    return (catalog, sids, load_profiles(paths["profiles"]),
+            load_events(paths["events"], sids))
+
+
+def _trained_sids(catalog):
     table = embed_catalog(catalog, 16, 0)
-    sids = rqvae.assign_sids(rqvae.train(rqvae.RqVaeConfig(
+    return rqvae.assign_sids(rqvae.train(rqvae.RqVaeConfig(
         codebook_size=8, latent_dim=8, epochs=30, seed=0), table), table)
-    corpora = build_stage_corpora(catalog, sids, load_profiles(paths["profiles"]),
-                                  load_events(paths["events"], sids))
-    return sids, corpora
+
+
+@pytest.fixture(scope="module")
+def world_s_inputs(tmp_path_factory):
+    """Scale S: 4 categories x 8 ads, 20 users, 3 levels of 8 codes."""
+    return load_world(synth.SyntheticSpec(), tmp_path_factory.mktemp("s"), _trained_sids)
+
+
+@pytest.fixture(scope="module")
+def world_s(world_s_inputs):
+    catalog, sids, profiles, events = world_s_inputs
+    return sids, build_stage_corpora(catalog, sids, profiles, events)
+
+
+def _hand_sids(catalog):
+    """Three-level S-IDs by catalog order, without a quantizer."""
+    return {ad.ad_id: SemanticId((k % 3, k // 3, 0)) for k, ad in enumerate(catalog)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 4), st.integers(2, 12),
+       st.integers(0, 5), st.sampled_from([(0,), (1, 2), (0, 1, 2)]))
+def test_corpus_contexts_are_the_serving_contexts(tmp_path_factory, categories, ads,
+                                                  users, events_per_user, seed,
+                                                  template_ids):
+    """In any tiny world, every implicit and main pair's bucket is the one
+    decoding builds from the user's logged events, and main pairs read back
+    from text compile to the contexts of the built pairs."""
+    out = tmp_path_factory.mktemp("w")
+    catalog, sids, profiles, events = load_world(synth.SyntheticSpec(
+        num_categories=categories, ads_per_category=ads, num_users=users,
+        events_per_user=events_per_user, seed=seed), out, _hand_sids)
+    corpora = build_stage_corpora(catalog, sids, profiles, events,
+                                  template_ids=template_ids)
+    serving = {uid: user_context(profiles[uid], events[uid], catalog).bucket
+               for uid in events}
+    for pair in corpora["implicit"] + corpora["main"]:
+        assert pair.bucket == serving[pair.user_id]
+    check_main_contexts(corpora, out)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4 step 2: every split's bucket reads all "
+                   "of the user's logged events, its own target and later ones "
+                   "included")
+def test_main_buckets_read_only_the_past(world_s_inputs, world_s):
+    """No main pair's bucket reads its own target or a later event: it is
+    the bucket decoding builds from the user's history before the target."""
+    catalog, _, profiles, events = world_s_inputs
+    past = []
+    for uid in sorted(events):
+        logged = events[uid]
+        for _, target in interaction_reuse_splits(filter_events(logged)):
+            cut = next(i for i, e in enumerate(logged) if e is target)
+            past.append(user_context(profiles[uid], logged[:cut], catalog).bucket)
+    main = world_s[1]["main"]
+    # a length mismatch raises ValueError, which the xfail does not accept
+    pairs = list(zip(main, past, strict=True))
+    assert [p.bucket for p, _ in pairs] == [bucket for _, bucket in pairs]
 
 
 def string_path_train(scorer, corpora, epochs, learning_rate=0.02, seed=0):

@@ -498,6 +498,16 @@ def test_gen_data_rejects_more_events_than_days(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+def test_gen_data_rejects_one_event_per_user(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "gen-data", "--out", str(tmp_path / "data"),
+                             "--events-per-user", "1")
+    assert code == 1 and out == ""
+    obj = json.loads(err.strip().splitlines()[-1])
+    assert obj["error"] == "ValueError"
+    assert "events_per_user 1 leaves no training event" in obj["message"]
+    assert not (tmp_path / "data").exists()
+
+
 def test_readme_lists_every_subcommand():
     """README's CLI block names each subcommand the parser accepts."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

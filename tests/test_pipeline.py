@@ -264,6 +264,18 @@ def test_bad_rqvae_override_fails_before_anything_is_written(tmp_path, rq):
     assert not out.exists()
 
 
+def test_one_event_per_user_fails_before_anything_is_written(tmp_path):
+    """Each user's last event is held out, so one event a user leaves none
+    to train on or decode from: the run fails at gen-data, not at eval
+    after every stage has written."""
+    out = tmp_path / "run"
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(PipelineConfig(out_dir=str(out), synthetic={"events_per_user": 1}))
+    assert info.value.stage == "gen-data"
+    assert "events_per_user 1 leaves no training event" in str(info.value)
+    assert not out.exists()
+
+
 def test_run_train_rejects_an_unknown_scorer_kind():
     sids = {"ad0": SemanticId((0, 1)), "ad1": SemanticId((1, 0))}
     with pytest.raises(ValueError, match="unknown scorer kind 'neurl'"):

@@ -175,3 +175,36 @@ def test_only_the_vocabulary_maps_tokens_to_ids():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and node.attr == "id_of")
     assert not names, names
+
+
+def calls_of(name: str) -> list[str]:
+    """Where src/genret calls name, by bare name or attribute: each caller
+    once, as its module and the defs around the call
+    (``alignment.CorpusPair.__post_init__``)."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sorted(found)
+
+
+def test_only_compact_context_builds_a_scorer_context():
+    """Training buckets, DPO and serving read a user through one function,
+    so what the scorer sees of a user is decided in one place."""
+    assert calls_of("ScorerContext") == ["alignment.compact_context"]
+
+
+def test_only_augment_and_compile_corpus_scan_for_sid_tokens():
+    """A main pair's neural context comes from augment when corpora are
+    built, and from compile_corpus for a pair read from text; no record
+    scans its prompt on construction."""
+    assert calls_of("sid_context") == ["alignment.compile_corpus", "prompting.augment"]

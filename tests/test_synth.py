@@ -110,6 +110,12 @@ def test_cluster_table_shape_and_tightness():
 def test_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(num_users=0)
+    with pytest.raises(ValueError, match="synthetic sizes must be positive"):
+        SyntheticSpec(events_per_user=0)
+    # the last event is held out, so 2 is the least that leaves one to train on
+    with pytest.raises(ValueError, match="events_per_user 1 leaves no training event"):
+        SyntheticSpec(events_per_user=1)
+    assert SyntheticSpec(events_per_user=2).events_per_user == 2
 
 
 def test_spec_rejects_more_events_than_days():
