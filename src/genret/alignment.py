@@ -174,12 +174,16 @@ def _compiled(vocab, contexts, responses):
 
 def compile_corpus(pairs, vocab):
     """The pairs as ``_compiled`` maps them: (contexts, responses,
-    unk_share). A main pair's context is its prompt's S-ID tokens, as
-    serving's context has: its ``context``, else ``sid_context`` of its
-    prompt. Other stages keep every prompt token."""
-    contexts = [tokenize_text(p.prompt) if p.stage != "main"
-                else p.context if p.context is not None else sid_context(p.prompt)
-                for p in pairs]
+    unk_share). A main pair's context is its ``context``, else its prompt's
+    S-ID tokens (``sid_context``); other stages keep every prompt token."""
+    contexts = []
+    for p in pairs:
+        if p.stage != "main":
+            contexts.append(tokenize_text(p.prompt))
+        elif p.context is not None:
+            contexts.append(p.context)
+        else:
+            contexts.append(sid_context(p.prompt))
     return _compiled(vocab, contexts, [p.response for p in pairs])
 
 

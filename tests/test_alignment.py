@@ -171,7 +171,9 @@ def test_corpus_round_trip(tmp_path):
 
 def test_stage_corpora_round_trip(tmp_path):
     """Every stage's pairs, with their buckets and users, load back equal:
-    the file holds rendered S-IDs and load_corpus parses them back."""
+    the file holds rendered S-IDs and load_corpus parses them back. Equality
+    leaves out a main pair's context, so loaded main pairs must also compile
+    to the built contexts."""
     users = {f"u{i}": _profile() for i in range(2)}
     corpora = build_stage_corpora(_catalog(), SIDS, users,
                                   {uid: _events() for uid in users})
@@ -180,6 +182,7 @@ def test_stage_corpora_round_trip(tmp_path):
         save_corpus(pairs, path)
         assert SIDS["ad2"].render() in path.read_text(encoding="utf-8")
         assert load_corpus(path) == pairs
+    check_main_contexts(corpora, tmp_path)
 
 
 @pytest.mark.parametrize("record, message", [
@@ -512,9 +515,12 @@ def _hand_sids(catalog):
 def test_corpus_contexts_are_the_serving_contexts(tmp_path_factory, categories, ads,
                                                   users, events_per_user, seed,
                                                   template_ids):
-    """In any tiny world, every implicit and main pair's bucket is the one
-    decoding builds from the user's logged events, and main pairs read back
-    from text compile to the contexts of the built pairs."""
+    """In any tiny world, main pairs read back from text compile to the
+    contexts of the built pairs. The bucket check holds by construction
+    today, as build_stage_corpora calls the same compact_context over the
+    same events. It is kept for ROADMAP item 4 step 2, which will pass each
+    split its own history and so turn it into a check against user_context
+    over the history before each pair's target."""
     out = tmp_path_factory.mktemp("w")
     catalog, sids, profiles, events = load_world(synth.SyntheticSpec(
         num_categories=categories, ads_per_category=ads, num_users=users,
