@@ -7,7 +7,7 @@ health metrics.
 
 import numpy as np
 
-from genret.embed import embed_catalog
+from genret.embed import embed_catalog, embed_hashed
 from genret.rqvae import RqVaeConfig, assign_sids, codebook_metrics, train
 from genret.synth import SyntheticSpec, make_catalog
 
@@ -20,6 +20,15 @@ def main():
 
     table = embed_catalog(catalog, dimension=32, seed=0)
     print(f"embeddings: {len(table)} vectors of dimension {table.dimension}")
+
+    # any text embeds as a description does; the ads nearest a category's
+    # phrase by cosine, which is the dot product of unit vectors
+    category = catalog.ads[0].first_category
+    query = embed_hashed(f"The first-level category is {category};", 32, 0)
+    ad_ids = [ad.ad_id for ad in catalog]
+    nearest = np.argsort(-(table.matrix(ad_ids) @ query), kind="stable")[:3]
+    print(f"nearest to {category!r}: "
+          f"{[(ad_ids[i], catalog.get(ad_ids[i]).first_category) for i in nearest]}")
 
     config = RqVaeConfig(num_levels=3, codebook_size=8, latent_dim=8,
                          epochs=120, seed=0)

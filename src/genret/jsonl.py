@@ -164,10 +164,12 @@ def replacing(path):
 
 
 def write(path, rows, **dumps) -> None:
-    """Replace path with one json.dumps(row, **dumps) line per row."""
+    """Replace path with one json.dumps(row, **dumps) line per row, through
+    the one encoder json.dumps would build for each row."""
+    encode = json.JSONEncoder(**dumps).encode
     with replacing(path) as fh:
         for row in rows:
-            fh.write(json.dumps(row, **dumps) + "\n")
+            fh.write(encode(row) + "\n")
 
 
 def dump(path, obj, **dumps) -> None:

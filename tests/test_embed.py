@@ -1,10 +1,17 @@
 import hashlib
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from genret import embed
-from genret.catalog import Ad, Catalog, render_description
+from genret.catalog import Ad, Catalog, load_catalog, render_description
+from genret.synth import SyntheticSpec, gen_data
 from genret.embed import (EmbeddingError, EmbeddingTable, embed_hashed,
                           load_embeddings, save_embeddings)
 
@@ -89,6 +96,122 @@ def test_embed_catalog_hashes_each_distinct_feature_once(monkeypatch):
     for ad_id, text in texts.items():
         np.testing.assert_array_equal(table[ad_id], embed_hashed(text, 32, 5))
         np.testing.assert_array_equal(table[ad_id], oracle_embed(text, 32, 5))
+
+
+# astral-plane characters, Unicode whitespace (EM SPACE, FILE SEPARATOR) and
+# repeats; fields may be shorter than a 3-gram
+_FIELD = st.text(st.one_of(st.sampled_from("ab a \u2003\u001c\U0001f600\U00010348"),
+                           st.characters(codec="utf-8")), max_size=5)
+_ADS = st.lists(st.tuples(_FIELD.filter(bool), _FIELD, _FIELD, _FIELD,
+                          st.lists(st.tuples(_FIELD, _FIELD), max_size=2)),
+                min_size=1, max_size=6)
+
+
+def make_catalog(ads):
+    catalog = Catalog()
+    for i, (name, product_type, first, second, attributes) in enumerate(ads):
+        catalog.add(Ad(ad_id=f"ad{i}", name=name, product_type=product_type,
+                       first_category=first, second_category=second,
+                       attributes=tuple(attributes)))
+    return catalog
+
+
+@settings(max_examples=60, deadline=None)
+@given(ads=_ADS, dimension=st.sampled_from([8, 13, 32]), seed=st.integers(0, 3))
+@example(ads=[(f"ad {i % 7} \U0001f600" * (i % 3 + 1), "t", "c\u2003x", "", [("k", str(i))])
+              for i in range(embed.CHUNK + 5)], dimension=32, seed=1)
+@example(ads=[("shoe", "", "", "", []), ("x\ud800y", "", "", "", [])], dimension=8, seed=0)
+def test_embed_catalog_equals_the_per_text_recipe(ads, dimension, seed):
+    """embed_catalog's array passes give the oracle's and per-text
+    embed_hashed's vectors bit for bit, in catalog order, across a chunk
+    boundary; a lone surrogate, which UTF-8 cannot hash, raises as it does
+    in embed_hashed."""
+    catalog = make_catalog(ads)
+    texts = [render_description(ad) for ad in catalog]
+    try:
+        want = [oracle_embed(text, dimension, seed) for text in texts]
+    except UnicodeEncodeError:
+        with pytest.raises(UnicodeEncodeError):
+            embed.embed_catalog(catalog, dimension, seed)
+        with pytest.raises(UnicodeEncodeError):
+            embed_hashed(texts[-1], dimension, seed)
+        return
+    table = embed.embed_catalog(catalog, dimension, seed)
+    assert list(table.entries) == [ad.ad_id for ad in catalog]
+    for got, text, vec in zip(table.entries.values(), texts, want):
+        assert got.tobytes() == vec.tobytes()
+        assert embed_hashed(text, dimension, seed).tobytes() == vec.tobytes()
+
+
+def test_a_description_whose_features_cancel_embeds_as_e0(monkeypatch):
+    """A text whose signed features sum to zero has no norm: it embeds as
+    the first unit vector, alone and in a catalog, and no other ad moves."""
+    def cancelling(text):
+        # greedy signs on one slot, largest counts first: the sum ends at 0
+        # or 1, whichever the parity of the feature count gives
+        total, signs = 0, {}
+        for feat, count in sorted(Counter(embed._features(text)).items(),
+                                  key=lambda item: (-item[1], item[0])):
+            signs[feat] = -1.0 if total > 0 else 1.0
+            total += signs[feat] * count
+        return total, signs
+
+    base = [Ad(ad_id=f"ad{i}", name=f"Trail shoe {i}", product_type="shoes")
+            for i in range(3)]
+    zero = next(ad for ad in (Ad(ad_id="zero", name="Z" * k) for k in range(1, 9))
+                if cancelling(render_description(ad))[0] == 0)
+    signs = cancelling(render_description(zero))[1]
+    real = embed._signed_slot
+    monkeypatch.setattr(embed, "_signed_slot", lambda feature, dimension, seed: (
+        (0, signs[feature]) if feature in signs else real(feature, dimension, seed)))
+
+    def by_hand(text):
+        vec = np.zeros(16)
+        for feat in embed._features(text):
+            slot, sign = embed._signed_slot(feat, 16, 2)
+            vec[slot] += sign
+        return vec / np.linalg.norm(vec)
+
+    e0 = np.eye(16)[0]
+    assert embed_hashed(render_description(zero), 16, 2).tobytes() == e0.tobytes()
+    catalog = Catalog()
+    for ad in [base[0], zero, *base[1:]]:
+        catalog.add(ad)
+    table = embed.embed_catalog(catalog, 16, 2)
+    assert table["zero"].tobytes() == e0.tobytes()
+    for ad in base:
+        assert table[ad.ad_id].tobytes() == by_hand(render_description(ad)).tobytes()
+
+
+# sha256 of the S catalog's embeddings at width 32 and seed 0, as one
+# process that reads its catalog path from argv prints it
+_DIGEST_CODE = (
+    "import hashlib, sys\n"
+    "from genret.catalog import load_catalog\n"
+    "from genret.embed import embed_catalog\n"
+    "table = embed_catalog(load_catalog(sys.argv[1]), 32, 0)\n"
+    "print(hashlib.sha256(b''.join(v.tobytes() for v in table.entries.values()))"
+    ".hexdigest())\n")
+
+
+@pytest.mark.parametrize("kernels", [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+], ids=["openblas-haswell", "numpy-no-avx512"])
+def test_embeddings_hold_under_other_kernels(tmp_path, kernels):
+    """The embeddings do not depend on which BLAS or numpy loops add: a
+    child process with other kernels embeds the S catalog to the digest
+    this process gets."""
+    catalog_path = gen_data(SyntheticSpec(), tmp_path)["catalog"]
+    table = embed.embed_catalog(load_catalog(catalog_path), 32, 0)
+    digest = hashlib.sha256(b"".join(v.tobytes() for v in table.entries.values()))
+    path = [str(Path(__file__).resolve().parent.parent / "src"),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p), **kernels)
+    proc = subprocess.run([sys.executable, "-c", _DIGEST_CODE, catalog_path], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == digest.hexdigest()
 
 
 def test_load_dimension_mismatch(tmp_path):

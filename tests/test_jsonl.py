@@ -221,6 +221,18 @@ def test_write_leaves_nothing_when_rows_fail(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("dumps", [{}, {"sort_keys": True}, {"ensure_ascii": False}])
+def test_write_gives_the_json_dumps_line_of_each_row(tmp_path, dumps):
+    """write encodes a file's rows with one encoder, whose lines are the
+    per-row json.dumps lines, also for sorted keys and non-ASCII values."""
+    rows = [dict(PROFILE, residence="Z\u00fcrich \u5317\u4eac \U0001f600"),
+            {"z": 1, "a": [0.1, "\u00e9"], "m": {"y": None, "b": True}}]
+    path = tmp_path / "rows.jsonl"
+    write(path, rows, **dumps)
+    assert path.read_text(encoding="utf-8") == "".join(
+        json.dumps(row, **dumps) + "\n" for row in rows)
+
+
 def save_embedding_table(ad_id, path):
     table = EmbeddingTable(2)
     table.add(ad_id, np.array([0.5, -1.0]))
