@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import jsonl
 from .catalog import Catalog, render_description
-from .prompting import (InterestSummary, UserProfile, augment, filter_events,
-                        sid_context)
+from .prompting import InterestSummary, UserProfile, augment, filter_events
 from .scorer import BUCKET, NeuralScorer, NgramScorer, ScorerContext, tokenize_text
-from .sid import SemanticId
+from .sid import SemanticId, rendered_tokens
 from .vocab import UNK
 
 STAGES = ("explicit", "implicit", "main")
@@ -35,16 +34,12 @@ class AlignmentError(RuntimeError):
 
 @dataclass(frozen=True)
 class CorpusPair:
-    """One training pair. A built main pair's ``context`` is the one augment
-    gave its sample; a pair read from text has None, and compile_corpus
-    derives it from the prompt. The other stages leave it None, as their
-    neural context is every prompt token."""
+    """One training pair, with the n-gram bucket and user it came from."""
     prompt: str
     response: SemanticId
     stage: str
     bucket: tuple = ()
     user_id: str = ""
-    context: tuple[str, ...] | None = field(default=None, compare=False)
 
 
 # a corpus line: a pair's prompt, its response rendered, its stage, and the
@@ -108,10 +103,7 @@ def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
     split is compact_context's, as serving's is, over all of the user's
     logged events, the split's own target and later events included, while
     serving reads only the past: at M, seed 0, the bucket's last-ad code
-    equals the response's level-0 code in 70% of main pairs (ROADMAP item 4).
-
-    A main pair carries its neural context, the ``context`` augment gives
-    its sample."""
+    equals the response's level-0 code in 70% of main pairs (ROADMAP item 4)."""
     # seed is unused; it stays because benchmarks/workloads.py passes seed=
     corpora: dict[str, list[CorpusPair]] = {s: [] for s in STAGES}
     corpora["explicit"] = explicit_pairs(catalog, sids)
@@ -131,7 +123,7 @@ def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
         for s in main:
             corpora["main"].append(CorpusPair(
                 prompt=s.prompt, response=s.response, stage="main", bucket=bucket,
-                user_id=uid, context=s.context))
+                user_id=uid))
     return corpora
 
 
@@ -174,16 +166,11 @@ def _compiled(vocab, contexts, responses):
 
 def compile_corpus(pairs, vocab):
     """The pairs as ``_compiled`` maps them: (contexts, responses,
-    unk_share). A main pair's context is its ``context``, else its prompt's
-    S-ID tokens (``sid_context``); other stages keep every prompt token."""
-    contexts = []
-    for p in pairs:
-        if p.stage != "main":
-            contexts.append(tokenize_text(p.prompt))
-        elif p.context is not None:
-            contexts.append(p.context)
-        else:
-            contexts.append(sid_context(p.prompt))
+    unk_share). A main pair's context is the tokens of the S-ID renders in
+    its prompt, the one place that derives it; other stages keep every
+    prompt token."""
+    contexts = [rendered_tokens(p.prompt) if p.stage == "main" else tokenize_text(p.prompt)
+                for p in pairs]
     return _compiled(vocab, contexts, [p.response for p in pairs])
 
 

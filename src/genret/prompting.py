@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -116,9 +115,6 @@ class InterestSummary:
 class PromptSample:
     prompt: str
     response: SemanticId
-    # sid_context(prompt) in a view that renders ads by S-ID; () in one that
-    # renders them by title
-    context: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
 
 _PREAMBLE = (
@@ -144,20 +140,6 @@ _BEHAVIOR_HEAD = (
     "The most recent interaction behavior sequence details "
     "(format: time^behavior type^title) are "
 )
-# Among tokenize_text's tokens, in order, the S-ID tokens, whole words of a
-# lower-case letter, an underscore and digits, and "" for each <...> marker,
-# which is one token there and matched whole here too
-_SID_LIKE_RE = re.compile(r"<[^>\s]+>|(?<!\w)([a-z]_\d+)(?!\w)")
-
-
-def sid_context(text: str) -> tuple[str, ...]:
-    """The S-ID tokens of a text, in order: a main-stage pair's neural
-    context, as serving's context holds only S-ID tokens."""
-    if "_" not in text:  # every S-ID token holds one
-        return ()
-    return tuple(filter(None, _SID_LIKE_RE.findall(text)))
-
-
 def _render_profile(profile: UserProfile) -> str:
     return ", ".join(profile.clauses()) + "."
 
@@ -184,18 +166,6 @@ def _assemble(template_id: int, profile_text, summary_text, behavior_text) -> st
                                           behaviors=behavior_text)
 
 
-def _around_behaviors(template_id: int, profile_context, summary_context) -> tuple:
-    """The S-ID contexts of the profile and summary slots that come before
-    the behaviour slot in the template, concatenated in slot order, and
-    those of the slots that come after it."""
-    template = _TEMPLATES[template_id]
-    at = template.index("{behaviors}")
-    slots = sorted([(template.index("{profile}"), profile_context),
-                    (template.index("{summary}"), summary_context)])
-    return (sum((c for i, c in slots if i < at), ()),
-            sum((c for i, c in slots if i > at), ()))
-
-
 def _first_unordered(events) -> int:
     """The index of the first event newer than the one after it, or
     len(events) if they are ordered oldest-first."""
@@ -212,16 +182,15 @@ def _check_skeleton(template_id, profile_text, summary_text, token_budget) -> No
         )
 
 
-def _fitted(template_id, profile_text, summary_text, lines, token_budget) -> tuple:
+def _fitted(template_id, profile_text, summary_text, lines, token_budget) -> str:
     """The prompt of the rendered behaviour lines (oldest first) that fits
-    the budget, dropping the oldest first; returns (prompt, how many lines
-    were dropped)."""
+    the budget, dropping the oldest first."""
     start = 0
     while True:
         prompt = _assemble(template_id, profile_text, summary_text,
                            _render_behaviors(lines[start:] if start else lines))
         if _fits(prompt, token_budget) or start == len(lines):
-            return prompt, start
+            return prompt
         start += 1  # drop the oldest
 
 
@@ -245,7 +214,7 @@ def build_prompt(
     summary_text = _render_summary(summary)
     _check_skeleton(template_id, profile_text, summary_text, token_budget)
     lines = [_render_line(e, use_sid) for e in events]
-    return _fitted(template_id, profile_text, summary_text, lines, token_budget)[0]
+    return _fitted(template_id, profile_text, summary_text, lines, token_budget)
 
 
 def filter_events(events):
@@ -279,10 +248,7 @@ def augment(
     every split's prompt is built from a prefix of the lines. Each sample
     equals ``build_prompt`` of its split's history, and raises where that
     would: the order check over each history, and the skeleton check once a
-    split exists. In a view that renders ads by S-ID, a sample's ``context``
-    is ``sid_context`` of its prompt, joined from one scan of the profile,
-    the summary and each line: whitespace sets each of them apart from the
-    template's fixed text, which holds no S-ID token.
+    split exists.
 
     ``use_sid`` may be a tuple of views, one bool each. The result is then
     a tuple of sample lists, one per view, equal to one call per view in
@@ -301,36 +267,27 @@ def augment(
     unordered = _first_unordered(events)
     profile_text = _render_profile(profile)
     summary_text = _render_summary(summary)
-    slot_contexts = sid_context(profile_text), sid_context(summary_text)
-    around = {}  # template id -> _around_behaviors, once its skeleton fits
+    checked = set()  # template ids whose skeleton fits
     # each history's non-ad lines, which no view changes, rendered once
     last = len(splits[-1][0]) if splits else 0
     fixed = {k: _render_line(e) for k, e in enumerate(events[:last]) if e.domain != "ad"}
     views = []
     for view in use_sid if isinstance(use_sid, tuple) else (use_sid,):
         lines: list[str] = []
-        found: list[tuple[str, ...]] = []  # each line's sid_context, in an S-ID view
         samples = []
         for history, target in splits:
             i = len(history)
             if unordered + 1 < i:
                 raise PromptError("events must be ordered oldest-first")
             for tid in template_ids:
-                if tid not in around:
+                if tid not in checked:
                     _check_skeleton(tid, profile_text, summary_text, token_budget)
-                    around[tid] = _around_behaviors(tid, *slot_contexts)
-                if len(lines) < i:
-                    new = [fixed[k] if k in fixed else _render_line(events[k], view)
-                           for k in range(len(lines), i)]
-                    lines += new
-                    if view:
-                        found += map(sid_context, new)
-                prompt, start = _fitted(tid, profile_text, summary_text, lines[:i],
-                                        token_budget)
-                before, after = around[tid]
-                samples.append(PromptSample(prompt, target.sid, (
-                    *before, *itertools.chain.from_iterable(found[start:i]), *after)
-                    if view else ()))
+                    checked.add(tid)
+                lines += [fixed[k] if k in fixed else _render_line(events[k], view)
+                          for k in range(len(lines), i)]
+                samples.append(PromptSample(
+                    _fitted(tid, profile_text, summary_text, lines[:i], token_budget),
+                    target.sid))
         views.append(samples)
     return tuple(views) if isinstance(use_sid, tuple) else views[0]
 

@@ -8,6 +8,7 @@ decoder; it only reads precomputed lists and enqueues nearline triggers.
 from __future__ import annotations
 
 import bisect
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -55,6 +56,10 @@ class AdmissionPolicy:
             raise ServingError(f"budget_per_tick must be >= 0, got {self.budget_per_tick}")
         if self.num_groups < 1:
             raise ServingError(f"num_groups must be >= 1, got {self.num_groups}")
+        # a NaN compares false both ways, so the sort would place it by dict order
+        for user, arpu in self.arpu_of.items():
+            if not math.isfinite(arpu):
+                raise ServingError(f"ARPU of {user!r} must be finite, got {arpu}")
         ordered = sorted(self.arpu_of, key=lambda u: (self.arpu_of[u], u))
         n = len(ordered)
         # ARPU quantile group, 1 (lowest) .. num_groups (highest)
@@ -168,10 +173,12 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
     admission shares; requests_past_ticks counts the requests at tick
     ``ticks`` or later, which the simulation ends before;
     first_generation_error is ``"<type>: <message>"`` of the first failed
-    decode, or None. Raises ServingError when the trace is out of tick order
-    or a request arrives at a negative tick, and when a generate function
-    runs while a request is being handled.
+    decode, or None. Raises ServingError when ticks is negative, when the
+    trace is out of tick order or a request arrives at a negative tick, and
+    when a generate function runs while a request is being handled.
     """
+    if ticks < 0:
+        raise ServingError(f"ticks must be >= 0, got {ticks}")
     for k, req in enumerate(trace):
         # no tick of the loop reaches a negative one, and so none after it
         if req.arrival_tick < 0:

@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import string
 from dataclasses import dataclass
 
-_TOKEN_RE = re.compile(r"^([a-z])_(\d+)$")
+# a level-prefixed token: its level's letter, "_" and its code
+_TOKEN = "{}_{}"
+_TOKEN_RE = re.compile("^" + _TOKEN.format("([a-z])", r"(\d+)") + "$")
+# a code as str(int) writes it: ASCII digits without a leading zero
+_CODE = "(?:0|[1-9][0-9]*)"
+# an S-ID render as SemanticId.render writes it: "<", the tokens of levels
+# a, b, c, ... in order, at least two, joined by ", ", then ">"; each level
+# after b is optional inside the one before it, so no level is skipped
+_RENDER_RE = re.compile("<{}, {}>".format(_TOKEN.format("a", _CODE), functools.reduce(
+    lambda tail, letter: f"{_TOKEN.format(letter, _CODE)}(?:, {tail})?",
+    reversed(string.ascii_lowercase[1:-1]), _TOKEN.format("z", _CODE))))
 
 
 class SidError(ValueError):
@@ -28,6 +39,13 @@ def render_token(level: int, code: int) -> str:
 def is_token(token: str) -> bool:
     """Whether token is a level-prefixed S-ID token such as ``b_3``."""
     return _TOKEN_RE.match(token) is not None
+
+
+def rendered_tokens(text: str) -> tuple[str, ...]:
+    """The tokens of every S-ID render in a text, in order: a main-stage
+    pair's neural context, as serving's context holds only S-ID tokens."""
+    return tuple(itertools.chain.from_iterable(
+        m[0][1:-1].split(", ") for m in _RENDER_RE.finditer(text)))
 
 
 def parse_token(token: str) -> tuple[int, int]:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from genret.decoder import DecodeError, RetrievalList
-from genret.prompting import BehaviorEvent, InterestSummary, UserProfile
-from genret.scorer import RowState, tokenize_text
-from genret.sid import SemanticId, is_token, render_token
+from genret.prompting import BehaviorEvent, InterestSummary, UserProfile, build_prompt
+from genret.scorer import RowState
+from genret.sid import SemanticId, SidError, render_token
 from genret.trie import Trie, build
 from genret.vocab import Vocabulary, vocab_from_sids
 
@@ -34,10 +34,35 @@ class RowScorer:
         return RowState(self.prob_dist, context)
 
 
-def sid_like_scan(prompt):
-    """The main-stage context by an oracle independent of sid_context's
-    regex: the prompt's tokens that are S-ID tokens."""
-    return tuple(t for t in tokenize_text(prompt) if is_token(t))
+def render_scan(text):
+    """The main-stage context by an oracle that uses no regex: the tokens
+    of each ``<...>`` span, from a "<" to the next ">", that
+    SemanticId.parse accepts and that re-renders to itself, in order."""
+    tokens = []
+    start = text.find("<")
+    while start >= 0:
+        end = text.find(">", start)
+        if end < 0:
+            break
+        try:
+            sid = SemanticId.parse(text[start:end + 1])
+        except SidError:
+            sid = None
+        if sid is not None and sid.render() == text[start:end + 1]:
+            tokens += sid.tokens()
+        start = text.find("<", start + 1)
+    return tuple(tokens)
+
+
+def window_ad_tokens(prompt, profile, summary, history, template_id):
+    """The S-ID tokens of the ad events whose behaviour lines the prompt
+    keeps, oldest first. The kept events are the one suffix of history that
+    builds the prompt without a token budget."""
+    for start in range(len(history) + 1):
+        window = history[start:]
+        if build_prompt(profile, summary, window, template_id, 10**9) == prompt:
+            return tuple(t for e in window if e.domain == "ad" for t in e.sid.tokens())
+    raise AssertionError(f"no suffix of the history builds {prompt!r}")
 
 
 def one_pair(scorer, ctx_ids, resp_ids):

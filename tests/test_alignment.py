@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -18,10 +19,10 @@ from genret.jsonl import JsonlError
 from genret.prompting import (BehaviorEvent, UserProfile, filter_events,
                               interaction_reuse_splits, load_events, load_profiles)
 from genret.scorer import NeuralScorer, NgramScorer, ScorerContext, tokenize_text
-from genret.sid import SemanticId, is_token
+from genret.sid import SemanticId
 from genret.vocab import Vocabulary, vocab_from_sids
 
-from conftest import one_pair, sid_like_scan
+from conftest import one_pair, render_scan, window_ad_tokens
 
 SIDS = {f"ad{i}": SemanticId((i % 4, i // 4, 0)) for i in range(8)}
 
@@ -171,9 +172,8 @@ def test_corpus_round_trip(tmp_path):
 
 def test_stage_corpora_round_trip(tmp_path):
     """Every stage's pairs, with their buckets and users, load back equal:
-    the file holds rendered S-IDs and load_corpus parses them back. Equality
-    leaves out a main pair's context, so loaded main pairs must also compile
-    to the built contexts."""
+    the file holds rendered S-IDs and load_corpus parses them back. Main
+    pairs, built or loaded, compile to their prompts' S-ID render tokens."""
     users = {f"u{i}": _profile() for i in range(2)}
     corpora = build_stage_corpora(_catalog(), SIDS, users,
                                   {uid: _events() for uid in users})
@@ -346,11 +346,8 @@ def test_staged_rejects_an_unknown_stage(vocab):
 
 def string_context(pair):
     """The neural context of a pair by the string path: the prompt's tokens,
-    and for the main stage only its S-ID tokens."""
-    tokens = tokenize_text(pair.prompt)
-    if pair.stage == "main":
-        tokens = [t for t in tokens if is_token(t)]
-    return tokens
+    and for the main stage the tokens of its S-ID renders."""
+    return render_scan(pair.prompt) if pair.stage == "main" else tokenize_text(pair.prompt)
 
 
 def string_response(pair):
@@ -384,6 +381,12 @@ def corpus_pairs(draw):
     prompt="<a_1> a_1x xa_1 A_1 play_video <sep> a_\u0661 <b_0, c_0> a_1",
     response=SIDS["ad1"], stage=stage) for stage in alignment.STAGES]
     + [alignment.CorpusPair(prompt="", response=SIDS["ad2"], stage="main")])
+# renders beside near misses: no space, a leading zero, a Unicode digit,
+# nesting and a skipped level
+@example([alignment.CorpusPair(
+    prompt="<a_1, b_0> <a_1,b_0> <a_01, b_0> <a_\u0661, b_0> <<a_3, b_1, c_0>> "
+           "<a_1, c_0> a_1",
+    response=SIDS["ad1"], stage=stage) for stage in alignment.STAGES])
 @example([alignment.CorpusPair(prompt="", response=SIDS["ad2"], stage="main")])
 def test_compiled_ids_equal_string_path(pairs):
     vocab = vocab_from_sids(SIDS, extra_tokens=["a_\u0661", "play_video", "cat:cat0"])
@@ -423,22 +426,40 @@ def adversarial_world(titles, profile_words):
     return profiles, events
 
 
+def assert_main_contexts(pairs, want):
+    """The main pairs compile to the token contexts want. The vocabulary
+    holds every wanted token, so equal ids mean equal tokens."""
+    vocab = Vocabulary.build([t for p in pairs for t in p.response.tokens()],
+                             [t for w in want for t in w])
+    got = compile_corpus(pairs, vocab)[0]
+    assert [c.tolist() for c in got] == [vocab.ids(w).tolist() for w in want]
+
+
 def check_main_contexts(corpora, tmp_path):
+    """Each main pair, built or read back from text, compiles to the tokens
+    of its prompt's S-ID renders, found by an oracle that uses no regex."""
     main = corpora["main"]
-    for pair in main:
-        assert pair.context == sid_like_scan(pair.prompt), pair.prompt
-    assert all(p.context is None for p in corpora["implicit"] + corpora["explicit"])
-    # a pair read back from text holds no context, and compile_corpus
-    # derives the built one from its prompt. The vocabulary holds every
-    # context token, so equal ids mean equal tokens.
     path = tmp_path / "corpus_main.jsonl"
     save_corpus(main, path)
     loaded = load_corpus(path)
-    assert loaded == main and all(p.context is None for p in loaded)
-    vocab = Vocabulary.build([t for p in main for t in p.response.tokens()],
-                             [t for p in main for t in p.context])
-    built_ids, loaded_ids = (compile_corpus(pairs, vocab)[0] for pairs in (main, loaded))
-    assert [c.tolist() for c in loaded_ids] == [c.tolist() for c in built_ids]
+    assert loaded == main
+    want = [render_scan(p.prompt) for p in main]
+    for pairs in (main, loaded):
+        assert_main_contexts(pairs, want)
+
+
+def check_window_contexts(corpora, catalog, profiles, events, template_ids=(0,)):
+    """Each main pair compiles to the S-ID tokens of the ad events whose
+    behaviour lines its prompt keeps."""
+    windows = []
+    for uid in sorted(events):
+        summary = summary_from_events(events[uid], catalog)
+        windows += [(profiles[uid], summary, history, tid)
+                    for history, _ in interaction_reuse_splits(filter_events(events[uid]))
+                    for tid in template_ids]
+    main = corpora["main"]
+    assert_main_contexts(main, [window_ad_tokens(p.prompt, *w)
+                                for p, w in zip(main, windows, strict=True)])
 
 
 _adversarial_words = st.lists(st.tuples(st.sampled_from(ADVERSARIAL),
@@ -452,9 +473,8 @@ _adversarial_words = st.lists(st.tuples(st.sampled_from(ADVERSARIAL),
 @given(st.lists(_adversarial_words, min_size=2, max_size=8),
        st.lists(_adversarial_words, min_size=1, max_size=3))
 def test_main_context_equals_a_scan_of_the_prompt(tmp_path_factory, titles, words):
-    """Each main pair's context, scanned piece by piece, equals a scan of
-    its whole prompt, whatever words its profile, summary and lines hold, in
-    every template."""
+    """Each main pair's context is the tokens of its prompt's S-ID renders,
+    whatever words its profile, summary and lines hold, in every template."""
     profiles, events = adversarial_world(titles, words)
     corpora = build_stage_corpora(_catalog(), SIDS, profiles, events,
                                   template_ids=(0, 1, 2))
@@ -464,8 +484,8 @@ def test_main_context_equals_a_scan_of_the_prompt(tmp_path_factory, titles, word
 
 def test_main_context_of_trimmed_histories(tmp_path):
     """Titles of about 700 tokens each take the prompts past the token
-    budget, so the oldest lines drop; the context holds the kept lines'
-    S-ID tokens only."""
+    budget, so the oldest lines drop; the context holds the kept ads' S-ID
+    tokens only, not the S-ID-like words of the titles and profile."""
     titles = [f"a_1 <b_2> {'word ' * 700}x_{k}" for k in range(6)]
     profiles, events = adversarial_world(titles, ["c_0", "<a_1>"])
     corpora = build_stage_corpora(_catalog(), SIDS, profiles, events,
@@ -473,6 +493,7 @@ def test_main_context_of_trimmed_histories(tmp_path):
     trimmed = [p for p in corpora["main"] if "x_0" not in p.prompt]
     assert trimmed and len(trimmed) < len(corpora["main"])
     check_main_contexts(corpora, tmp_path)
+    check_window_contexts(corpora, _catalog(), profiles, events, template_ids=(0, 1, 2))
 
 
 def load_world(spec, out_dir, assign):
@@ -532,6 +553,21 @@ def test_corpus_contexts_are_the_serving_contexts(tmp_path_factory, categories, 
     for pair in corpora["implicit"] + corpora["main"]:
         assert pair.bucket == serving[pair.user_id]
     check_main_contexts(corpora, out)
+    check_window_contexts(corpora, catalog, profiles, events, template_ids)
+
+
+@pytest.mark.parametrize("title", [None, "b_3 clip"])
+def test_main_context_is_the_window_ads(world_s_inputs, title):
+    """In the S world, and in one whose content titles read "b_3 clip" (so
+    the summary and the lines hold b_3), each main context is the S-ID
+    tokens of the ad events in its prompt's behaviour window."""
+    catalog, sids, profiles, events = world_s_inputs
+    if title is not None:
+        events = {uid: [dataclasses.replace(e, title=title) if e.domain == "content"
+                        else e for e in logged] for uid, logged in events.items()}
+    corpora = build_stage_corpora(catalog, sids, profiles, events)
+    assert title is None or any(title in p.prompt for p in corpora["main"])
+    check_window_contexts(corpora, catalog, profiles, events)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -540,6 +540,15 @@ def test_simulate_rejects_negative_budget(tmp_path, capsys):
     assert "budget_per_tick" in obj["message"]
 
 
+def test_simulate_rejects_negative_ticks(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"user_id": "u0", "tick": 0}) + "\n")
+    code, out, err = run_cli(capsys, "simulate", "--trace", str(trace), "--ticks", "-3")
+    assert code == 1 and out == ""
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "ServingError", "message": "ticks must be >= 0, got -3"}
+
+
 def test_pipeline_command_with_config(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

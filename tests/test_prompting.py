@@ -6,11 +6,10 @@ from genret import prompting
 from genret.prompting import (TEMPLATE_IDS, BehaviorEvent, InterestSummary,
                               PromptError, PromptSample, UserProfile, augment,
                               build_prompt, count_tokens, filter_events,
-                              interaction_reuse_splits, load_events, load_profiles,
-                              sid_context)
-from genret.sid import SemanticId
+                              interaction_reuse_splits, load_events, load_profiles)
+from genret.sid import SemanticId, rendered_tokens
 
-from conftest import WORKED_PROMPT, sid_like_scan, worked_prompt_inputs
+from conftest import WORKED_PROMPT, window_ad_tokens, worked_prompt_inputs
 
 
 def _profile():
@@ -282,31 +281,32 @@ _SID_LIKE_EVENTS = [_content(30, "a_1 <task>"), _ad(28, 1), _content(25, "c_0>")
 @example((_SID_LIKE_EVENTS, _SID_LIKE_USER, _SID_LIKE_SUMMARY, TEMPLATE_IDS, 150, True))
 @example((_SID_LIKE_EVENTS, _SID_LIKE_USER, _SID_LIKE_SUMMARY, TEMPLATE_IDS, 2096, False))
 def test_augment_context_is_the_prompts_sid_tokens(inputs):
-    """A sample's context, joined from scans of the texts its prompt is
-    built of, is the S-ID tokens of the whole prompt in an S-ID view, and
-    () in a view that renders ads by title."""
+    """The main context of a sample, the tokens of the S-ID renders in its
+    prompt, is the S-ID tokens of the ad events whose lines the prompt
+    keeps in an S-ID view, whatever S-ID-like words its profile, summary
+    and titles hold, and () in a view that renders ads by title."""
     try:
         samples = augment(*inputs)
     except PromptError:
         return
-    use_sid = inputs[-1]
-    for sample in samples:
-        assert sample.context == (sid_like_scan(sample.prompt) if use_sid else ())
+    events, profile, summary, template_ids, _, use_sid = inputs
+    windows = [(history, tid) for history, _ in interaction_reuse_splits(events)
+               for tid in template_ids]
+    for sample, (history, tid) in zip(samples, windows, strict=True):
+        assert rendered_tokens(sample.prompt) == (
+            window_ad_tokens(sample.prompt, profile, summary, history, tid)
+            if use_sid else ()), sample.prompt
 
 
 @pytest.mark.parametrize("template_id", TEMPLATE_IDS)
 def test_template_keeps_what_the_context_scan_needs(template_id):
-    """augment scans the profile, summary and behaviour texts apart from the
-    template, which is the same as scanning the prompt only while each slot
-    is in the template once, its fixed text holds no S-ID token, and
-    whitespace sets each slot apart from the fixed text beside it."""
+    """A main context is the S-ID renders of the whole prompt, so it holds
+    only the ads of the filled slots while the template's fixed text holds
+    no render and each slot is in the template once."""
     template = prompting._TEMPLATES[template_id]
-    slots = ("{profile}", "{summary}", "{behaviors}")
-    assert sid_context(template.format(profile="", summary="", behaviors="")) == ()
-    for slot in slots:
+    assert rendered_tokens(template.format(profile="", summary="", behaviors="")) == ()
+    for slot in ("{profile}", "{summary}", "{behaviors}"):
         assert template.count(slot) == 1, slot
-        at = template.index(slot)
-        assert template[at - 1].isspace() and template[at + len(slot)].isspace(), slot
 
 
 @pytest.mark.parametrize("template_id", [len(TEMPLATE_IDS), -1])
@@ -317,10 +317,10 @@ def test_assemble_rejects_an_unknown_template_id(template_id):
 
 
 def views_outcome(fn, *args):
-    """fn's sample lists, one per view, each sample as (prompt, response,
-    context), or the error it raised."""
+    """fn's sample lists, one per view, each sample as (prompt, response),
+    or the error it raised."""
     try:
-        return [[(s.prompt, s.response, s.context) for s in samples]
+        return [[(s.prompt, s.response) for s in samples]
                 for samples in fn(*args)]
     except PromptError as exc:
         return repr(exc)

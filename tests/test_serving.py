@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import threading
 
@@ -162,6 +163,16 @@ def test_arpu_groups_come_from_arpu_alone():
     for bad in (0, -3):
         with pytest.raises(ServingError, match="num_groups"):
             _policy(["a", "b"], num_groups=bad)
+
+
+@pytest.mark.parametrize("arpu", [math.nan, math.inf, -math.inf])
+def test_arpu_must_be_finite(arpu):
+    # a NaN compares false both ways, so the sort would place it by dict
+    # order: listing b before a moved a from group 1 to group 2
+    for order in ("abcd", "bacd"):
+        arpu_of = {u: {"a": arpu, "b": 1.0, "c": 5.0, "d": 3.0}[u] for u in order}
+        with pytest.raises(ServingError, match=f"ARPU of 'a' must be finite, got {arpu}"):
+            AdmissionPolicy(arpu_of, 1, 2)
 
 
 def test_admission_priority_and_fifo():
@@ -343,6 +354,15 @@ def test_simulation_rejects_negative_tick():
     with pytest.raises(ServingError, match=r"request 0 for 'u1' arrives at negative tick -1"):
         run_simulation(trace, lambda u: [], _policy(["u1", "u2", "u3"]),
                        WorkerPool(1), 3)
+
+
+def test_simulation_rejects_negative_ticks():
+    # no tick runs, so every request would be reported past the ticks
+    trace = [Request("u1", 0)]
+    with pytest.raises(ServingError, match="ticks must be >= 0, got -3"):
+        run_simulation(trace, lambda u: [], _policy(["u1"]), WorkerPool(1), -3)
+    report = run_simulation(trace, lambda u: [], _policy(["u1"]), WorkerPool(1), 0)
+    assert (report["requests"], report["requests_past_ticks"]) == (0, 1)
 
 
 def test_simulation_counts_requests_past_ticks():

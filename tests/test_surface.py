@@ -203,8 +203,27 @@ def test_only_compact_context_builds_a_scorer_context():
     assert calls_of("ScorerContext") == ["alignment.compact_context"]
 
 
-def test_only_augment_and_compile_corpus_scan_for_sid_tokens():
-    """A main pair's neural context comes from augment when corpora are
-    built, and from compile_corpus for a pair read from text; no record
-    scans its prompt on construction."""
-    assert calls_of("sid_context") == ["alignment.compile_corpus", "prompting.augment"]
+def compiled_patterns() -> dict[str, list[ast.expr]]:
+    """The pattern argument of every ``re.compile`` call in src/genret, by
+    module."""
+    found: dict[str, list[ast.expr]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "compile"
+                    and getattr(node.func.value, "id", None) == "re"):
+                found.setdefault(path.stem, []).append(node.args[0])
+    return found
+
+
+def test_only_sid_spells_and_compile_corpus_derives_a_main_context():
+    """sid.py, which renders and parses S-IDs, owns every pattern over S-ID
+    tokens: elsewhere each pattern is a literal without the "_" that every
+    S-ID token holds. A main pair's context is read from its prompt in one
+    place, compile_corpus, whether the pair was built or loaded."""
+    patterns = compiled_patterns()
+    assert "sid" in patterns
+    for module, args in patterns.items():
+        if module != "sid":
+            assert all(isinstance(a, ast.Constant) and "_" not in a.value
+                       for a in args), module
+    assert calls_of("rendered_tokens") == ["alignment.compile_corpus"]
