@@ -145,23 +145,28 @@ def summary_from_events(events, catalog: Catalog) -> InterestSummary:
     return InterestSummary(list(counts.items()))
 
 
-def _distinct_ids(vocab, sids) -> dict:
-    """Each distinct S-ID of sids as its list of vocabulary ids."""
-    return {sid: vocab.sid_ids(sid) for sid in dict.fromkeys(sids)}
+def _response_ids(vocab, responses) -> np.ndarray:
+    """S-IDs of one depth n as one (P, n) id array: their codes stacked,
+    each level's column mapped in place by one ``code_ids`` gather."""
+    n = len(responses[0]) if responses else 0
+    if any(len(r) != n for r in responses):
+        raise AlignmentError("responses differ in length; a batch needs S-IDs of one depth")
+    ids = np.array([r.codes for r in responses], dtype=np.intp).reshape(len(responses), n)
+    for level, column in enumerate(ids.T):
+        column[:] = vocab.code_ids(level, column)
+    return ids
 
 
 def _compiled(vocab, contexts, responses):
     """Token contexts and their S-ID responses as the neural scorer reads
     them: (each context's id array, mapped in one pass over all the tokens;
-    the responses as one (P, n) id array, each distinct S-ID mapped once;
-    the share of context tokens that map to ``<unk>``, 0.0 without any)."""
+    the responses as ``_response_ids``' (P, n) array; the share of context
+    tokens that map to ``<unk>``, 0.0 without any)."""
     ids = vocab.ids(list(itertools.chain.from_iterable(contexts)))
     ends = np.cumsum([len(t) for t in contexts], dtype=np.intp).tolist()
-    arrays = _distinct_ids(vocab, responses)
     unk = int(np.count_nonzero(ids == vocab.lookup(UNK)))
     return ([ids[end - len(t):end] for t, end in zip(contexts, ends)],
-            _stacked([arrays[sid] for sid in responses]),
-            unk / len(ids) if len(ids) else 0.0)
+            _response_ids(vocab, responses), unk / len(ids) if len(ids) else 0.0)
 
 
 def compile_corpus(pairs, vocab):
@@ -188,15 +193,6 @@ def check_stages(stages) -> None:
         raise AlignmentError(f"unknown stage {unknown[0]!r}; expected one of {STAGES}")
 
 
-def _stacked(responses) -> np.ndarray:
-    """Equal-length response id lists as one (P, n) array."""
-    depths = {len(r) for r in responses} or {0}
-    if len(depths) > 1:
-        raise AlignmentError("responses differ in length; a batch needs S-IDs of "
-                             "one depth")
-    return np.array(responses, dtype=np.intp).reshape(len(responses), depths.pop())
-
-
 def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
                  order=STAGES, epochs_per_stage=None,
                  learning_rate: float = 0.02, seed: int = 0):
@@ -220,8 +216,8 @@ def train_staged(scorer, corpora: dict[str, list[CorpusPair]],
             continue
         if isinstance(scorer, NgramScorer):
             # the n-gram reads only the bucket, so no prompt is tokenized
-            ids = _distinct_ids(scorer.vocab, (p.response for p in pairs))
-            scorer.train([(p.bucket, ids[p.response]) for p in pairs])
+            ids = _response_ids(scorer.vocab, [p.response for p in pairs]).tolist()
+            scorer.train(zip((p.bucket for p in pairs), ids))
             stage_log.append({"stage": stage, "pairs": len(pairs)})
         elif isinstance(scorer, NeuralScorer):
             contexts, responses, unk_share = compile_corpus(pairs, scorer.vocab)

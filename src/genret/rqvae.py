@@ -430,5 +430,14 @@ def save_sids(sids: dict[str, SemanticId], path) -> None:
 
 
 def load_sids(path) -> dict[str, SemanticId]:
-    return dict(jsonl.read(path, lambda obj: (
-        obj["ad_id"], SemanticId.from_tokens(obj["tokens"])), SidError, SID_RECORD))
+    """S-IDs by ad; a repeated ad_id raises SidError naming the file and line."""
+    sids: dict[str, SemanticId] = {}
+
+    def add(obj):
+        if obj["ad_id"] in sids:
+            raise SidError(f"duplicate ad_id {obj['ad_id']!r}")
+        sids[obj["ad_id"]] = SemanticId.from_tokens(obj["tokens"])
+
+    for _ in jsonl.read(path, add, SidError, SID_RECORD):
+        pass
+    return sids

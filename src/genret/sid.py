@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 # a level-prefixed token: its level's letter, "_" and its code
 _TOKEN = "{}_{}"
-_TOKEN_RE = re.compile("^" + _TOKEN.format("([a-z])", r"(\d+)") + "$")
 # a code as str(int) writes it: ASCII digits without a leading zero
 _CODE = "(?:0|[1-9][0-9]*)"
+_TOKEN_RE = re.compile(_TOKEN.format("([a-z])", f"({_CODE})"))  # for fullmatch
 # an S-ID render as SemanticId.render writes it: "<", the tokens of levels
 # a, b, c, ... in order, at least two, joined by ", ", then ">"; each level
 # after b is optional inside the one before it, so no level is skipped
@@ -37,8 +37,8 @@ def render_token(level: int, code: int) -> str:
 
 
 def is_token(token: str) -> bool:
-    """Whether token is a level-prefixed S-ID token such as ``b_3``."""
-    return _TOKEN_RE.match(token) is not None
+    """Whether token is an S-ID token as render_token spells it (``b_3``)."""
+    return _TOKEN_RE.fullmatch(token) is not None
 
 
 def rendered_tokens(text: str) -> tuple[str, ...]:
@@ -49,7 +49,7 @@ def rendered_tokens(text: str) -> tuple[str, ...]:
 
 
 def parse_token(token: str) -> tuple[int, int]:
-    m = _TOKEN_RE.match(token)
+    m = _TOKEN_RE.fullmatch(token)
     if not m:
         raise SidError(f"malformed S-ID token {token!r}")
     return string.ascii_lowercase.index(m.group(1)), int(m.group(2))
@@ -104,10 +104,9 @@ class SemanticId:
 
     @classmethod
     def parse(cls, text: str) -> "SemanticId":
-        text = text.strip()
         if not (text.startswith("<") and text.endswith(">")):
             raise SidError(f"S-ID rendering must be angle-bracketed: {text!r}")
-        return cls.from_tokens(p.strip() for p in text[1:-1].split(","))
+        return cls.from_tokens(text[1:-1].split(", "))
 
     def __len__(self) -> int:
         return len(self.codes)

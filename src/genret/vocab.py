@@ -37,8 +37,7 @@ class Vocabulary:
 
     def __post_init__(self):
         self.id_of = {t: i for i, t in enumerate(self.tokens)}
-        code_id = {parse_token(t): i for t, i in self.id_of.items()
-                   if is_token(t) and render_token(*parse_token(t)) == t}
+        code_id = {parse_token(t): i for t, i in self.id_of.items() if is_token(t)}
         top: dict[int, int] = {}  # level -> its greatest code
         for level, code in code_id:
             top[level] = max(top.get(level, 0), code)
@@ -75,10 +74,6 @@ class Vocabulary:
         if self._level_ids is None or level >= len(self._level_ids):
             return self.ids([render_token(level, code) for code in codes.tolist()])
         return self._level_ids[level].take(codes, mode="clip")
-
-    def sid_ids(self, sid) -> list[int]:
-        """A SemanticId's tokens as ids, level by level."""
-        return [self.lookup(t) for t in sid.tokens()]
 
 
 def vocab_from_sids(sids, extra_tokens=()) -> Vocabulary:

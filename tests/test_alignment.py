@@ -190,6 +190,13 @@ def test_stage_corpora_round_trip(tmp_path):
     ({"prompt": "p", "response": "<a_1, b_0>", "stage": "dpo"}, "'stage' must be one of"),
     ({"prompt": "p", "response": "<b_1, a_0>", "stage": "main"}, "wrong level"),
     ({"prompt": "p", "response": "a_1, b_0", "stage": "main"}, "angle-bracketed"),
+    # spellings that render never writes
+    ({"prompt": "p", "response": "<a_\u0661, b_2>", "stage": "main"}, "malformed S-ID token"),
+    ({"prompt": "p", "response": "<a_1, b_007>", "stage": "main"}, "malformed S-ID token"),
+    ({"prompt": "p", "response": "<a_1,b_0>", "stage": "main"}, "malformed S-ID token"),
+    ({"prompt": "p", "response": "<a_1,  b_0>", "stage": "main"}, "malformed S-ID token"),
+    ({"prompt": "p", "response": " <a_1, b_0>", "stage": "main"}, "angle-bracketed"),
+    ({"prompt": "p", "response": "<a_1, b_0>\n", "stage": "main"}, "angle-bracketed"),
 ])
 def test_load_corpus_rejects_bad_stage_and_response(tmp_path, record, message):
     path = tmp_path / "corpus.jsonl"
@@ -355,7 +362,7 @@ def string_response(pair):
 
 
 # words that are, or nearly are, S-ID tokens or markers; a_\u0661 ends in a
-# non-ASCII digit, which is_token's \d accepts
+# non-ASCII digit and b_01 has a leading zero, so neither is an S-ID token
 ADVERSARIAL = ["a_1", "b_0", "c_0", "<a_1>", "a_1x", "xa_1", "A_1", "play_video",
                "<sep>", "a_\u0661", "<unk>", "a_", "_1", "b_01", "z_9", "cat:cat0",
                "Name", "3"]
@@ -762,7 +769,7 @@ def loop_dpo_step(policy, reference, triplets, beta, learning_rate, variant):
     total, loss_sum = policy.zero_grads(), 0.0
     for t in triplets:
         ctx = policy.vocab.ids(t.user.tokens)
-        high, low = (np.array(policy.vocab.sid_ids(sid)) for sid in (t.high_ad, t.low_ad))
+        high, low = (policy.vocab.ids(sid.tokens()) for sid in (t.high_ad, t.low_ad))
         ref_h, ref_l = one_pair(reference, ctx, high)[0], one_pair(reference, ctx, low)[0]
         logp_h, grad_h = one_pair(policy, ctx, high)
         logp_l, grad_l = one_pair(policy, ctx, low)
@@ -827,6 +834,16 @@ def test_dpo_update_rejects_a_learning_rate_that_cannot_align(vocab):
                        steps=1)
     for name, value in fresh.params.items():
         np.testing.assert_array_equal(policy.params[name], value)
+
+
+def test_staged_ngram_rejects_responses_of_different_depths(vocab):
+    # the n-gram's responses are mapped as one (P, n) array too
+    pairs = [alignment.CorpusPair(prompt="p", response=SIDS["ad1"], stage="main"),
+             alignment.CorpusPair(prompt="p", response=SemanticId((1, 0)), stage="main")]
+    ngram = NgramScorer(vocab)
+    with pytest.raises(AlignmentError, match="one depth"):
+        train_staged(ngram, {"main": pairs}, order=("main",))
+    assert ngram.counts == {}
 
 
 def test_dpo_update_rejects_ads_of_different_depths(vocab):

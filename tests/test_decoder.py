@@ -481,7 +481,7 @@ def test_decode_equals_the_pruning_oracle_with_trained_scorers():
     for sids, trie, beams in setups:
         vocab = vocab_from_sids(sids)
         ngram = NgramScorer(vocab)
-        ngram.train([((), vocab.sid_ids(sid)) for sid in list(sids.values())[::2]])
+        ngram.train([((), vocab.ids(sid.tokens())) for sid in list(sids.values())[::2]])
         context = ScorerContext(tokens=("cat:x", "a_1"))
         for scorer in (ngram, NeuralScorer(vocab, seed=int(rng.integers(100)))):
             for beam in beams:
@@ -498,7 +498,7 @@ def test_decode_equals_the_pruning_oracle_through_a_vocabulary_without_tables():
     trie, vocab = build(sids), vocab_from_sids(sids)
     assert vocab._level_ids is None
     ngram = NgramScorer(vocab)
-    ngram.train([((), vocab.sid_ids(sid)) for sid in sids.values()])
+    ngram.train([((), vocab.ids(sid.tokens())) for sid in sids.values()])
     context = ScorerContext(tokens=("cat:x", "a_1"))
     for scorer in (ngram, NeuralScorer(vocab, seed=3)):
         for beam in (1, 8):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -434,6 +435,32 @@ def test_load_sids_rejects_tokens_at_the_wrong_level(tmp_path):
     path.write_text('{"ad_id": "x", "tokens": ["b_1", "a_2", "c_0"]}\n')
     with pytest.raises(SidError, match="b_1"):
         load_sids(path)
+
+
+@pytest.mark.parametrize("tokens", [["a_007", "b_0"], ["a_1", "b_\u0661"], ["a_1\n", "b_0"],
+                                    ["a_1", "b_+1"], ["A_1", "b_0"]])
+def test_load_sids_rejects_a_token_render_never_writes(tmp_path, tokens):
+    from genret.sid import SidError
+
+    path = tmp_path / "sids.jsonl"
+    path.write_text('{"ad_id": "x", "tokens": ["a_1", "b_0"]}\n'
+                    + json.dumps({"ad_id": "y", "tokens": tokens}) + "\n")
+    with pytest.raises(SidError, match="malformed S-ID token") as info:
+        load_sids(path)
+    assert f"{path}: line 2" in str(info.value)
+
+
+def test_load_sids_rejects_a_repeated_ad(tmp_path):
+    """Two lines for one ad fail at the second, instead of loading it."""
+    from genret.sid import SidError
+
+    path = tmp_path / "sids.jsonl"
+    path.write_text('{"ad_id": "x", "tokens": ["a_1", "b_0"]}\n'
+                    '{"ad_id": "y", "tokens": ["a_2", "b_0"]}\n'
+                    '{"ad_id": "x", "tokens": ["a_3", "b_0"]}\n')
+    with pytest.raises(SidError, match="duplicate ad_id 'x'") as info:
+        load_sids(path)
+    assert f"{path}: line 3" in str(info.value)
 
 
 def test_config_validation():

@@ -1,10 +1,12 @@
 import dataclasses
 import pickle
+import string
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from genret.sid import SemanticId, SidError, parse_token, render_token, rendered_tokens
+from genret.sid import (SemanticId, SidError, is_token, parse_token, render_token,
+                        rendered_tokens)
 
 from conftest import render_scan
 
@@ -31,6 +33,91 @@ def test_token_helpers():
     assert parse_token("c_35") == (2, 35)
     with pytest.raises(SidError):
         parse_token("zz_1")
+
+
+# --- the grammar: a token and a render parse only as render spells them -------
+
+def oracle_token(text):
+    """Whether text is a letter a-z, "_" and a code as str(int) writes it
+    (ASCII digits, no leading zero), with no regex."""
+    letter, underscore, digits = text[:1], text[1:2], text[2:]
+    return (letter != "" and letter in string.ascii_lowercase and underscore == "_"
+            and digits != "" and all(d in "0123456789" for d in digits)
+            and str(int(digits)) == digits)
+
+
+def oracle_render_codes(text):
+    """The codes whose SemanticId render is text, or None, with no regex."""
+    pieces = text[1:-1].split(", ")
+    if not (len(text) >= 2 and 2 <= len(pieces) <= 26 and all(map(oracle_token, pieces))):
+        return None
+    codes = tuple(int(p[2:]) for p in pieces)
+    return codes if SemanticId(codes).render() == text else None
+
+
+# near misses of a token: leading zeros, a non-ASCII digit (a_\u0661), a
+# sign, whitespace, an upper-case or non-ASCII letter, a missing part
+_NEAR_TOKENS = ["a_007", "a_00", "a_\u0661", "b_1\u0661", "a_\u00b2", "a_1\n", "a_1 ",
+                " a_1", "A_1", "a_+1", "a_-1", "\u00e4_1", "aa_1", "a__1", "a_", "_1", "a1",
+                "", "a_0", "z_10"]
+_tokens = st.one_of(
+    st.sampled_from(_NEAR_TOKENS),
+    st.builds(render_token, st.integers(0, 25), st.integers(0, 10**6)),
+    st.builds("{}_{}".format, st.sampled_from(["a", "b", "z", "A", "\u00e4", ""]),
+              st.text("0123456789\u0661\u00b2+- \n", max_size=4)),
+    st.text("ab_019\u0661\n +A", max_size=6))
+
+
+@given(_tokens)
+@example("a_007")
+@example("a_\u0661")
+@example("a_1\n")
+@example("A_1")
+@example("a_+1")
+def test_a_token_is_a_letter_and_a_code_as_str_writes_it(text):
+    assert is_token(text) == oracle_token(text)
+    if oracle_token(text):
+        assert parse_token(text) == (string.ascii_lowercase.index(text[0]), int(text[2:]))
+        assert render_token(*parse_token(text)) == text
+    else:
+        with pytest.raises(SidError):
+            parse_token(text)
+
+
+@st.composite
+def _render_like(draw):
+    """Level-ordered tokens, some swapped for any token, joined by ", " or
+    a near miss of it and bracketed by "<" and ">" or a near miss of them."""
+    tokens = [render_token(i % 26, c) for i, c in enumerate(
+        draw(st.lists(st.integers(0, 120), max_size=27)))]
+    for i in draw(st.lists(st.integers(0, max(len(tokens) - 1, 0)), max_size=2)):
+        if tokens:
+            tokens[i] = draw(_tokens)
+    opening, separator, closing = (
+        draw(st.one_of(st.just(exact), st.sampled_from(misses))) for exact, misses in (
+            ("<", ["", " <", "<<", "< ", "\n<"]),
+            (", ", [",", ",  ", " , ", ", \n", "; "]),
+            (">", ["", "> ", " >", ">>", ">\n"])))
+    return opening + separator.join(tokens) + closing
+
+
+@given(st.one_of(_render_like(), st.text("<>, _abz01\u0661\n", max_size=30)))
+@example("<a_1,b_2>")
+@example(" <a_1, b_2>")
+@example("<a_1,  b_2>")
+@example("<a_1, b_2>\n")
+@example("<a_007, b_2>")
+@example("<a_\u0661, b_2>")
+@example("<a_1\n, b_2>")
+@example("<a_1, b_2>")
+def test_parse_accepts_exactly_what_render_writes(text):
+    """SemanticId.parse(text) succeeds iff text is SemanticId(codes).render()
+    for some codes, and then returns those codes."""
+    try:
+        codes = SemanticId.parse(text).codes
+    except SidError:
+        codes = None
+    assert codes == oracle_render_codes(text)
 
 
 def test_wrong_level_prefix_rejected():

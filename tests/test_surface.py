@@ -168,7 +168,7 @@ def test_only_the_scorer_lays_out_neural_batches():
 def test_only_the_vocabulary_maps_tokens_to_ids():
     """A token or an S-ID code becomes an id in genret.vocab alone: no
     other module reads a vocabulary's ``id_of`` map; they ask ``lookup``,
-    ``ids``, ``code_ids`` or ``sid_ids``."""
+    ``ids`` or ``code_ids``."""
     names = sorted(
         f"{path.name}:{node.lineno}" for path in PACKAGE.glob("*.py")
         if path.name != "vocab.py"
@@ -227,3 +227,11 @@ def test_only_sid_spells_and_compile_corpus_derives_a_main_context():
             assert all(isinstance(a, ast.Constant) and "_" not in a.value
                        for a in args), module
     assert calls_of("rendered_tokens") == ["alignment.compile_corpus"]
+
+
+def test_only_sid_and_vocab_read_tokens():
+    """What counts as an S-ID token is decided in genret.sid: outside it,
+    only genret.vocab calls parse_token or is_token."""
+    callers = {where.partition(".")[0] for name in ("parse_token", "is_token")
+               for where in calls_of(name)}
+    assert callers <= {"sid", "vocab"}, sorted(callers)

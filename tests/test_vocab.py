@@ -1,18 +1,20 @@
 """Vocabulary: the one map from a token or an S-ID code to a model id.
 
-``ids`` is ``lookup`` of each token of a sequence. ``code_ids`` and
-``sid_ids`` are ``lookup`` of each code's rendered token: ``code_ids``
-gathers from one table per level, or looks up token by token in a
-vocabulary with a code at or above TABLE_CODES, which has no tables."""
+``ids`` is ``lookup`` of each token of a sequence. ``code_ids`` is
+``lookup`` of each code's rendered token: it gathers from one table per
+level, or looks up token by token in a vocabulary with a code at or above
+TABLE_CODES, which has no tables. Compiled responses reach their ids
+through it, and equal ``ids`` of each S-ID's tokens."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from genret.alignment import CorpusPair, compile_corpus
 from genret.sid import SemanticId, render_token
 from genret.vocab import TABLE_CODES, Vocabulary, vocab_from_sids
 
-# spellings that parse as S-ID tokens but are not render_token's, and
-# tokens that are not S-ID tokens at all
+# spellings near render_token's that are not S-ID tokens: leading zeros,
+# a non-ASCII digit, trailing whitespace; and tokens far from any
 NON_CANONICAL = ["a_007", "b_01", "c_00", "a_\u0661", "a_1\n", "z_0 "]
 EXTRA = ["cat:x", "<sep>", "a_", "_1", "A_1", "a1"]
 
@@ -71,8 +73,26 @@ def test_code_ids_gathers_code_id(vocab, level, codes):
     assert ids.tolist() == [vocab.lookup(render_token(level, code)) for code in codes]
 
 
-@given(st.lists(st.integers(0, 9), min_size=2, max_size=5))
-def test_sid_ids_are_the_tokens_ids(codes):
-    sid = SemanticId(tuple(codes))
-    vocab = vocab_from_sids({"ad": SemanticId((1, 2, 0))}, extra_tokens=["a_01"])
-    assert vocab.sid_ids(sid) == [vocab.lookup(t) for t in sid.tokens()]
+@st.composite
+def responses(draw):
+    """S-IDs of one depth, with codes past a vocabulary's tables, at levels
+    past them, and at TABLE_CODES."""
+    depth = draw(st.integers(2, 7))
+    code = st.one_of(st.integers(0, 15), st.just(TABLE_CODES))
+    return [SemanticId(tuple(codes)) for codes in draw(
+        st.lists(st.lists(code, min_size=depth, max_size=depth), max_size=8))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vocabularies(), responses())
+@example(Vocabulary.build(["a_3", f"a_{TABLE_CODES}"]),  # no tables
+         [SemanticId((3, 0)), SemanticId((TABLE_CODES, 3)), SemanticId((7, 1))])
+@example(Vocabulary.build(["a_1", "b_2"], ["a_01"]), [])
+def test_compiled_responses_are_the_tokens_ids(vocab, sids):
+    """compile_corpus's responses are ``ids`` of each S-ID's tokens, row by
+    row, as one (P, n) intp array."""
+    pairs = [CorpusPair(prompt="p", response=sid, stage="explicit") for sid in sids]
+    got = compile_corpus(pairs, vocab)[1]
+    assert got.dtype == np.intp
+    assert got.shape == (len(sids), len(sids[0]) if sids else 0)
+    assert got.tolist() == [vocab.ids(sid.tokens()).tolist() for sid in sids]
