@@ -34,7 +34,7 @@ class Ad:
 
 # a catalog line; the fields it leaves out take Ad's defaults
 AD_RECORD = jsonl.spec(
-    ad_id=jsonl.ID, name=jsonl.STRING, product_type=jsonl.optional(jsonl.STRING),
+    ad_id=jsonl.key(jsonl.ID), name=jsonl.STRING, product_type=jsonl.optional(jsonl.STRING),
     first_category=jsonl.optional(jsonl.STRING),
     second_category=jsonl.optional(jsonl.STRING),
     attributes=jsonl.optional(jsonl.array(jsonl.tuple_of(jsonl.STRING, jsonl.STRING))),
@@ -89,13 +89,11 @@ def _ad_from_obj(obj: dict) -> Ad:
 
 
 def load_catalog(path) -> Catalog:
-    """Load a JSONL catalog, one ad object per line, preserving file order.
-    Each ad is added as its line is read, so a duplicate ad_id raises
-    CatalogError naming the file and the line."""
+    """Load a JSONL catalog, one ad object per line, preserving file order;
+    a repeated ad_id raises CatalogError naming the file and the line."""
     catalog = Catalog()
-    for _ in jsonl.read(path, lambda obj: catalog.add(_ad_from_obj(obj)),
-                        CatalogError, AD_RECORD):
-        pass
+    for ad in jsonl.read(path, _ad_from_obj, CatalogError, AD_RECORD):
+        catalog.add(ad)
     return catalog
 
 

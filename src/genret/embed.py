@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,14 +173,10 @@ def embed_catalog(catalog: Catalog, dimension: int, seed: int) -> EmbeddingTable
 
 def load_embeddings(path) -> EmbeddingTable:
     """Load a TSV of ad_id<TAB>space-separated decimals. The first row sets
-    the width; a row that is not UTF-8, a row with an empty ad_id, a row of
-    another width, a value that is not a finite number, or a file with no
-    rows is an error naming the file (and the row).
-
-    Duplicate ad_ids follow last-writer-wins with a warning.
-    """
+    the width; a row that is not UTF-8, a row with an empty or repeated
+    ad_id, a row of another width, a value that is not a finite number, or a
+    file with no rows is an error naming the file (and the row)."""
     table = None
-    duplicates = 0
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for rowno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -207,12 +202,10 @@ def load_embeddings(path) -> EmbeddingTable:
                     f"got {values.size}"
                 )
             if ad_id in table.entries:
-                duplicates += 1
+                raise EmbeddingError(f"{path}: row {rowno}: duplicate ad_id {ad_id!r}")
             table.entries[ad_id] = values
     if table is None:
         raise EmbeddingError(f"{path}: no embedding rows")
-    if duplicates:
-        warnings.warn(f"{duplicates} duplicate ad_id rows overwritten (last wins)")
     return table
 
 

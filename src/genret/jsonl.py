@@ -22,6 +22,7 @@ class Kind(NamedTuple):
     types: tuple
     test: Callable | None = None
     required: bool = True
+    key: bool = False
 
 
 # true is an int to isinstance, so a kind names exact types
@@ -59,15 +60,25 @@ def optional(kind: Kind) -> Kind:
     return kind._replace(required=False)
 
 
+def key(kind: Kind) -> Kind:
+    """kind, as the required field that names a record: no two records of
+    one file hold the same value in it."""
+    return kind._replace(required=True, key=True)
+
+
 class Spec(NamedTuple):
     kinds: dict
     required: frozenset
+    key: str | None  # the field that names a record, if one does
 
 
 def spec(**kinds: Kind) -> Spec:
     """The record whose keys are the names of kinds, each holding a value of
-    its kind; a key the record may leave out is optional."""
-    return Spec(kinds, frozenset(key for key, kind in kinds.items() if kind.required))
+    its kind; a key the record may leave out is optional, and the one field
+    marked key, if any, names the record."""
+    named, = [name for name, kind in kinds.items() if kind.key] or [None]  # one at most
+    return Spec(kinds, frozenset(name for name, kind in kinds.items() if kind.required),
+                named)
 
 
 # a config field's kind, by the type of its default
@@ -127,8 +138,9 @@ def read(path, build, error, spec: Spec):
     """Yield build(record) for each line of a UTF-8 file that holds more than
     JSON whitespace, in order, once the record passes check against spec. A
     line that is not UTF-8 or not one JSON value, a record that spec
-    rejects, or one that build rejects with a ValueError raises error naming
-    the file and the line."""
+    rejects or whose key repeats an earlier line's, or one that build
+    rejects with a ValueError raises error naming the file and the line."""
+    field, first = spec.key, {}  # key value -> the line that first held it
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip(_JSON_SPACE)
@@ -140,6 +152,9 @@ def read(path, build, error, spec: Spec):
                 if end != len(text):
                     raise json.JSONDecodeError("Extra data", text, end)
                 check(obj, spec, "record")
+                if field is not None and first.setdefault(obj[field], lineno) != lineno:
+                    raise ValueError(f"duplicate {field} {obj[field]!r}, first on line "
+                                     f"{first[obj[field]]}")
                 item = build(obj)
             except ValueError as exc:
                 raise error(

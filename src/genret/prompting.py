@@ -57,8 +57,8 @@ class UserProfile:
 
 # a profiles line: the user's id and every UserProfile field
 PROFILE_RECORD = jsonl.spec(
-    user_id=jsonl.ID, age=jsonl.INT, gender=jsonl.STRING, residence=jsonl.STRING,
-    education_level=jsonl.STRING, occupation=jsonl.STRING,
+    user_id=jsonl.key(jsonl.ID), age=jsonl.INT, gender=jsonl.STRING,
+    residence=jsonl.STRING, education_level=jsonl.STRING, occupation=jsonl.STRING,
     consumption_level=jsonl.STRING)
 
 

@@ -421,7 +421,7 @@ def codebook_metrics(assignments: dict[str, SemanticId], config: RqVaeConfig):
 
 
 # an S-IDs line: an ad and its S-ID's level-prefixed tokens
-SID_RECORD = jsonl.spec(ad_id=jsonl.ID, tokens=jsonl.array(jsonl.STRING))
+SID_RECORD = jsonl.spec(ad_id=jsonl.key(jsonl.ID), tokens=jsonl.array(jsonl.STRING))
 
 
 def save_sids(sids: dict[str, SemanticId], path) -> None:
@@ -431,13 +431,6 @@ def save_sids(sids: dict[str, SemanticId], path) -> None:
 
 def load_sids(path) -> dict[str, SemanticId]:
     """S-IDs by ad; a repeated ad_id raises SidError naming the file and line."""
-    sids: dict[str, SemanticId] = {}
-
-    def add(obj):
-        if obj["ad_id"] in sids:
-            raise SidError(f"duplicate ad_id {obj['ad_id']!r}")
-        sids[obj["ad_id"]] = SemanticId.from_tokens(obj["tokens"])
-
-    for _ in jsonl.read(path, add, SidError, SID_RECORD):
-        pass
-    return sids
+    return dict(jsonl.read(
+        path, lambda obj: (obj["ad_id"], SemanticId.from_tokens(obj["tokens"])),
+        SidError, SID_RECORD))

@@ -283,21 +283,27 @@ class NgramScorer:
                               f"{list(scorer.interpolation)}")
         v = len(scorer.vocab)
         for bucket, window, slot in payload["counts"]:
-            counts = dict(slot)
+            where = f"snapshot counts of bucket {bucket} and window {window}"
+            key = (tuple(bucket), tuple(window))
+            if key in scorer.counts:
+                raise ScorerError(f"{where} are given twice")
             # an entry is coded key·|V| + id, so an id outside [0, |V|)
             # would read as another key's entry
-            bad = [i for i in chain(window, counts) if not 0 <= i < v]
+            bad = [i for i in window if not 0 <= i < v]
             if bad:
-                raise ScorerError(f"snapshot counts of bucket {bucket} and window "
-                                  f"{window} name id {bad[0]}, outside [0, {v})")
-            # train writes whole counts >= 1; a count <= 0 or NaN leaves rows
-            # that are no distribution
-            bad = [(i, c) for i, c in counts.items() if not (math.isfinite(c) and c > 0)]
-            if bad:
-                raise ScorerError(f"snapshot counts of bucket {bucket} and window "
-                                  f"{window} give id {bad[0][0]} the count {bad[0][1]}, "
-                                  f"not a finite number > 0")
-            scorer.counts[(tuple(bucket), tuple(window))] = counts
+                raise ScorerError(f"{where} name id {bad[0]}, outside [0, {v})")
+            counts = scorer.counts[key] = {}
+            for i, c in slot:
+                if not 0 <= i < v:
+                    raise ScorerError(f"{where} name id {i}, outside [0, {v})")
+                # train writes whole counts >= 1; a count <= 0 or NaN leaves
+                # rows that are no distribution
+                if not (math.isfinite(c) and c > 0):
+                    raise ScorerError(f"{where} give id {i} the count {c}, "
+                                      f"not a finite number > 0")
+                if i in counts:
+                    raise ScorerError(f"{where} give id {i} twice")
+                counts[i] = c
         return scorer
 
 

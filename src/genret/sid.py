@@ -70,8 +70,9 @@ class SemanticId:
     def __post_init__(self):
         if len(self.codes) < 2:
             raise SidError("SemanticId needs at least one base code plus suffix")
-        if any(c < 0 for c in self.codes):
-            raise SidError(f"negative code in {self.codes}")
+        # a code becomes an int64 index in the trie and the id tables
+        if not all(0 <= c < 2**63 for c in self.codes):
+            raise SidError(f"code outside [0, 2**63) in {self.codes}")
 
     @property
     def base(self) -> tuple[int, ...]:

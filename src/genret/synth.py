@@ -181,8 +181,8 @@ def make_cluster_table(num_clusters: int = 4, per_cluster: int = 16,
 
 
 # a truth line: a user's held-out ad; an LTR labels line: a user's label set
-TRUTH_RECORD = jsonl.spec(user_id=jsonl.ID, ad_id=jsonl.ID)
-LTR_RECORD = jsonl.spec(user_id=jsonl.ID, ad_ids=jsonl.array(jsonl.ID))
+TRUTH_RECORD = jsonl.spec(user_id=jsonl.key(jsonl.ID), ad_id=jsonl.ID)
+LTR_RECORD = jsonl.spec(user_id=jsonl.key(jsonl.ID), ad_ids=jsonl.array(jsonl.ID))
 
 
 def load_truth(path) -> dict[str, str]:

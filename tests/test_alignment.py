@@ -208,6 +208,17 @@ def test_load_corpus_rejects_bad_stage_and_response(tmp_path, record, message):
     assert f"{path}: line 2" in str(info.value)
 
 
+def test_load_corpus_rejects_a_code_past_int64(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({"prompt": "p", "response": "<a_1, b_0>", "stage": "main"})
+                    + "\n" + json.dumps({"prompt": "p", "stage": "main",
+                                         "response": "<a_1, b_18446744073709551616>"})
+                    + "\n", encoding="utf-8")
+    with pytest.raises(JsonlError, match="code outside") as info:
+        load_corpus(path)
+    assert f"{path}: line 2" in str(info.value)
+
+
 # --- staged training ---------------------------------------------------------
 
 def test_staged_ngram_equals_direct_train(vocab, monkeypatch):

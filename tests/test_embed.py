@@ -253,9 +253,10 @@ def test_load_rejects_an_empty_ad_id(tmp_path):
         load_embeddings(path)
 
 
-def test_duplicate_rows_last_wins(tmp_path):
+def test_a_repeated_ad_id_names_its_row(tmp_path):
+    """A second row for one ad is an error, not a vector that replaces the
+    first."""
     path = tmp_path / "emb.tsv"
     path.write_text("a1\t1 0 0 0 0 0 0 0\na1\t0 1 0 0 0 0 0 0\n")
-    with pytest.warns(UserWarning, match="1 duplicate"):
-        table = load_embeddings(path)
-    assert table["a1"][1] == 1.0
+    with pytest.raises(EmbeddingError, match=r"emb\.tsv: row 2: duplicate ad_id 'a1'"):
+        load_embeddings(path)

@@ -59,6 +59,16 @@ IDS = [getattr(f, "func", f).__name__ for f, _, _ in LOADERS]
 BY_ID = {name: row for name, row in zip(IDS, LOADERS)}
 # the catalog and the S-IDs keep their own error types; the rest raise JsonlError
 ERRORS = {load_catalog: CatalogError, load_sids: SidError}
+# loader -> a change to its valid record that keeps the record's key field,
+# or its user; a keyed loader rejects the changed record as a second line
+AGAIN = {
+    "load_catalog": {"name": "m"}, "load_profiles": {"age": 50},
+    "load_events": {"days_ago": 2}, "load_trace": {"tick": 1},
+    "load_corpus": {"response": "<a_2, b_0>"}, "load_sids": {"tokens": ["a_2", "b_0"]},
+    "load_truth": {"ad_id": "a2"}, "load_ltr_labels": {"ad_ids": ["a2"]},
+    "load_results": {"ad_id": "a2"}, "load_ad_events": {"days_ago": 3},
+}
+KEYED = {"load_catalog", "load_sids", "load_profiles", "load_truth", "load_ltr_labels"}
 
 
 def _load_second_line(tmp_path, load, first, second):
@@ -110,6 +120,23 @@ def test_non_object_record_names_file_and_line(tmp_path, load, record, _):
 def test_bad_record_names_file_and_line(tmp_path, load, record, bad):
     error = _load_second_line(tmp_path, load, json.dumps(record), json.dumps(bad))
     assert isinstance(error, ERRORS.get(load, JsonlError))
+
+
+@pytest.mark.parametrize("name", IDS)
+def test_a_repeated_key_names_file_and_line(tmp_path, name):
+    """A second line that repeats a keyed record's key field fails like any
+    record its spec rejects; unkeyed records load two lines for one user."""
+    load, record, _ = BY_ID[name]
+    again = {**record, **AGAIN[name]}
+    if name in KEYED:
+        error = _load_second_line(tmp_path, load, json.dumps(record), json.dumps(again))
+        assert isinstance(error, ERRORS.get(load, JsonlError))
+        assert "duplicate" in str(error) and "first on line 1" in str(error)
+        return
+    path = tmp_path / "artifact.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps(again) + "\n", encoding="utf-8")
+    loaded = load(path)
+    assert len(loaded[record["user_id"]] if isinstance(loaded, dict) else loaded) == 2
 
 
 # a record's field set to a value its spec rejects, or a key its spec does

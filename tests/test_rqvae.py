@@ -450,6 +450,17 @@ def test_load_sids_rejects_a_token_render_never_writes(tmp_path, tokens):
     assert f"{path}: line 2" in str(info.value)
 
 
+def test_load_sids_rejects_a_code_past_int64(tmp_path):
+    from genret.sid import SidError
+
+    path = tmp_path / "sids.jsonl"
+    path.write_text('{"ad_id": "x", "tokens": ["a_1", "b_0"]}\n'
+                    '{"ad_id": "y", "tokens": ["a_9223372036854775808", "b_0"]}\n')
+    with pytest.raises(SidError, match="code outside") as info:
+        load_sids(path)
+    assert f"{path}: line 2" in str(info.value)
+
+
 def test_load_sids_rejects_a_repeated_ad(tmp_path):
     """Two lines for one ad fail at the second, instead of loading it."""
     from genret.sid import SidError

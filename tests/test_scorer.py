@@ -150,6 +150,19 @@ def test_ngram_snapshot_ids_are_checked():
         assert bad in str(err.value)
 
 
+@pytest.mark.parametrize("counts, message", [
+    # bucket g's empty-window entry given twice
+    ([[["g"], [], [[2, 1.0]]], [["g"], [], [[2, 1.0]]]], "are given twice"),
+    # id 2 given twice inside g's entry
+    ([[["g"], [], [[2, 1.0], [1, 3.0], [2, 1.0]]]], "give id 2 twice"),
+])
+def test_ngram_snapshot_repeats_are_checked(counts, message):
+    """A snapshot names each (bucket, window) entry once, and each id once
+    inside an entry, instead of loading the last of a repeat."""
+    with pytest.raises(ScorerError, match=r"bucket \['g'\] and window \[\] " + message):
+        NgramScorer.from_payload({**ngram_payload([], []), "counts": counts})
+
+
 @pytest.mark.parametrize("count", [-5.0, 0.0, float("nan"), float("inf")])
 def test_ngram_snapshot_counts_are_checked(tmp_path, count):
     """Every count of a snapshot must be a finite number above 0, as train

@@ -28,6 +28,15 @@ def test_base_and_disambiguation():
     assert sid.disambiguation == 7
 
 
+def test_a_code_must_fit_an_int64_index():
+    """The trie and the id tables index codes as int64, so a code of 2**63
+    fails where the S-ID is built, not later with an OverflowError."""
+    assert SemanticId((2**63 - 1, 0)).codes == (2**63 - 1, 0)
+    for codes in ((2**63, 0), (0, 2**64), (-1, 0)):
+        with pytest.raises(SidError, match=r"code outside \[0, 2\*\*63\)"):
+            SemanticId(codes)
+
+
 def test_token_helpers():
     assert render_token(0, 12) == "a_12"
     assert parse_token("c_35") == (2, 35)

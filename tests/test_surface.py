@@ -14,6 +14,7 @@ go stale.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -235,3 +236,24 @@ def test_only_sid_and_vocab_read_tokens():
     callers = {where.partition(".")[0] for name in ("parse_token", "is_token")
                for where in calls_of(name)}
     assert callers <= {"sid", "vocab"}, sorted(callers)
+
+
+def test_a_dict_of_records_reads_a_keyed_spec():
+    """A loader that turns records into a dict reads a spec that names its
+    key field, so jsonl.read rejects a repeated key by file and line instead
+    of the dict keeping the last line. Each ``dict(jsonl.read(...))`` call's
+    spec, read's fourth argument, is evaluated in its module."""
+    keyed = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = vars(importlib.import_module(f"genret.{path.stem}"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict"
+                    and node.args and isinstance(read := node.args[0], ast.Call)
+                    and getattr(read.func, "attr", None) == "read"
+                    and getattr(read.func.value, "id", None) == "jsonl"):
+                spec = (read.args[3] if len(read.args) > 3
+                        else next(k.value for k in read.keywords if k.arg == "spec"))
+                spec = eval(compile(ast.Expression(spec), str(path), "eval"), module)
+                keyed[f"{path.name}:{node.lineno}"] = spec.key is not None
+    assert len(keyed) >= 4, keyed  # S-IDs, profiles, truth and LTR labels
+    assert all(keyed.values()), sorted(where for where, ok in keyed.items() if not ok)
