@@ -33,8 +33,8 @@ def main():
     print(build_prompt(profile, summary, events))
 
     print("\n=== interaction-reuse augmentation ===")
-    samples = augment(events, profile, summary)
-    for s in samples:
+    _, main = augment(events, profile, summary)
+    for s in main:
         history = s.prompt.count("days ago")
         print(f"  sample: {history} history events -> response {s.response.render()}")
 

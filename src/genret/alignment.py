@@ -114,16 +114,10 @@ def build_stage_corpora(catalog: Catalog, sids, profiles, events_by_user,
         bucket = compact_context(profile, summary, events_by_user[uid]).bucket
         # one augment renders both views: the implicit stage's ads by title,
         # the main stage's by S-ID
-        implicit, main = augment(events, profile, summary, template_ids,
-                                 use_sid=(False, True))
-        for s in implicit:
-            corpora["implicit"].append(CorpusPair(
-                prompt=s.prompt, response=s.response, stage="implicit",
-                bucket=bucket, user_id=uid))
-        for s in main:
-            corpora["main"].append(CorpusPair(
-                prompt=s.prompt, response=s.response, stage="main", bucket=bucket,
-                user_id=uid))
+        for stage, samples in zip(("implicit", "main"), augment(
+                events, profile, summary, template_ids)):
+            corpora[stage] += [CorpusPair(prompt=s.prompt, response=s.response, stage=stage,
+                                          bucket=bucket, user_id=uid) for s in samples]
     return corpora
 
 

@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="genret")
     defaults, spec = PipelineConfig(), synth.SyntheticSpec()
     parser.add_argument("--verbose", action="store_true",
-                        help="structured logging to stderr")
+                        help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset")

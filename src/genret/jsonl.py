@@ -119,9 +119,19 @@ def check(obj, spec: Spec, where) -> None:
         raise ValueError(f"{where}: missing key {sorted(spec.required - obj.keys())[0]!r}")
 
 
+def _object(pairs) -> dict:
+    """A decoded JSON object's dict, or a ValueError naming a key it holds
+    twice, of which json alone would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"key {max(keys, key=keys.count)!r} repeats inside one object")
+    return obj
+
+
 # json.loads less its per-call wrapper: read strips the whitespace json
 # allows around a value, and checks that nothing follows the value, itself
-_decode = json.JSONDecoder().raw_decode
+_decode = json.JSONDecoder(object_pairs_hook=_object).raw_decode
 _JSON_SPACE = " \t\n\r"
 
 
@@ -137,9 +147,9 @@ def check_utf8(text: str) -> None:
 def read(path, build, error, spec: Spec):
     """Yield build(record) for each line of a UTF-8 file that holds more than
     JSON whitespace, in order, once the record passes check against spec. A
-    line that is not UTF-8 or not one JSON value, a record that spec
-    rejects or whose key repeats an earlier line's, or one that build
-    rejects with a ValueError raises error naming the file and the line."""
+    line that is not UTF-8 or not one JSON value, an object holding a key
+    twice, a record spec rejects or whose key repeats an earlier line's, or
+    one build rejects with a ValueError raises error naming file and line."""
     field, first = spec.key, {}  # key value -> the line that first held it
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -194,10 +204,11 @@ def dump(path, obj, **dumps) -> None:
 
 
 def load(path):
-    """The one JSON value a UTF-8 file holds. Text that is not UTF-8 or not
-    one JSON value raises JsonlError naming the file."""
+    """The one JSON value a UTF-8 file holds. Text that is not UTF-8, not one
+    JSON value or holding a key twice in an object raises JsonlError naming
+    the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object)
     except ValueError as exc:
         raise JsonlError(f"{path}: {type(exc).__name__}: {exc}") from exc

@@ -239,22 +239,17 @@ def augment(
     summary: InterestSummary,
     template_ids=(0,),
     token_budget: int = DEFAULT_TOKEN_BUDGET,
-    use_sid: bool | tuple[bool, ...] = True,
-) -> list[PromptSample] | tuple[list[PromptSample], ...]:
-    """Interaction reuse crossed with the listed templates: one sample per
-    (positive ad split, template id), in sequence order.
+) -> tuple[list[PromptSample], list[PromptSample]]:
+    """Interaction reuse crossed with the listed templates, in two views:
+    (implicit, main), the ads rendered by title, then by S-ID. Each view
+    holds one sample per (positive ad split, template id), in sequence order.
 
-    The profile, the summary and each behaviour line are rendered once, and
-    every split's prompt is built from a prefix of the lines. Each sample
-    equals ``build_prompt`` of its split's history, and raises where that
-    would: the order check over each history, and the skeleton check once a
-    split exists.
-
-    ``use_sid`` may be a tuple of views, one bool each. The result is then
-    a tuple of sample lists, one per view, equal to one call per view in
-    that order, and it raises what the first of those calls to raise would.
-    The profile, the summary and each line that no view changes (a non-ad
-    event's) are rendered once for every view."""
+    The profile, the summary and each non-ad behaviour line are rendered
+    once for both views, and every split's prompt is built from a prefix of
+    the lines. Each sample equals ``build_prompt`` of its split's history in
+    its view, and the call raises what the first of those calls to raise
+    would, implicit view first: the order check over each history, and the
+    skeleton check once a split exists."""
     if not template_ids:
         raise PromptError("template_ids must name at least one template")
     events = list(events)
@@ -268,11 +263,11 @@ def augment(
     profile_text = _render_profile(profile)
     summary_text = _render_summary(summary)
     checked = set()  # template ids whose skeleton fits
-    # each history's non-ad lines, which no view changes, rendered once
+    # each history's non-ad lines, which neither view changes, rendered once
     last = len(splits[-1][0]) if splits else 0
     fixed = {k: _render_line(e) for k, e in enumerate(events[:last]) if e.domain != "ad"}
     views = []
-    for view in use_sid if isinstance(use_sid, tuple) else (use_sid,):
+    for use_sid in (False, True):
         lines: list[str] = []
         samples = []
         for history, target in splits:
@@ -283,13 +278,13 @@ def augment(
                 if tid not in checked:
                     _check_skeleton(tid, profile_text, summary_text, token_budget)
                     checked.add(tid)
-                lines += [fixed[k] if k in fixed else _render_line(events[k], view)
+                lines += [fixed[k] if k in fixed else _render_line(events[k], use_sid)
                           for k in range(len(lines), i)]
                 samples.append(PromptSample(
                     _fitted(tid, profile_text, summary_text, lines[:i], token_budget),
                     target.sid))
         views.append(samples)
-    return tuple(views) if isinstance(use_sid, tuple) else views[0]
+    return tuple(views)
 
 
 def _profile_entry(obj) -> tuple[str, UserProfile]:

@@ -156,8 +156,7 @@ def nearline_tick(store: FeatureStore, triggers: list, policy: AdmissionPolicy,
 
 
 def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
-                   pool: WorkerPool, ticks: int, store: FeatureStore | None = None,
-                   scorer_swap=None) -> dict:
+                   pool: WorkerPool, ticks: int, scorer_swap=None) -> dict:
     """Deterministic discrete-tick simulation over a tick-ordered trace.
 
     scorer_swap: optional (tick, new_generate_fn) modeling the daily model
@@ -165,9 +164,9 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
     that user's next request or the swap: a trigger admitted for a user whose
     list this run's current function published, with no request since, is
     served by republishing that list, and ``decodes_saved`` counts these.
-    The run keeps these reuse marks in its own ``stats`` and drops them at
-    the swap, so no list is reused across a swap or from an earlier run on
-    the same ``store``.
+    The run publishes to a ``FeatureStore`` of its own, keeps these reuse
+    marks in its own ``stats`` and drops them at the swap, so no list is
+    reused across a swap.
 
     Returns a report of hit rate, staleness, queue lengths, and per-group
     admission shares; requests_past_ticks counts the requests at tick
@@ -187,7 +186,7 @@ def run_simulation(trace: list[Request], generate_fn, policy: AdmissionPolicy,
                 f"{req.arrival_tick}")
         if k and trace[k - 1].arrival_tick > req.arrival_tick:
             raise ServingError("trace must be tick-ordered")
-    store = store or FeatureStore()
+    store = FeatureStore()
     calls = [0]
 
     def counted(fn):  # calls counted for the request-path check

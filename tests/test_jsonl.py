@@ -139,6 +139,17 @@ def test_a_repeated_key_names_file_and_line(tmp_path, name):
     assert len(loaded[record["user_id"]] if isinstance(loaded, dict) else loaded) == 2
 
 
+def test_a_key_repeated_inside_one_record_names_file_and_line(tmp_path):
+    """json keeps the last of two values of one key; read rejects the
+    record instead, so an ad is not loaded under its second ad_id."""
+    path = tmp_path / "catalog.jsonl"
+    path.write_text('{"ad_id": "a1", "name": "n", "ad_id": "a2"}\n', encoding="utf-8")
+    with pytest.raises(CatalogError) as info:
+        load_catalog(path)
+    assert f"{path}: line 1: " in str(info.value)
+    assert "key 'ad_id' repeats" in str(info.value)
+
+
 # a record's field set to a value its spec rejects, or a key its spec does
 # not name: each was read as something else, or failed with no file or line
 @pytest.mark.parametrize("name, key, value", [

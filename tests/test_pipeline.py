@@ -145,6 +145,16 @@ def test_config_from_file_names_a_file_that_is_not_json(tmp_path, text):
     assert str(info.value).count(str(path)) == 1
 
 
+def test_config_from_file_rejects_a_repeated_key(tmp_path):
+    # json would keep the last value, seed 2, without a word
+    path = tmp_path / "config.json"
+    path.write_text('{"seed": 1, "seed": 2}')
+    with pytest.raises(PipelineError) as info:
+        PipelineConfig.from_file(path)
+    assert info.value.stage == "config"
+    assert str(path) in str(info.value) and "key 'seed' repeats" in str(info.value)
+
+
 def test_config_tuple_fields_need_an_array(tmp_path):
     # tuple("main") would give four one-letter stages and train nothing
     path = tmp_path / "config.json"

@@ -165,20 +165,21 @@ def test_reuse_no_ad_events():
 def test_augment_reuse_counts_and_responses():
     c1, a2, a3 = _content(50, "c1"), _ad(40, 2), _ad(30, 3)
     c4, a5 = _content(20, "c4"), _ad(10, 5)
-    samples = augment([c1, a2, a3, c4, a5], _profile(),
-                      InterestSummary([("x", 1)]))
-    assert len(samples) == 3
-    assert [s.response for s in samples] == [a2.sid, a3.sid, a5.sid]
+    for samples in augment([c1, a2, a3, c4, a5], _profile(),
+                           InterestSummary([("x", 1)])):
+        assert len(samples) == 3
+        assert [s.response for s in samples] == [a2.sid, a3.sid, a5.sid]
 
 
 def test_augment_template_cross_product():
     seq = [_content(50, "c1"), _ad(40, 2), _ad(30, 3)]
-    samples = augment(seq, _profile(), InterestSummary([]), template_ids=(0, 1, 2))
-    assert len(samples) == 6
-    # split-major, one sample per template in the order given
-    assert [s.prompt for s in samples] == [
-        build_prompt(_profile(), InterestSummary([]), history, tid)
-        for history, _ in interaction_reuse_splits(seq) for tid in (0, 1, 2)]
+    views = augment(seq, _profile(), InterestSummary([]), template_ids=(0, 1, 2))
+    # split-major, one sample per template in the order given; ads by title,
+    # then by S-ID
+    assert [[s.prompt for s in samples] for samples in views] == [
+        [build_prompt(_profile(), InterestSummary([]), history, tid, use_sid=use_sid)
+         for history, _ in interaction_reuse_splits(seq) for tid in (0, 1, 2)]
+        for use_sid in (False, True)]
 
 
 def split_by_split(events, profile, summary, template_ids, token_budget, use_sid):
@@ -195,10 +196,12 @@ def split_by_split(events, profile, summary, template_ids, token_budget, use_sid
             for history, target in splits for tid in template_ids]
 
 
-def outcome(fn, *args):
-    """fn's samples as (prompt, response) pairs, or the error it raised."""
+def views_outcome(fn, *args):
+    """fn's sample lists, one per view, each sample as (prompt, response),
+    or the error it raised."""
     try:
-        return [(s.prompt, s.response) for s in fn(*args)]
+        return [[(s.prompt, s.response) for s in samples]
+                for samples in fn(*args)]
     except PromptError as exc:
         return repr(exc)
 
@@ -235,7 +238,7 @@ def augment_inputs(draw):
         st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=3),
         st.lists(st.sampled_from([0, 1, 2, 7]), max_size=3))))
     budget = draw(st.one_of(st.integers(0, 150), st.integers(100, 1000), st.just(2096)))
-    return events, profile, summary, template_ids, budget, draw(st.booleans())
+    return events, profile, summary, template_ids, budget
 
 
 _NO_SID = BehaviorEvent(25, "close_ad", "ad", positive=False, ad_id="adN")
@@ -246,24 +249,27 @@ _NO_SID = BehaviorEvent(25, "close_ad", "ad", positive=False, ad_id="adN")
 # a history ad without an S-ID fails where its line is first rendered, after
 # the first split's skeleton check and before the next template's
 @example(([_content(30), _ad(28, 1), _NO_SID, _ad(20, 2)], _profile(),
-          InterestSummary([]), (0, 7), 2096, True))
+          InterestSummary([]), (0, 7), 2096))
 @example(([_content(30), _NO_SID, _ad(20, 2)], _profile(), InterestSummary([]),
-          (0,), 3, True))
+          (0,), 3))
 @example(([_content(30), _NO_SID, _ad(20, 2)], _profile(), InterestSummary([]),
-          (0, 7), 2096, True))
+          (0, 7), 2096))
 @example(([_content(30), _NO_SID, _ad(20, 2)], _profile(), InterestSummary([]),
-          (0,), 2096, False))
+          (0,), 2096))
 # the order check covers each history, not events after the last split
 @example(([_ad(30, 1), _content(20), _ad(25, 2), _ad(10, 3)], _profile(),
-          InterestSummary([]), (0,), 2096, True))
+          InterestSummary([]), (0,), 2096))
 @example(([_ad(30, 1), _ad(20, 2), _content(25)], _profile(), InterestSummary([]),
-          (1, 2), 2096, True))
+          (1, 2), 2096))
 def test_augment_equals_build_prompt_per_split(inputs):
     """Rendering each line once gives the prompts of one build_prompt per
-    split, and raises the error that would raise first: an unknown template
-    or a skeleton over budget only once a split exists, the order check over
-    each split's history, a missing S-ID where a line is first rendered."""
-    assert outcome(augment, *inputs) == outcome(split_by_split, *inputs)
+    split in each view, ads by title then by S-ID, and raises the error
+    that would raise first, the title view's before the S-ID view's: an
+    unknown template or a skeleton over budget only once a split exists,
+    the order check over each split's history, a missing S-ID where a line
+    is first rendered."""
+    assert views_outcome(augment, *inputs) == views_outcome(
+        lambda *a: [split_by_split(*a, False), split_by_split(*a, True)], *inputs)
 
 
 _SID_LIKE_USER = UserProfile(age=30, gender="c_0", residence="<a_1", education_level="e",
@@ -275,27 +281,27 @@ _SID_LIKE_EVENTS = [_content(30, "a_1 <task>"), _ad(28, 1), _content(25, "c_0>")
 
 @settings(max_examples=100, deadline=None)
 @given(augment_inputs())
-# S-ID-like words in every slot of every template, with the oldest lines
-# dropped (budget 150), and the same in the title view
-@example((_SID_LIKE_EVENTS, _SID_LIKE_USER, _SID_LIKE_SUMMARY, TEMPLATE_IDS, 2096, True))
-@example((_SID_LIKE_EVENTS, _SID_LIKE_USER, _SID_LIKE_SUMMARY, TEMPLATE_IDS, 150, True))
-@example((_SID_LIKE_EVENTS, _SID_LIKE_USER, _SID_LIKE_SUMMARY, TEMPLATE_IDS, 2096, False))
+# S-ID-like words in every slot of every template, with and without the
+# oldest lines dropped (budget 150)
+@example((_SID_LIKE_EVENTS, _SID_LIKE_USER, _SID_LIKE_SUMMARY, TEMPLATE_IDS, 2096))
+@example((_SID_LIKE_EVENTS, _SID_LIKE_USER, _SID_LIKE_SUMMARY, TEMPLATE_IDS, 150))
 def test_augment_context_is_the_prompts_sid_tokens(inputs):
     """The main context of a sample, the tokens of the S-ID renders in its
     prompt, is the S-ID tokens of the ad events whose lines the prompt
-    keeps in an S-ID view, whatever S-ID-like words its profile, summary
-    and titles hold, and () in a view that renders ads by title."""
+    keeps in the main view, whatever S-ID-like words its profile, summary
+    and titles hold, and () in the implicit view, which renders ads by
+    title."""
     try:
-        samples = augment(*inputs)
+        views = augment(*inputs)
     except PromptError:
         return
-    events, profile, summary, template_ids, _, use_sid = inputs
+    events, profile, summary, template_ids, _ = inputs
     windows = [(history, tid) for history, _ in interaction_reuse_splits(events)
                for tid in template_ids]
-    for sample, (history, tid) in zip(samples, windows, strict=True):
-        assert rendered_tokens(sample.prompt) == (
-            window_ad_tokens(sample.prompt, profile, summary, history, tid)
-            if use_sid else ()), sample.prompt
+    assert all(rendered_tokens(s.prompt) == () for s in views[0])
+    for sample, (history, tid) in zip(views[1], windows, strict=True):
+        assert rendered_tokens(sample.prompt) == window_ad_tokens(
+            sample.prompt, profile, summary, history, tid), sample.prompt
 
 
 @pytest.mark.parametrize("template_id", TEMPLATE_IDS)
@@ -316,28 +322,6 @@ def test_assemble_rejects_an_unknown_template_id(template_id):
         prompting._assemble(template_id, "p", "s", "b")
 
 
-def views_outcome(fn, *args):
-    """fn's sample lists, one per view, each sample as (prompt, response),
-    or the error it raised."""
-    try:
-        return [[(s.prompt, s.response) for s in samples]
-                for samples in fn(*args)]
-    except PromptError as exc:
-        return repr(exc)
-
-
-@settings(max_examples=200, deadline=None)
-@given(augment_inputs(), st.lists(st.booleans(), min_size=1, max_size=3))
-@example(([_content(30), _ad(28, 1), _NO_SID, _ad(20, 2)], _profile(),
-          InterestSummary([]), (0, 7), 2096, True), [False, True])
-def test_augment_views_equal_one_call_per_view(inputs, views):
-    """One call over several views renders the shared lines once and gives
-    each view's samples, or the first error, as one call per view does."""
-    args = inputs[:-1]
-    assert (views_outcome(lambda *a: augment(*a, use_sid=tuple(views)), *args)
-            == views_outcome(lambda *a: [augment(*a, use_sid=v) for v in views], *args))
-
-
 def test_augment_rejects_no_templates():
     seq = [_content(50, "c1"), _ad(40, 2)]
     with pytest.raises(PromptError, match="template"):
@@ -349,7 +333,7 @@ def test_augment_rejects_a_target_without_sid():
     # become a sample
     seq = [_content(50, "c1"), _ad(40, 2), BehaviorEvent(30, "click_ad", "ad", ad_id="adX")]
     with pytest.raises(PromptError, match="adX"):
-        augment(seq, _profile(), InterestSummary([]), use_sid=False)
+        augment(seq, _profile(), InterestSummary([]))
 
 
 def test_augment_deterministic():
@@ -364,7 +348,8 @@ def test_no_label_leakage():
     # the response S-ID never appears in the prompt's behavior section when
     # the target ad wasn't interacted with earlier
     seq = [_content(50, "c1"), _ad(40, 2), _ad(30, 3), _ad(20, 4)]
-    for s in augment(seq, _profile(), InterestSummary([])):
+    _, main = augment(seq, _profile(), InterestSummary([]))
+    for s in main:
         assert s.response.render() not in s.prompt
 
 

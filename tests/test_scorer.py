@@ -533,6 +533,19 @@ def test_snapshot_headers_are_checked(vocab, tmp_path, kind, change, message):
     assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
 
+def test_load_scorer_rejects_a_repeated_key(vocab, tmp_path):
+    """A snapshot naming its kind twice would load as whichever kind came
+    last; it raises ScorerError naming the file instead."""
+    path = tmp_path / "scorer.json"
+    NgramScorer(vocab).save(path)
+    text = path.read_text()
+    path.write_text('{"kind": "neural", ' + text.lstrip()[1:])
+    assert text.count('"kind"') == 1
+    with pytest.raises(ScorerError) as info:
+        load_scorer(path)
+    assert str(info.value).startswith(f"{path}: ") and "key 'kind' repeats" in str(info.value)
+
+
 def test_load_scorer_unknown_kind(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"kind": "mystery"}')

@@ -106,18 +106,17 @@ def test_leaky_handler_trips_request_path_gate(monkeypatch):
 
     monkeypatch.setattr(serving, "nearline_tick", spy_tick)
     monkeypatch.setattr(serving, "handle_request", leaky)
-    store = FeatureStore()
     trace = [Request("u1", t) for t in range(3)]
     with pytest.raises(ServingError, match="request path"):
         run_simulation(trace, lambda u: [("x", 1.0)], _policy(["u1"], budget=1),
-                       WorkerPool(1), ticks=3, store=store)
+                       WorkerPool(1), ticks=3)
     # the tick-0 request ran before any generate function was handed out
     assert len(handed) == 1
 
 
 def test_clean_run_after_a_raising_run_counts_no_request_path_decode(monkeypatch):
     # the request-path count belongs to the run: a run that raised leaves
-    # nothing on the shared store for the next run to report
+    # nothing for the next run to report
     handed = []
 
     def spy_tick(store, triggers, policy, pool, generate_fn, tick, stats):
@@ -129,16 +128,15 @@ def test_clean_run_after_a_raising_run_counts_no_request_path_decode(monkeypatch
             handed[-1](request.user_id)
         return handle_request(store, request, triggers, stats, seq)
 
-    store = FeatureStore()
     trace = [Request("u1", t) for t in range(3)]
     with monkeypatch.context() as patch:
         patch.setattr(serving, "nearline_tick", spy_tick)
         patch.setattr(serving, "handle_request", leaky)
         with pytest.raises(ServingError, match="request path"):
             run_simulation(trace, lambda u: [("x", 1.0)], _policy(["u1"], budget=1),
-                           WorkerPool(1), ticks=3, store=store)
+                           WorkerPool(1), ticks=3)
     report = run_simulation(trace, lambda u: [("x", 1.0)], _policy(["u1"], budget=1),
-                            WorkerPool(1), ticks=3, store=store)
+                            WorkerPool(1), ticks=3)
     assert report["decoder_invocations_in_request_path"] == 0
 
 
@@ -376,12 +374,19 @@ def test_simulation_counts_requests_past_ticks():
     assert (whole["requests"], whole["requests_past_ticks"]) == (4, 0)
 
 
+def run_on(store, *args, **kwargs):
+    """run_simulation, with store as the feature store the run builds, so a
+    test can read what the run published."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serving, "FeatureStore", lambda: store)
+        return run_simulation(*args, **kwargs)
+
+
 def test_scorer_swap_changes_lists():
     trace = [Request("u1", t) for t in range(6)]
     report_store = FeatureStore()
-    run_simulation(trace, lambda u: [("old", 1.0)], _policy(["u1"], budget=1),
-                   WorkerPool(1), ticks=6, store=report_store,
-                   scorer_swap=(3, lambda u: [("new", 1.0)]))
+    run_on(report_store, trace, lambda u: [("old", 1.0)], _policy(["u1"], budget=1),
+           WorkerPool(1), ticks=6, scorer_swap=(3, lambda u: [("new", 1.0)]))
     entries, _ = report_store.get("u1")
     assert entries == (("new", 1.0),)
     # two triggers from tick 0, one admitted per tick: the one admitted after
@@ -393,9 +398,9 @@ def test_scorer_swap_changes_lists():
         return lambda u: calls.append(tag) or [(tag, 1.0)]
 
     store = FeatureStore()
-    report = run_simulation([Request("u1", 0), Request("u1", 0)], counted("old"),
-                            _policy(["u1"], budget=1), WorkerPool(1), ticks=2,
-                            store=store, scorer_swap=(1, counted("new")))
+    report = run_on(store, [Request("u1", 0), Request("u1", 0)], counted("old"),
+                    _policy(["u1"], budget=1), WorkerPool(1), ticks=2,
+                    scorer_swap=(1, counted("new")))
     assert calls == ["old", "new"]
     assert store.get("u1") == ((("new", 1.0),), 1)
     assert report["decodes_saved"] == 0
@@ -442,23 +447,6 @@ def test_request_in_between_forces_decode():
     nearline_tick(store, triggers, policy, WorkerPool(1), generate, 1, stats)
     assert calls == ["u1", "u1"]
     assert "decodes_saved" not in stats
-
-
-def test_shared_store_second_run_decodes_each_user_first():
-    calls = []
-    generate = _counting(calls)
-    trace = [Request("u1", 0), Request("u1", 0), Request("u2", 0), Request("u2", 0)]
-    store = FeatureStore()
-    policy = _policy(["u1", "u2"], budget=4)
-    first = run_simulation(trace, generate, policy, WorkerPool(1), 1, store=store)
-    assert sorted(calls) == ["u1", "u2"]
-    assert first["decodes_saved"] == 2
-    calls.clear()
-    second = run_simulation(trace, generate, policy, WorkerPool(1), 1, store=store)
-    assert sorted(calls) == ["u1", "u2"]
-    assert second["decodes_saved"] == 2
-    assert {u: store.get(u)[0] for u in ("u1", "u2")} == {
-        "u1": (("u1:ad", 1.0),), "u2": (("u2:ad", 1.0),)}
 
 
 def reference_simulation(trace, generate_fn, policy, num_workers, ticks,
@@ -559,8 +547,9 @@ def test_reuse_report_equals_decode_every_trigger(arrivals, budget, ticks, swap_
     store = FeatureStore()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(serving, "handle_request", handle)
+        mp.setattr(serving, "FeatureStore", lambda: store)
         report = run_simulation(trace, model("v1"), policy, WorkerPool(num_workers),
-                                ticks, store=store, scorer_swap=swap())
+                                ticks, scorer_swap=swap())
     # generate calls plus reused lists cover every admitted trigger
     assert len(calls) + report["decodes_saved"] == sum(report["admitted_per_group"].values())
     assert (report.pop("first_generation_error") is None) == (report["generation_errors"] == 0)

@@ -137,9 +137,11 @@ def _writes(call: ast.Call) -> bool:
 
 def test_only_jsonl_parses_json_lines():
     """How a file reaches disk and how a JSON document is parsed live in
-    genret.jsonl alone: no other module calls json.load, json.loads or
-    json.dump, or opens a file for writing. json.dumps of printed output
-    and opens that only read are allowed."""
+    genret.jsonl alone: no other module calls json.load, json.loads,
+    json.dump or a JSONDecoder, passes an object_pairs_hook, or opens a
+    file for writing. So every object read goes through jsonl's check for
+    a key repeated inside it. json.dumps of printed output and opens that
+    only read are allowed."""
     callers = sorted(
         f"{path.name}:{node.lineno}" for path in PACKAGE.glob("*.py")
         if path.name != "jsonl.py"
@@ -149,7 +151,10 @@ def test_only_jsonl_parses_json_lines():
             and node.func.attr in ("load", "loads", "dump")
             and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
             or isinstance(node.func, ast.Name) and node.func.id == "open"
-            and _writes(node)))
+            and _writes(node)
+            or "JSONDecoder" in (getattr(node.func, "attr", None),
+                                 getattr(node.func, "id", None))
+            or any(kw.arg == "object_pairs_hook" for kw in node.keywords)))
     assert not callers, callers
 
 
