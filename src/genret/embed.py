@@ -61,19 +61,20 @@ def _signed_slot(feature: str, dimension: int, seed: int) -> tuple[int, float]:
 # the narrowest width embed_hashed spreads features over
 MIN_HASHED_DIM = 8
 
-# texts summed in one array pass: bounds the pass's code-point and gram
-# arrays, whose whole-catalog size would set a build's peak memory
-CHUNK = 32
+# code points summed in one array pass, about 31 ads of an M catalog: bounds
+# the pass's code-point and gram arrays, whose whole-catalog size would set a
+# build's peak memory, whatever the descriptions' length
+PASS_POINTS = 8192
 
 # a code point fits in 21 bits, so three make one int64 gram code
 _POINT_BITS = 21
 _POINT_MASK = (1 << _POINT_BITS) - 1
 
 
-def _chunk_sums(texts: list[str], dimension: int, seed: int, memo: dict) -> np.ndarray:
+def _pass_sums(texts: list[str], dimension: int, seed: int, memo: dict) -> np.ndarray:
     """Each text's sum of its features' signed slots, one row per text. memo
     maps a feature to its (slot, sign), so that _signed_slot hashes it the
-    first time any chunk meets it.
+    first time any pass meets it.
 
     The 3-grams are counted on one code-point array of the joined texts:
     each gram is the int64 code c0<<42 | c1<<21 | c2, a gram that straddles
@@ -100,7 +101,7 @@ def _chunk_sums(texts: list[str], dimension: int, seed: int, memo: dict) -> np.n
                          grams & _POINT_MASK], axis=1).astype("<u4").tobytes()
                .decode("utf-32-le", "surrogatepass"))
     tokens = list(itertools.chain.from_iterable(token_lists))
-    # the chunk's distinct features, its grams first: a token that is also
+    # the pass's distinct features, its grams first: a token that is also
     # a gram shares the gram's id
     distinct = list(dict.fromkeys([spelled[i : i + 3] for i in range(0, len(spelled), 3)]
                                   + tokens))
@@ -121,15 +122,21 @@ def _chunk_sums(texts: list[str], dimension: int, seed: int, memo: dict) -> np.n
 
 def _embed_texts(texts: list[str], dimension: int, seed: int) -> np.ndarray:
     """The unit-norm hashed embeddings of texts, one row per text: each
-    row's sum, CHUNK texts at a time with one feature memo for all of them,
-    divided by the square root of its sum of squares."""
+    row's sum, in passes of consecutive texts of at most PASS_POINTS code
+    points in all, or of one longer text, with one feature memo for all of
+    them, divided by the square root of its sum of squares."""
     if dimension < MIN_HASHED_DIM:
         raise EmbeddingError(f"dimension must be >= {MIN_HASHED_DIM}, got {dimension}")
     memo: dict[str, tuple[int, float]] = {}
     sums = np.empty((len(texts), dimension))
-    for start in range(0, len(texts), CHUNK):
-        sums[start : start + CHUNK] = _chunk_sums(texts[start : start + CHUNK],
-                                                  dimension, seed, memo)
+    start = points = 0
+    for end, text in enumerate(texts):
+        if points + len(text) > PASS_POINTS and end > start:
+            sums[start:end] = _pass_sums(texts[start:end], dimension, seed, memo)
+            start, points = end, 0
+        points += len(text)
+    if texts:
+        sums[start:] = _pass_sums(texts[start:], dimension, seed, memo)
     norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))
     zero = norms == 0.0
     # vanishingly unlikely sign cancellation; such a text embeds as e0
@@ -151,15 +158,15 @@ def embed_hashed(text: str, dimension: int, seed: int) -> np.ndarray:
 def embed_catalog(catalog: Catalog, dimension: int, seed: int) -> EmbeddingTable:
     """embed_hashed of each ad's description, in catalog order, bit for bit.
 
-    The descriptions are summed in array passes of CHUNK ads, and each
-    distinct feature is hashed once per call. Every sum is of +-1.0 terms,
-    so for a text of fewer than 2**26 features it, and its row's sum of
-    squares, is an exact integer below 2**53: no order of the additions can
-    move a bit. The square root and the division are correctly rounded, so
+    The descriptions are summed in array passes of at most PASS_POINTS
+    code points, and each distinct feature is hashed once per call. Every
+    sum is of +-1.0 terms, so for a text of fewer than 2**26 features it,
+    and its row's sum of squares, is an exact integer below 2**53: no order
+    of the additions can move a bit. The square root and the division are correctly rounded, so
     each row equals the one text's sum divided by its np.linalg.norm,
     whatever the kernels that add.
 
-    The chunk bounds the passes' arrays, and so what they add to a build's
+    The bound caps the passes' arrays, and so what they add to a build's
     peak memory: one pass over the whole M catalog took the M rebuild's
     peak RSS from 57 to 82 MB.
     """

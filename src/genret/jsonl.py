@@ -61,24 +61,24 @@ def optional(kind: Kind) -> Kind:
 
 
 def key(kind: Kind) -> Kind:
-    """kind, as the required field that names a record: no two records of
-    one file hold the same value in it."""
+    """kind, as a required field that names a record: no two records of
+    one file hold the same value in it; two arrays are the same value when
+    their items are."""
     return kind._replace(required=True, key=True)
 
 
 class Spec(NamedTuple):
     kinds: dict
     required: frozenset
-    key: str | None  # the field that names a record, if one does
+    keys: tuple  # the fields that each name a record
 
 
 def spec(**kinds: Kind) -> Spec:
     """The record whose keys are the names of kinds, each holding a value of
-    its kind; a key the record may leave out is optional, and the one field
-    marked key, if any, names the record."""
-    named, = [name for name, kind in kinds.items() if kind.key] or [None]  # one at most
+    its kind; a key the record may leave out is optional, and each field
+    marked key names the record."""
     return Spec(kinds, frozenset(name for name, kind in kinds.items() if kind.required),
-                named)
+                tuple(name for name, kind in kinds.items() if kind.key))
 
 
 # a config field's kind, by the type of its default
@@ -148,9 +148,10 @@ def read(path, build, error, spec: Spec):
     """Yield build(record) for each line of a UTF-8 file that holds more than
     JSON whitespace, in order, once the record passes check against spec. A
     line that is not UTF-8 or not one JSON value, an object holding a key
-    twice, a record spec rejects or whose key repeats an earlier line's, or
-    one build rejects with a ValueError raises error naming file and line."""
-    field, first = spec.key, {}  # key value -> the line that first held it
+    twice, a record spec rejects or one of whose keys repeats an earlier
+    line's, or one build rejects with a ValueError raises error naming file
+    and line."""
+    first = {}  # (key field, value) -> the line that first held it
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip(_JSON_SPACE)
@@ -162,9 +163,12 @@ def read(path, build, error, spec: Spec):
                 if end != len(text):
                     raise json.JSONDecodeError("Extra data", text, end)
                 check(obj, spec, "record")
-                if field is not None and first.setdefault(obj[field], lineno) != lineno:
-                    raise ValueError(f"duplicate {field} {obj[field]!r}, first on line "
-                                     f"{first[obj[field]]}")
+                for field in spec.keys:
+                    value = obj[field]
+                    at = field, tuple(value) if type(value) is list else value
+                    if first.setdefault(at, lineno) != lineno:
+                        raise ValueError(f"duplicate {field} {value!r}, first on line "
+                                         f"{first[at]}")
                 item = build(obj)
             except ValueError as exc:
                 raise error(

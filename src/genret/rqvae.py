@@ -421,7 +421,8 @@ def codebook_metrics(assignments: dict[str, SemanticId], config: RqVaeConfig):
 
 
 # an S-IDs line: an ad and its S-ID's level-prefixed tokens
-SID_RECORD = jsonl.spec(ad_id=jsonl.key(jsonl.ID), tokens=jsonl.array(jsonl.STRING))
+SID_RECORD = jsonl.spec(ad_id=jsonl.key(jsonl.ID),
+                        tokens=jsonl.key(jsonl.array(jsonl.STRING)))
 
 
 def save_sids(sids: dict[str, SemanticId], path) -> None:
@@ -430,7 +431,8 @@ def save_sids(sids: dict[str, SemanticId], path) -> None:
 
 
 def load_sids(path) -> dict[str, SemanticId]:
-    """S-IDs by ad; a repeated ad_id raises SidError naming the file and line."""
+    """S-IDs by ad; a repeated ad_id, or an S-ID that another ad holds,
+    raises SidError naming the file, the line and the line it repeats."""
     return dict(jsonl.read(
         path, lambda obj: (obj["ad_id"], SemanticId.from_tokens(obj["tokens"])),
         SidError, SID_RECORD))

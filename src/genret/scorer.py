@@ -172,9 +172,8 @@ class NgramScorer:
         """Add 1.0 to ``counts[(bucket, window)][ids[at[j]]]`` for each
         observation j, in j order, and for each window order 0..max_order
         in order: the bucket is ``buckets[bucket_of[j]]``, and the window
-        of order o is ``prefix[len(prefix) - o:]`` if o else (), where the
-        prefix is the ``length[j]`` ids before ``at[j]`` (a negative start
-        counts from the end, as a slice's does).
+        of order o is the last min(o, len(prefix)) ids of the prefix, the
+        ``length[j]`` ids before ``at[j]``.
 
         Equal (key, id) events are counted together, with array passes: the
         dict updates are one per distinct key and one per distinct (key,
@@ -185,8 +184,7 @@ class NgramScorer:
             return
         self._components = None
         orders = np.arange(self.max_order + 1)
-        size = np.where(length[:, None] >= orders, orders,
-                        np.minimum(length[:, None], orders - length[:, None]))
+        size = np.minimum(length[:, None], orders)
         # an event per (observation, order), observation-major; its window
         # as max_order columns of ids shifted to >= 0, padded with 0
         low = int(ids.min())
@@ -326,13 +324,14 @@ class _NgramState:
 
     def _keys(self) -> np.ndarray:
         """(orders, rows): the key number of each order's window of each
-        row's prefix. Every prefix has the same length, so each order's
-        window starts at one slice start for all rows."""
+        row's prefix, its last min(order, len) ids. Every prefix has the
+        same length, so each order's window starts at one slice start for
+        all rows."""
         get, unseen, prefixes = self.numbers.get, self.unseen, self.prefixes
         n = len(prefixes[0]) if prefixes else 0
         keys = [self.key0] * len(prefixes)
         for order in range(1, len(self.weights)):
-            keys += [get(p[n - order:], unseen) for p in prefixes]
+            keys += [get(p[max(n - order, 0):], unseen) for p in prefixes]
         return np.array(keys, dtype=np.int64).reshape(len(self.weights), len(prefixes))
 
     def probs(self, rows, ids) -> np.ndarray:

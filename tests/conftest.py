@@ -100,7 +100,8 @@ def reference_decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalL
     Each layer stacks the ``scorer.prob_dist`` rows of the whole beam. After
     each layer the top beam_width candidates survive; ties break by higher
     score first, then lexicographic code sequence. Scores are cumulative
-    products of per-step probabilities (log-sum internally).
+    products of per-step probabilities, from 1.0, with a zero of either
+    sign reported as 0.0.
     """
     if beam_width < 1:
         raise DecodeError(f"beam_width must be >= 1, got {beam_width}")
@@ -112,7 +113,7 @@ def reference_decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalL
     # order too, and a stable sort on score ranks them by (-score, codes).
     # Each entry's prefix is its vocabulary ids, which is what the scorer reads.
     v = len(scorer.vocab)
-    codes, prefixes, scores, nodes = [()], [()], [0.0], [trie.root]
+    codes, prefixes, scores, nodes = [()], [()], [1.0], [trie.root]
     for level in range(trie.depth):
         probs = np.array([scorer.prob_dist(context, p) for p in prefixes])
         if probs.shape != (len(prefixes), v):
@@ -127,10 +128,7 @@ def reference_decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalL
         if bad:
             raise DecodeError(f"scorer contract violated: p={p[bad[0]]} for token "
                               f"{render_token(level, candidates[bad[0]][1])}")
-        # math.log per candidate: np.log can differ from it in the last bit,
-        # which would change the scores
-        expanded = [scores[i] + (math.log(x) if x > 0.0 else -math.inf)
-                    for (i, _), x in zip(candidates, p)]
+        expanded = [scores[i] * x + 0.0 for (i, _), x in zip(candidates, p)]
         ranked = sorted(range(len(expanded)), key=expanded.__getitem__, reverse=True)
         keep = sorted(ranked[:beam_width])
         scores = [expanded[k] for k in keep]
@@ -140,7 +138,7 @@ def reference_decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalL
         nodes = [nodes[i].children[c] for i, c in kept]
 
     ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
-    entries = [(nodes[i].end_of_ad, SemanticId(codes[i]), math.exp(scores[i]))
+    entries = [(nodes[i].end_of_ad, SemanticId(codes[i]), scores[i])
                for i in ranked if nodes[i].end_of_ad is not None]
     return RetrievalList(entries=entries)
 

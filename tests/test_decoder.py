@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genret import decoder as decoder_mod, rqvae, synth
+from genret import rqvae, synth
 from genret.alignment import build_stage_corpora, train_staged, user_context
 from genret.catalog import load_catalog
 from genret.decoder import DecodeError, decode, decode_exhaustive
@@ -322,11 +322,10 @@ def test_neural_decode_equals_exhaustive_on_trained_index(tmp_path):
 
 
 # a few probabilities, so that candidate scores tie exactly, and zeros, whose
-# -inf scores tie too
+# zero scores tie too
 TIE_VALUES = (0.0, 0.0, 0.125, 0.25, 0.25, 0.5, 1.0 / 3.0, 1.0)
-# normal probabilities, some one ulp apart, so that costs tie exactly or
-# differ in their last bits, with which the last level takes its filter;
-# and the same with a subnormal, with which it mostly does not
+# normal probabilities, some one ulp apart, so that scores tie exactly or
+# differ in their last bits; and the same with a subnormal
 ULP_VALUES = (0.125, 0.25, 0.25, *np.nextafter(0.25, [0.0, 1.0]).tolist(), 0.5,
               float(np.nextafter(0.5, 0.0)), 1.0 / 3.0, float(np.nextafter(1.0 / 3.0, 1.0)))
 SUBNORMAL_VALUES = ULP_VALUES + (5e-324,)
@@ -375,70 +374,42 @@ def _bits(result):
     return [(ad_id, sid, score.hex()) for ad_id, sid, score in result.entries]
 
 
-def _moved_log(seed, move):
-    """math.log of each p, moved by up to the decoder's stated bound on its
-    approximate log, d(1 + |log p|): all up, all down, or each candidate
-    up, down or not, at random."""
-    rng = np.random.default_rng(seed)
-
-    def log(p):
-        exact = np.array(list(map(math.log, p.tolist())))
-        sign = {"up": 1.0, "down": -1.0}.get(move) or rng.choice((-1.0, 0.0, 1.0), len(p))
-        return exact + sign * decoder_mod._LOG_BOUND * (1.0 + np.abs(exact))
-
-    return log
-
-
 @settings(max_examples=300, deadline=None)
 @given(collision_tries(), st.integers(0, 2**31 - 1), st.data())
 def test_decode_equals_the_pruning_oracle(tree, seed, data):
-    """decode equals the oracle bit for bit on exact ties, on costs one ulp
-    apart and with a subnormal, whether the last level's filter ranks by
-    np.log or by math.log moved by up to the bound it is proven for, in
-    either direction and per candidate."""
+    """decode equals the oracle bit for bit on exact ties, on scores one
+    ulp apart and with a subnormal."""
     sids, trie = tree
     beam = data.draw(st.integers(1, trie.ad_count), label="beam")
     values = data.draw(st.sampled_from((TIE_VALUES, ULP_VALUES, SUBNORMAL_VALUES)),
                        label="values")
-    move = data.draw(st.sampled_from((None, "up", "down", "each")), label="move")
     scorer = TieScorer(vocab_from_sids(sids), seed, values=values)
-    with pytest.MonkeyPatch.context() as patch:
-        if move is not None:
-            patch.setattr(decoder_mod, "_approx_log", _moved_log(seed, move))
-        result = decode(scorer, CTX, trie, beam)
+    result = decode(scorer, CTX, trie, beam)
     assert _bits(result) == _bits(reference_decode(scorer, CTX, trie, beam))
     assert all(entry[1] is sids[entry[0]] for entry in result.entries)
 
 
-def test_last_level_takes_the_log_of_few_candidates(monkeypatch):
-    """A last level of 300 distinct probabilities at beam 4 takes math.log
-    of few more than the 4 it keeps: the filter drops the rest on np.log."""
-    sids = {f"ad{i:03d}": SemanticId((i % 3, i // 3)) for i in range(300)}
-    trie = build(sids)
-    vocab = vocab_from_sids(sids)
+def test_products_that_underflow_tie_and_rank_by_codes():
+    """Two paths whose products both underflow to 0.0 tie, so they rank by
+    their codes, as decode_exhaustive ranks them, although a sum of logs
+    would tell them apart."""
+    sids = {"A": SemanticId((0, 0)), "B": SemanticId((1, 0))}
+    trie, vocab = build(sids), vocab_from_sids(sids)
+    table = {(): {"a_0": 1e-200, "a_1": 1e-190},
+             ("a_0",): {"b_0": 1e-200}, ("a_1",): {"b_0": 1e-190}}
+    scorer = TableScorer(table, vocab)
+    full = decode_exhaustive(scorer, CTX, trie)
+    assert full.entries == [("A", sids["A"], 0.0), ("B", sids["B"], 0.0)]
+    assert decode(scorer, CTX, trie, 2).entries == full.entries
 
-    class DistinctScorer(RowScorer):
-        def __init__(self):
-            self.vocab = vocab
 
-        def prob_dist(self, context, prefix):
-            return np.random.default_rng([len(prefix), *prefix]).uniform(0.01, 1.0, len(vocab))
-
-    scorer = DistinctScorer()
-    expected = _bits(reference_decode(scorer, CTX, trie, 4))
-    logged = []
-
-    class CountingMath:
-        def __getattr__(self, name):
-            return getattr(math, name)
-
-        def log(self, x):
-            logged.append(x)
-            return math.log(x)
-
-    monkeypatch.setattr(decoder_mod, "math", CountingMath())
-    assert _bits(decode(scorer, CTX, trie, 4)) == expected
-    assert 4 <= len(logged) < 30  # 3 at the first level, 4 or more at the last
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_zero_probability_reports_a_positive_zero(example_trie, example_scorer, zero):
+    scorer = _with_b6(example_scorer, zero)
+    for result in (decode(scorer, CTX, example_trie, example_trie.ad_count),
+                   decode_exhaustive(scorer, CTX, example_trie)):
+        zeros = [score for _, sid, score in result.entries if sid.codes[1] == 6]
+        assert zeros and all(math.copysign(1.0, score) == 1.0 for score in zeros)
 
 
 BAD_VALUES = (-0.5, -math.inf, math.inf, math.nan, -1e-300)

@@ -118,12 +118,12 @@ def make_catalog(ads):
 
 @settings(max_examples=60, deadline=None)
 @given(ads=_ADS, dimension=st.sampled_from([8, 13, 32]), seed=st.integers(0, 3))
-@example(ads=[(f"ad {i % 7} \U0001f600" * (i % 3 + 1), "t", "c\u2003x", "", [("k", str(i))])
-              for i in range(embed.CHUNK + 5)], dimension=32, seed=1)
+@example(ads=[(f"ad {i % 7} \U0001f600" * (i % 3 + 1) * 300, "t", "c\u2003x", "",
+               [("k", str(i))]) for i in range(6)], dimension=32, seed=1)
 @example(ads=[("shoe", "", "", "", []), ("x\ud800y", "", "", "", [])], dimension=8, seed=0)
 def test_embed_catalog_equals_the_per_text_recipe(ads, dimension, seed):
     """embed_catalog's array passes give the oracle's and per-text
-    embed_hashed's vectors bit for bit, in catalog order, across a chunk
+    embed_hashed's vectors bit for bit, in catalog order, across a pass
     boundary; a lone surrogate, which UTF-8 cannot hash, raises as it does
     in embed_hashed."""
     catalog = make_catalog(ads)
@@ -141,6 +141,29 @@ def test_embed_catalog_equals_the_per_text_recipe(ads, dimension, seed):
     for got, text, vec in zip(table.entries.values(), texts, want):
         assert got.tobytes() == vec.tobytes()
         assert embed_hashed(text, dimension, seed).tobytes() == vec.tobytes()
+
+
+def test_long_descriptions_are_cut_into_passes_of_bounded_points(monkeypatch):
+    """A catalog with a few long descriptions is summed in several passes in
+    order, each as many texts as fit in PASS_POINTS code points, or one
+    longer text, and each row equals embed_hashed of its text byte for byte."""
+    words = (2, 900, 3000, 5, 1500, 1200, 20, 700)
+    catalog = make_catalog([(f"word{i} " * n, "t", "c", "", []) for i, n in enumerate(words)])
+    texts = [render_description(ad) for ad in catalog]
+    passes, real = [], embed._pass_sums
+    monkeypatch.setattr(embed, "_pass_sums",
+                        lambda part, *rest: passes.append(part) or real(part, *rest))
+    table = embed.embed_catalog(catalog, 32, 5)
+    monkeypatch.undo()
+    assert [text for part in passes for text in part] == texts
+    assert len(passes) >= 4
+    assert any(len(part) == 1 and len(part[0]) > embed.PASS_POINTS for part in passes)
+    for part, after in zip(passes, passes[1:]):
+        points = sum(map(len, part))
+        assert len(part) == 1 or points <= embed.PASS_POINTS
+        assert points + len(after[0]) > embed.PASS_POINTS
+    for got, text in zip(table.entries.values(), texts):
+        assert got.tobytes() == embed_hashed(text, 32, 5).tobytes()
 
 
 def test_a_description_whose_features_cancel_embeds_as_e0(monkeypatch):

@@ -304,6 +304,9 @@ def test_manifest_hash_matches_file_content(tmp_path):
 
 
 # sha256 of the artifacts of a default PipelineConfig run at seeds 0 and 7.
+# results.jsonl re-pinned when decode came to score a list by the product of
+# its probabilities, not by the exp of a sum of logs: the same ads in the
+# same order, each score within a few ulps.
 GOLDEN = {
     0: {
         "embeddings.tsv": "5841e398705012015f7d90790f7e25e355f0e9d3d3ec3b8f545ed411096aa3da",
@@ -312,7 +315,7 @@ GOLDEN = {
         "corpus_implicit.jsonl": "edf564870a2fa6f7e4d6c7d507d02a62267845623f94864eff340750a743b7e8",
         "corpus_main.jsonl": "193cce0136fa228ec36b3ccfdff2db8f6053ad02b055d4afc08605c53eb94696",
         "scorer.json": "7b6c0ccbe2af26f6d2b5ddf8caacf5099a254ef2e3f8ffe2baff7e68c09f8399",
-        "results.jsonl": "d7eca928146ad6cddb349af23586061f998cd0127bbf8cd9d4f52449c9dfa0d0",
+        "results.jsonl": "7d5e384c1af3e8f07b38b8fb5086e78942f6eb809807a729c60d2a54a659663f",
     },
     7: {
         "embeddings.tsv": "411f2588f171dc27eaabe329451b3bde165f94b94262df561cc4ffeed7b8c31f",
@@ -321,7 +324,7 @@ GOLDEN = {
         "corpus_implicit.jsonl": "bf496b05b5b0e8d311688c720d1981943b0c21c5eee8d7281131e3599e3c7f06",
         "corpus_main.jsonl": "4650b9bbcdbd6cb48c42cd0c80013e8fd8fa8e176e87967ebb5a4ee248226807",
         "scorer.json": "637f115bd6ef4efd24c09093f3b602513c8b764b1d21fe50589b70a1e22a8500",
-        "results.jsonl": "c6ba334d17e6edde73495902f7bd2a16fd46f76d22dd7fa3f1de11c8be63d5a4",
+        "results.jsonl": "a99860066b31ca375b0bf7bc453a46be0943ec4189cc2215f524d7fa2bbd8ff7",
     },
 }
 
@@ -339,10 +342,10 @@ def test_default_artifacts_match_golden_digests(tmp_path, seed):
 
 
 def test_default_results_hold_without_avx512_loops(tmp_path):
-    """The lists do not depend on numpy's log loops: decode's last level
-    filters on np.log but scores by math.log alone. A default run at seed 0
-    in a child process with numpy's AVX-512 loops off, whose np.log rounds
-    otherwise, gives the golden results.jsonl."""
+    """The lists do not depend on numpy's SIMD loops: decode takes no
+    logarithm, and a product of probabilities rounds alike on every host.
+    A default run at seed 0 in a child process with numpy's AVX-512 loops
+    off gives the golden results.jsonl."""
     path = [str(Path(__file__).resolve().parent.parent / "src"),
             os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p),
@@ -358,11 +361,12 @@ def test_default_results_hold_without_avx512_loops(tmp_path):
 
 # sha256 of the neural + DPO artifacts of the SMALL config at seed 0.
 # Re-pinned when fine-tuning moved from one step per pair to minibatches of
-# alignment.TRAIN_BATCH pairs and a DPO step to chunked batched passes.
+# alignment.TRAIN_BATCH pairs and a DPO step to chunked batched passes, and
+# results.jsonl again when decode came to score by products.
 NEURAL_GOLDEN = {
     "scorer.json": "e2729f5b885e45172571b4ecd4d43c22ded56499143cc5123ce7bcb2d9b6c2ac",
     "dpo_policy.json": "dbb4619d847ae81715b6f291d0fba94ecc8e3fda1834c6787107fe63349b128c",
-    "results.jsonl": "de9717412a004827e9d02b94f83169d16f54662284418a726087dd3f9267ca92",
+    "results.jsonl": "8143635735b20def2e5305bc87116bc2785c17c59893f92f0f02e2e0e421a5bc",
 }
 
 

@@ -474,6 +474,22 @@ def test_load_sids_rejects_a_repeated_ad(tmp_path):
     assert f"{path}: line 3" in str(info.value)
 
 
+def test_load_sids_rejects_two_ads_with_one_sid(tmp_path):
+    """An S-ID that an earlier line gave another ad fails at its line, so
+    no ad loads that the trie, keeping one leaf per S-ID, could never
+    retrieve."""
+    from genret.sid import SidError
+
+    path = tmp_path / "sids.jsonl"
+    path.write_text('{"ad_id": "a1", "tokens": ["a_1", "b_0"]}\n'
+                    '{"ad_id": "a3", "tokens": ["a_1", "b_1"]}\n'
+                    '{"ad_id": "a2", "tokens": ["a_1", "b_0"]}\n')
+    with pytest.raises(SidError, match=r"duplicate tokens \['a_1', 'b_0'\], "
+                                       r"first on line 1") as info:
+        load_sids(path)
+    assert f"{path}: line 3" in str(info.value)
+
+
 def test_config_validation():
     with pytest.raises(RqVaeError):
         RqVaeConfig(num_levels=0)

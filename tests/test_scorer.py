@@ -201,7 +201,7 @@ def loop_prob_dist(scorer, context, prefix_tokens):
     ids = tuple(scorer.vocab.lookup(t) for t in prefix_tokens)
     dist = np.zeros(v)
     for order, w in enumerate(scorer.interpolation):
-        window = ids[len(ids) - order:] if order else ()
+        window = ids[max(len(ids) - order, 0):]
         key = (context.bucket, window)
         counts = scorer.counts.get(key)
         total = sum(counts.values()) if counts else 0.0
@@ -288,9 +288,18 @@ def observe_loop(counts, max_order, bucket, prefix_ids, next_id):
     NgramScorer.train's array passes replace, kept as the reference."""
     ids = tuple(prefix_ids)
     for order in range(max_order + 1):
-        window = ids[len(ids) - order:] if order else ()
+        window = ids[max(len(ids) - order, 0):]
         slot = counts.setdefault((bucket, window), {})
         slot[next_id] = slot.get(next_id, 0.0) + 1.0
+
+
+def test_ngram_windows_clip_at_the_prefix_start():
+    """At max_order 3 the prefix (1, 2) is the window of orders 2 and 3,
+    and (2,) of order 1 alone: no window wraps round to the prefix's end."""
+    scorer = NgramScorer(Vocabulary(["<unk>"]), max_order=3)
+    scorer.train([(("b",), [1, 2, 3])])
+    assert scorer.counts[(("b",), (2,))] == {3: 1.0}
+    assert scorer.counts[(("b",), (1, 2))] == {3: 2.0}
 
 
 def in_order(counts):

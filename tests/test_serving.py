@@ -620,7 +620,7 @@ def _scale_s_replay(tmp_path):
 # writes each score's float exactly: a change to the generate path (context,
 # scorer state, decoder, admission) that moves one list or one score bit, or
 # the replay's report, fails here.
-SERVING_GOLDEN = "129a325c311eb219d5b636c56817cbb2e9b6542fb26356ff070ce9b8c4fa84d3"
+SERVING_GOLDEN = "043ab046f453c958f7c52510368e77826dfeae304ab41e7e6ac3102483f2f301"
 
 
 def test_scale_s_replay_matches_golden_digest(tmp_path):

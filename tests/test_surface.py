@@ -183,6 +183,21 @@ def test_only_the_vocabulary_maps_tokens_to_ids():
     assert not names, names
 
 
+def test_the_decoder_takes_no_logarithm():
+    """A retrieval's score is a product of probabilities: decoder.py names
+    no log, log1p, exp or expm1 of math or numpy, called or passed, so its
+    scores round alike on every host, whatever its SIMD loops or libm."""
+    names = {"log", "log1p", "exp", "expm1"}
+    tree = ast.parse((PACKAGE / "decoder.py").read_text(encoding="utf-8"))
+    found = sorted(
+        f"decoder.py:{node.lineno}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in names
+        and getattr(node.value, "id", None) in ("math", "np", "numpy")
+        or isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy")
+        and names & {alias.name for alias in node.names})
+    assert not found, found
+
+
 def calls_of(name: str) -> list[str]:
     """Where src/genret calls name, by bare name or attribute: each caller
     once, as its module and the defs around the call
@@ -259,6 +274,6 @@ def test_a_dict_of_records_reads_a_keyed_spec():
                 spec = (read.args[3] if len(read.args) > 3
                         else next(k.value for k in read.keywords if k.arg == "spec"))
                 spec = eval(compile(ast.Expression(spec), str(path), "eval"), module)
-                keyed[f"{path.name}:{node.lineno}"] = spec.key is not None
+                keyed[f"{path.name}:{node.lineno}"] = bool(spec.keys)
     assert len(keyed) >= 4, keyed  # S-IDs, profiles, truth and LTR labels
     assert all(keyed.values()), sorted(where for where, ok in keyed.items() if not ok)
