@@ -219,5 +219,5 @@ def load_embeddings(path) -> EmbeddingTable:
 def save_embeddings(table: EmbeddingTable, path) -> None:
     with jsonl.replacing(path) as fh:
         for ad_id, vec in table.entries.items():
-            fh.write(ad_id + "\t" + " ".join(repr(float(v)) for v in vec) + "\n")
+            fh.write(ad_id + "\t" + " ".join(map(repr, vec.tolist())) + "\n")
 

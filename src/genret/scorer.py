@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -39,10 +39,6 @@ from . import jsonl
 from .vocab import UNK, Vocabulary
 
 _WORD_RE = re.compile(r"<[^>\s]+>|\w+|[^\w\s]")
-
-# NgramScorer.train counts this many samples per array pass, which bounds
-# the pass's per-event temporaries
-TRAIN_CHUNK = 512
 
 
 class ScorerError(RuntimeError):
@@ -143,82 +139,37 @@ class NgramScorer:
         self._components: tuple | None = None
 
     def observe(self, bucket: tuple, prefix_ids, next_id: int):
-        """Count ``next_id`` after the prefix's trailing windows: the
-        one-observation case of ``train``'s counting."""
-        ids = np.array([*prefix_ids, next_id], dtype=np.int64)
-        at = np.array([len(ids) - 1])
-        self._count([bucket], np.zeros(1, dtype=np.intp), ids, at, at)
+        """Count ``next_id`` after the prefix's trailing windows: ``train``'s
+        counting of one position."""
+        ids = tuple(map(int, (*prefix_ids, next_id)))
+        self._add(bucket, ids, self._events(len(ids))[-(self.max_order + 1):])
 
     def train(self, samples):
         """samples: iterable of (bucket, response ids). Counts every
-        response id after the ids before it in its response, with one
-        ``_count`` per ``TRAIN_CHUNK`` samples, in order. The counts are
-        whole numbers and each key is first seen in the chunk of its first
-        event, so the counts and their insertion order equal one pass's."""
-        samples = iter(samples)
-        while chunk := list(islice(samples, TRAIN_CHUNK)):
-            number: dict = {}  # bucket -> its number, in first-seen order
-            bucket_of = np.fromiter((number.setdefault(b, len(number)) for b, _ in chunk),
-                                    dtype=np.intp, count=len(chunk))
-            lengths = np.fromiter((len(r) for _, r in chunk), dtype=np.intp,
-                                  count=len(chunk))
-            ids = np.fromiter(chain.from_iterable(r for _, r in chunk), dtype=np.int64,
-                              count=int(lengths.sum()))
-            at = np.arange(len(ids))
-            self._count(list(number), bucket_of.repeat(lengths), ids, at,
-                        at - (lengths.cumsum() - lengths).repeat(lengths))
+        response id after the ids before it in its response, position by
+        position and, at each, order by order."""
+        events: dict[int, list] = {}  # response length -> its events
+        for bucket, ids in samples:
+            ids = tuple(map(int, ids))  # Python ints, as scorer.json needs
+            if len(ids) not in events:
+                events[len(ids)] = self._events(len(ids))
+            self._add(bucket, ids, events[len(ids)])
 
-    def _count(self, buckets, bucket_of, ids, at, length):
-        """Add 1.0 to ``counts[(bucket, window)][ids[at[j]]]`` for each
-        observation j, in j order, and for each window order 0..max_order
-        in order: the bucket is ``buckets[bucket_of[j]]``, and the window
-        of order o is the last min(o, len(prefix)) ids of the prefix, the
-        ``length[j]`` ids before ``at[j]``.
+    def _events(self, length: int) -> list:
+        """(window, position) per count a response of ``length`` ids adds:
+        at position i, for order o = 0..max_order, the window of the last
+        min(o, i) ids before it."""
+        return [(slice(i - min(o, i), i), i)
+                for i in range(length) for o in range(self.max_order + 1)]
 
-        Equal (key, id) events are counted together, with array passes: the
-        dict updates are one per distinct key and one per distinct (key,
-        id), each made at its first event, so the keys and each slot's ids
-        keep the insertion order of one update per event. Adding n at once
-        equals adding 1.0 n times, since the counts are whole numbers."""
-        if not len(at):
-            return
+    def _add(self, bucket, ids: tuple, events):
+        """Add 1.0 to ``counts[(bucket, ids[window])][ids[at]]`` per event."""
         self._components = None
-        orders = np.arange(self.max_order + 1)
-        size = np.minimum(length[:, None], orders)
-        # an event per (observation, order), observation-major; its window
-        # as max_order columns of ids shifted to >= 0, padded with 0
-        low = int(ids.min())
-        start = (at[:, None] - size).ravel()
-        size = size.ravel()
-        windows = (np.where(k < size, ids[np.where(k < size, start + k, 0)] - low, 0)
-                   for k in range(self.max_order))
-        key = _row_codes(len(size), [np.repeat(bucket_of, len(orders)), size], windows)
-        pair = _row_codes(len(size), [key, np.repeat(ids[at], len(orders)) - low])
-        # the distinct (key, id) pairs, in code order, with each one's first
-        # event and count; a key's pairs lie together in that order
-        order = np.argsort(pair)
-        sorted_pair = pair[order]
-        runs = np.flatnonzero(np.r_[True, sorted_pair[1:] != sorted_pair[:-1]])
-        first = np.minimum.reduceat(order, runs)
-        times = np.diff(np.r_[runs, len(order)]).tolist()
-        pair_key = key[first]
-        new_key = np.r_[True, pair_key[1:] != pair_key[:-1]]
-        key_runs = np.flatnonzero(new_key)
-        key_first = np.minimum.reduceat(first, key_runs)
-        key_of_pair = (np.cumsum(new_key) - 1).tolist()
-        # the keys in first-event order, then the pairs in first-event order
-        id_list = ids.tolist()
-        slots = [None] * len(key_runs)
-        by_first = np.argsort(key_first)
-        e = key_first[by_first]
-        for k, s, n, b in zip(by_first.tolist(), start[e].tolist(), size[e].tolist(),
-                              bucket_of[e // len(orders)].tolist()):
-            slots[k] = self.counts.setdefault((buckets[b], tuple(id_list[s:s + n])), {})
-        next_of_pair = ids[at[first // len(orders)]].tolist()
-        for p in np.argsort(first).tolist():
-            slot, tid = slots[key_of_pair[p]], next_of_pair[p]
+        counts = self.counts
+        for window, at in events:
+            slot = counts.setdefault((bucket, ids[window]), {})
             # float counts: scorer.json writes each as 1.0, 2.0, ...
-            slot[tid] = slot.get(tid, 0.0) + times[p]
+            slot[ids[at]] = slot.get(ids[at], 0.0) + 1.0
 
     def _smoothed(self) -> tuple:
         """Each (bucket, window) key with counts, numbered in counts order, as
@@ -348,25 +299,6 @@ class _NgramState:
     def extend(self, rows, ids):
         self.prefixes = [self.prefixes[r] + (i,) for r, i in zip(rows.tolist(), ids.tolist())]
         self.keys = self._keys()
-
-
-def _row_codes(rows: int, *columns) -> np.ndarray:
-    """One int64 per row of the int columns (values >= 0), given as
-    iterables of arrays, that orders the rows as their tuples do. Where a
-    column would take the codes past 2^62, the codes so far and the column
-    are first renumbered densely, which keeps their order, so no code
-    overflows."""
-    code = np.zeros(rows, dtype=np.int64)
-    span = 1  # every code so far is below it
-    for column in chain.from_iterable(columns):
-        radix = int(column.max(initial=0)) + 1
-        if span * radix > 2**62:
-            distinct, code = np.unique(code, return_inverse=True)
-            values, column = np.unique(column, return_inverse=True)
-            span, radix = len(distinct), len(values)
-        code = code * radix + column
-        span *= radix
-    return code
 
 
 def _embedding_plan(padded, lengths, responses):

@@ -30,8 +30,8 @@ ORACLES = {
     "make_cluster_table",  # quantizer test data
     "surrogate_loss",      # rqvae finite-difference gradient check
     "total_loss",          # rqvae training-progress check
-    # one count: train counts a whole batch in array passes, and the traced
-    # benchmark wraps observe by name
+    # one position's counts: train counts whole samples by the same rule,
+    # and the traced benchmark wraps observe by name
     "NgramScorer.observe",
     "RetrievalList.ad_ids",         # test convenience: a list's ads in rank order
     "SemanticId.disambiguation",    # test convenience: the collision suffix
