@@ -112,6 +112,10 @@ class RowState:
         self.prefixes = [self.prefixes[r] + (i,) for r, i in zip(rows.tolist(), ids.tolist())]
 
 
+# the highest n-gram order whose weights 2^o, and their total, are finite
+MAX_ORDER = 1022
+
+
 class NgramScorer:
     """Interpolated additive-smoothed count model.
 
@@ -125,8 +129,8 @@ class NgramScorer:
         if not (smoothing_alpha > 0 and math.isfinite(smoothing_alpha)):
             raise ScorerError(f"smoothing_alpha must be positive and finite, "
                               f"got {smoothing_alpha}")
-        if max_order < 0:
-            raise ScorerError(f"max_order must be >= 0, got {max_order}")
+        if not 0 <= max_order <= MAX_ORDER:
+            raise ScorerError(f"max_order must be in [0, {MAX_ORDER}], got {max_order}")
         self.vocab = vocab
         self.smoothing_alpha = smoothing_alpha
         self.max_order = max_order
@@ -178,7 +182,19 @@ class NgramScorer:
         entries, stands for every unseen key. The entries are sorted by
         (key, token id), each as its code key·|V| + id and its value
         c/denom, and end in a sentinel code above every other, so a
-        ``searchsorted`` lands on an entry."""
+        ``searchsorted`` lands on an entry.
+
+        Beside them, the window states a decode moves through. A counted
+        window's state is its key's number. Each uncounted window that is a
+        prefix of a counted one in its bucket gets a state above the unseen
+        key's number, and one last, dead state stands for every other
+        window; so a state's key is its own number, capped at the unseen
+        key's. A state's moves, to the state of its window plus one id, are
+        coded state·|V| + id and sorted, with the states they lead to
+        alongside, and end in a sentinel. No move leaves the dead state: no
+        counted window extends its windows. Returns (bucket -> window ->
+        state, the dead state, the moves' codes and states, the shares, the
+        entries' codes and values)."""
         if self._components is None:
             v, alpha = len(self.vocab), self.smoothing_alpha
             slots = list(self.counts.values())
@@ -191,17 +207,31 @@ class NgramScorer:
                             dtype=np.float64, count=total)
             code = np.arange(len(slots), dtype=np.int64).repeat(size) * v + tid
             order = code.argsort()
-            index: dict[tuple, dict[tuple, int]] = {}  # bucket -> window -> number
+            index: dict[tuple, dict[tuple, int]] = {}  # bucket -> window -> state
             for i, (bucket, window) in enumerate(self.counts):
                 index.setdefault(bucket, {})[window] = i
-            self._components = (index, alpha / denom,
+            moves, new = [], len(slots)  # code, child, code, ...; the next state made
+            for windows in index.values():
+                todo = list(windows.items())
+                for window, state in todo:  # and each uncounted prefix made here
+                    if window:
+                        parent = windows.get(window[:-1])
+                        if parent is None:
+                            parent = windows[window[:-1]] = new
+                            todo.append((window[:-1], new))
+                            new += 1
+                        moves += parent * v + window[-1], state
+            move, child = np.array(moves, dtype=np.int64).reshape(-1, 2).T
+            at = move.argsort()
+            self._components = (index, new, np.r_[move[at], np.iinfo(np.int64).max],
+                                np.r_[child[at], new], alpha / denom,
                                 np.r_[code[order], np.iinfo(np.int64).max],
                                 np.r_[(c / denom[:-1].repeat(size))[order], 0.0])
         return self._components
 
     def begin(self, context: ScorerContext) -> "_NgramState":
-        """A decode's state: the context's bucket, whose key numbers it
-        looks its windows up in."""
+        """A decode's state: one row at the root state of the context's
+        bucket."""
         return _NgramState(self, context.bucket)
 
     prob_dist = _prob_dist
@@ -257,36 +287,24 @@ class NgramScorer:
 
 
 class _NgramState:
-    """The n-gram's rows in one decode: each row's prefix, and the number of
-    its key at each order, looked up in the bucket's key numbers when the
-    row is made. Order 0's window is () whatever the prefix, so its key is
-    looked up once, when the state begins. A probability is its orders'
-    components mixed in order, each the key's share plus its entry for the
-    id, if counted."""
+    """The n-gram's rows in one decode: the state of each row's window at
+    each order, (orders, rows), whose number, capped at the unseen key's, is
+    its key's. A row begins with every order at the bucket's root, the state
+    of (); a child's order o is its parent's order o - 1 moved by its id, so
+    its window is its prefix's last min(o, len) ids, and order 0 stays at
+    the root. A probability is its orders' components mixed in order, each
+    the key's share plus its entry for the id, if counted."""
 
     def __init__(self, scorer: NgramScorer, bucket):
-        index, self.share, self.code, self.value = scorer._smoothed()
-        self.numbers, self.unseen = index.get(bucket, {}), len(self.share) - 1
-        self.key0 = self.numbers.get((), self.unseen)
-        self.v = len(scorer.vocab)
+        (index, self.dead, self.move, self.child, self.share, self.code,
+         self.value) = scorer._smoothed()
+        self.v, self.unseen = len(scorer.vocab), len(self.share) - 1
         self.weights = np.array(scorer.interpolation)[:, None]
-        self.prefixes = [()]
-        self.keys = self._keys()
-
-    def _keys(self) -> np.ndarray:
-        """(orders, rows): the key number of each order's window of each
-        row's prefix, its last min(order, len) ids. Every prefix has the
-        same length, so each order's window starts at one slice start for
-        all rows."""
-        get, unseen, prefixes = self.numbers.get, self.unseen, self.prefixes
-        n = len(prefixes[0]) if prefixes else 0
-        keys = [self.key0] * len(prefixes)
-        for order in range(1, len(self.weights)):
-            keys += [get(p[max(n - order, 0):], unseen) for p in prefixes]
-        return np.array(keys, dtype=np.int64).reshape(len(self.weights), len(prefixes))
+        root = index.get(bucket, {}).get((), self.dead)
+        self.states = np.full((len(self.weights), 1), root)
 
     def probs(self, rows, ids) -> np.ndarray:
-        key = self.keys.take(rows, axis=1)
+        key = np.minimum(self.states.take(rows, axis=1), self.unseen)
         code = key * self.v + ids
         at = self.code.searchsorted(code)
         mixed = self.weights * (self.share[key]
@@ -297,8 +315,11 @@ class _NgramState:
         return dist
 
     def extend(self, rows, ids):
-        self.prefixes = [self.prefixes[r] + (i,) for r, i in zip(rows.tolist(), ids.tolist())]
-        self.keys = self._keys()
+        parent = self.states.take(rows, axis=1)
+        code = parent[:-1] * self.v + ids
+        at = self.move.searchsorted(code)
+        self.states = np.concatenate(
+            (parent[:1], np.where(self.move[at] == code, self.child[at], self.dead)))
 
 
 def _embedding_plan(padded, lengths, responses):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genret.scorer import (NeuralScorer, NgramScorer, ScorerContext,
+from genret import decoder
+from genret.scorer import (MAX_ORDER, NeuralScorer, NgramScorer, ScorerContext,
                            ScorerError, load_scorer, tokenize_text)
 from genret.sid import SemanticId
+from genret.trie import build as build_trie
 from genret.vocab import Vocabulary, vocab_from_sids
 
 from conftest import one_pair
@@ -102,11 +104,29 @@ def test_invalid_alpha(vocab):
 
 
 @pytest.mark.parametrize("alpha, max_order", [(float("nan"), 2), (float("inf"), 2),
-                                              (0.1, -1)])
+                                              (0.1, -1), (0.1, MAX_ORDER + 1)])
 def test_ngram_rejects_bad_settings(vocab, alpha, max_order):
-    # NaN fails no `<= 0` test, and max_order -1 leaves no order to mix
+    # NaN fails no `<= 0` test, max_order -1 leaves no order to mix, and
+    # above MAX_ORDER the weights' total is no finite float
     with pytest.raises(ScorerError):
         NgramScorer(vocab, smoothing_alpha=alpha, max_order=max_order)
+
+
+def test_ngram_weights_hold_up_to_the_highest_order(vocab):
+    weights = NgramScorer(vocab, max_order=MAX_ORDER).interpolation
+    assert len(weights) == MAX_ORDER + 1
+    assert all(w > 0 for w in weights) and sum(weights) == pytest.approx(1.0)
+
+
+def test_ngram_snapshot_of_a_huge_order_names_its_file(vocab, tmp_path):
+    """2.0**o overflows from order 1024: such a snapshot fails as every bad
+    snapshot does, naming its file and the limit, not with an OverflowError."""
+    path = tmp_path / "scorer.json"
+    NgramScorer(vocab).save(path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "max_order": 2000}))
+    with pytest.raises(ScorerError, match=rf"scorer\.json: max_order must be in "
+                                          rf"\[0, {MAX_ORDER}\], got 2000"):
+        load_scorer(path)
 
 
 def test_ngram_snapshot_weights_are_checked(vocab, tmp_path):
@@ -243,6 +263,118 @@ def test_ngram_batch_rows_equal_loop_reference(samples, prefixes, bucket,
         np.testing.assert_array_equal(row, loop_prob_dist(scorer, ctx, prefix))
     tid = vocab.lookup("a_0")
     assert after[0][tid] > before[0][tid]
+
+
+def ngram_payload_of(vocab, max_order, keys):
+    """An n-gram snapshot over vocab whose counts are keys: (bucket, window
+    tokens, {token: count}) each."""
+    return {"kind": "ngram", "version": 1, "smoothing_alpha": 0.1, "max_order": max_order,
+            "interpolation": list(NgramScorer(vocab, max_order=max_order).interpolation),
+            "tokens": vocab.tokens,
+            "counts": [[list(bucket), ids(vocab, window),
+                        [[vocab.lookup(t), c] for t, c in slot.items()]]
+                       for bucket, window, slot in keys]}
+
+
+_seqs = st.lists(st.sampled_from(TOKENS), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["train", "observe", "payload"]), st.integers(0, 3),
+       st.sampled_from(BUCKETS + [("unseen",)]), st.data())
+def test_ngram_level_rows_equal_loop_reference(source, max_order, bucket, data):
+    """Whole levels of n-gram rows, each level extended in one call from
+    rows of the level before that repeat and come in any order, equal the
+    loop reference's rows bit for bit. The counts come from train, from
+    observe alone, or from a snapshot whose windows may lack their shorter
+    windows, as (a_0, b_1) in bucket g does here unless (a_0,) is drawn."""
+    vocab = vocab_from_sids(SIDS)
+    scorer = NgramScorer(vocab, max_order=max_order)
+    if source == "train":
+        samples = data.draw(st.lists(st.tuples(st.sampled_from(BUCKETS), _seqs.filter(len)),
+                                     max_size=12))
+        scorer.train([(b, ids(vocab, seq)) for b, seq in samples])
+    elif source == "observe":
+        for b, prefix, t in data.draw(st.lists(st.tuples(
+                st.sampled_from(BUCKETS), _seqs, st.sampled_from(TOKENS)), max_size=12)):
+            scorer.observe(b, ids(vocab, prefix), vocab.lookup(t))
+    else:
+        keys = data.draw(st.lists(st.tuples(st.sampled_from(BUCKETS), _seqs.map(tuple)),
+                                  max_size=10, unique=True))
+        if (BUCKETS[0], ("a_0", "b_1")) not in keys:
+            keys.append((BUCKETS[0], ("a_0", "b_1")))
+        slots = st.dictionaries(st.sampled_from(TOKENS), st.sampled_from([0.5, 1.0, 3.0]),
+                                max_size=3)
+        scorer = NgramScorer.from_payload(ngram_payload_of(
+            vocab, max_order, [(b, w, data.draw(slots)) for b, w in keys]))
+    ctx = ScorerContext(bucket=bucket)
+    v = len(vocab)
+    state, prefixes = scorer.begin(ctx), [()]
+
+    def assert_level_equals_loop():
+        n = len(prefixes)
+        got = state.probs(np.arange(n).repeat(v), np.tile(np.arange(v), n))
+        for row, prefix in zip(got.reshape(n, v), prefixes):
+            np.testing.assert_array_equal(row, loop_prob_dist(scorer, ctx, prefix))
+
+    for _ in range(4):
+        assert_level_equals_loop()
+        at = data.draw(st.lists(st.integers(0, len(prefixes) - 1), min_size=1, max_size=8))
+        toks = data.draw(st.lists(st.sampled_from(TOKENS + ["<unk>"]), min_size=len(at),
+                                  max_size=len(at)))
+        state.extend(np.array(at, dtype=np.intp), np.array(ids(vocab, toks), dtype=np.intp))
+        prefixes = [prefixes[r] + (t,) for r, t in zip(at, toks)]
+    assert_level_equals_loop()
+
+
+@pytest.mark.parametrize("max_order", [2, 3])
+def test_ngram_reads_a_window_whose_shorter_windows_have_no_counts(max_order):
+    """A snapshot may count (a_0, b_1) in bucket g and neither () nor
+    (a_0,): a decode along a_0, b_1 still reaches that window's counts."""
+    vocab = vocab_from_sids(SIDS)
+    scorer = NgramScorer.from_payload(ngram_payload_of(
+        vocab, max_order, [(("g",), ("a_0", "b_1"), {"b_2": 5.0})]))
+    ctx = ScorerContext(bucket=("g",))
+    for prefix in [("a_0", "b_1"), ("b_0", "a_0", "b_1"), ("a_0",), ("a_1", "b_1")]:
+        row = scorer.prob_dist(ctx, ids(vocab, prefix))
+        np.testing.assert_array_equal(row, loop_prob_dist(scorer, ctx, prefix))
+        counted = prefix[-2:] == ("a_0", "b_1")
+        assert (row[vocab.lookup("b_2")] > row[vocab.lookup("b_0")]) == counted
+
+
+def test_ngram_builds_its_tables_once_per_change_of_counts(monkeypatch):
+    """Fifty decodes with one scorer build its components and window states
+    once; a train or an observe between decodes drops them, and the next
+    decode builds them once more."""
+    vocab = vocab_from_sids(SIDS)
+    scorer = NgramScorer(vocab)
+    scorer.train([(b, ids(vocab, [a, b_])) for b in BUCKETS
+                  for a, b_ in (("a_0", "b_1"), ("a_2", "b_0"))])
+    built = []
+    smoothed = NgramScorer._smoothed
+
+    def counting(self):
+        before = self._components
+        tables = smoothed(self)
+        if tables is not before:
+            built.append(tables)
+        return tables
+
+    monkeypatch.setattr(NgramScorer, "_smoothed", counting)
+    trie = build_trie(SIDS)
+
+    def decodes(n):
+        for k in range(n):
+            decoder.decode(scorer, ScorerContext(bucket=BUCKETS[k % 3]), trie, 1 + k % 4)
+
+    decodes(50)
+    assert len(built) == 1
+    scorer.train([(BUCKETS[0], ids(vocab, ["a_1", "b_2"]))])
+    decodes(50)
+    assert len(built) == 2
+    scorer.observe(BUCKETS[1], ids(vocab, ["a_1"]), vocab.lookup("b_1"))
+    decodes(50)
+    assert len(built) == 3
 
 
 def test_empty_batch_has_no_rows():
