@@ -31,11 +31,12 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
 
     One ``scorer.begin(context)`` state serves the whole decode. Each layer
     makes one ``state.probs`` call over the trie-valid children of the whole
-    beam, and the kept ones ``extend`` the state. After each layer the top
-    beam_width candidates survive; ties break by higher score first, then
-    lexicographic code sequence. Scores are cumulative products of per-step
-    probabilities, each a correctly rounded multiplication, so a product
-    that underflows to 0.0 ties with every other zero.
+    beam, and one ``state.keep`` of the survivors, given by their index
+    among those children, or None when all of them survive. After each
+    layer the top beam_width candidates survive; ties break by higher score
+    first, then lexicographic code sequence. Scores are cumulative products
+    of per-step probabilities, each a correctly rounded multiplication, so a
+    product that underflows to 0.0 ties with every other zero.
     """
     if beam_width < 1:
         raise DecodeError(f"beam_width must be >= 1, got {beam_width}")
@@ -54,28 +55,30 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
         if len(nodes) == lo - start:  # the whole level is kept
             candidates = np.arange(lo, hi)
             rows = trie.parent[lo:hi] - start
+            codes = trie.code[lo:hi]
         else:
             kept = np.zeros(lo, dtype=bool)
             kept[nodes] = True
             candidates = lo + kept[trie.parent[lo:hi]].nonzero()[0]
             rows = nodes.searchsorted(trie.parent[candidates])
-        ids = scorer.vocab.code_ids(level, trie.code[candidates])
+            codes = trie.code[candidates]
+        ids = scorer.vocab.code_ids(level, codes)
         p = state.probs(rows, ids)
         if p.shape != ids.shape:
             raise DecodeError(
                 f"scorer contract violated: probs returned shape "
                 f"{p.shape} for {len(ids)} candidates")
-        _check(p, level, trie.code[candidates])
+        _check(p, level, codes)
         scores = scores[rows] * p
         if level + 1 == trie.depth:
             break
+        keep = None
         if len(p) > beam_width:
             keep = (-scores).argsort(kind="stable")[:beam_width]
             keep.sort()
-            candidates, scores, rows, ids = (candidates[keep], scores[keep],
-                                             rows[keep], ids[keep])
+            candidates, scores = candidates[keep], scores[keep]
         nodes = candidates
-        state.extend(rows, ids)
+        state.keep(keep)
 
     # the last level's top k in rank order: it can hold far more candidates
     # than the beam, so only those that tie with or pass the k-th highest

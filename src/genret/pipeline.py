@@ -135,7 +135,8 @@ def build_generate_fn(scorer, ad_trie, catalog, profiles, events_by_user,
         events = events_by_user.get(user_id, []) if events is None else events
         context = alignment.user_context(profiles[user_id], events, catalog)
         result = decoder.decode(scorer, context, ad_trie, beam_width)
-        return [(ad_id, float(score)) for ad_id, _, score in result.entries]
+        # decode's scores are Python floats already
+        return [(ad_id, score) for ad_id, _, score in result.entries]
 
     return generate
 

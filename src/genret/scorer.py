@@ -7,17 +7,20 @@ analytic gradients used for preference optimization.
 The contract is a per-decode state: ``state = scorer.begin(context)`` reads
 what the scorer needs of the context once, and holds one row, the empty
 prefix. ``state.probs(rows, ids) -> (n,)`` gives, for each k, the
-probability of token ``ids[k]`` after the prefix of row ``rows[k]``;
-``state.extend(rows, ids)`` moves to the next trie level, whose row k is
-row ``rows[k]``'s prefix plus ``ids[k]``. A decode level is one ``probs``
-call over the trie's candidates and one ``extend`` over the kept ones.
+probability of token ``ids[k]`` after the prefix of row ``rows[k]``; call
+k is candidate k, row ``rows[k]``'s prefix plus ``ids[k]``.
+``state.keep(idx)`` moves to the next trie level, whose row j is the last
+``probs`` call's candidate ``idx[j]``; ``None`` keeps every candidate, in
+order. A decode level is one ``probs`` call over the trie's candidates and
+one ``keep`` of the ones that survive.
 
 Each job has one entry point. The decoder asks through the state.
 ``prob_dist(context, prefix) -> (|V|,)`` is the one whole-row read, for the
-exhaustive oracle: one state, extended along the prefix and asked for every
-id, so ``probs(rows, ids)[k]`` equals the ``prob_dist`` row of row
-``rows[k]``'s prefix at ``ids[k]`` bit for bit. A prefix is a sequence of
-vocabulary ids; the context keeps its feature tokens. Training and DPO take
+exhaustive oracle: one state walked along the prefix, one candidate and one
+``keep`` per id, and asked for every id, so ``probs(rows, ids)[k]`` equals
+the ``prob_dist`` row of row ``rows[k]``'s prefix at ``ids[k]`` bit for
+bit. A prefix is a sequence of vocabulary ids; the context keeps its
+feature tokens. Training and DPO take
 the neural scorer's gradient from ``seq_logprob_vjp``. ``RowState`` is the
 other direction, the state of a scorer that answers one prefix at a time.
 
@@ -85,14 +88,23 @@ def _check_snapshot(payload, spec) -> None:
 
 def _prob_dist(scorer, context: ScorerContext, prefix) -> np.ndarray:
     """The prefix's row over every id, (|V|,): a state begun on the
-    context, extended one id at a time along the prefix and asked for
-    every id. Each scorer class holds it as its ``prob_dist``."""
+    context, walked along the prefix by one candidate and its ``keep`` per
+    id, and asked for every id. Each scorer class holds it as its
+    ``prob_dist``."""
     state = scorer.begin(context)
     prefix = np.asarray(prefix, dtype=np.intp)
     for k in range(len(prefix)):
-        state.extend(np.zeros(1, dtype=np.intp), prefix[k:k + 1])
+        state.probs(np.zeros(1, dtype=np.intp), prefix[k:k + 1])
+        state.keep(None)
     v = len(scorer.vocab)
     return state.probs(np.zeros(v, dtype=np.intp), np.arange(v))
+
+
+def _kept(asked, idx):
+    """The (rows, ids) of a ``probs`` call's candidates at idx, in idx
+    order; all of them when idx is None."""
+    rows, ids = asked
+    return asked if idx is None else (rows[idx], ids[idx])
 
 
 class RowState:
@@ -105,10 +117,13 @@ class RowState:
         self.prefixes = [()]
 
     def probs(self, rows, ids) -> np.ndarray:
-        dists = np.array([self.prob_dist(self.context, p) for p in self.prefixes])
+        self.asked = rows, ids
+        # ndmin: a state that kept no rows is still a table of no rows
+        dists = np.array([self.prob_dist(self.context, p) for p in self.prefixes], ndmin=2)
         return dists[rows, ids]
 
-    def extend(self, rows, ids):
+    def keep(self, idx):
+        rows, ids = _kept(self.asked, idx)
         self.prefixes = [self.prefixes[r] + (i,) for r, i in zip(rows.tolist(), ids.tolist())]
 
 
@@ -176,25 +191,29 @@ class NgramScorer:
             slot[ids[at]] = slot.get(ids[at], 0.0) + 1.0
 
     def _smoothed(self) -> tuple:
-        """Each (bucket, window) key with counts, numbered in counts order, as
-        its uniform share alpha/denom plus its counted entries, where denom
-        is the key's count total plus alpha·|V|; one more share, with no
-        entries, stands for every unseen key. The entries are sorted by
-        (key, token id), each as its code key·|V| + id and its value
-        c/denom, and end in a sentinel code above every other, so a
-        ``searchsorted`` lands on an entry.
+        """The tables a decode reads, built once per change of counts.
 
-        Beside them, the window states a decode moves through. A counted
-        window's state is its key's number. Each uncounted window that is a
-        prefix of a counted one in its bucket gets a state above the unseen
-        key's number, and one last, dead state stands for every other
-        window; so a state's key is its own number, capped at the unseen
-        key's. A state's moves, to the state of its window plus one id, are
-        coded state·|V| + id and sorted, with the states they lead to
-        alongside, and end in a sentinel. No move leaves the dead state: no
-        counted window extends its windows. Returns (bucket -> window ->
-        state, the dead state, the moves' codes and states, the shares, the
-        entries' codes and values)."""
+        Each (bucket, window) key with counts is numbered in counts order,
+        and its uniform share is alpha/denom, where denom is the key's count
+        total plus alpha·|V|; one more share stands for every unseen key. A
+        counted window's state is its key's number. Each uncounted window
+        that is a prefix of a counted one in its bucket gets a state above
+        the unseen key's number, and one last, dead state stands for every
+        other window; so a state's share is its key's, at its number capped
+        at the unseen key's.
+
+        One table of codes state·|V| + id serves both reads. A code carries
+        its component, the share plus c/denom of the counted entry it codes,
+        or the bare share if it codes none; and its child state, the state
+        of the window plus id, or the dead state if no window has that
+        move. No move leaves the dead state: no counted window extends its
+        windows. The table begins with one slot per state, at the state's
+        own number and with code -1, that carries the state's bare share
+        and the dead state for the ids its codes miss. The codes follow in
+        sorted order, and a sentinel code above every other ends the table,
+        so a ``searchsorted`` lands on a code. Returns (bucket -> the state
+        of its window (), the dead state, the codes, their components and
+        their child states)."""
         if self._components is None:
             v, alpha = len(self.vocab), self.smoothing_alpha
             slots = list(self.counts.values())
@@ -205,8 +224,6 @@ class NgramScorer:
             tid = np.fromiter(chain.from_iterable(slots), dtype=np.int64, count=total)
             c = np.fromiter(chain.from_iterable(slot.values() for slot in slots),
                             dtype=np.float64, count=total)
-            code = np.arange(len(slots), dtype=np.int64).repeat(size) * v + tid
-            order = code.argsort()
             index: dict[tuple, dict[tuple, int]] = {}  # bucket -> window -> state
             for i, (bucket, window) in enumerate(self.counts):
                 index.setdefault(bucket, {})[window] = i
@@ -221,12 +238,19 @@ class NgramScorer:
                             todo.append((window[:-1], new))
                             new += 1
                         moves += parent * v + window[-1], state
+            share = alpha / denom
+            share = np.r_[share, np.full(new - len(slots), share[-1])]  # per state
+            key = np.arange(len(slots)).repeat(size)
             move, child = np.array(moves, dtype=np.int64).reshape(-1, 2).T
-            at = move.argsort()
-            self._components = (index, new, np.r_[move[at], np.iinfo(np.int64).max],
-                                np.r_[child[at], new], alpha / denom,
-                                np.r_[code[order], np.iinfo(np.int64).max],
-                                np.r_[(c / denom[:-1].repeat(size))[order], 0.0])
+            code, at = np.unique(np.r_[key * v + tid, move], return_inverse=True)
+            component = share[code // v]
+            component[at[:total]] = share[key] + c / denom[key]
+            kids = np.full(len(code), new)
+            kids[at[total:]] = child
+            self._components = (
+                {bucket: windows[()] for bucket, windows in index.items()}, new,
+                np.r_[np.full(new + 1, -1), code, np.iinfo(np.int64).max],
+                np.r_[share, component, 0.0], np.r_[np.full(new + 1, new), kids, new])
         return self._components
 
     def begin(self, context: ScorerContext) -> "_NgramState":
@@ -271,6 +295,11 @@ class NgramScorer:
             bad = [i for i in window if not 0 <= i < v]
             if bad:
                 raise ScorerError(f"{where} name id {bad[0]}, outside [0, {v})")
+            # train counts windows of at most max_order ids, and no decode
+            # reads a longer one
+            if len(window) > scorer.max_order:
+                raise ScorerError(f"{where} name a window of {len(window)} ids, "
+                                  f"longer than max_order {scorer.max_order}")
             counts = scorer.counts[key] = {}
             for i, c in slot:
                 if not 0 <= i < v:
@@ -288,38 +317,38 @@ class NgramScorer:
 
 class _NgramState:
     """The n-gram's rows in one decode: the state of each row's window at
-    each order, (orders, rows), whose number, capped at the unseen key's, is
-    its key's. A row begins with every order at the bucket's root, the state
-    of (); a child's order o is its parent's order o - 1 moved by its id, so
-    its window is its prefix's last min(o, len) ids, and order 0 stays at
-    the root. A probability is its orders' components mixed in order, each
-    the key's share plus its entry for the id, if counted."""
+    each order, (orders, rows). A row begins with every order at the
+    bucket's root, the state of (). ``probs`` finds every order's code,
+    state·|V| + id, with one ``searchsorted`` over the scorer's table, or
+    else the state's own slot, and mixes the orders' components in order.
+    ``keep`` reads the kept candidates' child states at those same slots:
+    a child's order o is its parent's order o - 1 moved by its id, so its
+    window is its prefix's last min(o, len) ids, and order 0 stays at the
+    root."""
 
     def __init__(self, scorer: NgramScorer, bucket):
-        (index, self.dead, self.move, self.child, self.share, self.code,
-         self.value) = scorer._smoothed()
-        self.v, self.unseen = len(scorer.vocab), len(self.share) - 1
+        roots, dead, self.code, self.component, self.child = scorer._smoothed()
+        self.v = len(scorer.vocab)
         self.weights = np.array(scorer.interpolation)[:, None]
-        root = index.get(bucket, {}).get((), self.dead)
-        self.states = np.full((len(self.weights), 1), root)
+        self.root = roots.get(bucket, dead)
+        self.states = np.full((len(self.weights), 1), self.root)
 
     def probs(self, rows, ids) -> np.ndarray:
-        key = np.minimum(self.states.take(rows, axis=1), self.unseen)
-        code = key * self.v + ids
+        states = self.states.take(rows, axis=1)
+        code = states * self.v + ids
         at = self.code.searchsorted(code)
-        mixed = self.weights * (self.share[key]
-                                + np.where(self.code[at] == code, self.value[at], 0.0))
+        self.found = np.where(self.code[at] == code, at, states)
+        mixed = self.weights * self.component[self.found]
         dist = mixed[0]
         for component in mixed[1:]:  # added order by order
             dist = dist + component
         return dist
 
-    def extend(self, rows, ids):
-        parent = self.states.take(rows, axis=1)
-        code = parent[:-1] * self.v + ids
-        at = self.move.searchsorted(code)
-        self.states = np.concatenate(
-            (parent[:1], np.where(self.move[at] == code, self.child[at], self.dead)))
+    def keep(self, idx):
+        found = self.found[:-1] if idx is None else self.found[:-1].take(idx, axis=1)
+        self.states = np.empty((len(found) + 1, found.shape[1]), dtype=np.intp)
+        self.states[0] = self.root
+        self.states[1:] = self.child[found]
 
 
 def _embedding_plan(padded, lengths, responses):
@@ -462,7 +491,7 @@ class NeuralScorer:
         ``_batch_layout``, stacked pair by pair: row p·n + i predicts
         responses[p, i] from responses[p, :i], bit for bit as the decode
         state's row of that prefix does: a running sum adds in the order the
-        state's ``extend`` does. Returns (pool, plen, h, probs)."""
+        state's ``keep`` does. Returns (pool, plen, h, probs)."""
         n_pairs, n = responses.shape
         sums = np.zeros((n_pairs, n, self.embed_dim))
         np.cumsum(self.params["emb"][responses[:, :-1]], axis=1, out=sums[:, 1:])
@@ -573,12 +602,12 @@ class NeuralScorer:
 
 class _NeuralState:
     """The neural rows in one decode: the pool's base, +0.0 plus the
-    context's mean, and each row's running prefix sum, which ``extend``
-    adds one embedding to, in the order a sum over the prefix adds. The
-    sums begin at +0.0, which can differ from a sum over the prefix only in
-    the sign of a zero, and the pool, begun at +0.0, does not see that
-    sign. ``probs`` runs one forward over the rows and divides only the
-    asked entries by their rows' sums."""
+    context's mean, and each row's running prefix sum, which ``keep`` adds
+    its candidate's embedding to, in the order a sum over the prefix adds.
+    The sums begin at +0.0, which can differ from a sum over the prefix
+    only in the sign of a zero, and the pool, begun at +0.0, does not see
+    that sign. ``probs`` runs one forward over the rows and divides only
+    the asked entries by their rows' sums."""
 
     def __init__(self, scorer: NeuralScorer, base):
         self.scorer, self.base = scorer, base
@@ -586,11 +615,13 @@ class _NeuralState:
         self.length = 0
 
     def probs(self, rows, ids) -> np.ndarray:
+        self.asked = rows, ids
         pool = self.scorer._pool(self.base, self.sums, self.length)[0]
         _, exp, total = self.scorer._layers(pool)
         return exp[rows, ids] / total[rows]
 
-    def extend(self, rows, ids):
+    def keep(self, idx):
+        rows, ids = _kept(self.asked, idx)
         self.sums = self.sums.take(rows, axis=0) + self.scorer.params["emb"].take(ids, axis=0)
         self.length += 1
 

@@ -12,7 +12,7 @@ from genret.sid import SemanticId
 from genret.trie import build as build_trie
 from genret.vocab import Vocabulary, vocab_from_sids
 
-from conftest import one_pair
+from conftest import RowScorer, one_pair
 
 SIDS = {f"ad{i}": SemanticId((i % 3, i // 3)) for i in range(9)}
 CTX = ScorerContext(tokens=("cat", ":", "x"), bucket=("g", 1))
@@ -144,6 +144,21 @@ def test_ngram_snapshot_weights_are_checked(vocab, tmp_path):
         path.write_text(json.dumps({**payload, **change}))
         with pytest.raises(ScorerError):
             load_scorer(path)
+
+
+def test_ngram_snapshot_of_a_window_longer_than_max_order_names_its_file(tmp_path):
+    """train counts windows of at most max_order ids and no decode reads a
+    longer one, so a snapshot that holds one was not saved from trained
+    counts: it fails naming its file, the bucket and the window."""
+    path = tmp_path / "scorer.json"
+    path.write_text(json.dumps({
+        "kind": "ngram", "version": 1, "smoothing_alpha": 0.1, "max_order": 1,
+        "interpolation": [1 / 3, 2 / 3], "tokens": ["<unk>", "a_0", "a_1", "a_2"],
+        "counts": [[["g"], [1, 2, 3], [[1, 9.0]]]]}))
+    with pytest.raises(ScorerError, match=r"scorer\.json: snapshot counts of bucket \['g'\] "
+                                          r"and window \[1, 2, 3\] name a window of 3 ids, "
+                                          r"longer than max_order 1"):
+        load_scorer(path)
 
 
 def ngram_payload(g_window, g_counts):
@@ -283,11 +298,12 @@ _seqs = st.lists(st.sampled_from(TOKENS), max_size=4)
 @given(st.sampled_from(["train", "observe", "payload"]), st.integers(0, 3),
        st.sampled_from(BUCKETS + [("unseen",)]), st.data())
 def test_ngram_level_rows_equal_loop_reference(source, max_order, bucket, data):
-    """Whole levels of n-gram rows, each level extended in one call from
-    rows of the level before that repeat and come in any order, equal the
-    loop reference's rows bit for bit. The counts come from train, from
-    observe alone, or from a snapshot whose windows may lack their shorter
-    windows, as (a_0, b_1) in bucket g does here unless (a_0,) is drawn."""
+    """Whole levels of n-gram rows, each level kept in one call from the
+    candidates of the level before, asked for every id of every row, that
+    repeat and come in any order, equal the loop reference's rows bit for
+    bit. The counts come from train, from observe alone, or from a snapshot
+    whose windows may lack their shorter windows, as (a_0, b_1) in bucket g
+    does here from max_order 2 unless (a_0,) is drawn."""
     vocab = vocab_from_sids(SIDS)
     scorer = NgramScorer(vocab, max_order=max_order)
     if source == "train":
@@ -299,9 +315,11 @@ def test_ngram_level_rows_equal_loop_reference(source, max_order, bucket, data):
                 st.sampled_from(BUCKETS), _seqs, st.sampled_from(TOKENS)), max_size=12)):
             scorer.observe(b, ids(vocab, prefix), vocab.lookup(t))
     else:
-        keys = data.draw(st.lists(st.tuples(st.sampled_from(BUCKETS), _seqs.map(tuple)),
+        # a snapshot holds no window longer than max_order
+        windows = st.lists(st.sampled_from(TOKENS), max_size=max_order).map(tuple)
+        keys = data.draw(st.lists(st.tuples(st.sampled_from(BUCKETS), windows),
                                   max_size=10, unique=True))
-        if (BUCKETS[0], ("a_0", "b_1")) not in keys:
+        if max_order >= 2 and (BUCKETS[0], ("a_0", "b_1")) not in keys:
             keys.append((BUCKETS[0], ("a_0", "b_1")))
         slots = st.dictionaries(st.sampled_from(TOKENS), st.sampled_from([0.5, 1.0, 3.0]),
                                 max_size=3)
@@ -322,7 +340,8 @@ def test_ngram_level_rows_equal_loop_reference(source, max_order, bucket, data):
         at = data.draw(st.lists(st.integers(0, len(prefixes) - 1), min_size=1, max_size=8))
         toks = data.draw(st.lists(st.sampled_from(TOKENS + ["<unk>"]), min_size=len(at),
                                   max_size=len(at)))
-        state.extend(np.array(at, dtype=np.intp), np.array(ids(vocab, toks), dtype=np.intp))
+        # candidate r·|V| + t of the level's call is row r's prefix plus id t
+        state.keep(np.array(at, dtype=np.intp) * v + np.array(ids(vocab, toks), dtype=np.intp))
         prefixes = [prefixes[r] + (t,) for r, t in zip(at, toks)]
     assert_level_equals_loop()
 
@@ -387,7 +406,7 @@ def test_empty_batch_has_no_rows():
         for ctx in (CTX, ScorerContext()):
             state = scorer.begin(ctx)
             assert state.probs(none, none).shape == (0,)
-            state.extend(none, none)
+            state.keep(none)
             assert state.probs(none, none).shape == (0,)
 
 
@@ -730,13 +749,14 @@ NEURAL_TOKENS = ["a_0", "a_1", "a_2", "b_0", "b_1", "b_2", "<unk>", "novel"]
 
 def level_rows(scorer, context, prefixes) -> np.ndarray:
     """The (B, |V|) rows of one trie level's B id prefixes, all of one
-    length, from one state: extended along the prefixes, then asked for
-    every id of every row at once."""
+    length, from one state: walked along the prefixes, each level's ids
+    asked and kept, then asked for every id of every row at once."""
     v, n = len(scorer.vocab), len(prefixes)
     state = scorer.begin(context)
     rows = np.zeros(n, dtype=np.intp)
     for column in np.array(prefixes, dtype=np.intp).T:
-        state.extend(rows, column)
+        state.probs(rows, column)
+        state.keep(None)
         rows = np.arange(n)
     return state.probs(rows.repeat(v), np.tile(np.arange(v), n)).reshape(n, v)
 
@@ -776,9 +796,10 @@ def test_neural_batch_rows_equal_loop_reference(prefixes, ctx_tokens, max_prefix
        st.lists(st.sampled_from(NEURAL_TOKENS + ["cat", ":"]), max_size=6),
        st.integers(0, 3), st.integers(0, 1000), st.data())
 def test_state_probs_equal_loop_reference(kind, samples, ctx_tokens, order, seed, data):
-    """A decode state's probs, at levels 0 to 3 of a random extend sequence
-    whose rows repeat and come out of order, equal the loop reference's
-    rows at every (row, id) asked, bit for bit."""
+    """A decode state's probs, at levels 0 to 3 of a random sequence of
+    asks and keeps whose rows and kept candidates repeat and come out of
+    order, equal the loop reference's rows at every (row, id) asked, bit
+    for bit."""
     vocab = vocab_from_sids(SIDS)
     tokens = vocab.tokens + ["novel"]
     if kind == "ngram":
@@ -811,9 +832,106 @@ def test_state_probs_equal_loop_reference(kind, samples, ctx_tokens, order, seed
         want = [reference(prefixes[r])[vocab.lookup(t)] for r, t in zip(at, toks)]
         assert got.shape == (len(at),)
         np.testing.assert_array_equal(got, want)
-        at, toks = draw_pairs(len(prefixes))
-        state.extend(np.array(at, dtype=np.intp), np.array(ids(vocab, toks), dtype=np.intp))
-        prefixes = [prefixes[r] + (t,) for r, t in zip(at, toks)]
+        kept = data.draw(st.lists(st.integers(0, len(at) - 1), min_size=1, max_size=8))
+        state.keep(np.array(kept, dtype=np.intp))
+        prefixes = [prefixes[at[k]] + (toks[k],) for k in kept]
+
+
+class RowsOf(RowScorer):
+    """A scorer that answers one prefix at a time: its decode state is a
+    ``RowState`` over another scorer's ``prob_dist`` rows."""
+
+    def __init__(self, scorer):
+        self.vocab, self.prob_dist = scorer.vocab, scorer.prob_dist
+
+
+def keeping_scorer(kind, sids):
+    """An n-gram trained on sids' tokens in each bucket, a neural scorer,
+    or a RowState over that n-gram, by kind."""
+    vocab = vocab_from_sids(sids)
+    ngram = NgramScorer(vocab, max_order=2)
+    ngram.train([(b, ids(vocab, sid.tokens())) for b in BUCKETS for sid in sids.values()])
+    if kind == "neural":
+        return NeuralScorer(vocab, max_prefix=2, seed=4)
+    return ngram if kind == "ngram" else RowsOf(ngram)
+
+
+STATE_KINDS = ["ngram", "neural", "rows"]
+
+
+@pytest.mark.parametrize("kind", STATE_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_keep_takes_the_asked_candidates_at_idx(kind, data):
+    """A state's next rows are its last probs call's candidates at idx, in
+    idx order: after probs(rows, ids) and keep(idx), with idx None,
+    repeated, permuted or empty, each row's next probs equal prob_dist of
+    that row's prefix bit for bit, level after level."""
+    scorer = keeping_scorer(kind, SIDS)
+    v = len(scorer.vocab)
+    ctx = ScorerContext(tokens=("a_0", "cat"),
+                        bucket=data.draw(st.sampled_from(BUCKETS + [("unseen",)])))
+    state, prefixes = scorer.begin(ctx), [()]
+    for _ in range(3):
+        rows = data.draw(st.lists(st.integers(0, len(prefixes) - 1), min_size=1, max_size=6))
+        asked = data.draw(st.lists(st.integers(0, v - 1), min_size=len(rows),
+                                   max_size=len(rows)))
+        state.probs(np.array(rows, dtype=np.intp), np.array(asked, dtype=np.intp))
+        n, how = len(rows), data.draw(st.sampled_from(["all", "repeated", "permuted", "empty"]))
+        idx = None
+        if how == "repeated":  # n + 1 picks of n candidates repeat one
+            idx = data.draw(st.lists(st.integers(0, n - 1), min_size=n + 1, max_size=2 * n + 1))
+        elif how == "permuted":
+            idx = data.draw(st.permutations(range(n)))
+        elif how == "empty":
+            idx = []
+        state.keep(None if idx is None else np.array(idx, dtype=np.intp))
+        prefixes = [prefixes[rows[k]] + (asked[k],) for k in (range(n) if idx is None else idx)]
+        m = len(prefixes)
+        got = state.probs(np.arange(m).repeat(v), np.tile(np.arange(v), m))
+        assert got.shape == (m * v,)
+        for row, prefix in zip(got.reshape(m, v), prefixes):
+            np.testing.assert_array_equal(row, scorer.prob_dist(ctx, prefix))
+        if not prefixes:
+            break
+
+
+class Counting:
+    """Another scorer, with every call its decode states get recorded by
+    name in ``calls``."""
+
+    def __init__(self, scorer):
+        self.scorer, self.vocab, self.calls = scorer, scorer.vocab, []
+
+    def begin(self, context):
+        state, calls = self.scorer.begin(context), self.calls
+
+        class Counted:
+            def probs(self, rows, ids):
+                calls.append("probs")
+                return state.probs(rows, ids)
+
+            def keep(self, idx):
+                calls.append("keep")
+                state.keep(idx)
+
+        return Counted()
+
+
+@pytest.mark.parametrize("kind", STATE_KINDS)
+def test_a_decode_asks_once_and_keeps_once_per_level(kind):
+    """A decode of depth d makes d probs calls and d - 1 keep calls, one
+    ask and one keep per level but the last, whether it keeps some of a
+    level's candidates or all of them; and the list is the one the scorer
+    gives uncounted."""
+    sids = {f"ad{i}": SemanticId((i % 3, i // 3 % 3, i % 2, i // 2 % 2)) for i in range(36)}
+    trie = build_trie(sids)
+    scorer = keeping_scorer(kind, sids)
+    for beam in (1, 4, 100):
+        counting = Counting(scorer)
+        result = decoder.decode(counting, CTX, trie, beam)
+        assert counting.calls == ["probs", "keep"] * (trie.depth - 1) + ["probs"]
+        assert result.entries == decoder.decode(scorer, CTX, trie, beam).entries
 
 
 def test_neural_large_batch_rows_equal_loop_reference():
@@ -836,23 +954,23 @@ def test_neural_decode_makes_one_batched_call_per_level(monkeypatch):
     sids = {f"ad{i}": SemanticId((i % 3, (i // 3) % 3, i % 2)) for i in range(12)}
     trie = build(sids)
     scorer = NeuralScorer(vocab_from_sids(sids), seed=8)
-    states, batches, extends = [], [], []
+    states, batches, keeps = [], [], []
     real_begin = NeuralScorer.begin
 
     def spy_begin(self, context):
         state = real_begin(self, context)
-        real_probs, real_extend = state.probs, state.extend
+        real_probs, real_keep = state.probs, state.keep
         states.append(state)
 
         def probs(rows, ids):
             batches.append(len(state.sums))
             return real_probs(rows, ids)
 
-        def extend(rows, ids):
-            extends.append(len(rows))
-            real_extend(rows, ids)
+        def keep(idx):
+            real_keep(idx)
+            keeps.append(len(state.sums))
 
-        state.probs, state.extend = probs, extend
+        state.probs, state.keep = probs, keep
         return state
 
     def forbidden(self, context, prefix):
@@ -865,7 +983,7 @@ def test_neural_decode_makes_one_batched_call_per_level(monkeypatch):
     assert len(batches) == trie.depth
     assert batches[0] == 1 and max(batches) <= 4
     # the rows each level's forward runs are the beam the level before kept
-    assert extends == batches[1:]
+    assert keeps == batches[1:]
     assert len(result) == 4
 
 

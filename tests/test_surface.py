@@ -218,6 +218,19 @@ def calls_of(name: str) -> list[str]:
     return sorted(found)
 
 
+def test_only_the_decoder_and_prob_dist_keep_candidates():
+    """A decode state moves to its next level in two places: decoder.decode
+    keeps a level's survivors, and scorer._prob_dist walks a prefix. No
+    state class in genret.scorer still defines ``extend``, the move by
+    (rows, ids) that ``keep`` replaced."""
+    assert calls_of("keep") == ["decoder.decode", "scorer._prob_dist"]
+    tree = ast.parse((PACKAGE / "scorer.py").read_text(encoding="utf-8"))
+    extends = sorted(f"{node.name}.{member.name}" for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef) for member in node.body
+                     if isinstance(member, ast.FunctionDef) and member.name == "extend")
+    assert not extends, extends
+
+
 def test_only_compact_context_builds_a_scorer_context():
     """Training buckets, DPO and serving read a user through one function,
     so what the scorer sees of a user is decided in one place."""
