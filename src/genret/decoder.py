@@ -17,13 +17,28 @@ class DecodeError(RuntimeError):
 
 @dataclass
 class RetrievalList:
-    entries: list[tuple[str, SemanticId, float]]
+    """A ranked list, best first: each ad with its score, and each ad's
+    S-ID in the same order."""
+
+    pairs: list[tuple[str, float]]
+    sids: list[SemanticId]
+
+    @classmethod
+    def from_entries(cls, entries) -> "RetrievalList":
+        """The list of (ad_id, SemanticId, score) entries, in their order."""
+        return cls([(ad_id, score) for ad_id, _, score in entries],
+                   [sid for _, sid, _ in entries])
+
+    @property
+    def entries(self) -> list[tuple[str, SemanticId, float]]:
+        """(ad_id, SemanticId, score) per rank."""
+        return [(ad_id, sid, score) for (ad_id, score), sid in zip(self.pairs, self.sids)]
 
     def ad_ids(self) -> list[str]:
-        return [ad_id for ad_id, _, _ in self.entries]
+        return [ad_id for ad_id, _ in self.pairs]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.pairs)
 
 
 def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
@@ -86,10 +101,9 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
     cost, k = -scores, min(beam_width, len(scores))
     within = (cost <= np.partition(cost, k - 1)[k - 1]).nonzero()[0]
     ranked = within[cost[within].argsort(kind="stable")[:k]]
-    leaves = map(trie.leaves.__getitem__,
-                 (candidates[ranked] - trie.level_start[trie.depth]).tolist())
-    return RetrievalList(entries=[(ad_id, sid, score) for (ad_id, sid), score in
-                                  zip(leaves, (scores[ranked] + 0.0).tolist())])
+    leaf = candidates[ranked] - trie.level_start[trie.depth]
+    pairs = zip(trie.leaf_ads[leaf].tolist(), (scores[ranked] + 0.0).tolist())
+    return RetrievalList(list(pairs), trie.leaf_sids[leaf].tolist())
 
 
 def _check(p, level: int, codes) -> None:
@@ -124,4 +138,4 @@ def decode_exhaustive(scorer, context, trie: Trie) -> RetrievalList:
 
     rec(trie.root, (), (), 1.0)
     results.sort(key=lambda e: (-e[2], e[1].codes))
-    return RetrievalList(entries=results)
+    return RetrievalList.from_entries(results)

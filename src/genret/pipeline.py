@@ -134,9 +134,7 @@ def build_generate_fn(scorer, ad_trie, catalog, profiles, events_by_user,
     def generate(user_id: str, events=None):
         events = events_by_user.get(user_id, []) if events is None else events
         context = alignment.user_context(profiles[user_id], events, catalog)
-        result = decoder.decode(scorer, context, ad_trie, beam_width)
-        # decode's scores are Python floats already
-        return [(ad_id, score) for ad_id, _, score in result.entries]
+        return decoder.decode(scorer, context, ad_trie, beam_width).pairs
 
     return generate
 

@@ -164,12 +164,14 @@ class NgramScorer:
         self._add(bucket, ids, self._events(len(ids))[-(self.max_order + 1):])
 
     def train(self, samples):
-        """samples: iterable of (bucket, response ids). Counts every
-        response id after the ids before it in its response, position by
-        position and, at each, order by order."""
+        """samples: iterable of (bucket, response ids), each response a
+        sequence of Python ints or a numpy int array. Counts every response
+        id after the ids before it in its response, position by position
+        and, at each, order by order."""
         events: dict[int, list] = {}  # response length -> its events
         for bucket, ids in samples:
-            ids = tuple(map(int, ids))  # Python ints, as scorer.json needs
+            # a numpy row becomes Python ints, as scorer.json needs, in one call
+            ids = tuple(ids.tolist() if isinstance(ids, np.ndarray) else ids)
             if len(ids) not in events:
                 events[len(ids)] = self._events(len(ids))
             self._add(bucket, ids, events[len(ids)])
@@ -202,18 +204,23 @@ class NgramScorer:
         other window; so a state's share is its key's, at its number capped
         at the unseen key's.
 
-        One table of codes state·|V| + id serves both reads. A code carries
-        its component, the share plus c/denom of the counted entry it codes,
-        or the bare share if it codes none; and its child state, the state
-        of the window plus id, or the dead state if no window has that
-        move. No move leaves the dead state: no counted window extends its
-        windows. The table begins with one slot per state, at the state's
-        own number and with code -1, that carries the state's bare share
-        and the dead state for the ids its codes miss. The codes follow in
-        sorted order, and a sentinel code above every other ends the table,
-        so a ``searchsorted`` lands on a code. Returns (bucket -> the state
-        of its window (), the dead state, the codes, their components and
-        their child states)."""
+        One sorted table of keys answers both reads of (state, id) with a
+        ``searchsorted`` of state·|V| + id, which lands on the first key at
+        or above it. A code, the key of a counted entry or of a window's
+        move by id, carries its component, the share plus c/denom of the
+        entry it codes or the bare share if it codes none, and its child
+        state, the state of the window plus id, or the dead state if no
+        window has that move. No move leaves the dead state: no counted
+        window extends its windows. Every other (state, id) lands on a slot
+        of its own state that carries the bare share and the dead state: a
+        gap slot keyed code - 1 before each code whose id is not 0 and that
+        does not follow the code before it, and an end slot keyed
+        (state + 1)·|V| - 1 that closes each state whose last id has no
+        code. So the table holds at most twice the codes plus one slot per
+        state. States are held as state·|V|, so a read adds its ids to them.
+        Returns (bucket -> its window ()'s state, the dead state, the table
+        of keys, their components, their child states, and the interpolation
+        weights as a column)."""
         if self._components is None:
             v, alpha = len(self.vocab), self.smoothing_alpha
             slots = list(self.counts.values())
@@ -247,10 +254,16 @@ class NgramScorer:
             component[at[:total]] = share[key] + c / denom[key]
             kids = np.full(len(code), new)
             kids[at[total:]] = child
+            ends = np.arange(1, new + 2, dtype=np.int64) * v - 1
+            bare = np.r_[code[(code % v != 0) & (code - 1 != np.r_[-1, code[:-1]])] - 1,
+                         ends[np.r_[code, -1][code.searchsorted(ends)] != ends]]
+            table = np.r_[code, bare]
+            order = table.argsort(kind="stable")  # three sorted runs
             self._components = (
-                {bucket: windows[()] for bucket, windows in index.items()}, new,
-                np.r_[np.full(new + 1, -1), code, np.iinfo(np.int64).max],
-                np.r_[share, component, 0.0], np.r_[np.full(new + 1, new), kids, new])
+                {bucket: windows[()] * v for bucket, windows in index.items()}, new * v,
+                table[order], np.r_[component, share[bare // v]][order],
+                np.r_[kids, np.full(len(bare), new)][order] * v,
+                np.array(self.interpolation)[:, None])
         return self._components
 
     def begin(self, context: ScorerContext) -> "_NgramState":
@@ -317,27 +330,21 @@ class NgramScorer:
 
 class _NgramState:
     """The n-gram's rows in one decode: the state of each row's window at
-    each order, (orders, rows). A row begins with every order at the
-    bucket's root, the state of (). ``probs`` finds every order's code,
-    state·|V| + id, with one ``searchsorted`` over the scorer's table, or
-    else the state's own slot, and mixes the orders' components in order.
-    ``keep`` reads the kept candidates' child states at those same slots:
-    a child's order o is its parent's order o - 1 moved by its id, so its
-    window is its prefix's last min(o, len) ids, and order 0 stays at the
-    root."""
+    each order, as state·|V|, (orders, rows). A row begins with every order
+    at the bucket's root, the state of (). ``probs`` finds every order's
+    slot with one ``searchsorted`` of state·|V| + id over the scorer's
+    table, and mixes the orders' components in order. ``keep`` reads the
+    kept candidates' child states at those same slots: a child's order o is
+    its parent's order o - 1 moved by its id, so its window is its prefix's
+    last min(o, len) ids, and order 0 stays at the root."""
 
     def __init__(self, scorer: NgramScorer, bucket):
-        roots, dead, self.code, self.component, self.child = scorer._smoothed()
-        self.v = len(scorer.vocab)
-        self.weights = np.array(scorer.interpolation)[:, None]
+        roots, dead, self.table, self.component, self.child, self.weights = scorer._smoothed()
         self.root = roots.get(bucket, dead)
         self.states = np.full((len(self.weights), 1), self.root)
 
     def probs(self, rows, ids) -> np.ndarray:
-        states = self.states.take(rows, axis=1)
-        code = states * self.v + ids
-        at = self.code.searchsorted(code)
-        self.found = np.where(self.code[at] == code, at, states)
+        self.found = self.table.searchsorted(self.states.take(rows, axis=1) + ids)
         mixed = self.weights * self.component[self.found]
         dist = mixed[0]
         for component in mixed[1:]:  # added order by order
@@ -346,7 +353,7 @@ class _NgramState:
 
     def keep(self, idx):
         found = self.found[:-1] if idx is None else self.found[:-1].take(idx, axis=1)
-        self.states = np.empty((len(found) + 1, found.shape[1]), dtype=np.intp)
+        self.states = np.empty((len(found) + 1, found.shape[1]), dtype=np.int64)
         self.states[0] = self.root
         self.states[1:] = self.child[found]
 

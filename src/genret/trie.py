@@ -34,8 +34,10 @@ class Trie:
     level_start: tuple[int, ...]
     parent: np.ndarray  # parent[n]; -1 for the root
     code: np.ndarray    # the code on the edge into n; -1 for the root
-    # (ad_id, its SemanticId) of leaf level_start[depth] + k, at k
-    leaves: list[tuple[str, SemanticId]]
+    # the ad_id and the SemanticId of leaf level_start[depth] + k, at k, as
+    # object arrays that a decode gathers its ranked leaves from
+    leaf_ads: np.ndarray
+    leaf_sids: np.ndarray
 
 
 def build(sids: dict[str, SemanticId]) -> Trie:
@@ -75,10 +77,13 @@ def build(sids: dict[str, SemanticId]) -> Trie:
                 below.append(child)
         level = below
     level_start.append(len(parent))
-    leaves = [(node.end_of_ad, sids[node.end_of_ad]) for node in level] if depth else []
+    leaf_ads = [node.end_of_ad for node in level] if depth else []
     return Trie(root=root, depth=depth, ad_count=count, level_start=tuple(level_start),
                 parent=np.array(parent, dtype=np.intp),
-                code=np.array(codes, dtype=np.intp), leaves=leaves)
+                code=np.array(codes, dtype=np.intp),
+                leaf_ads=np.fromiter(leaf_ads, dtype=object, count=len(leaf_ads)),
+                leaf_sids=np.fromiter(map(sids.__getitem__, leaf_ads), dtype=object,
+                                      count=len(leaf_ads)))
 
 
 def _walk(trie: Trie, codes) -> TrieNode | None:

@@ -140,7 +140,7 @@ def reference_decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalL
     ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
     entries = [(nodes[i].end_of_ad, SemanticId(codes[i]), scores[i])
                for i in ranked if nodes[i].end_of_ad is not None]
-    return RetrievalList(entries=entries)
+    return RetrievalList.from_entries(entries)
 
 
 def worked_prompt_inputs():

@@ -7,11 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from genret import alignment, rqvae, synth
+from genret import alignment, decoder, rqvae, synth
+from genret import trie as trie_mod
 from genret.catalog import load_catalog
 from genret.embed import embed_catalog, save_embeddings
-from genret.pipeline import (Manifest, PipelineConfig, PipelineError,
-                             run_pipeline, run_train)
+from genret.pipeline import (Manifest, PipelineConfig, PipelineError, build_generate_fn,
+                             corpus_path, run_pipeline, run_train)
+from genret.prompting import load_events, load_profiles
+from genret.scorer import load_scorer
 from genret.sid import SemanticId
 
 SMALL = dict(
@@ -290,6 +293,31 @@ def test_run_train_rejects_an_unknown_scorer_kind():
     sids = {"ad0": SemanticId((0, 1)), "ad1": SemanticId((1, 0))}
     with pytest.raises(ValueError, match="unknown scorer kind 'neurl'"):
         run_train(sids, {}, "neurl", ("main",), seed=0)
+
+
+def test_generate_fn_lists_are_the_decode_entries(tmp_path):
+    """At scale S, for every user, both scorers and beams 1, 4 and the whole
+    inventory, a generate function's list is decode's entries without their
+    S-IDs: the same ads, in the same order, with the same scores."""
+    out = tmp_path / "run"
+    run_pipeline(PipelineConfig(out_dir=str(out)))
+    sids = rqvae.load_sids(out / "sids.jsonl")
+    catalog = load_catalog(out / "data" / "catalog.jsonl")
+    profiles = load_profiles(out / "data" / "profiles.jsonl")
+    events = load_events(out / "data" / "events.jsonl", sids)
+    ad_trie = trie_mod.build(sids)
+    main = {"main": alignment.load_corpus(corpus_path(out, "main"))}
+    neural, _ = run_train(sids, main, "neural", ("main",), seed=0)
+    for scorer in (load_scorer(out / "scorer.json"), neural):
+        for beam in (1, 4, ad_trie.ad_count):
+            generate = build_generate_fn(scorer, ad_trie, catalog, profiles, events, beam)
+            for uid in sorted(events):
+                context = alignment.user_context(profiles[uid], events[uid], catalog)
+                entries = decoder.decode(scorer, context, ad_trie, beam).entries
+                got = generate(uid)
+                assert got == [(a, s) for a, _, s in entries], (uid, beam)
+                # results.jsonl writes each score as a JSON number
+                assert all(type(score) is float for _, score in got)
 
 
 def test_manifest_hash_matches_file_content(tmp_path):

@@ -361,6 +361,83 @@ def test_ngram_reads_a_window_whose_shorter_windows_have_no_counts(max_order):
         assert (row[vocab.lookup("b_2")] > row[vocab.lookup("b_0")]) == counted
 
 
+@pytest.mark.parametrize("max_order", [0, 1, 2, 3])
+@pytest.mark.parametrize("source", ["train", "payload"])
+def test_ngram_table_edges_equal_loop_reference(source, max_order):
+    """The table's edge slots, read through probs and keep, give the loop
+    reference's rows bit for bit at every order: ids 0 and |V| - 1, counted
+    and moved by; ids |V| - 2 and |V| - 1 counted after one window; an id
+    no window counts; the dead state; the highest-numbered live state, the
+    last counted key after train and the last uncounted prefix a snapshot
+    leaves; and a bucket training never saw. Every counted window is
+    walked from its bucket's root, one level per id, over levels of rows
+    extended by every id a window holds and by one no window holds, and
+    each level is asked for every id."""
+    vocab = vocab_from_sids(SIDS)
+    v = len(vocab)
+    first, near, last, never = vocab.tokens[0], vocab.tokens[-2], vocab.tokens[-1], "a_1"
+    if source == "train":
+        scorer = NgramScorer(vocab, max_order=max_order)
+        scorer.train([(BUCKETS[0], ids(vocab, [first, last, first])),
+                      (BUCKETS[0], ids(vocab, [last, last])),
+                      (BUCKETS[1], ids(vocab, [last, near, first])),
+                      (BUCKETS[0], ids(vocab, [near, last, near, first]))])
+    else:
+        # windows whose shorter windows are not counted give uncounted
+        # prefix states, the highest-numbered live ones
+        keys = [(BUCKETS[1], (), {first: 1.0}), (BUCKETS[0], (first,) * max_order, {last: 2.0}),
+                (BUCKETS[0], (last, near, first)[:max_order],
+                 {first: 1.0, near: 2.0, last: 3.0}),
+                (BUCKETS[1], (near,) * max_order, {near: 1.0, last: 1.0})]
+        slots = {}  # a window that two keys share at a low max_order is given once
+        for bucket, window, slot in keys:
+            slots.setdefault((bucket, window), slot)
+        scorer = NgramScorer.from_payload(ngram_payload_of(
+            vocab, max_order, [(b, w, slot) for (b, w), slot in slots.items()]))
+    roots, dead, table = scorer._smoothed()[:3]
+    # one slot per key: a search cannot land on one of two slots that tie
+    assert (np.diff(table) > 0).all()
+    extend = ids(vocab, [first, near, last, never])
+    reached = {}  # bucket -> the states its walk reached, held as state·|V|
+    for bucket in BUCKETS[:2] + [("unseen",)]:
+        ctx = ScorerContext(bucket=bucket)
+        state, prefixes = scorer.begin(ctx), [()]
+        seen = reached[bucket] = set()
+        for _ in range(4):
+            n = len(prefixes)
+            got = state.probs(np.arange(n).repeat(v), np.tile(np.arange(v), n))
+            for row, prefix in zip(got.reshape(n, v), prefixes):
+                np.testing.assert_array_equal(
+                    row, loop_prob_dist(scorer, ctx, [vocab.tokens[i] for i in prefix]))
+            seen.update(state.states.ravel().tolist())
+            # candidate r·|V| + t of the level's call is row r's prefix plus id t
+            state.keep((np.arange(n)[:, None] * v + extend).ravel())
+            prefixes = [p + (t,) for p in prefixes for t in extend]
+    # an unseen bucket reads the dead state alone; from max_order 1 an
+    # uncounted move reaches it from a seen bucket too
+    assert reached.pop(("unseen",)) == {dead} and ("unseen",) not in roots
+    live = set().union(*reached.values())
+    assert (dead in live) == (max_order > 0)
+    assert dead - v in live
+
+
+def test_ngram_train_writes_one_snapshot_from_arrays_and_lists(tmp_path):
+    """Responses given as numpy int rows, as Vocabulary.ids returns them,
+    and the same responses as lists of Python ints write byte-identical
+    scorer.json files of plain JSON ints."""
+    vocab = vocab_from_sids(SIDS)
+    rows = [(BUCKETS[k % 3], vocab.ids(seq)) for k, seq in enumerate(
+        [["a_0", "b_1"], ["a_2", "b_0", "b_2"], ["<unk>"], ["b_2", "a_1"], []])]
+    paths = []
+    for as_list in (False, True):
+        scorer = NgramScorer(vocab, max_order=2)
+        scorer.train((bucket, row.tolist() if as_list else row) for bucket, row in rows)
+        paths.append(tmp_path / f"scorer_{as_list}.json")
+        scorer.save(paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert load_scorer(paths[0]).counts == scorer.counts
+
+
 def test_ngram_builds_its_tables_once_per_change_of_counts(monkeypatch):
     """Fifty decodes with one scorer build its components and window states
     once; a train or an observe between decodes drops them, and the next

@@ -231,6 +231,27 @@ def test_only_the_decoder_and_prob_dist_keep_candidates():
     assert not extends, extends
 
 
+def test_generate_reaches_the_decoder_only_as_decoder_decode():
+    """pipeline.build_generate_fn decodes by one call of the module
+    attribute ``decoder.decode`` and names the decoder no other way, and
+    pipeline imports nothing from genret.decoder by name. The benchmark's
+    traced run wraps that attribute, so each request leaves its
+    ``decoder.decode`` span, and the leaky-handler check in
+    benchmarks/smoke.py counts those spans."""
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "build_generate_fn")
+    calls = [node.func.value for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "decode"
+             and getattr(node.func.value, "id", None) == "decoder"]
+    named = [node for node in ast.walk(fn) if isinstance(node, ast.Name)
+             and node.id in {"decoder", "decode", "decode_exhaustive", "RetrievalList"}]
+    assert len(calls) == 1 and named == calls, [ast.unparse(n) for n in named]
+    by_name = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.module or "").rpartition(".")[2] == "decoder"]
+    assert not by_name, by_name
+
+
 def test_only_compact_context_builds_a_scorer_context():
     """Training buckets, DPO and serving read a user through one function,
     so what the scorer sees of a user is decided in one place."""

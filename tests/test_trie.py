@@ -131,13 +131,13 @@ def test_breadth_first_arrays_agree_with_the_node_walk(entries):
         assert t.code[t.parent == n].tolist() == valid_children(t, list(prefix))
     first = t.level_start[t.depth]
     owners = reference_owners(sids)
-    assert len(t.leaves) == len(owners) == t.ad_count
+    assert len(t.leaf_ads) == len(t.leaf_sids) == len(owners) == t.ad_count
     for codes, ad_id in owners.items():
-        leaf_ad, leaf_sid = t.leaves[number[codes] - first]
+        leaf_ad, leaf_sid = t.leaf_ads[number[codes] - first], t.leaf_sids[number[codes] - first]
         assert leaf_ad == ad_id and leaf_sid is sids[ad_id]
 
 
 def test_empty_trie_arrays():
     t = build({})
-    assert t.level_start == (0, 1) and t.leaves == []
+    assert t.level_start == (0, 1) and len(t.leaf_ads) == len(t.leaf_sids) == 0
     assert t.parent.tolist() == [-1] and t.code.tolist() == [-1]
