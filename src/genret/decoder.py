@@ -58,25 +58,26 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
     if trie.ad_count == 0:
         raise DecodeError("empty inventory: trie holds no ads")
 
-    # The beam is its trie nodes in breadth-first number order, which is
-    # lexicographic code order, with their scores; the state's row r is the
-    # prefix of nodes[r], as the vocabulary ids the scorer reads. The
-    # candidates, the children of the kept nodes, come in number order too,
-    # so a stable sort on the negated score ranks them by (-score, codes).
+    # The beam holds level-local indices: its nodes, numbered within their
+    # level in breadth-first order, which is lexicographic code order, as
+    # trie.levels numbers them, with their costs, the negated scores. The
+    # state's row r is the prefix of nodes[r], as the vocabulary ids the
+    # scorer reads. The candidates, the children of the kept nodes, are
+    # numbered within the next level and come in that order too, so a stable
+    # sort on the cost ranks them by (-score, codes). A negated product is
+    # exact, so each cost is its score's negation bit for bit, with the
+    # same ties.
     state = scorer.begin(context)
-    nodes, scores = np.zeros(1, dtype=np.intp), np.ones(1)
-    for level in range(trie.depth):
-        start, lo, hi = trie.level_start[level:level + 3]
-        if len(nodes) == lo - start:  # the whole level is kept
-            candidates = np.arange(lo, hi)
-            rows = trie.parent[lo:hi] - start
-            codes = trie.code[lo:hi]
+    nodes, cost = np.zeros(1, dtype=np.intp), np.full(1, -1.0)
+    for level, (count, parent, code, every) in enumerate(trie.levels):
+        if len(nodes) == count:  # the whole level is kept
+            candidates, rows, codes = every, parent, code
         else:
-            kept = np.zeros(lo, dtype=bool)
+            kept = np.zeros(count, dtype=bool)
             kept[nodes] = True
-            candidates = lo + kept[trie.parent[lo:hi]].nonzero()[0]
-            rows = nodes.searchsorted(trie.parent[candidates])
-            codes = trie.code[candidates]
+            candidates = kept[parent].nonzero()[0]
+            rows = nodes.searchsorted(parent[candidates])
+            codes = code[candidates]
         ids = scorer.vocab.code_ids(level, codes)
         p = state.probs(rows, ids)
         if p.shape != ids.shape:
@@ -84,25 +85,25 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
                 f"scorer contract violated: probs returned shape "
                 f"{p.shape} for {len(ids)} candidates")
         _check(p, level, codes)
-        scores = scores[rows] * p
+        cost = cost[rows] * p
         if level + 1 == trie.depth:
             break
         keep = None
         if len(p) > beam_width:
-            keep = (-scores).argsort(kind="stable")[:beam_width]
+            keep = cost.argsort(kind="stable")[:beam_width]
             keep.sort()
-            candidates, scores = candidates[keep], scores[keep]
+            candidates, cost = candidates[keep], cost[keep]
         nodes = candidates
         state.keep(keep)
 
     # the last level's top k in rank order: it can hold far more candidates
-    # than the beam, so only those that tie with or pass the k-th highest
-    # score are sorted; + 0.0 reports a zero of either sign as 0.0
-    cost, k = -scores, min(beam_width, len(scores))
+    # than the beam, so only those that tie with or pass the k-th lowest
+    # cost are sorted; 0.0 - cost reports a zero of either sign as 0.0
+    k = min(beam_width, len(cost))
     within = (cost <= np.partition(cost, k - 1)[k - 1]).nonzero()[0]
     ranked = within[cost[within].argsort(kind="stable")[:k]]
-    leaf = candidates[ranked] - trie.level_start[trie.depth]
-    pairs = zip(trie.leaf_ads[leaf].tolist(), (scores[ranked] + 0.0).tolist())
+    leaf = candidates[ranked]
+    pairs = zip(trie.leaf_ads[leaf].tolist(), (0.0 - cost[ranked]).tolist())
     return RetrievalList(list(pairs), trie.leaf_sids[leaf].tolist())
 
 

@@ -259,11 +259,13 @@ class NgramScorer:
                          ends[np.r_[code, -1][code.searchsorted(ends)] != ends]]
             table = np.r_[code, bare]
             order = table.argsort(kind="stable")  # three sorted runs
+            tables = (table[order], np.r_[component, share[bare // v]][order],
+                      np.r_[kids, np.full(len(bare), new)][order] * v)
+            for array in tables:  # every decode state shares them
+                array.flags.writeable = False
             self._components = (
                 {bucket: windows[()] * v for bucket, windows in index.items()}, new * v,
-                table[order], np.r_[component, share[bare // v]][order],
-                np.r_[kids, np.full(len(bare), new)][order] * v,
-                np.array(self.interpolation)[:, None])
+                *tables, np.array(self.interpolation)[:, None])
         return self._components
 
     def begin(self, context: ScorerContext) -> "_NgramState":
@@ -344,11 +346,14 @@ class _NgramState:
         self.states = np.full((len(self.weights), 1), self.root)
 
     def probs(self, rows, ids) -> np.ndarray:
-        self.found = self.table.searchsorted(self.states.take(rows, axis=1) + ids)
-        mixed = self.weights * self.component[self.found]
+        codes = self.states.take(rows, axis=1)
+        codes += ids
+        self.found = self.table.searchsorted(codes)
+        mixed = self.component[self.found]
+        mixed *= self.weights
         dist = mixed[0]
-        for component in mixed[1:]:  # added order by order
-            dist = dist + component
+        for component in mixed[1:]:  # added order by order, into order 0's row
+            dist += component
         return dist
 
     def keep(self, idx):
@@ -440,10 +445,15 @@ class NeuralScorer:
         the stack. Returns (h, exp, total).
         """
         p = self.params
-        h = np.tanh(np.matmul(p["w1"], pool[..., None])[..., 0] + p["b1"])
-        logits = np.matmul(p["w2"], h[..., None])[..., 0] + p["b2"]
-        logits = logits - logits.max(axis=-1, keepdims=True)
-        exp = np.exp(logits)
+        # each product is a fresh array, so the adds, tanh, shift and exp
+        # run in place on it, as the same ufuncs give the same bits
+        h = np.matmul(p["w1"], pool[..., None])[..., 0]
+        h += p["b1"]
+        np.tanh(h, out=h)
+        exp = np.matmul(p["w2"], h[..., None])[..., 0]
+        exp += p["b2"]
+        exp -= exp.max(axis=-1, keepdims=True)
+        np.exp(exp, out=exp)
         return h, exp, exp.sum(axis=-1)
 
     def _batch_layout(self, contexts):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,12 +22,24 @@ class TrieNode:
     end_of_ad: str | None = None
 
 
+class Level(NamedTuple):
+    """What a decode reads of level l and the level below it, numbered
+    within each level: node j of level l + 1 is node
+    ``level_start[l + 1] + j`` of the whole trie."""
+
+    count: int          # the nodes of level l
+    parent: np.ndarray  # parent[j]: node j of level l + 1's parent, in level l
+    code: np.ndarray    # code[j]: the code on the edge into node j of level l + 1
+    every: np.ndarray   # arange over level l + 1
+
+
 @dataclass
 class Trie:
     """The node tree, and the same nodes numbered breadth-first with children
     in code order: the root is 0, and level l (prefixes of length l) is the
     range level_start[l]:level_start[l + 1], in lexicographic prefix order.
-    build() is the only writer."""
+    levels[l] holds level l's slices of the arrays, built once, as a decode
+    reads them. build() is the only writer, and every array is read-only."""
 
     root: TrieNode
     depth: int
@@ -38,6 +51,7 @@ class Trie:
     # object arrays that a decode gathers its ranked leaves from
     leaf_ads: np.ndarray
     leaf_sids: np.ndarray
+    levels: tuple[Level, ...]  # one per level above the leaves; () when empty
 
 
 def build(sids: dict[str, SemanticId]) -> Trie:
@@ -78,12 +92,19 @@ def build(sids: dict[str, SemanticId]) -> Trie:
         level = below
     level_start.append(len(parent))
     leaf_ads = [node.end_of_ad for node in level] if depth else []
-    return Trie(root=root, depth=depth, ad_count=count, level_start=tuple(level_start),
-                parent=np.array(parent, dtype=np.intp),
-                code=np.array(codes, dtype=np.intp),
+    parent, codes = np.array(parent, dtype=np.intp), np.array(codes, dtype=np.intp)
+    levels = tuple(Level(lo - start, parent[lo:hi] - start, codes[lo:hi], np.arange(hi - lo))
+                   for start, lo, hi in zip(level_start, level_start[1:-1], level_start[2:]))
+    trie = Trie(root=root, depth=depth, ad_count=count, level_start=tuple(level_start),
+                parent=parent, code=codes,
                 leaf_ads=np.fromiter(leaf_ads, dtype=object, count=len(leaf_ads)),
                 leaf_sids=np.fromiter(map(sids.__getitem__, leaf_ads), dtype=object,
-                                      count=len(leaf_ads)))
+                                      count=len(leaf_ads)),
+                levels=levels)
+    for array in (trie.parent, trie.code, trie.leaf_ads, trie.leaf_sids,
+                  *(a for view in levels for a in view[1:])):
+        array.flags.writeable = False
+    return trie
 
 
 def _walk(trie: Trie, codes) -> TrieNode | None:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from genret.decoder import DecodeError, RetrievalList
 from genret.prompting import BehaviorEvent, InterestSummary, UserProfile, build_prompt
@@ -201,3 +202,22 @@ def example_trie():
 def example_scorer():
     vocab = vocab_from_sids(EXAMPLE_SIDS)
     return TableScorer(EXAMPLE_PROBS, vocab)
+
+
+@st.composite
+def collision_tries(draw, max_levels=3):
+    """S-IDs of 1 to max_levels base codes plus a suffix that numbers each
+    collision group, as assign_sids gives them, and a few ads that repeat
+    another's S-ID; returns (sids, trie)."""
+    levels, span = draw(st.integers(1, max_levels)), draw(st.integers(1, 4))
+    bases = draw(st.lists(st.tuples(*[st.integers(0, span - 1)] * levels),
+                          min_size=1, max_size=24))
+    seen: dict[tuple, int] = {}
+    codes = []
+    for base in bases:
+        seen[base] = seen.get(base, -1) + 1
+        codes.append(base + (seen[base],))
+    codes += [codes[i] for i in draw(st.lists(st.integers(0, len(codes) - 1),
+                                              max_size=3))]
+    sids = {f"ad{i:02d}": SemanticId(c) for i, c in enumerate(codes)}
+    return sids, build(sids)

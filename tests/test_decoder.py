@@ -15,7 +15,7 @@ from genret.sid import SemanticId
 from genret.trie import build
 from genret.vocab import TABLE_CODES, Vocabulary, vocab_from_sids
 
-from conftest import RowScorer, TableScorer, reference_decode
+from conftest import RowScorer, TableScorer, collision_tries, reference_decode
 
 CTX = ScorerContext()
 
@@ -351,25 +351,6 @@ class TieScorer(RowScorer):
         return dist
 
 
-@st.composite
-def collision_tries(draw):
-    """S-IDs of 1 to 3 base codes plus a suffix that numbers each collision
-    group, as assign_sids gives them, and a few ads that repeat another's
-    S-ID; returns (sids, trie)."""
-    levels, span = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    bases = draw(st.lists(st.tuples(*[st.integers(0, span - 1)] * levels),
-                          min_size=1, max_size=24))
-    seen: dict[tuple, int] = {}
-    codes = []
-    for base in bases:
-        seen[base] = seen.get(base, -1) + 1
-        codes.append(base + (seen[base],))
-    codes += [codes[i] for i in draw(st.lists(st.integers(0, len(codes) - 1),
-                                              max_size=3))]
-    sids = {f"ad{i:02d}": SemanticId(c) for i, c in enumerate(codes)}
-    return sids, build(sids)
-
-
 def _bits(result):
     return [(ad_id, sid, score.hex()) for ad_id, sid, score in result.entries]
 
@@ -458,6 +439,28 @@ def test_decode_equals_the_pruning_oracle_with_trained_scorers():
             for beam in beams:
                 assert _bits(decode(scorer, context, trie, beam)) == _bits(
                     reference_decode(scorer, context, trie, beam))
+
+
+def test_the_shared_trie_and_ngram_arrays_are_read_only():
+    """Every decode reads the trie's arrays and the n-gram's tables, and the
+    decoder and the scorers compute in place beside them: writing into any
+    of them raises ValueError, and a decode and prob_dist still run."""
+    sids, _, _ = _random_setup(np.random.default_rng(31), n_ads=40, levels=4, span=3)
+    trie, vocab = build(sids), vocab_from_sids(sids)
+    ngram = NgramScorer(vocab)
+    ngram.train([((), vocab.ids(sid.tokens())) for sid in list(sids.values())[::2]])
+    table, component, child = ngram._smoothed()[2:5]
+    shared = [trie.parent, trie.code, trie.leaf_ads, trie.leaf_sids, table, component,
+              child, *(array for view in trie.levels for array in view[1:])]
+    assert len(shared) == 7 + 3 * trie.depth
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = array[:1]
+    context = ScorerContext(tokens=("cat:x", "a_1"))
+    for beam in (1, 8, trie.ad_count):
+        assert _bits(decode(ngram, context, trie, beam)) == _bits(
+            reference_decode(ngram, context, trie, beam))
+    assert ngram.prob_dist(context, vocab.ids(["a_1", "b_0"])).sum() == pytest.approx(1.0)
 
 
 def test_decode_equals_the_pruning_oracle_through_a_vocabulary_without_tables():

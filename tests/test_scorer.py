@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genret import decoder
+from genret.alignment import PreferenceTriplet, dpo_update
 from genret.scorer import (MAX_ORDER, NeuralScorer, NgramScorer, ScorerContext,
                            ScorerError, load_scorer, tokenize_text)
 from genret.sid import SemanticId
@@ -638,6 +639,37 @@ def test_neural_deterministic(vocab):
     a = NeuralScorer(vocab, seed=1).prob_dist(CTX, ids(vocab, ["a_0"]))
     b = NeuralScorer(vocab, seed=1).prob_dist(CTX, ids(vocab, ["a_0"]))
     np.testing.assert_array_equal(a, b)
+
+
+def test_the_in_place_forward_writes_into_no_input(vocab, monkeypatch):
+    """_layers computes in place on the arrays its products make, and on
+    nothing else: every parameter, and the pool each call is given, keeps
+    its bits through a decode, through seq_logprob_vjp and its pullback,
+    and through a DPO step's forwards."""
+    policy = NeuralScorer(vocab, seed=7)
+    reference = policy.copy()
+    layers, given = NeuralScorer._layers, []
+
+    def layers_checked(self, pool):
+        before = {k: v.tobytes() for k, v in self.params.items()}
+        given.append((pool, pool.tobytes()))
+        out = layers(self, pool)
+        assert {k: v.tobytes() for k, v in self.params.items()} == before
+        return out
+
+    monkeypatch.setattr(NeuralScorer, "_layers", layers_checked)
+    start = {k: v.tobytes() for k, v in policy.params.items()}
+    decoder.decode(policy, CTX, build_trie(SIDS), 4)
+    _, pullback = policy.seq_logprob_vjp([vocab.ids(CTX.tokens)], [vocab.ids(["a_1", "b_0"])])
+    pullback()
+    pullback([2.0])
+    assert {k: v.tobytes() for k, v in policy.params.items()} == start
+    triplet = PreferenceTriplet(user=CTX, high_ad=SemanticId((1, 0)),
+                                low_ad=SemanticId((2, 1)))
+    dpo_update(policy, reference, [triplet], steps=1)
+    assert {k: v.tobytes() for k, v in reference.params.items()} == start
+    assert len(given) == 2 + 1 + 2  # two levels, one vjp, reference and policy
+    assert all(pool.tobytes() == bits for pool, bits in given)
 
 
 def test_seq_logprob_factorizes(vocab):

@@ -198,6 +198,23 @@ def test_the_decoder_takes_no_logarithm():
     assert not found, found
 
 
+def test_the_decoder_reads_the_trie_through_its_levels():
+    """decoder.decode reads the trie only as ``levels``, ``leaf_ads``,
+    ``leaf_sids``, ``depth`` and ``ad_count``: each level's view is built
+    once, so no decode slices ``level_start``, ``parent`` or ``code``
+    again. decode_exhaustive, an oracle, walks the nodes."""
+    allowed = {"levels", "leaf_ads", "leaf_sids", "depth", "ad_count"}
+    tree = ast.parse((PACKAGE / "decoder.py").read_text(encoding="utf-8"))
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "decode")
+    reads = {id(node.value): node.attr for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute)}
+    found = sorted(f"decoder.py:{node.lineno}: {reads.get(id(node), 'trie')}"
+                   for node in ast.walk(fn) if isinstance(node, ast.Name)
+                   and node.id == "trie" and reads.get(id(node)) not in allowed)
+    assert not found, found
+
+
 def calls_of(name: str) -> list[str]:
     """Where src/genret calls name, by bare name or attribute: each caller
     once, as its module and the defs around the call

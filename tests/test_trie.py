@@ -1,10 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from genret.sid import SemanticId
 from genret.trie import TrieError, build, contains, valid_children
+
+from conftest import collision_tries
 
 # three-ad example: Ad_66 [a_12,b_7,c_4]; Ad_245 [a_12,b_7,c_14];
 # Ad_112 [a_12,b_6,c_22]
@@ -141,3 +144,22 @@ def test_empty_trie_arrays():
     t = build({})
     assert t.level_start == (0, 1) and len(t.leaf_ads) == len(t.leaf_sids) == 0
     assert t.parent.tolist() == [-1] and t.code.tolist() == [-1]
+    assert t.levels == ()
+
+
+@given(collision_tries(max_levels=4))
+def test_levels_are_the_slices_they_replace(tree):
+    """levels[l] is level l's node count and, for level l + 1, each node's
+    parent numbered within level l, its code and an arange: the slices of
+    level_start, parent and code that a decode would otherwise cut. The
+    tries hold collision groups and repeated S-IDs, at depths 2 to 5."""
+    _, t = tree
+    assert len(t.levels) == t.depth
+    for level, view in enumerate(t.levels):
+        start, lo, hi = t.level_start[level:level + 3]
+        assert view.count == lo - start
+        for array, expected in ((view.parent, t.parent[lo:hi] - start),
+                                (view.code, t.code[lo:hi]), (view.every, np.arange(hi - lo))):
+            assert array.dtype == np.intp
+            np.testing.assert_array_equal(array, expected)
+    assert t.levels[-1].every.tolist() == list(range(len(t.leaf_ads)))
