@@ -23,12 +23,6 @@ class RetrievalList:
     pairs: list[tuple[str, float]]
     sids: list[SemanticId]
 
-    @classmethod
-    def from_entries(cls, entries) -> "RetrievalList":
-        """The list of (ad_id, SemanticId, score) entries, in their order."""
-        return cls([(ad_id, score) for ad_id, _, score in entries],
-                   [sid for _, sid, _ in entries])
-
     @property
     def entries(self) -> list[tuple[str, SemanticId, float]]:
         """(ad_id, SemanticId, score) per rank."""
@@ -78,13 +72,7 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
             candidates = kept[parent].nonzero()[0]
             rows = nodes.searchsorted(parent[candidates])
             codes = code[candidates]
-        ids = scorer.vocab.code_ids(level, codes)
-        p = state.probs(rows, ids)
-        if p.shape != ids.shape:
-            raise DecodeError(
-                f"scorer contract violated: probs returned shape "
-                f"{p.shape} for {len(ids)} candidates")
-        _check(p, level, codes)
+        p = _probs(state, scorer.vocab, level, rows, codes)
         cost = cost[rows] * p
         if level + 1 == trie.depth:
             break
@@ -102,41 +90,47 @@ def decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
     k = min(beam_width, len(cost))
     within = (cost <= np.partition(cost, k - 1)[k - 1]).nonzero()[0]
     ranked = within[cost[within].argsort(kind="stable")[:k]]
-    leaf = candidates[ranked]
-    pairs = zip(trie.leaf_ads[leaf].tolist(), (0.0 - cost[ranked]).tolist())
-    return RetrievalList(list(pairs), trie.leaf_sids[leaf].tolist())
+    return _listed(trie, candidates[ranked], 0.0 - cost[ranked])
 
 
-def _check(p, level: int, codes) -> None:
-    """Raise DecodeError unless every probability of a level lies in
-    [0, inf): the first that does not breaks the scorer contract, and the
-    error names its token, the code ``codes[k]`` at ``level``."""
+def _probs(state, vocab, level: int, rows, codes) -> np.ndarray:
+    """``state.probs`` of the candidates that extend row ``rows[k]`` by the
+    code ``codes[k]`` at ``level``, one value each. Raise DecodeError unless
+    every value lies in [0, inf): the first that does not breaks the scorer
+    contract, and the error names its token."""
+    ids = vocab.code_ids(level, codes)
+    p = state.probs(rows, ids)
+    if p.shape != ids.shape:
+        raise DecodeError(f"scorer contract violated: probs returned shape "
+                          f"{p.shape} for {len(ids)} candidates")
     if not (0.0 <= p.min() and p.max() < math.inf):  # a nan fails both
         k = int((~((p >= 0.0) & (p < math.inf))).argmax())
         raise DecodeError(f"scorer contract violated: p={float(p[k])} for token "
                           f"{render_token(level, int(codes[k]))}")
+    return p
+
+
+def _listed(trie: Trie, leaf, scores) -> RetrievalList:
+    """The list of the leaves ``leaf`` with their ``scores``, in order."""
+    pairs = zip(trie.leaf_ads[leaf].tolist(), scores.tolist())
+    return RetrievalList(list(pairs), trie.leaf_sids[leaf].tolist())
 
 
 def decode_exhaustive(scorer, context, trie: Trie) -> RetrievalList:
     """Score every complete S-ID in the trie by exact per-step products.
 
-    Independent oracle for decode: no pruning, full ranking.
+    Independent oracle for decode: no pruning, full ranking. One state keeps
+    every node of each level, so a level is one ``probs`` call over all of
+    the next level's nodes and a ``keep`` of them all.
     """
-    results: list[tuple[str, SemanticId, float]] = []
-
-    def rec(node, codes: tuple[int, ...], prefix: tuple[int, ...], score: float):
-        if node.end_of_ad is not None and len(codes) == trie.depth:
-            results.append((node.end_of_ad, SemanticId(codes), score))
-        if not node.children:
-            return
-        level = len(codes)
-        dist = scorer.prob_dist(context, prefix)
-        ids = scorer.vocab.code_ids(level, np.fromiter(node.children, np.intp))
-        p = dist[ids]
-        _check(p, level, list(node.children))
-        for (code, child), i, p_code in zip(node.children.items(), ids.tolist(), p.tolist()):
-            rec(child, codes + (code,), prefix + (i,), score * p_code + 0.0)
-
-    rec(trie.root, (), (), 1.0)
-    results.sort(key=lambda e: (-e[2], e[1].codes))
-    return RetrievalList.from_entries(results)
+    if not trie.levels:
+        return RetrievalList([], [])
+    state = scorer.begin(context)
+    score = np.ones(1)
+    for level, (_, parent, code, _) in enumerate(trie.levels):
+        score = score[parent] * _probs(state, scorer.vocab, level, parent, code) + 0.0
+        state.keep(None)
+    # the leaves are numbered in code order, so a stable sort ranks them by
+    # (-score, codes); + 0.0 above reports a zero of either sign as 0.0
+    ranked = (-score).argsort(kind="stable")
+    return _listed(trie, ranked, score[ranked])

@@ -14,15 +14,17 @@ k is candidate k, row ``rows[k]``'s prefix plus ``ids[k]``.
 order. A decode level is one ``probs`` call over the trie's candidates and
 one ``keep`` of the ones that survive.
 
-Each job has one entry point. The decoder asks through the state.
-``prob_dist(context, prefix) -> (|V|,)`` is the one whole-row read, for the
-exhaustive oracle: one state walked along the prefix, one candidate and one
-``keep`` per id, and asked for every id, so ``probs(rows, ids)[k]`` equals
-the ``prob_dist`` row of row ``rows[k]``'s prefix at ``ids[k]`` bit for
-bit. A prefix is a sequence of vocabulary ids; the context keeps its
-feature tokens. Training and DPO take
-the neural scorer's gradient from ``seq_logprob_vjp``. ``RowState`` is the
-other direction, the state of a scorer that answers one prefix at a time.
+Each job has one entry point. Both searches of the decoder, the beam and
+its exhaustive oracle, ask through the state.
+``prob_dist(context, prefix) -> (|V|,)`` is the one whole-row read, for
+tests, ``RowState`` and the benchmark's traced run: one state walked along
+the prefix, one candidate and one ``keep`` per id, and asked for every id,
+so ``probs(rows, ids)[k]`` equals the ``prob_dist`` row of row
+``rows[k]``'s prefix at ``ids[k]`` bit for bit. A prefix is a sequence of
+vocabulary ids; the context keeps its feature tokens. Training and DPO
+take the neural scorer's gradient from ``seq_logprob_vjp``. ``RowState``
+is the other direction, the state of a scorer that answers one prefix at
+a time.
 
 A scorer holds only its parameters and caches derived from them: its rows
 depend on its parameters and the call's arguments alone, and a state lives

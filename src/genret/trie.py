@@ -23,9 +23,8 @@ class TrieNode:
 
 
 class Level(NamedTuple):
-    """What a decode reads of level l and the level below it, numbered
-    within each level: node j of level l + 1 is node
-    ``level_start[l + 1] + j`` of the whole trie."""
+    """What a decode reads of level l and the level below it, each level's
+    nodes numbered from 0 breadth-first, in lexicographic prefix order."""
 
     count: int          # the nodes of level l
     parent: np.ndarray  # parent[j]: node j of level l + 1's parent, in level l
@@ -35,36 +34,37 @@ class Level(NamedTuple):
 
 @dataclass
 class Trie:
-    """The node tree, and the same nodes numbered breadth-first with children
-    in code order: the root is 0, and level l (prefixes of length l) is the
-    range level_start[l]:level_start[l + 1], in lexicographic prefix order.
-    levels[l] holds level l's slices of the arrays, built once, as a decode
-    reads them. build() is the only writer, and every array is read-only."""
+    """The node tree, and the same nodes numbered as a decode reads them:
+    levels[l] views level l (prefixes of length l) and the level below it,
+    and leaf k, node k of the last level, holds ad leaf_ads[k], whose
+    SemanticId is leaf_sids[k], as object arrays that a decode gathers its
+    ranked leaves from. build() is the only writer, and every array is
+    read-only."""
 
     root: TrieNode
-    depth: int
-    ad_count: int
-    level_start: tuple[int, ...]
-    parent: np.ndarray  # parent[n]; -1 for the root
-    code: np.ndarray    # the code on the edge into n; -1 for the root
-    # the ad_id and the SemanticId of leaf level_start[depth] + k, at k, as
-    # object arrays that a decode gathers its ranked leaves from
+    levels: tuple[Level, ...]  # one per level above the leaves; () when empty
     leaf_ads: np.ndarray
     leaf_sids: np.ndarray
-    levels: tuple[Level, ...]  # one per level above the leaves; () when empty
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels)
+
+    @property
+    def ad_count(self) -> int:
+        return len(self.leaf_ads)
 
 
 def build(sids: dict[str, SemanticId]) -> Trie:
     """Insert every S-ID code by code in (codes, ad_id) order, so each node's
     children are in ascending code order, mark ad ends at leaves, then number
-    the nodes breadth-first.
+    each level's nodes breadth-first.
 
     A repeated sequence keeps one leaf, owned by the greatest ad_id; ragged
     lengths are rejected.
     """
     root = TrieNode()
     depth = 0
-    count = 0
     for ad_id, sid in sorted(sids.items(), key=lambda kv: (kv[1].codes, kv[0])):
         if depth == 0:
             depth = len(sid)
@@ -77,32 +77,20 @@ def build(sids: dict[str, SemanticId]) -> Trie:
             if code not in cur.children:
                 cur.children[code] = TrieNode()
             cur = cur.children[code]
-        if cur.end_of_ad is None:
-            count += 1
         cur.end_of_ad = ad_id
-    level_start, parent, codes, level = [0], [-1], [-1], [root]
+    levels, level = [], [root]
     for _ in range(depth):
-        level_start.append(len(parent))
-        below = []
-        for n, node in enumerate(level, level_start[-2]):
-            for code, child in node.children.items():
-                parent.append(n)
-                codes.append(code)
-                below.append(child)
-        level = below
-    level_start.append(len(parent))
+        parent, codes, level_below = zip(*[(n, code, child) for n, node in enumerate(level)
+                                           for code, child in node.children.items()])
+        levels.append(Level(len(level), np.array(parent, dtype=np.intp),
+                            np.array(codes, dtype=np.intp), np.arange(len(level_below))))
+        level = level_below
     leaf_ads = [node.end_of_ad for node in level] if depth else []
-    parent, codes = np.array(parent, dtype=np.intp), np.array(codes, dtype=np.intp)
-    levels = tuple(Level(lo - start, parent[lo:hi] - start, codes[lo:hi], np.arange(hi - lo))
-                   for start, lo, hi in zip(level_start, level_start[1:-1], level_start[2:]))
-    trie = Trie(root=root, depth=depth, ad_count=count, level_start=tuple(level_start),
-                parent=parent, code=codes,
+    trie = Trie(root=root, levels=tuple(levels),
                 leaf_ads=np.fromiter(leaf_ads, dtype=object, count=len(leaf_ads)),
                 leaf_sids=np.fromiter(map(sids.__getitem__, leaf_ads), dtype=object,
-                                      count=len(leaf_ads)),
-                levels=levels)
-    for array in (trie.parent, trie.code, trie.leaf_ads, trie.leaf_sids,
-                  *(a for view in levels for a in view[1:])):
+                                      count=len(leaf_ads)))
+    for array in (trie.leaf_ads, trie.leaf_sids, *(a for view in levels for a in view[1:])):
         array.flags.writeable = False
     return trie
 

@@ -91,8 +91,23 @@ class TableScorer(RowScorer):
         return dist
 
 
+def from_entries(entries) -> RetrievalList:
+    """The list of (ad_id, SemanticId, score) entries, in their order."""
+    return RetrievalList([(ad_id, score) for ad_id, _, score in entries],
+                         [sid for _, sid, _ in entries])
+
+
+def reference_owners(sids):
+    """Leaf owners as inserting in ad-id order leaves them: the last
+    inserter of a repeated sequence, the greatest ad id, owns its leaf."""
+    owners = {}
+    for ad_id in sorted(sids):
+        owners[sids[ad_id].codes] = ad_id
+    return owners
+
+
 # The per-candidate beam search that decode replaced with array operations
-# over the trie's breadth-first arrays, kept as a test-only pruning oracle: it
+# over the trie's level views, kept as a test-only pruning oracle: it
 # walks the node dicts, and decode must give its entries bit for bit and its
 # contract-error messages word for word.
 def reference_decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalList:
@@ -141,7 +156,7 @@ def reference_decode(scorer, context, trie: Trie, beam_width: int) -> RetrievalL
     ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
     entries = [(nodes[i].end_of_ad, SemanticId(codes[i]), scores[i])
                for i in ranked if nodes[i].end_of_ad is not None]
-    return RetrievalList.from_entries(entries)
+    return from_entries(entries)
 
 
 def worked_prompt_inputs():

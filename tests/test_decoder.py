@@ -15,7 +15,8 @@ from genret.sid import SemanticId
 from genret.trie import build
 from genret.vocab import TABLE_CODES, Vocabulary, vocab_from_sids
 
-from conftest import RowScorer, TableScorer, collision_tries, reference_decode
+from conftest import (RowScorer, TableScorer, collision_tries, reference_decode,
+                      reference_owners)
 
 CTX = ScorerContext()
 
@@ -177,7 +178,8 @@ def test_scorer_contract_nonfinite(example_trie, example_scorer, bad):
 
 def test_scorer_contract_batch_shape(example_trie, example_scorer):
     """A state whose probs is not one value per candidate breaks the
-    contract: one too many, one too few, or a column of them."""
+    contract, in the beam search and the oracle alike: one too many, one
+    too few, or a column of them."""
     wrong_shapes = (lambda n: (n + 1,), lambda n: (n - 1,), lambda n: (n, 1))
     for shape_of in wrong_shapes:
         class WrongShapeState(RowState):
@@ -190,8 +192,9 @@ def test_scorer_contract_batch_shape(example_trie, example_scorer):
             def begin(self, context):
                 return WrongShapeState(example_scorer.prob_dist, context)
 
-        with pytest.raises(DecodeError, match="contract violated: probs returned shape"):
-            decode(WrongShapeScorer(), CTX, example_trie, 2)
+        for search in SEARCHES:
+            with pytest.raises(DecodeError, match="contract violated: probs returned shape"):
+                search(WrongShapeScorer(), example_trie)
 
 
 def test_empty_trie_error(example_scorer):
@@ -258,6 +261,24 @@ def test_one_scorer_call_per_level(example_trie, example_scorer):
             assert len(prefixes) <= beam_width and set(rows) == set(range(len(prefixes)))
             assert all(len(p) == level for p in prefixes)
             assert rows == sorted(rows)
+
+
+def test_the_oracle_asks_once_per_level(example_trie, example_scorer):
+    """decode_exhaustive begins one state and makes one probs call per
+    level, over every node of the level below, and reads no prob_dist."""
+    rng = np.random.default_rng(37)
+    setups = [(example_scorer, example_trie)]
+    for _ in range(3):
+        _, trie, scorer = _random_setup(rng, n_ads=40, levels=4, span=3)
+        setups.append((scorer, trie))
+    for scorer, trie in setups:
+        counting = CountingScorer(scorer)
+        assert decode_exhaustive(counting, CTX, trie).entries == decode_exhaustive(
+            scorer, CTX, trie).entries
+        assert counting.begun == 1
+        assert len(counting.calls) == trie.depth
+        for view, (prefixes, rows) in zip(trie.levels, counting.calls):
+            assert len(prefixes) == view.count and rows == view.parent.tolist()
 
 
 def test_prefixes_reach_the_scorer_as_ids(monkeypatch):
@@ -384,6 +405,38 @@ def test_products_that_underflow_tie_and_rank_by_codes():
     assert decode(scorer, CTX, trie, 2).entries == full.entries
 
 
+def brute_force(scorer, context, sids):
+    """Each leaf owner scored, with no trie, by the product of the prob_dist
+    rows along its S-ID, from 1.0, and ranked by (-score, codes)."""
+    entries = []
+    for ad_id in reference_owners(sids).values():
+        ids, score = scorer.vocab.ids(sids[ad_id].tokens()), 1.0
+        for level, token_id in enumerate(ids):
+            score = score * float(scorer.prob_dist(context, ids[:level])[token_id]) + 0.0
+        entries.append((ad_id, sids[ad_id], score))
+    return sorted(entries, key=lambda e: (-e[2], e[1].codes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(collision_tries(), st.integers(0, 2**31 - 1), st.data())
+def test_the_oracle_equals_a_trie_free_brute_force(tree, seed, data):
+    """decode_exhaustive equals, bit for bit, a ranking of every leaf owner
+    that reads no trie, with the n-gram, the neural scorer and a RowState
+    scorer on exact ties, scores one ulp apart and a subnormal."""
+    sids, trie = tree
+    vocab = vocab_from_sids(sids)
+    ngram = NgramScorer(vocab)
+    ngram.train([((), vocab.ids(sid.tokens())) for sid in list(sids.values())[::2]])
+    values = data.draw(st.sampled_from((TIE_VALUES, ULP_VALUES, SUBNORMAL_VALUES)),
+                       label="values")
+    context = ScorerContext(tokens=("cat:x", "a_0"))
+    for scorer in (ngram, NeuralScorer(vocab, seed=seed % 100),
+                   TieScorer(vocab, seed, values=values)):
+        expected = [(a, sid, score.hex()) for a, sid, score in brute_force(scorer, context, sids)]
+        assert _bits(decode_exhaustive(scorer, context, trie)) == expected
+    assert decode_exhaustive(ngram, context, build({})).entries == []
+
+
 @pytest.mark.parametrize("zero", [0.0, -0.0])
 def test_a_zero_probability_reports_a_positive_zero(example_trie, example_scorer, zero):
     scorer = _with_b6(example_scorer, zero)
@@ -450,9 +503,9 @@ def test_the_shared_trie_and_ngram_arrays_are_read_only():
     ngram = NgramScorer(vocab)
     ngram.train([((), vocab.ids(sid.tokens())) for sid in list(sids.values())[::2]])
     table, component, child = ngram._smoothed()[2:5]
-    shared = [trie.parent, trie.code, trie.leaf_ads, trie.leaf_sids, table, component,
-              child, *(array for view in trie.levels for array in view[1:])]
-    assert len(shared) == 7 + 3 * trie.depth
+    shared = [trie.leaf_ads, trie.leaf_sids, table, component, child,
+              *(array for view in trie.levels for array in view[1:])]
+    assert len(shared) == 5 + 3 * trie.depth
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[:1] = array[:1]

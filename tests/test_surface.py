@@ -21,8 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "genret"
 
 # Test-only oracles, fixtures and conveniences. decode_exhaustive is one
-# too, but the batch-generate benchmark and demo 02 call it, so it needs no
-# entry.
+# too, but the benchmark's check_oracle (run by offline-build and
+# batch-generate) and demo 02 call it, so it needs no entry.
 ORACLES = {
     "dice",                # acceptance criterion 07
     "freeze_forward",      # rqvae finite-difference gradient check
@@ -199,20 +199,25 @@ def test_the_decoder_takes_no_logarithm():
 
 
 def test_the_decoder_reads_the_trie_through_its_levels():
-    """decoder.decode reads the trie only as ``levels``, ``leaf_ads``,
-    ``leaf_sids``, ``depth`` and ``ad_count``: each level's view is built
-    once, so no decode slices ``level_start``, ``parent`` or ``code``
-    again. decode_exhaustive, an oracle, walks the nodes."""
+    """decoder.py reads the trie only as ``levels``, ``leaf_ads``,
+    ``leaf_sids``, ``depth`` and ``ad_count``, or hands it to a function of
+    its own, which this scan covers too: decode and decode_exhaustive both
+    walk each level's view, built once, and neither walks the nodes."""
     allowed = {"levels", "leaf_ads", "leaf_sids", "depth", "ad_count"}
     tree = ast.parse((PACKAGE / "decoder.py").read_text(encoding="utf-8"))
-    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-              and node.name == "decode")
-    reads = {id(node.value): node.attr for node in ast.walk(fn)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reads = {id(node.value): node.attr for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)}
+    handed = {id(arg) for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) in functions for arg in node.args}
     found = sorted(f"decoder.py:{node.lineno}: {reads.get(id(node), 'trie')}"
-                   for node in ast.walk(fn) if isinstance(node, ast.Name)
-                   and node.id == "trie" and reads.get(id(node)) not in allowed)
+                   for node in ast.walk(tree) if isinstance(node, ast.Name)
+                   and node.id == "trie" and reads.get(id(node)) not in allowed
+                   and id(node) not in handed)
     assert not found, found
+    for name in ("decode", "decode_exhaustive"):
+        assert any(isinstance(node, ast.Name) and reads.get(id(node)) == "levels"
+                   for node in ast.walk(functions[name])), name
 
 
 def calls_of(name: str) -> list[str]:
@@ -236,11 +241,13 @@ def calls_of(name: str) -> list[str]:
 
 
 def test_only_the_decoder_and_prob_dist_keep_candidates():
-    """A decode state moves to its next level in two places: decoder.decode
-    keeps a level's survivors, and scorer._prob_dist walks a prefix. No
-    state class in genret.scorer still defines ``extend``, the move by
-    (rows, ids) that ``keep`` replaced."""
-    assert calls_of("keep") == ["decoder.decode", "scorer._prob_dist"]
+    """A decode state moves to its next level in three places:
+    decoder.decode keeps a level's survivors, decoder.decode_exhaustive
+    keeps every node, and scorer._prob_dist walks a prefix. No state class
+    in genret.scorer still defines ``extend``, the move by (rows, ids) that
+    ``keep`` replaced."""
+    assert calls_of("keep") == ["decoder.decode", "decoder.decode_exhaustive",
+                                "scorer._prob_dist"]
     tree = ast.parse((PACKAGE / "scorer.py").read_text(encoding="utf-8"))
     extends = sorted(f"{node.name}.{member.name}" for node in ast.walk(tree)
                      if isinstance(node, ast.ClassDef) for member in node.body

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from genret.sid import SemanticId
 from genret.trie import TrieError, build, contains, valid_children
 
-from conftest import collision_tries
+from conftest import collision_tries, reference_owners
 
 # three-ad example: Ad_66 [a_12,b_7,c_4]; Ad_245 [a_12,b_7,c_14];
 # Ad_112 [a_12,b_6,c_22]
@@ -81,15 +81,6 @@ def test_membership_exhaustive(codes_set):
             assert valid_children(t, list(prefix)) == expected
 
 
-def reference_owners(sids):
-    """Leaf owners as inserting in ad-id order leaves them: the last
-    inserter of a repeated sequence, the greatest ad id, owns its leaf."""
-    owners = {}
-    for ad_id in sorted(sids):
-        owners[sids[ad_id].codes] = ad_id
-    return owners
-
-
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2)),
                 min_size=1, max_size=30)
        .flatmap(lambda codes: st.permutations(list(enumerate(codes)))))
@@ -110,56 +101,49 @@ def test_children_in_code_order_for_any_insertion_order(entries):
     assert t.ad_count == len(owners)
 
 
+def check_levels(sids, t):
+    """levels numbers each level's nodes from 0 in lexicographic prefix
+    order, as the brute-force prefix sets give them: levels[l] holds level
+    l's node count and, for level l + 1, each node's parent as its index in
+    level l, its code and an arange, as intp arrays. The children they give
+    each node are the node walk's, and leaf k is the last level's node k."""
+    assert len(t.levels) == t.depth
+    prefixes, index = [()], {(): 0}  # prefix -> its node's index within its level
+    for level, view in enumerate(t.levels):
+        below = sorted({sid.codes[:level + 1] for sid in sids.values()})
+        index.update((prefix, j) for j, prefix in enumerate(below))
+        assert view.count == len(prefixes)
+        assert view.parent.tolist() == [index[prefix[:-1]] for prefix in below]
+        assert view.code.tolist() == [prefix[-1] for prefix in below]
+        assert view.every.tolist() == list(range(len(below)))
+        assert all(array.dtype == np.intp for array in view[1:])
+        for prefix in prefixes:
+            assert (view.code[view.parent == index[prefix]].tolist()
+                    == valid_children(t, list(prefix)))
+        prefixes = below
+    owners = reference_owners(sids)
+    assert len(t.leaf_ads) == len(t.leaf_sids) == len(owners) == t.ad_count
+    assert t.levels[-1].every.tolist() == list(range(len(t.leaf_ads)))
+    for codes, ad_id in owners.items():
+        assert t.leaf_ads[index[codes]] == ad_id and t.leaf_sids[index[codes]] is sids[ad_id]
+        assert valid_children(t, list(codes)) == []
+
+
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
                 min_size=1, max_size=30)
        .flatmap(lambda codes: st.permutations(list(enumerate(codes)))))
-def test_breadth_first_arrays_agree_with_the_node_walk(entries):
+def test_levels_agree_with_the_node_walk_for_any_insertion_order(entries):
     sids = {f"ad{i}": SemanticId(codes) for i, codes in entries}
-    t = build(sids)
-    assert t.level_start[0] == 0 and t.level_start[-1] == len(t.parent) == len(t.code)
-    assert (t.parent[0], t.code[0]) == (-1, -1)
-    number = {(): 0}
-    for level in range(1, t.depth + 1):
-        # level l is the distinct l-code prefixes, contiguous and in
-        # lexicographic order
-        prefixes = sorted({sid.codes[:level] for sid in sids.values()})
-        lo, hi = t.level_start[level], t.level_start[level + 1]
-        assert hi - lo == len(prefixes)
-        for n, prefix in enumerate(prefixes, lo):
-            number[prefix] = n
-            assert t.parent[n] == number[prefix[:-1]]
-            assert t.code[n] == prefix[-1]
-    # each node's children by the arrays are its children by the node walk
-    for prefix, n in number.items():
-        assert t.code[t.parent == n].tolist() == valid_children(t, list(prefix))
-    first = t.level_start[t.depth]
-    owners = reference_owners(sids)
-    assert len(t.leaf_ads) == len(t.leaf_sids) == len(owners) == t.ad_count
-    for codes, ad_id in owners.items():
-        leaf_ad, leaf_sid = t.leaf_ads[number[codes] - first], t.leaf_sids[number[codes] - first]
-        assert leaf_ad == ad_id and leaf_sid is sids[ad_id]
-
-
-def test_empty_trie_arrays():
-    t = build({})
-    assert t.level_start == (0, 1) and len(t.leaf_ads) == len(t.leaf_sids) == 0
-    assert t.parent.tolist() == [-1] and t.code.tolist() == [-1]
-    assert t.levels == ()
+    check_levels(sids, build(sids))
 
 
 @given(collision_tries(max_levels=4))
-def test_levels_are_the_slices_they_replace(tree):
-    """levels[l] is level l's node count and, for level l + 1, each node's
-    parent numbered within level l, its code and an arange: the slices of
-    level_start, parent and code that a decode would otherwise cut. The
-    tries hold collision groups and repeated S-IDs, at depths 2 to 5."""
-    _, t = tree
-    assert len(t.levels) == t.depth
-    for level, view in enumerate(t.levels):
-        start, lo, hi = t.level_start[level:level + 3]
-        assert view.count == lo - start
-        for array, expected in ((view.parent, t.parent[lo:hi] - start),
-                                (view.code, t.code[lo:hi]), (view.every, np.arange(hi - lo))):
-            assert array.dtype == np.intp
-            np.testing.assert_array_equal(array, expected)
-    assert t.levels[-1].every.tolist() == list(range(len(t.leaf_ads)))
+def test_levels_agree_with_the_node_walk_on_collision_groups(tree):
+    """The tries hold collision groups and repeated S-IDs, at depths 2 to 5."""
+    check_levels(*tree)
+
+
+def test_empty_trie_levels():
+    t = build({})
+    assert t.levels == () and t.depth == 0
+    assert len(t.leaf_ads) == len(t.leaf_sids) == t.ad_count == 0
